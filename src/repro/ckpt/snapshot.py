@@ -193,8 +193,7 @@ def restore(path: PathLike) -> SimCheckpoint:
 
 def _has_pending(network) -> bool:
     if isinstance(network, PacketNetwork):
-        heap = network.loop._heap
-        return any(not event.cancelled for __, __s, event in heap)
+        return network.loop.next_time() is not None
     from repro.hybrid.engine import HybridSimulator
 
     if isinstance(network, HybridSimulator):
@@ -202,13 +201,6 @@ def _has_pending(network) -> bool:
     return bool(
         network._active or network._arrivals or network._timers
     )
-
-
-def _next_packet_event(network) -> Optional[float]:
-    """Earliest live heap event time, or None with the heap drained."""
-    heap = network.loop._heap
-    times = [t for t, __, event in heap if not event.cancelled]
-    return min(times) if times else None
 
 
 def run_checkpointed(
@@ -252,7 +244,7 @@ def run_checkpointed(
             # RTO-timer drain after the last flow completes) so every
             # chunk processes at least one event instead of writing
             # thousands of do-nothing snapshots.
-            t_event = _next_packet_event(network)
+            t_event = network.loop.next_time()
             if t_event is None:
                 # Heap drained: finish with horizon semantics (a plain
                 # run(until=...) still advances the clock there).

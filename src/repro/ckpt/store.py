@@ -33,8 +33,9 @@ import tempfile
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 #: Bump on any incompatible change to the manifest layout or payload
-#: encoding; readers refuse other versions.
-FORMAT_VERSION = 1
+#: encoding; readers refuse other versions.  v2: packet snapshots hold
+#: the one-event-per-packet queues and deadline retransmit timers.
+FORMAT_VERSION = 2
 
 MANIFEST_NAME = "MANIFEST.json"
 

@@ -276,9 +276,7 @@ def _has_pending(network) -> bool:
     ``run(until=inf)`` from ever draining its heap.
     """
     if isinstance(network, PacketNetwork):
-        return any(
-            not event.cancelled for __, __s, event in network.loop._heap
-        )
+        return network.loop.next_time() is not None
     if isinstance(network, HybridSimulator):
         return _has_pending(network.packet) or _has_pending(network.fluid)
     return bool(

@@ -72,7 +72,7 @@ class BackgroundLoadBridge:
         index = self.fluid._link_index
         changed = 0
         cross_total = 0.0
-        for key, (queue, __) in elements.items():
+        for key, queue in elements.items():
             idx = index.get(key)
             if idx is None:
                 continue
@@ -86,7 +86,7 @@ class BackgroundLoadBridge:
             # is identically zero and every queue keeps its pristine
             # rate, byte-identical to a pure packet run.
             if effective != queue.rate:
-                queue.rate = effective
+                queue.set_rate(effective)
                 changed += 1
         self.refreshes += 1
         if self.obs.enabled:
@@ -97,7 +97,7 @@ class BackgroundLoadBridge:
             self.obs.gauge("hybrid.bridge.queues_reduced").set(
                 sum(
                     1
-                    for key, (queue, __) in elements.items()
+                    for key, queue in elements.items()
                     if key in self._base and queue.rate < self._base[key]
                 )
             )

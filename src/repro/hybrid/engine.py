@@ -211,11 +211,6 @@ class HybridSimulator:
             counts[fid] += 1
         return counts
 
-    def _packet_pending(self) -> bool:
-        return any(
-            not event.cancelled for __, __, event in self.packet.loop._heap
-        )
-
     # --- execution -----------------------------------------------------
 
     def run(

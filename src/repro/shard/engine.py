@@ -71,7 +71,6 @@ from repro.shard.partition import (
 from repro.shard.partition import serial_fallback as _serial_fallback
 from repro.shard.worker import (
     WorkerConfig,
-    _next_event_time,
     build_worker,
     handle_message,
     worker_main,
@@ -946,7 +945,7 @@ def _run_serial_packet(
                 break
             worker.advance(t_next)
             t = t_next
-            if _next_event_time(worker.net.loop) is None:
+            if worker.net.loop.next_time() is None:
                 break
             payloads = {
                 "shard-00.pkl": pickle.dumps(

@@ -25,7 +25,6 @@ cross-plane and stay serial; see ``resolve_shards`` in the engine.
 from __future__ import annotations
 
 import functools
-import heapq
 import pickle
 import traceback
 from dataclasses import dataclass, field
@@ -71,16 +70,6 @@ class WorkerConfig:
     #: :func:`build_worker` unpickles it instead of constructing fresh
     #: state, resuming the worker mid-run (see :mod:`repro.ckpt`).
     restore_blob: Optional[bytes] = None
-
-
-def _next_event_time(loop) -> Optional[float]:
-    """Earliest *real* (non-cancelled) pending event, popping dead heads."""
-    heap = loop._heap
-    while heap and heap[0][2].cancelled:
-        heapq.heappop(heap)
-        if loop._cancelled > 0:
-            loop._cancelled -= 1
-    return heap[0][0] if heap else None
 
 
 class PacketShardWorker:
@@ -187,7 +176,7 @@ class PacketShardWorker:
         # layout of the shm backend.
         return {
             "t": self.net.loop.now,
-            "next": _next_event_time(self.net.loop),
+            "next": self.net.loop.next_time(),
             "flows": {
                 gid: source.digest()
                 for gid, source in sorted(self._spanning.items())
@@ -241,7 +230,7 @@ class PacketShardWorker:
                 continue  # vanished since the sample: nothing to move
             self.net.add_flow(spec=spec)
             self._local_gids.append(gid)
-        return {"next": _next_event_time(self.net.loop)}
+        return {"next": self.net.loop.next_time()}
 
     def result(self) -> Dict[str, Any]:
         local_planes = set(

@@ -4,12 +4,13 @@ Components mirror htsim's architecture:
 
 * :mod:`repro.sim.events` -- the event loop.
 * :mod:`repro.sim.packet` -- data/ACK packets with source routes.
-* :mod:`repro.sim.link` -- drop-tail output queues and propagation pipes.
+* :mod:`repro.sim.link` -- directed links: drop-tail output queues with
+  their propagation delay, one event per packet.
 * :mod:`repro.sim.tcp` -- TCP NewReno sources/sinks (slow start, fast
   retransmit/recovery, RTO with the 10 ms datacenter minimum).
 * :mod:`repro.sim.mptcp` -- MPTCP with LIA-coupled congestion control
   over subflows pinned to P-Net paths.
-* :mod:`repro.sim.network` -- assembles queues/pipes from topologies and
+* :mod:`repro.sim.network` -- assembles link queues from topologies and
   launches flows.
 * :mod:`repro.sim.rpc` -- closed-loop request/response application.
 

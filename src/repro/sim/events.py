@@ -9,7 +9,7 @@ from typing import Callable, List, Optional, Tuple
 
 
 class Event:
-    """A scheduled callback; keep the handle to :meth:`cancel` it."""
+    """A scheduled callback; pass it to :meth:`EventLoop.cancel`."""
 
     __slots__ = ("time", "fn", "cancelled")
 
@@ -17,10 +17,6 @@ class Event:
         self.time = time
         self.fn = fn
         self.cancelled = False
-
-    def cancel(self) -> None:
-        """Lazily cancel: the loop skips cancelled events when popped."""
-        self.cancelled = True
 
 
 class EventLoop:
@@ -37,19 +33,6 @@ class EventLoop:
             not per event.
     """
 
-    #: Class-level fallbacks so loops pickled before these fields
-    #: existed unpickle cleanly.
-    _cancelled = 0
-    _interrupt_at = math.inf
-    _running = False
-
-    #: Compaction trigger: rebuild the heap once at least this many
-    #: cancelled events linger *and* they are the majority.  Rebuilding
-    #: is O(n) against the O(log n) per-event pop tax, so amortised it
-    #: is free; pop order is a total order on (time, seq), so heapify
-    #: of the surviving entries cannot change results.
-    COMPACT_MIN = 512
-
     def __init__(self, obs=None):
         self.now = 0.0
         self._heap: List[Tuple[float, int, Event]] = []
@@ -59,7 +42,6 @@ class EventLoop:
         self.events_processed = 0
         #: Deepest the heap has ever been (cancelled events included).
         self.max_heap_depth = 0
-        self._cancelled = 0
         self._interrupt_at = math.inf
         self._running = False
         self._obs = obs
@@ -76,35 +58,28 @@ class EventLoop:
                 f"cannot schedule in the past ({time} < {self.now})"
             )
         event = Event(time, fn)
-        heapq.heappush(self._heap, (time, self._seq, event))
+        heap = self._heap
+        heapq.heappush(heap, (time, self._seq, event))
         self._seq += 1
-        if len(self._heap) > self.max_heap_depth:
-            self.max_heap_depth = len(self._heap)
+        if len(heap) > self.max_heap_depth:
+            self.max_heap_depth = len(heap)
         return event
 
     def cancel(self, event: Event) -> None:
-        """Cancel through the loop so dead heap entries get compacted.
-
-        ``Event.cancel`` alone stays valid (the loop skips cancelled
-        events on pop); this entry point additionally counts the dead
-        weight and rebuilds the heap when cancelled entries dominate --
-        per-ACK retransmission-timer churn otherwise leaves thousands
-        of tombstones inflating every push/pop.
-        """
-        if event.cancelled:
-            return
+        """Cancel ``event``: the loop skips it, and its callback goes now."""
         event.cancelled = True
-        self._cancelled += 1
-        if (
-            self._cancelled >= self.COMPACT_MIN
-            and self._cancelled * 2 >= len(self._heap)
-        ):
-            # In place: ``run`` holds a local alias of the heap list.
-            self._heap[:] = [
-                entry for entry in self._heap if not entry[2].cancelled
-            ]
-            heapq.heapify(self._heap)
-            self._cancelled = 0
+        event.fn = None
+
+    def next_time(self) -> Optional[float]:
+        """Time of the earliest live event, or None when none is left.
+
+        Cancelled entries at the top of the heap are discarded on the
+        way; they would be skipped when popped anyway.
+        """
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def interrupt(self, at: Optional[float] = None) -> None:
         """Ask the in-progress :meth:`run` to stop early.
@@ -136,20 +111,24 @@ class EventLoop:
         if timing:
             t0 = time.perf_counter()
         heap = self._heap
+        heappop = heapq.heappop
         processed = 0
         self._running = True
         try:
             while heap:
-                event_time, __, event = heap[0]
+                entry = heappop(heap)
+                event_time, __, event = entry
                 if event_time > until or event_time > self._interrupt_at:
+                    # Put it back: (time, seq) is a total order, so the
+                    # heap pops exactly as if it had only been peeked.
+                    heapq.heappush(heap, entry)
                     break
-                heapq.heappop(heap)
                 if event.cancelled:
-                    if self._cancelled > 0:
-                        self._cancelled -= 1
                     continue
                 self.now = event_time
-                event.fn()
+                fn = event.fn
+                event.fn = None  # spent: a handle still held pins nothing
+                fn()
                 processed += 1
                 if processed > max_events:
                     raise RuntimeError(f"exceeded {max_events} events")
@@ -166,8 +145,3 @@ class EventLoop:
             obs.histogram("sim.events.run_seconds", wallclock=True).observe(
                 time.perf_counter() - t0
             )
-
-    @property
-    def pending(self) -> int:
-        """Events still queued (including lazily-cancelled ones)."""
-        return len(self._heap)

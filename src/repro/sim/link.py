@@ -1,35 +1,25 @@
-"""Queues and pipes: the two halves of a directed link.
+"""Directed links: a drop-tail output queue plus its propagation delay.
 
-A directed link ``u -> v`` is a drop-tail :class:`Queue` (serialisation at
-the link rate, bounded buffer) feeding a :class:`Pipe` (fixed propagation
-delay).  This matches htsim's element model and the paper's switch
-abstraction: output-queued switches with per-port FIFO buffers.
+A directed link ``u -> v`` is one :class:`Queue` -- htsim's element model
+and the paper's output-queued switch port -- at one event per packet.  A
+FIFO at a known rate knows each packet's departure on arrival, ``max(now,
+last departure) + size*8/rate``, so the queue schedules only the arrival
+at the next element (``departure + delay``) and keeps the pending
+departures, which give the depth for drops, ECN and :meth:`Queue.fail`.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import deque
-from typing import Deque, Optional  # noqa: F401 (Optional used in sig)
+from typing import Callable, Deque, List, Optional, Tuple
 
-from repro.sim.events import EventLoop
+from repro.sim.events import Event, EventLoop
 from repro.sim.packet import Packet
 
-
-class Pipe:
-    """Fixed propagation delay; never drops or reorders."""
-
-    __slots__ = ("loop", "delay", "name")
-
-    def __init__(self, loop: EventLoop, delay: float, name: str = ""):
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay}")
-        self.loop = loop
-        self.delay = delay
-        self.name = name
-
-    def receive(self, packet: Packet) -> None:
-        self.loop.schedule(self.delay, packet.forward)
+#: (departure time, wire size, arrival event at the next element).  Only
+#: a packet queued behind another is ever cancelled or re-timed, so only
+#: its event is kept: the others' would deepen mid-run checkpoint pickles.
+_Entry = Tuple[float, int, Optional[Event]]
 
 
 class Queue:
@@ -37,15 +27,24 @@ class Queue:
 
     Args:
         loop: the event loop.
-        rate: link rate, bits/second.
+        rate: link rate, bits/second; change it mid-run with
+            :meth:`set_rate`.
         max_packets: buffer capacity in packets *excluding* the one in
             service (htsim-style; the paper's switches default to 100).
+        ecn_threshold: mark packets with Congestion Experienced when the
+            instantaneous queue depth is at or above this many packets
+            on arrival (DCTCP's step marking at K).  None disables it.
+        tracer: optional :class:`repro.obs.Tracer`; drops and ECN marks
+            are always traced, per-packet depth samples only when the
+            tracer is ``verbose``.
+        plane: dataplane index stamped on trace events.
+        delay: propagation delay to the next element, seconds.
     """
 
     __slots__ = (
-        "loop", "rate", "max_packets", "name", "ecn_threshold",
-        "_buffer", "_busy", "drops", "packets_forwarded", "bytes_forwarded",
-        "ecn_marks", "down", "_trace", "plane",
+        "loop", "rate", "delay", "max_packets", "name", "ecn_threshold",
+        "_pending", "_accepted", "_accepted_bytes", "drops", "ecn_marks",
+        "down", "_trace", "plane",
     )
 
     def __init__(
@@ -57,19 +56,8 @@ class Queue:
         ecn_threshold: Optional[int] = None,
         tracer=None,
         plane: Optional[int] = None,
+        delay: float = 0.0,
     ):
-        """See class docstring.
-
-        Args:
-            ecn_threshold: mark packets with Congestion Experienced when
-                the instantaneous queue depth is at or above this many
-                packets on arrival (DCTCP's step marking at K).  None
-                disables marking.
-            tracer: optional :class:`repro.obs.Tracer`; drops and ECN
-                marks are always traced, per-packet depth samples only
-                when the tracer is ``verbose``.
-            plane: dataplane index stamped on trace events.
-        """
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
         if max_packets < 1:
@@ -78,16 +66,19 @@ class Queue:
             raise ValueError(
                 f"ecn_threshold must be >= 1, got {ecn_threshold}"
             )
+        if delay < 0:
+            raise ValueError(f"delay must be >= 0, got {delay}")
         self.loop = loop
         self.rate = rate
+        self.delay = delay
         self.max_packets = max_packets
         self.name = name
         self.ecn_threshold = ecn_threshold
-        self._buffer: Deque[Packet] = deque()
-        self._busy = False
+        #: Packets not yet known to have left, the one in service first.
+        self._pending: Deque[_Entry] = deque()
+        self._accepted = 0
+        self._accepted_bytes = 0
         self.drops = 0
-        self.packets_forwarded = 0
-        self.bytes_forwarded = 0
         self.ecn_marks = 0
         #: Mid-run failure flag: a down link black-holes everything
         #: (buffered packets are lost too, like a cut fiber).
@@ -95,79 +86,107 @@ class Queue:
         self._trace = tracer
         self.plane = plane
 
+    def _emit(self, kind: str, **fields) -> None:
+        self._trace.emit(
+            kind, self.loop.now, queue=self.name, plane=self.plane, **fields
+        )
+
+    def _queued(self) -> List[_Entry]:
+        """Packets still serialising or waiting once ``now`` has run."""
+        now = self.loop.now
+        return [entry for entry in self._pending if entry[0] > now]
+
     @property
     def depth(self) -> int:
         """Packets buffered (excluding the one being serialised)."""
-        return len(self._buffer)
+        return max(len(self._queued()) - 1, 0)
+
+    @property
+    def packets_forwarded(self) -> int:
+        """Packets that finished serialisation, exact at any instant."""
+        return self._accepted - len(self._queued())
+
+    @property
+    def bytes_forwarded(self) -> int:
+        """Wire bytes that finished serialisation, exact at any instant."""
+        return self._accepted_bytes - sum(e[1] for e in self._queued())
+
+    def _take_waiting(self) -> List[Tuple[int, Callable[[], None]]]:
+        """Unschedule the packets waiting behind the one in service;
+        returns their sizes and arrival callbacks."""
+        taken = []
+        for __, size, event in self._queued()[1:]:
+            self._pending.pop()
+            taken.append((size, event.fn))
+            self.loop.cancel(event)
+        return taken
 
     def fail(self) -> None:
-        """Cut the link: drop the buffer and every future arrival."""
+        """Cut the link: the packet in service still leaves; the ones
+        waiting behind it and every later arrival are lost."""
         self.down = True
-        self.drops += len(self._buffer)
-        if self._trace is not None and self._buffer:
-            self._trace.emit(
-                "queue.fail", self.loop.now, queue=self.name,
-                plane=self.plane, lost=len(self._buffer),
-            )
-        self._buffer.clear()
+        lost = self._take_waiting()
+        if lost:
+            self.drops += len(lost)
+            self._accepted -= len(lost)
+            self._accepted_bytes -= sum(size for size, __ in lost)
+            if self._trace is not None:
+                self._emit("queue.fail", lost=len(lost))
 
     def restore(self) -> None:
         self.down = False
 
+    def set_rate(self, rate: float) -> None:
+        """Change the service rate mid-run.
+
+        Service time is fixed when service starts: the packet in service
+        keeps its departure and the ones waiting behind it are re-timed
+        at the new rate.
+        """
+        if rate <= 0:
+            raise ValueError(f"rate must be positive, got {rate}")
+        self.rate = rate
+        pending = self._pending
+        for size, arrive in self._take_waiting():
+            departure = pending[-1][0] + size * 8 / rate
+            pending.append((departure, size, self.loop.schedule_at(
+                departure + self.delay, arrive
+            )))
+
     def receive(self, packet: Packet) -> None:
+        loop = self.loop
+        now = loop.now
+        pending = self._pending
+        # A packet departing exactly now still occupies the queue.
+        while pending and pending[0][0] < now:
+            pending.popleft()
+        queued = len(pending)  # includes the packet in service
         if self.down:
             self.drops += 1
             if self._trace is not None:
-                self._trace.emit(
-                    "queue.drop", self.loop.now, queue=self.name,
-                    plane=self.plane, reason="down", depth=len(self._buffer),
+                self._emit(
+                    "queue.drop", reason="down", depth=max(queued - 1, 0)
                 )
             return
         if (
             self.ecn_threshold is not None
             and not packet.is_ack
-            and len(self._buffer) + (1 if self._busy else 0)
-                >= self.ecn_threshold
+            and queued >= self.ecn_threshold
         ):
             packet.ecn_ce = True
             self.ecn_marks += 1
             if self._trace is not None:
-                self._trace.emit(
-                    "queue.ecn", self.loop.now, queue=self.name,
-                    plane=self.plane, depth=len(self._buffer),
-                )
-        if not self._busy:
-            self._busy = True
-            self._serve(packet)
-        elif len(self._buffer) < self.max_packets:
-            self._buffer.append(packet)
-            if self._trace is not None and self._trace.verbose:
-                self._trace.emit(
-                    "queue.depth", self.loop.now, queue=self.name,
-                    plane=self.plane, depth=len(self._buffer),
-                )
-        else:
+                self._emit("queue.ecn", depth=max(queued - 1, 0))
+        if queued > self.max_packets:
             self.drops += 1
             if self._trace is not None:
-                self._trace.emit(
-                    "queue.drop", self.loop.now, queue=self.name,
-                    plane=self.plane, reason="overflow",
-                    depth=len(self._buffer),
-                )
-
-    def _serve(self, packet: Packet) -> None:
-        service_time = packet.size * 8 / self.rate
-        # partial, not a lambda: the pending event must pickle for
-        # checkpointing (repro.ckpt snapshots the live event heap).
-        self.loop.schedule(
-            service_time, functools.partial(self._done, packet)
-        )
-
-    def _done(self, packet: Packet) -> None:
-        self.packets_forwarded += 1
-        self.bytes_forwarded += packet.size
-        packet.forward()
-        if self._buffer:
-            self._serve(self._buffer.popleft())
-        else:
-            self._busy = False
+                self._emit("queue.drop", reason="overflow", depth=queued - 1)
+            return
+        size = packet.size
+        departure = (pending[-1][0] if queued else now) + size * 8 / self.rate
+        arrival = loop.schedule_at(departure + self.delay, packet.forward)
+        pending.append((departure, size, arrival if queued else None))
+        self._accepted += 1
+        self._accepted_bytes += size
+        if queued and self._trace is not None and self._trace.verbose:
+            self._emit("queue.depth", depth=queued)

@@ -1,9 +1,10 @@
 """Assemble a packet-level simulation from topologies and launch flows.
 
-:class:`PacketNetwork` lazily instantiates a drop-tail
-:class:`~repro.sim.link.Queue` + :class:`~repro.sim.link.Pipe` pair for
-every directed link a flow actually crosses, wires TCP/MPTCP sources and
-sinks onto source routes, and records per-flow results.
+:class:`PacketNetwork` lazily instantiates one drop-tail
+:class:`~repro.sim.link.Queue` (serialisation plus propagation delay)
+for every directed link a flow actually crosses, wires TCP/MPTCP sources
+and sinks onto source routes of those queues, and records per-flow
+results.
 
 Telemetry: pass a :class:`repro.obs.Registry` as ``obs`` (or install a
 process default via :func:`repro.obs.set_registry`) and the network
@@ -25,7 +26,7 @@ from repro.core.flowspec import FlowSpec, warn_positional_add_flow
 from repro.core.pnet import PlanePath
 from repro.obs import get_registry
 from repro.sim.events import EventLoop
-from repro.sim.link import Pipe, Queue
+from repro.sim.link import Queue
 from repro.sim.mptcp import MptcpSource
 from repro.sim.tcp import TcpSink, TcpSource
 from repro.topology.graph import Topology
@@ -92,7 +93,7 @@ class PacketNetwork:
         self.loop = loop if loop is not None else EventLoop(
             obs=self.obs if self.obs.enabled else None
         )
-        self._elements: Dict[Tuple[int, str, str], Tuple[Queue, Pipe]] = {}
+        self._elements: Dict[Tuple[int, str, str], Queue] = {}
         # Plain int (not itertools.count) so the network pickles for
         # checkpointing with its id sequence intact.
         self._next_flow_id = 0
@@ -106,10 +107,10 @@ class PacketNetwork:
 
     # --- element plumbing ------------------------------------------------
 
-    def _element_pair(self, plane_idx: int, u: str, v: str) -> Tuple[Queue, Pipe]:
+    def _queue(self, plane_idx: int, u: str, v: str) -> Queue:
         key = (plane_idx, u, v)
-        pair = self._elements.get(key)
-        if pair is None:
+        queue = self._elements.get(key)
+        if queue is None:
             plane = self.planes[plane_idx]
             if not plane.has_link(u, v) or plane.is_failed(u, v):
                 raise ValueError(
@@ -124,21 +125,15 @@ class PacketNetwork:
                 ecn_threshold=self.ecn_threshold,
                 tracer=self._tracer,
                 plane=plane_idx,
+                delay=link.propagation,
             )
-            pipe = Pipe(self.loop, link.propagation, name=f"p{plane_idx}:{u}->{v}")
-            pair = (queue, pipe)
-            self._elements[key] = pair
-        return pair
+            self._elements[key] = queue
+        return queue
 
     def _route_elements(self, plane_idx: int, path: Sequence[str]) -> List:
         if len(path) < 2:
             raise ValueError("path must traverse at least one link")
-        elements: List = []
-        for u, v in zip(path, path[1:]):
-            queue, pipe = self._element_pair(plane_idx, u, v)
-            elements.append(queue)
-            elements.append(pipe)
-        return elements
+        return [self._queue(plane_idx, u, v) for u, v in zip(path, path[1:])]
 
     # --- flow launch ----------------------------------------------------------
 
@@ -267,7 +262,7 @@ class PacketNetwork:
                 name=f"{spec.transport}-{flow_id}",
                 tracer=self._tracer,
             )
-            self._wire(source, paths[0])
+            self.wire(source, paths[0])
         else:
             source = MptcpSource(
                 self.loop,
@@ -280,7 +275,7 @@ class PacketNetwork:
                 tracer=self._tracer,
             )
             for subflow, plane_path in zip(source.subflows, paths):
-                self._wire(subflow, plane_path)
+                self.wire(subflow, plane_path)
         return source
 
     # --- in-flight flow inspection ---------------------------------------
@@ -330,23 +325,20 @@ class PacketNetwork:
             total += source.snd_una if acked is None else acked
         return total
 
-    def _wire(self, tcp_source: TcpSource, plane_path: PlanePath) -> None:
+    def wire(self, tcp_source: TcpSource, plane_path: PlanePath) -> None:
+        """Wire a source/subflow onto one plane path.
+
+        Instantiates queues along the path (and the reverse ACK
+        path), creates the sink, and connects both routes.  The sharded
+        engine uses this to attach partial MPTCP sources it constructs
+        itself; ordinary callers should go through :meth:`add_flow`.
+        """
         plane_idx, path = plane_path
         sink = TcpSink(self.loop, name=f"{tcp_source.name}-sink")
         forward = self._route_elements(plane_idx, path)
         backward = self._route_elements(plane_idx, list(reversed(path)))
         tcp_source.route_out = forward + [sink]
         sink.route_back = backward + [tcp_source]
-
-    def wire(self, tcp_source: TcpSource, plane_path: PlanePath) -> None:
-        """Wire a caller-built source/subflow onto one plane path.
-
-        Instantiates queues/pipes along the path (and the reverse ACK
-        path), creates the sink, and connects both routes.  The sharded
-        engine uses this to attach partial MPTCP sources it constructs
-        itself; ordinary callers should go through :meth:`add_flow`.
-        """
-        self._wire(tcp_source, plane_path)
 
     # --- mid-run failures -----------------------------------------------------------
 
@@ -361,16 +353,16 @@ class PacketNetwork:
         """
         self.planes[plane_idx].fail_link(u, v)
         for a, b in ((u, v), (v, u)):
-            pair = self._elements.get((plane_idx, a, b))
-            if pair is not None:
-                pair[0].fail()
+            queue = self._elements.get((plane_idx, a, b))
+            if queue is not None:
+                queue.fail()
 
     def restore_link(self, plane_idx: int, u: str, v: str) -> None:
         self.planes[plane_idx].restore_link(u, v)
         for a, b in ((u, v), (v, u)):
-            pair = self._elements.get((plane_idx, a, b))
-            if pair is not None:
-                pair[0].restore()
+            queue = self._elements.get((plane_idx, a, b))
+            if queue is not None:
+                queue.restore()
 
     # --- execution -----------------------------------------------------------------
 
@@ -383,11 +375,11 @@ class PacketNetwork:
 
     @property
     def total_drops(self) -> int:
-        return sum(q.drops for q, __ in self._elements.values())
+        return sum(q.drops for q in self._elements.values())
 
     @property
     def total_ecn_marks(self) -> int:
-        return sum(q.ecn_marks for q, __ in self._elements.values())
+        return sum(q.ecn_marks for q in self._elements.values())
 
     @property
     def total_retransmits(self) -> int:
@@ -397,7 +389,7 @@ class PacketNetwork:
         """Per-queue (packets forwarded, drops), keyed by queue name."""
         return {
             q.name: (q.packets_forwarded, q.drops)
-            for q, __ in self._elements.values()
+            for q in self._elements.values()
         }
 
     def plane_queue_totals(self) -> Dict[int, Dict[str, int]]:
@@ -409,7 +401,7 @@ class PacketNetwork:
             }
             for idx in range(len(self.planes))
         }
-        for (plane_idx, __, ___), (queue, ____) in self._elements.items():
+        for (plane_idx, __, ___), queue in self._elements.items():
             plane = totals[plane_idx]
             plane["packets_forwarded"] += queue.packets_forwarded
             plane["drops"] += queue.drops

@@ -1,7 +1,7 @@
 """Packets and source routes.
 
 Packets are source-routed the way htsim routes them: each carries the
-list of network elements (queues, pipes, finally a protocol sink) it will
+list of network elements (link queues, finally a protocol sink) it will
 visit, plus the index of its current position.  Elements call
 :meth:`Packet.forward` to hand the packet to the next element.
 """

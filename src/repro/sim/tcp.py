@@ -91,6 +91,7 @@ class TcpSource:
         self.rttvar = 0.0
         self.rto = min_rto
         self._rtx_event: Optional[Event] = None
+        self._rtx_deadline = 0.0
         self._backoff = 1
 
         # Bookkeeping.
@@ -184,18 +185,26 @@ class TcpSource:
     # --- timer ---------------------------------------------------------------------
 
     def _arm_timer(self) -> None:
-        delay = min(self.rto * self._backoff, MAX_RTO)
-        self._rtx_event = self.loop.schedule(delay, self._on_timeout)
+        # A deadline, not an event per restart: a later deadline leaves
+        # the pending event to re-arm itself when it fires early; an
+        # earlier one (the RTO shrank) needs a fresh event.
+        deadline = self.loop.now + min(self.rto * self._backoff, MAX_RTO)
+        self._rtx_deadline = deadline
+        if self._rtx_event is None or self._rtx_event.time > deadline:
+            self._cancel_timer()
+            self._rtx_event = self.loop.schedule_at(deadline, self._on_timeout)
 
     def _cancel_timer(self) -> None:
         if self._rtx_event is not None:
-            # Through the loop, not Event.cancel: per-ACK timer churn is
-            # the dominant source of dead heap entries, and the loop
-            # compacts them once they outnumber live events.
             self.loop.cancel(self._rtx_event)
             self._rtx_event = None
 
     def _on_timeout(self) -> None:
+        if self.loop.now < self._rtx_deadline:
+            self._rtx_event = self.loop.schedule_at(
+                self._rtx_deadline, self._on_timeout
+            )
+            return
         self._rtx_event = None
         if self._completed or self.flightsize == 0:
             return
@@ -271,9 +280,10 @@ class TcpSource:
             else:
                 self._ca_increase(newly)
 
-            self._cancel_timer()
             if self.flightsize > 0:
                 self._arm_timer()
+            else:
+                self._cancel_timer()
 
             if self.on_ack is not None:
                 self.on_ack(self)

@@ -8,6 +8,7 @@ link refcounts ride in the same pickle).  "Close" is a failure: these
 tests compare pickled bytes and exact floats, never approximations.
 """
 
+import json
 import pathlib
 import pickle
 import random
@@ -188,6 +189,20 @@ class TestRestoreRejections:
     def test_interval_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
             run_checkpointed(_packet_net(), tmp_path, every=0)
+
+    def test_v1_packet_snapshot_rejected(self, tmp_path):
+        # v1 packet snapshots hold two-event queues and pipes that this
+        # build cannot run; they must fail at load, not in the restored
+        # simulation.
+        net = _packet_net()
+        net.run(until=3e-5)
+        directory = save(tmp_path, net)
+        manifest_path = directory / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="v1 .* not supported"):
+            restore(directory)
 
 
 class TestMidFaultResume:

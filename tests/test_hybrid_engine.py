@@ -183,7 +183,7 @@ class TestBridge:
         loaded, net = fct_with_background(4)
         assert loaded > alone * 1.5
         # and the reduction is floored, never zero or negative
-        for (queue, __) in net.packet._elements.values():
+        for queue in net.packet._elements.values():
             assert queue.rate > 0
 
     def test_bridge_gauges_published(self):

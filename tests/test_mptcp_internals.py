@@ -3,19 +3,15 @@
 import pytest
 
 from repro.sim.events import EventLoop
-from repro.sim.link import Pipe, Queue
+from repro.sim.link import Queue
 from repro.sim.mptcp import MptcpSource, _CoupledSubflow
 from repro.sim.tcp import TcpSink
 from repro.units import Gbps
 
 
 def wire(loop, subflow, sink, rate=10 * Gbps, prop=1e-6):
-    q_out = Queue(loop, rate)
-    p_out = Pipe(loop, prop)
-    q_back = Queue(loop, rate)
-    p_back = Pipe(loop, prop)
-    subflow.route_out = [q_out, p_out, sink]
-    sink.route_back = [q_back, p_back, subflow]
+    subflow.route_out = [Queue(loop, rate, delay=prop), sink]
+    sink.route_back = [Queue(loop, rate, delay=prop), subflow]
 
 
 class TestScheduler:

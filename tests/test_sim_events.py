@@ -1,9 +1,9 @@
-"""Tests for the event loop, queues, and pipes."""
+"""Tests for the event loop, links, and packets."""
 
 import pytest
 
 from repro.sim.events import EventLoop
-from repro.sim.link import Pipe, Queue
+from repro.sim.link import Queue
 from repro.sim.packet import HEADER_BYTES, Packet
 
 
@@ -41,9 +41,31 @@ class TestEventLoop:
         loop = EventLoop()
         fired = []
         event = loop.schedule(1.0, lambda: fired.append(1))
-        event.cancel()
+        loop.cancel(event)
         loop.run()
         assert fired == []
+
+    def test_next_time_skips_cancelled(self):
+        loop = EventLoop()
+        early = loop.schedule(1.0, lambda: None)
+        loop.schedule(2.0, lambda: None)
+        assert loop.next_time() == 1.0
+        loop.cancel(early)
+        assert loop.next_time() == 2.0
+        loop.run()
+        assert loop.next_time() is None
+
+    def test_spent_handles_release_their_callbacks(self):
+        # A handle kept after its event fired or was cancelled (a queue's
+        # record of a departed packet, a dead retransmit timer) must not
+        # keep the callback's objects alive or in checkpoints.
+        loop = EventLoop()
+        fired = loop.schedule(1.0, lambda: None)
+        cancelled = loop.schedule(2.0, lambda: None)
+        loop.cancel(cancelled)
+        assert cancelled.fn is None
+        loop.run(until=1.5)
+        assert fired.fn is None
 
     def test_nested_scheduling(self):
         loop = EventLoop()
@@ -91,22 +113,23 @@ def _packet(route, payload=1460):
     return Packet(flow=None, route=route, payload=payload)
 
 
-class TestPipe:
+class TestPropagation:
     def test_propagation_delay(self):
         loop = EventLoop()
         sink = _Collector(loop)
-        pipe = Pipe(loop, delay=1e-6)
-        pkt = _packet([pipe, sink])
+        link = Queue(loop, rate=1e9, delay=1e-6)
+        pkt = _packet([link, sink])
         pkt.forward()
         loop.run()
-        assert sink.arrivals[0][0] == pytest.approx(1e-6)
+        serialisation = (1460 + HEADER_BYTES) * 8 / 1e9
+        assert sink.arrivals[0][0] == pytest.approx(serialisation + 1e-6)
 
     def test_no_reordering(self):
         loop = EventLoop()
         sink = _Collector(loop)
-        pipe = Pipe(loop, delay=1e-6)
+        link = Queue(loop, rate=1e9, delay=1e-6)
         for i in range(3):
-            pkt = _packet([pipe, sink], payload=i + 1)
+            pkt = _packet([link, sink], payload=i + 1)
             pkt.forward()
         loop.run()
         payloads = [p.payload for __, p in sink.arrivals]
@@ -114,7 +137,7 @@ class TestPipe:
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            Pipe(EventLoop(), delay=-1)
+            Queue(EventLoop(), rate=1e9, delay=-1)
 
 
 class TestQueue:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.events import EventLoop
-from repro.sim.link import Pipe, Queue
+from repro.sim.link import Queue
 from repro.sim.packet import Packet
 from repro.sim.tcp import TcpSink, TcpSource
 from repro.units import Gbps
@@ -11,13 +11,13 @@ from repro.units import Gbps
 
 def wire_direct(loop, source, sink, rate=10 * Gbps, prop=1e-6,
                 queue_packets=100):
-    """Connect source->sink and back through one queue+pipe each way."""
-    q_out = Queue(loop, rate, max_packets=queue_packets, name="out")
-    p_out = Pipe(loop, prop, name="out")
-    q_back = Queue(loop, rate, max_packets=queue_packets, name="back")
-    p_back = Pipe(loop, prop, name="back")
-    source.route_out = [q_out, p_out, sink]
-    sink.route_back = [q_back, p_back, source]
+    """Connect source->sink and back through one link each way."""
+    q_out = Queue(loop, rate, max_packets=queue_packets, name="out",
+                  delay=prop)
+    q_back = Queue(loop, rate, max_packets=queue_packets, name="back",
+                   delay=prop)
+    source.route_out = [q_out, sink]
+    sink.route_back = [q_back, source]
     return q_out
 
 
