@@ -22,10 +22,11 @@ Policies (paper section 4 and 3.4):
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.pnet import DEFAULT_PATH_POOL, PlanePath, PNet
 from repro.routing.ecmp import flow_hash
+from repro.routing.ksp import merge_planes
 
 
 class PathSelectionPolicy:
@@ -199,26 +200,6 @@ class KspMultipathPolicy(PathSelectionPolicy):
             self._plane_candidates(i, src, dst, rng)
             for i in range(self.pnet.n_planes)
         ]
-        # Merge shortest-first, round-robin across planes on equal length.
-        pooled: List[PlanePath] = []
-        cursors = [0] * len(per_plane)
-        last_plane = rng.randrange(self.pnet.n_planes)
-        while len(pooled) < self.k:
-            best_plane = -1
-            best_len = None
-            start = (last_plane + 1) % len(per_plane)
-            order = list(range(start, len(per_plane))) + list(range(start))
-            for plane_idx in order:
-                cur = cursors[plane_idx]
-                if cur >= len(per_plane[plane_idx]):
-                    continue
-                length = len(per_plane[plane_idx][cur])
-                if best_len is None or length < best_len:
-                    best_len = length
-                    best_plane = plane_idx
-            if best_plane < 0:
-                break
-            pooled.append((best_plane, per_plane[best_plane][cursors[best_plane]]))
-            cursors[best_plane] += 1
-            last_plane = best_plane
-        return pooled
+        return merge_planes(
+            per_plane, self.k, last_plane=rng.randrange(self.pnet.n_planes)
+        )

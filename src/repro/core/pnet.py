@@ -66,7 +66,9 @@ class PNet:
                 raise ValueError("planes must share the same host set")
         self._hosts = sorted(host_set, key=_host_key)
         self._len_cache: Dict[Tuple[int, str, str], Optional[int]] = {}
-        self._sp_cache: Dict[Tuple[int, str, str], List[List[str]]] = {}
+        self._sp_cache: Dict[
+            Tuple[int, str, str], Tuple[Optional[int], List[List[str]]]
+        ] = {}
         self._ksp_cache: Dict[
             Tuple[int, str, str], Tuple[int, List[List[str]]]
         ] = {}
@@ -154,12 +156,19 @@ class PNet:
             return any(link_key(u, v) in dead for u, v in zip(path, path[1:]))
 
         for key in [k for k in self._sp_cache if k[0] == plane_idx]:
-            paths = self._sp_cache[key]
+            limit, paths = self._sp_cache[key]
             survivors = [p for p in paths if not traverses(p)]
             if len(survivors) == len(paths):
                 stats.kept += 1
             elif survivors:
-                self._sp_cache[key] = survivors
+                # The distance stands, so the new shortest paths are the
+                # old ones minus the dead, in the same order: survivors
+                # are the first len(survivors) of them, and all of them
+                # when the cached list was.
+                if _complete(limit, paths):
+                    self._sp_cache[key] = (limit, survivors)
+                else:
+                    self._sp_cache[key] = (len(survivors), survivors)
                 stats.repaired += 1
             else:
                 # All equal-cost shortest paths died: the distance itself
@@ -200,15 +209,30 @@ class PNet:
         return self._len_cache[key]
 
     def shortest_paths(
-        self, plane_idx: int, src: str, dst: str, limit: int = DEFAULT_PATH_POOL
+        self,
+        plane_idx: int,
+        src: str,
+        dst: str,
+        limit: Optional[int] = DEFAULT_PATH_POOL,
     ) -> List[List[str]]:
-        """Equal-cost shortest paths in one plane (cached, capped)."""
+        """Up to ``limit`` equal-cost shortest paths in one plane (cached).
+
+        The enumeration is prefix-stable, so a list cached for a larger
+        limit answers a smaller one by slicing, like :meth:`ksp`.
+        """
         key = (plane_idx, src, dst)
-        if key not in self._sp_cache:
-            self._sp_cache[key] = all_shortest_paths(
-                self.planes[plane_idx], src, dst, limit=limit
-            )
-        return self._sp_cache[key]
+        cached = self._sp_cache.get(key)
+        if cached is not None:
+            limit_cached, paths = cached
+            if _complete(limit_cached, paths) or (
+                limit is not None and limit <= limit_cached
+            ):
+                return paths[:limit]
+        paths = all_shortest_paths(
+            self.planes[plane_idx], src, dst, limit=limit
+        )
+        self._sp_cache[key] = (limit, paths)
+        return paths
 
     def ksp(self, plane_idx: int, src: str, dst: str, k: int) -> List[List[str]]:
         """K shortest loopless paths in one plane (cached).
@@ -264,6 +288,11 @@ class PNet:
             f"PNet({self.name!r}, planes={self.n_planes}, "
             f"hosts={len(self._hosts)})"
         )
+
+
+def _complete(limit: Optional[int], paths: List[List[str]]) -> bool:
+    """Whether ``paths``, enumerated up to ``limit``, are all there are."""
+    return limit is None or len(paths) < limit
 
 
 def _host_key(host: str):

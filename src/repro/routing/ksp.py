@@ -9,8 +9,30 @@ Implementation notes:
 * Equal-cost shortest paths are enumerated directly from the shortest-path
   DAG first (cheap, and in fat trees usually covers all K); Yen's spur
   machinery only runs when more paths are needed.
-* Determinism: candidate ties are broken by (length, node sequence), so
-  the same inputs always give the same path list.
+* Every search runs on the topology's
+  :class:`~repro.topology.graph.RoutingView`: nodes are indices in name
+  order, and each node has the sorted tuple of its live neighbours plus
+  the same tuple without live leaves (nodes with one live link).  The
+  view is built at the first query after a change to the topology, and
+  paths come back spelled with the topology's own name objects
+  (:meth:`~repro.topology.graph.RoutingView.hop_names`).
+* A spur search is a BFS from the spur node that records the first node
+  to discover each node, in sorted neighbour order.  Three changes make
+  it cheap, and each leaves its result unchanged:
+
+  1. Every link Yen bans joins the spur node to the next node of a path
+     already found, and the BFS can only take such a link outward from
+     the spur node, its root.  The banned links are therefore banned
+     first hops.
+  2. A live leaf that is not the target is reached over its only link,
+     so it cannot discover anything; it is never queued.
+  3. The search stops as soon as a node next to the target is taken
+     from the queue: that node discovers the target, and the parent
+     chain behind it is already fixed.
+* Determinism: index order is name order, so sorted neighbour tuples,
+  BFS parents and the candidate heap's (length, node sequence) order
+  are those of the same search over names.  The same inputs always give
+  the same path list.
 """
 
 from __future__ import annotations
@@ -20,40 +42,8 @@ from collections import deque
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.obs import get_registry
-from repro.routing.shortest import all_shortest_paths
-from repro.topology.graph import Topology, link_key
-
-
-def _bfs_path_excluding(
-    topo: Topology,
-    src: str,
-    dst: str,
-    banned_nodes: Set[str],
-    banned_links: Set[Tuple[str, str]],
-) -> Optional[List[str]]:
-    """Lexicographically-first shortest path avoiding bans, or None."""
-    if src in banned_nodes or dst in banned_nodes:
-        return None
-    parent = {src: None}
-    frontier = deque([src])
-    while frontier:
-        node = frontier.popleft()
-        if node == dst:
-            break
-        for nbr in sorted(topo.neighbors(node)):
-            if nbr in banned_nodes or nbr in parent:
-                continue
-            if link_key(node, nbr) in banned_links:
-                continue
-            parent[nbr] = node
-            frontier.append(nbr)
-    if dst not in parent:
-        return None
-    path = [dst]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+from repro.routing.shortest import equal_cost_paths
+from repro.topology.graph import RoutingView, Topology
 
 
 def k_shortest_paths(
@@ -84,49 +74,124 @@ def _k_shortest_paths(
         raise ValueError(f"k must be >= 1, got {k}")
     if src == dst:
         return [[src]]
-
-    # Fast path: equal-cost shortest paths straight off the BFS DAG.
-    shortest = all_shortest_paths(topo, src, dst, limit=k)
-    if not shortest:
+    view = topo.routing_view()
+    target = view.index[dst]
+    source = view.index.get(src)
+    if source is None:
         return []
-    if len(shortest) >= k:
-        return sorted(shortest[:k], key=lambda p: (len(p), p))
 
-    found: List[List[str]] = sorted(shortest, key=lambda p: (len(p), p))
-    seen = {tuple(p) for p in found}
-    # Min-heap of candidate paths keyed by (length, sequence).
-    candidates: List[Tuple[int, List[str]]] = []
-    candidate_set: Set[Tuple[str, ...]] = set()
+    # Equal-cost shortest paths straight off the BFS DAG, already in
+    # (length, sequence) order.
+    found = equal_cost_paths(view, source, target, limit=k)
+    if not found:
+        return []
+
+    # Paths found or waiting in the candidate min-heap, which is keyed by
+    # (length, sequence) and also carries each candidate's names.
+    known = {tuple(p) for p in found}
+    candidates: List[Tuple[int, List[int], List[str]]] = []
+    target_nbrs = set(view.nbrs[target])
+    # Spelled like the paths of a search over names (see
+    # RoutingView.hop_names): a path starts with the caller's ``src``,
+    # and a spur path keeps its root's names and ends with ``dst``.
+    spelled = [[src] + view.hop_names(p) for p in found]
 
     while len(found) < k:
         last = found[-1]
         for i in range(len(last) - 1):
-            spur_node = last[i]
             root = last[: i + 1]
-            banned_links: Set[Tuple[str, str]] = set()
-            for path in found:
-                if path[: i + 1] == root and len(path) > i + 1:
-                    banned_links.add(link_key(path[i], path[i + 1]))
-            banned_nodes = set(root[:-1])
-            spur = _bfs_path_excluding(
-                topo, spur_node, dst, banned_nodes, banned_links
+            banned_first = {p[i + 1] for p in found if p[: i + 1] == root}
+            spur = _spur_path(
+                view, last[i], target_nbrs, target, root[:-1], banned_first
             )
             if spur is None:
                 continue
             candidate = root[:-1] + spur
             key = tuple(candidate)
-            if key in seen or key in candidate_set:
+            if key in known:
                 continue
-            candidate_set.add(key)
-            heapq.heappush(candidates, (len(candidate), candidate))
+            known.add(key)
+            names = spelled[-1][: i + 1] + view.hop_names(spur)[:-1] + [dst]
+            heapq.heappush(candidates, (len(candidate), candidate, names))
         if not candidates:
             break
-        __, best = heapq.heappop(candidates)
-        candidate_set.discard(tuple(best))
-        found.append(best)
-        seen.add(tuple(best))
+        __, path, names = heapq.heappop(candidates)
+        found.append(path)
+        spelled.append(names)
+    return spelled
 
-    return found
+
+def _spur_path(
+    view: RoutingView,
+    spur: int,
+    target_nbrs: Set[int],
+    target: int,
+    banned_nodes: Sequence[int],
+    banned_first: Set[int],
+) -> Optional[List[int]]:
+    """BFS path from ``spur`` to ``target`` avoiding the bans, or None.
+
+    ``target_nbrs`` holds the target's live neighbours.  The path is the
+    one a full BFS in sorted neighbour order would give (see the module
+    notes for why skipping leaves and stopping early keep it).
+    """
+    if spur in target_nbrs and target not in banned_first:
+        return [spur, target]
+    inner = view.inner
+    parent = dict.fromkeys(banned_nodes, -1)
+    parent[spur] = -1
+    frontier = deque()
+    for nbr in inner[spur]:
+        if nbr not in parent and nbr not in banned_first:
+            parent[nbr] = spur
+            frontier.append(nbr)
+    while frontier:
+        node = frontier.popleft()
+        if node in target_nbrs:
+            path = [target]
+            while node != spur:
+                path.append(node)
+                node = parent[node]
+            path.append(spur)
+            path.reverse()
+            return path
+        for nbr in inner[node]:
+            if nbr not in parent:
+                parent[nbr] = node
+                frontier.append(nbr)
+    return None
+
+
+def merge_planes(
+    per_plane: Sequence[Sequence[List[str]]], k: int, last_plane: int
+) -> List[Tuple[int, List[str]]]:
+    """Merge per-plane path lists into up to ``k`` ``(plane, path)`` pairs.
+
+    Shortest first; among equal lengths the planes take turns, starting
+    with the plane after ``last_plane``, so subflows spread over all
+    planes instead of piling onto the lowest-indexed one.
+    """
+    n = len(per_plane)
+    pooled: List[Tuple[int, List[str]]] = []
+    cursors = [0] * n
+    while len(pooled) < k:
+        best_plane = -1
+        best_len = None
+        for step in range(1, n + 1):
+            plane_idx = (last_plane + step) % n
+            cur = cursors[plane_idx]
+            if cur >= len(per_plane[plane_idx]):
+                continue
+            length = len(per_plane[plane_idx][cur])
+            if best_len is None or length < best_len:
+                best_len = length
+                best_plane = plane_idx
+        if best_plane < 0:
+            break
+        pooled.append((best_plane, per_plane[best_plane][cursors[best_plane]]))
+        cursors[best_plane] += 1
+        last_plane = best_plane
+    return pooled
 
 
 def k_shortest_paths_pooled(
@@ -136,40 +201,13 @@ def k_shortest_paths_pooled(
 
     This is how an MPTCP + KSP end host routes over a P-Net (section 4):
     the candidate set is the union of each plane's K shortest paths, from
-    which the K globally shortest are kept.  Ties are broken round-robin
-    across planes so subflows spread over all planes instead of piling
-    onto the lowest-indexed one.
+    which the K globally shortest are kept (:func:`merge_planes`, plane 0
+    first).
 
     Returns:
         List of ``(plane_index, path)`` tuples, length <= k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    per_plane: List[List[Tuple[int, List[str]]]] = []
-    for idx, plane in enumerate(planes):
-        paths = k_shortest_paths(plane, src, dst, k)
-        per_plane.append([(idx, p) for p in paths])
-
-    # Merge by length with round-robin across planes for equal lengths.
-    pooled: List[Tuple[int, List[str]]] = []
-    cursors = [0] * len(per_plane)
-    while len(pooled) < k:
-        best_plane = -1
-        best_len = None
-        # Scan planes starting after the plane we last picked from, so
-        # equal-length candidates rotate across planes.
-        start = (pooled[-1][0] + 1) if pooled else 0
-        order = list(range(start, len(per_plane))) + list(range(start))
-        for plane_idx in order:
-            cur = cursors[plane_idx]
-            if cur >= len(per_plane[plane_idx]):
-                continue
-            length = len(per_plane[plane_idx][cur][1])
-            if best_len is None or length < best_len:
-                best_len = length
-                best_plane = plane_idx
-        if best_plane < 0:
-            break
-        pooled.append(per_plane[best_plane][cursors[best_plane]])
-        cursors[best_plane] += 1
-    return pooled
+    per_plane = [k_shortest_paths(plane, src, dst, k) for plane in planes]
+    return merge_planes(per_plane, k, last_plane=len(planes) - 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.topology.graph import HOST, Topology
+from repro.topology.graph import HOST, RoutingView, Topology
 
 
 def bfs_distances(
@@ -65,38 +65,67 @@ def all_shortest_paths(
 
     Builds the shortest-path DAG via a backward BFS from ``dst`` and
     enumerates forward through it depth-first in sorted neighbour order,
-    so output order is deterministic.
+    so output order is deterministic: ascending by node sequence.  Both
+    run on the topology's :class:`~repro.topology.graph.RoutingView`.
     """
     if src == dst:
         return [[src]]
-    dist_to_dst = bfs_distances(topo, dst)
-    if src not in dist_to_dst:
+    view = topo.routing_view()
+    target = view.index[dst]
+    source = view.index.get(src)
+    if source is None:
         return []
-    total = dist_to_dst[src]
+    return [
+        [src] + view.hop_names(path)
+        for path in equal_cost_paths(view, source, target, limit)
+    ]
 
-    paths: List[List[str]] = []
-    stack: List[str] = [src]
 
-    def walk(node: str) -> bool:
+def equal_cost_paths(
+    view: RoutingView, src: int, dst: int, limit: Optional[int] = None
+) -> List[List[int]]:
+    """:func:`all_shortest_paths` on view indices, for ``src != dst``.
+
+    The backward BFS from ``dst`` stops as soon as ``src`` is reached:
+    every node closer to ``dst`` has its distance by then, and the walk
+    only descends to closer nodes.  Leaves other than ``src`` are never
+    queued, because no shortest path passes through a leaf.
+    """
+    inner = view.inner
+    src_nbrs = set(view.nbrs[src])
+    dist = {dst: 0}
+    frontier = deque([dst])
+    while frontier:
+        node = frontier.popleft()
+        d = dist[node] + 1
+        if node in src_nbrs:
+            dist[src] = d
+            break
+        for nbr in inner[node]:
+            if nbr not in dist:
+                dist[nbr] = d
+                frontier.append(nbr)
+    if src not in dist:
+        return []
+
+    paths: List[List[int]] = []
+    stack = [src]
+
+    def walk(node: int, d: int) -> bool:
         """DFS through the DAG; returns False once the limit is hit."""
-        if node == dst:
-            paths.append(list(stack))
+        if d == 1:
+            paths.append(stack + [dst])
             return limit is None or len(paths) < limit
-        next_hops = sorted(
-            nbr
-            for nbr in topo.neighbors(node)
-            if dist_to_dst.get(nbr, -1) == dist_to_dst[node] - 1
-        )
-        for nbr in next_hops:
-            stack.append(nbr)
-            keep_going = walk(nbr)
-            stack.pop()
-            if not keep_going:
-                return False
+        for nbr in inner[node]:
+            if dist.get(nbr) == d - 1:
+                stack.append(nbr)
+                keep_going = walk(nbr, d - 1)
+                stack.pop()
+                if not keep_going:
+                    return False
         return True
 
-    assert dist_to_dst[src] == total
-    walk(src)
+    walk(src, dist[src])
     return paths
 
 

@@ -92,7 +92,7 @@ def expand_jellyfish(
         ):
             continue
         chosen.add(link.key)
-        _remove_link(topo, link.u, link.v)
+        topo.remove_link(link.u, link.v)
         capacity = link.capacity
         topo.add_link(link.u, new_switch, capacity, link.propagation)
         topo.add_link(new_switch, link.v, capacity, link.propagation)
@@ -116,17 +116,6 @@ def expand_jellyfish(
         topo.add_link(host, new_switch, host_capacity,
                       DEFAULT_HOP_PROPAGATION)
     return new_switch
-
-
-def _remove_link(topo: Topology, u: str, v: str) -> None:
-    """Physically remove a link (expansion rewires it, not fails it)."""
-    from repro.topology.graph import link_key
-
-    key = link_key(u, v)
-    link = topo._links.pop(key)
-    topo._adj[u].pop(v)
-    topo._adj[v].pop(u)
-    topo._failed.discard(key)
 
 
 def expand_pnet(

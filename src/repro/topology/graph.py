@@ -9,7 +9,9 @@ an undirected multigraph-free network (at most one link per node pair; use
 * per-link capacity in bits/second (full duplex: the same capacity is
   available independently in each direction);
 * link failure injection (:meth:`Topology.fail_link`), which routing and the
-  simulators respect via :meth:`Topology.neighbors`.
+  simulators respect via :meth:`Topology.neighbors`;
+* a lazily built integer view of the live adjacency
+  (:meth:`Topology.routing_view`) that the path searches run on.
 
 Nodes are named strings (e.g. ``"h12"``, ``"t3"``); builders guarantee host
 names are ``h0..h{n-1}`` so traffic generators can enumerate them.
@@ -19,7 +21,9 @@ from __future__ import annotations
 
 import copy as _copy
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 HOST = "host"
 TOR = "tor"
@@ -62,6 +66,54 @@ class Link:
         return (self.u, self.v)
 
 
+class RoutingView:
+    """The live adjacency of a :class:`Topology` as sorted index tuples.
+
+    Node ``i`` is the ``i``-th node name in sorted order, so walking a
+    tuple of indices in ascending order visits neighbours in sorted name
+    order, and index paths compare like their name paths.
+
+    Attributes:
+        index: node name -> index.
+        nbrs: per node, the sorted indices of its live neighbours.
+        inner: ``nbrs`` without the live leaves (nodes with exactly one
+            live neighbour).  A search that reaches a leaf over its only
+            link cannot go on from it, so only the search's target needs
+            to be found among the leaves.
+    """
+
+    __slots__ = ("index", "nbrs", "inner", "_spelling")
+
+    def __init__(self, topo: "Topology"):
+        names = sorted(topo.nodes)
+        index = {name: i for i, name in enumerate(names)}
+        # Per node: neighbour index -> the name object Topology.neighbors
+        # yields for that neighbour.
+        spelling = [
+            {index[other]: other for other in topo.neighbors(name)}
+            for name in names
+        ]
+        nbrs = [tuple(sorted(row)) for row in spelling]
+        self.index: Dict[str, int] = index
+        self.nbrs: List[Tuple[int, ...]] = nbrs
+        self.inner: List[Tuple[int, ...]] = [
+            tuple(v for v in row if len(nbrs[v]) != 1) for row in nbrs
+        ]
+        self._spelling = spelling
+
+    def hop_names(self, path: Sequence[int]) -> List[str]:
+        """Names of ``path[1:]``, each as its predecessor's adjacency
+        holds it.
+
+        These are the string objects a walk over
+        :meth:`Topology.neighbors` holds.  Pickle shares repeated objects,
+        so paths spelled this way pickle to the same bytes as the paths a
+        search over names returns.
+        """
+        spelling = self._spelling
+        return [spelling[a][b] for a, b in zip(path, path[1:])]
+
+
 class Topology:
     """A capacitated undirected network with failure injection.
 
@@ -75,6 +127,9 @@ class Topology:
         self._adj: Dict[str, Dict[str, Link]] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._failed: Set[Tuple[str, str]] = set()
+        # Built by routing_view(), dropped by every mutator, and never
+        # copied or pickled.
+        self._view: Optional[RoutingView] = None
 
     # --- construction ---------------------------------------------------
 
@@ -89,6 +144,7 @@ class Topology:
             return
         self._kind[node] = kind
         self._adj[node] = {}
+        self._view = None
 
     def add_link(
         self,
@@ -112,6 +168,23 @@ class Topology:
         self._links[key] = link
         self._adj[u][v] = link
         self._adj[v][u] = link
+        self._view = None
+        return link
+
+    def remove_link(self, u: str, v: str) -> Link:
+        """Delete the link u--v (failed or not) and return it.
+
+        Unlike :meth:`fail_link` the link is gone for good: expansion
+        rewires links this way.
+        """
+        key = link_key(u, v)
+        if key not in self._links:
+            raise KeyError(f"no link {u}--{v}")
+        link = self._links.pop(key)
+        del self._adj[u][v]
+        del self._adj[v][u]
+        self._failed.discard(key)
+        self._view = None
         return link
 
     # --- inspection -----------------------------------------------------
@@ -202,12 +275,15 @@ class Topology:
         if key not in self._links:
             raise KeyError(f"no link {u}--{v}")
         self._failed.add(key)
+        self._view = None
 
     def restore_link(self, u: str, v: str) -> None:
         self._failed.discard(link_key(u, v))
+        self._view = None
 
     def restore_all(self) -> None:
         self._failed.clear()
+        self._view = None
 
     def is_failed(self, u: str, v: str) -> bool:
         return link_key(u, v) in self._failed
@@ -237,7 +313,30 @@ class Topology:
         count = int(round(fraction * len(eligible)))
         chosen = rng.sample(eligible, count)
         self._failed.update(chosen)
+        self._view = None
         return chosen
+
+    # --- routing view -------------------------------------------------------
+
+    def routing_view(self) -> RoutingView:
+        """The live adjacency as a :class:`RoutingView`.
+
+        Built at the first call after a change; every mutator drops it.
+        """
+        if self._view is None:
+            self._view = RoutingView(self)
+        return self._view
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The view is a cache: leaving it out keeps pickles (checkpoints,
+        # worker payloads) the same bytes whether or not routing ran.
+        state = self.__dict__.copy()
+        state.pop("_view", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._view = None
 
     # --- utilities ----------------------------------------------------------
 

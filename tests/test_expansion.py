@@ -5,10 +5,14 @@ import random
 import pytest
 
 from repro.core.pnet import PNet
-from repro.routing.shortest import average_shortest_switch_hops
+from repro.routing.ksp import k_shortest_paths
+from repro.routing.shortest import (
+    all_shortest_paths,
+    average_shortest_switch_hops,
+)
 from repro.topology import ParallelTopology, build_jellyfish
 from repro.topology.expansion import expand_jellyfish, expand_pnet
-from repro.topology.graph import HOST, TOR
+from repro.topology.graph import HOST, TOR, link_key
 
 
 def degree_profile(topo):
@@ -106,3 +110,36 @@ class TestExpandPnet:
         new_host = sorted(net.hosts, key=lambda h: int(h[1:]))[-1]
         lengths = net.plane_lengths("h0", new_host)
         assert all(l is not None for l in lengths)
+
+    def test_routing_never_uses_a_removed_link(self):
+        pnet = ParallelTopology.heterogeneous(
+            lambda s: build_jellyfish(12, 4, 2, seed=s), 3
+        )
+        pairs = [("h0", "h23"), ("h4", "h17"), ("h9", "t3"), ("t1", "t10")]
+        # Queries before the expansion build every plane's routing view.
+        for plane in pnet.planes:
+            for src, dst in pairs:
+                k_shortest_paths(plane, src, dst, 8)
+                all_shortest_paths(plane, src, dst)
+        before = [{l.key for l in plane.links} for plane in pnet.planes]
+        expand_pnet(pnet, seed=7)
+        pairs += [("h0", "h24"), ("h25", "h11"), ("t12", "h3")]
+        for plane, old in zip(pnet.planes, before):
+            removed = old - {l.key for l in plane.links}
+            assert len(removed) == 2
+            fresh = plane.copy()
+            for src, dst in pairs:
+                for k in (1, 4, 16):
+                    paths = k_shortest_paths(plane, src, dst, k)
+                    assert paths == k_shortest_paths(fresh, src, dst, k)
+                    for path in paths:
+                        assert not removed & {
+                            link_key(u, v) for u, v in zip(path, path[1:])
+                        }
+                equal = all_shortest_paths(plane, src, dst)
+                assert equal == all_shortest_paths(fresh, src, dst)
+                for path in equal:
+                    assert not removed & {
+                        link_key(u, v) for u, v in zip(path, path[1:])
+                    }
+

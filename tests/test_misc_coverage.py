@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core.path_selection import KspMultipathPolicy
 from repro.core.pnet import PNet
+from repro.exp.common import JellyfishFamily
 from repro.routing.ksp import k_shortest_paths
+from repro.routing.shortest import all_shortest_paths
 from repro.sim.network import PacketNetwork
 from repro.sim.rpc import RpcClient
 from repro.topology import build_fat_tree, build_jellyfish
@@ -52,6 +55,74 @@ class TestKspCacheSemantics:
         for path in after:
             assert (link[0], link[1]) not in list(zip(path, path[1:]))
             assert (link[1], link[0]) not in list(zip(path, path[1:]))
+
+
+class TestShortestPathsCacheSemantics:
+    """The equal-cost cache must answer every limit like a fresh search."""
+
+    # Six, eight and seven equal-cost paths in plane 0, then single ones.
+    PAIRS = [
+        ("h0", "h12"), ("h5", "h16"), ("h5", "h92"), ("h3", "h40"),
+        ("h7", "h77"),
+    ]
+    LIMITS = (1, 2, 3, 64, None)
+
+    @pytest.fixture
+    def pnet(self):
+        # The packet-permutation benchmark's fabric.
+        return JellyfishFamily(32, 6, 4).parallel_heterogeneous(4, seed=0)
+
+    def test_small_then_large_limit(self, pnet):
+        assert len(pnet.shortest_paths(0, "h0", "h12", limit=2)) == 2
+        fresh = all_shortest_paths(pnet.plane(0), "h0", "h12", limit=64)
+        assert len(fresh) == 6
+        assert pnet.shortest_paths(0, "h0", "h12", limit=64) == fresh
+
+    def test_any_order_matches_fresh(self, pnet):
+        for limits in (self.LIMITS, self.LIMITS[::-1]):
+            pnet.invalidate_routing()
+            for limit in limits:
+                for src, dst in self.PAIRS:
+                    assert pnet.shortest_paths(0, src, dst, limit=limit) == (
+                        all_shortest_paths(pnet.plane(0), src, dst, limit)
+                    )
+
+    def test_policy_pools_do_not_interfere(self, pnet):
+        fresh = JellyfishFamily(32, 6, 4).parallel_heterogeneous(4, seed=0)
+        small = KspMultipathPolicy(pnet, k=8, path_pool=2)
+        large = KspMultipathPolicy(pnet, k=8, path_pool=64)
+        alone = KspMultipathPolicy(fresh, k=8, path_pool=64)
+        for src, dst in self.PAIRS:
+            small.select(src, dst)
+            assert large.select(src, dst) == alone.select(src, dst)
+
+    def test_repair_and_invalidate_stay_exact(self, pnet):
+        plane = pnet.plane(0)
+        for i, (src, dst) in enumerate(self.PAIRS):
+            pnet.shortest_paths(0, src, dst, limit=(2, None)[i % 2])
+        # Kill a middle link of one cached path per pair.
+        dead = []
+        for src, dst in self.PAIRS:
+            path = pnet.shortest_paths(0, src, dst, limit=1)[0]
+            dead.append((path[2], path[3]))
+        for u, v in dead:
+            plane.fail_link(u, v)
+        stats = pnet.repair_after_failure(0, dead)
+        # Limited and complete entries both lose some paths and keep some.
+        assert stats.repaired >= 2 and stats.reenumerated > 0
+        for limit in self.LIMITS:
+            for src, dst in self.PAIRS:
+                assert pnet.shortest_paths(0, src, dst, limit=limit) == (
+                    all_shortest_paths(plane, src, dst, limit)
+                )
+        for u, v in dead:
+            plane.restore_link(u, v)
+        pnet.invalidate_plane(0)
+        for limit in self.LIMITS:
+            for src, dst in self.PAIRS:
+                assert pnet.shortest_paths(0, src, dst, limit=limit) == (
+                    all_shortest_paths(plane, src, dst, limit)
+                )
 
 
 class TestChassisEdges:

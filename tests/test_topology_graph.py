@@ -81,6 +81,18 @@ def test_fail_and_restore(tiny):
     assert tiny.degree("t0") == 3
 
 
+def test_remove_link(tiny):
+    tiny.fail_link("t0", "t1")
+    link = tiny.remove_link("t1", "t0")
+    assert (link.u, link.v) == ("t0", "t1")
+    assert not tiny.has_link("t0", "t1")
+    assert not tiny.failed_links
+    assert sorted(tiny.neighbors("t0")) == ["h0", "t2"]
+    assert len(tiny.links) == 4
+    with pytest.raises(KeyError):
+        tiny.remove_link("t0", "t1")
+
+
 def test_fail_unknown_link_raises(tiny):
     with pytest.raises(KeyError):
         tiny.fail_link("h0", "h1")
