@@ -5,8 +5,10 @@ prohibitively slow in pure Python, so bulk-transfer experiments
 (Figures 9, 12, 13, 16-20) run on a fluid model instead:
 
 * active flows share each link max-min fairly
-  (:func:`repro.fluid.maxmin.max_min_rates`, recomputed on every arrival
-  and departure) -- the steady state TCP/MPTCP approximates;
+  (:func:`repro.fluid.maxmin.max_min_rates`, solved again whenever an
+  arrival, departure, abort, migration, link failure or restore, or the
+  cap doubling of a subflow held at its cap changes its inputs) -- the
+  steady state TCP/MPTCP approximates;
 * each subflow's rate is additionally capped by a slow-start ramp that
   starts at ``IW * MSS / RTT`` and doubles every RTT, capturing the
   small-flow transients the paper highlights in section 5.1.2.

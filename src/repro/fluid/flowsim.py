@@ -124,6 +124,13 @@ class FluidSimulator:
             the capacity vector and max-min solve stay shard-sized.
     """
 
+    #: True while every active subflow's ``rate`` is the max-min solution
+    #: of the current inputs (active flows, their paths and caps, link
+    #: capacities); a rate update then reuses it instead of solving.
+    #: Whatever changes an input clears it.  Class-level, so a checkpoint
+    #: pickled before the flag existed restores stale and solves afresh.
+    _rates_current = False
+
     def __init__(
         self,
         planes: Sequence[Topology],
@@ -399,6 +406,7 @@ class FluidSimulator:
                 flow.planes = tuple(plane for plane, __ in paths)
                 flow.min_rtt = min(sf.rtt for sf in subflows)
                 self._start_ramp(flow)
+                self._rates_current = False
                 return True
         return False
 
@@ -412,6 +420,7 @@ class FluidSimulator:
         for flow in self._active:
             if flow.flow_id == flow_id:
                 self._active.remove(flow)
+                self._rates_current = False
                 return True
         return False
 
@@ -428,6 +437,7 @@ class FluidSimulator:
         event is pending.
         """
         self._plane_of(plane_idx).fail_link(u, v)
+        self._rates_current = False
         for a, b in ((u, v), (v, u)):
             idx = self._link_index.get((plane_idx, a, b))
             if idx is not None:
@@ -449,6 +459,7 @@ class FluidSimulator:
         plane = self._plane_of(plane_idx)
         plane.restore_link(u, v)
         capacity = plane.link(u, v).capacity
+        self._rates_current = False
         for a, b in ((u, v), (v, u)):
             idx = self._link_index.get((plane_idx, a, b))
             if idx is not None:
@@ -472,17 +483,25 @@ class FluidSimulator:
     def _activate(self, flow: _Flow) -> None:
         self._start_ramp(flow)
         self._active.append(flow)
+        self._rates_current = False
         if len(self._active) > self.max_active_flows:
             self.max_active_flows = len(self._active)
 
     def _recompute_rates(self, count: bool = True) -> None:
-        subflows: List[_Subflow] = [
-            sf for flow in self._active for sf in flow.subflows
-        ]
-        if not subflows:
+        """Bring every active subflow's rate up to date.
+
+        ``count`` adds one to ``rate_recomputations`` whether the rates
+        are solved or reused.
+        """
+        if not self._active:
             return
         if count:
             self.rate_recomputations += 1
+        if self._rates_current:
+            return
+        subflows: List[_Subflow] = [
+            sf for flow in self._active for sf in flow.subflows
+        ]
         rates = max_min_rates(
             self._capacities,
             [sf.links for sf in subflows],
@@ -490,6 +509,7 @@ class FluidSimulator:
         )
         for sf, rate in zip(subflows, rates):
             sf.rate = float(rate)
+        self._rates_current = True
 
     def _next_event_time(self) -> Optional[float]:
         candidates: List[float] = []
@@ -520,7 +540,8 @@ class FluidSimulator:
         The peek is pure with respect to the simulated trajectory: the
         rate recomputation it performs writes the exact values the next
         :meth:`run` step would (max-min rates are a deterministic
-        function of the active set), and it is left out of the
+        function of the active set), and that step reuses its solve
+        instead of solving again.  It is left out of the
         ``rate_recomputations`` counter so stepped runs stay
         telemetry-identical to uninterrupted ones.
         """
@@ -583,7 +604,13 @@ class FluidSimulator:
         at an arbitrary cut point would perturb downstream completion
         times by ulps).  Use ``until`` for the final segment, where the
         horizon-exact ``delivered_bytes`` semantics matter.
+
+        Like the packet event loop, the clock never runs backwards: an
+        ``until`` earlier than :attr:`now` returns at once with the state
+        untouched.
         """
+        if until is not None and until < self.now:
+            return self.records
         events = 0
         recomputes_before = self.rate_recomputations
         timing = self.obs.enabled
@@ -648,13 +675,19 @@ class FluidSimulator:
             ]
             if finished:
                 self._active = [f for f in self._active if f not in finished]
+                self._rates_current = False
                 for flow in finished:
                     self._complete(flow)
 
-            # Slow-start cap doublings due now.
+            # Slow-start cap doublings due now.  Only a subflow frozen at
+            # its cap moves the solve: one frozen below it had
+            # ``cap > s + eps`` in every filling round it took part in,
+            # so a larger cap changes no round.
             for flow in self._active:
                 for sf in flow.subflows:
                     while sf.next_double <= self.now + _EPS:
+                        if sf.rate >= sf.cap:
+                            self._rates_current = False
                         sf.cap *= 2
                         if sf.cap >= sf.line_rate:
                             sf.cap = math.inf

@@ -8,12 +8,37 @@ share; repeat with the rest.
 
 A flow capped below its fair share freezes at its cap instead, releasing
 the unused share to others -- the standard cap extension.
+
+Each filling round is a few numpy operations over incidence arrays: one
+flow index and one link index per (flow, link) crossing, in flow order,
+built once per call.  The rounds give the same floats, bit for bit, as
+freezing one flow at a time (``tests/test_maxmin_differential.py`` keeps
+that solver as the reference).  The rules that make them so:
+
+* **Round structure.** A round takes the smallest share
+  ``s = remaining / count`` over links that still carry an unfrozen
+  flow, with ``eps = 1e-12 * max(largest capacity, 1)``.
+  The cap test runs first: if any unfrozen flow has ``cap <= s + eps``,
+  the round freezes exactly those flows, each at its cap.  Otherwise
+  every unfrozen flow on a link whose share is ``<= s + eps`` freezes
+  at ``s``.  A share is recomputed only for a link whose ``remaining``
+  or ``count`` changed, with the same division.
+* **Subtractions.** A round subtracts frozen rates only from links that
+  keep an unfrozen flow; a link that goes idle is never read again.  A
+  link crossed by several frozen flows (or twice by one) takes their
+  rates one at a time, in flow order.  A result below zero becomes
+  ``0.0`` -- the test is ``x < 0``, so ``-0.0`` stays ``-0.0``, which
+  ``np.maximum(x, 0.0)`` would not keep.  Every subtracted rate is
+  ``>= 0``, and a negative value minus one stays negative, so clamping
+  once after a link's last subtraction gives the same float as clamping
+  after each.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from itertools import chain
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +59,11 @@ def max_min_rates(
 
     Returns:
         numpy array of per-flow rates.
+
+    Raises:
+        ValueError: a negative capacity or cap, or ``flow_caps`` of the
+            wrong length.
+        IndexError: a link index outside ``range(len(capacities))``.
     """
     n_links = len(capacities)
     n_flows = len(flow_links)
@@ -41,77 +71,84 @@ def max_min_rates(
     if np.any(caps_arr < 0):
         raise ValueError("capacities must be >= 0")
     if flow_caps is None:
-        flow_caps = [math.inf] * n_flows
+        flow_caps = np.full(n_flows, math.inf)
     elif len(flow_caps) != n_flows:
         raise ValueError("flow_caps length must match flow_links")
+    else:
+        flow_caps = np.asarray(flow_caps, dtype=float)
+        if np.any(flow_caps < 0):
+            raise ValueError("flow_caps must be >= 0")
 
     rates = np.zeros(n_flows)
     if n_flows == 0:
         return rates
 
-    remaining = caps_arr.copy()
-    count = np.zeros(n_links, dtype=np.int64)
-    link_flows: List[List[int]] = [[] for __ in range(n_links)]
-    unfrozen = np.ones(n_flows, dtype=bool)
+    lengths = np.fromiter(map(len, flow_links), np.intp, n_flows)
+    inc_link = np.fromiter(
+        chain.from_iterable(flow_links), np.intp, int(lengths.sum())
+    )
+    inc_flow = np.repeat(np.arange(n_flows), lengths)
+    if inc_link.size and (inc_link.min() < 0 or inc_link.max() >= n_links):
+        raise IndexError("flow_links names a link outside the capacities")
 
-    for f_idx, links in enumerate(flow_links):
-        for l_idx in links:
-            count[l_idx] += 1
-            link_flows[l_idx].append(f_idx)
-        if not links:
-            # Unconstrained by the network: freeze at the cap now.
-            rates[f_idx] = flow_caps[f_idx]
-            unfrozen[f_idx] = False
+    count = np.bincount(inc_link, minlength=n_links)
+    remaining = caps_arr.copy()
+    shares = np.where(count > 0, remaining / np.maximum(count, 1), np.inf)
+    unfrozen = lengths > 0
+    # Unconstrained by the network: frozen at the cap now.
+    rates[~unfrozen] = flow_caps[~unfrozen]
+    n_unfrozen = np.count_nonzero(unfrozen)
 
     scale = float(caps_arr.max()) if n_links else 1.0
     eps = 1e-12 * max(scale, 1.0)
 
-    def freeze(f_idx: int, rate: float) -> None:
-        rates[f_idx] = rate
-        unfrozen[f_idx] = False
-        for l_idx in flow_links[f_idx]:
-            remaining[l_idx] -= rate
-            if remaining[l_idx] < 0:
-                remaining[l_idx] = 0.0
-            count[l_idx] -= 1
-
-    while unfrozen.any():
-        active_links = count > 0
-        if active_links.any():
-            shares = np.where(
-                active_links, remaining / np.maximum(count, 1), np.inf
-            )
-            s_link = float(shares.min())
-        else:
-            s_link = math.inf
-
-        # Flows whose ramp cap binds before the fair share freeze at it.
-        capped = [
-            f_idx
-            for f_idx in np.flatnonzero(unfrozen)
-            if flow_caps[f_idx] <= s_link + eps
-        ]
-        if capped:
-            for f_idx in capped:
-                freeze(f_idx, float(flow_caps[f_idx]))
-            continue
-
-        if not math.isfinite(s_link):
+    while n_unfrozen:
+        s_link = float(shares.min())
+        limit = s_link + eps
+        freezing = flow_caps <= limit
+        freezing &= unfrozen
+        n_capped = np.count_nonzero(freezing)
+        if n_capped:
+            # Flows whose ramp cap binds before the fair share freeze at it.
+            frozen = freezing.nonzero()[0]
+            rates[frozen] = flow_caps[frozen]
+        elif not math.isfinite(s_link):
             # No capacity constraint and no finite caps left.
-            for f_idx in np.flatnonzero(unfrozen):
-                rates[f_idx] = math.inf
-                unfrozen[f_idx] = False
+            rates[unfrozen] = math.inf
             break
+        else:
+            # No cap binds, so ``freezing`` is all False here.
+            freezing[inc_flow[(shares <= limit)[inc_link]]] = True
+            freezing &= unfrozen
+            frozen = freezing.nonzero()[0]
+            assert frozen.size, (
+                "progressive filling must freeze a flow per round"
+            )
+            rates[frozen] = s_link
+        unfrozen[frozen] = False
+        n_unfrozen -= frozen.size
 
-        bottlenecks = np.flatnonzero(
-            active_links & (shares <= s_link + eps)
-        )
-        froze_any = False
-        for l_idx in bottlenecks:
-            for f_idx in link_flows[l_idx]:
-                if unfrozen[f_idx]:
-                    freeze(f_idx, s_link)
-                    froze_any = True
-        assert froze_any, "progressive filling must freeze a flow per round"
+        # The frozen flows leave their links: a link left idle gets share
+        # inf; the others lose the frozen rates and get a new share.
+        crossed = freezing[inc_flow]
+        links = inc_link[crossed]
+        np.subtract.at(count, links, 1)
+        left = count[links]
+        shares[links] = np.inf
+        live = left.nonzero()[0]
+        if not live.size:
+            continue
+        links = links[live]
+        # ``subtract.at`` applies repeated indices one at a time, in order.
+        if n_capped:
+            np.subtract.at(
+                remaining, links, flow_caps[inc_flow[crossed][live]]
+            )
+        else:
+            np.subtract.at(remaining, links, s_link)
+        after = remaining[links]
+        after[after < 0] = 0.0
+        remaining[links] = after
+        shares[links] = after / left[live]
 
     return rates

@@ -57,13 +57,15 @@ class BackgroundLoadBridge:
     def refresh(self) -> int:
         """Recompute effective service rates from current fluid usage.
 
-        Called by the hybrid engine after each fluid event-boundary step
-        (rates only change at fluid events, so this captures every rate
-        the bulk will hold over the next packet interval).  Returns the
-        number of queues whose rate changed.  A no-op while the packet
-        engine has no instantiated queues -- in the promote-none limit
-        the bridge touches neither the queues nor the telemetry
-        registry, keeping that limit byte-identical to pure fluid.
+        Called by the hybrid engine after each fluid event-boundary step.
+        The step leaves the fluid rates of the interval that just ended
+        in place (the next peek solves the new ones), so the packet
+        interval that follows runs at those: one fluid interval behind.
+        Returns the number of queues whose rate changed.  A no-op while
+        the packet engine has no instantiated queues -- in the
+        promote-none limit the bridge touches neither the queues nor the
+        telemetry registry, keeping that limit byte-identical to pure
+        fluid.
         """
         elements = self.packet._elements
         if not elements:

@@ -12,15 +12,20 @@ paper's own escape hatch (htsim's flow-path-only mode) made
 first-class: bulk traffic pays fluid costs (events per rate change, not
 per packet) while a promoted sample keeps real TCP/MPTCP dynamics.
 
-The clock-coupling discipline is conservative and exact:
+The clock-coupling discipline is conservative (the packet loop never
+runs past the fluid engine's next boundary):
 
 1. Peek the fluid engine's next event boundary ``tf``
-   (:meth:`FluidSimulator.peek_next_event_time` -- pure, uncounted).
-2. Run the packet event loop up to ``tf`` (fluid rates are constant on
-   the interval, so the queues' reduced service rates are exact there).
+   (:meth:`FluidSimulator.peek_next_event_time` -- pure, uncounted; the
+   step in 3 reuses its rate solve).
+2. Run the packet event loop up to ``tf`` under the service rates the
+   bridge last set.
 3. Step the fluid engine across the single boundary at ``tf`` with
    ``stop_after`` (event-boundary stepping, no horizon crediting), then
-   refresh the bridge with the new rates.
+   refresh the bridge.  The step leaves each subflow's rate at the value
+   it held on the interval that just ended -- the rates after ``tf`` are
+   solved by the next peek -- so the packet queues run each interval at
+   the fluid rates of the one before it.
 
 Both limits collapse to the pure engines **byte-identically**: with no
 flow promoted the packet side is never touched (no events, no queues,
@@ -246,8 +251,9 @@ class HybridSimulator:
             if stop_after is not None:
                 target = min(target, stop_after)
             if self._packet_used:
-                # Fluid rates are constant up to ``target``; the bridge
-                # already applied them, so this interval is exact.
+                # Fluid rates are constant up to ``target``; the queues
+                # run at the rates the bridge set after the previous
+                # fluid step (one interval behind, see the module doc).
                 self.packet.loop.run(until=target)
                 if math.isfinite(target) and self.packet.loop.now < target:
                     # A chained fluid submission interrupted the packet

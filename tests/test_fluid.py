@@ -50,15 +50,24 @@ class TestMaxMin:
             max_min_rates([-1.0], [[0]])
         with pytest.raises(ValueError):
             max_min_rates([1.0], [[0]], flow_caps=[1.0, 2.0])
+        with pytest.raises(ValueError):
+            max_min_rates([1.0], [[0]], flow_caps=[-1.0])
+        with pytest.raises(IndexError):
+            max_min_rates([1.0], [[1]])
+        with pytest.raises(IndexError):
+            max_min_rates([1.0, 2.0], [[0], [-1]])
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_property_feasible_and_saturating(self, data):
-        """Max-min allocations are feasible and each flow is bottlenecked."""
+        """Max-min allocations are feasible, and each flow is at its cap
+        or bottlenecked."""
         n_links = data.draw(st.integers(1, 6))
         caps = data.draw(
             st.lists(
-                st.floats(1.0, 100.0), min_size=n_links, max_size=n_links
+                st.one_of(st.just(0.0), st.floats(1.0, 100.0)),
+                min_size=n_links,
+                max_size=n_links,
             )
         )
         n_flows = data.draw(st.integers(1, 8))
@@ -66,24 +75,40 @@ class TestMaxMin:
             data.draw(
                 st.lists(
                     st.integers(0, n_links - 1),
-                    min_size=1,
+                    min_size=0,
                     max_size=n_links,
                     unique=True,
                 )
             )
             for __ in range(n_flows)
         ]
-        rates = max_min_rates(caps, flows)
-        # Feasibility: no link oversubscribed.
+        flow_caps = data.draw(
+            st.one_of(
+                st.none(),
+                st.lists(
+                    st.one_of(st.just(math.inf), st.floats(0.5, 150.0)),
+                    min_size=n_flows,
+                    max_size=n_flows,
+                ),
+            )
+        )
+        rates = max_min_rates(caps, flows, flow_caps)
+        if flow_caps is None:
+            flow_caps = [math.inf] * n_flows
+        # Feasibility: no link oversubscribed, no flow above its cap.
         usage = [0.0] * n_links
         for f_idx, links in enumerate(flows):
+            assert rates[f_idx] <= flow_caps[f_idx]
             for l in links:
                 usage[l] += rates[f_idx]
         for l in range(n_links):
             assert usage[l] <= caps[l] * (1 + 1e-6)
-        # Max-min property: every flow crosses at least one saturated link
-        # where it has a maximal rate among that link's flows.
+        # Max-min property with caps: every flow is at its cap, or
+        # crosses a saturated link where it has a maximal rate among
+        # that link's flows.
         for f_idx, links in enumerate(flows):
+            if rates[f_idx] == flow_caps[f_idx]:
+                continue
             bottlenecked = False
             for l in links:
                 saturated = usage[l] >= caps[l] * (1 - 1e-6)
@@ -235,6 +260,32 @@ class TestFluidSimulator:
         records = sim.run(until=0.1)
         assert records == []
         assert sim.now == pytest.approx(0.1)
+
+    def test_clock_never_runs_backwards(self):
+        """``run(until=t)`` with ``t`` behind the clock changes nothing,
+        so no interval is credited twice."""
+        def busy():
+            sim = FluidSimulator([dumbbell()], slow_start=False)
+            sim.add_flow(spec=FlowSpec(src="h0", dst="h2", size=1 * GB, paths=[PATH_02]))
+            return sim
+
+        golden = busy()
+        golden.run(until=0.3)
+        golden.run()
+        sim = busy()
+        sim.run(until=0.3)
+        delivered = sim.delivered_bytes
+        assert sim.run(until=0.1) == []
+        assert sim.now == 0.3
+        assert sim.delivered_bytes == delivered
+        assert sim.run() == golden.records
+
+        idle = FluidSimulator([dumbbell()], slow_start=False)
+        idle.add_flow(spec=FlowSpec(src="h0", dst="h2", size=1 * MB, paths=[PATH_02], at=1.0))
+        idle.run(until=0.5)
+        assert idle.now == 0.5
+        idle.run(until=0.2)
+        assert idle.now == 0.5
 
     def test_fat_tree_permutation_full_rate(self):
         """All hosts sending cross-pod simultaneously each get line rate."""
