@@ -165,21 +165,42 @@ def resolve_fn(ref: str) -> Callable:
     return fn
 
 
+#: Root of the ``repro`` package source tree.
+_PACKAGE_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
 @functools.lru_cache(maxsize=None)
-def _module_source_hash(module_name: str) -> str:
-    """Hash of a module's source, so trial-result cache entries die when
-    the code that produced them changes."""
+def _source_tree_hash(root: pathlib.Path) -> str:
+    """Hash of every ``.py`` file under ``root``: relative path plus
+    bytes, in sorted order."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        name = path.relative_to(root).as_posix().encode()
+        digest.update(b"%d:%s%d:" % (len(name), name, len(data)))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _code_hash(module_name: str) -> str:
+    """Hash of the code a trial can run, so trial-result cache entries
+    die when any of it changes: the whole ``repro`` package, plus the
+    trial's own module when it lives outside the package."""
+    package = _source_tree_hash(_PACKAGE_ROOT)
+    if module_name.partition(".")[0] == "repro":
+        return package
     module = importlib.import_module(module_name)
     try:
         source = inspect.getsource(module)
     except (OSError, TypeError):
-        return "nosource"
-    return hashlib.sha256(source.encode()).hexdigest()
+        source = "nosource"
+    return hashlib.sha256((package + source).encode()).hexdigest()
 
 
 def _trial_cache_key(spec: TrialSpec) -> Tuple:
     module_name = spec.fn.partition(":")[0]
-    key: Tuple = (spec.fn, _module_source_hash(module_name), spec.kwargs)
+    key: Tuple = (spec.fn, _code_hash(module_name), spec.kwargs)
     # Plane-sharded packet trials (PNET_SHARDS > 1 with a nonzero
     # epoch) may differ from serial results within the documented
     # staleness bound, so their cache entries are tagged.  One shard --

@@ -4,7 +4,7 @@ Hosts (and the dispatcher) record completed trials in the same
 checkpoint-container format the single-host sweep uses: one pickle
 mapping each trial's *content hash* to its result, written under a
 ``ckpt-%08d`` sequence with the manifest last.  Because the hash keys
-bake in the trial function, its module source, and its kwargs, merging
+bake in the trial function, its kwargs and the package source, merging
 is a plain dictionary fold -- two containers can only collide on a hash
 when they computed the very same trial, and then the values must agree
 byte-for-byte.  That is what makes a farm run's merged output

@@ -84,7 +84,7 @@ class TestFig7:
             assert 1.0 < ratio < 2.0
 
     def test_homogeneous_is_exactly_linear(self, result):
-        assert result.homogeneous_check == pytest.approx(2.0, rel=1e-4)
+        assert result.homogeneous_check == pytest.approx(2.0, rel=1e-9)
 
 
 class TestFig9:

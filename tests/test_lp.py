@@ -1,8 +1,15 @@
 """Tests for the LP throughput solvers."""
 
+import math
+import random
+
 import pytest
 
+import repro.lp.ideal
+from repro.exp import expander_families, fig7
+from repro.exp.common import JellyfishFamily
 from repro.lp.ideal import (
+    _solve_edge_flows,
     ideal_throughput,
     merge_parallel,
     merge_parallel_with_rack_sources,
@@ -10,6 +17,7 @@ from repro.lp.ideal import (
 from repro.lp.mcf import Commodity, max_concurrent_flow
 from repro.topology import ParallelTopology, build_fat_tree, build_jellyfish
 from repro.topology.graph import HOST, TOR, Topology
+from repro.traffic.patterns import permutation, rack_level_all_to_all
 from repro.units import Gbps
 
 
@@ -204,9 +212,190 @@ class TestMerge:
         demands = {
             (a, b): 1.0 for a in racks for b in racks if a != b
         }
+        for rack in racks:
+            assert merged.link(rack, f"p0:t{rack[1:]}").capacity == math.inf
         alpha = ideal_throughput(merged, demands)
-        assert alpha > 0
+        assert 0 < alpha < math.inf
         # The binding constraint must be a core link, not a rack link:
-        # total egress per rack = 5 * alpha must be below rack capacity.
-        rack_cap = merged.link("r0", "p0:t0").capacity
-        assert 5 * alpha < rack_cap / 10
+        # capping the rack links at the whole core's capacity (so that a
+        # cap could bind only if the core could not) leaves alpha alone.
+        core = sum(link.capacity for link in plane.live_links)
+        capped = ideal_throughput(_cap_rack_links(merged, core), demands)
+        assert capped == pytest.approx(alpha, rel=1e-9)
+
+
+def _cap_rack_links(topo, capacity):
+    """Copy of ``topo`` whose infinite (rack) links get ``capacity``."""
+    out = Topology(topo.name)
+    for node in topo.nodes:
+        out.add_node(node, topo.kind(node))
+    for link in topo.live_links:
+        cap = capacity if link.capacity == math.inf else link.capacity
+        out.add_link(link.u, link.v, cap, link.propagation)
+    return out
+
+
+def _fig7_instance(n_planes, scale="tiny", homogeneous=False):
+    """Figure 7's merged network and rack-level demands at ``scale``."""
+    params = fig7.PRESETS[scale]
+    family = JellyfishFamily(params["racks"], params["degree"], 1)
+    if homogeneous:
+        pnet = family.parallel_homogeneous(n_planes, seed=0)
+    else:
+        pnet = family.parallel_heterogeneous(n_planes, seed=0)
+    merged, racks = merge_parallel_with_rack_sources(pnet.planes)
+    return merged, {pair: 1.0 for pair in rack_level_all_to_all(racks)}
+
+
+def _host_level_instance():
+    """Two heterogeneous planes merged at their hosts, with a host
+    permutation on which free plane crossing would gain 8%."""
+    pnet = ParallelTopology.heterogeneous(
+        lambda seed: build_jellyfish(8, 3, 2, seed=seed), 2
+    )
+    merged = merge_parallel(pnet.planes)
+    hosts = sorted(merged.hosts, key=lambda h: int(h[1:]))
+    pairs = permutation(hosts, random.Random(1))
+    return merged, {pair: 1.0 for pair in pairs}
+
+
+def _expander_instance():
+    """Expander families' tiny heterogeneous Xpander P-Net."""
+    params = expander_families.PRESETS["tiny"]
+    __, families = expander_families._families(params)
+    pnet = ParallelTopology.heterogeneous(
+        families["xpander"], params["n_planes"]
+    )
+    merged, racks = merge_parallel_with_rack_sources(pnet.planes)
+    return merged, {pair: 1.0 for pair in rack_level_all_to_all(racks)}
+
+
+def _decompose(flows, source, tol):
+    """Split one source's edge flows ``{(u, v): rate}`` into walks.
+
+    Each walk starts at ``source`` and follows edges still carrying more
+    than ``tol``; it ends where the flow is absorbed (a path) or where it
+    meets itself (a cycle, returned as the closed loop).  The walk's
+    bottleneck is subtracted along it, so every round empties an edge.
+    """
+    rest = {edge: rate for edge, rate in flows.items() if rate > tol}
+    walks = []
+    while True:
+        walk, seen = [source], {source: 0}
+        while True:
+            hops = [(v, rate) for (u, v), rate in rest.items()
+                    if u == walk[-1] and rate > tol]
+            if not hops:
+                break
+            nxt = max(hops, key=lambda hop: hop[1])[0]
+            if nxt in seen:
+                walk = walk[seen[nxt]:] + [nxt]
+                break
+            seen[nxt] = len(walk)
+            walk.append(nxt)
+        if len(walk) == 1:
+            return walks
+        edges = list(zip(walk, walk[1:]))
+        bottleneck = min(rest[edge] for edge in edges)
+        for edge in edges:
+            rest[edge] -= bottleneck
+        walks.append(walk)
+
+
+def _planes_on(walk):
+    """Plane indices of the ``p{i}:`` switches a walk visits."""
+    return {node.partition(":")[0] for node in walk if ":" in node}
+
+
+class TestNoPlaneCrossing:
+    """Every unit of flow stays in the plane it entered at its source."""
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            pytest.param(lambda: _fig7_instance(2), id="fig7-tiny-N2"),
+            pytest.param(lambda: _fig7_instance(4), id="fig7-tiny-N4"),
+            pytest.param(_host_level_instance, id="host-level"),
+        ],
+    )
+    def test_no_walk_changes_plane(self, instance):
+        topo, demands = instance()
+        solution = _solve_edge_flows(topo, demands)
+        assert solution.alpha > 0
+        tol = 1e-9 * float(solution.flow.max())
+        nodes = solution.nodes
+        per_source = {}
+        for src, u, v, rate in zip(
+            solution.source, solution.tail, solution.head, solution.flow
+        ):
+            per_source.setdefault(nodes[src], {})[(nodes[u], nodes[v])] = rate
+        sent = {}
+        for (src, __), demand in demands.items():
+            sent[src] = sent.get(src, 0.0) + solution.alpha * demand
+        for source, flows in per_source.items():
+            walks = _decompose(flows, source, tol)
+            assert walks
+            for walk in walks:
+                assert len(_planes_on(walk)) == 1, walk
+            out = sum(rate for (u, __), rate in flows.items() if u == source)
+            assert out == pytest.approx(sent[source], rel=1e-9)
+
+
+class TestConditioning:
+    def test_homogeneous_exact_at_benchmark_scale(self):
+        # 16 racks, degree 6: the scale of the core benchmark's sweep.
+        base = ideal_throughput(*_fig7_instance(1, scale="small"))
+        homogeneous = ideal_throughput(
+            *_fig7_instance(2, scale="small", homogeneous=True)
+        )
+        assert homogeneous / base == pytest.approx(2.0, rel=1e-9)
+
+    def test_alpha_independent_of_non_binding_rack_capacity(self):
+        merged, demands = _fig7_instance(2)
+        alpha = ideal_throughput(merged, demands)
+        finite = [link.capacity for link in merged.live_links
+                  if link.capacity != math.inf]
+        for capacity in (1e3 * max(finite), 2 * sum(finite)):
+            capped = ideal_throughput(
+                _cap_rack_links(merged, capacity), demands
+            )
+            assert capped == pytest.approx(alpha, rel=1e-9), capacity
+
+
+def _fig7_tiny_grid():
+    params = fig7.PRESETS["tiny"]
+    cases = [pytest.param(lambda: _fig7_instance(1), id="fig7-tiny-base")]
+    for n_planes in params["planes"][1:]:
+        cases.append(pytest.param(
+            lambda n=n_planes: _fig7_instance(n), id=f"fig7-tiny-N{n_planes}"
+        ))
+    cases.append(pytest.param(
+        lambda: _fig7_instance(params["planes"][1], homogeneous=True),
+        id="fig7-tiny-homogeneous",
+    ))
+    return cases
+
+
+class TestSolverAgreement:
+    """Dual simplex and interior point agree on a well-scaled LP."""
+
+    @pytest.mark.parametrize(
+        "instance",
+        _fig7_tiny_grid()
+        + [pytest.param(_expander_instance, id="xpander-tiny")],
+    )
+    def test_dual_simplex_matches_ipm(self, instance, monkeypatch):
+        topo, demands = instance()
+        ipm = ideal_throughput(topo, demands)
+        linprog = repro.lp.ideal.linprog
+        methods = []
+
+        def dual_simplex(*args, **kwargs):
+            methods.append(kwargs["method"])
+            kwargs["method"] = "highs-ds"
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(repro.lp.ideal, "linprog", dual_simplex)
+        simplex = ideal_throughput(topo, demands)
+        assert methods == ["highs-ipm"]
+        assert simplex == pytest.approx(ipm, rel=1e-9)

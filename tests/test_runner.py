@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
 import pytest
 
+from repro.exp import runner
 from repro.exp.runner import (
     TrialSpec,
     get_jobs,
@@ -118,3 +125,98 @@ class TestRunTrials:
         assert stats.jobs == 2
         assert stats.wall_seconds >= 0.0
         assert "2 trials" in stats.summary()
+
+
+def _copy_package(tmp_path) -> pathlib.Path:
+    """A private copy of the ``repro`` source tree; returns its root."""
+    root = tmp_path / "src" / "repro"
+    shutil.copytree(
+        runner._PACKAGE_ROOT, root,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return root
+
+
+#: Runs fig7's serial trial through the runner and prints its value and
+#: whether the whole-trial cache served it.
+_FIG7_TRIAL = (
+    "from repro.exp.runner import TrialSpec, last_stats, run_trials\n"
+    "spec = TrialSpec(fn='repro.exp.fig7:base_trial', key=('base',),"
+    " kwargs=dict(racks=6, degree=3, seed=0))\n"
+    "value = run_trials([spec], jobs=1)[('base',)]\n"
+    "print(repr(value), last_stats().trial_cache_hits)\n"
+)
+
+
+class TestCodeHash:
+    """Trial cache keys cover every module a trial can run."""
+
+    def test_edit_to_a_dependency_misses_the_warm_cache(self, tmp_path):
+        """The warm-cache drill: edit ``lp/ideal.py`` -- not the trial's
+        own module ``exp/fig7.py`` -- and the cached figure must die."""
+        root = _copy_package(tmp_path)
+        env = {
+            key: value for key, value in os.environ.items()
+            if not key.startswith("PNET_")
+        }
+        env.update(
+            PYTHONPATH=str(root.parent),
+            PNET_CACHE_DIR=str(tmp_path / "cache"),
+        )
+
+        def trial():
+            out = subprocess.run(
+                [sys.executable, "-c", _FIG7_TRIAL], env=env,
+                cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            )
+            assert out.returncode == 0, out.stderr
+            value, hits = out.stdout.split()
+            return float(value), int(hits)
+
+        cold, hits = trial()
+        assert hits == 0
+        assert trial() == (cold, 1)
+        with open(root / "lp" / "ideal.py", "a") as module:
+            module.write(
+                "\n_ideal_throughput = ideal_throughput\n\n\n"
+                "def ideal_throughput(topo, demands):\n"
+                "    return 2 * _ideal_throughput(topo, demands)\n"
+            )
+        assert trial() == (2 * cold, 0)
+
+    def test_any_module_edit_changes_the_hash(self, tmp_path):
+        root = _copy_package(tmp_path)
+        tree_hash = runner._source_tree_hash.__wrapped__
+        base = tree_hash(root)
+        assert base == runner._source_tree_hash(runner._PACKAGE_ROOT)
+        modules = sorted(root.rglob("*.py"))
+        assert len(modules) > 100
+        for path in modules:
+            source = path.read_bytes()
+            path.write_bytes(source + b"\n")
+            assert tree_hash(root) != base, path
+            path.write_bytes(source)
+        assert tree_hash(root) == base
+        # A module's path is part of what is hashed.
+        (root / "lp" / "ideal.py").rename(root / "lp" / "ideal2.py")
+        assert tree_hash(root) != base
+
+    def test_package_trials_share_one_hash(self):
+        package = runner._source_tree_hash(runner._PACKAGE_ROOT)
+        assert runner._code_hash("repro.exp.fig7") == package
+        assert runner._code_hash("repro.exp.fig9") == package
+
+    def test_trial_module_outside_the_package_is_hashed(
+        self, tmp_path, monkeypatch
+    ):
+        module = tmp_path / "outside_trials.py"
+        module.write_text("def trial():\n    return 1\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        code_hash = runner._code_hash.__wrapped__
+        try:
+            before = code_hash("outside_trials")
+            assert before != runner._code_hash("repro.exp.fig7")
+            module.write_text("def trial():\n    return 2\n")
+            assert code_hash("outside_trials") != before
+        finally:
+            sys.modules.pop("outside_trials", None)
