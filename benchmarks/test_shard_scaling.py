@@ -4,8 +4,8 @@ Two scenarios, both recorded in ``results/BENCH_shard.json``:
 
 * ``coupled`` -- the fig9-style workload where every flow is a
   spanning MPTCP connection across all four planes: the epoch-barrier
-  path (lookahead batching, shm digest exchange) is what's timed, under
-  both the ``shm`` and ``process`` channel backends.
+  path (lookahead batching, shm digest exchange) is what's timed, at
+  two and four shards.
 * ``bulk`` -- plane-local bulk transfers, the paper's bread-and-butter
   scale-out case: no coupling, infinite lookahead, every worker
   free-runs to completion.  This is where sharding must *beat* serial
@@ -132,7 +132,7 @@ def test_shard_scaling(benchmark):
     )
     configs = payload["scenarios"]["coupled"]
     configs["1"] = _config_entry(serial, serial_wall, serial_wall, serial.fcts)
-    for shards, backend in ((2, "shm"), (4, "shm"), (4, "process")):
+    for shards, backend in ((2, "shm"), (4, "shm")):
         result, wall = _timed_run(pnet, coupled, shards, backend=backend)
         # Determinism across repeats is the portable guarantee: same
         # shard count, same bytes out.

@@ -24,8 +24,9 @@ horizon uniformly and always returns the one documented
 
 The facade is intentionally small and **stable**: experiment code and
 external users should prefer it over the underlying constructors, whose
-signatures may still evolve (importing the constructors from the
-``repro.sim``/``repro.fluid`` package level is deprecated and warns).
+signatures may still evolve (they live in :mod:`repro.sim.network`,
+:mod:`repro.fluid.flowsim` and :mod:`repro.hybrid.engine`, not at the
+``repro.sim``/``repro.fluid`` package level).
 """
 
 from __future__ import annotations

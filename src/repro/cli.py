@@ -47,6 +47,7 @@ import time
 from typing import List, Optional
 
 from repro.exp.common import SCALES
+from repro.shard.channel import BACKENDS
 
 #: Experiment registry: name -> module path (each has run() and main()).
 EXPERIMENTS = {
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shard-backend",
-        choices=["local", "process", "shm"],
+        choices=BACKENDS,
         default=None,
         help=(
             "override PNET_SHARD_BACKEND (shard channel transport; "

@@ -18,7 +18,7 @@ Workers are quiescent between sample and apply -- both happen at the
 same barrier, so the cumulative ACK counters sampled in step 1 are
 still exact in step 3 and the remainder can be computed engine-side.
 Everything that travels is plain picklable dicts, identical across the
-shm and process channel backends, and every merge is sorted -- the
+local and shm channel backends, and every merge is sorted -- the
 global decision sequence is deterministic regardless of reply order.
 
 Flows that span shards are coupled through wire stubs, not live local

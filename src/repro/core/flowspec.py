@@ -1,21 +1,18 @@
-"""The one flow-launch vocabulary shared by both simulators.
+"""The one flow-launch vocabulary shared by every engine.
 
 :class:`FlowSpec` describes a flow independently of which engine runs it:
-``PacketNetwork.add_flow(spec=...)`` and ``FluidSimulator.add_flow(
-spec=...)`` both take it, so workloads, policies, and the ``repro.api``
-facade can hand the same object to either simulator.
+``PacketNetwork.add_flow``, ``FluidSimulator.add_flow`` and
+``HybridSimulator.add_flow`` all take one (by position or as
+``spec=``), so workloads, policies, and the ``repro.api`` facade can
+hand the same object to any engine.
 
 Construction is **keyword-only** (works down to Python 3.9, unlike
 ``dataclass(kw_only=True)``): a flow description has too many
-same-typed fields for positional calls to stay readable.  The legacy
-positional ``add_flow(src, dst, size, paths, ...)`` forms still work
-through a deprecation shim in each simulator (see
-:func:`warn_positional_add_flow`).
+same-typed fields for positional calls to stay readable.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 #: A path tagged with the dataplane it lives on (re-exported for
@@ -113,12 +110,11 @@ class FlowSpec:
         )
 
 
-def warn_positional_add_flow(entry: str) -> None:
-    """Emit the shared deprecation warning for legacy add_flow calls."""
-    warnings.warn(
-        f"positional {entry}(src, dst, size, paths, ...) is deprecated; "
-        f"pass {entry}(spec=FlowSpec(src=..., dst=..., size=..., "
-        f"paths=...)) instead (see repro.core.flowspec)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+def check_flow_spec(spec: Any) -> None:
+    """Reject anything but a :class:`FlowSpec` at an ``add_flow`` entry."""
+    if not isinstance(spec, FlowSpec):
+        raise TypeError(
+            f"add_flow takes one FlowSpec, got {type(spec).__name__}: "
+            "pass add_flow(FlowSpec(src=..., dst=..., size=..., "
+            "paths=...))"
+        )

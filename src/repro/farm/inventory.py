@@ -16,7 +16,7 @@ or declarative files -- JSON always, YAML when the interpreter has
         {"name": "local", "transport": "local", "slots": 2},
         {"name": "bigbox", "transport": "ssh", "address": "10.0.0.7",
          "slots": 16, "cores": 32, "python": "python3",
-         "shard_backends": ["local", "process", "shm"]}
+         "shard_backends": ["local", "shm"]}
     ]}
 
 ``PNET_FARM_INVENTORY`` points the experiment runner at an inventory
@@ -32,8 +32,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-#: Channel backends every CPython host supports out of the box.
-DEFAULT_SHARD_BACKENDS = ("local", "process", "shm")
+from repro.shard.channel import BACKENDS
 
 #: Heartbeat timeout (seconds) when ``PNET_FARM_TIMEOUT`` is unset.
 DEFAULT_TIMEOUT = 10.0
@@ -61,8 +60,8 @@ class HostSpec:
             alias); required for the ssh transport.
         python: interpreter to exec remotely (ssh only).
         shard_backends: which ``PNET_SHARD_BACKEND`` values the host
-            supports; the dispatcher excludes hosts that cannot run a
-            sharded trial's requested backend.
+            supports (default: all of them); the dispatcher excludes
+            hosts that cannot run a sharded trial's requested backend.
         env: extra environment exported to every worker on this host
             (e.g. ``PYTHONPATH`` on machines without an installed
             checkout).
@@ -74,7 +73,7 @@ class HostSpec:
     cores: Optional[int] = None
     address: Optional[str] = None
     python: str = "python3"
-    shard_backends: Tuple[str, ...] = DEFAULT_SHARD_BACKENDS
+    shard_backends: Tuple[str, ...] = BACKENDS
     env: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -100,6 +99,12 @@ class HostSpec:
         object.__setattr__(
             self, "shard_backends", tuple(self.shard_backends)
         )
+        for backend in self.shard_backends:
+            if backend not in BACKENDS:
+                raise FarmError(
+                    f"host {self.name!r}: unknown shard backend "
+                    f"{backend!r} ({'|'.join(BACKENDS)})"
+                )
 
     def supports_backend(self, backend: str) -> bool:
         return backend in self.shard_backends

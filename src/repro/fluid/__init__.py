@@ -13,36 +13,13 @@ prohibitively slow in pure Python, so bulk-transfer experiments
   starts at ``IW * MSS / RTT`` and doubles every RTT, capturing the
   small-flow transients the paper highlights in section 5.1.2.
 
-Constructing the engine through this package
-(``repro.fluid.FluidSimulator``) is **deprecated** for workload code:
-use ``repro.api.build_network(planes, kind="fluid")`` so trials stay
-engine-agnostic (hybrid fidelity, registry dispatch, uniform
-checkpointing).  Internal wiring that genuinely needs the class imports
-it from :mod:`repro.fluid.flowsim`, which never warns.
+Workload code builds the engine with ``repro.api.build_network(planes,
+kind="fluid")`` so trials stay engine-agnostic (hybrid fidelity,
+registry dispatch, uniform checkpointing).  Internal wiring that
+genuinely needs the class imports it from :mod:`repro.fluid.flowsim`.
 """
 
-import warnings
-
+from repro.fluid.flowsim import FlowRecord
 from repro.fluid.maxmin import max_min_rates
 
-__all__ = ["max_min_rates", "FluidSimulator", "FlowRecord"]
-
-
-def __getattr__(name):
-    if name == "FluidSimulator":
-        warnings.warn(
-            "constructing engines via repro.fluid.FluidSimulator is "
-            "deprecated; use repro.api.build_network(planes, "
-            "kind='fluid') (internal wiring may import "
-            "repro.fluid.flowsim.FluidSimulator directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.fluid.flowsim import FluidSimulator
-
-        return FluidSimulator
-    if name == "FlowRecord":
-        from repro.fluid.flowsim import FlowRecord
-
-        return FlowRecord
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["FlowRecord", "max_min_rates"]

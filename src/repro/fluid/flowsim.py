@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.flowspec import FlowSpec, warn_positional_add_flow
+from repro.core.flowspec import FlowSpec, check_flow_spec
 from repro.core.pnet import PlanePath
 from repro.fluid.maxmin import max_min_rates
 from repro.obs import get_registry
@@ -40,8 +40,6 @@ from repro.units import MSS, MTU
 
 #: Relative tolerance for byte/rate comparisons.
 _EPS = 1e-9
-
-_UNSET = object()
 
 
 @dataclass
@@ -116,12 +114,6 @@ class FluidSimulator:
         obs: telemetry registry; defaults to the process-wide registry
             (a no-op unless one was attached).  Iteration counts and
             high-water marks are published after each :meth:`run`.
-        plane_ids: external index of each plane (defaults to
-            ``0..len(planes)-1``).  A plane-sharded worker
-            (:mod:`repro.shard`) simulates only its subset of planes but
-            passes their *global* P-Net indices here, so FlowSpec paths,
-            fault events, and records keep global plane numbering while
-            the capacity vector and max-min solve stay shard-sized.
     """
 
     #: True while every active subflow's ``rate`` is the max-min solution
@@ -138,25 +130,10 @@ class FluidSimulator:
         initial_window: int = 10,
         mss: int = MSS,
         obs=None,
-        plane_ids: Optional[Sequence[int]] = None,
     ):
         if not planes:
             raise ValueError("need at least one plane")
         self.planes = list(planes)
-        if plane_ids is None:
-            plane_ids = list(range(len(self.planes)))
-        else:
-            plane_ids = [int(i) for i in plane_ids]
-            if len(plane_ids) != len(self.planes):
-                raise ValueError(
-                    f"got {len(plane_ids)} plane_ids for "
-                    f"{len(self.planes)} planes"
-                )
-            if len(set(plane_ids)) != len(plane_ids):
-                raise ValueError(f"plane_ids must be unique: {plane_ids}")
-        #: External (global) index of each plane, in ``planes`` order.
-        self.plane_ids = plane_ids
-        self._plane_by_id = dict(zip(plane_ids, self.planes))
         self.slow_start = slow_start
         self.initial_window = initial_window
         self.mss = mss
@@ -170,7 +147,7 @@ class FluidSimulator:
         self._link_index: Dict[Tuple[int, str, str], int] = {}
         caps: List[float] = []
         props: List[float] = []
-        for plane_idx, plane in zip(self.plane_ids, self.planes):
+        for plane_idx, plane in enumerate(self.planes):
             for link in plane.live_links:
                 for u, v in ((link.u, link.v), (link.v, link.u)):
                     self._link_index[(plane_idx, u, v)] = len(caps)
@@ -220,53 +197,19 @@ class FluidSimulator:
             rtt += MTU * 8 / cap + 40 * 8 / cap
         return links, rtt, line_rate
 
-    def add_flow(
-        self,
-        src=_UNSET,
-        dst: Optional[str] = None,
-        size: Optional[float] = None,
-        paths: Optional[Sequence[PlanePath]] = None,
-        at: Optional[float] = None,
-        on_complete: Optional[Callable[[FlowRecord], None]] = None,
-        tag: Optional[str] = None,
-        *,
-        spec: Optional[FlowSpec] = None,
-    ) -> int:
-        """Schedule a flow described by a :class:`FlowSpec`.
+    def add_flow(self, spec: FlowSpec) -> int:
+        """Schedule a flow described by a :class:`FlowSpec`::
 
-        Preferred form::
+            sim.add_flow(FlowSpec(src="h0", dst="h1", size=1e6,
+                                  paths=paths))
 
-            sim.add_flow(spec=FlowSpec(src="h0", dst="h1", size=1e6,
-                                       paths=paths))
-
-        Returns the flow id.  ``on_complete`` fires (during :meth:`run`)
-        when the last byte is delivered, and may call :meth:`add_flow`
-        again for closed-loop workloads.  ``spec.transport`` is ignored
-        (the fluid model has no transport knob).
-
-        The legacy positional form ``add_flow(src, dst, size, paths,
-        ...)`` still works but emits a :class:`DeprecationWarning`.
+        Returns the flow id.  ``spec.on_complete`` fires (during
+        :meth:`run`) when the last byte is delivered, and may call
+        :meth:`add_flow` again for closed-loop workloads.
+        ``spec.transport`` is ignored (the fluid model has no transport
+        knob).
         """
-        if spec is None and isinstance(src, FlowSpec):
-            spec, src = src, _UNSET
-        if spec is not None:
-            if src is not _UNSET or dst is not None or size is not None \
-                    or paths is not None:
-                raise TypeError(
-                    "pass either a FlowSpec or the legacy positional "
-                    "arguments, not both"
-                )
-        else:
-            if src is _UNSET or dst is None or size is None or paths is None:
-                raise TypeError(
-                    "add_flow requires spec=FlowSpec(...) (or the "
-                    "deprecated src, dst, size, paths arguments)"
-                )
-            warn_positional_add_flow("add_flow")
-            spec = FlowSpec(
-                src=src, dst=dst, size=size, paths=paths, at=at,
-                tag=tag, on_complete=on_complete,
-            )
+        check_flow_spec(spec)
         return self._submit(spec)
 
     def _submit(self, spec: FlowSpec) -> int:
@@ -445,14 +388,13 @@ class FluidSimulator:
                 self._dead.add((plane_idx, a, b))
 
     def _plane_of(self, plane_idx: int) -> Topology:
-        """The plane topology for an external plane index."""
-        try:
-            return self._plane_by_id[plane_idx]
-        except KeyError:
+        """The plane topology for a plane index."""
+        if not 0 <= plane_idx < len(self.planes):
             raise ValueError(
                 f"plane {plane_idx} is not simulated here "
-                f"(have {sorted(self._plane_by_id)})"
-            ) from None
+                f"(have 0..{len(self.planes) - 1})"
+            )
+        return self.planes[plane_idx]
 
     def restore_link(self, plane_idx: int, u: str, v: str) -> None:
         """Undo :meth:`fail_link`: capacity returns, new subflows accepted."""

@@ -45,7 +45,7 @@ import functools
 import math
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.flowspec import FlowSpec
+from repro.core.flowspec import FlowSpec, check_flow_spec
 from repro.fluid.flowsim import FluidSimulator
 from repro.hybrid.bridge import BackgroundLoadBridge
 from repro.hybrid.promotion import (
@@ -138,7 +138,7 @@ class HybridSimulator:
 
     # --- submission ----------------------------------------------------
 
-    def add_flow(self, *, spec: Optional[FlowSpec] = None) -> int:
+    def add_flow(self, spec: FlowSpec) -> int:
         """Submit a flow; its engine is chosen here, once.
 
         Explicit ``spec.fidelity`` wins; otherwise the promotion policy
@@ -146,10 +146,7 @@ class HybridSimulator:
         hybrid-global flow id (submission order, shared across both
         engines -- completion records are rewritten to carry it).
         """
-        if spec is None:
-            raise TypeError(
-                "HybridSimulator.add_flow requires spec=FlowSpec(...)"
-            )
+        check_flow_spec(spec)
         flow_id = self._next_flow_id
         self._next_flow_id += 1
         fidelity = spec.fidelity

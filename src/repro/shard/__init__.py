@@ -13,8 +13,8 @@ Entry points:
 
 * :func:`run_packet_trial` -- epoch-synced packet simulation with
   conservative-PDES lookahead (barrier rounds batched up to the
-  minimum spanning-path RTT; uncoupled workers free-run).
-* :func:`run_fluid_trial` -- exact (barrier-free) fluid decomposition.
+  minimum spanning-path RTT; uncoupled workers free-run).  Fluid runs
+  stay serial: the max-min solve is one global allocation.
 * ``PNET_SHARDS`` / ``PNET_EPOCH`` / ``PNET_LOOKAHEAD`` /
   ``PNET_SHARD_BACKEND`` / ``PNET_SHARD_TIMEOUT`` environment knobs,
   resolved by :func:`get_shards` / :func:`get_epoch` /
@@ -22,8 +22,8 @@ Entry points:
 
 Guarantees: ``PNET_SHARDS=1`` (or ``epoch=0``) is byte-identical to
 the pre-shard serial simulators; multi-shard results are deterministic
-for a given shard count and identical across the local and process
-channel backends; plane-local flows are unaffected by sharding, and
+for a given shard count and identical across the ``local`` and
+``shm`` channel backends; plane-local flows are unaffected by sharding, and
 only spanning MPTCP connections see the epoch-staleness approximation
 (bounded, and converging to serial as ``epoch -> 0``).
 """
@@ -36,7 +36,6 @@ from repro.shard.channel import (
 from repro.shard.engine import (
     ShardResult,
     ShardSafetyError,
-    run_fluid_trial,
     run_packet_trial,
 )
 from repro.shard.lookahead import derive_lookahead, epochs_per_sync
@@ -64,7 +63,6 @@ __all__ = [
     "get_lookahead",
     "get_shards",
     "get_timeout",
-    "run_fluid_trial",
     "run_packet_trial",
     "serial_fallback",
 ]

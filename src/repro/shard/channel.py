@@ -1,23 +1,18 @@
 """Barrier channels between the shard engine and its workers.
 
-Three interchangeable backends drive the *same* worker logic
+Two interchangeable backends drive the *same* worker logic
 (:func:`repro.shard.worker.handle_message`):
 
 * ``local`` -- the worker object lives in the engine process and
   messages are plain function calls.  Zero IPC cost; used for
   ``PNET_SHARD_BACKEND=local``, for tests, and as the reference
-  behaviour the other backends must match byte-for-byte.
-* ``process`` -- one ``multiprocessing.Process`` per shard, messages
-  pickled over a duplex ``Pipe``.  Fork start method preferred (cheap
-  topology hand-off); falls back to the platform default where fork is
-  unavailable, in which case the worker config is pickled across.
+  behaviour ``shm`` must match byte-for-byte.
 * ``shm`` -- one process per shard, messages over a
   ``multiprocessing.shared_memory`` ring buffer with fixed-layout
-  numpy-packed coupling digests (:mod:`repro.shard.shm`).  The default
-  where shared memory is available: barrier digests skip pickling and
-  pipe syscalls entirely.
+  numpy-packed coupling digests (:mod:`repro.shard.shm`).  The
+  default: barrier digests skip pickling and pipe syscalls entirely.
 
-Every backend presents the same calls to the engine: ``post(message)``
+Both backends present the same calls to the engine: ``post(message)``
 enqueues a request without waiting, ``collect() -> reply`` blocks for
 the matching reply, and ``rpc(message)`` is the post+collect
 convenience.  The post/collect split is what lets the engine dispatch
@@ -27,24 +22,20 @@ difference between serialised and parallel epoch execution.
 Replies are ``(tag, payload)`` tuples; a worker-side exception comes
 back as ``("error", traceback_text)`` and is re-raised in the engine
 as :class:`ShardWorkerError`.  ``collect`` never hangs on a dead
-worker: both process-backed channels poll worker liveness while
-waiting and honour the optional ``PNET_SHARD_TIMEOUT`` deadline.
+worker: the shm channel polls worker liveness while waiting and
+honours the optional ``PNET_SHARD_TIMEOUT`` deadline.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 from collections import deque
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 Message = Tuple[Any, ...]
 
-#: Seconds between liveness/deadline checks while waiting for a reply.
-POLL_INTERVAL = 0.05
-
-BACKENDS = ("local", "process", "shm")
+BACKENDS = ("local", "shm")
 
 
 class ShardWorkerError(RuntimeError):
@@ -52,26 +43,15 @@ class ShardWorkerError(RuntimeError):
     death/timeout diagnosis when the worker never replied."""
 
 
-def _default_backend() -> str:
-    """``shm`` where POSIX shared memory exists, else ``process``."""
-    try:
-        import multiprocessing.shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - very old/exotic platforms
-        return "process"
-    return "shm"
-
-
 def get_backend(override: Optional[str] = None) -> str:
     """Resolve the channel backend: override, else ``PNET_SHARD_BACKEND``.
 
     Defaults to ``shm`` (shared-memory rings, real parallelism without
-    per-barrier pickling) where available, else ``process``.  ``local``
-    runs every shard in the engine process -- same results, no
-    speedup, handy for debugging and pickling-free profiling.
+    per-barrier pickling).  ``local`` runs every shard in the engine
+    process -- same results, no speedup, handy for debugging and
+    pickling-free profiling.
     """
-    backend = override or os.environ.get("PNET_SHARD_BACKEND", "")
-    if not backend:
-        backend = _default_backend()
+    backend = override or os.environ.get("PNET_SHARD_BACKEND", "") or "shm"
     if backend not in BACKENDS:
         raise ValueError(
             f"shard backend must be one of {'/'.join(BACKENDS)}, "
@@ -138,82 +118,3 @@ class LocalChannel:
     def close(self) -> None:
         self._worker = None
         self._replies.clear()
-
-
-class ProcessChannel:
-    """Pipe endpoint to a forked worker process."""
-
-    def __init__(self, target, config, timeout: Optional[float] = None):
-        ctx = _mp_context()
-        self._timeout = get_timeout(timeout)
-        self._conn, child_conn = ctx.Pipe(duplex=True)
-        self._proc = ctx.Process(
-            target=target, args=(child_conn, config), daemon=True
-        )
-        self._proc.start()
-        child_conn.close()  # parent keeps only its end
-
-    def post(self, message: Message) -> None:
-        try:
-            self._conn.send(message)
-        except (BrokenPipeError, OSError):
-            raise ShardWorkerError(
-                f"shard worker (pid {self._proc.pid}) died before the "
-                f"barrier request (exitcode={self._proc.exitcode})"
-            ) from None
-
-    def collect(self) -> Message:
-        self._wait_for_reply()
-        try:
-            reply = self._conn.recv()
-        except (EOFError, OSError):
-            # EOFError on a clean close; ConnectionResetError (an
-            # OSError) when the worker was killed outright.
-            self._proc.join(timeout=5)
-            raise ShardWorkerError(
-                f"shard worker (pid {self._proc.pid}) died mid-barrier "
-                f"without replying (exitcode={self._proc.exitcode})"
-            ) from None
-        if reply[0] == "error":
-            self.close()
-            raise ShardWorkerError(reply[1])
-        return reply
-
-    def _wait_for_reply(self) -> None:
-        """Block until a reply is readable, failing fast on a dead or
-        stuck worker instead of hanging the barrier."""
-        deadline = (
-            time.monotonic() + self._timeout
-            if self._timeout is not None else None
-        )
-        while not self._conn.poll(POLL_INTERVAL):
-            if not self._proc.is_alive():
-                # One last poll: the reply may have landed in the pipe
-                # buffer just before the worker died.
-                if self._conn.poll(0):
-                    return
-                raise ShardWorkerError(
-                    f"shard worker (pid {self._proc.pid}) died "
-                    f"mid-barrier (exitcode={self._proc.exitcode})"
-                )
-            if deadline is not None and time.monotonic() > deadline:
-                raise ShardWorkerError(
-                    f"shard worker (pid {self._proc.pid}) sent no "
-                    f"barrier reply within {self._timeout}s "
-                    "(PNET_SHARD_TIMEOUT)"
-                )
-
-    def rpc(self, message: Message) -> Message:
-        self.post(message)
-        return self.collect()
-
-    def close(self) -> None:
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if self._proc.is_alive():
-            self._proc.join(timeout=5)
-            if self._proc.is_alive():  # pragma: no cover - stuck worker
-                self._proc.terminate()
-                self._proc.join(timeout=5)

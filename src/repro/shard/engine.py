@@ -12,17 +12,11 @@ the serial coupled behaviour, and ``epoch == 0`` (or one shard) takes
 the literal serial code path, byte-identical to the pre-shard
 simulator.
 
-Fluid runs need no epochs: the paper's planes are disjoint in the
-core, so plane-local fluid flows decompose exactly and workers run to
-the horizon independently; spanning flows are refused
-(:class:`ShardSafetyError`) because the global max-min allocation
-couples them continuously.
-
 Determinism: worker digests are merged in shard-index order, pool
 splits use integer largest-remainder arithmetic, records are sorted by
 global flow id, and per-shard telemetry registries are absorbed into
 the caller's registry in shard order -- so results are independent of
-scheduling noise and identical across the ``local`` and ``process``
+scheduling noise and identical across the ``local`` and ``shm``
 channel backends.
 """
 
@@ -47,11 +41,7 @@ from repro.ckpt.store import (
 from repro.core.flowspec import FlowSpec
 from repro.core.pnet import PNet
 from repro.obs import get_registry
-from repro.shard.channel import (
-    LocalChannel,
-    ProcessChannel,
-    get_backend,
-)
+from repro.shard.channel import LocalChannel, get_backend
 from repro.shard.coupling import (
     largest_remainder,
     lia_terms,
@@ -68,13 +58,9 @@ from repro.shard.partition import (
     get_lookahead,
     get_shards,
 )
-from repro.shard.partition import serial_fallback as _serial_fallback
-from repro.shard.worker import (
-    WorkerConfig,
-    build_worker,
-    handle_message,
-    worker_main,
-)
+from repro.shard.partition import _count_fallback
+from repro.shard.shm import ShmChannel
+from repro.shard.worker import WorkerConfig, build_worker, handle_message
 from repro.sim.network import SimFlowRecord
 from repro.topology.graph import Topology
 
@@ -95,39 +81,31 @@ KIND_SHARD = "shard"
 
 
 def _write_shard_checkpoint(
-    root, channels, t, rounds, digests, spanning, shares, plan, epoch,
-    backend, keep_last=None, control_state=None,
+    root, blobs, state, epoch, backend, keep_last=None
 ) -> pathlib.Path:
-    """Snapshot every worker at the barrier and write one checkpoint.
+    """Write one ``kind="shard"`` checkpoint: worker blobs + engine state.
 
-    Workers are quiescent at the barrier (their event loops stopped at
-    ``t``), so the per-worker pickles plus the engine's own loop state
-    form a globally consistent cut.  The container write is manifest-
-    last, so a crash mid-write is indistinguishable from no checkpoint.
+    ``blobs`` are the workers' pickles in shard order, taken at a
+    barrier where every worker is quiescent (its event loop stopped at
+    ``state["t"]``), so together with the engine's own loop ``state``
+    they form a globally consistent cut.  Both the multi-shard loop and
+    the one-shard serial path write through here, so
+    :func:`_load_shard_checkpoint` reads either.  The container write
+    is manifest-last, so a crash mid-write is indistinguishable from no
+    checkpoint.
     """
-    for ch in channels:
-        ch.post(("snapshot",))
     payloads = {
-        f"shard-{shard:02d}.pkl": ch.collect()[1]
-        for shard, ch in enumerate(channels)
+        f"shard-{shard:02d}.pkl": blob for shard, blob in enumerate(blobs)
     }
     payloads["engine.pkl"] = pickle.dumps(
-        {
-            "t": t,
-            "rounds": rounds,
-            "digests": digests,
-            "spanning": spanning,
-            "shares": shares,
-            "control": control_state,
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
+        state, protocol=pickle.HIGHEST_PROTOCOL
     )
     meta = {
         "kind": KIND_SHARD,
         "engine": "packet",
-        "t": t,
-        "rounds": rounds,
-        "n_shards": plan.n_shards,
+        "t": state["t"],
+        "rounds": state["rounds"],
+        "n_shards": len(blobs),
         "epoch": epoch,
         "backend": backend,
     }
@@ -184,7 +162,6 @@ class ShardResult:
     rounds: int
     events_processed: int
     plane_totals: Dict[int, Dict[str, int]] = field(default_factory=dict)
-    delivered_bytes: Optional[float] = None
     #: Effective lookahead (simulated seconds) and the barrier stride it
     #: quantised to: one digest exchange covers ``stride`` epochs.
     lookahead: float = 0.0
@@ -241,16 +218,10 @@ def _make_channels(configs: List[WorkerConfig], backend: str):
             LocalChannel(build_worker(config), handle_message)
             for config in configs
         ]
-    if backend == "shm":
-        from repro.shard.shm import ShmChannel
-
-        make = ShmChannel
-    else:
-        make = functools.partial(ProcessChannel, worker_main)
     channels = []
     try:
         for config in configs:
-            channels.append(make(config))
+            channels.append(ShmChannel(config))
     except BaseException:
         _close_all(channels)
         raise
@@ -330,9 +301,8 @@ def run_packet_trial(
             minimum spanning-path RTT.  Barrier rounds are batched to
             ``max(1, floor(lookahead / epoch))`` epochs per digest
             exchange; ``0`` forces one exchange per epoch.
-        backend: ``"local"``, ``"process"`` or ``"shm"`` channel
-            backend; defaults to ``PNET_SHARD_BACKEND`` (else ``shm``
-            where shared memory is available).
+        backend: ``"local"`` or ``"shm"`` channel backend; defaults
+            to ``PNET_SHARD_BACKEND`` (else ``shm``).
         schedule: optional iterable of fault events, routed to the
             owning shards (dataplane semantics only -- injector-style
             resteering is cross-plane and must stay serial).
@@ -393,15 +363,17 @@ def run_packet_trial(
     if resume and checkpoint_dir is None:
         raise ValueError("resume requires checkpoint_dir")
 
+    run_serial = functools.partial(
+        _run_serial_packet, planes, specs, events, until, obs, epoch,
+        sim_kwargs,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every,
+        resume=resume,
+        checkpoint_keep_last=checkpoint_keep_last,
+        control=control,
+    )
     if plan.n_shards == 1:
-        return _run_serial_packet(
-            planes, specs, events, until, obs, epoch, sim_kwargs,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
-            checkpoint_keep_last=checkpoint_keep_last,
-            control=control,
-        )
+        return run_serial()
 
     with_callbacks = [
         gid for gid, spec in enumerate(specs)
@@ -409,15 +381,8 @@ def run_packet_trial(
     ]
     if with_callbacks:
         if serial_fallback:
-            _serial_fallback("packet.on_complete", obs)
-            return _run_serial_packet(
-                planes, specs, events, until, obs, epoch, sim_kwargs,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every=checkpoint_every,
-                resume=resume,
-                checkpoint_keep_last=checkpoint_keep_last,
-                control=control,
-            )
+            _count_fallback("packet.on_complete", obs)
+            return run_serial()
         raise ShardSafetyError(
             f"flow {with_callbacks[0]} "
             f"({specs[with_callbacks[0]].src}->"
@@ -437,15 +402,8 @@ def run_packet_trial(
         size = int(spec.size)
         if size != spec.size:
             if serial_fallback:
-                _serial_fallback("packet.fractional_spanning", obs)
-                return _run_serial_packet(
-                    planes, specs, events, until, obs, epoch, sim_kwargs,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_every=checkpoint_every,
-                    resume=resume,
-                    checkpoint_keep_last=checkpoint_keep_last,
-                    control=control,
-                )
+                _count_fallback("packet.fractional_spanning", obs)
+                return run_serial()
             raise ShardSafetyError(
                 f"spanning {_describe_spanning(gid, spec, plan)}, but "
                 f"has non-integer size {spec.size!r}: the shared pool "
@@ -496,7 +454,6 @@ def run_packet_trial(
             shard=shard,
             plan=plan,
             planes=planes,
-            engine="packet",
             sim_kwargs=dict(sim_kwargs),
             entries=entries,
             spanning_share={
@@ -699,13 +656,22 @@ def run_packet_trial(
             t = t_next
             rounds += 1
             if t >= ckpt_next:
+                for ch in channels:
+                    ch.post(("snapshot",))
                 _write_shard_checkpoint(
-                    checkpoint_dir, channels, t, rounds, digests,
-                    spanning, shares, plan, epoch, backend,
-                    keep_last=checkpoint_keep_last,
-                    control_state=(
-                        driver.state() if driver is not None else None
-                    ),
+                    checkpoint_dir,
+                    [ch.collect()[1] for ch in channels],
+                    {
+                        "t": t,
+                        "rounds": rounds,
+                        "digests": digests,
+                        "spanning": spanning,
+                        "shares": shares,
+                        "control": (
+                            driver.state() if driver is not None else None
+                        ),
+                    },
+                    epoch, backend, keep_last=checkpoint_keep_last,
                 )
                 ckpt_next = (
                     math.floor(t / checkpoint_every) + 1
@@ -898,9 +864,9 @@ def _run_serial_packet(
 
     Flows keep their completion callbacks and the caller's registry is
     used directly, so a ``PNET_SHARDS=1`` run is byte-identical to a
-    plain ``PacketNetwork`` run of the same workload.  Checkpoints use
-    the same ``kind="shard"`` container as the multi-shard path (one
-    worker payload), so resume works across either entry.
+    plain ``PacketNetwork`` run of the same workload.  Checkpoints go
+    through the multi-shard path's writer (one worker payload), so
+    resume works across either entry.
     """
     plan = ShardPlan.build(len(planes), 1)
     restored = (
@@ -910,7 +876,6 @@ def _run_serial_packet(
         shard=0,
         plan=plan,
         planes=list(planes),
-        engine="packet",
         sim_kwargs=dict(sim_kwargs),
         entries=list(enumerate(specs)),
         fault_events=events,
@@ -947,37 +912,18 @@ def _run_serial_packet(
             t = t_next
             if worker.net.loop.next_time() is None:
                 break
-            payloads = {
-                "shard-00.pkl": pickle.dumps(
-                    worker, protocol=pickle.HIGHEST_PROTOCOL
-                ),
-                "engine.pkl": pickle.dumps(
-                    {
-                        "t": t,
-                        "rounds": 0,
-                        "digests": [],
-                        "spanning": {},
-                        "shares": {},
-                    },
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                ),
-            }
-            meta = {
-                "kind": KIND_SHARD,
-                "engine": "packet",
-                "t": t,
-                "rounds": 0,
-                "n_shards": 1,
-                "epoch": epoch,
-                "backend": "local",
-            }
-            write_checkpoint(
-                step_dir(checkpoint_dir, next_step(checkpoint_dir)),
-                payloads,
-                meta,
+            _write_shard_checkpoint(
+                checkpoint_dir,
+                [pickle.dumps(worker, protocol=pickle.HIGHEST_PROTOCOL)],
+                {
+                    "t": t,
+                    "rounds": 0,
+                    "digests": [],
+                    "spanning": {},
+                    "shares": {},
+                },
+                epoch, "local", keep_last=checkpoint_keep_last,
             )
-            if checkpoint_keep_last is not None:
-                prune(checkpoint_dir, checkpoint_keep_last)
     result = worker.result()
     if restored is not None and obs.enabled and worker.obs is not obs:
         # The restored worker continued on its checkpointed registry
@@ -1000,172 +946,5 @@ def _run_serial_packet(
                 "stats": attached.stats.as_dict(),
             }
             if attached is not None else None
-        ),
-    )
-
-
-def run_fluid_trial(
-    planes: Union[PNet, Sequence[Topology]],
-    specs: Sequence[FlowSpec],
-    *,
-    shards: Optional[int] = None,
-    backend: Optional[str] = None,
-    until: Optional[float] = None,
-    obs=None,
-    control: Optional[Any] = None,
-    serial_fallback: bool = False,
-    **sim_kwargs: Any,
-) -> ShardResult:
-    """Run a fluid-model trial, sharded by plane (exact decomposition).
-
-    Plane-local fluid flows share no links across planes, so each
-    shard's max-min solve is independent and there are no epochs --
-    workers run straight to the horizon.  Spanning flows (an MPTCP
-    connection allocated across shards) couple through the global
-    allocation and raise :class:`ShardSafetyError`; run those with
-    ``shards=1`` or the packet engine.  ``control=`` (adaptive
-    resteering) migrates flows across planes continuously, so it runs
-    serial here -- only the packet engine has the barrier protocol for
-    shard-safe control; ``serial_fallback=True`` downgrades any of
-    these refusals to a counted serial run.
-    """
-    planes = _as_planes(planes)
-    specs = list(specs)
-    n_shards = min(get_shards(shards), len(planes))
-    obs = obs if obs is not None else get_registry()
-    plan = ShardPlan.build(len(planes), n_shards)
-    backend = get_backend(backend) if plan.n_shards > 1 else "local"
-
-    if plan.n_shards == 1:
-        return _run_serial_fluid(
-            planes, specs, until, obs, sim_kwargs, control=control
-        )
-
-    if control is not None:
-        if serial_fallback:
-            _serial_fallback("fluid.control", obs)
-            return _run_serial_fluid(
-                planes, specs, until, obs, sim_kwargs, control=control
-            )
-        raise ShardSafetyError(
-            "adaptive control migrates fluid flows across planes "
-            "continuously, which cannot run under PNET_SHARDS > 1: "
-            "pass serial_fallback=True (or shards=1) to run control on "
-            "the serial path, or use the packet engine's shard-safe "
-            "control path (run_packet_trial(control=...))"
-        )
-
-    __, spanning_gids = classify(specs, plan)
-    if spanning_gids:
-        if serial_fallback:
-            _serial_fallback("fluid.spanning", obs)
-            return _run_serial_fluid(
-                planes, specs, until, obs, sim_kwargs, control=control
-            )
-        first = spanning_gids[0]
-        raise ShardSafetyError(
-            f"{len(spanning_gids)} flow(s) span multiple shards under "
-            f"{plan.n_shards} shards -- e.g. spanning "
-            f"{_describe_spanning(first, specs[first], plan)}; the "
-            "fluid model couples them through the global max-min solve. "
-            "Pass serial_fallback=True, run with shards=1, or use the "
-            "packet engine."
-        )
-    if any(spec.on_complete is not None for spec in specs):
-        if serial_fallback:
-            _serial_fallback("fluid.on_complete", obs)
-            return _run_serial_fluid(
-                planes, specs, until, obs, sim_kwargs, control=control
-            )
-        raise ShardSafetyError(
-            "completion callbacks cannot run under PNET_SHARDS > 1 "
-            "(closed-loop workloads must run serial) -- pass "
-            "serial_fallback=True or shards=1"
-        )
-
-    local, __ = classify(specs, plan)
-    collect_obs = obs.enabled
-    stripped = _strip_callbacks(specs)
-    configs = [
-        WorkerConfig(
-            shard=shard,
-            plan=plan,
-            planes=planes,
-            engine="fluid",
-            sim_kwargs=dict(sim_kwargs),
-            entries=[(gid, stripped[gid]) for gid in local[shard]],
-            collect_obs=collect_obs,
-        )
-        for shard in range(plan.n_shards)
-    ]
-    channels = _make_channels(configs, backend)
-    try:
-        # Post the single run-to-horizon to every worker before
-        # collecting any reply: the workers solve their planes in
-        # parallel, not one after another.
-        for ch in channels:
-            ch.post(("run", until, {}))
-        for ch in channels:
-            ch.collect()
-        for ch in channels:
-            ch.post(("stop",))
-        results = [ch.collect()[1] for ch in channels]
-    finally:
-        _close_all(channels)
-
-    records: List[Any] = []
-    events_processed = 0
-    delivered = 0.0
-    for result in results:
-        records.extend(result["records"])
-        events_processed += result["events_processed"]
-        delivered += result["delivered_bytes"]
-        if collect_obs and result["obs"] is not None:
-            obs.absorb(result["obs"])
-    records.sort(key=lambda r: r.flow_id)
-    return ShardResult(
-        records=records,
-        n_shards=plan.n_shards,
-        epoch=0.0,
-        backend=backend,
-        rounds=1,
-        events_processed=events_processed,
-        delivered_bytes=delivered,
-    )
-
-
-def _run_serial_fluid(
-    planes, specs, until, obs, sim_kwargs, control=None
-) -> ShardResult:
-    from repro.fluid.flowsim import FluidSimulator
-
-    sim = FluidSimulator(planes, obs=obs, **sim_kwargs)
-    controller = None
-    if control is not None:
-        from repro.control import as_controller
-
-        controller = as_controller(control)
-        controller.attach(sim)
-    gid_of = {}
-    for gid, spec in enumerate(specs):
-        gid_of[sim.add_flow(spec=spec)] = gid
-    sim.run(until=until)
-    for record in sim.records:
-        record.flow_id = gid_of[record.flow_id]
-    records = sorted(sim.records, key=lambda r: r.flow_id)
-    return ShardResult(
-        records=records,
-        n_shards=1,
-        epoch=0.0,
-        backend="local",
-        rounds=0,
-        events_processed=sim.events_processed,
-        delivered_bytes=sim.delivered_bytes,
-        control=(
-            {
-                "fingerprint": controller.fingerprint(),
-                "stats": controller.stats.as_dict(),
-            }
-            if controller is not None else None
         ),
     )

@@ -46,21 +46,31 @@ def get_shards(override: Optional[int] = None) -> int:
 def serial_fallback(feature: str, obs=None) -> int:
     """Resolve shards to 1 for a workload that cannot shard safely.
 
-    Control-plane behaviours -- route repair, flow resteering, global
-    fluid max-min over spanning flows -- are inherently cross-plane, so
-    experiments built on them run serial regardless of ``PNET_SHARDS``.
-    When the user *asked* for shards, the fallback is recorded on the
-    ``shard.serial_fallback`` counter (labelled with the feature) so a
-    silently-serial run is visible in telemetry rather than a mystery
-    slowdown.  Returns 1, the effective shard count.
+    Control-plane behaviours -- route repair, flow resteering -- are
+    inherently cross-plane, so experiments built on them run serial
+    regardless of ``PNET_SHARDS``.  When the user *asked* for shards,
+    the fallback is recorded on the ``shard.serial_fallback`` counter
+    (labelled with the feature) so a silently-serial run is visible in
+    telemetry rather than a mystery slowdown.  Returns 1, the effective
+    shard count.
     """
     if get_shards() > 1:
-        if obs is None:
-            from repro.obs import get_registry
-
-            obs = get_registry()
-        obs.counter("shard.serial_fallback", feature=feature).inc()
+        _count_fallback(feature, obs)
     return 1
+
+
+def _count_fallback(feature: str, obs=None) -> None:
+    """Record one downgrade of a multi-shard request to the serial path.
+
+    The shard engine calls this directly: it has already resolved a
+    count above one (from ``shards=`` or ``PNET_SHARDS``), so it must
+    not re-read the environment the way :func:`serial_fallback` does.
+    """
+    if obs is None:
+        from repro.obs import get_registry
+
+        obs = get_registry()
+    obs.counter("shard.serial_fallback", feature=feature).inc()
 
 
 def get_epoch(override: Optional[float] = None) -> float:

@@ -1,9 +1,9 @@
 """Shared-memory barrier channel: numpy digests over SPSC ring buffers.
 
-The pipe backend pays four syscalls plus two pickles per worker per
-barrier -- the dominant cost of an epoch at the default 100 us
-spacing.  This module replaces that hot path with one POSIX shared-
-memory segment per worker holding two single-producer/single-consumer
+Pickled messages over a pipe would cost four syscalls plus two
+pickles per worker per barrier -- the dominant cost of an epoch at the
+default 100 us spacing.  This module instead gives each worker one
+POSIX shared-memory segment holding two single-producer/single-consumer
 byte rings (engine->worker commands, worker->engine replies), and a
 fixed-layout ``float64`` packing (:class:`DigestCodec`) for the two
 messages the barrier loop actually exchanges: the ``run`` command
@@ -28,8 +28,8 @@ mid-copy with the position already advanced, surfacing them as
 sides poll with a liveness callback and optional deadline, so a dead
 peer raises :class:`ShmRingClosed` promptly rather than hanging.
 
-Byte-identity with the pipe backend is a hard requirement (and is
-pinned by tests): the codec packs ints and floats into ``float64``
+Byte-identity with the in-process ``local`` backend is a hard
+requirement (and is pinned by tests): the codec packs ints and floats into ``float64``
 slots exactly (all integer fields are far below 2**53) and restores
 ``None`` sentinels from NaN, so a decoded digest compares equal to
 the pickled one field-for-field.
@@ -413,8 +413,8 @@ class DigestCodec:
         t_raw = float(arr[0])
         t_target = None if math.isnan(t_raw) else t_raw
         if not self.gids:
-            # Mirrors the pipe backend exactly: workers with no
-            # spanning slice (fluid workers included) get a bare {}.
+            # Mirrors the local backend exactly: workers with no
+            # spanning slice get a bare {}.
             return t_target, {}
         updates: Dict[str, Any] = {"views": {}, "grants": {}, "finalize": []}
         for slot, gid in enumerate(self.gids):
@@ -446,8 +446,8 @@ def _make_rings(buf) -> Tuple[ShmRing, ShmRing]:
 class ShmChannel:
     """Engine-side endpoint of the shared-memory backend.
 
-    Same ``post``/``collect``/``rpc``/``close`` surface as the pipe
-    channel; the barrier ``run``/digest hot path travels as numpy
+    Same ``post``/``collect``/``rpc``/``close`` surface as
+    :class:`~repro.shard.channel.LocalChannel`; the barrier ``run``/digest hot path travels as numpy
     blocks, everything else as pickled blobs, all over the two rings.
     """
 
@@ -524,8 +524,8 @@ class ShmChannel:
 
     def close(self) -> None:
         if self._proc.is_alive():
-            # A healthy worker parked on the command ring has no pipe
-            # EOF to notice; give an exiting one a moment, then stop it.
+            # A healthy worker parked on the command ring has no EOF
+            # to notice; give an exiting one a moment, then stop it.
             self._proc.join(timeout=0.25)
             if self._proc.is_alive():
                 self._proc.terminate()
@@ -545,11 +545,11 @@ class ShmChannel:
 def shm_worker_main(name: str, config) -> None:
     """Worker-process entry point: serve barrier requests over the rings.
 
-    Mirrors :func:`repro.shard.worker.worker_main` exactly -- same
-    dispatch, same stop conditions -- with the ring transport and the
-    numpy fast path swapped in.  Exits if the engine process goes away
-    (re-parented: ``getppid`` changed) so an engine crash cannot leak
-    workers blocked on the command ring.
+    Every request goes through :func:`repro.shard.worker.handle_message`,
+    the dispatch the local backend calls directly; the worker stops
+    after a ``result`` or ``error`` reply.  Exits if the engine process
+    goes away (re-parented: ``getppid`` changed) so an engine crash
+    cannot leak workers blocked on the command ring.
     """
     from repro.shard.worker import build_worker, handle_message
 

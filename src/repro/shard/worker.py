@@ -1,25 +1,24 @@
-"""Shard workers: one simulator instance over one shard's planes.
+"""Shard workers: one packet simulator instance over one shard's planes.
 
 A worker owns every flow whose paths live entirely on its planes and
 the local *slice* (a :class:`~repro.shard.coupling.PartialMptcpSource`)
 of every spanning connection.  It exposes four calls --
 ``apply(updates)``, ``advance(t)``, ``digest()``, ``result()`` --
 driven through :func:`handle_message`, which both channel backends
-(:mod:`repro.shard.channel`) route to, so the local and process
-backends execute byte-identical logic.
+(:mod:`repro.shard.channel`) route to, so the local and shm backends
+execute byte-identical logic.
 
-Packet workers build a :class:`~repro.sim.network.PacketNetwork` over
-*all* planes (elements instantiate lazily, so remote planes cost
-nothing) which keeps global plane indices valid everywhere; fluid
-workers build a :class:`~repro.fluid.flowsim.FluidSimulator` over only
-their planes, passing global ids via ``plane_ids``.
+A worker builds a :class:`~repro.sim.network.PacketNetwork` over *all*
+planes (elements instantiate lazily, so remote planes cost nothing),
+which keeps global plane indices valid everywhere.
 
 Fault events arrive pre-routed (the engine restricts the schedule to
 each shard's planes via :meth:`FaultSchedule.restricted`) and are
 applied at the dataplane level -- link/queue state with the same
 refcounted overlap semantics as :class:`repro.faults.FaultInjector`.
 Control-plane reactions (route repair, flow resteering) are inherently
-cross-plane and stay serial; see ``resolve_shards`` in the engine.
+cross-plane and stay serial; see
+:func:`repro.shard.partition.serial_fallback`.
 """
 
 from __future__ import annotations
@@ -28,12 +27,11 @@ import functools
 import pickle
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.control.monitor import sample_packet_rows
 from repro.core.flowspec import FlowSpec
 from repro.faults.schedule import FaultEvent
-from repro.fluid.flowsim import FluidSimulator
 from repro.obs import NULL_REGISTRY, Registry
 from repro.shard.coupling import PartialMptcpSource
 from repro.shard.partition import ShardPlan
@@ -43,7 +41,7 @@ from repro.topology.graph import Topology, link_key
 
 @dataclass
 class WorkerConfig:
-    """Everything a shard worker needs, picklable for the process backend.
+    """Everything a shard worker needs, picklable for the shm backend.
 
     ``entries`` lists (global flow id, spec) pairs in submission order;
     a gid present in ``spanning_share`` is the local slice of a
@@ -55,13 +53,12 @@ class WorkerConfig:
     shard: int
     plan: ShardPlan
     planes: List[Topology]
-    engine: str  # "packet" | "fluid"
     sim_kwargs: Dict[str, Any] = field(default_factory=dict)
     entries: List[Tuple[int, FlowSpec]] = field(default_factory=list)
     spanning_share: Dict[int, int] = field(default_factory=dict)
     fault_events: Tuple[FaultEvent, ...] = ()
     collect_obs: bool = False
-    #: In-process only (not picklable across the process backend): use
+    #: In-process only (never shipped to a worker process): use
     #: this registry directly instead of a private one -- the serial
     #: one-shard path injects the caller's registry here so telemetry
     #: is byte-identical to a plain un-sharded run.
@@ -251,66 +248,6 @@ class PacketShardWorker:
         }
 
 
-class FluidShardWorker:
-    """Fluid-model worker: plane-local flows only (exact decomposition).
-
-    Spanning flows couple through the global max-min allocation, so the
-    engine refuses to shard them (``ShardSafetyError``); everything
-    that reaches a fluid worker is embarrassingly parallel and there is
-    a single run-to-horizon barrier instead of epochs.
-    """
-
-    def __init__(self, config: WorkerConfig):
-        if config.spanning_share:
-            raise ValueError(
-                "fluid workers cannot hold spanning flows: "
-                f"{sorted(config.spanning_share)}"
-            )
-        if config.fault_events:
-            raise ValueError(
-                "fluid workers do not replay fault schedules; fault runs "
-                "need the serial injector (resteering is cross-plane)"
-            )
-        self.config = config
-        local_ids = list(config.plan.planes_of_shard[config.shard])
-        if config.obs_registry is not None:
-            self.obs = config.obs_registry
-        else:
-            self.obs = Registry() if config.collect_obs else NULL_REGISTRY
-        self.sim = FluidSimulator(
-            [config.planes[i] for i in local_ids],
-            plane_ids=local_ids,
-            obs=self.obs,
-            **config.sim_kwargs,
-        )
-        self._gid_of: Dict[int, int] = {}
-        for gid, spec in config.entries:
-            fid = self.sim.add_flow(spec=spec)
-            self._gid_of[fid] = gid
-
-    def apply(self, updates: Dict[str, Any]) -> None:
-        if updates:
-            raise ValueError("fluid workers take no coupling updates")
-
-    def advance(self, t: Optional[float]) -> None:
-        self.sim.run(until=t)
-
-    def digest(self) -> Dict[str, Any]:
-        return {"t": self.sim.now, "next": None, "flows": {}}
-
-    def result(self) -> Dict[str, Any]:
-        for record in self.sim.records:
-            record.flow_id = self._gid_of[record.flow_id]
-        return {
-            "records": list(self.sim.records),
-            "plane_totals": {},
-            "events_processed": self.sim.events_processed,
-            "delivered_bytes": self.sim.delivered_bytes,
-            "obs": self.obs.export_state()
-            if self.config.collect_obs else None,
-        }
-
-
 def build_worker(config: WorkerConfig):
     if config.restore_blob is not None:
         # The restored worker keeps its *checkpointed* registry (it holds
@@ -318,11 +255,7 @@ def build_worker(config: WorkerConfig):
         # registry absorb the worker's state after the run instead of
         # swapping it out, which would orphan net.obs publications.
         return pickle.loads(config.restore_blob)
-    if config.engine == "packet":
-        return PacketShardWorker(config)
-    if config.engine == "fluid":
-        return FluidShardWorker(config)
-    raise ValueError(f"unknown shard engine {config.engine!r}")
+    return PacketShardWorker(config)
 
 
 def handle_message(worker, message: Tuple) -> Tuple:
@@ -361,27 +294,3 @@ def handle_message(worker, message: Tuple) -> Tuple:
         raise ValueError(f"unknown shard message {tag!r}")
     except Exception:
         return ("error", traceback.format_exc())
-
-
-def worker_main(conn, config: WorkerConfig) -> None:
-    """Process-backend entry point: serve requests over a Pipe until stop."""
-    try:
-        worker = build_worker(config)
-        startup_error = None
-    except Exception:
-        worker, startup_error = None, traceback.format_exc()
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except EOFError:
-                break
-            if startup_error is not None:
-                conn.send(("error", startup_error))
-                break
-            reply = handle_message(worker, message)
-            conn.send(reply)
-            if reply[0] in ("result", "error"):
-                break
-    finally:
-        conn.close()

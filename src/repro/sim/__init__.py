@@ -17,33 +17,13 @@ Components mirror htsim's architecture:
 Used for the latency-sensitive experiments (Figures 9-11, Table 2) where
 queueing, slow start, and retransmissions matter packet by packet.
 
-Constructing the engine through this package
-(``repro.sim.PacketNetwork``) is **deprecated** for workload code: use
-``repro.api.build_network(planes, kind="packet")`` so trials stay
-engine-agnostic (hybrid fidelity, registry dispatch, uniform
-checkpointing).  Internal wiring that genuinely needs the class imports
-it from :mod:`repro.sim.network`, which never warns.
+Workload code builds the engine with ``repro.api.build_network(planes,
+kind="packet")`` so trials stay engine-agnostic (hybrid fidelity,
+registry dispatch, uniform checkpointing).  Internal wiring that
+genuinely needs the class imports it from :mod:`repro.sim.network`.
 """
-
-import warnings
 
 from repro.sim.events import EventLoop
 from repro.sim.rpc import RpcClient
 
-__all__ = ["EventLoop", "PacketNetwork", "RpcClient"]
-
-
-def __getattr__(name):
-    if name == "PacketNetwork":
-        warnings.warn(
-            "constructing engines via repro.sim.PacketNetwork is "
-            "deprecated; use repro.api.build_network(planes, "
-            "kind='packet') (internal wiring may import "
-            "repro.sim.network.PacketNetwork directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.sim.network import PacketNetwork
-
-        return PacketNetwork
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["EventLoop", "RpcClient"]

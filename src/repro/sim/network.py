@@ -20,9 +20,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.flowspec import FlowSpec, warn_positional_add_flow
+from repro.core.flowspec import FlowSpec, check_flow_spec
 from repro.core.pnet import PlanePath
 from repro.obs import get_registry
 from repro.sim.events import EventLoop
@@ -31,8 +31,6 @@ from repro.sim.mptcp import MptcpSource
 from repro.sim.tcp import TcpSink, TcpSource
 from repro.topology.graph import Topology
 from repro.units import DEFAULT_MIN_RTO, DEFAULT_QUEUE_PACKETS, MSS
-
-_UNSET = object()
 
 
 @dataclass
@@ -137,54 +135,18 @@ class PacketNetwork:
 
     # --- flow launch ----------------------------------------------------------
 
-    def add_flow(
-        self,
-        src=_UNSET,
-        dst: Optional[str] = None,
-        size: Optional[int] = None,
-        paths: Optional[Sequence[PlanePath]] = None,
-        at: float = 0.0,
-        on_complete: Optional[Callable[[SimFlowRecord], None]] = None,
-        tag: Optional[str] = None,
-        transport: str = "tcp",
-        *,
-        spec: Optional[FlowSpec] = None,
-    ):
-        """Launch a flow described by a :class:`FlowSpec`.
+    def add_flow(self, spec: FlowSpec):
+        """Launch a flow described by a :class:`FlowSpec`::
 
-        Preferred form::
-
-            net.add_flow(spec=FlowSpec(src="h0", dst="h1", size=1_000_000,
-                                       paths=policy.select("h0", "h1", 0)))
+            net.add_flow(FlowSpec(src="h0", dst="h1", size=1_000_000,
+                                  paths=policy.select("h0", "h1", 0)))
 
         One path -> plain TCP (or DCTCP with ``transport="dctcp"``, which
         requires the network's queues to have an ``ecn_threshold``);
         several paths -> MPTCP with one subflow each.
         Returns the source object (a TcpSource or MptcpSource).
-
-        The legacy positional form ``add_flow(src, dst, size, paths,
-        ...)`` still works but emits a :class:`DeprecationWarning`.
         """
-        if spec is None and isinstance(src, FlowSpec):
-            spec, src = src, _UNSET
-        if spec is not None:
-            if src is not _UNSET or dst is not None or size is not None \
-                    or paths is not None:
-                raise TypeError(
-                    "pass either a FlowSpec or the legacy positional "
-                    "arguments, not both"
-                )
-        else:
-            if src is _UNSET or dst is None or size is None or paths is None:
-                raise TypeError(
-                    "add_flow requires spec=FlowSpec(...) (or the "
-                    "deprecated src, dst, size, paths arguments)"
-                )
-            warn_positional_add_flow("add_flow")
-            spec = FlowSpec(
-                src=src, dst=dst, size=size, paths=paths, at=at,
-                tag=tag, transport=transport, on_complete=on_complete,
-            )
+        check_flow_spec(spec)
         return self._launch(spec)
 
     def _launch(self, spec: FlowSpec):

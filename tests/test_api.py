@@ -4,10 +4,9 @@ The facade is the supported entry point for external users; these tests
 pin its surface: the engine registry behind ``build_network`` /
 ``run_trial`` (packet, fluid, hybrid, and user-registered engines), the
 documented :class:`~repro.api.TrialResult` with its stable ``to_json``
-form (golden-pinned), the keyword-only :class:`FlowSpec` accepted by
-every simulator, and the deprecation shims kept for the legacy entry
-points -- including the guarantee that no repo-internal caller still
-uses them.
+form (golden-pinned), the keyword-only :class:`FlowSpec` that is the
+only thing any engine's ``add_flow`` accepts, and the guarantee that no
+repo-internal caller triggers a DeprecationWarning.
 """
 
 import json
@@ -87,65 +86,46 @@ class TestFlowSpec:
 
 
 class TestDeprecationShim:
-    def test_packet_positional_warns(self):
+    """The legacy positional ``add_flow`` form is gone: every engine
+    takes one :class:`FlowSpec`, by position or as ``spec=``."""
+
+    def test_packet_positional_raises(self):
         pnet = make_pnet()
         net = PacketNetwork(pnet.planes)
         spec = flows_for(pnet, n=1)[0]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with pytest.raises(TypeError):
             net.add_flow(spec.src, spec.dst, spec.size, spec.paths)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
+        with pytest.raises(TypeError, match="takes one FlowSpec"):
+            net.add_flow(spec.src)
 
-    def test_fluid_positional_warns(self):
+    def test_fluid_positional_raises(self):
         pnet = make_pnet()
         sim = FluidSimulator(pnet.planes)
         spec = flows_for(pnet, n=1)[0]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with pytest.raises(TypeError):
             sim.add_flow(spec.src, spec.dst, spec.size, spec.paths)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
+        with pytest.raises(TypeError, match="takes one FlowSpec"):
+            sim.add_flow(spec.src)
 
     def test_spec_form_does_not_warn(self):
         pnet = make_pnet()
-        net = PacketNetwork(pnet.planes)
-        sim = FluidSimulator(pnet.planes)
         spec = flows_for(pnet, n=1)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            net.add_flow(spec=spec)
-            net.add_flow(spec)  # positional FlowSpec is fine too
-            sim.add_flow(spec=spec)
+            for kind in ("packet", "fluid", "hybrid"):
+                engine = build_network(pnet, kind=kind)
+                engine.add_flow(spec=spec)
+                engine.add_flow(spec)  # positional FlowSpec is fine too
 
     def test_spec_plus_positional_rejected(self):
         pnet = make_pnet()
-        net = PacketNetwork(pnet.planes)
         spec = flows_for(pnet, n=1)[0]
-        with pytest.raises(TypeError):
-            net.add_flow(spec.src, spec=spec)
-        with pytest.raises(TypeError):
-            net.add_flow("h0", "h1")
-
-    def test_positional_and_spec_forms_equivalent(self):
-        def run(use_spec):
-            pnet = make_pnet()
-            net = PacketNetwork(pnet.planes)
-            for spec in flows_for(pnet):
-                if use_spec:
-                    net.add_flow(spec=spec)
-                else:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", DeprecationWarning)
-                        net.add_flow(
-                            spec.src, spec.dst, spec.size, spec.paths
-                        )
-            net.run()
-            return [(r.flow_id, r.finish, r.planes) for r in net.records]
-
-        assert run(True) == run(False)
+        for kind in ("packet", "fluid", "hybrid"):
+            engine = build_network(pnet, kind=kind)
+            with pytest.raises(TypeError):
+                engine.add_flow(spec.src, spec=spec)
+            with pytest.raises(TypeError):
+                engine.add_flow("h0", "h1")
 
     def test_no_internal_caller_uses_legacy_form(self):
         """Repo code (src/ + examples/) must be fully migrated."""
@@ -317,19 +297,6 @@ class TestEngineRegistry:
 
 
 class TestPackageShims:
-    def test_package_level_constructors_warn(self):
-        import repro.fluid
-        import repro.sim
-
-        for module, name in ((repro.sim, "PacketNetwork"),
-                             (repro.fluid, "FluidSimulator")):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                getattr(module, name)
-            assert any(
-                issubclass(w.category, DeprecationWarning) for w in caught
-            ), f"{module.__name__}.{name} did not warn"
-
     def test_module_path_imports_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -337,7 +304,19 @@ class TestPackageShims:
             from repro.sim.network import PacketNetwork  # noqa: F401
             from repro.fluid import FlowRecord  # noqa: F401
             from repro.fluid import max_min_rates  # noqa: F401
-            from repro.sim import EventLoop  # noqa: F401
+            from repro.sim import EventLoop, RpcClient  # noqa: F401
+
+    def test_package_level_constructors_removed(self):
+        import repro.fluid
+        import repro.sim
+
+        # The engine classes live only in their modules; workload code
+        # builds them through repro.api.build_network.
+        for module, name in ((repro.sim, "PacketNetwork"),
+                             (repro.fluid, "FluidSimulator")):
+            assert name not in module.__all__
+            with pytest.raises(AttributeError):
+                getattr(module, name)
 
     def test_unknown_attribute_raises(self):
         import repro.fluid

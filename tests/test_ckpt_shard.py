@@ -94,7 +94,7 @@ class TestShardedResume:
         )
         assert pickle.dumps(resumed.records) == pickle.dumps(want)
 
-    def test_resume_across_process_backend(self, tmp_path):
+    def test_resume_across_shm_backend(self, tmp_path):
         # Checkpoint with in-process channels, resume with real OS
         # processes: the snapshot blobs must be backend-agnostic.
         pnet, specs = jellyfish_workload(n_flows=4)
@@ -105,7 +105,7 @@ class TestShardedResume:
         )
         _keep_only_earliest(tmp_path, min_ckpts=1)
         resumed = run_packet_trial(
-            pnet.planes, specs, shards=2, backend="process",
+            pnet.planes, specs, shards=2, backend="shm",
             checkpoint_dir=tmp_path, resume=True,
         )
         assert pickle.dumps(resumed.records) == pickle.dumps(want)

@@ -4,19 +4,15 @@ A ``PNET_SHARDS>1`` packet run must keep adaptive control without
 falling back to the serial path: the shard engine samples every worker
 at its barriers, runs the same policy a serial run would, and applies
 per-shard abort+relaunch batches with stable global flow ids.  Results
-must be byte-identical across the local/process/shm channel backends,
+must be byte-identical across the local and shm channel backends,
 spanning flows are skipped (not corrupted), cross-shard path sets are
 narrowed to the owning shard, and the driver state rides shard
-checkpoints.  The fluid shard engine cannot host cross-plane
-migrations, so it must refuse control with a remedy-naming
-:class:`ShardSafetyError` unless ``serial_fallback=True``.
+checkpoints.
 """
 
 import pickle
 import random
 import shutil
-
-import pytest
 
 from repro.ckpt.store import list_checkpoints
 from repro.control import Controller, LoadAwarePolicy
@@ -24,7 +20,7 @@ from repro.core.flowspec import FlowSpec
 from repro.core.path_selection import KspMultipathPolicy
 from repro.core.pnet import PNet
 from repro.obs import Registry
-from repro.shard import ShardSafetyError, run_fluid_trial, run_packet_trial
+from repro.shard import run_packet_trial
 from repro.topology import ParallelTopology, build_jellyfish
 
 INTERVAL = 5e-5
@@ -113,12 +109,8 @@ class TestShardedControl:
         pnet = make_pnet()
         specs = shard_local_specs(pnet)
         local, __ = run_sharded(pnet, specs, backend="local")
-        process, __ = run_sharded(pnet, specs, backend="process")
         shm, __ = run_sharded(pnet, specs, backend="shm")
-        want = pickle.dumps(local.records)
-        assert pickle.dumps(process.records) == want
-        assert pickle.dumps(shm.records) == want
-        assert process.control["stats"] == local.control["stats"]
+        assert pickle.dumps(shm.records) == pickle.dumps(local.records)
         assert shm.control["stats"] == local.control["stats"]
 
     def test_spanning_flows_skipped_not_corrupted(self):
@@ -174,31 +166,3 @@ class TestShardedControlResume:
         )
         assert pickle.dumps(resumed.records) == pickle.dumps(want.records)
         assert resumed.control["stats"] == want.control["stats"]
-
-
-class TestFluidShardRefusal:
-    def test_fluid_control_names_the_remedy(self):
-        pnet = make_pnet()
-        specs = shard_local_specs(pnet, size=1_000_000)
-        with pytest.raises(ShardSafetyError) as err:
-            run_fluid_trial(
-                pnet, specs, shards=2, control=controller()
-            )
-        message = str(err.value)
-        assert "serial_fallback=True" in message
-        assert "shard-safe" in message or "packet" in message
-
-    def test_fluid_serial_fallback_runs_control(self, monkeypatch):
-        # The shard.serial_fallback counter records downgrades of the
-        # *requested* shard count, which lives in PNET_SHARDS.
-        monkeypatch.setenv("PNET_SHARDS", "2")
-        pnet = make_pnet()
-        specs = shard_local_specs(pnet, size=1_000_000)
-        obs = Registry(enabled=True)
-        result = run_fluid_trial(
-            pnet, specs, control=controller(),
-            serial_fallback=True, obs=obs,
-        )
-        assert len(result.records) == len(specs)
-        assert result.control is not None
-        assert fallback_count(obs) == 1

@@ -57,6 +57,12 @@ class TestHostSpec:
         host = HostSpec(name="box", shard_backends=["local"])
         assert host.shard_backends == ("local",)
 
+    def test_unknown_shard_backend_rejected(self):
+        with pytest.raises(
+            FarmError, match=r"host 'box': unknown shard backend 'process'"
+        ):
+            HostSpec(name="box", shard_backends=["local", "process"])
+
 
 class TestInventory:
     def test_empty_rejected(self):
@@ -114,6 +120,16 @@ class TestInventory:
         inv = Inventory.from_file(path)
         assert inv.n_slots == 6
         assert inv.hosts[1].address == "u@big"
+
+    def test_from_file_rejects_unknown_shard_backend(self, tmp_path):
+        path = tmp_path / "farm.json"
+        path.write_text(json.dumps({"hosts": [
+            {"name": "big", "shard_backends": ["shm", "process"]},
+        ]}))
+        with pytest.raises(
+            FarmError, match=r"host 'big': unknown shard backend 'process'"
+        ):
+            Inventory.from_file(path)
 
     def test_from_file_yaml(self, tmp_path):
         yaml = pytest.importorskip("yaml")

@@ -254,6 +254,14 @@ class TestFluidSimulator:
         with pytest.raises(ValueError):
             sim.add_flow(spec=FlowSpec(src="h0", dst="h2", size=1, paths=[PATH_02]))
 
+    def test_fault_on_unknown_plane_is_named(self):
+        sim = FluidSimulator([dumbbell()])
+        for plane in (1, -1):
+            with pytest.raises(ValueError, match=rf"plane {plane} is not simulated"):
+                sim.fail_link(plane, "t0", "t1")
+            with pytest.raises(ValueError, match=rf"plane {plane} is not simulated"):
+                sim.restore_link(plane, "t0", "t1")
+
     def test_until_stops_early(self):
         sim = FluidSimulator([dumbbell()], slow_start=False)
         sim.add_flow(spec=FlowSpec(src="h0", dst="h2", size=10 * GB, paths=[PATH_02]))

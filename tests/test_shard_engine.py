@@ -4,10 +4,11 @@ The hard invariants (ISSUE acceptance criteria):
 
 * one shard -- or ``epoch=0`` -- is **byte-identical** to a plain
   serial simulator run of the same workload (records and telemetry);
-* multi-shard results are identical across the ``local`` and
-  ``process`` channel backends and across repeat runs;
-* unshardable workloads (completion callbacks, spanning fluid flows)
-  are refused loudly, never silently approximated;
+* multi-shard results are identical across the ``local`` and ``shm``
+  channel backends and across repeat runs;
+* unshardable workloads (completion callbacks, fractional spanning
+  sizes) are refused loudly, never silently approximated, and
+  ``serial_fallback=True`` runs them serial and counts the downgrade;
 * fault schedules route per plane and replay identically on both
   backends;
 * ``PNET_JOBS`` budgets the *total* process count: trial workers
@@ -30,13 +31,8 @@ from repro.exp.common import (
 from repro.exp.runner import TrialSpec, last_stats, run_trials
 from repro.faults.schedule import FaultEvent
 from repro.obs import Registry
-from repro.shard import (
-    ShardSafetyError,
-    run_fluid_trial,
-    run_packet_trial,
-)
+from repro.shard import ShardPlan, ShardSafetyError, run_packet_trial
 from repro.sim.network import PacketNetwork
-from repro.topology import ParallelTopology, build_fat_tree
 from repro.traffic.patterns import permutation
 from repro.units import KB, MB
 
@@ -98,25 +94,18 @@ class TestSerialByteIdentity:
 
 class TestMultiShardDeterminism:
     def test_all_backends_byte_identical(self):
-        # local is the reference; the pipe and shared-memory transports
-        # must reproduce it byte-for-byte (the shm backend additionally
-        # swaps pickled digests for fixed-layout numpy blocks, so this
-        # also pins the codec's exactness end to end).
+        # local is the reference; the shared-memory transport must
+        # reproduce it byte-for-byte (it swaps pickled digests for
+        # fixed-layout numpy blocks, so this also pins the codec's
+        # exactness end to end).
         pnet, specs = jellyfish_workload()
-        results = {
-            backend: run_packet_trial(
-                pnet.planes, specs, shards=2, backend=backend
-            )
-            for backend in ("local", "process", "shm")
-        }
-        want = pickle.dumps(results["local"].records)
-        for backend in ("process", "shm"):
-            assert results[backend].backend == backend
-            assert pickle.dumps(results[backend].records) == want, backend
-            assert (
-                results[backend].plane_totals
-                == results["local"].plane_totals
-            ), backend
+        local, shm = (
+            run_packet_trial(pnet.planes, specs, shards=2, backend=backend)
+            for backend in ("local", "shm")
+        )
+        assert shm.backend == "shm"
+        assert pickle.dumps(shm.records) == pickle.dumps(local.records)
+        assert shm.plane_totals == local.plane_totals
 
     def test_repeat_runs_identical(self):
         pnet, specs = jellyfish_workload()
@@ -201,6 +190,64 @@ class TestShardSafety:
                 pnet.planes, specs, shards=2, schedule=[event]
             )
 
+    def test_unknown_backend_refused_before_workers_start(
+        self, monkeypatch
+    ):
+        import repro.shard.engine
+
+        started = []
+        monkeypatch.setattr(repro.shard.engine, "ShmChannel", started.append)
+        monkeypatch.setenv("PNET_SHARD_BACKEND", "process")
+        pnet, specs = jellyfish_workload(n_flows=2)
+        with pytest.raises(
+            ValueError, match=r"one of local/shm, got 'process'"
+        ):
+            run_packet_trial(pnet.planes, specs, shards=2)
+        assert not started
+
+
+def unshardable_workload(feature):
+    """A workload the engine must refuse (or downgrade) at 2 shards."""
+    pnet, specs = jellyfish_workload(n_flows=3)
+    if feature == "packet.on_complete":
+        specs[1] = specs[1].replace(on_complete=lambda record: None)
+    else:
+        assert ShardPlan.build(len(pnet.planes), 2).is_spanning(specs[1])
+        specs[1] = specs[1].replace(size=specs[1].size + 0.5)
+    return pnet, specs
+
+
+class TestSerialFallback:
+    """``serial_fallback=True`` downgrades instead of refusing.
+
+    The downgrade must be the literal serial run, and it must be
+    counted on ``shard.serial_fallback`` however the shard count was
+    requested: by argument or by ``PNET_SHARDS``.
+    """
+
+    @pytest.mark.parametrize(
+        "feature", ["packet.on_complete", "packet.fractional_spanning"]
+    )
+    def test_runs_serial_and_counts_the_downgrade(
+        self, feature, monkeypatch
+    ):
+        pnet, specs = unshardable_workload(feature)
+        want = pickle.dumps(
+            run_packet_trial(pnet.planes, specs, shards=1).records
+        )
+        monkeypatch.delenv("PNET_SHARDS", raising=False)
+        for shards, env in ((2, None), (None, "2")):
+            if env is not None:
+                monkeypatch.setenv("PNET_SHARDS", env)
+            obs = Registry(enabled=True)
+            result = run_packet_trial(
+                pnet.planes, specs, shards=shards,
+                serial_fallback=True, obs=obs,
+            )
+            assert result.n_shards == 1
+            assert pickle.dumps(result.records) == want
+            assert obs.value("shard.serial_fallback", feature=feature) == 1
+
 
 class TestFaultRouting:
     def test_plane_outage_replays_identically_on_both_backends(self):
@@ -218,11 +265,11 @@ class TestFaultRouting:
                 pnet.planes, specs, shards=2, backend=backend,
                 schedule=schedule,
             )
-            for backend in ("local", "process", "shm")
+            for backend in ("local", "shm")
         }
-        want = pickle.dumps(runs["local"].records)
-        for backend in ("process", "shm"):
-            assert pickle.dumps(runs[backend].records) == want, backend
+        assert pickle.dumps(runs["shm"].records) == pickle.dumps(
+            runs["local"].records
+        )
         # The outage actually bit: same workload without it differs.
         healthy = run_packet_trial(
             pnet.planes, specs, shards=2, backend="local"
@@ -230,61 +277,6 @@ class TestFaultRouting:
         assert pickle.dumps(healthy.records) != pickle.dumps(
             runs["local"].records
         )
-
-
-def fat_tree_pnet():
-    return ParallelTopology.homogeneous(lambda: build_fat_tree(4), 2)
-
-
-def plane_local_fluid_specs(planes):
-    """One single-plane flow per host pair, alternating planes."""
-    from repro.routing.shortest import all_shortest_paths
-
-    hosts = sorted(planes[0].hosts)
-    specs = []
-    for i in range(0, len(hosts) - 1, 2):
-        plane = (i // 2) % len(planes)
-        path = all_shortest_paths(planes[plane], hosts[i], hosts[i + 1])[0]
-        specs.append(FlowSpec(
-            src=hosts[i], dst=hosts[i + 1], size=1 * MB,
-            paths=[(plane, path)],
-        ))
-    return specs
-
-
-class TestFluidSharding:
-    def test_plane_local_decomposition_is_exact(self):
-        pnet = fat_tree_pnet()
-        specs = plane_local_fluid_specs(pnet.planes)
-        serial = run_fluid_trial(pnet.planes, specs, shards=1)
-        sharded = run_fluid_trial(
-            pnet.planes, specs, shards=2, backend="local"
-        )
-        assert sharded.n_shards == 2
-        assert pickle.dumps(serial.records) == pickle.dumps(sharded.records)
-        assert serial.delivered_bytes == sharded.delivered_bytes
-
-    def test_spanning_fluid_flows_refused(self):
-        from repro.routing.shortest import all_shortest_paths
-
-        pnet = fat_tree_pnet()
-        hosts = sorted(pnet.planes[0].hosts)
-        src, dst = hosts[0], hosts[1]
-        spanning = FlowSpec(
-            src=src, dst=dst, size=1 * MB,
-            paths=[
-                (plane, all_shortest_paths(pnet.planes[plane], src, dst)[0])
-                for plane in (0, 1)
-            ],
-        )
-        with pytest.raises(ShardSafetyError, match="span"):
-            run_fluid_trial(pnet.planes, [spanning], shards=2)
-        # The refusal names the offending flow and where it spans.
-        with pytest.raises(
-            ShardSafetyError,
-            match=rf"flow 0 \({src}->{dst}\).*plane\(s\) 0, 1",
-        ):
-            run_fluid_trial(pnet.planes, [spanning], shards=2)
 
 
 def shard_probe_trial():
