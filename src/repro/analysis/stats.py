@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -27,6 +27,19 @@ def percentile(values: Sequence[float], p: float) -> float:
         return float(ordered[lo])
     frac = rank - lo
     return float(ordered[lo] * (1 - frac) + ordered[hi] * frac)
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added one at a time, left to right, from 0.0.
+
+    What ``sum`` computes for floats before Python 3.12.  From 3.12
+    ``sum`` compensates rounding error, so a simulation that steers by
+    ``sum`` would take a different trajectory on each interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)

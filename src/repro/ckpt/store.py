@@ -34,8 +34,10 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 #: Bump on any incompatible change to the manifest layout or payload
 #: encoding; readers refuse other versions.  v2: packet snapshots hold
-#: the one-event-per-packet queues and deadline retransmit timers.
-FORMAT_VERSION = 2
+#: the one-event-per-packet queues and deadline retransmit timers.  v3:
+#: fluid and hybrid snapshots hold the fluid engine's active state as
+#: arrays, and the bridge's queue table as arrays.
+FORMAT_VERSION = 3
 
 MANIFEST_NAME = "MANIFEST.json"
 

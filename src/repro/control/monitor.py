@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.analysis.stats import left_sum
 from repro.core.pnet import PlanePath
 
 
@@ -59,7 +60,7 @@ class FlowView:
 
     @property
     def total_progress(self) -> float:
-        return sum(self.progress)
+        return left_sum(self.progress)
 
     @property
     def total_acked(self) -> int:
@@ -89,7 +90,7 @@ class ControlSample:
     def mean_load(self) -> float:
         if not self.plane_load:
             return 0.0
-        return sum(self.plane_load.values()) / len(self.plane_load)
+        return left_sum(self.plane_load.values()) / len(self.plane_load)
 
 
 def packet_subflow_acked(source) -> List[int]:

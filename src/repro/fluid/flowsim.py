@@ -19,6 +19,24 @@ Model choices, mirroring the paper's transport discussion:
   fluid delivery time plus half an RTT of the fastest subflow.
 
 Closed-loop workloads hook ``on_complete`` to inject the next flow.
+
+State layout.  The active flows' state lives in numpy arrays, in
+activation order, and nowhere else: per subflow its rate, cap, next
+cap doubling, RTT and line rate; per flow its delivered bits, size and
+rate; and the flat (subflow, link) incidence the max-min solve reads as
+it is (:class:`~repro.fluid.maxmin.Incidence`).  ``_Flow`` keeps only
+what never changes.  An arrival appends rows, a completion or abort
+compacts them in order, and a migration replaces the flow's rows in
+place, so subflows always reach the solve in the order they arrived.
+
+An event step is then a few vector operations: the next event time is
+one min over completion and doubling times, and crediting delivered
+bits, finding completions and doubling caps are one operation each.
+Every float is the one a loop over per-flow objects computes (the
+list-based engine in ``tests/fluid_reference.py``): a flow's rate adds
+its subflow rates left to right from 0.0, ``link_usage`` adds each
+link's subflow rates in activation order, and event times keep the
+Python type that engine gave them (see :meth:`FluidSimulator._next_event_time`).
 """
 
 from __future__ import annotations
@@ -31,9 +49,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.stats import left_sum
 from repro.core.flowspec import FlowSpec, check_flow_spec
 from repro.core.pnet import PlanePath
-from repro.fluid.maxmin import max_min_rates
+from repro.fluid.maxmin import Incidence, max_min_rates
 from repro.obs import get_registry
 from repro.topology.graph import Topology
 from repro.units import MSS, MTU
@@ -63,22 +82,27 @@ class FlowRecord:
 
 
 class _Subflow:
-    __slots__ = ("links", "rtt", "cap", "next_double", "line_rate", "rate")
+    """A subflow's fixed route: its directed link ids, RTT and line rate."""
+
+    __slots__ = ("links", "rtt", "line_rate")
 
     def __init__(self, links: List[int], rtt: float, line_rate: float):
         self.links = links
         self.rtt = rtt
         self.line_rate = line_rate
-        self.cap = math.inf
-        self.next_double = math.inf
-        self.rate = 0.0
 
 
 class _Flow:
+    """What never changes about a submitted flow.
+
+    Once the flow is active, its evolving state -- delivered bits, rates,
+    caps, doubling times -- lives in the simulator's arrays.  A migration
+    replaces the object (:meth:`moved`).
+    """
+
     __slots__ = (
-        "flow_id", "src", "dst", "size", "size_bits", "arrival",
-        "delivered", "subflows", "on_complete", "tag", "min_rtt", "planes",
-        "paths",
+        "flow_id", "src", "dst", "size", "arrival", "subflows",
+        "on_complete", "tag", "min_rtt", "planes", "paths",
     )
 
     def __init__(self, flow_id, src, dst, size, arrival, subflows,
@@ -87,9 +111,7 @@ class _Flow:
         self.src = src
         self.dst = dst
         self.size = size
-        self.size_bits = size * 8.0
         self.arrival = arrival
-        self.delivered = 0.0  # bits
         self.subflows = subflows
         self.on_complete = on_complete
         self.tag = tag
@@ -97,9 +119,18 @@ class _Flow:
         self.paths = list(paths)
         self.min_rtt = min(sf.rtt for sf in subflows)
 
-    @property
-    def rate(self) -> float:
-        return sum(sf.rate for sf in self.subflows)
+    def moved(self, subflows: List[_Subflow], paths) -> "_Flow":
+        """This flow on new subflows over ``paths``."""
+        return _Flow(
+            self.flow_id, self.src, self.dst, self.size, self.arrival,
+            subflows, self.on_complete, self.tag,
+            planes=tuple(plane for plane, __ in paths), paths=paths,
+        )
+
+
+def _splice(array: np.ndarray, start: int, stop: int, rows) -> np.ndarray:
+    """``array`` with ``array[start:stop]`` replaced by ``rows``."""
+    return np.concatenate((array[:start], rows, array[stop:]))
 
 
 class FluidSimulator:
@@ -160,7 +191,22 @@ class FluidSimulator:
         self._dead: set = set()
 
         self.now = 0.0
+        #: The active flows in activation order, and their state in
+        #: arrays in the same order (see the module docstring).
         self._active: List[_Flow] = []
+        self._delivered = np.zeros(0)  # bits
+        #: Whether the per-object engine held a flow's delivered bits as
+        #: a ``np.float64`` (see :meth:`_next_event_time`).
+        self._delivered_np64 = np.zeros(0, bool)
+        self._size_bits = np.zeros(0)
+        self._flow_rate = np.zeros(0)
+        self._n_sub = np.zeros(0, np.intp)
+        self._rate = np.zeros(0)
+        self._cap = np.zeros(0)
+        self._next_double = np.zeros(0)
+        self._rtt = np.zeros(0)
+        self._line_rate = np.zeros(0)
+        self._incidence = Incidence(np.zeros(0, np.intp), np.zeros(0, np.intp))
         self._arrivals: List[Tuple[float, int, _Flow]] = []
         self._timers: List[Tuple[float, int, Callable[[], None]]] = []
         # Plain ints (not itertools.count) so the simulator pickles for
@@ -249,7 +295,8 @@ class FluidSimulator:
     def active_flows(self) -> List[Tuple[int, str, str, float]]:
         """(flow_id, src, dst, current total rate) of in-flight flows."""
         return [
-            (f.flow_id, f.src, f.dst, f.rate) for f in self._active
+            (f.flow_id, f.src, f.dst, rate)
+            for f, rate in zip(self._active, self._flow_rate.tolist())
         ]
 
     def active_flow_paths(self) -> List[Tuple[int, str, str, List[PlanePath]]]:
@@ -265,47 +312,70 @@ class FluidSimulator:
     def active_subflow_views(self):
         """(flow_id, src, dst, size, paths, per-subflow rates) of
         in-flight flows -- the control plane's sampling hook."""
-        return [
-            (
-                f.flow_id, f.src, f.dst, f.size, list(f.paths),
-                [sf.rate for sf in f.subflows],
+        rates = self._rate.tolist()
+        views = []
+        start = 0
+        for f in self._active:
+            stop = start + len(f.subflows)
+            views.append(
+                (f.flow_id, f.src, f.dst, f.size, list(f.paths),
+                 rates[start:stop])
             )
-            for f in self._active
-        ]
+            start = stop
+        return views
 
     def aggregate_rate(self) -> float:
         """Total delivery rate of all active flows, bits/s."""
-        return sum(f.rate for f in self._active)
+        return left_sum(self._flow_rate.tolist())
 
     @property
     def delivered_bytes(self) -> float:
         """Bytes delivered so far: completed flows plus in-flight progress."""
-        total = sum(r.size for r in self.records)
-        total += sum(f.delivered for f in self._active) / 8.0
+        total = left_sum(r.size for r in self.records)
+        total += left_sum(self._delivered.tolist()) / 8.0
         return float(total)
 
-    def flow_rate(self, flow_id: int) -> Optional[float]:
-        for flow in self._active:
+    def _position(self, flow_id: int) -> Optional[int]:
+        """Where an active flow sits in activation order (None if gone)."""
+        for pos, flow in enumerate(self._active):
             if flow.flow_id == flow_id:
-                return flow.rate
+                return pos
         return None
+
+    def _rows(self, pos: int) -> Tuple[int, int]:
+        """The subflow rows ``start, stop`` of the active flow at ``pos``."""
+        start = int(self._n_sub[:pos].sum())
+        return start, start + int(self._n_sub[pos])
+
+    def flow_rate(self, flow_id: int) -> Optional[float]:
+        pos = self._position(flow_id)
+        return None if pos is None else float(self._flow_rate[pos])
 
     def link_usage(self, exclude_flow: Optional[int] = None) -> "np.ndarray":
         """Current per-directed-link bits/s committed by active subflows.
+
+        Each link adds its subflows' rates one at a time, in activation
+        order, starting from 0.0.
 
         Args:
             exclude_flow: leave this flow's own usage out -- the view an
                 end host takes when deciding whether *its* flow would be
                 better off elsewhere (its own traffic moves with it).
         """
-        usage = np.zeros(len(self._capacities))
-        for flow in self._active:
-            if flow.flow_id == exclude_flow:
-                continue
-            for sf in flow.subflows:
-                for idx in sf.links:
-                    usage[idx] += sf.rate
-        return usage
+        incidence = self._incidence
+        links = incidence.links
+        rows = incidence.flows
+        pos = None if exclude_flow is None else self._position(exclude_flow)
+        if pos is not None:
+            start, stop = self._rows(pos)
+            keep = (rows < start) | (rows >= stop)
+            links, rows = links[keep], rows[keep]
+        if not links.size:
+            # A bincount of nothing comes back as integers.
+            return np.zeros(len(self._capacities))
+        return np.bincount(
+            links, weights=self._rate[rows], minlength=len(self._capacities)
+        )
 
     def path_available_bandwidth(
         self, plane_path: PlanePath, exclude_flow: Optional[int] = None
@@ -328,30 +398,28 @@ class FluidSimulator:
         """
         if not paths:
             raise ValueError("need at least one path")
-        for flow in self._active:
-            if flow.flow_id == flow_id:
-                old_rate = flow.rate
-                subflows = []
-                for plane_path in paths:
-                    links, rtt, line_rate = self._path_to_links(plane_path)
-                    if not links:
-                        raise ValueError("path must traverse a link")
-                    subflows.append(_Subflow(links, rtt, line_rate))
-                # Carry the previous rate over as a provisional estimate
-                # so that same-instant observers (e.g. other hosts'
-                # adaptive routers) see the moved traffic before the next
-                # recomputation -- otherwise two hosts migrating in the
-                # same control epoch pile onto the same "empty" path.
-                for sf in subflows:
-                    sf.rate = old_rate / len(subflows)
-                flow.subflows = subflows
-                flow.paths = list(paths)
-                flow.planes = tuple(plane for plane, __ in paths)
-                flow.min_rtt = min(sf.rtt for sf in subflows)
-                self._start_ramp(flow)
-                self._rates_current = False
-                return True
-        return False
+        pos = self._position(flow_id)
+        if pos is None:
+            return False
+        subflows = []
+        for plane_path in paths:
+            links, rtt, line_rate = self._path_to_links(plane_path)
+            if not links:
+                raise ValueError("path must traverse a link")
+            subflows.append(_Subflow(links, rtt, line_rate))
+        # Carry the previous rate over as a provisional estimate so that
+        # same-instant observers (e.g. other hosts' adaptive routers) see
+        # the moved traffic before the next recomputation -- otherwise
+        # two hosts migrating in the same control epoch pile onto the
+        # same "empty" path.
+        share = float(self._flow_rate[pos]) / len(subflows)
+        start, stop = self._rows(pos)
+        self._set_subflows(start, stop, subflows, share)
+        self._active[pos] = self._active[pos].moved(subflows, paths)
+        self._n_sub[pos] = len(subflows)
+        self._flow_rate[pos] = left_sum([share] * len(subflows))
+        self._rates_current = False
+        return True
 
     def abort_flow(self, flow_id: int) -> bool:
         """Drop an active flow without completing it (no record).
@@ -360,12 +428,14 @@ class FluidSimulator:
         partitioned: a stalled zero-rate flow would otherwise deadlock
         the engine.  Returns False if the flow is not active.
         """
-        for flow in self._active:
-            if flow.flow_id == flow_id:
-                self._active.remove(flow)
-                self._rates_current = False
-                return True
-        return False
+        pos = self._position(flow_id)
+        if pos is None:
+            return False
+        keep = np.ones(len(self._active), bool)
+        keep[pos] = False
+        self._keep(keep)
+        self._rates_current = False
+        return True
 
     # --- mid-run failures ---------------------------------------------------
 
@@ -410,24 +480,82 @@ class FluidSimulator:
 
     # --- engine --------------------------------------------------------------
 
-    def _start_ramp(self, flow: _Flow) -> None:
-        if not self.slow_start:
-            return
-        for sf in flow.subflows:
-            initial = self.initial_window * self.mss * 8 / sf.rtt
-            if initial >= sf.line_rate:
-                sf.cap = math.inf
-                sf.next_double = math.inf
-            else:
-                sf.cap = initial
-                sf.next_double = self.now + sf.rtt
+    def _set_subflows(
+        self, start: int, stop: int, subflows: List[_Subflow], rate: float
+    ) -> None:
+        """Replace subflow rows ``start:stop`` by fresh ``subflows``.
+
+        Each new subflow runs at ``rate`` and starts its slow-start ramp
+        now; its links replace the old rows' links in the incidence.
+        """
+        rtt = np.array([sf.rtt for sf in subflows])
+        line_rate = np.array([sf.line_rate for sf in subflows])
+        cap = np.full(len(subflows), math.inf)
+        next_double = cap.copy()
+        if self.slow_start:
+            initial = self.initial_window * self.mss * 8 / rtt
+            ramp = initial < line_rate
+            cap[ramp] = initial[ramp]
+            next_double[ramp] = self.now + rtt[ramp]
+        for name, rows in (
+            ("_rate", np.full(len(subflows), rate)),
+            ("_cap", cap),
+            ("_next_double", next_double),
+            ("_rtt", rtt),
+            ("_line_rate", line_rate),
+        ):
+            setattr(self, name, _splice(getattr(self, name), start, stop, rows))
+        old = self._incidence
+        first = int(old.lengths[:start].sum())
+        last = first + int(old.lengths[start:stop].sum())
+        links = [i for sf in subflows for i in sf.links]
+        lengths = [len(sf.links) for sf in subflows]
+        self._incidence = Incidence(
+            _splice(old.links, first, last, np.array(links, np.intp)),
+            _splice(old.lengths, start, stop, np.array(lengths, np.intp)),
+        )
 
     def _activate(self, flow: _Flow) -> None:
-        self._start_ramp(flow)
+        end = len(self._rate)
+        self._set_subflows(end, end, flow.subflows, 0.0)
         self._active.append(flow)
+        for name, value in (
+            ("_delivered", 0.0),
+            ("_delivered_np64", False),
+            ("_size_bits", flow.size * 8.0),
+            ("_flow_rate", 0.0),
+            ("_n_sub", len(flow.subflows)),
+        ):
+            setattr(self, name, np.append(getattr(self, name), value))
         self._rates_current = False
         if len(self._active) > self.max_active_flows:
             self.max_active_flows = len(self._active)
+
+    def _keep(self, keep: np.ndarray) -> None:
+        """Drop the active flows where ``keep`` is False, keeping order."""
+        rows = np.repeat(keep, self._n_sub)
+        self._active = [f for f, kept in zip(self._active, keep) if kept]
+        for name in (
+            "_delivered", "_delivered_np64", "_size_bits", "_flow_rate",
+            "_n_sub",
+        ):
+            setattr(self, name, getattr(self, name)[keep])
+        for name in ("_rate", "_cap", "_next_double", "_rtt", "_line_rate"):
+            setattr(self, name, getattr(self, name)[rows])
+        old = self._incidence
+        self._incidence = Incidence(
+            old.links[rows[old.flows]], old.lengths[rows]
+        )
+
+    def _per_flow_sums(self, values: np.ndarray) -> np.ndarray:
+        """Each flow's subflow ``values`` added left to right from 0.0."""
+        n_sub = self._n_sub
+        sums = np.zeros(len(n_sub))
+        first = np.cumsum(n_sub) - n_sub
+        for j in range(int(n_sub.max(initial=0))):
+            has = n_sub > j
+            sums[has] += values[first[has] + j]
+        return sums
 
     def _recompute_rates(self, count: bool = True) -> None:
         """Bring every active subflow's rate up to date.
@@ -441,33 +569,58 @@ class FluidSimulator:
             self.rate_recomputations += 1
         if self._rates_current:
             return
-        subflows: List[_Subflow] = [
-            sf for flow in self._active for sf in flow.subflows
-        ]
-        rates = max_min_rates(
-            self._capacities,
-            [sf.links for sf in subflows],
-            [sf.cap for sf in subflows],
+        self._rate = max_min_rates(
+            self._capacities, self._incidence, self._cap
         )
-        for sf, rate in zip(subflows, rates):
-            sf.rate = float(rate)
+        self._flow_rate = self._per_flow_sums(self._rate)
         self._rates_current = True
 
     def _next_event_time(self) -> Optional[float]:
-        candidates: List[float] = []
+        """The next event boundary: the earliest pending arrival or timer,
+        flow completion or cap doubling (None when there is none).
+
+        The time is one vector min.  Its type is the type of the first
+        candidate at that time in the order arrival, timer, then per
+        flow its completion and its subflows' doublings, because
+        records and callbacks see :attr:`now` as that object.  Arrival
+        and timer times keep their own type.  A doubling time is a
+        ``np.float64`` (RTTs derive from the capacity array), and so is
+        a completion time unless :attr:`now` is a Python float and the
+        flow's delivered bits are one too (or exceed its size).
+        """
+        heads = []
         if self._arrivals:
-            candidates.append(self._arrivals[0][0])
+            heads.append(self._arrivals[0][0])
         if self._timers:
-            candidates.append(self._timers[0][0])
-        for flow in self._active:
-            rate = flow.rate
-            if rate > 0:
-                remaining = flow.size_bits - flow.delivered
-                candidates.append(self.now + max(remaining, 0.0) / rate)
-            for sf in flow.subflows:
-                if math.isfinite(sf.next_double):
-                    candidates.append(sf.next_double)
-        return min(candidates) if candidates else None
+            heads.append(self._timers[0][0])
+        rate = self._flow_rate
+        sending = rate > 0
+        remaining = self._size_bits - self._delivered
+        done = np.full(len(rate), math.inf)
+        done[sending] = (
+            self.now + np.maximum(remaining[sending], 0.0) / rate[sending]
+        )
+        t = min(done.min(initial=math.inf),
+                self._next_double.min(initial=math.inf))
+        if heads:
+            head = min(heads)
+            if head <= t:
+                return head
+        if not math.isfinite(t):
+            return None
+        if isinstance(self.now, np.floating):
+            return np.float64(t)
+        hit = done == t
+        doubling = np.zeros(len(rate), bool)
+        doubling[np.repeat(np.arange(len(rate)), self._n_sub)[
+            self._next_double == t
+        ]] = True
+        first = int((hit | doubling).argmax())
+        if hit[first] and not (
+            self._delivered_np64[first] and remaining[first] >= 0
+        ):
+            return float(t)
+        return np.float64(t)
 
     def peek_next_event_time(self) -> Optional[float]:
         """When the next event boundary falls, without advancing anything.
@@ -504,6 +657,35 @@ class FluidSimulator:
         if t_next is None or not math.isfinite(t_next):
             return math.inf
         return t_next
+
+    def _credit(self, dt) -> None:
+        """Deliver ``dt`` seconds at the current rates to every flow."""
+        self._delivered += self._flow_rate * dt
+        if isinstance(dt, np.floating):
+            # In the per-object engine a np.float64 step made every
+            # flow's delivered bits a np.float64 for good.
+            self._delivered_np64[:] = True
+
+    def _double_caps(self) -> None:
+        """Slow-start cap doublings due now.
+
+        Only a subflow frozen at its cap moves the solve: one frozen
+        below it had ``cap > s + eps`` in every filling round it took
+        part in, so a larger cap changes no round.
+        """
+        cap = self._cap
+        next_double = self._next_double
+        due = (next_double <= self.now + _EPS).nonzero()[0]
+        while due.size:
+            if np.any(self._rate[due] >= cap[due]):
+                self._rates_current = False
+            cap[due] *= 2
+            full = cap[due] >= self._line_rate[due]
+            cap[due[full]] = math.inf
+            next_double[due[full]] = math.inf
+            due = due[~full]
+            next_double[due] += self._rtt[due]
+            due = due[next_double[due] <= self.now + _EPS]
 
     def _complete(self, flow: _Flow) -> None:
         record = FlowRecord(
@@ -598,44 +780,22 @@ class FluidSimulator:
             if until is not None and t_next > until:
                 # Credit in-flight progress up to the horizon before
                 # stopping, so delivered_bytes is exact at ``until``.
-                dt = max(until - self.now, 0.0)
-                for flow in self._active:
-                    flow.delivered += flow.rate * dt
+                self._credit(max(until - self.now, 0.0))
                 self.now = until
                 break
-            dt = max(t_next - self.now, 0.0)
-
-            for flow in self._active:
-                flow.delivered += flow.rate * dt
+            self._credit(max(t_next - self.now, 0.0))
             self.now = t_next
 
-            # Completions (iterate over a copy: callbacks may add flows).
-            finished = [
-                f
-                for f in self._active
-                if f.delivered >= f.size_bits * (1 - _EPS) - _EPS
-            ]
-            if finished:
-                self._active = [f for f in self._active if f not in finished]
+            finished = self._delivered >= self._size_bits * (1 - _EPS) - _EPS
+            if finished.any():
+                # Callbacks may add, migrate or abort flows: they see
+                # the active set without every flow finished now.
+                done = [self._active[i] for i in finished.nonzero()[0]]
+                self._keep(~finished)
                 self._rates_current = False
-                for flow in finished:
+                for flow in done:
                     self._complete(flow)
-
-            # Slow-start cap doublings due now.  Only a subflow frozen at
-            # its cap moves the solve: one frozen below it had
-            # ``cap > s + eps`` in every filling round it took part in,
-            # so a larger cap changes no round.
-            for flow in self._active:
-                for sf in flow.subflows:
-                    while sf.next_double <= self.now + _EPS:
-                        if sf.rate >= sf.cap:
-                            self._rates_current = False
-                        sf.cap *= 2
-                        if sf.cap >= sf.line_rate:
-                            sf.cap = math.inf
-                            sf.next_double = math.inf
-                        else:
-                            sf.next_double += sf.rtt
+            self._double_caps()
         self.events_processed += events
         if timing:
             obs = self.obs

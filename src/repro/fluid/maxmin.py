@@ -10,8 +10,11 @@ A flow capped below its fair share freezes at its cap instead, releasing
 the unused share to others -- the standard cap extension.
 
 Each filling round is a few numpy operations over incidence arrays: one
-flow index and one link index per (flow, link) crossing, in flow order,
-built once per call.  The rounds give the same floats, bit for bit, as
+flow index and one link index per (flow, link) crossing, in flow order.
+An :class:`Incidence` holds them; a caller that keeps its flows in one
+(the fluid engine does) passes it instead of per-flow link lists, and a
+solve then reads its arrays as they are.  The rounds give the same
+floats, bit for bit, as
 freezing one flow at a time (``tests/test_maxmin_differential.py`` keeps
 that solver as the reference).  The rules that make them so:
 
@@ -38,23 +41,59 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
 
+class Incidence:
+    """Which links each flow crosses, as flat arrays in flow order.
+
+    ``links`` holds every (flow, link) crossing, ``lengths`` each flow's
+    number of crossings, and ``flows`` (derived) the flow of each
+    crossing.  It iterates as one link list per flow, so it stands in
+    for the per-flow lists :func:`max_min_rates` otherwise takes.
+    """
+
+    __slots__ = ("links", "lengths", "flows")
+
+    def __init__(self, links: np.ndarray, lengths: np.ndarray):
+        self.links = links
+        self.lengths = lengths
+        self.flows = np.repeat(np.arange(len(lengths)), lengths)
+
+    @classmethod
+    def from_lists(cls, flow_links: Sequence[Sequence[int]]) -> "Incidence":
+        lengths = np.fromiter(map(len, flow_links), np.intp, len(flow_links))
+        links = np.fromiter(
+            chain.from_iterable(flow_links), np.intp, int(lengths.sum())
+        )
+        return cls(links, lengths)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __iter__(self) -> Iterator[List[int]]:
+        links = self.links.tolist()
+        start = 0
+        for stop in np.cumsum(self.lengths).tolist():
+            yield links[start:stop]
+            start = stop
+
+
 def max_min_rates(
     capacities: Sequence[float],
-    flow_links: Sequence[Sequence[int]],
+    flow_links: Union[Incidence, Sequence[Sequence[int]]],
     flow_caps: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
     """Max-min fair rates for ``flow_links`` over ``capacities``.
 
     Args:
         capacities: per-directed-link capacity (bits/s).
-        flow_links: per flow, the directed link indices it traverses.
-            A flow with no links (e.g. src == dst at this abstraction)
-            is only limited by its cap (or infinity).
+        flow_links: per flow, the directed link indices it traverses,
+            as lists or as an :class:`Incidence`.  A flow with no links
+            (e.g. src == dst at this abstraction) is only limited by its
+            cap (or infinity).
         flow_caps: optional per-flow maximum rate (``math.inf`` for none).
 
     Returns:
@@ -83,11 +122,11 @@ def max_min_rates(
     if n_flows == 0:
         return rates
 
-    lengths = np.fromiter(map(len, flow_links), np.intp, n_flows)
-    inc_link = np.fromiter(
-        chain.from_iterable(flow_links), np.intp, int(lengths.sum())
-    )
-    inc_flow = np.repeat(np.arange(n_flows), lengths)
+    if not isinstance(flow_links, Incidence):
+        flow_links = Incidence.from_lists(flow_links)
+    lengths = flow_links.lengths
+    inc_link = flow_links.links
+    inc_flow = flow_links.flows
     if inc_link.size and (inc_link.min() < 0 or inc_link.max() >= n_links):
         raise IndexError("flow_links names a link outside the capacities")
 

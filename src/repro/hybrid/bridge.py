@@ -13,18 +13,28 @@ paying per-packet event costs.
 Only queues the packet engine has instantiated are touched
 (``PacketNetwork`` builds elements lazily, so untouched links cost
 nothing), and a floor keeps service rates strictly positive even when
-the fluid bulk saturates a link.  The reverse direction is deliberately
-absent: promoted flows are a small sample by construction, so their
-bandwidth is not subtracted from the fluid max-min computation.  The
-residual error of that approximation vanishes in both limits
-(promote-none has no queues, promote-all has no fluid rates), which is
-what the byte-identity pinning in ``tests/test_hybrid_engine.py``
-checks.
+the fluid bulk saturates a link.  The bridge keeps those queues, their
+fluid link indices and their base rates in arrays, extended when the
+packet engine builds a queue; a refresh computes every effective rate
+in one vector operation from ``FluidSimulator.link_usage`` and calls
+``set_rate`` only on the queues whose rate changed.
+
+The reverse direction is deliberately absent: promoted flows are a
+small sample by construction, so their bandwidth is not subtracted from
+the fluid max-min computation.  The residual error of that
+approximation vanishes in both limits (promote-none has no queues,
+promote-all has no fluid rates), which is what the byte-identity
+pinning in ``tests/test_hybrid_engine.py`` checks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from itertools import islice
+from typing import List, Tuple
+
+import numpy as np
+
+from repro.analysis.stats import left_sum
 
 Key = Tuple[int, str, str]
 
@@ -50,9 +60,35 @@ class BackgroundLoadBridge:
         self.obs = obs if obs is not None else packet.obs
         #: How many times :meth:`refresh` recomputed rates.
         self.refreshes = 0
-        #: Base (uncontended) service rate per queue, captured the
-        #: first time the bridge sees it.
-        self._base: Dict[Key, float] = {}
+        #: How many of the packet engine's queues the bridge has looked
+        #: at (``PacketNetwork`` only ever appends to its queue table).
+        self._seen = 0
+        #: The queues on links the fluid engine also carries, in the
+        #: packet engine's order, with their fluid link indices, base
+        #: (uncontended) rates captured when the bridge first saw them,
+        #: and the rates they serve at now (only the bridge sets them).
+        self._queues: List = []
+        self._links = np.zeros(0, np.intp)
+        self._base = np.zeros(0)
+        self._rates = np.zeros(0)
+
+    def _track_new_queues(self) -> None:
+        elements = self.packet._elements
+        index = self.fluid._link_index
+        new = [
+            (queue, index[key])
+            for key, queue in islice(elements.items(), self._seen, None)
+            if key in index
+        ]
+        self._seen = len(elements)
+        if not new:
+            return
+        queues, links = zip(*new)
+        rates = np.array([queue.rate for queue in queues], dtype=float)
+        self._queues.extend(queues)
+        self._links = np.append(self._links, np.array(links, np.intp))
+        self._base = np.append(self._base, rates)
+        self._rates = np.append(self._rates, rates)
 
     def refresh(self) -> int:
         """Recompute effective service rates from current fluid usage.
@@ -67,44 +103,35 @@ class BackgroundLoadBridge:
         telemetry registry, keeping that limit byte-identical to pure
         fluid.
         """
-        elements = self.packet._elements
-        if not elements:
+        if not self.packet._elements:
             return 0
-        usage = self.fluid.link_usage()
-        index = self.fluid._link_index
-        changed = 0
-        cross_total = 0.0
-        for key, queue in elements.items():
-            idx = index.get(key)
-            if idx is None:
-                continue
-            base = self._base.get(key)
-            if base is None:
-                base = self._base[key] = queue.rate
-            cross = float(usage[idx])
-            cross_total += cross
-            effective = max(base - cross, base * self.floor)
-            # Only touch changed queues: in the promote-all limit usage
-            # is identically zero and every queue keeps its pristine
-            # rate, byte-identical to a pure packet run.
-            if effective != queue.rate:
-                queue.set_rate(effective)
-                changed += 1
+        if len(self.packet._elements) > self._seen:
+            self._track_new_queues()
+        cross = self.fluid.link_usage()[self._links]
+        effective = np.maximum(
+            self._base - cross, self._base * self.floor
+        )
+        # Only touch changed queues: in the promote-all limit usage is
+        # identically zero and every queue keeps its pristine rate,
+        # byte-identical to a pure packet run.
+        changed = (effective != self._rates).nonzero()[0]
+        for i, rate in zip(changed.tolist(), effective[changed].tolist()):
+            self._queues[i].set_rate(rate)
+        self._rates[changed] = effective[changed]
         self.refreshes += 1
         if self.obs.enabled:
             self.obs.counter("hybrid.bridge.refreshes").inc()
             self.obs.gauge("hybrid.bridge.cross_traffic_bps").set(
-                cross_total
+                left_sum(cross.tolist())
             )
             self.obs.gauge("hybrid.bridge.queues_reduced").set(
-                sum(
-                    1
-                    for key, queue in elements.items()
-                    if key in self._base and queue.rate < self._base[key]
-                )
+                int(np.count_nonzero(self._rates < self._base))
             )
-        return changed
+        return int(changed.size)
 
     def base_rate(self, key: Key) -> float:
         """The uncontended service rate of a queue the bridge has seen."""
-        return self._base[key]
+        queue = self.packet._elements.get(key)
+        if queue is None or queue not in self._queues:
+            raise KeyError(key)
+        return float(self._base[self._queues.index(queue)])

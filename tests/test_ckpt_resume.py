@@ -204,6 +204,20 @@ class TestRestoreRejections:
         with pytest.raises(CheckpointError, match="v1 .* not supported"):
             restore(directory)
 
+    def test_v2_fluid_snapshot_rejected(self, tmp_path):
+        # v2 fluid snapshots hold per-flow objects with their own rates
+        # and delivered bits; this build keeps that state in arrays, so
+        # a v2 snapshot must fail at load.
+        net = _fluid_net()
+        net.run(stop_after=4e-5)
+        directory = save(tmp_path, net)
+        manifest_path = directory / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 2
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="v2 .* not supported"):
+            restore(directory)
+
 
 class TestMidFaultResume:
     #: The "tiny" degradation preset: one plane-down/plane-up outage.
