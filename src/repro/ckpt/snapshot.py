@@ -84,14 +84,6 @@ def _engine_of(network) -> str:
     )
 
 
-def _now_of(network) -> float:
-    return (
-        network.loop.now
-        if isinstance(network, PacketNetwork)
-        else network.now
-    )
-
-
 def save(
     root: PathLike,
     network,
@@ -105,7 +97,8 @@ def save(
 
     Args:
         root: checkpoint root; the snapshot lands in ``root/ckpt-<N>``.
-        network: a :class:`PacketNetwork` or :class:`FluidSimulator`.
+        network: a :class:`PacketNetwork`, :class:`FluidSimulator` or
+            :class:`~repro.hybrid.engine.HybridSimulator`.
         injector: the attached :class:`~repro.faults.FaultInjector`, if
             any.  Must be passed so its schedule position and refcounts
             are captured *in the same pickle* (aliasing with the
@@ -135,7 +128,7 @@ def save(
     full_meta = {
         "kind": KIND_SIM,
         "engine": engine,
-        "t": _now_of(network),
+        "t": network.now,
         "step": step,
         "records": len(network.records),
     }
@@ -191,18 +184,6 @@ def restore(path: PathLike) -> SimCheckpoint:
     )
 
 
-def _has_pending(network) -> bool:
-    if isinstance(network, PacketNetwork):
-        return network.loop.next_time() is not None
-    from repro.hybrid.engine import HybridSimulator
-
-    if isinstance(network, HybridSimulator):
-        return _has_pending(network.packet) or _has_pending(network.fluid)
-    return bool(
-        network._active or network._arrivals or network._timers
-    )
-
-
 def run_checkpointed(
     network,
     root: PathLike,
@@ -236,7 +217,7 @@ def run_checkpointed(
     _engine_of(network)  # type check up front
     saved: List[pathlib.Path] = []
     while True:
-        now = _now_of(network)
+        now = network.now
         t_next = (math.floor(now / every) + 1) * every
         if is_packet:
             # The packet clock moves to the horizon even when no event
@@ -273,7 +254,7 @@ def run_checkpointed(
                 until=None if math.isinf(until) else until,
                 stop_after=t_next,
             )
-        if not _has_pending(network):
+        if not network.has_pending():
             break
         saved.append(save(
             root, network, injector=injector, rng=rng, extra=extra,

@@ -46,6 +46,7 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.control.policy import POLICIES
 from repro.exp.common import SCALES
 from repro.shard.channel import BACKENDS
 
@@ -203,12 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--control",
-        metavar="POLICY",
+        choices=sorted(POLICIES) + ["off"],
         default=None,
         help=(
             "adaptive control policy for control-aware runs (sets "
-            "PNET_CONTROL_POLICY; 'ecmp-reshuffle', 'flowlet', "
-            "'load-aware', or 'off')"
+            "PNET_CONTROL_POLICY; 'off' pins a run static)"
         ),
     )
     parser.add_argument(

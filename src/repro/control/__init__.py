@@ -4,12 +4,13 @@ Closes the loop from measurement to path decision while the simulation
 runs: a deterministic, seedable :class:`Controller` samples
 per-subflow/per-plane state every ``PNET_CONTROL_INTERVAL`` simulated
 seconds, feeds it to a pluggable :class:`ResteerPolicy`
-(``ecmp-reshuffle`` | ``flowlet`` | ``load-aware``), and applies the
-decisions through the engine-agnostic resteer actions shared with
-:mod:`repro.faults`.  Enable it with ``run_trial(control=...)`` on any
-engine, or via ``PNET_CONTROL_POLICY``; sharded packet runs drive the
-same policy objects at lookahead barriers (:mod:`.sharded`) instead of
-falling back to serial.
+(``ecmp-reshuffle`` | ``flowlet`` | ``load-aware``, or DARD as a
+:class:`DardPolicy`), and applies the decisions through the
+engine-agnostic resteer actions shared with :mod:`repro.faults`.
+Enable it with ``run_trial(control=...)`` on any engine, or via
+``PNET_CONTROL_POLICY``; sharded packet runs drive the same policy
+objects at lookahead barriers (:mod:`.sharded`) instead of falling
+back to serial.
 """
 
 from repro.control import actions
@@ -32,6 +33,7 @@ from repro.control.policy import (
     DEFAULT_COOLDOWN,
     DEFAULT_HYSTERESIS,
     POLICIES,
+    DardPolicy,
     EcmpReshufflePolicy,
     FlowletPolicy,
     LoadAwarePolicy,
@@ -52,6 +54,7 @@ __all__ = [
     "ControlMonitor",
     "ControlSample",
     "ControlStats",
+    "DardPolicy",
     "EcmpReshufflePolicy",
     "FlowView",
     "FlowletPolicy",

@@ -9,11 +9,11 @@ engine, in-place migrate on the fluid one, and per-flow routing between
 the two on a hybrid network.
 
 It attaches to any of the three engines (:func:`repro.api.run_trial`'s
-``control=`` does this) as a self-rescheduling simulated-clock timer,
-the same shape as :class:`repro.faults.FaultInjector` events and
-:class:`repro.core.adaptive.AdaptiveRouter` ticks -- a picklable bound
-method, so policy and monitor state ride :mod:`repro.ckpt` snapshots
-and a resumed run continues the loop byte-identically.
+``control=`` does this) through the clock all three share -- ``now``,
+``schedule(at, fn)``, ``has_pending()`` -- as a self-rescheduling
+timer, a picklable bound method: policy and monitor state ride
+:mod:`repro.ckpt` snapshots and a resumed run continues the loop
+byte-identically.
 
 Sharded runs do not attach a controller; the shard engine drives the
 same policy/monitor objects at its lookahead barriers (see
@@ -32,7 +32,7 @@ from repro.control.monitor import (
     sample_fluid_rows,
     sample_packet_rows,
 )
-from repro.control.policy import ResteerPolicy, make_policy
+from repro.control.policy import POLICIES, ResteerPolicy, make_policy
 from repro.core.pnet import PNet
 from repro.fluid.flowsim import FluidSimulator
 from repro.hybrid.engine import HybridSimulator
@@ -64,13 +64,19 @@ def get_control_interval(override: Optional[float] = None) -> float:
 def get_control_policy(override: Optional[str] = None) -> Optional[str]:
     """Resolve the policy name: override, else ``PNET_CONTROL_POLICY``.
 
-    Returns ``None`` (control off) when unset, empty, or ``"off"``.
+    Returns ``None`` (control off) when unset, empty, or ``"off"``, and
+    raises ``ValueError`` for a name :data:`POLICIES` does not know.
     """
     if override is None:
         override = os.environ.get("PNET_CONTROL_POLICY", "")
     name = override.strip()
     if not name or name == "off":
         return None
+    if name not in POLICIES:
+        raise ValueError(
+            f"unknown control policy {name!r} "
+            f"(known: {', '.join(sorted(POLICIES))}, off)"
+        )
     return name
 
 
@@ -95,8 +101,9 @@ class Controller:
     """Periodic sample -> decide -> apply loop on one live network.
 
     Args:
-        policy: a :class:`ResteerPolicy` instance or a registered name
-            (``"ecmp-reshuffle"`` | ``"flowlet"`` | ``"load-aware"``).
+        policy: a :class:`ResteerPolicy` instance (e.g. a
+            :class:`~repro.control.policy.DardPolicy`) or a registered
+            name (``"ecmp-reshuffle"`` | ``"flowlet"`` | ``"load-aware"``).
         interval: control period on the simulated clock; default
             ``PNET_CONTROL_INTERVAL`` (else 1 ms).  Ticks land on
             absolute multiples of the interval, so serial and sharded
@@ -138,38 +145,27 @@ class Controller:
         """Start the loop on a serial engine's simulated clock."""
         if self._network is not None:
             raise RuntimeError("controller is already attached")
+        if not isinstance(
+            network, (PacketNetwork, FluidSimulator, HybridSimulator)
+        ):
+            raise TypeError(
+                f"cannot attach a controller to {type(network).__name__}; "
+                "expected PacketNetwork, FluidSimulator or HybridSimulator"
+            )
         if self.pnet is None:
             self.pnet = PNet(network.planes)
         self.policy.bind(self.pnet)
         self._network = network
         self._obs = getattr(network, "obs", None) or get_registry()
-        self._schedule(self.interval)
-
-    def _schedule(self, at: float) -> None:
-        net = self._network
         # Bound method, not a closure: pending ticks must pickle so a
         # checkpoint taken mid-run resumes the control loop.
-        if isinstance(net, PacketNetwork):
-            net.loop.schedule_at(at, self._tick)
-        elif isinstance(net, (FluidSimulator, HybridSimulator)):
-            net.schedule(at, self._tick)
-        else:
-            raise TypeError(
-                f"cannot attach a controller to {type(net).__name__}; "
-                "expected PacketNetwork, FluidSimulator or HybridSimulator"
-            )
-
-    def _now(self) -> float:
-        net = self._network
-        if isinstance(net, PacketNetwork):
-            return net.loop.now
-        return net.now
+        network.schedule(self.interval, self._tick)
 
     # --- the loop -----------------------------------------------------------
 
     def _tick(self) -> None:
         net = self._network
-        now = self._now()
+        now = net.now
         self.stats.ticks += 1
         sample = self._sample(now)
         decisions = self.policy.decide(sample)
@@ -185,8 +181,10 @@ class Controller:
             if decisions:
                 obs.counter("control.decisions").inc(len(decisions))
             obs.gauge("control.flows_seen").set(len(sample.flows))
-        if _has_pending(net):
-            self._schedule(now + self.interval)
+        # Stop once the run has drained: on the packet engine an eternal
+        # timer would keep ``run(until=inf)`` from ever emptying its heap.
+        if net.has_pending():
+            net.schedule(now + self.interval, self._tick)
 
     def _sample(self, now: float):
         net = self._network
@@ -227,7 +225,7 @@ class Controller:
         # Relaunches happen at the tick instant; under a hybrid run the
         # packet loop may sit exactly at the shared frontier, never past
         # it, so the max is a no-op guard.
-        at = max(self._now(), net.loop.now)
+        at = max(self._network.now, net.now)
         new_source = actions.abort_and_relaunch(
             net, fid, source, spec, decision.paths, at
         )
@@ -267,18 +265,3 @@ def _find_active(net, fid: int):
             return source, spec
     return None
 
-
-def _has_pending(network) -> bool:
-    """Any simulation work left (the tick itself excluded)?
-
-    The controller stops rescheduling when the answer is no; on the
-    packet engine an eternal timer would otherwise keep
-    ``run(until=inf)`` from ever draining its heap.
-    """
-    if isinstance(network, PacketNetwork):
-        return network.loop.next_time() is not None
-    if isinstance(network, HybridSimulator):
-        return _has_pending(network.packet) or _has_pending(network.fluid)
-    return bool(
-        network._active or network._arrivals or network._timers
-    )

@@ -20,6 +20,9 @@ Two row flavours cover the engines:
   engine).  Progress is ``rate / 8 * interval``, the bytes the subflow
   moves in one control period at the current allocation.
 
+A :class:`FlowView` carries both: ``progress`` and ``rates`` (bits/s,
+``progress * 8 / interval`` for ``"acked"`` rows).
+
 Per-plane load is the same unit (bytes progressed this tick): queue
 counter deltas for planes carrying packet traffic, plus the rate-row
 contribution for fluid traffic -- so a hybrid run sees one coherent
@@ -39,11 +42,11 @@ class FlowView:
 
     __slots__ = (
         "gid", "src", "dst", "size", "paths", "transport", "tag",
-        "acked", "progress",
+        "acked", "progress", "rates",
     )
 
     def __init__(self, gid, src, dst, size, paths, transport, tag,
-                 acked, progress):
+                 acked, progress, rates):
         self.gid = gid
         self.src = src
         self.dst = dst
@@ -57,6 +60,8 @@ class FlowView:
         self.acked: Optional[List[int]] = acked
         #: Bytes each subflow progressed this control period.
         self.progress: List[float] = progress
+        #: Each subflow's rate in bits/s over the same period.
+        self.rates: List[float] = rates
 
     @property
     def total_progress(self) -> float:
@@ -207,8 +212,9 @@ class ControlMonitor:
                     # New flow, or a relaunch restarted the counters.
                     progress = [float(a) for a in acked]
                 self._prev_acked[gid] = list(acked)
+                rates = [p * 8.0 / interval for p in progress]
             else:
-                rates = row["rate"]
+                rates = list(row["rate"])
                 progress = [r / 8.0 * interval for r in rates]
                 # Rate traffic never reaches the plane counters; add
                 # its projected bytes so the load vector covers it.
@@ -224,6 +230,7 @@ class ControlMonitor:
                 tag=row.get("tag"),
                 acked=None if acked is None else list(acked),
                 progress=progress,
+                rates=rates,
             ))
 
         for gid in [g for g in self._prev_acked if g not in seen]:

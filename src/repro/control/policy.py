@@ -21,14 +21,22 @@ Built-ins, resolvable by name through :func:`make_policy` (and the
 * ``"load-aware"`` -- steer the worst subflow of the most-imbalanced
   MPTCP flow onto the least-loaded plane, guarded by a hysteresis
   ratio and a per-flow cooldown so placements cannot oscillate.
+
+:class:`DardPolicy`, the paper's DARD end-host routing (§3.4), is built
+as an object, not by name.  Every policy skips candidate paths that are
+not live, so a routing view that lags a fault never steers onto it.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.stats import left_sum
 from repro.control.actions import same_paths
+from repro.core.failures import path_is_live
+from repro.core.path_selection import KspMultipathPolicy
 from repro.core.pnet import PlanePath, PNet
 from repro.routing.ecmp import flow_hash
 
@@ -130,16 +138,22 @@ class ResteerPolicy:
     def _hashed_path(
         self, src: str, dst: str, gid_hash: int, salt: int
     ) -> Optional[PlanePath]:
-        """One ECMP-style (plane, path) pick, skipping dead planes."""
-        pnet = self.pnet
-        n = pnet.n_planes
+        """One ECMP-style (plane, path) pick among live paths."""
+        n = self.pnet.n_planes
         for probe in range(n):
             plane = flow_hash(src, dst, gid_hash, salt + probe) % n
-            options = pnet.shortest_paths(plane, src, dst)
+            options = self._live_paths(plane, src, dst)
             if options:
                 pick = flow_hash(src, dst, gid_hash, salt + probe + 1)
                 return (plane, options[pick % len(options)])
         return None
+
+    def _live_paths(self, plane: int, src: str, dst: str) -> List[List[str]]:
+        """The plane's shortest ``src`` -> ``dst`` paths that are live."""
+        return [
+            path for path in self.pnet.shortest_paths(plane, src, dst)
+            if path_is_live(self.pnet, (plane, path))
+        ]
 
     def _rehash_paths(
         self, flow, salt: int
@@ -376,9 +390,7 @@ class LoadAwarePolicy(ResteerPolicy):
             for target in candidates:
                 if loads[current_plane] <= self.hysteresis * loads[target]:
                     break  # candidates are load-sorted: none clears it
-                options = self.pnet.shortest_paths(
-                    target, flow.src, flow.dst
-                )
+                options = self._live_paths(target, flow.src, flow.dst)
                 if not options:
                     continue
                 new_paths = list(flow.paths)
@@ -391,6 +403,86 @@ class LoadAwarePolicy(ResteerPolicy):
         return decisions
 
 
+class DardPolicy(ResteerPolicy):
+    """DARD-style selfish re-placement of single-path flows (§3.4).
+
+    Each tick, every single-path flow in sample order moves to the live
+    candidate -- one of ``candidates`` shortest paths pooled across
+    planes, 4 per plane by default -- whose bottleneck headroom exceeds
+    ``hysteresis`` times its rate (> 1 avoids oscillation).  A link's
+    headroom is its capacity minus the rates of its *other* subflows,
+    and later flows see earlier moves.  Each link adds its rates left to
+    right in sample order: on the fluid engine, ``link_usage``'s sums.
+    """
+
+    name = "dard"
+
+    def __init__(
+        self,
+        pnet: Optional[PNet] = None,
+        seed: int = 0,
+        candidates: Optional[int] = None,
+        hysteresis: float = 1.2,
+    ):
+        super().__init__(pnet, seed)
+        if hysteresis <= 1.0:
+            raise ValueError("hysteresis must be > 1 to avoid oscillation")
+        self.candidates = candidates
+        self.hysteresis = hysteresis
+        self._ksp: Optional[KspMultipathPolicy] = None
+
+    def fingerprint(self) -> Dict[str, Any]:
+        return {
+            "policy": self.name, "seed": self.seed,
+            "candidates": self.candidates, "hysteresis": self.hysteresis,
+        }
+
+    def decide(self, sample) -> List[ResteerDecision]:
+        if self._ksp is None:
+            k = self.candidates or 4 * self.pnet.n_planes
+            self._ksp = KspMultipathPolicy(self.pnet, k=k, seed=self.seed)
+        # Directed link -> [(flow index, rate), ...] in sample order.
+        on_link: Dict[Tuple[int, str, str], List[Tuple[int, float]]] = {}
+        for index, flow in enumerate(sample.flows):
+            for path, rate in zip(flow.paths, flow.rates):
+                for link in _links(path):
+                    on_link.setdefault(link, []).append((index, rate))
+        decisions: List[ResteerDecision] = []
+        for index, flow in enumerate(sample.flows):
+            if len(flow.paths) != 1:
+                continue
+            rate = left_sum(flow.rates)
+            best, best_headroom = None, rate * self.hysteresis
+            for path in self._ksp.select(flow.src, flow.dst, flow.gid):
+                if path == flow.paths[0] or not path_is_live(self.pnet, path):
+                    continue
+                headroom = min(
+                    self.pnet.plane(plane).link(u, v).capacity - left_sum(
+                        r for i, r in on_link.get((plane, u, v), ())
+                        if i != index
+                    )
+                    for plane, u, v in _links(path)
+                )
+                if headroom > best_headroom:
+                    best, best_headroom = path, headroom
+            if best is None:
+                continue
+            # Move it as the engine will: same place in sample order,
+            # the whole rate on its one new path.
+            for link in _links(flow.paths[0]):
+                on_link[link] = [e for e in on_link[link] if e[0] != index]
+            for link in _links(best):
+                bisect.insort(on_link.setdefault(link, []), (index, rate))
+            decisions.append(ResteerDecision(flow.gid, [best], reason="dard"))
+        return decisions
+
+
+def _links(plane_path: PlanePath) -> List[Tuple[int, str, str]]:
+    """The directed links ``(plane, u, v)`` of a tagged path."""
+    plane, path = plane_path
+    return [(plane, u, v) for u, v in zip(path, path[1:])]
+
+
 def _sort_key(gid):
     """Total order over flow ids (ints and engine-namespaced tuples)."""
     if isinstance(gid, tuple):
@@ -400,6 +492,7 @@ def _sort_key(gid):
 
 #: Name -> class, the registry behind ``PNET_CONTROL_POLICY`` and the
 #: ``control="<name>"`` spelling of :func:`repro.api.run_trial`.
+#: :class:`DardPolicy` is left out: it is built as an object.
 POLICIES = {
     EcmpReshufflePolicy.name: EcmpReshufflePolicy,
     FlowletPolicy.name: FlowletPolicy,

@@ -9,9 +9,10 @@ This experiment runs the same single-path permutation three ways on a
 4-plane P-Net:
 
 * **static ECMP** -- the collision-prone baseline;
-* **ECMP + adaptive** -- same initial placement, but every host runs an
-  :class:`~repro.core.adaptive.AdaptiveRouter` that selfishly migrates
-  its flow to the least-loaded candidate path each epoch;
+* **ECMP + adaptive** -- same initial placement, but every host runs
+  DARD: a :class:`~repro.control.DardPolicy` on the control loop
+  (:class:`~repro.control.Controller`, one tick per epoch) selfishly
+  migrates each flow to the least-loaded candidate path;
 * **MPTCP KSP** (reference) -- the paper's preferred transport.
 
 Expected: adaptation recovers most of the collision losses without
@@ -25,11 +26,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.analysis.stats import summarize
-from repro.core.adaptive import AdaptiveRouter
+from repro.api import build_network, run_trial
+from repro.control import Controller, DardPolicy
 from repro.core.flowspec import FlowSpec
 from repro.core.path_selection import EcmpPolicy, KspMultipathPolicy
 from repro.exp.common import JellyfishFamily, format_table, get_scale
-from repro.api import build_network
 from repro.traffic.patterns import permutation
 from repro.units import GB, MB
 
@@ -77,23 +78,21 @@ def run(scale: Optional[str] = None) -> AdaptiveResult:
 
         def run_variant(adaptive: bool, multipath: bool) -> float:
             sim = build_network(pnet.planes, kind="fluid", slow_start=False)
-            router = AdaptiveRouter(
-                sim, pnet, epoch=params["epoch"]
-            ) if adaptive else None
-            for flow_id, (src, dst) in enumerate(pairs):
-                if multipath:
-                    paths = ksp.select(src, dst, flow_id)
-                else:
-                    paths = ecmp.select(src, dst, flow_id)
-                fid = sim.add_flow(spec=FlowSpec(
+            policy = ksp if multipath else ecmp
+            specs = [
+                FlowSpec(
                     src=src, dst=dst, size=params["flow_bytes"],
-                    paths=paths,
-                ))
-                if router is not None:
-                    router.track(fid, src, dst, paths[0])
-            if router is not None:
-                router.start()
-            records = sim.run()
+                    paths=policy.select(src, dst, flow_id),
+                )
+                for flow_id, (src, dst) in enumerate(pairs)
+            ]
+            # "off": static variants ignore PNET_CONTROL_POLICY.  DARD
+            # draws its candidates with KSP seed 97 whatever the matrix.
+            control = Controller(
+                DardPolicy(pnet, seed=97), interval=params["epoch"],
+                pnet=pnet,
+            ) if adaptive else "off"
+            records = run_trial(sim, specs, control=control).records
             return summarize([r.fct for r in records]).mean
 
         samples.setdefault("static-ecmp", []).append(

@@ -21,7 +21,8 @@ ways on a heterogeneous Jellyfish P-Net:
 A second arm repeats static vs load-aware under a scheduled whole-plane
 outage (:func:`repro.faults.plane_outage`): the injector resteers flows
 off the dead plane, piling them onto the survivors, and the control
-loop is what rebalances the pile-up afterwards.
+loop is what rebalances the pile-up afterwards, reading the routing
+view (one :class:`~repro.core.pnet.PNet`) the injector repairs.
 
 Expected: load-aware recovers part of the collision losses on at least
 one seed (the ``best`` entry pins the strongest matrix, which
@@ -90,7 +91,7 @@ class ControlResult:
     best: Dict[str, Any] = field(default_factory=dict)
 
 
-def _controller(variant: str, params: Dict[str, Any], seed: int) -> Controller:
+def _policy(variant: str, params: Dict[str, Any], seed: int):
     if variant == "ecmp-reshuffle":
         policy = EcmpReshufflePolicy(seed=seed)
     elif variant == "flowlet":
@@ -101,7 +102,7 @@ def _controller(variant: str, params: Dict[str, Any], seed: int) -> Controller:
         )
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return Controller(policy, interval=params["interval"])
+    return policy
 
 
 def _sparse_specs(pnet, params, seed: int) -> List[FlowSpec]:
@@ -138,8 +139,9 @@ def _run_one(
         injector.attach(sim)
     # "off", not None: the static baselines must stay static even when
     # the ambient PNET_CONTROL_POLICY / --control knob is set.
-    control = (
-        "off" if variant is None else _controller(variant, params, seed)
+    control = "off" if variant is None else Controller(
+        _policy(variant, params, seed), interval=params["interval"],
+        pnet=pnet,
     )
     result = run_trial(sim, specs, control=control)
     mean = summarize([r.fct for r in result.records]).mean

@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import control
 from repro.ckpt.store import (
     CheckpointError,
     claim_step,
@@ -219,7 +220,23 @@ def _trial_cache_key(spec: TrialSpec) -> Tuple:
             lookahead = get_lookahead()
             if lookahead is not None:
                 key += (("PNET_LOOKAHEAD", lookahead),)
-    return key
+    return key + _control_tags()
+
+
+def _control_tags() -> Tuple:
+    """Each ``PNET_CONTROL_*`` knob that is set, resolved: trials read
+    them, so they change results.  Unset knobs and the policy ``off``
+    add nothing; a bad value raises here, before any trial runs."""
+    policy = control.get_control_policy()
+    tags = [] if policy is None else [("PNET_CONTROL_POLICY", policy)]
+    for name, resolve in (
+        ("PNET_CONTROL_INTERVAL", control.get_control_interval),
+        ("PNET_CONTROL_HYSTERESIS", control.get_control_hysteresis),
+        ("PNET_CONTROL_COOLDOWN", control.get_control_cooldown),
+    ):
+        if os.environ.get(name):
+            tags.append((name, resolve()))
+    return tuple(tags)
 
 
 def _execute(spec: TrialSpec) -> Tuple[Tuple, Any, int, int]:

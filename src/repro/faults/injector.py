@@ -1,9 +1,10 @@
 """Deterministic fault injection for both simulators.
 
 :class:`FaultInjector` executes a :class:`~repro.faults.schedule.
-FaultSchedule` against a :class:`~repro.sim.network.PacketNetwork` (via
-its event loop) or a :class:`~repro.fluid.flowsim.FluidSimulator` (via
-its timestep hooks), keeping three layers consistent on every event:
+FaultSchedule` against a :class:`~repro.sim.network.PacketNetwork` or a
+:class:`~repro.fluid.flowsim.FluidSimulator`, as timers on the engine's
+simulated clock (``schedule``), keeping three layers consistent on every
+event:
 
 1. **Topology** -- element events expand to link sets (a switch fails
    all its incident links; a plane fails every link it has) applied
@@ -142,11 +143,7 @@ class FaultInjector:
         """
         if self._network is not None:
             raise RuntimeError("injector is already attached")
-        if isinstance(network, PacketNetwork):
-            schedule_at = network.loop.schedule_at
-        elif isinstance(network, FluidSimulator):
-            schedule_at = network.schedule
-        else:
+        if not isinstance(network, (PacketNetwork, FluidSimulator)):
             raise TypeError(
                 f"cannot attach to {type(network).__name__}; expected "
                 "PacketNetwork or FluidSimulator"
@@ -162,7 +159,7 @@ class FaultInjector:
         # Partials, not lambdas: pending fault events must pickle so a
         # checkpoint taken mid-schedule resumes the remaining events.
         for event in self.schedule:
-            schedule_at(event.at, functools.partial(self._apply, event))
+            network.schedule(event.at, functools.partial(self._apply, event))
 
     def apply_all(self) -> InjectionStats:
         """Apply the whole schedule directly to the topologies.
@@ -268,10 +265,7 @@ class FaultInjector:
             self.on_event(event, changed)
 
     def _now(self) -> float:
-        net = self._network
-        if net is None:
-            return 0.0
-        return net.loop.now if isinstance(net, PacketNetwork) else net.now
+        return 0.0 if self._network is None else self._network.now
 
     def _publish_gauges(self) -> None:
         obs = self.obs
@@ -288,19 +282,16 @@ class FaultInjector:
     # --- host reaction: resteer / rebalance ----------------------------------
 
     def _schedule_reaction(self, event: FaultEvent) -> None:
-        net = self._network
         rebalance = not event.is_down
         if rebalance and not (
             self.rebalance_on_restore and self.selector is not None
         ):
             return
         t_event = self._now()
-        when = t_event + self.detection_delay
-        react = functools.partial(self._react, t_event, rebalance)
-        if isinstance(net, PacketNetwork):
-            net.loop.schedule_at(when, react)
-        else:
-            net.schedule(when, react)
+        self._network.schedule(
+            t_event + self.detection_delay,
+            functools.partial(self._react, t_event, rebalance),
+        )
 
     def _pick_paths(
         self, src: str, dst: str, flow_id: int, live: Sequence[PlanePath]
@@ -340,7 +331,7 @@ class FaultInjector:
     def _react_packet(
         self, net: PacketNetwork, t_event: float, rebalance: bool
     ) -> None:
-        now = net.loop.now
+        now = net.now
         for flow_id, source, spec in net.active_flows():
             if getattr(source, "completed", False):
                 continue

@@ -280,6 +280,8 @@ class FluidSimulator:
         return flow_id
 
     # --- control-plane hooks ------------------------------------------------
+    # ``now``, ``schedule`` and ``has_pending`` are the clock all three
+    # engines share with control, fault injection and checkpoints.
 
     def schedule(self, at: float, fn: Callable[[], None]) -> None:
         """Run a callback at simulated time ``at`` (for controllers).
@@ -291,6 +293,10 @@ class FluidSimulator:
             raise ValueError(f"cannot schedule in the past ({at} < {self.now})")
         heapq.heappush(self._timers, (at, self._seq, fn))
         self._seq += 1
+
+    def has_pending(self) -> bool:
+        """Whether any flow, arrival or timer is left."""
+        return bool(self._active or self._arrivals or self._timers)
 
     def active_flows(self) -> List[Tuple[int, str, str, float]]:
         """(flow_id, src, dst, current total rate) of in-flight flows."""
@@ -347,44 +353,19 @@ class FluidSimulator:
         start = int(self._n_sub[:pos].sum())
         return start, start + int(self._n_sub[pos])
 
-    def flow_rate(self, flow_id: int) -> Optional[float]:
-        pos = self._position(flow_id)
-        return None if pos is None else float(self._flow_rate[pos])
-
-    def link_usage(self, exclude_flow: Optional[int] = None) -> "np.ndarray":
+    def link_usage(self) -> "np.ndarray":
         """Current per-directed-link bits/s committed by active subflows.
 
         Each link adds its subflows' rates one at a time, in activation
         order, starting from 0.0.
-
-        Args:
-            exclude_flow: leave this flow's own usage out -- the view an
-                end host takes when deciding whether *its* flow would be
-                better off elsewhere (its own traffic moves with it).
         """
         incidence = self._incidence
-        links = incidence.links
-        rows = incidence.flows
-        pos = None if exclude_flow is None else self._position(exclude_flow)
-        if pos is not None:
-            start, stop = self._rows(pos)
-            keep = (rows < start) | (rows >= stop)
-            links, rows = links[keep], rows[keep]
-        if not links.size:
+        if not incidence.links.size:
             # A bincount of nothing comes back as integers.
             return np.zeros(len(self._capacities))
         return np.bincount(
-            links, weights=self._rate[rows], minlength=len(self._capacities)
-        )
-
-    def path_available_bandwidth(
-        self, plane_path: PlanePath, exclude_flow: Optional[int] = None
-    ) -> float:
-        """Bottleneck headroom along a path at current rates."""
-        links, __, __ = self._path_to_links(plane_path)
-        usage = self.link_usage(exclude_flow=exclude_flow)
-        return float(
-            min(self._capacities[idx] - usage[idx] for idx in links)
+            incidence.links, weights=self._rate[incidence.flows],
+            minlength=len(self._capacities),
         )
 
     def migrate_flow(
@@ -408,10 +389,10 @@ class FluidSimulator:
                 raise ValueError("path must traverse a link")
             subflows.append(_Subflow(links, rtt, line_rate))
         # Carry the previous rate over as a provisional estimate so that
-        # same-instant observers (e.g. other hosts' adaptive routers) see
-        # the moved traffic before the next recomputation -- otherwise
-        # two hosts migrating in the same control epoch pile onto the
-        # same "empty" path.
+        # same-instant observers (fault reactions, a later decision of
+        # the same control tick) see the moved traffic before the next
+        # recomputation -- otherwise two flows moved in the same tick
+        # pile onto the same "empty" path.
         share = float(self._flow_rate[pos]) / len(subflows)
         start, stop = self._rows(pos)
         self._set_subflows(start, stop, subflows, share)
@@ -640,7 +621,7 @@ class FluidSimulator:
         ``rate_recomputations`` counter so stepped runs stay
         telemetry-identical to uninterrupted ones.
         """
-        if not (self._active or self._arrivals or self._timers):
+        if not self.has_pending():
             return None
         due = self.now + _EPS
         heads: List[float] = []
@@ -739,7 +720,7 @@ class FluidSimulator:
         recomputes_before = self.rate_recomputations
         timing = self.obs.enabled
         t0 = time.perf_counter() if timing else 0.0
-        while self._active or self._arrivals or self._timers:
+        while self.has_pending():
             if stop_after is not None and self.now >= stop_after:
                 break
             events += 1

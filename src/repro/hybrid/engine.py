@@ -194,6 +194,10 @@ class HybridSimulator:
         self.fluid.schedule(at, fn)
         self.packet.loop.interrupt()  # same staleness hazard as add_flow
 
+    def has_pending(self) -> bool:
+        """Whether either engine has work left."""
+        return self.packet.has_pending() or self.fluid.has_pending()
+
     # --- state views ---------------------------------------------------
 
     @property

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.flowspec import FlowSpec, check_flow_spec
 from repro.core.pnet import PlanePath
@@ -327,6 +327,19 @@ class PacketNetwork:
                 queue.restore()
 
     # --- execution -----------------------------------------------------------------
+
+    @property
+    def now(self) -> float:
+        """The simulated clock (the event loop's)."""
+        return self.loop.now
+
+    def schedule(self, at: float, fn: Callable[[], None]) -> None:
+        """Run a callback at simulated time ``at`` (controllers, faults)."""
+        self.loop.schedule_at(at, fn)
+
+    def has_pending(self) -> bool:
+        """Whether any live event is left to run."""
+        return self.loop.next_time() is not None
 
     def run(self, until: float = math.inf, max_events: int = 500_000_000) -> None:
         self.loop.run(until=until, max_events=max_events)

@@ -1,10 +1,12 @@
-"""Tests for fluid-sim control hooks and the DARD-style adaptive router."""
+"""Tests for fluid-sim control hooks and DARD on the control loop."""
 
 import pytest
 
-from repro.core.adaptive import AdaptiveRouter
+from repro.api import run_trial
+from repro.control import ControlSample, Controller, DardPolicy, FlowView
 from repro.core.flowspec import FlowSpec
 from repro.core.pnet import PNet
+from repro.exp import adaptive_routing
 from repro.fluid.flowsim import FluidSimulator
 from repro.topology.graph import HOST, TOR, Topology
 from repro.units import GB, Gbps, MB
@@ -57,30 +59,6 @@ class TestControlHooks:
         sim.run()
         assert fired == [pytest.approx(0.2)]
 
-    def test_link_usage_and_headroom(self):
-        sim = FluidSimulator([two_path_net()], slow_start=False)
-        fid = sim.add_flow(spec=FlowSpec(src="h0", dst="h2", size=1 * GB, paths=[VIA_A]))
-        checks = []
-
-        def inspect():
-            checks.append(
-                (
-                    sim.path_available_bandwidth(VIA_A),
-                    # From the flow's own viewpoint its usage moves with
-                    # it, so path B is fully available.
-                    sim.path_available_bandwidth(VIA_B, exclude_flow=fid),
-                    sim.path_available_bandwidth(VIA_B),
-                )
-            )
-
-        sim.schedule(0.01, inspect)
-        sim.run()
-        via_a, via_b_own, via_b_raw = checks[0]
-        assert via_a == pytest.approx(0.0, abs=1e-3)
-        assert via_b_own == pytest.approx(10e9, rel=1e-6)
-        # Raw view: the shared host uplink is saturated.
-        assert via_b_raw == pytest.approx(0.0, abs=1e-3)
-
     def test_migrate_flow_moves_traffic(self):
         sim = FluidSimulator([two_path_net()], slow_start=False)
         # Two flows sharing path A: each gets 5G.
@@ -106,50 +84,106 @@ class TestControlHooks:
             sim.run()
 
 
+def flow(gid, src, dst, path, rate):
+    return FlowView(
+        gid=gid, src=src, dst=dst, size=1 * GB, paths=[path],
+        transport="tcp", tag=None, acked=None,
+        progress=[rate / 8.0 * 0.01], rates=[rate],
+    )
+
+
+def decide(pnet, flows, hysteresis=1.2):
+    sample = ControlSample(
+        now=0.01, interval=0.01, n_planes=1, plane_load={0: 0.0},
+        flows=flows,
+    )
+    return DardPolicy(pnet, hysteresis=hysteresis).decide(sample)
+
+
 class TestAdaptiveRouter:
+    """DARD as a :class:`DardPolicy`, run by the :class:`Controller`."""
+
     def make(self):
         pnet = PNet.serial(two_path_net())
         sim = FluidSimulator(pnet.planes, slow_start=False)
         return pnet, sim
 
+    def run(self, pnet, sim, specs, **policy_kwargs):
+        controller = Controller(
+            DardPolicy(pnet, **policy_kwargs), interval=0.01, pnet=pnet
+        )
+        return run_trial(sim, specs, control=controller), controller
+
     def test_colliding_flows_get_separated(self):
         pnet, sim = self.make()
-        router = AdaptiveRouter(sim, pnet, candidates=4, epoch=0.01)
         # Both flows hash onto path A: 5G each without adaptation.
-        f0 = sim.add_flow(spec=FlowSpec(src="h0", dst="h2", size=1 * GB, paths=[VIA_A]))
-        f1 = sim.add_flow(spec=FlowSpec(src="h1", dst="h3", size=1 * GB, paths=[H1_VIA_A]))
-        router.track(f0, "h0", "h2", VIA_A)
-        router.track(f1, "h1", "h3", H1_VIA_A)
-        router.start()
-        records = sim.run()
-        assert router.migrations >= 1
+        result, controller = self.run(pnet, sim, [
+            FlowSpec(src="h0", dst="h2", size=1 * GB, paths=[VIA_A]),
+            FlowSpec(src="h1", dst="h3", size=1 * GB, paths=[H1_VIA_A]),
+        ], candidates=4)
+        # One move: the second flow sees the first one's move to B in
+        # the same tick and stays.
+        assert controller.stats.applied == 1
         # With separation both approach line rate: well under the 1.6s
         # collision time.
-        for rec in records:
+        for rec in result.records:
             assert rec.fct < 1.0
 
     def test_no_migration_when_alone(self):
         pnet, sim = self.make()
-        router = AdaptiveRouter(sim, pnet, epoch=0.01)
-        f0 = sim.add_flow(spec=FlowSpec(src="h0", dst="h2", size=100 * MB, paths=[VIA_A]))
-        router.track(f0, "h0", "h2", VIA_A)
-        router.start()
-        sim.run()
+        __, controller = self.run(pnet, sim, [
+            FlowSpec(src="h0", dst="h2", size=100 * MB, paths=[VIA_A]),
+        ])
         # A lone flow at line rate sees no candidate with 1.2x headroom.
-        assert router.migrations == 0
+        assert controller.stats.ticks > 0
+        assert controller.stats.decisions == 0
 
     def test_controller_stops_when_flows_finish(self):
         pnet, sim = self.make()
-        router = AdaptiveRouter(sim, pnet, epoch=0.01)
-        f0 = sim.add_flow(spec=FlowSpec(src="h0", dst="h2", size=10 * MB, paths=[VIA_A]))
-        router.track(f0, "h0", "h2", VIA_A)
-        router.start()
-        sim.run()  # must terminate (no self-rescheduling forever)
-        assert not router._flows
+        __, controller = self.run(pnet, sim, [
+            FlowSpec(src="h0", dst="h2", size=10 * MB, paths=[VIA_A]),
+        ])
+        # run_trial returned, so the loop stopped rescheduling itself.
+        assert not sim.has_pending()
+        assert controller.stats.ticks == 1
 
     def test_validations(self):
-        pnet, sim = self.make()
+        pnet, __ = self.make()
         with pytest.raises(ValueError):
-            AdaptiveRouter(sim, pnet, epoch=0)
+            Controller(DardPolicy(pnet), interval=0)
         with pytest.raises(ValueError):
-            AdaptiveRouter(sim, pnet, hysteresis=1.0)
+            DardPolicy(pnet, hysteresis=1.0)
+
+    def test_headroom_leaves_out_the_flows_own_traffic(self):
+        # A 5G flow on path A.  From its own viewpoint its traffic moves
+        # with it, so path B -- which shares the host uplink -- shows
+        # the full 10G: the move clears 1.99x the rate, not 2.01x.  Were
+        # its own 5G counted, B would show 5G and clear neither.
+        pnet, __ = self.make()
+        lone = [flow(0, "h0", "h2", VIA_A, 5e9)]
+        [decision] = decide(pnet, lone, hysteresis=1.99)
+        assert decision.paths == [VIA_B]
+        assert decide(pnet, lone, hysteresis=2.01) == []
+
+    def test_dead_candidates_are_skipped(self):
+        pnet, __ = self.make()
+        pnet.planes[0].fail_link("t0", "b")
+        assert decide(pnet, [flow(0, "h0", "h2", VIA_A, 5e9)]) == []
+
+
+def test_experiment_mean_fcts_are_exact():
+    """The experiment's mean FCTs, pinned with ``==``: DARD adds each
+    link's rates in the engine's order, so a drift in that order, or in
+    the moves it decides, shows here."""
+    tiny = adaptive_routing.run("tiny").mean_fct
+    assert tiny == {
+        "static-ecmp": 0.0160034502,
+        "ecmp+adaptive": 0.0160034502,
+        "mptcp-ksp": 0.004603847252817728,
+    }
+    small = adaptive_routing.run("small").mean_fct
+    assert small == {
+        "static-ecmp": 0.051670680841666664,
+        "ecmp+adaptive": 0.04027460422500004,
+        "mptcp-ksp": 0.014658389635022251,
+    }

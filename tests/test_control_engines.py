@@ -16,13 +16,16 @@ from repro.api import build_network, resume_trial, run_trial
 from repro.ckpt.store import list_checkpoints
 from repro.control import (
     Controller,
+    DardPolicy,
     FlowletPolicy,
     LoadAwarePolicy,
     as_controller,
 )
+from repro.core.failures import FailureAwareSelector
 from repro.core.flowspec import FlowSpec
 from repro.core.path_selection import KspMultipathPolicy
 from repro.core.pnet import PNet
+from repro.faults import PLANE_DOWN, FaultEvent, FaultInjector, FaultSchedule
 from repro.topology import ParallelTopology, build_jellyfish
 
 INTERVAL = 5e-5
@@ -54,18 +57,38 @@ def controller(policy=None):
     return Controller(policy, interval=INTERVAL)
 
 
+#: Policy name -> (policy factory, subflows per flow it steers):
+#: load-aware moves subflows of MPTCP flows, DARD single-path flows.
+STEERING = {
+    "load-aware": (lambda: LoadAwarePolicy(seed=0, hysteresis=1.2), 2),
+    "dard": (lambda: DardPolicy(seed=0), 1),
+}
+
+
+def cases(*kinds):
+    """(kind, policy) params; the load-aware ids are the bare kinds."""
+    return [pytest.param(kind, "load-aware", id=kind) for kind in kinds] + [
+        pytest.param(kind, "dard", id=f"{kind}-dard") for kind in kinds
+    ]
+
+
+def steered(pnet, policy):
+    """A fresh controller running ``policy`` and the flows it steers."""
+    make, k = STEERING[policy]
+    return controller(make()), flows_for(pnet, k=k)
+
+
 class TestEveryEngine:
-    @pytest.mark.parametrize("kind", ["packet", "fluid", "hybrid"])
-    def test_trial_completes_with_control(self, kind):
+    @pytest.mark.parametrize("kind,policy", cases("packet", "fluid", "hybrid"))
+    def test_trial_completes_with_control(self, kind, policy):
         pnet = make_pnet()
         kwargs = {"promotion": 1.0} if kind == "hybrid" else {}
         net = build_network(pnet.planes, kind=kind)
-        result = run_trial(
-            net, flows_for(pnet), control=controller(), **kwargs
-        )
+        control, specs = steered(pnet, policy)
+        result = run_trial(net, specs, control=control, **kwargs)
         assert len(result.records) == 4
         meta = result.meta["control"]
-        assert meta["fingerprint"]["policy"] == "load-aware"
+        assert meta["fingerprint"]["policy"] == policy
         assert meta["fingerprint"]["interval"] == INTERVAL
         assert meta["stats"]["ticks"] > 0
 
@@ -108,24 +131,20 @@ class TestDeterminismAndResume:
 
         assert once() == once()
 
-    @pytest.mark.parametrize("kind", ["packet", "fluid"])
-    def test_checkpoint_resume_replays_control(self, tmp_path, kind):
+    @pytest.mark.parametrize("kind,policy", cases("packet", "fluid"))
+    def test_checkpoint_resume_replays_control(self, tmp_path, kind, policy):
         pnet = make_pnet()
-        specs = flows_for(pnet)
 
-        def plain():
+        def plain(**checkpoints):
             net = build_network(pnet.planes, kind=kind)
-            return run_trial(net, specs, control=controller())
+            control, specs = steered(pnet, policy)
+            return run_trial(net, specs, control=control, **checkpoints)
 
         # The fluid engine drains the same bytes ~15x sooner than the
         # packet one; snapshot often enough that both cross >= 2 cuts.
         every = 2e-4 if kind == "packet" else 2e-5
         want = plain()
-        net = build_network(pnet.planes, kind=kind)
-        mid = run_trial(
-            net, specs, control=controller(),
-            checkpoint_dir=tmp_path, checkpoint_every=every,
-        )
+        mid = plain(checkpoint_dir=tmp_path, checkpoint_every=every)
         assert mid.to_json() == want.to_json()
 
         ckpts = list_checkpoints(tmp_path, valid_only=True)
@@ -138,6 +157,49 @@ class TestDeterminismAndResume:
             resumed.meta["control"]["stats"]
             == want.meta["control"]["stats"]
         )
+
+
+class TestFaultedRoutingView:
+    def test_controller_with_its_own_view_avoids_a_dead_plane(self):
+        # The injector repairs its PNet when plane 2 goes down.  The
+        # controller, built without pnet=, derives a second one whose
+        # cached plane-2 paths (from a move onto the idle plane) still
+        # cross dead links; its policy must skip them, not steer a
+        # subflow back onto the dead plane.
+        pnet = make_pnet(n_planes=4)
+
+        def spec(src, dst, megabytes, planes):
+            return FlowSpec(
+                src=src, dst=dst, size=megabytes * 1_000_000,
+                paths=[
+                    (plane, pnet.shortest_paths(plane, src, dst)[0])
+                    for plane in planes
+                ],
+            )
+
+        specs = [
+            spec("h3", "h0", 50, (0, 1)),
+            spec("h2", "h5", 100, (0,)),
+            spec("h5", "h6", 20, (0,)),
+            spec("h4", "h0", 100, (1,)),
+        ]
+        outage_at = 20 * INTERVAL
+        injector = FaultInjector(
+            pnet,
+            FaultSchedule([
+                FaultEvent(at=outage_at, kind=PLANE_DOWN, plane=2),
+            ]),
+            selector=FailureAwareSelector(KspMultipathPolicy(pnet, k=2)),
+        )
+        net = build_network(pnet.planes, kind="fluid")
+        injector.attach(net)
+        result = run_trial(net, specs, control=controller())
+        assert len(result.records) == len(specs)
+        assert result.meta["control"]["stats"]["applied"] > 0
+        # Every flow outlives the outage, and none ends on the dead plane.
+        for record in result.records:
+            assert record.completion > outage_at
+            assert 2 not in record.planes
 
 
 class TestSpellings:

@@ -71,6 +71,7 @@ def view(gid, src, dst, paths, progress, acked=None, transport="mptcp"):
     return FlowView(
         gid=gid, src=src, dst=dst, size=1_000_000, paths=paths,
         transport=transport, tag=None, acked=acked, progress=progress,
+        rates=[p * 8.0 / 1e-3 for p in progress],
     )
 
 
@@ -86,6 +87,7 @@ class TestMonitor:
             acked_row(7, "a", "b", [250, 50], paths)
         ])
         assert s2.flows[0].progress == [150.0, 0.0]
+        assert s2.flows[0].rates == [150.0 * 8.0 / 1e-3, 0.0]
         assert s2.flows[0].total_acked == 300
 
     def test_counter_regression_restarts_baseline(self):
@@ -119,6 +121,7 @@ class TestMonitor:
             rate_row(3, "a", "b", [8e9, 4e9], paths)
         ])
         assert s.flows[0].progress == [1e6, 5e5]
+        assert s.flows[0].rates == [8e9, 4e9]
         assert s.flows[0].acked is None
         assert s.plane_load == {0: 1e6, 1: 5e5}
 

@@ -15,7 +15,7 @@ import random
 import shutil
 
 from repro.ckpt.store import list_checkpoints
-from repro.control import Controller, LoadAwarePolicy
+from repro.control import Controller, DardPolicy, LoadAwarePolicy
 from repro.core.flowspec import FlowSpec
 from repro.core.path_selection import KspMultipathPolicy
 from repro.core.pnet import PNet
@@ -34,11 +34,12 @@ def make_pnet(n_planes=4, seed=0):
     )
 
 
-def shard_local_specs(pnet, n=6, size=4_000_000):
+def shard_local_specs(pnet, n=6, size=4_000_000, subflows=2):
     """MPTCP flows confined to planes {0, 1} -- one shard of two.
 
     Planes 2/3 idle, so load-aware wants to move subflows there and
     every decision exercises the narrowing path; nothing spans shards.
+    ``subflows=1`` keeps each flow on plane 0 alone.
     """
     rng = random.Random("control-shard")
     hosts = list(pnet.hosts)
@@ -51,7 +52,7 @@ def shard_local_specs(pnet, n=6, size=4_000_000):
             paths=[
                 (0, pnet.shortest_paths(0, src, dst)[0]),
                 (1, pnet.shortest_paths(1, src, dst)[0]),
-            ],
+            ][:subflows],
         ))
     return specs
 
@@ -69,10 +70,10 @@ def spanning_specs(pnet, n=4, size=1_000_000):
     ]
 
 
-def controller():
-    return Controller(
-        LoadAwarePolicy(seed=0, hysteresis=1.2), interval=INTERVAL
-    )
+def controller(policy=None):
+    if policy is None:
+        policy = LoadAwarePolicy(seed=0, hysteresis=1.2)
+    return Controller(policy, interval=INTERVAL)
 
 
 def fallback_count(obs):
@@ -82,11 +83,13 @@ def fallback_count(obs):
     return 0
 
 
-def run_sharded(pnet, specs, backend="local", shards=2, **kwargs):
+def run_sharded(
+    pnet, specs, backend="local", shards=2, policy=None, **kwargs
+):
     obs = Registry(enabled=True)
     result = run_packet_trial(
         pnet, specs, shards=shards, backend=backend, obs=obs,
-        control=controller(), **kwargs,
+        control=controller(policy), **kwargs,
     )
     return result, fallback_count(obs)
 
@@ -107,11 +110,19 @@ class TestShardedControl:
 
     def test_backends_byte_identical(self):
         pnet = make_pnet()
-        specs = shard_local_specs(pnet)
-        local, __ = run_sharded(pnet, specs, backend="local")
-        shm, __ = run_sharded(pnet, specs, backend="shm")
-        assert pickle.dumps(shm.records) == pickle.dumps(local.records)
-        assert shm.control["stats"] == local.control["stats"]
+        # The default load-aware policy on MPTCP flows, and DARD on
+        # single-path ones; each run gets a fresh policy object.
+        for fresh, subflows in (
+            (lambda: None, 2), (lambda: DardPolicy(seed=0), 1),
+        ):
+            specs = shard_local_specs(pnet, subflows=subflows)
+            local, __ = run_sharded(
+                pnet, specs, backend="local", policy=fresh()
+            )
+            shm, __ = run_sharded(pnet, specs, backend="shm", policy=fresh())
+            assert pickle.dumps(shm.records) == pickle.dumps(local.records)
+            assert shm.control["stats"] == local.control["stats"]
+            assert local.control["stats"]["ticks"] > 0
 
     def test_spanning_flows_skipped_not_corrupted(self):
         pnet = make_pnet()

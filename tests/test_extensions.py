@@ -108,6 +108,18 @@ class TestAdaptiveRoutingExperiment:
         assert result.speedup("mptcp-ksp") >= 1.0
 
 
+class TestControlExperiment:
+    def test_outage_arm_completes_at_small_scale(self):
+        # Controller and fault injector share the experiment's PNet.
+        # With a private copy, load-aware kept cached pre-outage paths
+        # and steered a subflow onto the dead plane.
+        from repro.exp import control
+
+        result = control.run(scale="small")
+        assert result.stats["load-aware+outage"]["applied"] > 0
+        assert result.mean_fct["load-aware+outage"] > 0
+
+
 class TestExpanderFamilies:
     @pytest.fixture(scope="class")
     def result(self):

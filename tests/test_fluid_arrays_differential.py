@@ -13,8 +13,8 @@ they must agree on:
 * every record, by ``repr``, which pins each field's value, the sign of
   zero and the type (``np.float64`` or ``float``), and the clock;
 * ``rate_recomputations`` and the deterministic telemetry snapshot;
-* ``link_usage()`` and ``link_usage(exclude_flow=...)``, as dtype and
-  bytes, and the rate views the control plane samples;
+* ``link_usage()``, as dtype and bytes, and the rate views the control
+  plane samples;
 * in the hybrid run, every instantiated queue's service rate after each
   bridge refresh.
 """
@@ -48,16 +48,13 @@ def as_bytes(array):
     return array.dtype.str, array.tobytes()
 
 
-def fluid_state(fluid, step):
+def fluid_state(fluid):
     """What a step must leave identical in a fluid engine."""
-    active = [fid for fid, *__ in fluid.active_flows()]
-    exclude = active[step % len(active)] if active else None
     return {
         "now": repr(fluid.now),
         "records": repr(fluid.records),
         "recomputations": fluid.rate_recomputations,
         "usage": as_bytes(fluid.link_usage()),
-        "usage_excluding": as_bytes(fluid.link_usage(exclude_flow=exclude)),
         "active": repr(fluid.active_flows()),
         "subflows": repr(fluid.active_subflow_views()),
         "aggregate": repr(fluid.aggregate_rate()),
@@ -65,11 +62,11 @@ def fluid_state(fluid, step):
     }
 
 
-def state(net, obs, step):
+def state(net, obs):
     if isinstance(net, FluidSimulator):
-        got = fluid_state(net, step)
+        got = fluid_state(net)
     else:
-        got = fluid_state(net.fluid, step)
+        got = fluid_state(net.fluid)
         got["hybrid_records"] = repr(net.records)
         got["queues"] = [
             (key, repr(queue.rate))
@@ -102,13 +99,13 @@ def run_in_lockstep(build):
         ref.run(stop_after=stop)
         new.run(stop_after=stop)
         step += 1
-        assert state(new, new_obs, step) == state(ref, ref_obs, step), (
+        assert state(new, new_obs) == state(ref, ref_obs), (
             f"step {step}, t = {t_ref!r}"
         )
     # Whatever is left runs in the packet engine alone.
     ref.run()
     new.run()
-    assert state(new, new_obs, step) == state(ref, ref_obs, step)
+    assert state(new, new_obs) == state(ref, ref_obs)
     assert len(ref.records) > 0
     return step
 

@@ -29,6 +29,13 @@ def failing_trial():
     raise RuntimeError("boom")
 
 
+def control_trial(value):
+    """The control policy ``run_trial(control=None)`` would attach here."""
+    from repro.control import get_control_policy
+
+    return value, get_control_policy()
+
+
 class TestGetJobs:
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("PNET_JOBS", raising=False)
@@ -125,6 +132,90 @@ class TestRunTrials:
         assert stats.jobs == 2
         assert stats.wall_seconds >= 0.0
         assert "2 trials" in stats.summary()
+
+
+#: Every knob the control-key tests touch; each test starts without them.
+_CONTROL_KNOBS = (
+    "PNET_CONTROL_POLICY", "PNET_CONTROL_INTERVAL",
+    "PNET_CONTROL_HYSTERESIS", "PNET_CONTROL_COOLDOWN",
+    "PNET_JOBS", "PNET_SHARD_BACKEND",
+)
+
+
+def _control_specs(values):
+    return [
+        TrialSpec(
+            fn="tests.test_runner:control_trial", key=(v,),
+            kwargs={"value": v},
+        )
+        for v in values
+    ]
+
+
+class TestControlKnobsKeyTheCache:
+    """``PNET_CONTROL_*`` knobs change results inside trial functions,
+    so a warm cache must not answer for a different setting."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_env(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("PNET_CACHE_DIR", str(tmp_path))
+        for name in _CONTROL_KNOBS:
+            monkeypatch.delenv(name, raising=False)
+
+    def test_policy_misses_a_warm_cache_and_off_hits(self, monkeypatch):
+        specs = _control_specs([1, 2])
+        assert run_trials(specs) == {(1,): (1, None), (2,): (2, None)}
+        monkeypatch.setenv("PNET_CONTROL_POLICY", "load-aware")
+        assert run_trials(specs)[(1,)] == (1, "load-aware")
+        assert last_stats().trial_cache_hits == 0
+        # "off" is the unset key: the first run's entries answer.
+        monkeypatch.setenv("PNET_CONTROL_POLICY", "off")
+        assert run_trials(specs)[(1,)] == (1, None)
+        assert last_stats().trial_cache_hits == 2
+
+    @pytest.mark.parametrize("name,value", [
+        ("PNET_CONTROL_INTERVAL", "1e-5"),
+        ("PNET_CONTROL_HYSTERESIS", "1.5"),
+        ("PNET_CONTROL_COOLDOWN", "0.001"),
+    ])
+    def test_each_set_knob_is_stamped(self, monkeypatch, name, value):
+        spec = _control_specs([1])[0]
+        unset = runner._trial_cache_key(spec)
+        monkeypatch.setenv(name, value)
+        assert runner._trial_cache_key(spec) == unset + (
+            (name, float(value)),
+        )
+        monkeypatch.setenv(name, "-1")
+        with pytest.raises(ValueError):
+            runner._trial_cache_key(spec)
+
+    def test_unknown_policy_fails_before_any_trial(self, monkeypatch):
+        warm = _control_specs([1])
+        run_trials(warm)
+        monkeypatch.setenv("PNET_CONTROL_POLICY", "bogus")
+        # Warm: the cache must not answer.  Cold: the trial, which
+        # would raise RuntimeError, must not run.
+        cold = [TrialSpec(fn="tests.test_runner:failing_trial", key=("f",))]
+        for specs in (warm, cold):
+            with pytest.raises(ValueError, match="unknown control policy"):
+                run_trials(specs)
+
+    def test_jobs_and_shard_backend_hit(self, monkeypatch):
+        specs = _control_specs([1, 2])
+        run_trials(specs)
+        monkeypatch.setenv("PNET_JOBS", "2")
+        run_trials(specs)
+        assert last_stats().trial_cache_hits == 2
+        monkeypatch.setenv("PNET_SHARD_BACKEND", "local")
+        run_trials(specs)
+        assert last_stats().trial_cache_hits == 2
+
+    def test_cli_rejects_an_unknown_policy(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig9", "--scale", "tiny", "--control", "bogus"])
+        assert exit_info.value.code == 2
 
 
 def _copy_package(tmp_path) -> pathlib.Path:
