@@ -34,7 +34,6 @@ from repro.api import (
     TrialResult,
     attach_telemetry,
     build_network,
-    register_engine,
     resume_trial,
     run_trial,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "TrialResult",
     "attach_telemetry",
     "build_network",
-    "register_engine",
     "resume_trial",
     "run_trial",
     "__version__",

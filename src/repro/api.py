@@ -14,13 +14,15 @@ directly::
     print(result.monitor.report())
     obs.close()
 
-Engines are pluggable: ``kind=`` strings resolve through a registry
-(:func:`register_engine`), so ``"packet"``, ``"fluid"`` and ``"hybrid"``
-are just the built-in entries and external engines join without editing
-the facade.  :func:`run_trial` is the single run surface for all of
-them -- it threads ``promotion=`` (hybrid), ``checkpoint_*`` and the
-horizon uniformly and always returns the one documented
-:class:`TrialResult` shape.
+``kind=`` names one of three engines -- ``"packet"``, ``"fluid"`` and
+``"hybrid"`` -- and each engine answers for itself through the same few
+members: its ``kind``, ``run(until=...)``, ``queue_stats()``, records
+that carry their ``fidelity``, and for the control loop and fault
+injection ``control_rows()`` and ``resteer()`` (DESIGN.md §3 lists
+them).  :func:`run_trial` is the single run surface for all three -- it
+threads ``promotion=`` (hybrid), ``checkpoint_*`` and the horizon
+uniformly and always returns the one documented :class:`TrialResult`
+shape.
 
 The facade is intentionally small and **stable**: experiment code and
 external users should prefer it over the underlying constructors, whose
@@ -42,7 +44,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -78,107 +79,10 @@ def _as_planes(planes: PlanesLike) -> List[Topology]:
     return list(planes)
 
 
-# --- engine registry ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Engine:
-    """One pluggable simulation engine.
-
-    Attributes:
-        name: the ``kind=`` string :func:`build_network` resolves.
-        cls: the concrete network type; :func:`run_trial` dispatches on
-            it with ``isinstance``, so instances built outside the
-            facade work too.
-        build: ``build(planes, obs=..., **kwargs) -> network``.
-        run: ``run(network, until)`` advancing the network to the
-            horizon (``until`` may be ``math.inf``).
-        description: one-line summary shown in error messages/docs.
-    """
-
-    name: str
-    cls: type
-    build: Callable[..., Any]
-    run: Callable[[Any, float], Any]
-    description: str = ""
-
-
-_ENGINES: Dict[str, Engine] = {}
-
-
-def register_engine(
-    name: str,
-    *,
-    cls: type,
-    build: Optional[Callable[..., Any]] = None,
-    run: Optional[Callable[[Any, float], Any]] = None,
-    description: str = "",
-    replace: bool = False,
-) -> Engine:
-    """Plug an engine into :func:`build_network`/:func:`run_trial`.
-
-    The engine's network object must quack like the built-ins:
-    ``add_flow(spec=...)``, ``planes``, ``records`` (each record with
-    ``flow_id``/``planes``/``size``/``fct``), and ``obs``.
-
-    Args:
-        name: the ``kind=`` string to register.
-        cls: concrete network type (used for ``isinstance`` dispatch).
-        build: constructor wrapper; defaults to
-            ``cls(planes, obs=obs, **kwargs)``.
-        run: horizon-aware runner; defaults to the fluid convention
-            ``network.run(until=None-if-inf)``.
-        description: one-line summary.
-        replace: allow overwriting an existing registration.
-    """
-    if name in _ENGINES and not replace:
-        raise ValueError(
-            f"engine {name!r} is already registered "
-            f"(pass replace=True to override)"
-        )
-    if build is None:
-        def build(planes, obs=None, _cls=cls, **kwargs):
-            return _cls(planes, obs=obs, **kwargs)
-    if run is None:
-        run = _run_fluid_style
-    engine = Engine(
-        name=name, cls=cls, build=build, run=run, description=description
-    )
-    _ENGINES[name] = engine
-    return engine
-
-
-def engine_names() -> List[str]:
-    """Registered ``kind=`` strings, in registration order."""
-    return list(_ENGINES)
-
-
-def _engine_named(kind: str) -> Engine:
-    try:
-        return _ENGINES[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown network kind {kind!r} ({'|'.join(_ENGINES)})"
-        ) from None
-
-
-def _engine_of(network: Any) -> Engine:
-    """Resolve a live network object back to its registered engine."""
-    for engine in _ENGINES.values():
-        if isinstance(network, engine.cls):
-            return engine
-    raise TypeError(
-        f"{type(network).__name__} is not a registered engine type "
-        f"(known: {'|'.join(_ENGINES)}); see repro.api.register_engine"
-    )
-
-
-def _run_packet_style(network: Any, until: float) -> None:
-    network.run(until=until)
-
-
-def _run_fluid_style(network: Any, until: float) -> None:
-    network.run(until=None if math.isinf(until) else until)
+#: ``kind`` -> engine class, for :func:`build_network`.
+_ENGINES = {
+    cls.kind: cls for cls in (PacketNetwork, FluidSimulator, HybridSimulator)
+}
 
 
 def attach_telemetry(
@@ -237,17 +141,21 @@ def build_network(
     Args:
         planes: a :class:`PNet`, :class:`ParallelTopology`, single
             :class:`Topology`, or sequence of topologies.
-        kind: a registered engine name -- built-ins are ``"packet"``
-            (:class:`PacketNetwork`), ``"fluid"``
-            (:class:`FluidSimulator`) and ``"hybrid"``
-            (:class:`HybridSimulator`); see :func:`register_engine`.
+        kind: ``"packet"`` (:class:`PacketNetwork`), ``"fluid"``
+            (:class:`FluidSimulator`) or ``"hybrid"``
+            (:class:`HybridSimulator`).
         obs: telemetry registry; defaults to the process-wide one.
         **kwargs: forwarded to the engine constructor
             (``queue_packets``, ``ecn_threshold``, ``slow_start``,
             ``promotion``, ...).
     """
-    plane_list = _as_planes(planes)
-    return _engine_named(kind).build(plane_list, obs=obs, **kwargs)
+    try:
+        cls = _ENGINES[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown network kind {kind!r} ({'|'.join(_ENGINES)})"
+        ) from None
+    return cls(_as_planes(planes), obs=obs, **kwargs)
 
 
 #: Schema identifier stamped into :meth:`TrialResult.to_json`.
@@ -268,7 +176,7 @@ class TrialResult:
         fidelity: flow id -> ``"packet"`` | ``"fluid"`` for every
             completed flow (pure engines report their own fidelity for
             all flows).
-        engine: registered name of the engine that ran the trial.
+        engine: ``kind`` of the engine that ran the trial.
         meta: engine metadata (plane count, record count, promotion
             split for hybrid runs, ...).
     """
@@ -349,11 +257,10 @@ def run_trial(
 ) -> TrialResult:
     """Launch ``flows`` on ``network``, run it, and merge the results.
 
-    The single run surface for every registered engine: every spec is
-    submitted via the keyword-only ``add_flow(spec=...)`` API, the
-    simulation runs to completion (or ``until``) through the engine's
-    registered runner, and per-plane statistics merge into a
-    :class:`NetworkMonitor` inside one :class:`TrialResult`.
+    The single run surface for every engine: every spec is submitted
+    via the keyword-only ``add_flow(spec=...)`` API, the simulation
+    runs to completion (or ``until``), and per-plane statistics merge
+    into a :class:`NetworkMonitor` inside one :class:`TrialResult`.
 
     ``promotion`` (a :class:`repro.hybrid.PromotionPolicy`, probability,
     or policy string) installs the promotion policy on a hybrid network
@@ -375,15 +282,30 @@ def run_trial(
     :mod:`repro.ckpt` snapshots every that many simulated seconds;
     :func:`resume_trial` continues from the newest one with results
     byte-identical to an uninterrupted run.  This works for all three
-    built-in engines (hybrid snapshots carry both sub-engines, the
-    bridge, and the promotion policy in one object graph).
+    engines (hybrid snapshots carry both sub-engines, the bridge, and
+    the promotion policy in one object graph).  The other
+    ``checkpoint_*`` arguments and ``on_checkpoint`` need
+    ``checkpoint_every``; without it they raise ``ValueError`` before
+    any flow is submitted.
     """
-    engine = _engine_of(network)
+    if getattr(network, "kind", None) not in _ENGINES:
+        raise TypeError(
+            f"{type(network).__name__} is not a simulation engine "
+            f"(kinds: {'|'.join(_ENGINES)})"
+        )
+    _check_checkpoint_args(
+        checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_keep_last=checkpoint_keep_last,
+        on_checkpoint=on_checkpoint,
+    )
+    if checkpoint_every is not None and checkpoint_dir is None:
+        raise ValueError("checkpoint_every requires checkpoint_dir")
     if promotion is not None:
-        if not isinstance(network, HybridSimulator):
+        if network.kind != "hybrid":
             raise ValueError(
                 f"promotion= requires a hybrid network, "
-                f"got kind={engine.name!r}"
+                f"got kind={network.kind!r}"
             )
         network.promotion = resolve_policy(promotion)
     if control is None or isinstance(control, str):
@@ -405,8 +327,6 @@ def run_trial(
     for spec in flows:
         network.add_flow(spec=spec)
     if checkpoint_every is not None:
-        if checkpoint_dir is None:
-            raise ValueError("checkpoint_every requires checkpoint_dir")
         from repro.ckpt import run_checkpointed
 
         run_checkpointed(
@@ -417,9 +337,9 @@ def run_trial(
             keep_last=checkpoint_keep_last,
             on_checkpoint=on_checkpoint,
         )
-        return _finish_trial(network, engine)
-    engine.run(network, until)
-    return _finish_trial(network, engine)
+    else:
+        network.run(until=until)
+    return _finish_trial(network)
 
 
 def resume_trial(
@@ -432,17 +352,21 @@ def resume_trial(
     """Continue a checkpointed :func:`run_trial` to completion.
 
     Loads the newest valid checkpoint under ``checkpoint_dir`` (partial
-    directories from a killed run are skipped), resumes the simulation
-    through the engine's registered runner, and returns the same
-    :class:`TrialResult` -- records byte-identical to the run never
-    having stopped.  Pass ``checkpoint_every`` to keep checkpointing on
-    the way.
+    directories from a killed run are skipped), resumes the simulation,
+    and returns the same :class:`TrialResult` -- records byte-identical
+    to the run never having stopped.  Pass ``checkpoint_every`` to keep
+    checkpointing on the way; ``checkpoint_keep_last`` and
+    ``on_checkpoint`` need it.
     """
     from repro.ckpt import restore, run_checkpointed
 
+    _check_checkpoint_args(
+        checkpoint_every,
+        checkpoint_keep_last=checkpoint_keep_last,
+        on_checkpoint=on_checkpoint,
+    )
     checkpoint = restore(checkpoint_dir)
     network = checkpoint.network
-    engine = _engine_of(network)
     if checkpoint_every is not None:
         run_checkpointed(
             network,
@@ -455,32 +379,26 @@ def resume_trial(
             on_checkpoint=on_checkpoint,
         )
     else:
-        engine.run(network, until)
-    return _finish_trial(network, engine)
+        network.run(until=until)
+    return _finish_trial(network)
 
 
-def _finish_trial(network: Network, engine: Engine) -> TrialResult:
+def _check_checkpoint_args(checkpoint_every, **given: Any) -> None:
+    """Refuse checkpoint arguments that would be silently ignored."""
+    if checkpoint_every is not None:
+        return
+    unused = [name for name, value in given.items() if value is not None]
+    if unused:
+        raise ValueError(f"{', '.join(unused)} requires checkpoint_every")
+
+
+def _finish_trial(network: Network) -> TrialResult:
+    records = list(network.records)
     meta: Dict[str, Any] = {"n_planes": len(network.planes)}
-    if isinstance(network, PacketNetwork):
-        monitor = NetworkMonitor.from_network(network)
-        fidelity = {r.flow_id: "packet" for r in network.records}
-    elif isinstance(network, HybridSimulator):
-        monitor = NetworkMonitor(len(network.planes))
-        for record in network.records:
-            monitor.record_flow(record.planes, record.size, record.fct)
-        monitor.ingest_queue_counters(network.packet)
-        fidelity = {
-            r.flow_id: network.fidelity[r.flow_id]
-            for r in network.records
-        }
+    if network.kind == "hybrid":
         meta["fidelity_counts"] = network.fidelity_counts()
         meta["bridge_refreshes"] = network.bridge.refreshes
-    else:
-        monitor = NetworkMonitor(len(network.planes))
-        for record in network.records:
-            monitor.record_flow(record.planes, record.size, record.fct)
-        fidelity = {r.flow_id: "fluid" for r in network.records}
-    meta["n_records"] = len(network.records)
+    meta["n_records"] = len(records)
     controller = getattr(network, "_controller", None)
     if controller is not None:
         # Key only present when control was attached, so control-off
@@ -489,43 +407,15 @@ def _finish_trial(network: Network, engine: Engine) -> TrialResult:
             "fingerprint": controller.fingerprint(),
             "stats": controller.stats.as_dict(),
         }
-    # Duck-typed third-party engines may not carry a registry at all.
-    obs = getattr(network, "obs", None)
-    metrics = (
-        obs.snapshot(include_wallclock=False)
-        if obs is not None and obs.enabled
-        else []
-    )
+    obs = network.obs
     return TrialResult(
-        records=list(network.records),
-        monitor=monitor,
-        metrics=metrics,
-        fidelity=fidelity,
-        engine=engine.name,
+        records=records,
+        monitor=NetworkMonitor.from_network(network),
+        metrics=obs.snapshot(include_wallclock=False) if obs.enabled else [],
+        fidelity={r.flow_id: r.fidelity for r in records},
+        engine=network.kind,
         meta=meta,
     )
-
-
-# --- built-in engines --------------------------------------------------
-
-register_engine(
-    "packet",
-    cls=PacketNetwork,
-    run=_run_packet_style,
-    description="discrete-event packet simulation (TCP/MPTCP)",
-)
-register_engine(
-    "fluid",
-    cls=FluidSimulator,
-    run=_run_fluid_style,
-    description="max-min fair fluid rate model",
-)
-register_engine(
-    "hybrid",
-    cls=HybridSimulator,
-    run=_run_fluid_style,
-    description="fluid bulk with a promoted packet-fidelity sample",
-)
 
 
 # --- experiment-scale surface ------------------------------------------
@@ -540,7 +430,6 @@ from repro.exp.runner import (  # noqa: E402  (facade re-export)
 )
 
 __all__ = [
-    "Engine",
     "FlowSpec",
     "Network",
     "PlanesLike",
@@ -549,8 +438,6 @@ __all__ = [
     "TrialSpec",
     "attach_telemetry",
     "build_network",
-    "engine_names",
-    "register_engine",
     "resume_trial",
     "run_trial",
     "run_trials",

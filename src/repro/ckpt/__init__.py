@@ -11,18 +11,24 @@ Layers:
   manifest written last, atomic renames, ``ckpt-<N>`` sequencing,
   pruning).
 * :mod:`repro.ckpt.snapshot` -- save/restore of live simulator object
-  graphs (:func:`save`, :func:`restore`, :func:`run_checkpointed`).
+  graphs (:func:`save`, :func:`restore`, :func:`run_checkpointed`), and
+  their encoding (:func:`dumps`, :func:`loads`), which shard workers
+  use too.
 * :mod:`repro.ckpt.rng` -- :class:`RngBundle`, the serializable home
   for every random stream a run owns.
 
 Higher layers build on these: the sharded engine checkpoints per-plane
-worker snapshots at epoch barriers, and the experiment runner
-checkpoints sweep progress (``--checkpoint-every`` / ``--resume``).
+worker snapshots at epoch barriers, and the experiment runner and the
+run farm keep trial progress in one container
+(:func:`repro.ckpt.store.write_progress`; ``--checkpoint-every`` /
+``--resume``).
 """
 
 from repro.ckpt.rng import RngBundle, get_bundle, set_bundle
 from repro.ckpt.snapshot import (
     SimCheckpoint,
+    dumps,
+    loads,
     restore,
     run_checkpointed,
     save,
@@ -56,11 +62,13 @@ __all__ = [
     "atomic_write_bytes",
     "checkpoints_size_bytes",
     "claim_step",
+    "dumps",
     "get_bundle",
     "inspect",
     "is_valid",
     "latest",
     "list_checkpoints",
+    "loads",
     "next_step",
     "prune",
     "read_manifest",

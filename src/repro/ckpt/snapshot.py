@@ -1,8 +1,8 @@
 """Snapshot/restore of live simulator object graphs.
 
-A checkpoint captures the *complete* state of a run in one pickle: the
-event heap and clock, TCP/MPTCP connection and LIA-coupling state,
-switch/NIC queue contents, fluid rate state, the
+A checkpoint captures the *complete* state of a run in one pickle
+stream: the event heap and clock, TCP/MPTCP connection and LIA-coupling
+state, switch/NIC queue contents, fluid rate state, the
 :class:`~repro.faults.FaultInjector`'s remaining schedule and link
 refcounts, the :mod:`repro.obs` registry (minus its file sinks), and
 the run's :class:`~repro.ckpt.rng.RngBundle`.  Everything is pickled
@@ -10,18 +10,28 @@ the run's :class:`~repro.ckpt.rng.RngBundle`.  Everything is pickled
 simulator's planes before and after restore, and pending heap events
 keep pointing at the same source objects.
 
+:func:`dumps` / :func:`loads` are the encoding.  A plain pickle walks
+from a queue to a waiting packet's arrival event, to the packet's
+route, to the next queue, depth first, so a busy fabric exhausts the
+recursion limit.  So every :class:`~repro.sim.link.Queue` is pickled
+as an empty shell, and a flat table of the queues' ``__slots__``
+values follows in the same stream, with the same memo; the loader
+fills the shells from it.
+
 The hard guarantee (pinned by ``tests/test_ckpt_resume.py``):
 ``run(T1) -> save -> restore -> run(T2)`` produces records and
 deterministic telemetry byte-identical to an uninterrupted ``run(T2)``.
 For the packet engine any ``T1`` works (event times are absolute).  For
-the fluid engine the chunk boundary must be an *event boundary* --
-:meth:`FluidSimulator.run`'s ``stop_after`` pauses there without the
+the fluid and hybrid engines the chunk boundary must be an *event
+boundary* -- their ``run``'s ``stop_after`` pauses there without the
 horizon crediting that would perturb later completion times by ulps;
 :func:`run_checkpointed` handles the distinction.
 """
 
 from __future__ import annotations
 
+import copyreg
+import io
 import math
 import pathlib
 import pickle
@@ -39,8 +49,7 @@ from repro.ckpt.store import (
     read_payload,
     write_checkpoint,
 )
-from repro.fluid.flowsim import FluidSimulator
-from repro.sim.network import PacketNetwork
+from repro.sim.link import Queue
 
 #: Payload file holding the pickled state bundle.
 STATE_PAYLOAD = "state.pkl"
@@ -67,21 +76,45 @@ class SimCheckpoint:
         return float(self.manifest.get("meta", {}).get("t", 0.0))
 
 
-def _engine_of(network) -> str:
-    if isinstance(network, PacketNetwork):
-        return "packet"
-    if isinstance(network, FluidSimulator):
-        return "fluid"
-    # Lazy: repro.hybrid imports repro.ckpt.rng, so a module-level
-    # import here would cycle through the package __init__.
-    from repro.hybrid.engine import HybridSimulator
+def dumps(obj: Any) -> bytes:
+    """Pickle ``obj`` with its queues' state in flat tables."""
+    queues: List[Queue] = []
 
-    if isinstance(network, HybridSimulator):
-        return "hybrid"
-    raise TypeError(
-        f"cannot checkpoint {type(network).__name__}; expected "
-        "PacketNetwork, FluidSimulator or HybridSimulator"
-    )
+    def shell(queue: Queue):
+        queues.append(queue)
+        return copyreg.__newobj__, (Queue,)
+
+    buffer = io.BytesIO()
+    encoder = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    # A dispatch_table entry costs a dict lookup per object; a
+    # reducer_override or persistent_id would cost a Python call.
+    encoder.dispatch_table = {**copyreg.dispatch_table, Queue: shell}
+    encoder.dump(obj)
+    done = 0
+    # A table can reach queues the object graph did not: loop until
+    # every shell has its row.
+    while done < len(queues):
+        batch = queues[done:]
+        done = len(queues)
+        encoder.dump([
+            (queue, [getattr(queue, name) for name in Queue.__slots__])
+            for queue in batch
+        ])
+    encoder.dump(None)
+    return buffer.getvalue()
+
+
+def loads(blob: bytes) -> Any:
+    """Rebuild an object graph written by :func:`dumps`."""
+    decoder = pickle.Unpickler(io.BytesIO(blob))
+    obj = decoder.load()
+    table = decoder.load()
+    while table is not None:
+        for queue, values in table:
+            for name, value in zip(Queue.__slots__, values):
+                setattr(queue, name, value)
+        table = decoder.load()
+    return obj
 
 
 def save(
@@ -97,8 +130,8 @@ def save(
 
     Args:
         root: checkpoint root; the snapshot lands in ``root/ckpt-<N>``.
-        network: a :class:`PacketNetwork`, :class:`FluidSimulator` or
-            :class:`~repro.hybrid.engine.HybridSimulator`.
+        network: any of the three engines; its ``kind`` goes into the
+            manifest.
         injector: the attached :class:`~repro.faults.FaultInjector`, if
             any.  Must be passed so its schedule position and refcounts
             are captured *in the same pickle* (aliasing with the
@@ -111,23 +144,19 @@ def save(
     Returns the checkpoint directory.  The write is crash-consistent:
     payloads first, manifest last, each via atomic rename.
     """
-    engine = _engine_of(network)
-    blob = pickle.dumps(
-        {
-            "network": network,
-            "injector": injector,
-            "rng": rng,
-            "extra": extra,
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+    blob = dumps({
+        "network": network,
+        "injector": injector,
+        "rng": rng,
+        "extra": extra,
+    })
     # claim_step (atomic mkdir) rather than a bare next_step: two
     # writers sharing a root -- e.g. a farm worker plus the stalled
     # worker it replaced -- land in distinct step directories.
     step, directory = claim_step(root)
     full_meta = {
         "kind": KIND_SIM,
-        "engine": engine,
+        "engine": network.kind,
         "t": network.now,
         "step": step,
         "records": len(network.records),
@@ -171,7 +200,7 @@ def restore(path: PathLike) -> SimCheckpoint:
         )
     blob = read_payload(path, STATE_PAYLOAD)
     try:
-        state = pickle.loads(blob)
+        state = loads(blob)
     except Exception as exc:
         raise CheckpointError(f"cannot unpickle {path}: {exc}")
     return SimCheckpoint(
@@ -213,8 +242,7 @@ def run_checkpointed(
     """
     if every <= 0:
         raise ValueError(f"checkpoint interval must be > 0, got {every}")
-    is_packet = isinstance(network, PacketNetwork)
-    _engine_of(network)  # type check up front
+    is_packet = network.kind == "packet"
     saved: List[pathlib.Path] = []
     while True:
         now = network.now
@@ -229,20 +257,14 @@ def run_checkpointed(
             if t_event is None:
                 # Heap drained: finish with horizon semantics (a plain
                 # run(until=...) still advances the clock there).
-                if math.isinf(until):
-                    network.run()
-                else:
-                    network.run(until=until)
+                network.run(until=until)
                 break
             if t_event >= t_next:
                 t_next = (math.floor(t_event / every) + 1) * every
         if t_next >= until:
             # Final segment: horizon semantics (fluid credits partial
             # progress at ``until``; packet sets the clock there).
-            if math.isinf(until):
-                network.run()
-            else:
-                network.run(until=until)
+            network.run(until=until)
             break
         if is_packet:
             network.run(until=t_next)
@@ -250,10 +272,7 @@ def run_checkpointed(
             # stop_after pauses at the first event boundary past t_next;
             # the horizon rides along so a boundary-free tail still gets
             # the exact delivered-bytes crediting at ``until``.
-            network.run(
-                until=None if math.isinf(until) else until,
-                stop_after=t_next,
-            )
+            network.run(until=until, stop_after=t_next)
         if not network.has_pending():
             break
         saved.append(save(

@@ -27,6 +27,7 @@ import hashlib
 import json
 import os
 import pathlib
+import pickle
 import re
 import shutil
 import tempfile
@@ -36,8 +37,10 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 #: encoding; readers refuse other versions.  v2: packet snapshots hold
 #: the one-event-per-packet queues and deadline retransmit timers.  v3:
 #: fluid and hybrid snapshots hold the fluid engine's active state as
-#: arrays, and the bridge's queue table as arrays.
-FORMAT_VERSION = 3
+#: arrays, and the bridge's queue table as arrays.  v4: simulator and
+#: shard-worker payloads hold queues as shells plus a flat state table
+#: (:func:`repro.ckpt.snapshot.dumps`).
+FORMAT_VERSION = 4
 
 MANIFEST_NAME = "MANIFEST.json"
 
@@ -387,6 +390,58 @@ def checkpoints_size_bytes(root: PathLike) -> int:
             if path.is_file():
                 total += path.stat().st_size
     return total
+
+
+# --- trial-progress containers ---------------------------------------------
+
+#: ``meta["kind"]`` of trial-progress containers, which hold one pickle
+#: mapping each completed trial's content hash to its result.  A
+#: single-host sweep writes ``"sweep"``, a farm run ``"farm"``; the
+#: payload is the same, so either resumes the other.
+KIND_SWEEP = "sweep"
+KIND_FARM = "farm"
+
+PROGRESS_PAYLOAD = "sweep.pkl"
+
+
+def write_progress(
+    root: PathLike,
+    done: Dict[str, Any],
+    total: int,
+    keep_last: Optional[int] = None,
+    kind: str = KIND_SWEEP,
+) -> None:
+    """Write the next trial-progress container under ``root``.
+
+    Several writers may share a root (farm hosts, or concurrent sweeps
+    on one machine), so the step is claimed atomically and pruning
+    skips manifest-less directories: a sibling's in-flight write looks
+    exactly like one.
+    """
+    __, directory = claim_step(root)
+    write_checkpoint(
+        directory,
+        {PROGRESS_PAYLOAD: pickle.dumps(
+            done, protocol=pickle.HIGHEST_PROTOCOL
+        )},
+        {"kind": kind, "completed": len(done), "total": total},
+    )
+    if keep_last is not None:
+        prune(root, keep_last, remove_invalid=False)
+
+
+def load_progress(root: PathLike) -> Dict[str, Any]:
+    """The completed-trial map from the newest valid container (or {})."""
+    chosen = latest(root)
+    if chosen is None:
+        return {}
+    kind = read_manifest(chosen).get("meta", {}).get("kind")
+    if kind not in (KIND_SWEEP, KIND_FARM):
+        raise CheckpointError(
+            f"{chosen} is a {kind!r} checkpoint, not trial progress "
+            f"(expected kind {KIND_SWEEP!r} or {KIND_FARM!r})"
+        )
+    return pickle.loads(read_payload(chosen, PROGRESS_PAYLOAD))
 
 
 def remove_oldest_until(

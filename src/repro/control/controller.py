@@ -3,17 +3,18 @@
 A :class:`Controller` samples per-subflow/per-plane state every
 ``interval`` simulated seconds (``PNET_CONTROL_INTERVAL``), feeds the
 :class:`~repro.control.monitor.ControlSample` to its
-:class:`~repro.control.policy.ResteerPolicy`, and applies the decisions
-through :mod:`repro.control.actions` -- abort+relaunch on the packet
-engine, in-place migrate on the fluid one, and per-flow routing between
-the two on a hybrid network.
+:class:`~repro.control.policy.ResteerPolicy`, and applies the decisions.
 
-It attaches to any of the three engines (:func:`repro.api.run_trial`'s
-``control=`` does this) through the clock all three share -- ``now``,
-``schedule(at, fn)``, ``has_pending()`` -- as a self-rescheduling
-timer, a picklable bound method: policy and monitor state ride
-:mod:`repro.ckpt` snapshots and a resumed run continues the loop
-byte-identically.
+It drives any of the three engines (:func:`repro.api.run_trial`'s
+``control=`` attaches it) through members all three share: the clock
+(``now``, ``schedule(at, fn)``, ``has_pending()``), ``control_rows()``
+for the sample and ``resteer(gid, paths)`` for each decision.  The
+engine moves the flow its own way -- abort and relaunch on the packet
+engine (a fresh flow id, which the controller re-keys), migration in
+place on the fluid one, and either per flow on a hybrid network.  The
+loop is a self-rescheduling timer, a picklable bound method: policy
+and monitor state ride :mod:`repro.ckpt` snapshots and a resumed run
+continues the loop byte-identically.
 
 Sharded runs do not attach a controller; the shard engine drives the
 same policy/monitor objects at its lookahead barriers (see
@@ -26,18 +27,10 @@ import os
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Union
 
-from repro.control import actions
-from repro.control.monitor import (
-    ControlMonitor,
-    sample_fluid_rows,
-    sample_packet_rows,
-)
+from repro.control.monitor import ControlMonitor
 from repro.control.policy import POLICIES, ResteerPolicy, make_policy
 from repro.core.pnet import PNet
-from repro.fluid.flowsim import FluidSimulator
-from repro.hybrid.engine import HybridSimulator
 from repro.obs import get_registry
-from repro.sim.network import PacketNetwork
 
 #: Default control period in simulated seconds -- one order above
 #: datacenter RTTs, the same ballpark as the DARD epoch.
@@ -129,9 +122,9 @@ class Controller:
         self.stats = ControlStats()
         self._network = None
         self._obs = None
-        #: Optional ``fn(old_fid, new_fid)`` observer for serial packet
-        #: resteers (the shard engine's one-shard path re-keys its
-        #: gid table through this).  Must be picklable if set.
+        #: Optional ``fn(old_gid, new_gid)`` observer for resteers that
+        #: change a flow's id (the shard engine's one-shard path re-keys
+        #: its gid table through this).  Must be picklable if set.
         self.on_rekey = None
 
     def fingerprint(self) -> Dict[str, Any]:
@@ -145,13 +138,6 @@ class Controller:
         """Start the loop on a serial engine's simulated clock."""
         if self._network is not None:
             raise RuntimeError("controller is already attached")
-        if not isinstance(
-            network, (PacketNetwork, FluidSimulator, HybridSimulator)
-        ):
-            raise TypeError(
-                f"cannot attach a controller to {type(network).__name__}; "
-                "expected PacketNetwork, FluidSimulator or HybridSimulator"
-            )
         if self.pnet is None:
             self.pnet = PNet(network.planes)
         self.policy.bind(self.pnet)
@@ -188,58 +174,21 @@ class Controller:
 
     def _sample(self, now: float):
         net = self._network
-        n_planes = len(net.planes)
-        if isinstance(net, PacketNetwork):
-            plane_cum, rows = sample_packet_rows(net)
-        elif isinstance(net, FluidSimulator):
-            plane_cum = None
-            rows = sample_fluid_rows(net)
-        else:  # hybrid: both sub-engines, ids namespaced per engine
-            plane_cum, rows = sample_packet_rows(
-                net.packet, gid_of=lambda fid: ("packet", fid)
-            )
-            rows += sample_fluid_rows(
-                net.fluid, gid_of=lambda fid: ("fluid", fid)
-            )
+        plane_cum, rows = net.control_rows()
         return self.monitor.ingest(
-            now, self.interval, n_planes, rows, plane_cum=plane_cum
+            now, self.interval, len(net.planes), rows, plane_cum=plane_cum
         )
 
     def _apply(self, decision) -> bool:
-        net = self._network
         gid = decision.gid
-        if isinstance(net, HybridSimulator):
-            engine, fid = gid
-            if engine == "packet":
-                return self._apply_packet(net.packet, fid, decision, gid)
-            return actions.migrate(net.fluid, fid, decision.paths)
-        if isinstance(net, FluidSimulator):
-            return actions.migrate(net, gid, decision.paths)
-        return self._apply_packet(net, gid, decision, gid)
-
-    def _apply_packet(self, net, fid: int, decision, gid) -> bool:
-        entry = _find_active(net, fid)
-        if entry is None:
+        new_gid = self._network.resteer(gid, decision.paths)
+        if new_gid is None:
             return False  # completed between sample and apply
-        source, spec = entry
-        # Relaunches happen at the tick instant; under a hybrid run the
-        # packet loop may sit exactly at the shared frontier, never past
-        # it, so the max is a no-op guard.
-        at = max(self._network.now, net.now)
-        new_source = actions.abort_and_relaunch(
-            net, fid, source, spec, decision.paths, at
-        )
-        if new_source is None:
-            return False
-        new_fid = net.flow_id_of(new_source)
-        if new_fid is not None:
-            new_gid = (
-                (gid[0], new_fid) if isinstance(gid, tuple) else new_fid
-            )
+        if new_gid != gid:
             self.policy.rekey(gid, new_gid)
             self.monitor.rekey(gid, new_gid)
             if self.on_rekey is not None:
-                self.on_rekey(fid, new_fid)
+                self.on_rekey(gid, new_gid)
         return True
 
 
@@ -257,11 +206,3 @@ def as_controller(control) -> Controller:
         f"control= expects a Controller, ResteerPolicy or policy name, "
         f"got {type(control).__name__}"
     )
-
-
-def _find_active(net, fid: int):
-    for flow_id, source, spec in net.active_flows():
-        if flow_id == fid:
-            return source, spec
-    return None
-

@@ -1,8 +1,9 @@
 """Per-subflow / per-plane state sampling for the control loop.
 
-The monitor is the measurement half of :mod:`repro.control`: engines
-(or shard workers) produce plain-dict *rows* describing their live
-flows, and :class:`ControlMonitor` turns consecutive snapshots into a
+The monitor is the measurement half of :mod:`repro.control`: each
+engine's ``control_rows()`` (which shard workers call too) produces
+plain-dict *rows* describing its live flows, and
+:class:`ControlMonitor` turns consecutive snapshots into a
 :class:`ControlSample` of per-tick byte progress -- the one vocabulary
 every :class:`~repro.control.policy.ResteerPolicy` consumes, regardless
 of engine.
@@ -96,72 +97,6 @@ class ControlSample:
         if not self.plane_load:
             return 0.0
         return left_sum(self.plane_load.values()) / len(self.plane_load)
-
-
-def packet_subflow_acked(source) -> List[int]:
-    """Cumulative per-subflow ACKed bytes of a packet source.
-
-    MPTCP sources expose one counter per subflow; plain TCP (and DCTCP)
-    sources are their own single subflow.
-    """
-    subflows = getattr(source, "subflows", None)
-    if subflows is not None:
-        return [int(sf.snd_una) for sf in subflows]
-    return [int(source.snd_una)]
-
-
-def sample_packet_rows(net, gid_of=None):
-    """Snapshot a :class:`~repro.sim.network.PacketNetwork`.
-
-    Returns ``(plane_cum, rows)``: cumulative per-plane forwarded bytes
-    and one ``"acked"`` row per live flow.  ``gid_of`` optionally maps
-    the network's flow ids to caller-stable ids (shard workers map to
-    global ids; the hybrid controller namespaces by engine).
-    """
-    plane_cum = {
-        plane: float(totals.get("bytes_forwarded", 0))
-        for plane, totals in net.plane_queue_totals().items()
-    }
-    rows = []
-    for fid, source, spec in net.active_flows():
-        if getattr(source, "completed", False):
-            continue
-        if getattr(source, "start_time", None) is None:
-            # Submitted but not started (spec.at is in the future):
-            # resteering it would relaunch -- and start -- it early.
-            continue
-        rows.append({
-            "gid": fid if gid_of is None else gid_of(fid),
-            "src": spec.src,
-            "dst": spec.dst,
-            "size": spec.size,
-            "paths": list(spec.paths),
-            "transport": spec.transport,
-            "tag": spec.tag,
-            "acked": packet_subflow_acked(source),
-        })
-    return plane_cum, rows
-
-
-def sample_fluid_rows(sim, gid_of=None):
-    """Snapshot a :class:`~repro.fluid.flowsim.FluidSimulator`.
-
-    One ``"rate"`` row per live flow, from the simulator's
-    ``active_subflow_views`` control hook.
-    """
-    rows = []
-    for fid, src, dst, size, paths, rates in sim.active_subflow_views():
-        rows.append({
-            "gid": fid if gid_of is None else gid_of(fid),
-            "src": src,
-            "dst": dst,
-            "size": size,
-            "paths": list(paths),
-            "transport": "tcp",
-            "tag": None,
-            "rate": [float(r) for r in rates],
-        })
-    return rows
 
 
 class ControlMonitor:

@@ -5,8 +5,8 @@ ControlSample` per tick and returns :class:`ResteerDecision` s -- flow
 id plus the new (plane, path) set.  Policies are deterministic pure
 state machines over the sample stream: seeded, picklable (their state
 rides checkpoints), and engine-agnostic (they never touch a simulator;
-the controller or shard engine applies their decisions through
-:mod:`repro.control.actions`).
+the controller has the engine resteer the flow, and the shard engine
+relaunches it in the owning worker).
 
 Built-ins, resolvable by name through :func:`make_policy` (and the
 ``PNET_CONTROL_POLICY`` environment knob):
@@ -34,8 +34,8 @@ import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import left_sum
-from repro.control.actions import same_paths
 from repro.core.failures import path_is_live
+from repro.core.flowspec import same_paths
 from repro.core.path_selection import KspMultipathPolicy
 from repro.core.pnet import PlanePath, PNet
 from repro.routing.ecmp import flow_hash

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence, Set, Tuple
 
-from repro.control.actions import clamp_transport
 from repro.control.controller import Controller, ControlStats
 from repro.control.monitor import ControlMonitor
-from repro.core.flowspec import FlowSpec
+from repro.core.flowspec import FlowSpec, clamp_transport
 from repro.core.pnet import PNet
 
 

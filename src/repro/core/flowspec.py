@@ -93,6 +93,25 @@ class FlowSpec:
         kwargs.update(changes)
         return FlowSpec(**kwargs)
 
+    def relaunch(
+        self, size: float, paths: Sequence[PlanePath], at: float
+    ) -> "FlowSpec":
+        """The spec that re-launches this flow's remainder on new paths.
+
+        Endpoints, tag, transport and completion callback carry over;
+        the paths are clamped to what the transport can drive.
+        """
+        return FlowSpec(
+            src=self.src,
+            dst=self.dst,
+            size=size,
+            paths=clamp_transport(self.transport, paths),
+            at=at,
+            tag=self.tag,
+            transport=self.transport,
+            on_complete=self.on_complete,
+        )
+
     def __repr__(self) -> str:
         return (
             f"FlowSpec(src={self.src!r}, dst={self.dst!r}, "
@@ -108,6 +127,28 @@ class FlowSpec:
             getattr(self, name) == getattr(other, name)
             for name in self.__slots__
         )
+
+
+def clamp_transport(
+    transport: str, paths: Sequence[PlanePath]
+) -> List[PlanePath]:
+    """Truncate a path set to what the transport can actually drive.
+
+    DCTCP here is single-path: a relaunch onto several paths would
+    silently upgrade it to MPTCP, so it keeps only the first.
+    """
+    paths = list(paths)
+    if transport == "dctcp" and len(paths) > 1:
+        return paths[:1]
+    return paths
+
+
+def same_paths(a: Sequence[PlanePath], b: Sequence[PlanePath]) -> bool:
+    """Whether two selections name the same (plane, path) sets."""
+    canon = lambda paths: sorted(  # noqa: E731
+        (plane, tuple(p)) for plane, p in paths
+    )
+    return canon(a) == canon(b)
 
 
 def check_flow_spec(spec: Any) -> None:

@@ -2,7 +2,7 @@
 
 "Existing systems will need to merge flow statistics from multiple
 dataplanes to accurately describe the network state."  This module is
-that merge layer: it ingests per-flow records from either simulator and
+that merge layer: it ingests per-flow records from any engine and
 per-queue counters from the packet simulator, attributes them to planes,
 and answers the operator questions the paper raises -- per-plane load
 balance, loss concentration, and misbehaving-plane detection.
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.analysis.stats import Summary, summarize
-from repro.sim.network import PacketNetwork
 
 
 @dataclass
@@ -54,13 +53,14 @@ class NetworkMonitor:
 
     @classmethod
     def from_network(
-        cls, network: PacketNetwork, n_planes: Optional[int] = None
+        cls, network, n_planes: Optional[int] = None
     ) -> "NetworkMonitor":
-        """Monitor built from a finished packet simulation.
+        """Monitor built from a finished run of any engine.
 
-        Flow records carry their plane usage (``SimFlowRecord.planes``),
-        so no manual per-flow registration is needed: this ingests every
-        completed flow plus the per-queue counters in one call.
+        Flow records carry their plane usage (``record.planes``), so no
+        manual per-flow registration is needed: this ingests every
+        completed flow plus the engine's ``queue_stats()`` (none on the
+        fluid engine, the packet side's on the hybrid one) in one call.
         """
         monitor = cls(n_planes if n_planes is not None else len(network.planes))
         monitor.ingest_network(network)
@@ -78,7 +78,7 @@ class NetworkMonitor:
 
     # --- ingestion ----------------------------------------------------------
 
-    def ingest_network(self, network: PacketNetwork) -> None:
+    def ingest_network(self, network) -> None:
         """Ingest all flow records and queue counters of a simulation."""
         for record in network.records:
             self.record_flow(record.planes, record.size, record.fct)
@@ -115,8 +115,8 @@ class NetworkMonitor:
             stats.bytes_carried += share
             stats.fcts.append(fct)
 
-    def ingest_queue_counters(self, network: PacketNetwork) -> None:
-        """Pull per-queue forward/drop counters from a packet simulation.
+    def ingest_queue_counters(self, network) -> None:
+        """Pull per-queue forward/drop counters from an engine.
 
         Queue names are ``p{plane}:{u}->{v}``, so attribution is direct.
         """

@@ -32,29 +32,16 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import control
 from repro.ckpt.store import (
-    CheckpointError,
-    claim_step,
-    latest,
-    prune,
-    read_manifest,
-    read_payload,
-    write_checkpoint,
+    KIND_FARM,
+    KIND_SWEEP,
+    load_progress,
+    write_progress,
 )
 from repro.exp import cache as _cache
 from repro.obs import get_registry
 from repro.shard.partition import get_epoch, get_lookahead, get_shards
 
 _MISS = object()
-
-#: ``meta["kind"]`` of sweep-progress checkpoints: one pickle mapping
-#: each completed trial's content hash to its result.
-KIND_SWEEP = "sweep"
-
-#: ``meta["kind"]`` of farm-run progress containers -- same payload as
-#: sweep checkpoints, written by the dispatcher of a ``farm=`` run.
-KIND_FARM = "farm"
-
-SWEEP_PAYLOAD = "sweep.pkl"
 
 
 @dataclass(frozen=True)
@@ -331,48 +318,6 @@ def get_checkpoint_keep(override: Optional[int] = None) -> Optional[int]:
     return override
 
 
-def _load_sweep_checkpoint(root) -> Dict[str, Any]:
-    """The completed-trial map from the newest valid checkpoint (or {}).
-
-    Sweep (single-host) and farm (dispatcher-written) progress
-    containers carry the same payload and resume interchangeably.
-    """
-    chosen = latest(root)
-    if chosen is None:
-        return {}
-    meta = read_manifest(chosen).get("meta", {})
-    if meta.get("kind") not in (KIND_SWEEP, KIND_FARM):
-        raise CheckpointError(
-            f"{chosen} is a {meta.get('kind')!r} checkpoint, not sweep "
-            "progress; point PNET_CKPT_DIR at a sweep checkpoint root"
-        )
-    return pickle.loads(read_payload(chosen, SWEEP_PAYLOAD))
-
-
-def _write_sweep_checkpoint(
-    root,
-    done: Dict[str, Any],
-    total: int,
-    keep_last: Optional[int],
-    kind: str = KIND_SWEEP,
-) -> None:
-    # claim_step (atomic mkdir) + manifest-respecting prune: several
-    # sweeps may share a checkpoint root (farm hosts, or plain
-    # concurrent runs on one machine), and a writer must neither reuse
-    # a sibling's step number nor prune away its in-flight (still
-    # manifest-less) directory.
-    __, directory = claim_step(root)
-    write_checkpoint(
-        directory,
-        {SWEEP_PAYLOAD: pickle.dumps(
-            done, protocol=pickle.HIGHEST_PROTOCOL
-        )},
-        {"kind": kind, "completed": len(done), "total": total},
-    )
-    if keep_last is not None:
-        prune(root, keep_last, remove_invalid=False)
-
-
 def run_trials(
     specs: Sequence[TrialSpec],
     jobs: Optional[int] = None,
@@ -451,7 +396,7 @@ def run_trials(
         for spec in specs
     }
     done: Dict[str, Any] = (
-        _load_sweep_checkpoint(checkpoint_dir)
+        load_progress(checkpoint_dir)
         if resume and checkpoint_dir is not None else {}
     )
     pending: List[TrialSpec] = []
@@ -483,7 +428,7 @@ def run_trials(
             checkpoint_every is not None
             and fresh % checkpoint_every == 0
         ):
-            _write_sweep_checkpoint(
+            write_progress(
                 checkpoint_dir, done, len(specs), checkpoint_keep_last,
                 kind=progress_kind,
             )
@@ -536,7 +481,7 @@ def run_trials(
     if checkpoint_every is not None and fresh % checkpoint_every != 0:
         # Final partial interval: a completed sweep's checkpoint lets a
         # superset sweep resume from everything computed here.
-        _write_sweep_checkpoint(
+        write_progress(
             checkpoint_dir, done, len(specs), checkpoint_keep_last,
             kind=progress_kind,
         )

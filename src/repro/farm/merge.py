@@ -10,9 +10,10 @@ when they computed the very same trial, and then the values must agree
 byte-for-byte.  That is what makes a farm run's merged output
 byte-identical to a single-host run at any host/worker/job count.
 
-Farm progress containers use ``kind="farm"``; readers here (and the
-sweep resume path) accept ``"sweep"`` and ``"farm"`` interchangeably --
-they carry the same payload, the kind records who wrote them.
+Farm progress containers are :mod:`repro.ckpt.store`'s trial-progress
+containers with ``kind="farm"``; one reader takes ``"sweep"`` and
+``"farm"`` alike -- they carry the same payload, the kind records who
+wrote them.
 """
 
 from __future__ import annotations
@@ -20,40 +21,9 @@ from __future__ import annotations
 import pickle
 from typing import Any, Dict, Iterable, Optional
 
-from repro.ckpt.store import (
-    CheckpointError,
-    claim_step,
-    latest,
-    prune,
-    read_manifest,
-    read_payload,
-    write_checkpoint,
-)
+from repro.ckpt import store
+from repro.ckpt.store import KIND_FARM, load_progress  # noqa: F401
 from repro.farm.inventory import FarmError
-
-#: ``meta["kind"]`` of farm progress containers.
-KIND_FARM = "farm"
-
-#: Payload name; shared with the sweep container so either reader works.
-PROGRESS_PAYLOAD = "sweep.pkl"
-
-#: Kinds that carry a {content hash -> result} progress payload.
-PROGRESS_KINDS = ("sweep", KIND_FARM)
-
-
-def load_progress(root) -> Dict[str, Any]:
-    """The completed-trial map from the newest valid container (or {})."""
-    chosen = latest(root)
-    if chosen is None:
-        return {}
-    meta = read_manifest(chosen).get("meta", {})
-    kind = meta.get("kind")
-    if kind not in PROGRESS_KINDS:
-        raise CheckpointError(
-            f"{chosen} is a {kind!r} checkpoint, not trial progress "
-            f"(expected kind {' or '.join(map(repr, PROGRESS_KINDS))})"
-        )
-    return pickle.loads(read_payload(chosen, PROGRESS_PAYLOAD))
 
 
 def merge_progress(maps: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
@@ -88,22 +58,9 @@ def write_progress(
     total: int,
     keep_last: Optional[int] = None,
 ) -> None:
-    """Write one farm progress container under ``root`` (concurrency-safe).
-
-    Steps are claimed atomically (``claim_step``) so concurrent writers
-    on a shared filesystem never collide, and pruning skips manifest-less
-    directories (a sibling's in-flight write looks exactly like one).
-    """
-    step, directory = claim_step(root)
-    write_checkpoint(
-        directory,
-        {PROGRESS_PAYLOAD: pickle.dumps(
-            done, protocol=pickle.HIGHEST_PROTOCOL
-        )},
-        {"kind": KIND_FARM, "completed": len(done), "total": total},
-    )
-    if keep_last is not None:
-        prune(root, keep_last, remove_invalid=False)
+    """Write one farm progress container under ``root``
+    (:func:`repro.ckpt.store.write_progress` with ``kind="farm"``)."""
+    store.write_progress(root, done, total, keep_last, kind=KIND_FARM)
 
 
 def merge_roots(roots: Iterable, out_root=None) -> Dict[str, Any]:

@@ -88,10 +88,10 @@ def demo_trial(
 
     flows = _flows(n_flows, size_mb, seed)
     on_checkpoint = None
-    if wall_pause > 0:
-        def on_checkpoint(_path, _pause=wall_pause):
-            time.sleep(_pause)
     if checkpoint_dir is not None:
+        if wall_pause > 0:
+            def on_checkpoint(_path, _pause=wall_pause):
+                time.sleep(_pause)
         if checkpoint_every is None:
             checkpoint_every = DEFAULT_EVERY
         from repro.ckpt.store import latest

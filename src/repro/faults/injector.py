@@ -4,7 +4,11 @@
 FaultSchedule` against a :class:`~repro.sim.network.PacketNetwork` or a
 :class:`~repro.fluid.flowsim.FluidSimulator`, as timers on the engine's
 simulated clock (``schedule``), keeping three layers consistent on every
-event:
+event.  It needs nothing else of the engine but ``fail_link`` /
+``restore_link``, ``active_flow_paths()``, ``abort_flow`` and
+``resteer``, which both engines answer the same way.  The hybrid engine
+is refused: its flow ids are ``(engine, fid)`` pairs, and selectors
+hash plain ids.
 
 1. **Topology** -- element events expand to link sets (a switch fails
    all its incident links; a plane fails every link it has) applied
@@ -19,8 +23,9 @@ event:
    shorten).  Policies with private memos are invalidated through
    their ``invalidate()`` hook.
 3. **Flows** -- after a detection delay, flows with subflows on dead
-   paths are resteered (packet sim: abort + relaunch the un-ACKed
-   remainder; fluid sim: migrate) using the configured selector --
+   paths are resteered (the engine's ``resteer``: the packet engine
+   relaunches the un-ACKed remainder, the fluid one migrates the flow
+   in place) using the configured selector --
    typically a :class:`~repro.core.failures.FailureAwareSelector` --
    or stranded (aborted and counted) when fully partitioned.  On
    restore, flows are optionally rebalanced back onto recovered paths.
@@ -35,16 +40,12 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.control import actions as resteer_actions
-from repro.control.actions import same_paths as _same_paths
 from repro.core.failures import path_is_live
+from repro.core.flowspec import same_paths
 from repro.core.pnet import PlanePath, PNet
 from repro.faults.schedule import FaultEvent, FaultSchedule
-from repro.fluid.flowsim import FluidSimulator
 from repro.obs import get_registry
 from repro.routing.tables import ForwardingTable
-from repro.sim.network import PacketNetwork
-from repro.topology.graph import link_key
 
 #: Default failure-detection delay (link-status propagation to hosts).
 DEFAULT_DETECTION_DELAY = 1e-3
@@ -143,10 +144,10 @@ class FaultInjector:
         """
         if self._network is not None:
             raise RuntimeError("injector is already attached")
-        if not isinstance(network, (PacketNetwork, FluidSimulator)):
+        if not hasattr(network, "active_flow_paths"):
             raise TypeError(
                 f"cannot attach to {type(network).__name__}; expected "
-                "PacketNetwork or FluidSimulator"
+                "a packet or fluid engine"
             )
         for plane, sim_plane in zip(self.pnet.planes, network.planes):
             if plane is not sim_plane:
@@ -176,21 +177,6 @@ class FaultInjector:
 
     # --- event application --------------------------------------------------
 
-    def _event_links(self, event: FaultEvent) -> List[Tuple[str, str]]:
-        """The undirected link keys an event targets, in stable order."""
-        plane = self.pnet.planes[event.plane]
-        if event.u is not None:
-            return [link_key(event.u, event.v)]
-        if event.node is not None:
-            return [
-                l.key for l in plane.incident_links(event.node, live_only=False)
-            ]
-        if event.host is not None:
-            return [
-                l.key for l in plane.incident_links(event.host, live_only=False)
-            ]
-        return [l.key for l in plane.links]
-
     def _fail(self, plane_idx: int, u: str, v: str) -> None:
         if self._network is None:
             self.pnet.planes[plane_idx].fail_link(u, v)
@@ -211,14 +197,11 @@ class FaultInjector:
     def _apply(self, event: FaultEvent) -> None:
         obs = self.obs
         plane_idx = event.plane
-        changed: List[Tuple[str, str]] = []
+        changed = event.hold(
+            self.pnet.planes[plane_idx], self._down_count,
+            self._fail, self._restore,
+        )
         if event.is_down:
-            for key in self._event_links(event):
-                count = self._down_count.get((plane_idx, key), 0)
-                self._down_count[(plane_idx, key)] = count + 1
-                if count == 0:
-                    self._fail(plane_idx, *key)
-                    changed.append(key)
             self.stats.links_failed += len(changed)
             repair = self.pnet.repair_after_failure(plane_idx, changed)
             self.stats.routes_kept += repair.kept
@@ -233,14 +216,6 @@ class FaultInjector:
                     repair.reenumerated
                 )
         else:
-            for key in self._event_links(event):
-                count = self._down_count.get((plane_idx, key), 0)
-                if count == 0:
-                    continue  # not held down by this injector
-                self._down_count[(plane_idx, key)] = count - 1
-                if count == 1:
-                    self._restore(plane_idx, *key)
-                    changed.append(key)
             self.stats.links_restored += len(changed)
             if changed:
                 # Restores can shorten paths: survivors of a filter would
@@ -310,13 +285,6 @@ class FaultInjector:
                 return [(plane_idx, options[0])]
         return []
 
-    def _react(self, t_event: float, rebalance: bool) -> None:
-        net = self._network
-        if isinstance(net, PacketNetwork):
-            self._react_packet(net, t_event, rebalance)
-        else:
-            self._react_fluid(net, t_event, rebalance)
-
     def _observe_reroute(self, latency: float) -> None:
         self.stats.flows_resteered += 1
         if self.obs.enabled:
@@ -328,47 +296,22 @@ class FaultInjector:
         if self.obs.enabled:
             self.obs.counter("faults.flows_stranded").inc()
 
-    def _react_packet(
-        self, net: PacketNetwork, t_event: float, rebalance: bool
-    ) -> None:
+    def _react(self, t_event: float, rebalance: bool) -> None:
+        net = self._network
         now = net.now
-        for flow_id, source, spec in net.active_flows():
-            if getattr(source, "completed", False):
-                continue
-            live = [pp for pp in spec.paths if path_is_live(self.pnet, pp)]
-            if len(live) == len(spec.paths):
-                if not rebalance:
-                    continue
-                new_paths = self._pick_paths(spec.src, spec.dst, flow_id, live)
-                if not new_paths or _same_paths(new_paths, spec.paths):
-                    continue
-            else:
-                new_paths = self._pick_paths(spec.src, spec.dst, flow_id, live)
-            relaunched = resteer_actions.abort_and_relaunch(
-                net, flow_id, source, spec, new_paths, now
-            )
-            if relaunched is None:
-                self._strand()
-                continue
-            self._observe_reroute(now - t_event)
-
-    def _react_fluid(
-        self, sim: FluidSimulator, t_event: float, rebalance: bool
-    ) -> None:
-        now = sim.now
-        for flow_id, src, dst, paths in sim.active_flow_paths():
+        for flow_id, src, dst, paths in net.active_flow_paths():
             live = [pp for pp in paths if path_is_live(self.pnet, pp)]
             if len(live) == len(paths):
                 if not rebalance:
                     continue
                 new_paths = self._pick_paths(src, dst, flow_id, live)
-                if not new_paths or _same_paths(new_paths, paths):
+                if not new_paths or same_paths(new_paths, paths):
                     continue
             else:
                 new_paths = self._pick_paths(src, dst, flow_id, live)
             if not new_paths:
-                sim.abort_flow(flow_id)
+                net.abort_flow(flow_id)
                 self._strand()
                 continue
-            if resteer_actions.migrate(sim, flow_id, new_paths):
+            if net.resteer(flow_id, new_paths) is not None:
                 self._observe_reroute(now - t_event)

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.topology.graph import HOST
+from repro.topology.graph import HOST, link_key
 
 #: Event kinds, as ``(element, transition)`` pairs.
 LINK_DOWN = "link_down"
@@ -93,6 +93,43 @@ class FaultEvent:
     @property
     def is_down(self) -> bool:
         return self.kind.endswith("_down")
+
+    def links(self, plane) -> List[Tuple[str, str]]:
+        """The undirected link keys this event targets on ``plane`` (the
+        event's plane Topology), in stable order."""
+        if self.u is not None:
+            return [link_key(self.u, self.v)]
+        node = self.node if self.node is not None else self.host
+        if node is not None:
+            return [
+                l.key for l in plane.incident_links(node, live_only=False)
+            ]
+        return [l.key for l in plane.links]
+
+    def hold(self, plane, held, fail, restore) -> List[Tuple[str, str]]:
+        """Apply this event to reference-counted link holds.
+
+        ``held`` maps ``(plane index, link key)`` to the number of down
+        events holding that link failed, so overlapping events compose:
+        a down event fails a link on its first hold, and an up event
+        restores it on releasing the last hold (links it does not hold
+        are left alone).  ``fail`` and ``restore`` are called as
+        ``fn(plane_idx, u, v)``.  Returns the keys that changed state.
+        """
+        changed = []
+        for key in self.links(plane):
+            count = held.get((self.plane, key), 0)
+            if self.is_down:
+                held[(self.plane, key)] = count + 1
+                if count == 0:
+                    fail(self.plane, *key)
+                    changed.append(key)
+            elif count:
+                held[(self.plane, key)] = count - 1
+                if count == 1:
+                    restore(self.plane, *key)
+                    changed.append(key)
+        return changed
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready dict with only the fields the kind uses."""

@@ -15,7 +15,7 @@ prohibitively slow in pure Python, so bulk-transfer experiments
 
 Workload code builds the engine with ``repro.api.build_network(planes,
 kind="fluid")`` so trials stay engine-agnostic (hybrid fidelity,
-registry dispatch, uniform checkpointing).  Internal wiring that
+one run surface, uniform checkpointing).  Internal wiring that
 genuinely needs the class imports it from :mod:`repro.fluid.flowsim`.
 """
 

@@ -45,7 +45,9 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -64,6 +66,8 @@ _EPS = 1e-9
 @dataclass
 class FlowRecord:
     """Result of one completed flow."""
+
+    fidelity: ClassVar[str] = "fluid"
 
     flow_id: int
     src: str
@@ -146,6 +150,9 @@ class FluidSimulator:
             (a no-op unless one was attached).  Iteration counts and
             high-water marks are published after each :meth:`run`.
     """
+
+    #: The engine's name in :func:`repro.api.build_network`.
+    kind: ClassVar[str] = "fluid"
 
     #: True while every active subflow's ``rate`` is the max-min solution
     #: of the current inputs (active flows, their paths and caps, link
@@ -298,13 +305,6 @@ class FluidSimulator:
         """Whether any flow, arrival or timer is left."""
         return bool(self._active or self._arrivals or self._timers)
 
-    def active_flows(self) -> List[Tuple[int, str, str, float]]:
-        """(flow_id, src, dst, current total rate) of in-flight flows."""
-        return [
-            (f.flow_id, f.src, f.dst, rate)
-            for f, rate in zip(self._active, self._flow_rate.tolist())
-        ]
-
     def active_flow_paths(self) -> List[Tuple[int, str, str, List[PlanePath]]]:
         """(flow_id, src, dst, subflow paths) of in-flight flows.
 
@@ -315,20 +315,34 @@ class FluidSimulator:
             (f.flow_id, f.src, f.dst, list(f.paths)) for f in self._active
         ]
 
-    def active_subflow_views(self):
-        """(flow_id, src, dst, size, paths, per-subflow rates) of
-        in-flight flows -- the control plane's sampling hook."""
+    def control_rows(self, gid_of: Optional[Callable[[int], Any]] = None):
+        """The control loop's snapshot: ``(None, rows)``.
+
+        One ``"rate"`` row per in-flight flow with its subflows' current
+        rates (see :mod:`repro.control.monitor`); the fluid model has no
+        plane counters.  ``gid_of`` maps flow ids to the caller's ids.
+        """
         rates = self._rate.tolist()
-        views = []
+        rows = []
         start = 0
         for f in self._active:
             stop = start + len(f.subflows)
-            views.append(
-                (f.flow_id, f.src, f.dst, f.size, list(f.paths),
-                 rates[start:stop])
-            )
+            rows.append({
+                "gid": f.flow_id if gid_of is None else gid_of(f.flow_id),
+                "src": f.src,
+                "dst": f.dst,
+                "size": f.size,
+                "paths": list(f.paths),
+                "transport": "tcp",
+                "tag": None,
+                "rate": rates[start:stop],
+            })
             start = stop
-        return views
+        return None, rows
+
+    def queue_stats(self) -> Dict[str, Tuple[int, int]]:
+        """Per-queue counters: none, the fluid model has no queues."""
+        return {}
 
     def aggregate_rate(self) -> float:
         """Total delivery rate of all active flows, bits/s."""
@@ -401,6 +415,15 @@ class FluidSimulator:
         self._flow_rate[pos] = left_sum([share] * len(subflows))
         self._rates_current = False
         return True
+
+    def resteer(
+        self, flow_id: int, paths: Sequence[PlanePath]
+    ) -> Optional[int]:
+        """Move a live flow onto ``paths`` in place (:meth:`migrate_flow`).
+
+        Returns the same flow id, or None when the flow is gone.
+        """
+        return flow_id if self.migrate_flow(flow_id, paths) else None
 
     def abort_flow(self, flow_id: int) -> bool:
         """Drop an active flow without completing it (no record).
@@ -694,11 +717,13 @@ class FluidSimulator:
 
     def run(
         self,
-        until: Optional[float] = None,
+        until: Optional[float] = math.inf,
         max_events: int = 10_000_000,
         stop_after: Optional[float] = None,
     ) -> List[FlowRecord]:
         """Run to completion (or ``until``); returns all flow records.
+
+        ``until=None`` is the same as ``math.inf``.
 
         ``stop_after`` pauses the engine at the first *event boundary* at
         or past that time, without the horizon crediting ``until``

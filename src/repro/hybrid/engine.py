@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence
 
 from repro.core.flowspec import FlowSpec, check_flow_spec
 from repro.fluid.flowsim import FluidSimulator
@@ -84,6 +84,9 @@ class HybridSimulator:
             packet engine, ``slow_start``/``initial_window`` to the
             fluid engine, ``mss`` to both.
     """
+
+    #: The engine's name in :func:`repro.api.build_network`.
+    kind: ClassVar[str] = "hybrid"
 
     def __init__(
         self,
@@ -210,6 +213,35 @@ class HybridSimulator:
         """Bytes delivered across both engines (completed + in-flight)."""
         return self.packet.delivered_bytes + self.fluid.delivered_bytes
 
+    def queue_stats(self):
+        """Per-queue (packets forwarded, drops) of the packet side."""
+        return self.packet.queue_stats()
+
+    def control_rows(self, gid_of: Optional[Callable[[Any], Any]] = None):
+        """Both engines' control snapshots, ids namespaced per engine.
+
+        Flow ids become ``("packet", fid)`` or ``("fluid", fid)`` in the
+        sub-engine's id space (then mapped by ``gid_of``); the plane
+        counters are the packet side's.
+        """
+        plane_cum, rows = self.packet.control_rows(lambda f: (PACKET, f))
+        rows += self.fluid.control_rows(lambda f: (FLUID, f))[1]
+        if gid_of is not None:
+            for row in rows:
+                row["gid"] = gid_of(row["gid"])
+        return plane_cum, rows
+
+    def resteer(self, gid, paths) -> Optional[tuple]:
+        """Move a live flow, named ``(engine, fid)``, onto ``paths``.
+
+        The flow's own engine resteers it; returns its new
+        ``(engine, fid)``, or None when the flow is gone.
+        """
+        engine, fid = gid
+        sub = self.packet if engine == PACKET else self.fluid
+        new_fid = sub.resteer(fid, paths)
+        return None if new_fid is None else (engine, new_fid)
+
     def fidelity_counts(self) -> Dict[str, int]:
         """How many flows run at each fidelity."""
         counts = {PACKET: 0, FLUID: 0}
@@ -221,11 +253,13 @@ class HybridSimulator:
 
     def run(
         self,
-        until: Optional[float] = None,
+        until: Optional[float] = math.inf,
         max_events: int = 10_000_000,
         stop_after: Optional[float] = None,
     ) -> List[Any]:
         """Co-simulate to completion (or ``until``); returns records.
+
+        ``until=None`` is the same as ``math.inf``.
 
         Mirrors the fluid engine's signature so the checkpoint driver
         treats both uniformly: ``stop_after`` pauses at the first co-sim

@@ -29,6 +29,7 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.ckpt.snapshot import dumps
 from repro.ckpt.store import (
     CheckpointError,
     latest,
@@ -75,7 +76,7 @@ class ShardSafetyError(RuntimeError):
 
 
 #: ``meta["kind"]`` of checkpoints the shard engine writes: one payload
-#: per worker (the worker pickles itself at an epoch barrier) plus
+#: per worker (the worker encodes itself at an epoch barrier) plus
 #: ``engine.pkl`` holding the barrier-loop state.
 KIND_SHARD = "shard"
 
@@ -85,7 +86,7 @@ def _write_shard_checkpoint(
 ) -> pathlib.Path:
     """Write one ``kind="shard"`` checkpoint: worker blobs + engine state.
 
-    ``blobs`` are the workers' pickles in shard order, taken at a
+    ``blobs`` are the encoded workers in shard order, taken at a
     barrier where every worker is quiescent (its event loop stopped at
     ``state["t"]``), so together with the engine's own loop ``state``
     they form a globally consistent cut.  Both the multi-shard loop and
@@ -914,7 +915,7 @@ def _run_serial_packet(
                 break
             _write_shard_checkpoint(
                 checkpoint_dir,
-                [pickle.dumps(worker, protocol=pickle.HIGHEST_PROTOCOL)],
+                [dumps(worker)],
                 {
                     "t": t,
                     "rounds": 0,

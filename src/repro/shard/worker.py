@@ -24,19 +24,18 @@ cross-plane and stay serial; see
 from __future__ import annotations
 
 import functools
-import pickle
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.control.monitor import sample_packet_rows
+from repro.ckpt.snapshot import dumps, loads
 from repro.core.flowspec import FlowSpec
 from repro.faults.schedule import FaultEvent
 from repro.obs import NULL_REGISTRY, Registry
 from repro.shard.coupling import PartialMptcpSource
 from repro.shard.partition import ShardPlan
 from repro.sim.network import PacketNetwork
-from repro.topology.graph import Topology, link_key
+from repro.topology.graph import Topology
 
 
 @dataclass
@@ -63,9 +62,9 @@ class WorkerConfig:
     #: one-shard path injects the caller's registry here so telemetry
     #: is byte-identical to a plain un-sharded run.
     obs_registry: Optional[Registry] = None
-    #: A pickled worker from a prior ``("snapshot",)`` reply.  When set,
-    #: :func:`build_worker` unpickles it instead of constructing fresh
-    #: state, resuming the worker mid-run (see :mod:`repro.ckpt`).
+    #: An encoded worker from a prior ``("snapshot",)`` reply.  When
+    #: set, :func:`build_worker` decodes it instead of constructing
+    #: fresh state, resuming the worker mid-run (see :mod:`repro.ckpt`).
     restore_blob: Optional[bytes] = None
 
 
@@ -126,31 +125,11 @@ class PacketShardWorker:
 
     # --- fault application ---------------------------------------------------
 
-    def _event_links(self, event: FaultEvent) -> List[Tuple[str, str]]:
-        plane = self.net.planes[event.plane]
-        if event.u is not None:
-            return [link_key(event.u, event.v)]
-        node = event.node if event.node is not None else event.host
-        if node is not None:
-            return [
-                l.key for l in plane.incident_links(node, live_only=False)
-            ]
-        return [l.key for l in plane.links]
-
     def _apply_fault(self, event: FaultEvent) -> None:
-        plane_idx = event.plane
-        for key in self._event_links(event):
-            count = self._down_count.get((plane_idx, key), 0)
-            if event.is_down:
-                self._down_count[(plane_idx, key)] = count + 1
-                if count == 0:
-                    self.net.fail_link(plane_idx, *key)
-            else:
-                if count == 0:
-                    continue  # not held down by this schedule
-                self._down_count[(plane_idx, key)] = count - 1
-                if count == 1:
-                    self.net.restore_link(plane_idx, *key)
+        event.hold(
+            self.net.planes[event.plane], self._down_count,
+            self.net.fail_link, self.net.restore_link,
+        )
 
     # --- barrier protocol ----------------------------------------------------
 
@@ -193,8 +172,8 @@ class PacketShardWorker:
         local_planes = set(
             self.config.plan.planes_of_shard[self.config.shard]
         )
-        plane_cum, rows = sample_packet_rows(
-            self.net, gid_of=lambda fid: self._local_gids[fid]
+        plane_cum, rows = self.net.control_rows(
+            gid_of=lambda fid: self._local_gids[fid]
         )
         return {
             "plane_cum": {
@@ -254,7 +233,7 @@ def build_worker(config: WorkerConfig):
         # the first segment's counters); callers that injected a live
         # registry absorb the worker's state after the run instead of
         # swapping it out, which would orphan net.obs publications.
-        return pickle.loads(config.restore_blob)
+        return loads(config.restore_blob)
     return PacketShardWorker(config)
 
 
@@ -283,12 +262,10 @@ def handle_message(worker, message: Tuple) -> Tuple:
             __, aborts, launches = message
             return ("control", worker.control_apply(aborts, launches))
         if tag == "snapshot":
-            # The worker pickles *itself* -- event heap, transport
+            # The worker encodes *itself* -- event heap, transport
             # state, fault refcounts and telemetry in one graph -- so a
             # restored worker resumes byte-identically.
-            return ("snapshot", pickle.dumps(
-                worker, protocol=pickle.HIGHEST_PROTOCOL
-            ))
+            return ("snapshot", dumps(worker))
         if tag == "stop":
             return ("result", worker.result())
         raise ValueError(f"unknown shard message {tag!r}")

@@ -19,7 +19,7 @@ queueing, slow start, and retransmissions matter packet by packet.
 
 Workload code builds the engine with ``repro.api.build_network(planes,
 kind="packet")`` so trials stay engine-agnostic (hybrid fidelity,
-registry dispatch, uniform checkpointing).  Internal wiring that
+one run surface, uniform checkpointing).  Internal wiring that
 genuinely needs the class imports it from :mod:`repro.sim.network`.
 """
 

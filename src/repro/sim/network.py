@@ -20,7 +20,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.flowspec import FlowSpec, check_flow_spec
 from repro.core.pnet import PlanePath
@@ -36,6 +38,8 @@ from repro.units import DEFAULT_MIN_RTO, DEFAULT_QUEUE_PACKETS, MSS
 @dataclass
 class SimFlowRecord:
     """Result of one packet-simulated flow."""
+
+    fidelity: ClassVar[str] = "packet"
 
     flow_id: int
     src: str
@@ -68,6 +72,9 @@ class PacketNetwork:
             from :func:`repro.obs.get_registry` (a no-op unless the
             caller attached one).
     """
+
+    #: The engine's name in :func:`repro.api.build_network`.
+    kind: ClassVar[str] = "packet"
 
     def __init__(
         self,
@@ -249,17 +256,13 @@ class PacketNetwork:
             for flow_id, (source, spec) in sorted(self._active.items())
         ]
 
-    def flow_id_of(self, source) -> Optional[int]:
-        """The live flow id owning ``source``, or None once completed.
-
-        ``add_flow`` returns the source object, not its id; callers that
-        track flows by id across an abort+relaunch (the control plane)
-        use this to re-key.
-        """
-        for flow_id, (candidate, __) in self._active.items():
-            if candidate is source:
-                return flow_id
-        return None
+    def active_flow_paths(self) -> List[Tuple[int, str, str, list]]:
+        """(flow_id, src, dst, subflow paths) of in-flight flows."""
+        return [
+            (flow_id, spec.src, spec.dst, list(spec.paths))
+            for flow_id, source, spec in self.active_flows()
+            if not getattr(source, "completed", False)
+        ]
 
     def abort_flow(self, flow_id: int) -> bool:
         """Abort an in-flight flow (no record, no completion callback).
@@ -272,10 +275,64 @@ class PacketNetwork:
         if entry is None:
             return False
         source = entry[0]
-        acked = getattr(source, "acked_bytes", None)
-        self._aborted_acked += source.snd_una if acked is None else acked
+        self._aborted_acked += _acked(source)
         source.abort()
         return True
+
+    def resteer(
+        self, flow_id: int, paths: Sequence[PlanePath]
+    ) -> Optional[int]:
+        """Move a live flow onto ``paths``.
+
+        TCP state cannot survive a path change, so the flow is aborted
+        and its un-ACKed remainder relaunched now, from slow start, as a
+        real connection migration would.  Returns the relaunch's fresh
+        flow id, or None when the flow is gone.
+        """
+        entry = self._active.get(flow_id)
+        if entry is None:
+            return None
+        source, spec = entry
+        remaining = max(int(spec.size) - int(_acked(source)), 0)
+        self.abort_flow(flow_id)
+        new_id = self._next_flow_id
+        self.add_flow(spec.relaunch(remaining, paths, self.now))
+        return new_id
+
+    def control_rows(self, gid_of: Optional[Callable[[int], Any]] = None):
+        """The control loop's snapshot: ``(plane_cum, rows)``.
+
+        ``plane_cum`` is each plane's cumulative forwarded bytes; each
+        started live flow gives one ``"acked"`` row of cumulative
+        per-subflow ACKed bytes (see :mod:`repro.control.monitor`).
+        ``gid_of`` maps flow ids to the caller's ids.
+        """
+        plane_cum = {
+            plane: float(totals["bytes_forwarded"])
+            for plane, totals in self.plane_queue_totals().items()
+        }
+        rows = []
+        for fid, source, spec in self.active_flows():
+            if getattr(source, "completed", False):
+                continue
+            if getattr(source, "start_time", None) is None:
+                # Submitted but not started (spec.at is in the future):
+                # resteering it would relaunch -- and start -- it early.
+                continue
+            # MPTCP sources count per subflow; TCP and DCTCP sources
+            # are their own single subflow.
+            subflows = getattr(source, "subflows", None) or [source]
+            rows.append({
+                "gid": fid if gid_of is None else gid_of(fid),
+                "src": spec.src,
+                "dst": spec.dst,
+                "size": spec.size,
+                "paths": list(spec.paths),
+                "transport": spec.transport,
+                "tag": spec.tag,
+                "acked": [int(sf.snd_una) for sf in subflows],
+            })
+        return plane_cum, rows
 
     @property
     def delivered_bytes(self) -> float:
@@ -283,8 +340,7 @@ class PacketNetwork:
         in-flight progress."""
         total = float(sum(r.size for r in self.records)) + self._aborted_acked
         for source, __ in self._active.values():
-            acked = getattr(source, "acked_bytes", None)
-            total += source.snd_una if acked is None else acked
+            total += _acked(source)
         return total
 
     def wire(self, tcp_source: TcpSource, plane_path: PlanePath) -> None:
@@ -394,3 +450,9 @@ class PacketNetwork:
         for plane_idx, totals in self.plane_queue_totals().items():
             for stat, value in totals.items():
                 obs.gauge(f"sim.plane.{stat}", plane=plane_idx).set(value)
+
+
+def _acked(source) -> int:
+    """Bytes a live source has had cumulatively ACKed."""
+    acked = getattr(source, "acked_bytes", None)
+    return source.snd_una if acked is None else acked

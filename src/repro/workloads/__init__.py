@@ -2,7 +2,7 @@
 
 The scenario layer ROADMAP item 4 calls for: deterministic, seeded
 flow-program generators for the workload families the multipath
-literature evaluates, runnable on every registered engine through
+literature evaluates, runnable on every engine through
 ``repro.api``.
 
 >>> from repro.workloads import get_scenario, run_scenario

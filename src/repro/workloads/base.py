@@ -25,7 +25,7 @@ random draw comes from named :class:`~repro.ckpt.rng.RngBundle` streams
 (the same discipline as ``repro.hybrid.promotion.Sampled``), so the
 emitted flow sets are byte-identical across processes, job counts, and
 resumes.  Execution is engine-agnostic: :func:`bind` attaches the wave
-launcher to any registered engine's network object (the launcher is a
+launcher to any engine's network object (the launcher is a
 plain picklable class, so checkpoints capture in-flight programs), and
 ``repro.workloads.driver.run_scenario`` routes the bound program
 through :func:`repro.api.run_trial`.

@@ -1,7 +1,7 @@
 """Run scenarios through the engine-agnostic facade.
 
 :func:`run_scenario` is the one-call path from a :class:`Scenario` to a
-finished trial on any registered engine; :func:`steady_state` layers
+finished trial on any of the three engines; :func:`steady_state` layers
 the open-loop steady-state methodology on top -- warm-up trimming and
 batch-means confidence intervals (``repro.analysis.stats``) -- so
 sustained-load results are reported with error bars instead of point

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -97,17 +97,18 @@ class ListFluidSimulator(FluidSimulator):
         self._seq += 1
         return flow_id
 
-    def active_flows(self) -> List[Tuple[int, str, str, float]]:
-        return [
-            (f.flow_id, f.src, f.dst, f.rate) for f in self._active
-        ]
-
-    def active_subflow_views(self):
-        return [
-            (
-                f.flow_id, f.src, f.dst, f.size, list(f.paths),
-                [sf.rate for sf in f.subflows],
-            )
+    def control_rows(self, gid_of=None):
+        return None, [
+            {
+                "gid": f.flow_id if gid_of is None else gid_of(f.flow_id),
+                "src": f.src,
+                "dst": f.dst,
+                "size": f.size,
+                "paths": list(f.paths),
+                "transport": "tcp",
+                "tag": None,
+                "rate": [float(sf.rate) for sf in f.subflows],
+            }
             for f in self._active
         ]
 

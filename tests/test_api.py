@@ -1,8 +1,8 @@
 """Tests for the stable facade (repro.api) and the FlowSpec redesign.
 
 The facade is the supported entry point for external users; these tests
-pin its surface: the engine registry behind ``build_network`` /
-``run_trial`` (packet, fluid, hybrid, and user-registered engines), the
+pin its surface: the kind table behind ``build_network`` / ``run_trial``
+(packet, fluid, hybrid, and engine subclasses built directly), the
 documented :class:`~repro.api.TrialResult` with its stable ``to_json``
 form (golden-pinned), the keyword-only :class:`FlowSpec` that is the
 only thing any engine's ``add_flow`` accepts, and the guarantee that no
@@ -222,62 +222,21 @@ class TestRunTrial:
 
 
 class TestEngineRegistry:
-    def test_engine_names(self):
-        names = api.engine_names()
-        assert {"packet", "fluid", "hybrid"} <= set(names)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            api.register_engine("packet", cls=PacketNetwork)
-
-    def test_replace_allows_reregistration(self):
-        original = api._ENGINES["packet"]
-        try:
-            api.register_engine(
-                "packet", cls=PacketNetwork, run=original.run, replace=True
-            )
-            pnet = make_pnet()
-            net = build_network(pnet, kind="packet")
-            assert isinstance(net, PacketNetwork)
-        finally:
-            api._ENGINES["packet"] = original
+    """``build_network``'s fixed kind table and ``run_trial``'s check."""
 
     def test_custom_engine_end_to_end(self):
-        """A duck-typed engine registers, builds, and runs a trial."""
+        """An engine subclass built outside the facade runs a trial."""
 
-        class EchoEngine:
-            def __init__(self, planes, obs=None):
-                self.planes = list(planes)
-                self.records = []
-                self._pending = []
+        class EchoFluid(FluidSimulator):
+            pass
 
-            def add_flow(self, spec=None, **kwargs):
-                self._pending.append(spec)
-
-            def run(self, until=None):
-                import types
-
-                for i, spec in enumerate(self._pending):
-                    self.records.append(types.SimpleNamespace(
-                        flow_id=i, src=spec.src, dst=spec.dst,
-                        size=spec.size, arrival=0.0, completion=1.0,
-                        fct=1.0, planes=spec.planes, tag=spec.tag,
-                        n_subflows=len(spec.paths),
-                    ))
-                self._pending = []
-                return self.records
-
-        api.register_engine("echo", cls=EchoEngine)
-        try:
-            pnet = make_pnet()
-            net = build_network(pnet, kind="echo")
-            result = run_trial(net, flows_for(pnet, n=2))
-            assert result.engine == "echo"
-            assert len(result.records) == 2
-            assert set(result.fidelity.values()) == {"fluid"}
-            json.loads(result.to_json())  # renders
-        finally:
-            del api._ENGINES["echo"]
+        pnet = make_pnet()
+        net = EchoFluid(pnet.planes)
+        result = run_trial(net, flows_for(pnet, n=2))
+        assert result.engine == "fluid"
+        assert len(result.records) == 2
+        assert set(result.fidelity.values()) == {"fluid"}
+        json.loads(result.to_json())  # renders
 
     def test_unknown_kind_lists_engines(self):
         pnet = make_pnet()

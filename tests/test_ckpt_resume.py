@@ -26,12 +26,16 @@ from repro.ckpt import (
 )
 from repro.ckpt.store import list_checkpoints, step_dir, write_checkpoint
 from repro.core.flowspec import FlowSpec
+from repro.core.path_selection import KspMultipathPolicy
+from repro.exp.common import JellyfishFamily
 from repro.exp.degradation import resume_faulted, run_faulted
 from repro.fluid.flowsim import FluidSimulator
 from repro.obs import Registry
+from repro.shard import run_packet_trial
 from repro.sim.network import PacketNetwork
 from repro.topology.graph import HOST, TOR, Topology
-from repro.units import Gbps, MB
+from repro.traffic.patterns import permutation
+from repro.units import KB, Gbps, MB
 
 
 def dumbbell(cap=100 * Gbps, prop=1e-6):
@@ -218,6 +222,19 @@ class TestRestoreRejections:
         with pytest.raises(CheckpointError, match="v2 .* not supported"):
             restore(directory)
 
+    def test_v3_snapshot_rejected(self, tmp_path):
+        # v3 snapshots pickle queues in place; this build writes them
+        # as shells plus a flat state table, so v3 must fail at load.
+        net = _packet_net()
+        net.run(until=3e-5)
+        directory = save(tmp_path, net)
+        manifest_path = directory / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 3
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="v3 .* not supported"):
+            restore(directory)
+
 
 class TestMidFaultResume:
     #: The "tiny" degradation preset: one plane-down/plane-up outage.
@@ -269,6 +286,90 @@ class TestApiFacade:
             api.run_trial(
                 PacketNetwork([dumbbell()]), _flows(), checkpoint_every=1e-4
             )
+
+    @pytest.mark.parametrize("kind", ["packet", "fluid"])
+    def test_run_trial_checkpoint_args_need_every(self, tmp_path, kind):
+        # Without checkpoint_every nothing would be written: refuse the
+        # other arguments before any flow is submitted.
+        net = api.build_network([dumbbell()], kind=kind)
+        for kwargs in (
+            {"checkpoint_dir": tmp_path},
+            {"checkpoint_dir": tmp_path, "checkpoint_keep_last": 2},
+            {"on_checkpoint": print},
+        ):
+            with pytest.raises(ValueError, match="checkpoint_every"):
+                api.run_trial(net, _flows(), **kwargs)
+        assert not net.has_pending()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_resume_trial_checkpoint_args_need_every(self, tmp_path):
+        api.run_trial(
+            PacketNetwork([dumbbell()]), _flows(),
+            checkpoint_dir=tmp_path, checkpoint_every=5e-5,
+        )
+        for kwargs in ({"checkpoint_keep_last": 1}, {"on_checkpoint": print}):
+            with pytest.raises(ValueError, match="checkpoint_every"):
+                api.resume_trial(tmp_path, **kwargs)
+
+
+def _permutation_planes_and_flows():
+    """The core benchmark's packet-permutation trial: 128 hosts, four
+    heterogeneous Jellyfish planes, one 250 kB MPTCP flow per host."""
+    pnet = JellyfishFamily(32, 6, 4).parallel_heterogeneous(4, seed=0)
+    policy = KspMultipathPolicy(pnet, k=8, seed=0)
+    pairs = permutation(pnet.hosts, random.Random("permutation-0"))
+    return pnet.planes, [
+        FlowSpec(
+            src=src, dst=dst, size=250 * KB, at=0.0,
+            paths=policy.select(src, dst, i),
+        )
+        for i, (src, dst) in enumerate(pairs)
+    ]
+
+
+@pytest.fixture(scope="module")
+def permutation_trial():
+    planes, specs = _permutation_planes_and_flows()
+    golden = api.run_trial(
+        api.build_network(planes, kind="packet"), specs, control="off"
+    )
+    return planes, specs, golden.records
+
+
+class TestDeepQueueDrill:
+    """Mid-run packet snapshots of a busy fabric.
+
+    A plain pickle walks queue -> waiting packet's arrival event ->
+    packet -> route -> next queue, depth first, and exceeds Python's
+    recursion limit on this trial at each of these instants.
+    """
+
+    @pytest.mark.parametrize("every", [20e-6, 10e-6, 5e-6])
+    def test_run_trial_drill(self, tmp_path, permutation_trial, every):
+        planes, specs, golden = permutation_trial
+        api.run_trial(
+            api.build_network(planes, kind="packet"), specs, control="off",
+            until=30e-6, checkpoint_dir=tmp_path, checkpoint_every=every,
+        )
+        snapshots = list_checkpoints(tmp_path, valid_only=True)
+        assert len(snapshots) == int(round(25e-6 / every))
+        for directory in snapshots:
+            resumed = api.resume_trial(directory)
+            assert pickle.dumps(resumed.records) == pickle.dumps(golden)
+
+    def test_one_shard_drill(self, tmp_path, permutation_trial):
+        planes, specs, golden = permutation_trial
+        run_packet_trial(
+            planes, specs, shards=1, until=30e-6,
+            checkpoint_dir=tmp_path, checkpoint_every=20e-6,
+        )
+        assert len(list_checkpoints(tmp_path, valid_only=True)) == 1
+        resumed = run_packet_trial(
+            planes, specs, shards=1, checkpoint_dir=tmp_path, resume=True,
+        )
+        # The shard engine returns records in flow id order.
+        want = sorted(golden, key=lambda record: record.flow_id)
+        assert pickle.dumps(resumed.records) == pickle.dumps(want)
 
 
 class TestRngBundle:

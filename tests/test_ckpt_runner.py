@@ -134,7 +134,7 @@ class TestSweepResume:
             step_dir(tmp_path, 0), {"state.pkl": b"not a sweep"},
             meta={"kind": "sim"},
         )
-        with pytest.raises(CheckpointError, match="not sweep"):
+        with pytest.raises(CheckpointError, match="not trial progress"):
             run_trials(
                 _specs(range(2)), checkpoint_dir=tmp_path, resume=True
             )

@@ -26,12 +26,7 @@ from repro.control import (
     get_control_policy,
     make_policy,
 )
-from repro.control.actions import (
-    clamp_transport,
-    relaunch_spec,
-    same_paths,
-)
-from repro.core.flowspec import FlowSpec
+from repro.core.flowspec import FlowSpec, clamp_transport, same_paths
 from repro.core.pnet import PNet
 from repro.topology import ParallelTopology, build_jellyfish
 
@@ -152,7 +147,7 @@ class TestActions:
             src="a", dst="b", size=1000,
             paths=[(0, ["a", "s", "b"])], tag="x", transport="tcp",
         )
-        new = relaunch_spec(spec, 400, [(1, ["a", "t", "b"])], 2.5)
+        new = spec.relaunch(400, [(1, ["a", "t", "b"])], 2.5)
         assert (new.src, new.dst, new.size, new.at) == ("a", "b", 400, 2.5)
         assert new.tag == "x" and new.transport == "tcp"
         assert new.paths == [(1, ["a", "t", "b"])]

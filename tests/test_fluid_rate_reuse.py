@@ -25,6 +25,7 @@ from collections import Counter
 import pytest
 
 from repro import api
+from repro.analysis.stats import left_sum
 from repro.ckpt import restore, run_checkpointed
 from repro.control import Controller, LoadAwarePolicy
 from repro.core.failures import FailureAwareSelector
@@ -57,6 +58,12 @@ class AlwaysSolve(FluidSimulator):
     def _recompute_rates(self, count: bool = True) -> None:
         self._rates_current = False
         super()._recompute_rates(count)
+
+
+def fastest_flow(fluid):
+    """(flow id, total rate) of the first fastest active flow."""
+    row = max(fluid.control_rows()[1], key=lambda row: left_sum(row["rate"]))
+    return row["gid"], left_sum(row["rate"])
 
 
 def arrival_pnet():
@@ -221,9 +228,7 @@ class TestSameRunFewerSolves:
             net = cls(pnet.planes, slow_start=True, obs=obs)
 
             def abort_fastest():
-                fid, __, __, rate = max(
-                    net.active_flows(), key=lambda row: row[3]
-                )
+                fid, rate = fastest_flow(net)
                 assert rate > 0
                 assert net.abort_flow(fid)
 
