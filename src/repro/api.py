@@ -47,6 +47,7 @@ from typing import (
     Union,
 )
 
+from repro.config import RunConfig, current
 from repro.core.flowspec import FlowSpec
 from repro.core.monitoring import NetworkMonitor
 from repro.core.pnet import PNet
@@ -308,14 +309,12 @@ def run_trial(
                 f"got kind={network.kind!r}"
             )
         network.promotion = resolve_policy(promotion)
-    if control is None or isinstance(control, str):
-        # CLI / environment opt-in (--control -> PNET_CONTROL_POLICY):
-        # None consults the environment, "off"/"" force control off
-        # regardless of it.  Unset means off, so default runs stay
-        # byte-identical to builds without the control plane.
-        from repro.control import get_control_policy
-
-        control = get_control_policy(control)
+    if control is None:
+        # --control / PNET_CONTROL_POLICY; unset is off, byte-identical
+        # to builds without the control plane.
+        control = current().control_policy
+    elif isinstance(control, str):  # a name needs no environment
+        control = RunConfig(control_policy=control).control_policy
     if control is not None:
         from repro.control import as_controller
 
@@ -422,7 +421,8 @@ def _finish_trial(network: Network) -> TrialResult:
 #
 # Sweeps are part of the stable facade too: TrialSpec grids run through
 # run_trials locally (PNET_JOBS), with sweep checkpoints (PNET_CKPT_*),
-# or across a run farm (farm= / PNET_FARM_INVENTORY; see repro.farm).
+# or across a run farm (farm= / PNET_FARM_INVENTORY; see repro.farm),
+# each under one resolved repro.config.RunConfig.
 from repro.exp.runner import (  # noqa: E402  (facade re-export)
     RunStats,
     TrialSpec,

@@ -48,6 +48,7 @@ from repro.ckpt.store import (
     read_manifest,
     read_payload,
     remove_checkpoint_dir,
+    resolve,
     step_dir,
     step_of,
     verify,
@@ -74,6 +75,7 @@ __all__ = [
     "read_manifest",
     "read_payload",
     "remove_checkpoint_dir",
+    "resolve",
     "restore",
     "run_checkpointed",
     "save",

@@ -43,10 +43,10 @@ from repro.ckpt.store import (
     CheckpointError,
     PathLike,
     claim_step,
-    latest,
     prune,
     read_manifest,
     read_payload,
+    resolve,
     write_checkpoint,
 )
 from repro.sim.link import Queue
@@ -181,17 +181,8 @@ def restore(path: PathLike) -> SimCheckpoint:
     The restored registry (``checkpoint.network.obs``) has no sinks;
     re-attach output files if the resumed run should export telemetry.
     """
-    path = pathlib.Path(path)
-    manifest = read_manifest(path) if (path / "MANIFEST.json").is_file() \
-        else None
-    if manifest is None:
-        chosen = latest(path)
-        if chosen is None:
-            raise CheckpointError(
-                f"no complete checkpoint under {path} (nothing to resume)"
-            )
-        path = chosen
-        manifest = read_manifest(path)
+    path = resolve(path)
+    manifest = read_manifest(path)
     kind = manifest.get("meta", {}).get("kind")
     if kind != KIND_SIM:
         raise CheckpointError(

@@ -306,6 +306,20 @@ def latest(root: PathLike) -> Optional[pathlib.Path]:
     return valid[-1] if valid else None
 
 
+def resolve(path: PathLike) -> pathlib.Path:
+    """The checkpoint ``path`` names: itself when it holds a manifest,
+    else the newest valid ``ckpt-<N>`` under it (a checkpoint root)."""
+    path = pathlib.Path(path)
+    if (path / MANIFEST_NAME).is_file():
+        return path
+    chosen = latest(path)
+    if chosen is None:
+        raise CheckpointError(
+            f"no complete checkpoint under {path} (nothing to resume)"
+        )
+    return chosen
+
+
 def claim_step(root: PathLike) -> Tuple[int, pathlib.Path]:
     """Atomically claim the next free ``ckpt-<N>`` directory.
 

@@ -25,7 +25,7 @@ Usage::
     python -m repro fig9 --checkpoint-dir ckpts --resume
     python -m repro ckpt save ckpts --scale tiny --every 0.1
     python -m repro ckpt restore ckpts
-    python -m repro ckpt inspect ckpts/ckpt-00000000
+    python -m repro ckpt inspect ckpts   # newest valid checkpoint
     python -m repro ckpt verify ckpts/ckpt-00000000
     python -m repro ckpt list ckpts
     python -m repro ckpt prune ckpts --keep-last 2
@@ -34,7 +34,9 @@ Each experiment prints the same rows/series the paper reports; ``--csv``
 additionally writes the raw result (flattened) for plotting.  Trials fan
 out over ``PNET_JOBS`` processes (``--jobs`` overrides) with expensive
 intermediates cached under ``PNET_CACHE_DIR``; results are identical at
-any job count.
+any job count.  Every command resolves one
+:class:`~repro.config.RunConfig` from its flags and the environment
+before it does any work, and a bad value exits 2.
 """
 
 from __future__ import annotations
@@ -44,11 +46,10 @@ import importlib
 import pathlib
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
+from repro.config import BACKENDS, SCALES, ConfigError, RunConfig, use
 from repro.control.policy import POLICIES
-from repro.exp.common import SCALES
-from repro.shard.channel import BACKENDS
 
 #: Experiment registry: name -> module path (each has run() and main()).
 EXPERIMENTS = {
@@ -82,11 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all", "list", "cache"],
+        choices=sorted(EXPERIMENTS) + ["all", "list"],
         help=(
-            "experiment to run ('all' for everything, 'list' to enumerate, "
-            "'cache' for artifact-cache stats; see also 'obs summarize FILE' "
-            "for telemetry files)"
+            "experiment to run ('all' for everything, 'list' to enumerate; "
+            "see also 'cache [stats|prune|clear]' for the artifact cache "
+            "and 'obs summarize FILE' for telemetry files)"
         ),
     )
     parser.add_argument(
@@ -149,15 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--clear",
-        action="store_true",
-        help="with 'cache': delete all cached artifacts",
-    )
-    parser.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
         default=None,
-        help="sweep checkpoint root (sets PNET_CKPT_DIR)",
+        help="sweep checkpoint root (overrides PNET_CKPT_DIR)",
     )
     parser.add_argument(
         "--checkpoint-every",
@@ -166,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "write a sweep checkpoint every N completed trials "
-            "(sets PNET_CKPT_EVERY; needs --checkpoint-dir)"
+            "(overrides PNET_CKPT_EVERY; needs --checkpoint-dir)"
         ),
     )
     parser.add_argument(
@@ -174,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "skip trials already completed by a prior (possibly killed) "
-            "checkpointed run (sets PNET_RESUME; needs --checkpoint-dir)"
+            "checkpointed run (overrides PNET_RESUME; needs "
+            "--checkpoint-dir)"
         ),
     )
     parser.add_argument(
@@ -182,24 +179,24 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         default=None,
-        help="retain only the newest N sweep checkpoints (sets PNET_CKPT_KEEP)",
+        help=(
+            "retain only the newest N sweep checkpoints (overrides "
+            "PNET_CKPT_KEEP; needs --checkpoint-every)"
+        ),
     )
     parser.add_argument(
         "--fidelity",
         choices=["packet", "fluid", "hybrid"],
         default=None,
-        help=(
-            "restrict the hybrid experiment to one engine "
-            "(sets PNET_FIDELITY)"
-        ),
+        help="restrict the hybrid experiment to one engine",
     )
     parser.add_argument(
         "--promote",
         metavar="POLICY",
         default=None,
         help=(
-            "promotion policy for hybrid runs (sets PNET_PROMOTE; e.g. "
-            "'sampled:0.1:0', 'tagged:probe+0.05', or a bare probability)"
+            "promotion policy for hybrid runs (e.g. 'sampled:0.1:0', "
+            "'tagged:probe+0.05', or a bare probability)"
         ),
     )
     parser.add_argument(
@@ -207,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(POLICIES) + ["off"],
         default=None,
         help=(
-            "adaptive control policy for control-aware runs (sets "
+            "adaptive control policy for control-aware runs (overrides "
             "PNET_CONTROL_POLICY; 'off' pins a run static)"
         ),
     )
@@ -218,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "control-loop period on the simulated clock "
-            "(sets PNET_CONTROL_INTERVAL)"
+            "(overrides PNET_CONTROL_INTERVAL)"
         ),
     )
     parser.add_argument(
@@ -236,36 +233,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_one(name: str, scale: Optional[str], csv_dir: Optional[str]) -> None:
+def resolve_config(parser: argparse.ArgumentParser, **given) -> RunConfig:
+    """The run config: ``given`` flags over the environment.  A bad
+    value exits 2 through ``parser.error``, naming it."""
+    try:
+        return RunConfig.from_env(**given)
+    except ConfigError as exc:
+        parser.error(str(exc))
+
+
+def _given(args: argparse.Namespace, *names: str) -> Dict[str, Any]:
+    """The named flags that were given."""
+    values = {name: getattr(args, name) for name in names}
+    return {name: v for name, v in values.items() if v is not None}
+
+
+def run_one(
+    name: str, csv_dir: Optional[str], knobs: Dict[str, Any]
+) -> None:
+    """Run one experiment under the current config; ``knobs`` go to its
+    ``main`` and ``run``."""
     module = importlib.import_module(EXPERIMENTS[name])
     started = time.time()
-    if csv_dir is None and scale is None:
-        # main() resolves the scale itself and prints the paper tables.
-        module.main()
-    else:
-        import os
+    module.main(**knobs)
+    if csv_dir is not None:
+        from repro.exp.export import write_csv
 
-        if scale is not None:
-            os.environ["PNET_SCALE"] = scale
-        module.main()
-        if csv_dir is not None:
-            from repro.exp.export import write_csv
-
-            # table1 is scale-independent (its parameters are the paper's
-            # exemplar); every other experiment takes the scale name.
-            result = module.run() if name == "table1" else module.run(scale)
-            if name == "table1":
-                # table1 returns a list of ComponentCount dataclasses.
-                rows = sum(
-                    write_csv(
-                        pathlib.Path(csv_dir) / f"{name}_{r.architecture}.csv",
-                        r,
-                    )
-                    for r in result
+        if name == "table1":
+            # table1 is scale-independent (its parameters are the
+            # paper's exemplar) and returns a list of ComponentCount
+            # dataclasses.
+            rows = sum(
+                write_csv(
+                    pathlib.Path(csv_dir) / f"{name}_{r.architecture}.csv",
+                    r,
                 )
-            else:
-                rows = write_csv(pathlib.Path(csv_dir) / f"{name}.csv", result)
-            print(f"[{name}] wrote {rows} CSV rows to {csv_dir}/")
+                for r in module.run()
+            )
+        else:
+            rows = write_csv(
+                pathlib.Path(csv_dir) / f"{name}.csv", module.run(**knobs)
+            )
+        print(f"[{name}] wrote {rows} CSV rows to {csv_dir}/")
     from repro.exp.runner import last_stats
 
     stats = last_stats()
@@ -274,29 +283,8 @@ def run_one(name: str, scale: Optional[str], csv_dir: Optional[str]) -> None:
     print(f"[{name}] done in {time.time() - started:.1f}s\n")
 
 
-def cache_command(clear: bool) -> int:
-    """Print artifact-cache stats (or clear the cache)."""
-    from repro.exp.cache import cache_dir, cache_enabled, get_cache
-
-    root = cache_dir()
-    if not cache_enabled():
-        print(f"cache disabled (PNET_CACHE=0); dir would be {root}")
-        return 0
-    cache = get_cache()
-    n = sum(1 for _ in cache.entries())
-    size = cache.size_bytes()
-    if clear:
-        cache.clear()
-        print(f"cleared {n} entries ({size / 1e6:.1f} MB) from {root}")
-    else:
-        print(f"cache dir: {root}")
-        print(f"entries:   {n}")
-        print(f"size:      {size / 1e6:.1f} MB")
-    return 0
-
-
 def cache_subcommand(argv: List[str]) -> int:
-    """``python -m repro cache stats|prune|clear [...]``"""
+    """``python -m repro cache [stats|prune|clear] [...]``"""
     parser = argparse.ArgumentParser(
         prog="python -m repro cache",
         description="artifact-cache maintenance",
@@ -308,9 +296,10 @@ def cache_subcommand(argv: List[str]) -> int:
         "bytes remain",
     )
     args = parser.parse_args(argv)
-    from repro.exp.cache import cache_enabled, get_cache
+    from repro.exp.cache import get_cache
 
-    cache = get_cache()
+    with use(resolve_config(parser)):
+        cache = get_cache()
     if args.action == "clear":
         stats = cache.disk_stats()
         cache.clear()
@@ -330,7 +319,7 @@ def cache_subcommand(argv: List[str]) -> int:
         return 0
     stats = cache.disk_stats()
     print(f"cache dir: {stats['root']}"
-          + ("" if cache_enabled() else "  (disabled: PNET_CACHE=0)"))
+          + ("" if cache.enabled else "  (disabled: PNET_CACHE=0)"))
     print(f"entries:   {stats['entries']}")
     print(f"size:      {stats['bytes'] / 1e6:.1f} MB")
     for kind, bucket in stats["kinds"].items():
@@ -379,11 +368,12 @@ def ckpt_command(argv: List[str]) -> int:
     rest.add_argument("root", metavar="DIR")
 
     insp = sub.add_parser("inspect", help="print a checkpoint's manifest "
-                          "summary")
+                          "summary (a root: its newest valid one)")
     insp.add_argument("paths", nargs="+", metavar="PATH")
 
-    ver = sub.add_parser("verify", help="verify payload hashes; exit "
-                         "nonzero on any corrupt/partial checkpoint")
+    ver = sub.add_parser("verify", help="verify payload hashes (a root: "
+                         "its newest valid checkpoint); exit nonzero on "
+                         "any corrupt/partial checkpoint")
     ver.add_argument("paths", nargs="+", metavar="PATH")
 
     lst = sub.add_parser("list", help="list checkpoints under a root")
@@ -394,16 +384,17 @@ def ckpt_command(argv: List[str]) -> int:
     prn.add_argument("root", metavar="DIR")
     prn.add_argument("--keep-last", type=int, required=True, metavar="N")
 
+    parser.set_defaults(scale=None)
     args = parser.parse_args(argv)
+    config = resolve_config(parser, scale=args.scale)
     import json
 
     from repro import ckpt
 
     if args.action == "save":
-        from repro.exp.common import get_scale
         from repro.exp.degradation import PRESETS, run_faulted
 
-        params = dict(PRESETS[get_scale(args.scale)])
+        params = dict(PRESETS[config.scale])
         duration = params["duration"]
         every = args.every if args.every is not None else duration / 5
         out = run_faulted(
@@ -452,17 +443,19 @@ def ckpt_command(argv: List[str]) -> int:
         )
         return 0
 
-    if args.action == "inspect":
-        for path in args.paths:
-            print(json.dumps(ckpt.inspect(path), indent=2, sort_keys=True))
-        return 0
-
-    if args.action == "verify":
+    if args.action in ("inspect", "verify"):
+        # A checkpoint root resolves to its newest valid checkpoint.
         failed = 0
         for path in args.paths:
             try:
-                ckpt.verify(path)
-                print(f"{path}: OK")
+                chosen = ckpt.resolve(path)
+                if args.action == "inspect":
+                    print(json.dumps(
+                        ckpt.inspect(chosen), indent=2, sort_keys=True
+                    ))
+                else:
+                    ckpt.verify(chosen)
+                    print(f"{chosen}: OK")
             except ckpt.CheckpointError as exc:
                 print(f"{path}: FAILED -- {exc}")
                 failed += 1
@@ -544,14 +537,14 @@ def faults_command(argv: List[str]) -> int:
         help="write the metric snapshot (JSONL) here",
     )
     args = parser.parse_args(argv)
+    config = resolve_config(parser, scale=args.scale)
 
     from repro.ckpt.rng import RngBundle
-    from repro.exp.common import get_scale
     from repro.exp.degradation import PRESETS, run_faulted
     from repro.faults import FaultSchedule, plane_outage
     from repro.topology.fattree import build_fat_tree
 
-    params = dict(PRESETS[get_scale(args.scale)])
+    params = dict(PRESETS[config.scale])
     if args.schedule is not None:
         schedule = FaultSchedule.from_file(args.schedule)
     else:
@@ -619,32 +612,32 @@ def workloads_command(argv: List[str]) -> int:
     """``python -m repro workloads [--scenario NAME] [--tenants N] ...``
 
     The production-workload experiment with its scenario knobs exposed
-    directly (they travel to :mod:`repro.exp.workloads` as environment
-    variables, so ``python -m repro all`` still runs the same module
-    with defaults).
+    directly as :func:`repro.exp.workloads.run` arguments (so
+    ``python -m repro all`` still runs the same module with defaults).
     """
+    from repro.exp.workloads import DEFAULT_ENGINES
+    from repro.workloads import WorkloadError
+
     parser = argparse.ArgumentParser(
         prog="python -m repro workloads",
         description="production workload scenarios on the comparison "
         "networks (incast, coflow, allreduce, diurnal)",
     )
     parser.add_argument(
-        "--scenario", metavar="NAME", default=None,
-        help="run one scenario family only (sets PNET_SCENARIO; one of "
-        "incast, coflow, allreduce, diurnal)",
+        "--scenario", choices=list(DEFAULT_ENGINES), default=None,
+        help="run one scenario family only",
     )
     parser.add_argument(
         "--tenants", type=int, metavar="N", default=None,
-        help="diurnal mix tenant count (sets PNET_TENANTS)",
+        help="diurnal mix tenant count",
     )
     parser.add_argument(
         "--load", type=float, metavar="FRACTION", default=None,
-        help="diurnal mix offered load in (0, 1] (sets PNET_LOAD)",
+        help="diurnal mix offered load in (0, 1]",
     )
     parser.add_argument(
         "--engine", choices=["packet", "fluid", "hybrid"], default=None,
-        help="engine to run scenarios on (sets PNET_WORKLOADS_ENGINE; "
-        "default packet)",
+        help="engine to run scenarios on (default: per scenario)",
     )
     parser.add_argument("--scale", choices=SCALES, default=None)
     parser.add_argument(
@@ -656,19 +649,13 @@ def workloads_command(argv: List[str]) -> int:
         help="override PNET_JOBS (worker processes for the trial grid)",
     )
     args = parser.parse_args(argv)
-    import os
-
-    if args.scenario is not None:
-        os.environ["PNET_SCENARIO"] = args.scenario
-    if args.tenants is not None:
-        os.environ["PNET_TENANTS"] = str(args.tenants)
-    if args.load is not None:
-        os.environ["PNET_LOAD"] = repr(args.load)
-    if args.engine is not None:
-        os.environ["PNET_WORKLOADS_ENGINE"] = args.engine
-    if args.jobs is not None:
-        os.environ["PNET_JOBS"] = str(args.jobs)
-    run_one("workloads", args.scale, args.csv)
+    config = resolve_config(parser, scale=args.scale, jobs=args.jobs)
+    knobs = _given(args, "scenario", "tenants", "load", "engine")
+    with use(config):
+        try:
+            run_one("workloads", args.csv, knobs)
+        except WorkloadError as exc:
+            parser.error(str(exc))
     return 0
 
 
@@ -690,87 +677,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.farm.cli import main as farm_main
 
         return farm_main(argv[1:])
-    if (
-        argv
-        and argv[0] == "cache"
-        and len(argv) > 1
-        and argv[1] in ("stats", "prune")
-    ):
-        # `cache` / `cache --clear` keep their historic route through
-        # the main parser; the new maintenance verbs get their own.
-        return cache_subcommand(argv[1:])
-    args = build_parser().parse_args(argv)
+    if argv and argv[0] == "cache":
+        # `cache` and `cache --clear` spell `cache stats` and `cache clear`.
+        historic = {(): ["stats"], ("--clear",): ["clear"]}
+        return cache_subcommand(historic.get(tuple(argv[1:]), argv[1:]))
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    config = resolve_config(
+        parser,
+        scale=args.scale,
+        jobs=args.jobs,
+        shards=args.shards,
+        epoch=args.epoch,
+        lookahead=args.lookahead,
+        shard_backend=args.shard_backend,
+        ckpt_dir=args.checkpoint_dir,
+        ckpt_every=args.checkpoint_every,
+        ckpt_keep=args.keep_last,
+        resume=args.resume or None,
+        control_policy=args.control,
+        control_interval=args.control_interval,
+    )
+    hybrid_knobs = _given(args, "fidelity", "promote")
+    if hybrid_knobs and args.experiment not in ("hybrid", "all"):
+        parser.error(
+            "--fidelity and --promote apply to the hybrid experiment only"
+        )
     if args.experiment == "list":
         for name, module in sorted(EXPERIMENTS.items()):
             print(f"{name:<10} {module}")
         return 0
-    if args.experiment == "cache":
-        return cache_command(args.clear)
-    if (
-        args.jobs is not None
-        or args.shards is not None
-        or args.epoch is not None
-        or args.lookahead is not None
-        or args.shard_backend is not None
-        or args.checkpoint_dir is not None
-        or args.checkpoint_every is not None
-        or args.keep_last is not None
-        or args.fidelity is not None
-        or args.promote is not None
-        or args.control is not None
-        or args.control_interval is not None
-        or args.resume
-    ):
-        import os
-
-        if args.jobs is not None:
-            os.environ["PNET_JOBS"] = str(args.jobs)
-        if args.shards is not None:
-            os.environ["PNET_SHARDS"] = str(args.shards)
-        if args.epoch is not None:
-            os.environ["PNET_EPOCH"] = repr(args.epoch)
-        if args.lookahead is not None:
-            if args.lookahead != "auto":
-                try:
-                    value = float(args.lookahead)
-                except ValueError:
-                    print(
-                        f"--lookahead must be a number or 'auto', got "
-                        f"{args.lookahead!r}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                if value < 0:
-                    print(
-                        "--lookahead must be non-negative", file=sys.stderr
-                    )
-                    return 2
-            os.environ["PNET_LOOKAHEAD"] = args.lookahead
-        if args.shard_backend is not None:
-            os.environ["PNET_SHARD_BACKEND"] = args.shard_backend
-        if args.checkpoint_dir is not None:
-            os.environ["PNET_CKPT_DIR"] = args.checkpoint_dir
-        if args.checkpoint_every is not None:
-            os.environ["PNET_CKPT_EVERY"] = str(args.checkpoint_every)
-        if args.keep_last is not None:
-            os.environ["PNET_CKPT_KEEP"] = str(args.keep_last)
-        if args.fidelity is not None:
-            os.environ["PNET_FIDELITY"] = args.fidelity
-        if args.promote is not None:
-            os.environ["PNET_PROMOTE"] = args.promote
-        if args.control is not None:
-            os.environ["PNET_CONTROL_POLICY"] = args.control
-        if args.control_interval is not None:
-            if args.control_interval <= 0:
-                print(
-                    "--control-interval must be positive", file=sys.stderr
-                )
-                return 2
-            os.environ["PNET_CONTROL_INTERVAL"] = repr(
-                args.control_interval
-            )
-        if args.resume:
-            os.environ["PNET_RESUME"] = "1"
     registry = None
     if args.metrics_out is not None or args.trace is not None:
         from repro.api import attach_telemetry
@@ -782,8 +718,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     try:
-        for name in names:
-            run_one(name, args.scale, args.csv)
+        with use(config):
+            for name in names:
+                run_one(
+                    name, args.csv, hybrid_knobs if name == "hybrid" else {}
+                )
     finally:
         if registry is not None:
             from repro.obs import set_registry

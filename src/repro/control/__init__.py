@@ -13,22 +13,13 @@ objects at lookahead barriers (:mod:`.sharded`) instead of falling
 back to serial.
 """
 
-from repro.control.controller import (
-    DEFAULT_CONTROL_INTERVAL,
-    Controller,
-    ControlStats,
-    as_controller,
-    get_control_interval,
-    get_control_policy,
-)
+from repro.control.controller import Controller, ControlStats, as_controller
 from repro.control.monitor import (
     ControlMonitor,
     ControlSample,
     FlowView,
 )
 from repro.control.policy import (
-    DEFAULT_COOLDOWN,
-    DEFAULT_HYSTERESIS,
     POLICIES,
     DardPolicy,
     EcmpReshufflePolicy,
@@ -36,16 +27,11 @@ from repro.control.policy import (
     LoadAwarePolicy,
     ResteerDecision,
     ResteerPolicy,
-    get_control_cooldown,
-    get_control_hysteresis,
     make_policy,
 )
 from repro.control.sharded import ShardControlDriver
 
 __all__ = [
-    "DEFAULT_CONTROL_INTERVAL",
-    "DEFAULT_COOLDOWN",
-    "DEFAULT_HYSTERESIS",
     "POLICIES",
     "Controller",
     "ControlMonitor",
@@ -60,9 +46,5 @@ __all__ = [
     "ResteerPolicy",
     "ShardControlDriver",
     "as_controller",
-    "get_control_cooldown",
-    "get_control_hysteresis",
-    "get_control_interval",
-    "get_control_policy",
     "make_policy",
 ]

@@ -23,54 +23,14 @@ same policy/monitor objects at its lookahead barriers (see
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Union
 
+from repro.config import current
 from repro.control.monitor import ControlMonitor
-from repro.control.policy import POLICIES, ResteerPolicy, make_policy
+from repro.control.policy import ResteerPolicy, make_policy
 from repro.core.pnet import PNet
 from repro.obs import get_registry
-
-#: Default control period in simulated seconds -- one order above
-#: datacenter RTTs, the same ballpark as the DARD epoch.
-DEFAULT_CONTROL_INTERVAL = 1e-3
-
-
-def get_control_interval(override: Optional[float] = None) -> float:
-    """Resolve the control period: override, else ``PNET_CONTROL_INTERVAL``."""
-    if override is None:
-        raw = os.environ.get("PNET_CONTROL_INTERVAL", "")
-        if not raw:
-            return DEFAULT_CONTROL_INTERVAL
-        try:
-            override = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"PNET_CONTROL_INTERVAL must be a number, got {raw!r}"
-            ) from None
-    if override <= 0:
-        raise ValueError(f"control interval must be > 0, got {override}")
-    return override
-
-
-def get_control_policy(override: Optional[str] = None) -> Optional[str]:
-    """Resolve the policy name: override, else ``PNET_CONTROL_POLICY``.
-
-    Returns ``None`` (control off) when unset, empty, or ``"off"``, and
-    raises ``ValueError`` for a name :data:`POLICIES` does not know.
-    """
-    if override is None:
-        override = os.environ.get("PNET_CONTROL_POLICY", "")
-    name = override.strip()
-    if not name or name == "off":
-        return None
-    if name not in POLICIES:
-        raise ValueError(
-            f"unknown control policy {name!r} "
-            f"(known: {', '.join(sorted(POLICIES))}, off)"
-        )
-    return name
 
 
 @dataclass
@@ -98,7 +58,8 @@ class Controller:
             :class:`~repro.control.policy.DardPolicy`) or a registered
             name (``"ecmp-reshuffle"`` | ``"flowlet"`` | ``"load-aware"``).
         interval: control period on the simulated clock; default
-            ``PNET_CONTROL_INTERVAL`` (else 1 ms).  Ticks land on
+            the current config's (``PNET_CONTROL_INTERVAL``, else
+            1 ms).  Ticks land on
             absolute multiples of the interval, so serial and sharded
             runs sample at the same instants.
         seed: forwarded to the policy when built from a name.
@@ -116,7 +77,9 @@ class Controller:
         if isinstance(policy, str):
             policy = make_policy(policy, pnet=pnet, seed=seed)
         self.policy = policy
-        self.interval = get_control_interval(interval)
+        self.interval = current().replace(
+            control_interval=interval
+        ).control_interval
         self.pnet = pnet
         self.monitor = ControlMonitor()
         self.stats = ControlStats()

@@ -30,58 +30,15 @@ not live, so a routing view that lags a fault never steers onto it.
 from __future__ import annotations
 
 import bisect
-import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import left_sum
+from repro.config import current
 from repro.core.failures import path_is_live
 from repro.core.flowspec import same_paths
 from repro.core.path_selection import KspMultipathPolicy
 from repro.core.pnet import PlanePath, PNet
 from repro.routing.ecmp import flow_hash
-
-#: Default hysteresis for load-aware plane selection: the current plane
-#: must carry more than this multiple of the target plane's load.
-DEFAULT_HYSTERESIS = 2.0
-#: Default per-flow cooldown (simulated seconds) between moves.
-DEFAULT_COOLDOWN = 0.0
-
-
-def get_control_hysteresis(override: Optional[float] = None) -> float:
-    """Resolve the load-aware hysteresis ratio (``PNET_CONTROL_HYSTERESIS``)."""
-    if override is None:
-        raw = os.environ.get("PNET_CONTROL_HYSTERESIS", "")
-        if not raw:
-            return DEFAULT_HYSTERESIS
-        try:
-            override = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"PNET_CONTROL_HYSTERESIS must be a number, got {raw!r}"
-            ) from None
-    if override < 1.0:
-        raise ValueError(
-            f"hysteresis must be >= 1 (got {override}); ratios below 1 "
-            "move flows toward *more* loaded planes and oscillate"
-        )
-    return override
-
-
-def get_control_cooldown(override: Optional[float] = None) -> float:
-    """Resolve the per-flow move cooldown (``PNET_CONTROL_COOLDOWN``)."""
-    if override is None:
-        raw = os.environ.get("PNET_CONTROL_COOLDOWN", "")
-        if not raw:
-            return DEFAULT_COOLDOWN
-        try:
-            override = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"PNET_CONTROL_COOLDOWN must be a number, got {raw!r}"
-            ) from None
-    if override < 0:
-        raise ValueError(f"cooldown must be >= 0, got {override}")
-    return override
 
 
 class ResteerDecision:
@@ -339,8 +296,11 @@ class LoadAwarePolicy(ResteerPolicy):
         max_moves: int = 1,
     ):
         super().__init__(pnet, seed)
-        self.hysteresis = get_control_hysteresis(hysteresis)
-        self.cooldown = get_control_cooldown(cooldown)
+        config = current().replace(
+            control_hysteresis=hysteresis, control_cooldown=cooldown
+        )
+        self.hysteresis = config.control_hysteresis
+        self.cooldown = config.control_cooldown
         self.max_moves = max_moves
         self._last_move: Dict[Any, float] = {}
 

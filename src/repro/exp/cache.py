@@ -15,7 +15,7 @@ atomically (temp file + ``os.replace``) so concurrent writers can never
 interleave partial entries; a corrupted or truncated entry is discarded
 and recomputed rather than crashing the run.
 
-Environment knobs:
+Knobs (:class:`~repro.config.RunConfig` fields):
 
 * ``PNET_CACHE_DIR`` -- cache root (default ``~/.cache/pnet``);
 * ``PNET_CACHE=0``   -- disable the cache entirely (every get misses,
@@ -25,12 +25,12 @@ Environment knobs:
 from __future__ import annotations
 
 import hashlib
-import os
 import pathlib
 import pickle
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.ckpt.store import atomic_write_bytes, remove_oldest_until
+from repro.config import current
 from repro.topology.graph import Topology
 
 #: Bump when the on-disk format or key semantics change; old entries are
@@ -38,19 +38,6 @@ from repro.topology.graph import Topology
 CACHE_VERSION = 1
 
 _MISS = object()
-
-
-def cache_enabled() -> bool:
-    """Whether caching is active (``PNET_CACHE=0`` turns it off)."""
-    return os.environ.get("PNET_CACHE", "1") != "0"
-
-
-def cache_dir() -> pathlib.Path:
-    """Cache root: ``$PNET_CACHE_DIR`` or ``~/.cache/pnet``."""
-    override = os.environ.get("PNET_CACHE_DIR")
-    if override:
-        return pathlib.Path(override).expanduser()
-    return pathlib.Path.home() / ".cache" / "pnet"
 
 
 # --- canonical hashing -----------------------------------------------------
@@ -148,11 +135,14 @@ class ArtifactCache:
 
     Entries live at ``<root>/v<version>/<kind>/<keyhash>.pkl``.  ``kind``
     namespaces artifact types ("routes", "lp", "trial", ...) so stats and
-    selective clearing stay possible.
+    selective clearing stay possible.  ``root`` and ``enabled`` default
+    to the current config's ``cache_dir`` and ``cache``.
     """
 
-    def __init__(self, root: Optional[pathlib.Path] = None):
-        self.root = pathlib.Path(root) if root is not None else cache_dir()
+    def __init__(self, root: Optional[pathlib.Path] = None, enabled=None):
+        config = current().replace(cache_dir=root, cache=enabled)
+        self.root = config.cache_dir or pathlib.Path.home() / ".cache/pnet"
+        self.enabled = config.cache
         self.hits = 0
         self.misses = 0
 
@@ -170,7 +160,7 @@ class ArtifactCache:
         A corrupted entry (truncated write, wrong format, unpicklable
         payload) is deleted and reported as a miss.
         """
-        if not cache_enabled():
+        if not self.enabled:
             self.misses += 1
             return default
         path = self._path(kind, key)
@@ -193,7 +183,7 @@ class ArtifactCache:
 
     def put(self, kind: str, key: Any, value: Any) -> None:
         """Store ``value`` atomically (temp file + rename)."""
-        if not cache_enabled():
+        if not self.enabled:
             return
         atomic_write_bytes(
             self._path(kind, key),
@@ -280,17 +270,18 @@ class ArtifactCache:
         return len(removed), freed
 
 
-# Per-root instances so PNET_CACHE_DIR changes (e.g. in tests) take
-# effect without restarting the process.
-_instances: Dict[pathlib.Path, ArtifactCache] = {}
+# One instance per (root, enabled), so a changed config (e.g. in tests)
+# takes effect without restarting the process.
+_instances: Dict[Tuple[pathlib.Path, bool], ArtifactCache] = {}
 
 
 def get_cache() -> ArtifactCache:
-    """The process-wide cache for the currently configured root."""
-    root = cache_dir()
-    cache = _instances.get(root)
+    """The process-wide cache for the current config's root."""
+    config = current()
+    key = (config.cache_dir, config.cache)
+    cache = _instances.get(key)
     if cache is None:
-        cache = _instances[root] = ArtifactCache(root)
+        cache = _instances[key] = ArtifactCache(*key)
     return cache
 
 

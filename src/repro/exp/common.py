@@ -15,19 +15,16 @@ one parameter set so every experiment compares apples to apples.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
+from repro.config import current
 from repro.core.pnet import PNet
 from repro.topology.fattree import build_fat_tree
 from repro.topology.graph import Topology
 from repro.topology.jellyfish import build_jellyfish
 from repro.topology.parallel import ParallelTopology, scale_capacity
 from repro.units import DEFAULT_LINK_RATE
-
-#: Experiment scale names, smallest first.
-SCALES = ("tiny", "small", "full")
 
 SERIAL_LOW = "serial-low"
 PARALLEL_HOMOGENEOUS = "parallel-homogeneous"
@@ -36,11 +33,8 @@ SERIAL_HIGH = "serial-high"
 
 
 def get_scale(override: Optional[str] = None) -> str:
-    """Resolve the experiment scale (arg > $PNET_SCALE > 'small')."""
-    scale = override or os.environ.get("PNET_SCALE", "small")
-    if scale not in SCALES:
-        raise ValueError(f"unknown scale {scale!r}; pick one of {SCALES}")
-    return scale
+    """The experiment scale: ``override``, else the current config's."""
+    return current().replace(scale=override).scale
 
 
 @dataclass

@@ -11,18 +11,18 @@ axis is measured separately by ``benchmarks/test_hybrid_bench.py``
 (results in ``BENCH_hybrid.json``), keeping this experiment's output
 deterministic and cacheable.
 
-Knobs (also exposed as ``python -m repro hybrid --fidelity/--promote``):
+Knobs, as :func:`run` arguments and ``python -m repro hybrid`` flags:
 
-* ``PNET_FIDELITY=packet|fluid|hybrid`` -- run only that engine;
-* ``PNET_PROMOTE=<spec>`` -- promotion policy for the hybrid run
-  (:func:`repro.hybrid.promotion.parse_policy` spelling, e.g.
+* ``fidelity`` (``--fidelity packet|fluid|hybrid``) -- run only that
+  engine;
+* ``promote`` (``--promote <spec>``) -- promotion policy for the hybrid
+  run (:func:`repro.hybrid.promotion.parse_policy` spelling, e.g.
   ``sampled:0.1:0`` or ``tagged:probe``), or a bare probability.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -117,21 +117,20 @@ def permutation_pairs(pnet, seed: int) -> List[Tuple[str, str]]:
     return permutation(pnet.hosts, random.Random(f"hybrid-{seed}"))
 
 
-def _engines_requested() -> Tuple[str, ...]:
-    only = os.environ.get("PNET_FIDELITY")
-    if not only:
-        return ENGINES
-    if only not in ENGINES:
-        raise ValueError(
-            f"PNET_FIDELITY must be one of {ENGINES}, got {only!r}"
-        )
-    return (only,)
-
-
-def run(scale: Optional[str] = None) -> HybridResult:
+def run(
+    scale: Optional[str] = None,
+    fidelity: Optional[str] = None,
+    promote: Optional[str] = None,
+) -> HybridResult:
+    """Run the workload on every engine, or on ``fidelity`` only;
+    ``promote`` replaces the preset's promotion policy."""
     params = PRESETS[get_scale(scale)]
-    promote = os.environ.get("PNET_PROMOTE", params["promote"])
-    engines = _engines_requested()
+    if fidelity is not None and fidelity not in ENGINES:
+        raise ValueError(
+            f"fidelity must be one of {ENGINES}, got {fidelity!r}"
+        )
+    engines = ENGINES if fidelity is None else (fidelity,)
+    promote = params["promote"] if promote is None else promote
     family = JellyfishFamily(
         params["switches"], params["degree"], params["hosts_per"]
     )
@@ -199,8 +198,8 @@ def _deviation(trials, seeds, against: str, side: str) -> float:
     return summarize(deviations).mean if deviations else math.nan
 
 
-def main() -> None:
-    result = run()
+def main(**knobs) -> None:
+    result = run(**knobs)
     print(
         f"Hybrid fidelity: fig9 permutation workload, {result.n_hosts}-host "
         f"Jellyfish, {result.n_planes} planes, promote={result.promote}\n"

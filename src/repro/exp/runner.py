@@ -13,7 +13,10 @@ of worker scheduling, and ``tests/test_determinism.py`` locks that in.
 A trial function must be a module-level callable (referenced as
 ``"package.module:function"`` so it pickles by name) taking only
 picklable keyword arguments and returning picklable data; it must not
-depend on process-global mutable state.
+depend on process-global mutable state.  Every trial runs inside
+:func:`repro.config.use` of the run's one resolved
+:class:`~repro.config.RunConfig`, in-process, in a pool worker or on a
+farm host alike.
 """
 
 from __future__ import annotations
@@ -23,23 +26,21 @@ import hashlib
 import importlib
 import inspect
 import multiprocessing
-import os
 import pathlib
 import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import control
 from repro.ckpt.store import (
     KIND_FARM,
     KIND_SWEEP,
     load_progress,
     write_progress,
 )
+from repro.config import RunConfig, current, use
 from repro.exp import cache as _cache
 from repro.obs import get_registry
-from repro.shard.partition import get_epoch, get_lookahead, get_shards
 
 _MISS = object()
 
@@ -126,19 +127,6 @@ def last_stats() -> Optional[RunStats]:
     return _last_stats
 
 
-def get_jobs(override: Optional[int] = None) -> int:
-    """Resolve the worker count (arg > $PNET_JOBS > 1)."""
-    if override is None:
-        raw = os.environ.get("PNET_JOBS", "1")
-        try:
-            override = int(raw)
-        except ValueError:
-            raise ValueError(f"PNET_JOBS must be an integer, got {raw!r}")
-    if override < 1:
-        raise ValueError(f"job count must be >= 1, got {override}")
-    return override
-
-
 def resolve_fn(ref: str) -> Callable:
     """Import ``"package.module:function"`` and return the callable."""
     module_name, sep, fn_name = ref.partition(":")
@@ -186,57 +174,27 @@ def _code_hash(module_name: str) -> str:
     return hashlib.sha256((package + source).encode()).hexdigest()
 
 
-def _trial_cache_key(spec: TrialSpec) -> Tuple:
-    module_name = spec.fn.partition(":")[0]
-    key: Tuple = (spec.fn, _code_hash(module_name), spec.kwargs)
-    # Plane-sharded packet trials (PNET_SHARDS > 1 with a nonzero
-    # epoch) may differ from serial results within the documented
-    # staleness bound, so their cache entries are tagged.  One shard --
-    # or epoch 0 -- takes the byte-identical serial path and keeps the
-    # untagged (pre-shard) key, so existing golden caches stay valid.
-    shards = get_shards()
-    if shards > 1:
-        epoch = get_epoch()
-        if epoch > 0:
-            key += (("PNET_SHARDS", shards), ("PNET_EPOCH", epoch))
-            # An explicit lookahead changes the barrier stride and so
-            # the (bounded) results; auto-derived lookahead is a pure
-            # function of the workload and needs no tag.  The channel
-            # backend is byte-identical by contract and is never
-            # tagged.
-            lookahead = get_lookahead()
-            if lookahead is not None:
-                key += (("PNET_LOOKAHEAD", lookahead),)
-    return key + _control_tags()
+def _trial_cache_key(spec: TrialSpec, config: RunConfig) -> Tuple:
+    """The whole-trial cache key: function, code hash and kwargs, plus
+    each result-affecting config field off its default.  Unset knobs,
+    the control policy ``off``, one shard and ``epoch=0`` add nothing,
+    so they share the plain key."""
+    key = (spec.fn, _code_hash(spec.fn.partition(":")[0]), spec.kwargs)
+    return key + config.result_tags()
 
 
-def _control_tags() -> Tuple:
-    """Each ``PNET_CONTROL_*`` knob that is set, resolved: trials read
-    them, so they change results.  Unset knobs and the policy ``off``
-    add nothing; a bad value raises here, before any trial runs."""
-    policy = control.get_control_policy()
-    tags = [] if policy is None else [("PNET_CONTROL_POLICY", policy)]
-    for name, resolve in (
-        ("PNET_CONTROL_INTERVAL", control.get_control_interval),
-        ("PNET_CONTROL_HYSTERESIS", control.get_control_hysteresis),
-        ("PNET_CONTROL_COOLDOWN", control.get_control_cooldown),
-    ):
-        if os.environ.get(name):
-            tags.append((name, resolve()))
-    return tuple(tags)
-
-
-def _execute(spec: TrialSpec) -> Tuple[Tuple, Any, int, int]:
-    """Run one trial (worker side); returns (key, value, hits, misses).
+def _execute(spec: TrialSpec, config: RunConfig) -> tuple:
+    """Run one trial under ``config``; returns (key, value, hits, misses).
 
     The hit/miss counts are this trial's *delta* on the artifact cache,
     so the parent can aggregate across forked workers whose counters
     start from a copy of the parent's.
     """
-    cache = _cache.get_cache()
-    hits0, misses0 = cache.hits, cache.misses
-    value = resolve_fn(spec.fn)(**spec.kwargs)
-    cache.put("trial", _trial_cache_key(spec), value)
+    with use(config):
+        cache = _cache.get_cache()
+        hits0, misses0 = cache.hits, cache.misses
+        value = resolve_fn(spec.fn)(**spec.kwargs)
+        cache.put("trial", _trial_cache_key(spec, config), value)
     return (
         spec.key,
         value,
@@ -271,53 +229,6 @@ def _pool_context():
 # checkpoints written by one sweep are usable by any superset sweep.
 
 
-def get_checkpoint_dir(override=None) -> Optional[pathlib.Path]:
-    """Resolve the sweep checkpoint root (arg > $PNET_CKPT_DIR > off)."""
-    if override is not None:
-        return pathlib.Path(override)
-    raw = os.environ.get("PNET_CKPT_DIR")
-    return pathlib.Path(raw) if raw else None
-
-
-def get_checkpoint_every(override: Optional[int] = None) -> Optional[int]:
-    """Checkpoint after every N completed trials (arg > $PNET_CKPT_EVERY)."""
-    if override is None:
-        raw = os.environ.get("PNET_CKPT_EVERY", "")
-        if not raw:
-            return None
-        try:
-            override = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"PNET_CKPT_EVERY must be an integer, got {raw!r}"
-            )
-    if override < 1:
-        raise ValueError(f"checkpoint interval must be >= 1, got {override}")
-    return override
-
-
-def get_resume(override: Optional[bool] = None) -> bool:
-    """Whether to resume from sweep checkpoints (arg > $PNET_RESUME)."""
-    if override is not None:
-        return override
-    return os.environ.get("PNET_RESUME", "0") not in ("", "0")
-
-
-def get_checkpoint_keep(override: Optional[int] = None) -> Optional[int]:
-    """Retention for sweep checkpoints (arg > $PNET_CKPT_KEEP > all)."""
-    if override is None:
-        raw = os.environ.get("PNET_CKPT_KEEP", "")
-        if not raw:
-            return None
-        try:
-            override = int(raw)
-        except ValueError:
-            raise ValueError(f"PNET_CKPT_KEEP must be an integer, got {raw!r}")
-    if override < 1:
-        raise ValueError(f"keep-last must be >= 1, got {override}")
-    return override
-
-
 def run_trials(
     specs: Sequence[TrialSpec],
     jobs: Optional[int] = None,
@@ -330,21 +241,28 @@ def run_trials(
 ) -> Dict[Tuple, Any]:
     """Run every trial and return ``{spec.key: result}`` in spec order.
 
+    The run resolves one :class:`~repro.config.RunConfig` at entry --
+    the current one, with these arguments put in -- and every trial
+    runs under it, in-process, in a pool worker or on a farm host.  A
+    bad knob fails here, before any trial runs.
+
     ``jobs`` defaults to ``$PNET_JOBS`` (1 = serial, in-process).  The
     returned mapping's iteration order is the order of ``specs``
     regardless of which worker finished first, and the values are
     identical across job counts; per-run cost is recorded in
     :func:`last_stats`.
 
-    Sweep checkpointing (all default from the environment:
-    ``PNET_CKPT_DIR`` / ``PNET_CKPT_EVERY`` / ``PNET_RESUME`` /
-    ``PNET_CKPT_KEEP``): with a checkpoint dir and interval, the run
-    writes crash-consistent progress snapshots every
-    ``checkpoint_every`` completed trials plus one at the end; with
-    ``resume``, trials whose results a prior (possibly killed) run
-    already checkpointed are skipped.  Results are keyed by the same
-    content hash as the artifact cache, so resumed values are exactly
-    the values an uninterrupted run would have produced.
+    Sweep checkpointing (``checkpoint_dir`` / ``checkpoint_every`` /
+    ``resume`` / ``checkpoint_keep_last``, by default ``PNET_CKPT_DIR``
+    / ``PNET_CKPT_EVERY`` / ``PNET_RESUME`` / ``PNET_CKPT_KEEP``): with
+    a checkpoint dir and interval, the run writes crash-consistent
+    progress snapshots every ``checkpoint_every`` completed trials plus
+    one at the end; with ``resume``, trials whose results a prior
+    (possibly killed) run already checkpointed are skipped.  The
+    interval and ``resume`` need a dir, and retention needs the
+    interval.  Results are keyed by the same content hash as the
+    artifact cache, so resumed values are exactly the values an
+    uninterrupted run would have produced.
 
     ``farm`` (default ``$PNET_FARM_INVENTORY``; unset = no farm)
     dispatches pending trials across a run farm instead of the local
@@ -356,30 +274,33 @@ def run_trials(
     trial function checkpoints -- and the merged result is
     byte-identical to a single-host run of the same specs.
     """
-    global _last_stats
     _check_specs(specs)
-    jobs = get_jobs(jobs)
-    checkpoint_dir = get_checkpoint_dir(checkpoint_dir)
-    checkpoint_every = get_checkpoint_every(checkpoint_every)
-    resume = get_resume(resume)
-    checkpoint_keep_last = get_checkpoint_keep(checkpoint_keep_last)
-    if checkpoint_every is not None and checkpoint_dir is None:
-        raise ValueError(
-            "checkpoint_every requires a checkpoint dir "
-            "(PNET_CKPT_DIR or checkpoint_dir=)"
-        )
+    config = current().replace(
+        jobs=jobs,
+        ckpt_dir=checkpoint_dir,
+        ckpt_every=checkpoint_every,
+        resume=resume,
+        ckpt_keep=checkpoint_keep_last,
+        farm_timeout=farm_timeout,
+    )
+    with use(config):
+        return _run_trials(specs, config, farm)
+
+
+def _run_trials(specs: Sequence[TrialSpec], config: RunConfig, farm):
+    global _last_stats
+    checkpoint_dir = config.ckpt_dir
+    checkpoint_every = config.ckpt_every
     # PNET_JOBS budgets *total* processes.  A sharded trial (PNET_SHARDS
     # > 1, epoch > 0) spawns one worker per plane shard, so the pool
     # gets jobs // shards trial slots (floor 1 -- a single sharded
     # trial may still exceed the budget when shards > jobs; shard count
     # wins because it changes results, job count only changes speed).
-    shards = get_shards()
-    if shards > 1 and get_epoch() == 0:
-        shards = 1
-    trial_workers = max(1, jobs // shards)
+    shards = config.shards if config.sharded else 1
+    trial_workers = max(1, config.jobs // shards)
     stats = RunStats(
         n_trials=len(specs),
-        jobs=jobs,
+        jobs=config.jobs,
         shards=shards,
         trial_workers=trial_workers,
     )
@@ -391,13 +312,12 @@ def run_trials(
     # Resume state first, then the whole-trial cache: anything already
     # computed (by a prior possibly-killed sweep, any prior run, or any
     # other process) never reaches the pool.
+    trial_key = {spec.key: _trial_cache_key(spec, config) for spec in specs}
     content_hash = {
-        spec.key: _cache.stable_hash(_trial_cache_key(spec))
-        for spec in specs
+        key: _cache.stable_hash(value) for key, value in trial_key.items()
     }
     done: Dict[str, Any] = (
-        load_progress(checkpoint_dir)
-        if resume and checkpoint_dir is not None else {}
+        load_progress(checkpoint_dir) if config.resume else {}
     )
     pending: List[TrialSpec] = []
     for spec in specs:
@@ -405,7 +325,7 @@ def run_trials(
             results[spec.key] = done[content_hash[spec.key]]
             stats.resumed_trials += 1
             continue
-        value = cache.get("trial", _trial_cache_key(spec), _MISS)
+        value = cache.get("trial", trial_key[spec.key], _MISS)
         if value is _MISS:
             pending.append(spec)
         else:
@@ -415,7 +335,7 @@ def run_trials(
 
     from repro.farm.inventory import resolve_inventory
 
-    inventory = resolve_inventory(farm)
+    inventory = resolve_inventory(farm or config.farm_inventory)
     progress_kind = KIND_SWEEP if inventory is None else KIND_FARM
     fresh = 0
 
@@ -429,7 +349,7 @@ def run_trials(
             and fresh % checkpoint_every == 0
         ):
             write_progress(
-                checkpoint_dir, done, len(specs), checkpoint_keep_last,
+                checkpoint_dir, done, len(specs), config.ckpt_keep,
                 kind=progress_kind,
             )
             stats.checkpoints_written += 1
@@ -437,15 +357,9 @@ def run_trials(
     if inventory is not None and pending:
         from repro.farm.dispatch import run_on_farm
 
-        require_backend = None
-        if shards > 1:
-            from repro.shard.channel import get_backend
-
-            require_backend = get_backend()
         farm_results, farm_stats = run_on_farm(
             pending,
             inventory,
-            timeout=farm_timeout,
             trial_checkpoint_root=(
                 checkpoint_dir / "trials"
                 if checkpoint_dir is not None else None
@@ -454,7 +368,6 @@ def run_trials(
                 spec.key: content_hash[spec.key] for spec in pending
             },
             on_complete=lambda key, value, __: _completed(key, value),
-            require_backend=require_backend,
         )
         assert len(farm_results) == len(pending)
         stats.farm_workers = farm_stats.n_workers
@@ -462,7 +375,7 @@ def run_trials(
         stats.resumed_elsewhere = farm_stats.resumed_elsewhere
     elif trial_workers == 1 or len(pending) <= 1:
         for spec in pending:
-            key, value, __, __ = _execute(spec)
+            key, value, __, __ = _execute(spec, config)
             # Round-trip so the serial path yields the same object graph
             # a pool worker's unpickled result would: without this,
             # in-process results can share interned objects across
@@ -472,7 +385,7 @@ def run_trials(
         ctx = _pool_context()
         with ctx.Pool(processes=min(trial_workers, len(pending))) as pool:
             for key, value, hits, misses in pool.imap_unordered(
-                _execute, pending
+                functools.partial(_execute, config=config), pending
             ):
                 _completed(key, value)
                 stats.cache_hits += hits
@@ -482,7 +395,7 @@ def run_trials(
         # Final partial interval: a completed sweep's checkpoint lets a
         # superset sweep resume from everything computed here.
         write_progress(
-            checkpoint_dir, done, len(specs), checkpoint_keep_last,
+            checkpoint_dir, done, len(specs), config.ckpt_keep,
             kind=progress_kind,
         )
         stats.checkpoints_written += 1

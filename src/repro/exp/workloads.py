@@ -10,11 +10,13 @@ traffic is byte-identical across network labels (the scenario programs
 are seeded and the diurnal host rate is pinned to the parallel
 aggregate), so rows differ only by what the fabric did with the load.
 
-Knobs (also exposed as ``python -m repro workloads ...``):
+Knobs, as :func:`run` arguments and ``python -m repro workloads``
+flags:
 
-* ``PNET_SCENARIO=<name>`` -- run only that scenario family;
-* ``PNET_TENANTS=<n>`` / ``PNET_LOAD=<f>`` -- diurnal mix shape;
-* ``PNET_WORKLOADS_ENGINE=packet|fluid|hybrid`` -- force one engine
+* ``scenario`` (``--scenario <name>``) -- run only that scenario family;
+* ``tenants`` / ``load`` (``--tenants N`` / ``--load F``) -- diurnal
+  mix shape;
+* ``engine`` (``--engine packet|fluid|hybrid``) -- force one engine
   for every scenario (hybrid uses the preset's promotion policy).
   Default is per scenario (:data:`DEFAULT_ENGINES`): packet fidelity
   for the bursty closed programs where drops and RTOs are the story
@@ -24,9 +26,8 @@ Knobs (also exposed as ``python -m repro workloads ...``):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.analysis.stats import summarize
 from repro.exp.common import (
@@ -91,7 +92,7 @@ PRESETS = {
 }
 
 
-#: Engine each scenario runs on unless PNET_WORKLOADS_ENGINE forces one.
+#: Engine each scenario runs on unless ``engine=`` forces one.
 DEFAULT_ENGINES = {
     "incast": "packet",
     "coflow": "packet",
@@ -153,66 +154,55 @@ def scenario_trial(
     }
 
 
-def _scenarios_requested(params) -> List[str]:
-    only = os.environ.get("PNET_SCENARIO")
-    names = list(params["scenarios"])
-    if not only:
-        return names
-    if only not in names:
-        raise ValueError(
-            f"PNET_SCENARIO must be one of {names}, got {only!r}"
-        )
-    return [only]
+def run(
+    scale: Optional[str] = None,
+    scenario: Optional[str] = None,
+    tenants: Optional[int] = None,
+    load: Optional[float] = None,
+    engine: Optional[str] = None,
+) -> WorkloadsResult:
+    """Every scenario family (or ``scenario``) on the four networks.
+    Bad knobs raise ``ValueError`` before any trial runs."""
+    from repro.workloads import get_scenario
 
-
-def _engine_for(scenario: str) -> str:
-    engine = os.environ.get("PNET_WORKLOADS_ENGINE")
-    if engine is None:
-        return DEFAULT_ENGINES[scenario]
-    if engine not in ("packet", "fluid", "hybrid"):
-        raise ValueError(
-            f"PNET_WORKLOADS_ENGINE must be packet|fluid|hybrid, "
-            f"got {engine!r}"
-        )
-    return engine
-
-
-def run(scale: Optional[str] = None) -> WorkloadsResult:
     params = PRESETS[get_scale(scale)]
     family = JellyfishFamily(
         params["switches"], params["degree"], params["hosts_per"]
     )
     labels = family_labels(family)
-    scenarios = _scenarios_requested(params)
-    engines = {s: _engine_for(s) for s in scenarios}
-    overrides: Dict[str, Dict[str, Any]] = {"diurnal": {}}
-    if os.environ.get("PNET_TENANTS"):
-        overrides["diurnal"]["n_tenants"] = int(os.environ["PNET_TENANTS"])
-    if os.environ.get("PNET_LOAD"):
-        overrides["diurnal"]["load"] = float(os.environ["PNET_LOAD"])
+    names = list(params["scenarios"])
+    if scenario not in (None, *names):
+        raise ValueError(f"unknown scenario {scenario!r}; known: {names}")
+    if engine not in (None, "packet", "fluid", "hybrid"):
+        raise ValueError(f"engine must be packet|fluid|hybrid, got {engine!r}")
+    scenarios = names if scenario is None else [scenario]
+    engines = {s: engine or DEFAULT_ENGINES[s] for s in scenarios}
+    diurnal = {"n_tenants": tenants, "load": load}
 
     specs = []
-    for scenario in scenarios:
-        knobs = dict(params["scenarios"][scenario])
-        knobs.update(overrides.get(scenario, {}))
+    for name in scenarios:
+        knobs = dict(params["scenarios"][name])
+        if name == "diurnal":
+            knobs.update((k, v) for k, v in diurnal.items() if v is not None)
+        get_scenario(name, **knobs)  # checks the knobs
         for label in labels:
             for seed in params["seeds"]:
                 specs.append(TrialSpec(
                     fn="repro.exp.workloads:scenario_trial",
-                    key=(scenario, label, seed),
+                    key=(name, label, seed),
                     kwargs=dict(
                         switches=params["switches"],
                         degree=params["degree"],
                         hosts_per=params["hosts_per"],
                         n_planes=params["n_planes"],
                         label=label,
-                        scenario=scenario,
+                        scenario=name,
                         knobs=knobs,
                         seed=seed,
-                        engine=engines[scenario],
+                        engine=engines[name],
                         promote=(
                             params["promote"]
-                            if engines[scenario] == "hybrid"
+                            if engines[name] == "hybrid"
                             else None
                         ),
                     ),
@@ -224,10 +214,10 @@ def run(scale: Optional[str] = None) -> WorkloadsResult:
         n_planes=params["n_planes"],
         engines=engines,
     )
-    for scenario in scenarios:
+    for name in scenarios:
         for label in labels:
             per_seed = [
-                trials[(scenario, label, seed)]
+                trials[(name, label, seed)]
                 for seed in params["seeds"]
             ]
             merged = {
@@ -236,12 +226,12 @@ def run(scale: Optional[str] = None) -> WorkloadsResult:
                 ).mean
                 for metric in per_seed[0]
             }
-            result.rows[(scenario, label)] = merged
+            result.rows[(name, label)] = merged
     return result
 
 
-def main() -> None:
-    result = run()
+def main(**knobs) -> None:
+    result = run(**knobs)
     print(
         f"Production workloads, {result.n_hosts}-host Jellyfish, "
         f"{result.n_planes} planes\n"

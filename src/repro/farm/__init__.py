@@ -26,11 +26,9 @@ from the shell.
 
 from repro.farm.dispatch import Dispatcher, FarmStats, run_on_farm
 from repro.farm.inventory import (
-    DEFAULT_TIMEOUT,
     FarmError,
     HostSpec,
     Inventory,
-    get_farm_timeout,
     local_inventory,
     resolve_inventory,
 )
@@ -51,7 +49,6 @@ from repro.farm.transport import (
 
 __all__ = [
     "AUTHKEY_ENV",
-    "DEFAULT_TIMEOUT",
     "Dispatcher",
     "FarmError",
     "FarmStats",
@@ -61,7 +58,6 @@ __all__ = [
     "LocalTransport",
     "SshTransport",
     "WorkerHandle",
-    "get_farm_timeout",
     "get_transport",
     "load_progress",
     "local_inventory",

@@ -23,15 +23,12 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.farm.inventory import (
-    FarmError,
-    Inventory,
-    resolve_inventory,
-)
+from repro.config import current, use
+from repro.farm.inventory import FarmError, Inventory, resolve_inventory
 
 
-def _load_inventory(path: Optional[str]) -> Inventory:
-    inventory = resolve_inventory(path)
+def _load_inventory() -> Inventory:
+    inventory = resolve_inventory(current().farm_inventory)
     if inventory is None:
         raise FarmError(
             "no inventory: pass --inventory FILE or set "
@@ -41,7 +38,7 @@ def _load_inventory(path: Optional[str]) -> Inventory:
 
 
 def _cmd_workers(args) -> int:
-    inventory = _load_inventory(args.inventory)
+    inventory = _load_inventory()
     print(f"{'host':<16} {'transport':<9} {'slots':>5} {'cores':>5}  "
           f"backends")
     for host in inventory.hosts:
@@ -92,20 +89,12 @@ def _spec_file(path: str):
 def _cmd_run(args) -> int:
     from repro.exp.runner import last_stats, run_trials
 
-    inventory = _load_inventory(args.inventory)
+    inventory = _load_inventory()
     specs = (
         _spec_file(args.spec) if args.spec
         else _demo_specs(args.seeds, args.n_flows)
     )
-    results = run_trials(
-        specs,
-        farm=inventory,
-        farm_timeout=args.timeout,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume or None,
-        checkpoint_keep_last=args.keep_last,
-    )
+    results = run_trials(specs, farm=inventory)
     stats = last_stats()
     print(f"[farm] {stats.summary()}")
     if args.out:
@@ -220,15 +209,31 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write the merged map as a new container under DIR",
     )
 
+    parser.set_defaults(
+        inventory=None, timeout=None, checkpoint_dir=None,
+        checkpoint_every=None, keep_last=None, resume=False,
+    )
     args = parser.parse_args(argv)
+    from repro.cli import resolve_config
+
+    config = resolve_config(
+        parser,
+        farm_inventory=args.inventory,
+        farm_timeout=args.timeout,
+        ckpt_dir=args.checkpoint_dir,
+        ckpt_every=args.checkpoint_every,
+        ckpt_keep=args.keep_last,
+        resume=args.resume or None,
+    )
     try:
-        if args.action == "workers":
-            return _cmd_workers(args)
-        if args.action == "run":
-            return _cmd_run(args)
-        if args.action == "status":
-            return _cmd_status(args)
-        return _cmd_merge(args)
+        with use(config):
+            if args.action == "workers":
+                return _cmd_workers(args)
+            if args.action == "run":
+                return _cmd_run(args)
+            if args.action == "status":
+                return _cmd_status(args)
+            return _cmd_merge(args)
     except FarmError as exc:
         print(f"[farm] error: {exc}", file=sys.stderr)
         return 1

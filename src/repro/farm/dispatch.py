@@ -14,7 +14,8 @@ recomputing.
 
 Results are keyed by trial content hash exactly as the single-host
 runner keys them, so a farm run's merged output is byte-identical to
-``run_trials`` on one machine at any host/worker count.
+``run_trials`` on one machine at any host/worker count: every
+assignment carries the result-affecting config fields the key names.
 """
 
 from __future__ import annotations
@@ -28,11 +29,8 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import Listener, wait as conn_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.farm.inventory import (
-    FarmError,
-    Inventory,
-    get_farm_timeout,
-)
+from repro.config import current
+from repro.farm.inventory import FarmError, Inventory
 from repro.farm.transport import WorkerHandle, get_transport
 from repro.obs import get_registry
 
@@ -92,7 +90,8 @@ class Dispatcher:
     """Drive a set of trials to completion across an inventory.
 
     Use :func:`run_on_farm` unless you need the object for status
-    callbacks.  ``on_assign(worker_id, spec, pid)`` fires after each
+    callbacks.  ``timeout`` defaults to the current config's
+    ``farm_timeout``.  ``on_assign(worker_id, spec, pid)`` fires after each
     assignment is sent (status displays; the recovery drill uses it to
     aim its SIGKILL), ``on_complete(key, value, resumed_step)`` after
     each result lands.
@@ -111,14 +110,17 @@ class Dispatcher:
         on_assign: Optional[Callable[[str, Any, int], None]] = None,
         bind: str = "127.0.0.1",
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
-        require_backend: Optional[str] = None,
         obs=None,
     ):
         if not specs:
             raise FarmError("no trials to dispatch")
+        config = current().replace(farm_timeout=timeout)
         self.specs = list(specs)
-        self.inventory = inventory.capable(require_backend)
-        self.timeout = get_farm_timeout(timeout)
+        self.inventory = inventory.capable(
+            config.shard_backend if config.sharded else None
+        )
+        self.timeout = config.farm_timeout
+        self.result_fields = config.result_fields()
         self.heartbeat = max(min(self.timeout / 4, 2.0), 0.05)
         self.trial_checkpoint_root = trial_checkpoint_root
         self.trial_checkpoint_every = trial_checkpoint_every
@@ -132,7 +134,7 @@ class Dispatcher:
             from repro.exp.runner import _trial_cache_key
 
             content_hash = {
-                spec.key: stable_hash(_trial_cache_key(spec))
+                spec.key: stable_hash(_trial_cache_key(spec, config))
                 for spec in self.specs
             }
         self.content_hash = content_hash
@@ -268,6 +270,7 @@ class Dispatcher:
             "checkpoint_dir": self._trial_checkpoint_dir(pending.spec),
             "checkpoint_every": self.trial_checkpoint_every,
             "resume": pending.resume,
+            "config": self.result_fields,
         }
         try:
             worker.conn.send(msg)

@@ -22,7 +22,7 @@ or declarative files -- JSON always, YAML when the interpreter has
 ``PNET_FARM_INVENTORY`` points the experiment runner at an inventory
 file; ``PNET_FARM_TIMEOUT`` sets the worker heartbeat timeout in
 seconds (a worker silent for longer is declared lost and its in-flight
-trial is reassigned).
+trial is reassigned).  Both are :class:`~repro.config.RunConfig` fields.
 """
 
 from __future__ import annotations
@@ -32,10 +32,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.shard.channel import BACKENDS
-
-#: Heartbeat timeout (seconds) when ``PNET_FARM_TIMEOUT`` is unset.
-DEFAULT_TIMEOUT = 10.0
+from repro.config import BACKENDS
 
 KNOWN_TRANSPORTS = ("local", "ssh")
 
@@ -222,37 +219,13 @@ InventoryLike = Union[Inventory, str, pathlib.Path, Sequence[HostSpec]]
 
 
 def resolve_inventory(farm: Optional[InventoryLike]) -> Optional[Inventory]:
-    """Normalise a ``farm=`` argument (arg > $PNET_FARM_INVENTORY > None).
+    """Normalise a ``farm=`` argument; ``None`` means "no farm".
 
     Accepts a live :class:`Inventory`, a sequence of :class:`HostSpec`,
-    or a path to an inventory file.  ``None`` consults
-    ``PNET_FARM_INVENTORY``; an empty/unset variable means "no farm"
-    (the runner keeps its local process pool).
+    or a path to an inventory file.
     """
-    if farm is None:
-        raw = os.environ.get("PNET_FARM_INVENTORY", "")
-        if not raw:
-            return None
-        return Inventory.from_file(raw)
-    if isinstance(farm, Inventory):
+    if farm is None or isinstance(farm, Inventory):
         return farm
     if isinstance(farm, (str, pathlib.Path)):
         return Inventory.from_file(farm)
     return Inventory(tuple(farm))
-
-
-def get_farm_timeout(override: Optional[float] = None) -> float:
-    """Heartbeat timeout in seconds (arg > $PNET_FARM_TIMEOUT > 10)."""
-    if override is None:
-        raw = os.environ.get("PNET_FARM_TIMEOUT", "")
-        if not raw:
-            return DEFAULT_TIMEOUT
-        try:
-            override = float(raw)
-        except ValueError:
-            raise FarmError(
-                f"PNET_FARM_TIMEOUT must be a number, got {raw!r}"
-            )
-    if override <= 0:
-        raise FarmError(f"farm timeout must be > 0, got {override}")
-    return override

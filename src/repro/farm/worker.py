@@ -18,11 +18,15 @@ them (or takes ``**kwargs``):
 
 A trial without these parameters still runs on the farm; it is simply
 recomputed from scratch if its worker dies.
+
+A trial runs under this host's config with the result-affecting fields
+the assignment carries put in; cache and checkpoint paths stay local.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import os
 import platform
@@ -96,12 +100,16 @@ def execute_assignment(msg: Dict[str, Any]) -> Dict[str, Any]:
     without sockets.  The artifact cache is populated exactly as the
     in-process runner would, so a farm host warms its own local cache.
     """
+    from repro.config import RunConfig, use
     from repro.exp import cache as _cache
     from repro.exp.runner import TrialSpec, _trial_cache_key, resolve_fn
 
     key = msg["key"]
     started = time.perf_counter()
     try:
+        config = dataclasses.replace(
+            RunConfig.from_env(), **msg.get("config", {})
+        )
         fn = resolve_fn(msg["fn"])
         kwargs = dict(msg["kwargs"])
         checkpoint_dir = msg.get("checkpoint_dir")
@@ -112,11 +120,14 @@ def execute_assignment(msg: Dict[str, Any]) -> Dict[str, Any]:
             every = msg.get("checkpoint_every")
             if every is not None and _accepts(fn, "checkpoint_every"):
                 kwargs["checkpoint_every"] = every
-        value = fn(**kwargs)
         # Content key of the *original* kwargs: identical to what a
         # single-host run would cache, so warmed entries interoperate.
         spec = TrialSpec(fn=msg["fn"], key=key, kwargs=dict(msg["kwargs"]))
-        _cache.get_cache().put("trial", _trial_cache_key(spec), value)
+        with use(config):
+            value = fn(**kwargs)
+            _cache.get_cache().put(
+                "trial", _trial_cache_key(spec, config), value
+            )
         return {
             "type": "result",
             "key": key,

@@ -16,9 +16,8 @@ Entry points:
   minimum spanning-path RTT; uncoupled workers free-run).  Fluid runs
   stay serial: the max-min solve is one global allocation.
 * ``PNET_SHARDS`` / ``PNET_EPOCH`` / ``PNET_LOOKAHEAD`` /
-  ``PNET_SHARD_BACKEND`` / ``PNET_SHARD_TIMEOUT`` environment knobs,
-  resolved by :func:`get_shards` / :func:`get_epoch` /
-  :func:`get_lookahead` / :func:`get_backend` / :func:`get_timeout`.
+  ``PNET_SHARD_BACKEND`` / ``PNET_SHARD_TIMEOUT``: fields of
+  :class:`repro.config.RunConfig`.
 
 Guarantees: ``PNET_SHARDS=1`` (or ``epoch=0``) is byte-identical to
 the pre-shard serial simulators; multi-shard results are deterministic
@@ -28,26 +27,15 @@ only spanning MPTCP connections see the epoch-staleness approximation
 (bounded, and converging to serial as ``epoch -> 0``).
 """
 
-from repro.shard.channel import (
-    ShardWorkerError,
-    get_backend,
-    get_timeout,
-)
+from repro.config import DEFAULT_EPOCH
+from repro.shard.channel import ShardWorkerError
 from repro.shard.engine import (
     ShardResult,
     ShardSafetyError,
     run_packet_trial,
 )
 from repro.shard.lookahead import derive_lookahead, epochs_per_sync
-from repro.shard.partition import (
-    DEFAULT_EPOCH,
-    ShardPlan,
-    classify,
-    get_epoch,
-    get_lookahead,
-    get_shards,
-    serial_fallback,
-)
+from repro.shard.partition import ShardPlan, classify, serial_fallback
 
 __all__ = [
     "DEFAULT_EPOCH",
@@ -58,11 +46,6 @@ __all__ = [
     "classify",
     "derive_lookahead",
     "epochs_per_sync",
-    "get_backend",
-    "get_epoch",
-    "get_lookahead",
-    "get_shards",
-    "get_timeout",
     "run_packet_trial",
     "serial_fallback",
 ]

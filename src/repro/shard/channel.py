@@ -29,55 +29,15 @@ honours the optional ``PNET_SHARD_TIMEOUT`` deadline.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from collections import deque
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 Message = Tuple[Any, ...]
-
-BACKENDS = ("local", "shm")
 
 
 class ShardWorkerError(RuntimeError):
     """A shard worker failed; carries the worker-side traceback or a
     death/timeout diagnosis when the worker never replied."""
-
-
-def get_backend(override: Optional[str] = None) -> str:
-    """Resolve the channel backend: override, else ``PNET_SHARD_BACKEND``.
-
-    Defaults to ``shm`` (shared-memory rings, real parallelism without
-    per-barrier pickling).  ``local`` runs every shard in the engine
-    process -- same results, no speedup, handy for debugging and
-    pickling-free profiling.
-    """
-    backend = override or os.environ.get("PNET_SHARD_BACKEND", "") or "shm"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"shard backend must be one of {'/'.join(BACKENDS)}, "
-            f"got {backend!r}"
-        )
-    return backend
-
-
-def get_timeout(override: Optional[float] = None) -> Optional[float]:
-    """Barrier reply deadline in seconds (``PNET_SHARD_TIMEOUT``).
-
-    ``None`` (unset/empty/non-positive) waits forever -- worker *death*
-    is still detected promptly either way; the deadline additionally
-    catches live-but-stuck workers.
-    """
-    if override is None:
-        raw = os.environ.get("PNET_SHARD_TIMEOUT", "").strip()
-        if not raw:
-            return None
-        try:
-            override = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"PNET_SHARD_TIMEOUT must be a number, got {raw!r}"
-            ) from None
-    return override if override > 0 else None
 
 
 def _mp_context():

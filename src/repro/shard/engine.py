@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.ckpt.snapshot import dumps
+from repro.config import current
 from repro.ckpt.store import (
     CheckpointError,
     latest,
@@ -42,7 +43,7 @@ from repro.ckpt.store import (
 from repro.core.flowspec import FlowSpec
 from repro.core.pnet import PNet
 from repro.obs import get_registry
-from repro.shard.channel import LocalChannel, get_backend
+from repro.shard.channel import LocalChannel
 from repro.shard.coupling import (
     largest_remainder,
     lia_terms,
@@ -52,14 +53,7 @@ from repro.shard.lookahead import (
     derive_lookahead,
     epochs_per_sync,
 )
-from repro.shard.partition import (
-    ShardPlan,
-    classify,
-    get_epoch,
-    get_lookahead,
-    get_shards,
-)
-from repro.shard.partition import _count_fallback
+from repro.shard.partition import ShardPlan, _count_fallback, classify
 from repro.shard.shm import ShmChannel
 from repro.shard.worker import WorkerConfig, build_worker, handle_message
 from repro.sim.network import SimFlowRecord
@@ -295,15 +289,15 @@ def run_packet_trial(
             serial code path, byte-identical to a plain
             :class:`~repro.sim.network.PacketNetwork` run.
         epoch: barrier spacing in simulated seconds; defaults to
-            ``PNET_EPOCH`` (else :data:`~repro.shard.partition.
-            DEFAULT_EPOCH`).  Only spanning MPTCP connections feel it.
+            ``PNET_EPOCH``.  Only spanning MPTCP connections feel it.
         lookahead: conservative-PDES lookahead in simulated seconds;
-            defaults to ``PNET_LOOKAHEAD``, else it is derived as the
+            defaults to ``PNET_LOOKAHEAD``; ``"auto"`` derives it as the
             minimum spanning-path RTT.  Barrier rounds are batched to
             ``max(1, floor(lookahead / epoch))`` epochs per digest
             exchange; ``0`` forces one exchange per epoch.
         backend: ``"local"`` or ``"shm"`` channel backend; defaults
-            to ``PNET_SHARD_BACKEND`` (else ``shm``).
+            to ``PNET_SHARD_BACKEND``.  All four defaults come from the
+            current :class:`~repro.config.RunConfig`.
         schedule: optional iterable of fault events, routed to the
             owning shards (dataplane semantics only -- injector-style
             resteering is cross-plane and must stay serial).
@@ -344,16 +338,18 @@ def run_packet_trial(
             (closed-loop workloads cannot shard) or non-integer
             spanning flow sizes -- unless ``serial_fallback=True``.
     """
+    cfg = current().replace(
+        shards=shards, epoch=epoch, lookahead=lookahead,
+        shard_backend=backend,
+    )
     planes = _as_planes(planes)
     specs = list(specs)
-    epoch = get_epoch(epoch)
-    n_shards = min(get_shards(shards), len(planes))
-    if epoch == 0:
-        n_shards = 1
+    epoch = cfg.epoch
+    n_shards = min(cfg.shards, len(planes)) if cfg.sharded else 1
     obs = obs if obs is not None else get_registry()
     events = _check_schedule(schedule, len(planes))
     plan = ShardPlan.build(len(planes), n_shards)
-    backend = get_backend(backend) if plan.n_shards > 1 else "local"
+    backend = cfg.shard_backend if plan.n_shards > 1 else "local"
     if checkpoint_every is not None:
         if checkpoint_dir is None:
             raise ValueError("checkpoint_every requires checkpoint_dir")
@@ -481,7 +477,7 @@ def run_packet_trial(
     # than one spanning-path RTT, so one digest exchange may safely
     # cover several epochs (the epoch stays the staleness quantum; the
     # stride only batches the exchanges).
-    la = get_lookahead(lookahead)
+    la = cfg.lookahead
     if la is None:
         la = derive_lookahead(planes, specs, spanning_gids)
     stride = epochs_per_sync(la, epoch)

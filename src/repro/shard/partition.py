@@ -8,39 +8,17 @@ one shard (all its paths live on that shard's planes) or *spanning*
 (an MPTCP connection whose subflows straddle shards and therefore
 needs the epoch-coupling protocol in :mod:`repro.shard.coupling`).
 
-Shard count and epoch length resolve from ``PNET_SHARDS`` /
-``PNET_EPOCH`` unless overridden programmatically, mirroring how
-``PNET_JOBS`` works for the trial-level runner.
+The shard count and epoch length are :class:`~repro.config.RunConfig`
+fields (``PNET_SHARDS`` / ``PNET_EPOCH``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from repro.config import current
 from repro.core.flowspec import FlowSpec
-
-#: Default epoch barrier spacing (simulated seconds).  A handful of
-#: fabric RTTs: long enough to amortise barrier cost, short enough that
-#: LIA coupling staleness stays small (see tests/test_shard_coupling.py
-#: for the empirically enforced bound).
-DEFAULT_EPOCH = 1e-4
-
-
-def get_shards(override: Optional[int] = None) -> int:
-    """Resolve the shard count: explicit override, else ``PNET_SHARDS``."""
-    if override is None:
-        raw = os.environ.get("PNET_SHARDS", "1")
-        try:
-            override = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"PNET_SHARDS must be an integer, got {raw!r}"
-            ) from None
-    if override < 1:
-        raise ValueError(f"shard count must be >= 1, got {override}")
-    return override
 
 
 def serial_fallback(feature: str, obs=None) -> int:
@@ -54,7 +32,7 @@ def serial_fallback(feature: str, obs=None) -> int:
     telemetry rather than a mystery slowdown.  Returns 1, the effective
     shard count.
     """
-    if get_shards() > 1:
+    if current().shards > 1:
         _count_fallback(feature, obs)
     return 1
 
@@ -63,62 +41,13 @@ def _count_fallback(feature: str, obs=None) -> None:
     """Record one downgrade of a multi-shard request to the serial path.
 
     The shard engine calls this directly: it has already resolved a
-    count above one (from ``shards=`` or ``PNET_SHARDS``), so it must
-    not re-read the environment the way :func:`serial_fallback` does.
+    count above one (from ``shards=`` or ``PNET_SHARDS``).
     """
     if obs is None:
         from repro.obs import get_registry
 
         obs = get_registry()
     obs.counter("shard.serial_fallback", feature=feature).inc()
-
-
-def get_epoch(override: Optional[float] = None) -> float:
-    """Resolve the epoch length: explicit override, else ``PNET_EPOCH``.
-
-    ``0`` is legal and means "no staleness allowed": the engine falls
-    back to the serial single-loop path, which is byte-identical to the
-    pre-shard simulator.
-    """
-    if override is None:
-        raw = os.environ.get("PNET_EPOCH", "")
-        if not raw:
-            return DEFAULT_EPOCH
-        try:
-            override = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"PNET_EPOCH must be a number, got {raw!r}"
-            ) from None
-    if override < 0:
-        raise ValueError(f"epoch must be >= 0, got {override}")
-    return override
-
-
-def get_lookahead(override: Optional[float] = None) -> Optional[float]:
-    """Resolve the barrier lookahead: override, else ``PNET_LOOKAHEAD``.
-
-    Returns ``None`` for "auto" (unset, empty, or the literal string
-    ``auto``): the engine derives the lookahead from the minimum
-    cross-plane path RTT of the spanning connections (see
-    :func:`repro.shard.lookahead.derive_lookahead`).  ``0`` disables
-    barrier batching (one digest exchange per epoch, the pre-lookahead
-    behaviour); a positive value is an explicit lookahead in simulated
-    seconds.
-    """
-    if override is None:
-        raw = os.environ.get("PNET_LOOKAHEAD", "").strip()
-        if not raw or raw == "auto":
-            return None
-        try:
-            override = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"PNET_LOOKAHEAD must be a number or 'auto', got {raw!r}"
-            ) from None
-    if override < 0:
-        raise ValueError(f"lookahead must be >= 0, got {override}")
-    return override
 
 
 @dataclass(frozen=True)

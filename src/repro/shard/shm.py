@@ -49,12 +49,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 from multiprocessing import shared_memory
 
-from repro.shard.channel import (
-    Message,
-    ShardWorkerError,
-    _mp_context,
-    get_timeout,
-)
+from repro.config import current
+from repro.shard.channel import Message, ShardWorkerError, _mp_context
 
 HEADER_BYTES = 16  # two little-endian uint64: write_pos, read_pos
 FRAME_BYTES = 8  # u32 chunk length (high bit: FINAL), u32 crc32
@@ -453,7 +449,9 @@ class ShmChannel:
 
     def __init__(self, config, timeout: Optional[float] = None):
         self._codec = DigestCodec(config)
-        self._timeout = get_timeout(timeout)
+        self._timeout = current().replace(
+            shard_timeout=timeout
+        ).shard_timeout
         self._shm = shared_memory.SharedMemory(
             create=True, size=_segment_size()
         )

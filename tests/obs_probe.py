@@ -1,4 +1,4 @@
-"""Traced telemetry probe trial (CI smoke + determinism checks).
+"""Traced telemetry probe trial (determinism checks).
 
 ``traced_trial`` runs one small packet simulation with a private live
 :class:`~repro.obs.Registry` and tracer attached, and returns only

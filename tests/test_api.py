@@ -132,7 +132,7 @@ class TestDeprecationShim:
         pnet = make_pnet()
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            from repro.exp.obs_probe import traced_trial
+            from tests.obs_probe import traced_trial
             from repro.sim.rpc import RpcClient
 
             net = PacketNetwork(pnet.planes)

@@ -99,6 +99,52 @@ class TestCli:
         assert "32 hosts" in out  # tiny preset size
 
 
+class TestExperimentFlags:
+    """Flags that belong to one experiment fail at entry, exit 2."""
+
+    def test_hybrid_flags_refused_elsewhere(self, capsys):
+        for flag, value in (("--fidelity", "packet"), ("--promote", "0.5")):
+            with pytest.raises(SystemExit) as info:
+                main(["table1", flag, value])
+            assert info.value.code == 2
+            assert "hybrid" in capsys.readouterr().err
+
+    def test_unknown_scenario_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["workloads", "--scenario", "bogus"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--scenario" in err and "PNET_SCENARIO" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--load", "2"], ["--tenants", "0"],
+    ])
+    def test_bad_diurnal_shape_fails_before_any_trial(
+        self, argv, monkeypatch, capsys
+    ):
+        import repro.exp.workloads
+
+        def no_trials(specs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(repro.exp.workloads, "run_trials", no_trials)
+        with pytest.raises(SystemExit) as info:
+            main(["workloads", "--scale", "tiny", *argv])
+        assert info.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_workloads_run_takes_its_knobs_as_arguments(self):
+        from repro.exp import workloads
+        from repro.workloads import WorkloadError
+
+        with pytest.raises(ValueError, match="scenario"):
+            workloads.run("tiny", scenario="bogus")
+        with pytest.raises(ValueError, match="engine"):
+            workloads.run("tiny", engine="bogus")
+        with pytest.raises(WorkloadError, match="load"):
+            workloads.run("tiny", load=2.0)
+
+
 class TestExportRealResults:
     def test_fig14_roundtrip(self, tmp_path):
         from repro.exp import fig14

@@ -6,6 +6,8 @@ Regression pins: both exit 0 with a readable zero-state report on
 missing *and* empty roots (and ``prune`` is a no-op, not an error).
 """
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -79,3 +81,36 @@ class TestCkptZeroState:
 
         with pytest.raises(CheckpointError, match="no .*checkpoint"):
             main(["ckpt", "restore", str(tmp_path / "missing")])
+
+
+class TestCkptRoot:
+    """``inspect`` and ``verify`` take a checkpoint root the way
+    ``restore`` does: they read its newest valid checkpoint."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("drill") / "ck"
+        assert main([
+            "ckpt", "save", str(root), "--scale", "tiny",
+            "--stop-after", "0.25",
+        ]) == 0
+        return root
+
+    def test_inspect_root(self, root, capsys):
+        capsys.readouterr()
+        assert main(["ckpt", "inspect", str(root)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["path"] == str(root / "ckpt-00000001")
+        assert summary["valid"] is True
+
+    def test_verify_root(self, root, capsys):
+        capsys.readouterr()
+        assert main(["ckpt", "verify", str(root)]) == 0
+        assert capsys.readouterr().out.strip().endswith(": OK")
+
+    @pytest.mark.parametrize("action", ["inspect", "verify"])
+    def test_no_checkpoint_is_one_failed_line(self, action, tmp_path,
+                                              capsys):
+        assert main(["ckpt", action, str(tmp_path / "none")]) == 1
+        out = capsys.readouterr().out
+        assert out.count("FAILED") == 1 and "Traceback" not in out

@@ -12,18 +12,15 @@ import pickle
 
 import pytest
 
+from repro.config import DEFAULT_CONTROL_INTERVAL, RunConfig
 from repro.control import (
-    DEFAULT_CONTROL_INTERVAL,
     ControlMonitor,
     ControlSample,
+    Controller,
     EcmpReshufflePolicy,
     FlowView,
     FlowletPolicy,
     LoadAwarePolicy,
-    get_control_cooldown,
-    get_control_hysteresis,
-    get_control_interval,
-    get_control_policy,
     make_policy,
 )
 from repro.core.flowspec import FlowSpec, clamp_transport, same_paths
@@ -164,36 +161,41 @@ class TestActions:
 
 
 class TestEnvKnobs:
+    """``Controller`` and ``LoadAwarePolicy`` take the current config's
+    knobs, and an argument beats it."""
+
     def test_interval_default_env_and_validation(self, monkeypatch):
         monkeypatch.delenv("PNET_CONTROL_INTERVAL", raising=False)
-        assert get_control_interval() == DEFAULT_CONTROL_INTERVAL
+        assert Controller("flowlet").interval == DEFAULT_CONTROL_INTERVAL
         monkeypatch.setenv("PNET_CONTROL_INTERVAL", "5e-4")
-        assert get_control_interval() == 5e-4
-        assert get_control_interval(2e-3) == 2e-3
+        assert Controller("flowlet").interval == 5e-4
+        assert Controller("flowlet", interval=2e-3).interval == 2e-3
         with pytest.raises(ValueError):
-            get_control_interval(0)
+            Controller("flowlet", interval=0)
         monkeypatch.setenv("PNET_CONTROL_INTERVAL", "nope")
         with pytest.raises(ValueError):
-            get_control_interval()
+            Controller("flowlet")
 
     def test_policy_off_spellings(self, monkeypatch):
         monkeypatch.delenv("PNET_CONTROL_POLICY", raising=False)
-        assert get_control_policy() is None
-        assert get_control_policy("") is None
-        assert get_control_policy("off") is None
+        assert RunConfig.from_env().control_policy is None
+        assert RunConfig.from_env(control_policy="").control_policy is None
+        assert RunConfig.from_env(control_policy="off").control_policy is None
         monkeypatch.setenv("PNET_CONTROL_POLICY", "load-aware")
-        assert get_control_policy() == "load-aware"
-        assert get_control_policy("flowlet") == "flowlet"
+        assert RunConfig.from_env().control_policy == "load-aware"
+        assert RunConfig.from_env(
+            control_policy="flowlet"
+        ).control_policy == "flowlet"
 
     def test_hysteresis_and_cooldown_validation(self, monkeypatch):
         monkeypatch.setenv("PNET_CONTROL_HYSTERESIS", "1.7")
-        assert get_control_hysteresis() == 1.7
+        assert LoadAwarePolicy().hysteresis == 1.7
         with pytest.raises(ValueError):
-            get_control_hysteresis(0.5)
+            LoadAwarePolicy(hysteresis=0.5)
         monkeypatch.setenv("PNET_CONTROL_COOLDOWN", "0.25")
-        assert get_control_cooldown() == 0.25
+        assert LoadAwarePolicy().cooldown == 0.25
         with pytest.raises(ValueError):
-            get_control_cooldown(-1.0)
+            LoadAwarePolicy(cooldown=-1.0)
 
 
 class TestRegistry:

@@ -238,6 +238,28 @@ class TestRunnerIntegration:
         assert last_stats().resumed_trials == 3
         assert pickle.dumps(resumed) == pickle.dumps(run_trials(specs))
 
+    def test_hosts_run_under_the_parents_result_fields(
+        self, farm_env, tmp_path, monkeypatch
+    ):
+        """A host whose environment lacks the parent's knobs (every ssh
+        host; here a local host that blanks them) still computes the
+        trial its cache key names, and the progress container serves
+        the same values on resume."""
+        from tests.test_runner import _control_specs
+
+        monkeypatch.setenv("PNET_CONTROL_POLICY", "load-aware")
+        inventory = local_inventory(1, env={
+            "PYTHONPATH": WORKER_PYTHONPATH, "PNET_CONTROL_POLICY": "",
+        })
+        specs = _control_specs([1, 2])
+        want = {(1,): (1, "load-aware"), (2,): (2, "load-aware")}
+        root = tmp_path / "ckpt"
+        assert run_trials(
+            specs, farm=inventory, checkpoint_dir=root, checkpoint_every=1,
+        ) == want
+        assert run_trials(specs, checkpoint_dir=root, resume=True) == want
+        assert last_stats().resumed_trials == 2
+
 
 class TestWorkerUnit:
     def test_accepts_signatures(self):

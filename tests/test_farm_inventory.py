@@ -10,12 +10,11 @@ import json
 
 import pytest
 
+from repro.config import DEFAULT_FARM_TIMEOUT, ConfigError, RunConfig
 from repro.farm.inventory import (
-    DEFAULT_TIMEOUT,
     FarmError,
     HostSpec,
     Inventory,
-    get_farm_timeout,
     local_inventory,
     resolve_inventory,
 )
@@ -147,19 +146,21 @@ class TestInventory:
 class TestResolution:
     def test_none_without_env(self, monkeypatch):
         monkeypatch.delenv("PNET_FARM_INVENTORY", raising=False)
-        assert resolve_inventory(None) is None
+        assert resolve_inventory(RunConfig.from_env().farm_inventory) is None
 
     def test_env_file(self, tmp_path, monkeypatch):
         path = tmp_path / "farm.json"
         path.write_text(json.dumps([{"name": "a"}]))
         monkeypatch.setenv("PNET_FARM_INVENTORY", str(path))
-        inv = resolve_inventory(None)
+        inv = resolve_inventory(RunConfig.from_env().farm_inventory)
         assert inv is not None and inv.hosts[0].name == "a"
 
     def test_arg_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PNET_FARM_INVENTORY", "/does/not/exist")
         inv = local_inventory(2)
         assert resolve_inventory(inv) is inv
+        with pytest.raises(ConfigError, match="PNET_FARM_INVENTORY"):
+            RunConfig.from_env()
 
     def test_hostspec_sequence(self):
         inv = resolve_inventory([HostSpec(name="a")])
@@ -167,17 +168,17 @@ class TestResolution:
 
     def test_timeout_default_and_env(self, monkeypatch):
         monkeypatch.delenv("PNET_FARM_TIMEOUT", raising=False)
-        assert get_farm_timeout() == DEFAULT_TIMEOUT
+        assert RunConfig.from_env().farm_timeout == DEFAULT_FARM_TIMEOUT
         monkeypatch.setenv("PNET_FARM_TIMEOUT", "2.5")
-        assert get_farm_timeout() == 2.5
-        assert get_farm_timeout(1.0) == 1.0
+        assert RunConfig.from_env().farm_timeout == 2.5
+        assert RunConfig.from_env(farm_timeout=1.0).farm_timeout == 1.0
 
     def test_timeout_validation(self, monkeypatch):
         monkeypatch.setenv("PNET_FARM_TIMEOUT", "soon")
-        with pytest.raises(FarmError, match="must be a number"):
-            get_farm_timeout()
-        with pytest.raises(FarmError, match="> 0"):
-            get_farm_timeout(0)
+        with pytest.raises(ConfigError, match="must be a number"):
+            RunConfig.from_env()
+        with pytest.raises(ConfigError, match="> 0"):
+            RunConfig.from_env(farm_timeout=0)
 
 
 class TestTransports:

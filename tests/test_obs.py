@@ -18,7 +18,7 @@ from repro.core.flowspec import FlowSpec
 from repro.core.monitoring import NetworkMonitor
 from repro.core.path_selection import KspMultipathPolicy
 from repro.core.pnet import PNet
-from repro.exp.obs_probe import traced_trial
+from tests.obs_probe import traced_trial
 from repro.exp.runner import TrialSpec, run_trials
 from repro.obs import (
     CsvSink,
@@ -316,7 +316,7 @@ class TestJobCountDeterminism:
             monkeypatch.setenv("PNET_JOBS", str(jobs))
             specs = [
                 TrialSpec(
-                    fn="repro.exp.obs_probe:traced_trial",
+                    fn="tests.obs_probe:traced_trial",
                     key=("probe", seed),
                     kwargs=dict(seed=seed),
                 )

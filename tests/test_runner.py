@@ -10,14 +10,9 @@ import sys
 
 import pytest
 
+from repro.config import ConfigError, RunConfig
 from repro.exp import runner
-from repro.exp.runner import (
-    TrialSpec,
-    get_jobs,
-    last_stats,
-    resolve_fn,
-    run_trials,
-)
+from repro.exp.runner import TrialSpec, last_stats, resolve_fn, run_trials
 
 
 def echo_trial(value):
@@ -31,32 +26,41 @@ def failing_trial():
 
 def control_trial(value):
     """The control policy ``run_trial(control=None)`` would attach here."""
-    from repro.control import get_control_policy
+    from repro.config import current
 
-    return value, get_control_policy()
+    return value, current().control_policy
+
+
+#: A trial that must never run: a bad knob fails before it.
+_FAILING = [TrialSpec(fn="tests.test_runner:failing_trial", key=("f",))]
 
 
 class TestGetJobs:
+    """``run_trials`` resolves its worker count once, at entry."""
+
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("PNET_JOBS", raising=False)
-        assert get_jobs() == 1
+        run_trials(_specs([1]))
+        assert last_stats().jobs == 1
 
     def test_env_resolution(self, monkeypatch):
         monkeypatch.setenv("PNET_JOBS", "6")
-        assert get_jobs() == 6
+        run_trials(_specs([1]))
+        assert last_stats().jobs == 6
 
     def test_override_beats_env(self, monkeypatch):
         monkeypatch.setenv("PNET_JOBS", "6")
-        assert get_jobs(2) == 2
+        run_trials(_specs([1]), jobs=2)
+        assert last_stats().jobs == 2
 
     def test_invalid_env(self, monkeypatch):
         monkeypatch.setenv("PNET_JOBS", "many")
-        with pytest.raises(ValueError):
-            get_jobs()
+        with pytest.raises(ConfigError, match="PNET_JOBS"):
+            run_trials(_FAILING)
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            get_jobs(0)
+        with pytest.raises(ConfigError, match="jobs"):
+            run_trials(_FAILING, jobs=0)
 
 
 class TestResolveFn:
@@ -180,14 +184,14 @@ class TestControlKnobsKeyTheCache:
     ])
     def test_each_set_knob_is_stamped(self, monkeypatch, name, value):
         spec = _control_specs([1])[0]
-        unset = runner._trial_cache_key(spec)
+        unset = runner._trial_cache_key(spec, RunConfig.from_env())
         monkeypatch.setenv(name, value)
-        assert runner._trial_cache_key(spec) == unset + (
-            (name, float(value)),
+        assert runner._trial_cache_key(spec, RunConfig.from_env()) == (
+            unset + ((name, float(value)),)
         )
         monkeypatch.setenv(name, "-1")
         with pytest.raises(ValueError):
-            runner._trial_cache_key(spec)
+            RunConfig.from_env()
 
     def test_unknown_policy_fails_before_any_trial(self, monkeypatch):
         warm = _control_specs([1])
@@ -195,8 +199,7 @@ class TestControlKnobsKeyTheCache:
         monkeypatch.setenv("PNET_CONTROL_POLICY", "bogus")
         # Warm: the cache must not answer.  Cold: the trial, which
         # would raise RuntimeError, must not run.
-        cold = [TrialSpec(fn="tests.test_runner:failing_trial", key=("f",))]
-        for specs in (warm, cold):
+        for specs in (warm, _FAILING):
             with pytest.raises(ValueError, match="unknown control policy"):
                 run_trials(specs)
 

@@ -13,8 +13,9 @@ import time
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core.flowspec import FlowSpec
-from repro.shard.channel import ShardWorkerError, get_timeout
+from repro.shard.channel import ShardWorkerError
 from repro.shard.partition import ShardPlan
 from repro.shard.shm import ShmChannel
 from repro.shard.worker import WorkerConfig
@@ -172,7 +173,7 @@ class TestShmBackendFailures:
 
     def test_deadline_comes_from_env(self, monkeypatch):
         monkeypatch.setenv("PNET_SHARD_TIMEOUT", "0.25")
-        assert get_timeout() == 0.25
+        assert RunConfig.from_env().shard_timeout == 0.25
         channel = ShmChannel(tiny_config())
         try:
             started = time.monotonic()

@@ -314,19 +314,24 @@ class TestRunnerBudgeting:
         assert stats.trial_workers == 4
 
     def test_cache_key_tags_sharded_runs_only(self, monkeypatch):
+        from repro.config import RunConfig
         from repro.exp.runner import _trial_cache_key
 
         spec = TrialSpec(
             fn="tests.test_shard_engine:shard_probe_trial", key=("k",)
         )
+
+        def key():
+            return _trial_cache_key(spec, RunConfig.from_env())
+
         monkeypatch.delenv("PNET_SHARDS", raising=False)
         monkeypatch.delenv("PNET_EPOCH", raising=False)
-        serial_key = _trial_cache_key(spec)
+        serial_key = key()
         monkeypatch.setenv("PNET_SHARDS", "2")
-        sharded_key = _trial_cache_key(spec)
+        sharded_key = key()
         assert serial_key != sharded_key
         assert ("PNET_SHARDS", 2) in sharded_key[-2:]
         # epoch 0 runs the byte-identical serial path: untagged key, so
         # existing golden caches stay valid.
         monkeypatch.setenv("PNET_EPOCH", "0")
-        assert _trial_cache_key(spec) == serial_key
+        assert key() == serial_key

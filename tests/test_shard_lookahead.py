@@ -20,13 +20,9 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import RunConfig
 from repro.core.flowspec import FlowSpec
-from repro.shard import (
-    derive_lookahead,
-    epochs_per_sync,
-    get_lookahead,
-    run_packet_trial,
-)
+from repro.shard import derive_lookahead, epochs_per_sync, run_packet_trial
 from repro.shard.lookahead import path_rtt, spanning_rtts
 from repro.topology.graph import HOST, TOR, Topology
 from repro.units import KB
@@ -123,30 +119,31 @@ class TestArithmetic:
 class TestKnob:
     def test_unset_and_auto_mean_derive(self, monkeypatch):
         monkeypatch.delenv("PNET_LOOKAHEAD", raising=False)
-        assert get_lookahead() is None
+        assert RunConfig.from_env().lookahead is None
         monkeypatch.setenv("PNET_LOOKAHEAD", "auto")
-        assert get_lookahead() is None
+        assert RunConfig.from_env().lookahead is None
         monkeypatch.setenv("PNET_LOOKAHEAD", "")
-        assert get_lookahead() is None
+        assert RunConfig.from_env().lookahead is None
 
     def test_explicit_values(self, monkeypatch):
         monkeypatch.setenv("PNET_LOOKAHEAD", "2.5e-4")
-        assert get_lookahead() == 2.5e-4
+        assert RunConfig.from_env().lookahead == 2.5e-4
         monkeypatch.setenv("PNET_LOOKAHEAD", "0")
-        assert get_lookahead() == 0.0  # 0 disables batching
-        monkeypatch.delenv("PNET_LOOKAHEAD", raising=False)
-        assert get_lookahead(3e-4) == 3e-4  # override beats env
+        assert RunConfig.from_env().lookahead == 0.0  # 0 disables batching
+        # An argument beats the environment, "auto" included.
+        assert RunConfig.from_env(lookahead=3e-4).lookahead == 3e-4
+        assert RunConfig.from_env(lookahead="auto").lookahead is None
 
     def test_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("PNET_LOOKAHEAD", "-1e-4")
         with pytest.raises(ValueError, match=">= 0"):
-            get_lookahead()
+            RunConfig.from_env()
         monkeypatch.setenv("PNET_LOOKAHEAD", "soon")
         with pytest.raises(ValueError, match="PNET_LOOKAHEAD"):
-            get_lookahead()
+            RunConfig.from_env()
         monkeypatch.delenv("PNET_LOOKAHEAD", raising=False)
         with pytest.raises(ValueError, match=">= 0"):
-            get_lookahead(-1.0)
+            RunConfig.from_env(lookahead=-1.0)
 
 
 def run_ping(planes, spec, *, epoch, lookahead=None, shards=2):

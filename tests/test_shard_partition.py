@@ -2,16 +2,10 @@
 
 import pytest
 
+from repro.config import ConfigError, RunConfig
 from repro.core.flowspec import FlowSpec
 from repro.obs import Registry
-from repro.shard import (
-    DEFAULT_EPOCH,
-    ShardPlan,
-    classify,
-    get_epoch,
-    get_shards,
-    serial_fallback,
-)
+from repro.shard import DEFAULT_EPOCH, ShardPlan, classify, serial_fallback
 
 
 def spanning_spec(planes, src="h0", dst="h1", size=1000):
@@ -83,38 +77,38 @@ class TestClassify:
 class TestEnvKnobs:
     def test_shards_default(self, monkeypatch):
         monkeypatch.delenv("PNET_SHARDS", raising=False)
-        assert get_shards() == 1
+        assert RunConfig.from_env().shards == 1
 
     def test_shards_env(self, monkeypatch):
         monkeypatch.setenv("PNET_SHARDS", "4")
-        assert get_shards() == 4
+        assert RunConfig.from_env().shards == 4
 
     def test_shards_override_beats_env(self, monkeypatch):
         monkeypatch.setenv("PNET_SHARDS", "4")
-        assert get_shards(2) == 2
+        assert RunConfig.from_env(shards=2).shards == 2
 
     def test_shards_invalid(self, monkeypatch):
         monkeypatch.setenv("PNET_SHARDS", "many")
-        with pytest.raises(ValueError):
-            get_shards()
-        with pytest.raises(ValueError):
-            get_shards(0)
+        with pytest.raises(ConfigError, match="PNET_SHARDS"):
+            RunConfig.from_env()
+        with pytest.raises(ConfigError, match="shards"):
+            RunConfig.from_env(shards=0)
 
     def test_epoch_default(self, monkeypatch):
         monkeypatch.delenv("PNET_EPOCH", raising=False)
-        assert get_epoch() == DEFAULT_EPOCH
+        assert RunConfig.from_env().epoch == DEFAULT_EPOCH
 
     def test_epoch_env_and_zero(self, monkeypatch):
         monkeypatch.setenv("PNET_EPOCH", "5e-4")
-        assert get_epoch() == 5e-4
-        assert get_epoch(0.0) == 0.0
+        assert RunConfig.from_env().epoch == 5e-4
+        assert RunConfig.from_env(epoch=0.0).epoch == 0.0
 
     def test_epoch_invalid(self, monkeypatch):
         monkeypatch.setenv("PNET_EPOCH", "soon")
-        with pytest.raises(ValueError):
-            get_epoch()
-        with pytest.raises(ValueError):
-            get_epoch(-1.0)
+        with pytest.raises(ConfigError, match="PNET_EPOCH"):
+            RunConfig.from_env()
+        with pytest.raises(ConfigError, match="epoch"):
+            RunConfig.from_env(epoch=-1.0)
 
 
 class TestSerialFallback:

@@ -90,10 +90,11 @@ def test_experiment_grid_identical_across_job_counts(tmp_path, monkeypatch):
     """
     from repro.exp import workloads
 
-    monkeypatch.setenv("PNET_SCENARIO", "coflow")
     blobs = []
     for jobs in (1, 4):
         monkeypatch.setenv("PNET_CACHE_DIR", str(tmp_path / f"jobs{jobs}"))
         monkeypatch.setenv("PNET_JOBS", str(jobs))
-        blobs.append(pickle.dumps(workloads.run(scale="tiny")))
+        blobs.append(pickle.dumps(
+            workloads.run(scale="tiny", scenario="coflow")
+        ))
     assert blobs[0] == blobs[1]
