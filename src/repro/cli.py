@@ -242,12 +242,6 @@ def resolve_config(parser: argparse.ArgumentParser, **given) -> RunConfig:
         parser.error(str(exc))
 
 
-def _given(args: argparse.Namespace, *names: str) -> Dict[str, Any]:
-    """The named flags that were given."""
-    values = {name: getattr(args, name) for name in names}
-    return {name: v for name, v in values.items() if v is not None}
-
-
 def run_one(
     name: str, csv_dir: Optional[str], knobs: Dict[str, Any]
 ) -> None:
@@ -372,7 +366,7 @@ def ckpt_command(argv: List[str]) -> int:
     insp.add_argument("paths", nargs="+", metavar="PATH")
 
     ver = sub.add_parser("verify", help="verify payload hashes (a root: "
-                         "its newest valid checkpoint); exit nonzero on "
+                         "every checkpoint under it); exit nonzero on "
                          "any corrupt/partial checkpoint")
     ver.add_argument("paths", nargs="+", metavar="PATH")
 
@@ -443,22 +437,30 @@ def ckpt_command(argv: List[str]) -> int:
         )
         return 0
 
-    if args.action in ("inspect", "verify"):
-        # A checkpoint root resolves to its newest valid checkpoint.
+    if args.action == "inspect":
+        # A checkpoint root shows its newest valid checkpoint.
         failed = 0
         for path in args.paths:
             try:
-                chosen = ckpt.resolve(path)
-                if args.action == "inspect":
-                    print(json.dumps(
-                        ckpt.inspect(chosen), indent=2, sort_keys=True
-                    ))
-                else:
-                    ckpt.verify(chosen)
-                    print(f"{chosen}: OK")
+                summary = ckpt.inspect(ckpt.resolve(path))
+                print(json.dumps(summary, indent=2, sort_keys=True))
             except ckpt.CheckpointError as exc:
                 print(f"{path}: FAILED -- {exc}")
                 failed += 1
+        return 1 if failed else 0
+
+    if args.action == "verify":
+        # A checkpoint root verifies every checkpoint under it, so one
+        # corrupt snapshot fails even next to a valid one.
+        failed = 0
+        for path in args.paths:
+            for chosen in ckpt.list_checkpoints(path) or [path]:
+                try:
+                    ckpt.verify(chosen)
+                    print(f"{chosen}: OK")
+                except ckpt.CheckpointError as exc:
+                    print(f"{chosen}: FAILED -- {exc}")
+                    failed += 1
         return 1 if failed else 0
 
     if args.action == "list":
@@ -650,7 +652,8 @@ def workloads_command(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
     config = resolve_config(parser, scale=args.scale, jobs=args.jobs)
-    knobs = _given(args, "scenario", "tenants", "load", "engine")
+    knobs = dict(scenario=args.scenario, tenants=args.tenants,
+                 load=args.load, engine=args.engine)
     with use(config):
         try:
             run_one("workloads", args.csv, knobs)
@@ -698,8 +701,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         control_policy=args.control,
         control_interval=args.control_interval,
     )
-    hybrid_knobs = _given(args, "fidelity", "promote")
-    if hybrid_knobs and args.experiment not in ("hybrid", "all"):
+    hybrid_knobs = {"fidelity": args.fidelity, "promote": args.promote}
+    if (args.fidelity, args.promote) != (None, None) and (
+        args.experiment not in ("hybrid", "all")
+    ):
         parser.error(
             "--fidelity and --promote apply to the hybrid experiment only"
         )

@@ -6,9 +6,10 @@ arguments over the environment over defaults -- and checks every field
 there, so a bad value fails with a :class:`ConfigError` that names the
 variable or argument before any trial runs.  :func:`use` makes a config
 :func:`current` for the code an entry point runs; the runner hands it
-to its pool workers, and the farm ships its :data:`RESULT_FIELDS` with
-every trial.  Those seven fields change results, so the trial cache key
-carries each one that is off its default (:meth:`RunConfig.result_tags`).
+to its pool workers, and the farm ships its :data:`RESULT_FIELDS` and
+shard backend with every trial.  Those seven fields change results, so
+the trial cache key carries each one that is off its default
+(:meth:`RunConfig.result_tags`).
 """
 
 from __future__ import annotations
@@ -137,7 +138,9 @@ def _control_policy(raw: Any, label: str) -> Optional[str]:
     return name
 
 
-def _inventory(raw: Any, label: str) -> pathlib.Path:
+def _inventory(raw: Any, label: str) -> Any:
+    if not isinstance(raw, (str, os.PathLike)):
+        return raw  # a live inventory, checked when the farm starts
     path = pathlib.Path(raw).expanduser()
     if not path.is_file():
         raise ConfigError(f"{label}: no inventory file at {str(raw)!r}")
@@ -187,7 +190,7 @@ class RunConfig:
     resume: bool = False
     cache: bool = True
     cache_dir: Optional[pathlib.Path] = None
-    farm_inventory: Optional[pathlib.Path] = None
+    farm_inventory: Any = None  # an inventory file, or a live inventory
     farm_timeout: float = DEFAULT_FARM_TIMEOUT
     control_policy: Optional[str] = None
     control_interval: float = DEFAULT_CONTROL_INTERVAL
@@ -220,9 +223,6 @@ class RunConfig:
         """``given`` over ``environ`` (default ``os.environ``) over the
         defaults.  A ``None`` argument and an unset or empty variable
         all mean "not given"."""
-        unknown = set(given) - set(_PARSERS)
-        if unknown:
-            raise TypeError(f"unknown RunConfig fields {sorted(unknown)}")
         environ = os.environ if environ is None else environ
         values = {k: v for k, v in given.items() if v is not None}
         for name, variable in _VARIABLES.items():
@@ -255,20 +255,30 @@ class RunConfig:
             if getattr(self, name) != _DEFAULTS[name]
         ])
 
-    def result_fields(self) -> Dict[str, Any]:
-        """The result-affecting fields, as a farm assignment ships them."""
-        return {name: getattr(self, name) for name in RESULT_FIELDS}
-
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
 _active: List[RunConfig] = []
 
 
-def current() -> RunConfig:
-    """The config of the innermost :func:`use`; outside any, the
-    environment's, resolved afresh."""
-    return _active[-1] if _active else RunConfig.from_env()
+def worker_config(shipped: Mapping[str, Any]) -> RunConfig:
+    """A farm worker's config for one trial: this host's environment
+    with the ``shipped`` fields put in before any check.  The sweep's
+    own knobs are the dispatcher's, so the host's are not read."""
+    sweep = ("jobs", "ckpt_dir", "ckpt_every", "ckpt_keep", "resume",
+             "farm_inventory", "farm_timeout")
+    skip = {_VARIABLES[name] for name in (*sweep, *shipped)}
+    environ = {k: v for k, v in os.environ.items() if k not in skip}
+    return dataclasses.replace(RunConfig.from_env(environ), **shipped)
+
+
+def current(**given: Any) -> RunConfig:
+    """The config of the innermost :func:`use` -- outside any, the
+    environment's, resolved afresh -- with ``given`` put in before any
+    check runs, so an argument completes or overrides the environment."""
+    if _active:
+        return _active[-1].replace(**given)
+    return RunConfig.from_env(**given)
 
 
 @contextlib.contextmanager

@@ -77,9 +77,7 @@ class Controller:
         if isinstance(policy, str):
             policy = make_policy(policy, pnet=pnet, seed=seed)
         self.policy = policy
-        self.interval = current().replace(
-            control_interval=interval
-        ).control_interval
+        self.interval = current(control_interval=interval).control_interval
         self.pnet = pnet
         self.monitor = ControlMonitor()
         self.stats = ControlStats()

@@ -296,7 +296,7 @@ class LoadAwarePolicy(ResteerPolicy):
         max_moves: int = 1,
     ):
         super().__init__(pnet, seed)
-        config = current().replace(
+        config = current(
             control_hysteresis=hysteresis, control_cooldown=cooldown
         )
         self.hysteresis = config.control_hysteresis

@@ -135,12 +135,12 @@ class ArtifactCache:
 
     Entries live at ``<root>/v<version>/<kind>/<keyhash>.pkl``.  ``kind``
     namespaces artifact types ("routes", "lp", "trial", ...) so stats and
-    selective clearing stay possible.  ``root`` and ``enabled`` default
-    to the current config's ``cache_dir`` and ``cache``.
+    selective clearing stay possible.  ``root`` defaults to the current
+    config's ``cache_dir``, and the config's ``cache`` switches it on.
     """
 
-    def __init__(self, root: Optional[pathlib.Path] = None, enabled=None):
-        config = current().replace(cache_dir=root, cache=enabled)
+    def __init__(self, root: Optional[pathlib.Path] = None):
+        config = current(cache_dir=root)
         self.root = config.cache_dir or pathlib.Path.home() / ".cache/pnet"
         self.enabled = config.cache
         self.hits = 0
@@ -270,7 +270,7 @@ class ArtifactCache:
         return len(removed), freed
 
 
-# One instance per (root, enabled), so a changed config (e.g. in tests)
+# One instance per (cache_dir, cache), so a changed config (e.g. in tests)
 # takes effect without restarting the process.
 _instances: Dict[Tuple[pathlib.Path, bool], ArtifactCache] = {}
 
@@ -281,12 +281,5 @@ def get_cache() -> ArtifactCache:
     key = (config.cache_dir, config.cache)
     cache = _instances.get(key)
     if cache is None:
-        cache = _instances[key] = ArtifactCache(*key)
+        cache = _instances[key] = ArtifactCache(config.cache_dir)
     return cache
-
-
-def cache_stats() -> Tuple[int, int]:
-    """(hits, misses) accumulated across every root used this process."""
-    hits = sum(c.hits for c in _instances.values())
-    misses = sum(c.misses for c in _instances.values())
-    return hits, misses

@@ -34,7 +34,7 @@ SERIAL_HIGH = "serial-high"
 
 def get_scale(override: Optional[str] = None) -> str:
     """The experiment scale: ``override``, else the current config's."""
-    return current().replace(scale=override).scale
+    return current(scale=override).scale
 
 
 @dataclass

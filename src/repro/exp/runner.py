@@ -275,19 +275,20 @@ def run_trials(
     byte-identical to a single-host run of the same specs.
     """
     _check_specs(specs)
-    config = current().replace(
+    config = current(
         jobs=jobs,
         ckpt_dir=checkpoint_dir,
         ckpt_every=checkpoint_every,
         resume=resume,
         ckpt_keep=checkpoint_keep_last,
+        farm_inventory=farm,
         farm_timeout=farm_timeout,
     )
     with use(config):
-        return _run_trials(specs, config, farm)
+        return _run_trials(specs, config)
 
 
-def _run_trials(specs: Sequence[TrialSpec], config: RunConfig, farm):
+def _run_trials(specs: Sequence[TrialSpec], config: RunConfig):
     global _last_stats
     checkpoint_dir = config.ckpt_dir
     checkpoint_every = config.ckpt_every
@@ -335,7 +336,7 @@ def _run_trials(specs: Sequence[TrialSpec], config: RunConfig, farm):
 
     from repro.farm.inventory import resolve_inventory
 
-    inventory = resolve_inventory(farm or config.farm_inventory)
+    inventory = resolve_inventory(config.farm_inventory)
     progress_kind = KIND_SWEEP if inventory is None else KIND_FARM
     fresh = 0
 

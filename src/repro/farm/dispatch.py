@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import Listener, wait as conn_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.config import current
+from repro.config import RESULT_FIELDS, current
 from repro.farm.inventory import FarmError, Inventory
 from repro.farm.transport import WorkerHandle, get_transport
 from repro.obs import get_registry
@@ -114,13 +114,18 @@ class Dispatcher:
     ):
         if not specs:
             raise FarmError("no trials to dispatch")
-        config = current().replace(farm_timeout=timeout)
+        config = current(farm_timeout=timeout)
         self.specs = list(specs)
         self.inventory = inventory.capable(
             config.shard_backend if config.sharded else None
         )
         self.timeout = config.farm_timeout
-        self.result_fields = config.result_fields()
+        # Workers run under their host's config with these put in: the
+        # fields that change results, and the backend hosts were picked by.
+        self.worker_config = {
+            name: getattr(config, name)
+            for name in (*RESULT_FIELDS, "shard_backend")
+        }
         self.heartbeat = max(min(self.timeout / 4, 2.0), 0.05)
         self.trial_checkpoint_root = trial_checkpoint_root
         self.trial_checkpoint_every = trial_checkpoint_every
@@ -270,7 +275,7 @@ class Dispatcher:
             "checkpoint_dir": self._trial_checkpoint_dir(pending.spec),
             "checkpoint_every": self.trial_checkpoint_every,
             "resume": pending.resume,
-            "config": self.result_fields,
+            "config": self.worker_config,
         }
         try:
             worker.conn.send(msg)

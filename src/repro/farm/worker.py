@@ -19,14 +19,13 @@ them (or takes ``**kwargs``):
 A trial without these parameters still runs on the farm; it is simply
 recomputed from scratch if its worker dies.
 
-A trial runs under this host's config with the result-affecting fields
-the assignment carries put in; cache and checkpoint paths stay local.
+A trial runs under :func:`repro.config.worker_config`: this host's
+config with the assignment's fields put in, so cache paths stay local.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import inspect
 import os
 import platform
@@ -100,16 +99,14 @@ def execute_assignment(msg: Dict[str, Any]) -> Dict[str, Any]:
     without sockets.  The artifact cache is populated exactly as the
     in-process runner would, so a farm host warms its own local cache.
     """
-    from repro.config import RunConfig, use
+    from repro.config import use, worker_config
     from repro.exp import cache as _cache
     from repro.exp.runner import TrialSpec, _trial_cache_key, resolve_fn
 
     key = msg["key"]
     started = time.perf_counter()
     try:
-        config = dataclasses.replace(
-            RunConfig.from_env(), **msg.get("config", {})
-        )
+        config = worker_config(msg.get("config", {}))
         fn = resolve_fn(msg["fn"])
         kwargs = dict(msg["kwargs"])
         checkpoint_dir = msg.get("checkpoint_dir")

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.ckpt.snapshot import dumps
-from repro.config import current
 from repro.ckpt.store import (
     CheckpointError,
     latest,
@@ -40,6 +39,7 @@ from repro.ckpt.store import (
     step_dir,
     write_checkpoint,
 )
+from repro.config import current
 from repro.core.flowspec import FlowSpec
 from repro.core.pnet import PNet
 from repro.obs import get_registry
@@ -338,7 +338,7 @@ def run_packet_trial(
             (closed-loop workloads cannot shard) or non-integer
             spanning flow sizes -- unless ``serial_fallback=True``.
     """
-    cfg = current().replace(
+    cfg = current(
         shards=shards, epoch=epoch, lookahead=lookahead,
         shard_backend=backend,
     )

@@ -449,9 +449,7 @@ class ShmChannel:
 
     def __init__(self, config, timeout: Optional[float] = None):
         self._codec = DigestCodec(config)
-        self._timeout = current().replace(
-            shard_timeout=timeout
-        ).shard_timeout
+        self._timeout = current(shard_timeout=timeout).shard_timeout
         self._shm = shared_memory.SharedMemory(
             create=True, size=_segment_size()
         )

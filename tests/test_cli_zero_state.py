@@ -7,6 +7,7 @@ missing *and* empty roots (and ``prune`` is a no-op, not an error).
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -106,7 +107,32 @@ class TestCkptRoot:
     def test_verify_root(self, root, capsys):
         capsys.readouterr()
         assert main(["ckpt", "verify", str(root)]) == 0
-        assert capsys.readouterr().out.strip().endswith(": OK")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"{root / name}: OK" for name in ("ckpt-00000000", "ckpt-00000001")
+        ]
+
+    def test_verify_root_fails_on_a_corrupt_newest(self, root, tmp_path,
+                                                   capsys):
+        """A valid older checkpoint does not hide a corrupt newer one
+        from ``verify``; ``inspect`` still reads the valid one."""
+        copy = tmp_path / "ck"
+        shutil.copytree(root, copy)
+        newest = copy / "ckpt-00000001"
+        payload = next(
+            p for p in sorted(newest.iterdir()) if p.name != "MANIFEST.json"
+        )
+        data = bytearray(payload.read_bytes())
+        data[0] ^= 0xFF
+        payload.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["ckpt", "verify", str(copy)]) == 1
+        out = capsys.readouterr().out
+        assert f"{copy / 'ckpt-00000000'}: OK" in out
+        assert f"{newest}: FAILED" in out
+        assert main(["ckpt", "inspect", str(copy)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["path"] == str(copy / "ckpt-00000000")
 
     @pytest.mark.parametrize("action", ["inspect", "verify"])
     def test_no_checkpoint_is_one_failed_line(self, action, tmp_path,

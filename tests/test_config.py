@@ -37,7 +37,8 @@ def var(name: str) -> str:
 
 def config_trial(value):
     """Module-level so pool workers resolve it: what the trial sees."""
-    return value, current().result_fields()
+    config = current()
+    return value, {name: getattr(config, name) for name in RESULT_FIELDS}
 
 
 #: Never runs: a bad knob must fail before it.
@@ -238,7 +239,9 @@ class TestResultTags:
 
     def test_result_fields_are_the_seven(self):
         assert len(RESULT_FIELDS) == 7
-        assert set(RunConfig().result_fields()) == set(RESULT_FIELDS)
+        assert set(RESULT_FIELDS) <= {
+            f.name for f in dataclasses.fields(RunConfig)
+        }
 
 
 class TestCurrent:
@@ -382,6 +385,41 @@ class TestFailsAtEntry:
             main(argv)
         assert info.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestArgumentsCompleteTheEnvironment:
+    """Arguments are put in before any check runs: an argument may
+    complete a rule the environment starts, or make a variable moot."""
+
+    @pytest.fixture(autouse=True)
+    def _clean(self, monkeypatch):
+        monkeypatch.setenv("PNET_CACHE", "0")
+        for name in ("ckpt_dir", "ckpt_every", "resume"):
+            monkeypatch.delenv(var(name), raising=False)
+
+    def test_current_puts_arguments_in_first(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PNET_RESUME", "1")
+        with pytest.raises(ConfigError, match="requires a checkpoint dir"):
+            current()
+        assert current(ckpt_dir=tmp_path).resume is True
+        with use(RunConfig(ckpt_dir=tmp_path, resume=True)):
+            assert current(ckpt_dir=tmp_path / "b").resume is True
+
+    def test_env_resume_with_a_dir_argument_resumes(self, tmp_path,
+                                                     monkeypatch):
+        specs = TestCacheKey.SPECS
+        run_trials(specs, checkpoint_dir=tmp_path, checkpoint_every=1)
+        monkeypatch.setenv("PNET_RESUME", "1")
+        run_trials(specs, checkpoint_dir=tmp_path)
+        assert last_stats().resumed_trials == 2
+
+    def test_env_interval_with_a_dir_argument_writes(self, tmp_path,
+                                                      monkeypatch):
+        from repro.ckpt import list_checkpoints
+
+        monkeypatch.setenv("PNET_CKPT_EVERY", "1")
+        run_trials(TestCacheKey.SPECS, checkpoint_dir=tmp_path)
+        assert list_checkpoints(tmp_path, valid_only=True)
 
 
 class TestFlagsMeanWhatTheySay:

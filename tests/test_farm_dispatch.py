@@ -38,6 +38,13 @@ def envcheck_trial(name):
     return os.environ.get(name)
 
 
+def backend_trial():
+    """The shard backend a sharded packet trial here would use."""
+    from repro.config import current
+
+    return current().shard_backend
+
+
 def ckptable_trial(x, checkpoint_dir=None, checkpoint_every=None):
     return {"x": x, "dir": checkpoint_dir, "every": checkpoint_every}
 
@@ -260,6 +267,33 @@ class TestRunnerIntegration:
         assert run_trials(specs, checkpoint_dir=root, resume=True) == want
         assert last_stats().resumed_trials == 2
 
+    def test_hosts_run_under_the_parents_shard_backend(self, farm_env):
+        """Hosts are picked by the parent's backend, and their workers
+        use it, whatever the host's own environment names."""
+        from repro.config import RunConfig, use
+
+        inventory = local_inventory(1, env={
+            "PYTHONPATH": WORKER_PYTHONPATH, "PNET_SHARD_BACKEND": "shm",
+        })
+        spec = TrialSpec(fn="tests.test_farm_dispatch:backend_trial",
+                         key=("b",))
+        with use(RunConfig(shards=2, shard_backend="local")):
+            assert run_trials([spec], farm=inventory) == {("b",): "local"}
+
+    def test_arguments_make_stale_env_knobs_moot(
+        self, farm_env, monkeypatch, tmp_path
+    ):
+        """``farm=`` makes a stale inventory variable moot, and a dir
+        argument completes ``PNET_RESUME`` -- in the parent and in the
+        local workers that inherit its environment."""
+        monkeypatch.setenv("PNET_FARM_INVENTORY", "/does/not/exist")
+        monkeypatch.setenv("PNET_RESUME", "1")
+        results = run_trials(
+            _specs(2), farm=local_inventory(1), checkpoint_dir=tmp_path,
+        )
+        assert results[("t", 1)] == {"sum": 11, "product": 10}
+        assert last_stats().farm_workers == 1
+
 
 class TestWorkerUnit:
     def test_accepts_signatures(self):
@@ -282,6 +316,21 @@ class TestWorkerUnit:
         assert reply["type"] == "result"
         assert reply["value"] == {"sum": 5, "product": 6}
         assert reply["resumed_step"] is None
+
+    def test_execute_assignment_ignores_the_sweep_knobs(self, monkeypatch):
+        # Half a checkpoint rule and a stale inventory, inherited from
+        # a parent whose arguments completed them, fail no trial here.
+        monkeypatch.setenv("PNET_RESUME", "1")
+        monkeypatch.setenv("PNET_FARM_INVENTORY", "/does/not/exist")
+        monkeypatch.setenv("PNET_CONTROL_POLICY", "load-aware")
+        reply = execute_assignment({
+            "fn": "tests.test_runner:control_trial",
+            "key": ("c",),
+            "kwargs": {"value": 1},
+            "config": {"control_policy": None},
+        })
+        assert reply["type"] == "result", reply.get("error")
+        assert reply["value"] == (1, None)
 
     def test_execute_assignment_injects_checkpoint_kwargs(self, tmp_path):
         reply = execute_assignment({

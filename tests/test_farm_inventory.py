@@ -159,8 +159,8 @@ class TestResolution:
         monkeypatch.setenv("PNET_FARM_INVENTORY", "/does/not/exist")
         inv = local_inventory(2)
         assert resolve_inventory(inv) is inv
-        with pytest.raises(ConfigError, match="PNET_FARM_INVENTORY"):
-            RunConfig.from_env()
+        # The argument is put in before the variable would be checked.
+        assert RunConfig.from_env(farm_inventory=inv).farm_inventory is inv
 
     def test_hostspec_sequence(self):
         inv = resolve_inventory([HostSpec(name="a")])
