@@ -47,6 +47,7 @@ from typing import (
     Union,
 )
 
+from repro.ckpt.snapshot import check_args
 from repro.config import RunConfig, current
 from repro.core.flowspec import FlowSpec
 from repro.core.monitoring import NetworkMonitor
@@ -294,14 +295,12 @@ def run_trial(
             f"{type(network).__name__} is not a simulation engine "
             f"(kinds: {'|'.join(_ENGINES)})"
         )
-    _check_checkpoint_args(
+    check_args(
         checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
+        checkpoint_dir,
         checkpoint_keep_last=checkpoint_keep_last,
         on_checkpoint=on_checkpoint,
     )
-    if checkpoint_every is not None and checkpoint_dir is None:
-        raise ValueError("checkpoint_every requires checkpoint_dir")
     if promotion is not None:
         if network.kind != "hybrid":
             raise ValueError(
@@ -359,8 +358,10 @@ def resume_trial(
     """
     from repro.ckpt import restore, run_checkpointed
 
-    _check_checkpoint_args(
+    check_args(
         checkpoint_every,
+        checkpoint_dir,
+        resume=True,
         checkpoint_keep_last=checkpoint_keep_last,
         on_checkpoint=on_checkpoint,
     )
@@ -380,15 +381,6 @@ def resume_trial(
     else:
         network.run(until=until)
     return _finish_trial(network)
-
-
-def _check_checkpoint_args(checkpoint_every, **given: Any) -> None:
-    """Refuse checkpoint arguments that would be silently ignored."""
-    if checkpoint_every is not None:
-        return
-    unused = [name for name, value in given.items() if value is not None]
-    if unused:
-        raise ValueError(f"{', '.join(unused)} requires checkpoint_every")
 
 
 def _finish_trial(network: Network) -> TrialResult:

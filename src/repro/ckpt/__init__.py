@@ -13,7 +13,8 @@ Layers:
 * :mod:`repro.ckpt.snapshot` -- save/restore of live simulator object
   graphs (:func:`save`, :func:`restore`, :func:`run_checkpointed`), and
   their encoding (:func:`dumps`, :func:`loads`), which shard workers
-  use too.
+  use too; :func:`check_args` refuses checkpoint arguments a run would
+  ignore.
 * :mod:`repro.ckpt.rng` -- :class:`RngBundle`, the serializable home
   for every random stream a run owns.
 
@@ -24,9 +25,10 @@ run farm keep trial progress in one container
 ``--resume``).
 """
 
-from repro.ckpt.rng import RngBundle, get_bundle, set_bundle
+from repro.ckpt.rng import RngBundle
 from repro.ckpt.snapshot import (
     SimCheckpoint,
+    check_args,
     dumps,
     loads,
     restore,
@@ -61,10 +63,10 @@ __all__ = [
     "RngBundle",
     "SimCheckpoint",
     "atomic_write_bytes",
+    "check_args",
     "checkpoints_size_bytes",
     "claim_step",
     "dumps",
-    "get_bundle",
     "inspect",
     "is_valid",
     "latest",
@@ -79,7 +81,6 @@ __all__ = [
     "restore",
     "run_checkpointed",
     "save",
-    "set_bundle",
     "step_dir",
     "step_of",
     "verify",

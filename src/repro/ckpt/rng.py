@@ -146,30 +146,3 @@ def _freeze(state: Tuple) -> Tuple:
 def _thaw(frozen: Tuple) -> Tuple:
     version, internal, gauss = frozen
     return (version, tuple(internal), gauss)
-
-
-#: Process-default bundle (CLI entry points share it so one ``--seed``
-#: governs every stream of a run).
-_default: Optional[RngBundle] = None
-
-
-def get_bundle(seed: int = 0) -> RngBundle:
-    """The process-default bundle, created on first use.
-
-    The first caller's ``seed`` wins; later calls return the existing
-    bundle unchanged (streams already positioned mid-sequence must not
-    be silently re-seeded -- that is the exact bug this module exists
-    to prevent).
-    """
-    global _default
-    if _default is None:
-        _default = RngBundle(seed)
-    return _default
-
-
-def set_bundle(bundle: Optional[RngBundle]) -> Optional[RngBundle]:
-    """Install (or with ``None`` clear) the process-default bundle."""
-    global _default
-    previous = _default
-    _default = bundle
-    return previous

@@ -204,6 +204,32 @@ def restore(path: PathLike) -> SimCheckpoint:
     )
 
 
+def check_args(
+    every: Optional[float], directory, resume: bool = False, **given: Any
+) -> None:
+    """Refuse checkpoint arguments a run would ignore, before it starts.
+
+    ``every`` and ``resume`` need ``directory`` (the run's
+    ``checkpoint_dir``); ``every`` must be positive.  Without ``every``
+    nothing is written, so the directory -- unless the run resumes from
+    it -- and each argument in ``given`` (retention, hooks) is refused,
+    named by its keyword.
+    """
+    if every is None:
+        if not resume:
+            given = {"checkpoint_dir": directory, **given}
+        unused = [name for name, value in given.items() if value is not None]
+        if unused:
+            raise ValueError(f"{', '.join(unused)} requires checkpoint_every")
+    elif every <= 0:
+        raise ValueError(f"checkpoint_every must be > 0, got {every}")
+    if directory is None:
+        if every is not None:
+            raise ValueError("checkpoint_every requires checkpoint_dir")
+        if resume:
+            raise ValueError("resume requires checkpoint_dir")
+
+
 def run_checkpointed(
     network,
     root: PathLike,

@@ -185,21 +185,27 @@ def verify(directory: PathLike) -> Dict[str, Any]:
 
     Checks the manifest structure and format version, then every
     payload's presence, length, and SHA-256 digest.  Raises
-    :class:`CheckpointError` naming the first problem found.
+    :class:`CheckpointError` naming the first problem found -- also
+    when a payload disappears while it is being checked (a sibling
+    pruned the checkpoint).
     """
     directory = pathlib.Path(directory)
     manifest = read_manifest(directory)
     for name, entry in sorted(manifest["files"].items()):
         path = directory / name
-        if not path.is_file():
-            raise CheckpointError(f"{directory}: payload {name!r} is missing")
-        size = path.stat().st_size
+        try:
+            size = path.stat().st_size
+            if size == entry["bytes"]:
+                digest = _sha256_file(path)
+        except FileNotFoundError:
+            raise CheckpointError(
+                f"{directory}: payload {name!r} is missing"
+            ) from None
         if size != entry["bytes"]:
             raise CheckpointError(
                 f"{directory}: payload {name!r} is {size} bytes, "
                 f"manifest says {entry['bytes']} (truncated write?)"
             )
-        digest = _sha256_file(path)
         if digest != entry["sha256"]:
             raise CheckpointError(
                 f"{directory}: payload {name!r} hash mismatch "

@@ -115,9 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         default=None,
         help=(
-            "override PNET_SHARDS (plane shards per packet trial; "
-            "PNET_JOBS budgets the *total* process count, so trial "
-            "workers become jobs // shards)"
+            "override PNET_SHARDS (plane shards per run_packet_trial "
+            "trial, which no CLI experiment runs today; PNET_JOBS "
+            "budgets the *total* process count, so trial workers "
+            "become jobs // shards)"
         ),
     )
     parser.add_argument(
@@ -126,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         default=None,
         help=(
-            "override PNET_EPOCH (sharded barrier spacing in simulated "
-            "seconds; 0 forces the byte-identical serial path)"
+            "override PNET_EPOCH (run_packet_trial barrier spacing in "
+            "simulated seconds; 0 forces the byte-identical serial path)"
         ),
     )
     parser.add_argument(
@@ -135,9 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         default=None,
         help=(
-            "override PNET_LOOKAHEAD (barrier-batching window in simulated "
-            "seconds; 'auto' derives it from the minimum spanning-path RTT, "
-            "0 disables batching)"
+            "override PNET_LOOKAHEAD (run_packet_trial barrier-batching "
+            "window in simulated seconds; 'auto' derives it from the "
+            "minimum spanning-path RTT, 0 disables batching)"
         ),
     )
     parser.add_argument(
@@ -145,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default=None,
         help=(
-            "override PNET_SHARD_BACKEND (shard channel transport; "
-            "results are byte-identical across backends)"
+            "override PNET_SHARD_BACKEND (run_packet_trial shard "
+            "transport; results are byte-identical across backends)"
         ),
     )
     parser.add_argument(
@@ -708,6 +709,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(
             "--fidelity and --promote apply to the hybrid experiment only"
         )
+    if args.promote is not None:
+        from repro.hybrid.promotion import resolve_policy
+
+        try:
+            resolve_policy(args.promote)
+        except ValueError as exc:
+            parser.error(f"--promote {args.promote!r}: {exc}")
     if args.experiment == "list":
         for name, module in sorted(EXPERIMENTS.items()):
             print(f"{name:<10} {module}")

@@ -11,15 +11,16 @@ has crossed the next control instant it
    rows into one global snapshot,
 2. runs the *same* monitor + policy objects a serial run would use, and
 3. partitions the decisions into per-shard ``control-apply`` batches
-   that each worker executes locally (abort + relaunch with a stable
-   global flow id).
+   of ``(gid, paths)`` moves that each worker executes locally through
+   :meth:`~repro.sim.network.PacketNetwork.resteer` (abort + relaunch
+   of the un-ACKed remainder, with a stable global flow id).
 
 Workers are quiescent between sample and apply -- both happen at the
-same barrier, so the cumulative ACK counters sampled in step 1 are
-still exact in step 3 and the remainder can be computed engine-side.
-Everything that travels is plain picklable dicts, identical across the
-local and shm channel backends, and every merge is sorted -- the
-global decision sequence is deterministic regardless of reply order.
+same barrier, so the ACK counters the policy saw in step 1 are still
+the ones the resteer relaunches from in step 3.  Everything that
+travels is plain picklable data, identical across the local and shm
+channel backends, and every merge is sorted -- the global decision
+sequence is deterministic regardless of reply order.
 
 Flows that span shards are coupled through wire stubs, not live local
 sources; resteering them would race the coupling digests, so the driver
@@ -30,11 +31,10 @@ the most paths (counted in ``stats.narrowed``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.control.controller import Controller, ControlStats
 from repro.control.monitor import ControlMonitor
-from repro.core.flowspec import FlowSpec, clamp_transport
 from repro.core.pnet import PNet
 
 
@@ -45,9 +45,9 @@ class ShardControlDriver:
         self,
         controller: Controller,
         planes: Sequence,
-        plane_shard: Dict[int, int],
-        flow_shard: Dict[int, int],
-        spanning_gids: Set[int],
+        planes_of_shard: Sequence[Sequence[int]],
+        local: Dict[int, List[int]],
+        spanning_gids: Sequence[int],
     ):
         self.policy = controller.policy
         self.interval = controller.interval
@@ -55,9 +55,15 @@ class ShardControlDriver:
         self.stats: ControlStats = controller.stats
         self.n_planes = len(planes)
         #: plane index -> owning shard (from the partition plan).
-        self.plane_shard = dict(plane_shard)
+        self.plane_shard = {
+            plane: shard
+            for shard, owned in enumerate(planes_of_shard)
+            for plane in owned
+        }
         #: global flow id -> shard that owns its live source.
-        self.owner = dict(flow_shard)
+        self.owner = {
+            gid: shard for shard, gids in local.items() for gid in gids
+        }
         self.spanning = set(spanning_gids)
         self.stats.skipped_spanning += len(self.spanning)
         self.next_tick = self.interval
@@ -83,13 +89,12 @@ class ShardControlDriver:
 
     def tick(
         self, t: float, samples: Dict[int, Dict[str, Any]]
-    ) -> Dict[int, Dict[str, Any]]:
-        """Fold per-shard samples, decide, and partition the applies.
+    ) -> Dict[int, List[Tuple[int, Any]]]:
+        """Fold per-shard samples, decide, and partition the moves.
 
         ``samples`` maps shard -> ``{"plane_cum": ..., "rows": ...}``
         (a worker's ``control_sample`` reply).  Returns shard ->
-        ``{"aborts": [gid, ...], "launches": [(gid, FlowSpec), ...]}``
-        for every shard that has work.
+        ``[(gid, paths), ...]`` for every shard that has work.
         """
         plane_cum: Dict[int, float] = {}
         rows: List[Dict[str, Any]] = []
@@ -98,7 +103,7 @@ class ShardControlDriver:
             plane_cum.update(reply["plane_cum"])
             rows.extend(reply["rows"])
         rows.sort(key=lambda row: row["gid"])
-        by_gid = {row["gid"]: row for row in rows}
+        live = {row["gid"] for row in rows}
 
         sample = self.monitor.ingest(
             t, self.interval, self.n_planes, rows, plane_cum=plane_cum
@@ -107,40 +112,22 @@ class ShardControlDriver:
         decisions = self.policy.decide(sample)
         self.stats.decisions += len(decisions)
 
-        batches: Dict[int, Dict[str, Any]] = {}
+        moves: Dict[int, List[Tuple[int, Any]]] = {}
         for decision in decisions:
             gid = decision.gid
-            row = by_gid.get(gid)
             shard = self.owner.get(gid)
-            if row is None or shard is None or gid in self.spanning:
+            if gid not in live or shard is None or gid in self.spanning:
                 self.stats.missed += 1
                 continue
             paths = self._narrow(shard, decision.paths)
             if not paths:
                 self.stats.missed += 1
                 continue
-            paths = clamp_transport(row["transport"], paths)
-            remaining = max(
-                int(row["size"]) - int(sum(row["acked"])), 0
-            )
-            spec = FlowSpec(
-                src=row["src"],
-                dst=row["dst"],
-                size=remaining,
-                paths=paths,
-                at=t,
-                tag=row["tag"],
-                transport=row["transport"],
-            )
-            batch = batches.setdefault(
-                shard, {"aborts": [], "launches": []}
-            )
-            batch["aborts"].append(gid)
-            batch["launches"].append((gid, spec))
+            moves.setdefault(shard, []).append((gid, paths))
             self.stats.applied += 1
 
         self.next_tick += self.interval
-        return batches
+        return moves
 
     def _narrow(self, shard: int, paths) -> List[Tuple[int, Any]]:
         """Restrict a decision's paths to one shard's planes.

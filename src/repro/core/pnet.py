@@ -91,32 +91,6 @@ class PNet:
     def plane(self, index: int) -> Topology:
         return self.planes[index]
 
-    def plane_view(self, plane_indices: Sequence[int]) -> "PNet":
-        """A PNet over a subset of this network's planes.
-
-        The view *shares* the underlying :class:`Topology` objects (a
-        failure marked through either is visible to both) but has its
-        own fresh routing caches, renumbering the selected planes as
-        ``0..k-1`` in the given order.  This is the per-shard routing
-        state of :mod:`repro.shard`: pair the view with the
-        :class:`~repro.shard.partition.ShardPlan` that produced the
-        index list to translate plane numbers back to global.
-        """
-        indices = list(plane_indices)
-        if not indices:
-            raise ValueError("need at least one plane index")
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"duplicate plane indices: {indices}")
-        for idx in indices:
-            if not 0 <= idx < len(self.planes):
-                raise ValueError(
-                    f"plane {idx} out of range for {len(self.planes)} planes"
-                )
-        return PNet(
-            [self.planes[idx] for idx in indices],
-            name=f"{self.name}/planes-{'-'.join(map(str, indices))}",
-        )
-
     def invalidate_routing(self) -> None:
         """Drop memoised paths (call after failing/restoring links)."""
         self._len_cache.clear()

@@ -125,33 +125,6 @@ def run_rpc_network(
     return times, sum(c.retransmits for c in clients)
 
 
-def run_rpc_experiment(
-    networks,
-    request_bytes: int,
-    response_bytes: int,
-    rounds: int,
-    concurrency: int = 1,
-    seed: int = 0,
-):
-    """Run the closed-loop RPC workload on each network (serial helper).
-
-    Returns (completion times per label, retransmit counts per label).
-    """
-    times: Dict[str, List[float]] = {}
-    retx: Dict[str, int] = {}
-    for label, pnet in networks.items():
-        times[label], retx[label] = run_rpc_network(
-            label,
-            pnet,
-            request_bytes=request_bytes,
-            response_bytes=response_bytes,
-            rounds=rounds,
-            concurrency=concurrency,
-            seed=seed,
-        )
-    return times, retx
-
-
 def rpc_trial(
     switches: int,
     degree: int,

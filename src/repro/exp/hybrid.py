@@ -39,6 +39,7 @@ from repro.exp.common import (
     network_for_label,
 )
 from repro.exp.runner import TrialSpec, run_trials
+from repro.hybrid.promotion import resolve_policy
 from repro.units import KB, MB
 
 PRESETS = {
@@ -131,6 +132,7 @@ def run(
         )
     engines = ENGINES if fidelity is None else (fidelity,)
     promote = params["promote"] if promote is None else promote
+    resolve_policy(promote)  # a bad spec fails here, before any trial
     family = JellyfishFamily(
         params["switches"], params["degree"], params["hosts_per"]
     )

@@ -2,9 +2,9 @@
 
 Every experiment module expresses its parameter grid -- network family x
 scale x plane count x seed -- as a list of :class:`TrialSpec` and hands it
-to :func:`run_trials`.  The runner fans the trials out over
-``multiprocessing`` workers (``PNET_JOBS``; 1 = today's serial in-process
-path, exactly), consults the on-disk artifact cache for whole trial
+to :func:`run_trials`.  The runner fans the trials out over a
+process pool (``PNET_JOBS``; 1 = today's serial in-process path,
+exactly), consults the on-disk artifact cache for whole trial
 results, and merges everything **by trial key, never by completion
 order** -- the :class:`~repro.sim.events.EventLoop` and every topology
 builder are deterministic given their seeds, so results are independent
@@ -383,14 +383,26 @@ def _run_trials(specs: Sequence[TrialSpec], config: RunConfig):
             # trials and their combined pickle differs by job count.
             _completed(key, pickle.loads(pickle.dumps(value)))
     else:
-        ctx = _pool_context()
-        with ctx.Pool(processes=min(trial_workers, len(pending))) as pool:
-            for key, value, hits, misses in pool.imap_unordered(
-                functools.partial(_execute, config=config), pending
-            ):
-                _completed(key, value)
-                stats.cache_hits += hits
-                stats.cache_misses += misses
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        # Executor workers are not daemonic, so a sharded trial may
+        # start its shard worker processes inside one.
+        with ProcessPoolExecutor(
+            max_workers=min(trial_workers, len(pending)),
+            mp_context=_pool_context(),
+        ) as pool:
+            futures = [pool.submit(_execute, spec, config) for spec in pending]
+            try:
+                for future in as_completed(futures):
+                    key, value, hits, misses = future.result()
+                    _completed(key, value)
+                    stats.cache_hits += hits
+                    stats.cache_misses += misses
+            except BaseException:
+                # Drop the trials not yet started, so a failing sweep
+                # stops once the running ones return.
+                pool.shutdown(cancel_futures=True)
+                raise
 
     if checkpoint_every is not None and fresh % checkpoint_every != 0:
         # Final partial interval: a completed sweep's checkpoint lets a

@@ -7,10 +7,10 @@ Two interchangeable backends drive the *same* worker logic
   messages are plain function calls.  Zero IPC cost; used for
   ``PNET_SHARD_BACKEND=local``, for tests, and as the reference
   behaviour ``shm`` must match byte-for-byte.
-* ``shm`` -- one process per shard, messages over a
-  ``multiprocessing.shared_memory`` ring buffer with fixed-layout
-  numpy-packed coupling digests (:mod:`repro.shard.shm`).  The
-  default: barrier digests skip pickling and pipe syscalls entirely.
+* ``shm`` -- one process per shard, every message one pickled frame
+  over a pair of ``multiprocessing.shared_memory`` ring buffers
+  (:mod:`repro.shard.shm`).  The default: barriers pay no pipe
+  syscalls.
 
 Both backends present the same calls to the engine: ``post(message)``
 enqueues a request without waiting, ``collect() -> reply`` blocks for

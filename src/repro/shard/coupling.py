@@ -9,12 +9,15 @@ model (planes are disjoint in the core), so the epoch barrier
 exchanges exactly them:
 
 * each shard exports a per-connection **digest**: per-subflow
-  ``(cwnd, srtt)``, its local pool ``remaining``, ACKed bytes, and a
-  drained flag;
+  ``(cwnd, srtt)``, its local pool ``remaining``, ACKed bytes, open-
+  window demand and recovery window, a drained flag and drain time,
+  and the counters the composed record needs;
 * the engine folds all remote digests into a :class:`RemoteTerms`
   view per shard and rebalances the shared pool across shards with a
-  deterministic largest-remainder split weighted by each shard's
-  current aggregate rate estimate (``sum cwnd/srtt``).
+  deterministic largest-remainder split: every shard keeps a floor of
+  its window demand, and the bytes above all floors go by the bytes
+  each shard ACKed since the last barrier
+  (:func:`repro.shard.engine._rebalance`).
 
 :class:`PartialMptcpSource` is the shard-side connection object: a
 normal :class:`~repro.sim.mptcp.MptcpSource` restricted to the local
@@ -49,11 +52,6 @@ def lia_terms(
             max_term = term
         sum_term += cwnd / rtt
     return total, max_term, sum_term
-
-
-def rate_weight(subflows: Sequence[Tuple[float, Optional[float]]]) -> float:
-    """A shard's share estimate for pool rebalancing: ``sum cwnd/srtt``."""
-    return sum(cwnd / (srtt or _DEFAULT_RTT) for cwnd, srtt in subflows)
 
 
 def largest_remainder(total: int, weights: Sequence[int]) -> List[int]:
@@ -174,14 +172,12 @@ class PartialMptcpSource(MptcpSource):
 
     def digest(self) -> Dict:
         """This shard's slice of the connection, for the epoch barrier."""
-        subflows = [(sf.cwnd, sf.srtt) for sf in self.subflows]
         return {
-            "subflows": subflows,
+            "subflows": [(sf.cwnd, sf.srtt) for sf in self.subflows],
             "remaining": self.remaining,
             "acked": self.acked_bytes,
             "drained": self.drain_time is not None,
             "drain_time": self.drain_time,
-            "weight": rate_weight(subflows),
             # Bytes the local windows could take right now: the pull
             # pressure the serial scheduler would see.  The engine
             # rebalances the pool toward demand + one epoch of rate, so
@@ -200,7 +196,6 @@ class PartialMptcpSource(MptcpSource):
             ),
             "retransmits": self.retransmits,
             "packets_sent": self.packets_sent,
-            "start_time": self.start_time,
         }
 
     # --- lifecycle ---------------------------------------------------------

@@ -12,6 +12,14 @@ the serial coupled behaviour, and ``epoch == 0`` (or one shard) takes
 the literal serial code path, byte-identical to the pre-shard
 simulator.
 
+:func:`run_packet_trial` is a sequence of barrier phases, one function
+each: :func:`_plan` (classify, split, worker configs, restore), then
+per barrier :func:`_control` (sample, decide, apply), :func:`_couple`
+(completion, rebalance, LIA views -- engine state only),
+:func:`_target` (free-run promotion, stride, idle jump, clamps),
+:func:`_exchange` (post to all, then collect from all) and
+:func:`_checkpoint`, and finally :func:`_merge`.
+
 Determinism: worker digests are merged in shard-index order, pool
 splits use integer largest-remainder arithmetic, records are sorted by
 global flow id, and per-shard telemetry registries are absorbed into
@@ -27,36 +35,27 @@ import math
 import pathlib
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.ckpt.snapshot import dumps
+from repro.ckpt.snapshot import check_args, restore, run_checkpointed
 from repro.ckpt.store import (
-    CheckpointError,
-    latest,
-    next_step,
-    prune,
-    read_payload,
-    step_dir,
-    write_checkpoint,
+    CheckpointError, latest, next_step, prune, read_manifest, read_payload,
+    step_dir, write_checkpoint,
 )
 from repro.config import current
 from repro.core.flowspec import FlowSpec
 from repro.core.pnet import PNet
+from repro.faults.schedule import FaultSchedule
 from repro.obs import get_registry
 from repro.shard.channel import LocalChannel
-from repro.shard.coupling import (
-    largest_remainder,
-    lia_terms,
-    split_bytes,
-)
-from repro.shard.lookahead import (
-    derive_lookahead,
-    epochs_per_sync,
-)
+from repro.shard.coupling import largest_remainder, lia_terms, split_bytes
+from repro.shard.lookahead import derive_lookahead, epochs_per_sync
 from repro.shard.partition import ShardPlan, _count_fallback, classify
 from repro.shard.shm import ShmChannel
-from repro.shard.worker import WorkerConfig, build_worker, handle_message
-from repro.sim.network import SimFlowRecord
+from repro.shard.worker import (
+    PacketShardWorker, WorkerConfig, build_worker, handle_message,
+)
+from repro.sim.network import SimFlowRecord, publish_flow
 from repro.topology.graph import Topology
 
 #: Hard cap on barrier rounds -- a stuck spanning connection (e.g. all
@@ -66,12 +65,20 @@ MAX_ROUNDS = 1_000_000
 
 
 class ShardSafetyError(RuntimeError):
-    """The requested run cannot be sharded without changing results."""
+    """The requested run cannot be sharded without changing results.
+
+    ``feature`` names what cannot shard; a ``serial_fallback``
+    downgrade is counted under it on ``shard.serial_fallback``.
+    """
+
+    def __init__(self, message: str, feature: str = ""):
+        super().__init__(message)
+        self.feature = feature
 
 
-#: ``meta["kind"]`` of checkpoints the shard engine writes: one payload
-#: per worker (the worker encodes itself at an epoch barrier) plus
-#: ``engine.pkl`` holding the barrier-loop state.
+#: ``meta["kind"]`` of checkpoints the multi-shard loop writes: one
+#: payload per worker (the worker encodes itself at an epoch barrier)
+#: plus ``engine.pkl`` holding the barrier-loop state.
 KIND_SHARD = "shard"
 
 
@@ -83,11 +90,11 @@ def _write_shard_checkpoint(
     ``blobs`` are the encoded workers in shard order, taken at a
     barrier where every worker is quiescent (its event loop stopped at
     ``state["t"]``), so together with the engine's own loop ``state``
-    they form a globally consistent cut.  Both the multi-shard loop and
-    the one-shard serial path write through here, so
-    :func:`_load_shard_checkpoint` reads either.  The container write
-    is manifest-last, so a crash mid-write is indistinguishable from no
-    checkpoint.
+    they form a globally consistent cut.  Only the multi-shard loop
+    writes these; a one-shard run checkpoints its simulator through
+    :func:`repro.ckpt.run_checkpointed` (``kind="sim"``).  The
+    container write is manifest-last, so a crash mid-write is
+    indistinguishable from no checkpoint.
     """
     payloads = {
         f"shard-{shard:02d}.pkl": blob for shard, blob in enumerate(blobs)
@@ -111,16 +118,16 @@ def _write_shard_checkpoint(
 
 
 def _load_shard_checkpoint(root, n_shards: int) -> Optional[Dict[str, Any]]:
-    """The newest valid shard checkpoint under ``root`` (None if empty).
+    """The newest valid multi-shard checkpoint under ``root`` (None if
+    empty).
 
-    Shard count must match the resuming run: worker pickles are
+    A one-shard run's ``kind="sim"`` checkpoint is refused by its kind,
+    and the shard count must match the resuming run: worker pickles are
     per-shard slices of the workload and cannot be re-partitioned.
     """
     chosen = latest(root)
     if chosen is None:
         return None
-    from repro.ckpt.store import read_manifest
-
     meta = read_manifest(chosen).get("meta", {})
     if meta.get("kind") != KIND_SHARD:
         raise CheckpointError(
@@ -133,7 +140,6 @@ def _load_shard_checkpoint(root, n_shards: int) -> Optional[Dict[str, Any]]:
             f"this run has {n_shards} -- resume must keep the shard count"
         )
     return {
-        "path": chosen,
         "workers": [
             read_payload(chosen, f"shard-{shard:02d}.pkl")
             for shard in range(n_shards)
@@ -182,31 +188,6 @@ class ShardResult:
         return [r.fct for r in self.records]
 
 
-def _as_planes(planes: Union[PNet, Sequence[Topology]]) -> List[Topology]:
-    if isinstance(planes, PNet):
-        return list(planes.planes)
-    return list(planes)
-
-
-def _check_schedule(events, n_planes: int) -> Tuple:
-    events = tuple(events) if events is not None else ()
-    for event in events:
-        if event.plane >= n_planes:
-            raise ValueError(
-                f"fault event at t={event.at} names plane {event.plane} "
-                f"but the network has {n_planes}"
-            )
-    return events
-
-
-def _strip_callbacks(specs: Sequence[FlowSpec]) -> List[FlowSpec]:
-    return [
-        spec.replace(on_complete=None) if spec.on_complete is not None
-        else spec
-        for spec in specs
-    ]
-
-
 def _make_channels(configs: List[WorkerConfig], backend: str):
     if backend == "local":
         return [
@@ -231,15 +212,19 @@ def _close_all(channels) -> None:
             pass
 
 
-def _describe_spanning(gid: int, spec: FlowSpec, plan: ShardPlan) -> str:
-    """Name a spanning flow and exactly where it spans, for refusals."""
-    planes_used = sorted({p for p, __ in spec.paths})
-    shard_ids = plan.shards_of(spec)
-    return (
-        f"flow {gid} ({spec.src}->{spec.dst}) places subflows on "
-        f"plane(s) {', '.join(map(str, planes_used))}, spanning "
-        f"shard(s) {', '.join(map(str, shard_ids))}"
-    )
+def _broadcast(channels, message) -> List[Any]:
+    """Post ``message`` to every worker, then collect every reply's
+    payload, in shard order."""
+    for channel in channels:
+        channel.post(message)
+    return [channel.collect()[1] for channel in channels]
+
+
+def _control_summary(loop) -> Optional[Dict[str, Any]]:
+    """``ShardResult.control`` of a controller or shard control driver."""
+    if loop is None:
+        return None
+    return {"fingerprint": loop.fingerprint(), "stats": loop.stats.as_dict()}
 
 
 class _SpanningState:
@@ -256,6 +241,53 @@ class _SpanningState:
         #: ACK progress per shard at the previous barrier -- the deltas
         #: are the measured per-shard throughput the rebalance targets.
         self.prev_acked: List[int] = [0] * len(shards)
+
+
+@dataclass
+class _Run:
+    """The state the barrier phases share: the run's options, its plan,
+    and the loop state a checkpoint captures (``t``, ``rounds``,
+    ``digests``, ``spanning``, ``shares`` and the driver's state)."""
+
+    plan: ShardPlan
+    epoch: float
+    until: float
+    backend: str
+    checkpoint_dir: Any = None
+    checkpoint_every: Optional[float] = None
+    keep_last: Optional[int] = None
+    barriers: Optional[List[Tuple[float, bool]]] = None
+    spanning_gids: List[int] = field(default_factory=list)
+    spanning: Dict[int, _SpanningState] = field(default_factory=dict)
+    shares: Dict[int, Dict[int, int]] = field(default_factory=dict)
+    driver: Optional[Any] = None
+    lookahead: float = 0.0
+    stride: int = 1
+    channels: List[Any] = field(default_factory=list)
+    digests: Optional[List[Dict[str, Any]]] = None
+    t: float = 0.0
+    rounds: int = 0
+    #: Free-running shards; their last reply is collected at shutdown.
+    freed: Set[int] = field(default_factory=set)
+    ckpt_next: float = math.inf
+
+
+@dataclass
+class _Step:
+    """The target phase's decision: ``free`` shards start free-running,
+    and ``need`` shards run to ``t_next`` (None ends the loop)."""
+
+    free: List[int]
+    t_next: Optional[float] = None
+    need: List[int] = field(default_factory=list)
+    jumped: bool = False
+
+
+def _next_checkpoint(t: float, every: Optional[float]) -> float:
+    """The first checkpoint instant strictly after ``t``."""
+    if every is None:
+        return math.inf
+    return (math.floor(t / every) + 1) * every
 
 
 def run_packet_trial(
@@ -298,8 +330,10 @@ def run_packet_trial(
         backend: ``"local"`` or ``"shm"`` channel backend; defaults
             to ``PNET_SHARD_BACKEND``.  All four defaults come from the
             current :class:`~repro.config.RunConfig`.
-        schedule: optional iterable of fault events, routed to the
-            owning shards (dataplane semantics only -- injector-style
+        schedule: optional iterable of fault events (or a
+            :class:`~repro.faults.FaultSchedule`), checked against the
+            planes before any worker starts and routed to the owning
+            shards (dataplane semantics only -- injector-style
             resteering is cross-plane and must stay serial).
         until: simulated-time horizon (default: run to completion).
         obs: telemetry registry absorbing the per-shard registries in
@@ -315,15 +349,16 @@ def run_packet_trial(
             start when none exists.  The shard count must match the
             checkpointed run.
         checkpoint_keep_last: prune to the newest N checkpoints after
-            each write (default: keep all).
+            each write (default: keep all).  ``checkpoint_dir`` without
+            ``checkpoint_every`` or ``resume``, and retention without
+            ``checkpoint_every``, raise ``ValueError`` at entry.
         trace_barriers: record every barrier as ``(t, jumped)`` on the
-            result (test/diagnostic aid; off by default to keep long
-            runs lean).
+            result (a test and diagnostic aid).
         control: a :class:`repro.control.Controller`, policy object, or
             policy name enabling the adaptive control plane.  Serial
             runs attach the controller's own loop; multi-shard runs
             drive the same policy/monitor objects at lookahead barriers
-            (sample + apply travel as extra digest-style messages), so
+            (sample + apply travel as extra barrier messages), so
             adaptive workloads no longer force ``serial_fallback``.
         serial_fallback: instead of raising :class:`ShardSafetyError`
             for workloads that cannot shard safely (completion
@@ -342,382 +377,384 @@ def run_packet_trial(
         shards=shards, epoch=epoch, lookahead=lookahead,
         shard_backend=backend,
     )
-    planes = _as_planes(planes)
-    specs = list(specs)
-    epoch = cfg.epoch
-    n_shards = min(cfg.shards, len(planes)) if cfg.sharded else 1
-    obs = obs if obs is not None else get_registry()
-    events = _check_schedule(schedule, len(planes))
-    plan = ShardPlan.build(len(planes), n_shards)
-    backend = cfg.shard_backend if plan.n_shards > 1 else "local"
-    if checkpoint_every is not None:
-        if checkpoint_dir is None:
-            raise ValueError("checkpoint_every requires checkpoint_dir")
-        if checkpoint_every <= 0:
-            raise ValueError(
-                f"checkpoint_every must be > 0, got {checkpoint_every}"
-            )
-    if resume and checkpoint_dir is None:
-        raise ValueError("resume requires checkpoint_dir")
-
-    run_serial = functools.partial(
-        _run_serial_packet, planes, specs, events, until, obs, epoch,
-        sim_kwargs,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        resume=resume,
+    check_args(
+        checkpoint_every, checkpoint_dir, resume=resume,
         checkpoint_keep_last=checkpoint_keep_last,
-        control=control,
+    )
+    pnet = planes if isinstance(planes, PNet) else PNet(planes)
+    schedule = FaultSchedule(schedule if schedule is not None else ())
+    schedule.validate(pnet)
+    planes = pnet.planes
+    specs = list(specs)
+    obs = obs if obs is not None else get_registry()
+    plan = ShardPlan.build(
+        len(planes), min(cfg.shards, len(planes)) if cfg.sharded else 1
+    )
+    run_serial = functools.partial(
+        _run_serial_packet, planes, specs, schedule.events, until, obs,
+        cfg.epoch, sim_kwargs, checkpoint_dir, checkpoint_every, resume,
+        checkpoint_keep_last, control,
     )
     if plan.n_shards == 1:
         return run_serial()
 
-    with_callbacks = [
-        gid for gid, spec in enumerate(specs)
-        if spec.on_complete is not None
-    ]
-    if with_callbacks:
-        if serial_fallback:
-            _count_fallback("packet.on_complete", obs)
-            return run_serial()
-        raise ShardSafetyError(
-            f"flow {with_callbacks[0]} "
-            f"({specs[with_callbacks[0]].src}->"
-            f"{specs[with_callbacks[0]].dst}) carries a completion "
-            "callback, which cannot run under PNET_SHARDS > 1: the "
-            "engine only sees flow completion at epoch barriers, so "
-            "closed-loop workloads must run serial -- pass "
-            "serial_fallback=True (or shards=1) to run this workload "
-            "on the serial path"
+    run = _Run(
+        plan=plan, epoch=cfg.epoch, until=until, backend=cfg.shard_backend,
+        checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
+        keep_last=checkpoint_keep_last,
+        barriers=[] if trace_barriers else None,
+    )
+    try:
+        configs = _plan(
+            run, planes, specs, schedule, cfg.lookahead, obs, sim_kwargs,
+            control, resume,
         )
+    except ShardSafetyError as refusal:
+        if not serial_fallback:
+            raise
+        _count_fallback(refusal.feature, obs)
+        return run_serial()
 
-    local, spanning_gids = classify(specs, plan)
-    spanning: Dict[int, _SpanningState] = {}
-    shares: Dict[int, Dict[int, int]] = {}
-    for gid in spanning_gids:
+    run.channels = _make_channels(configs, run.backend)
+    try:
+        if run.digests is None:
+            run.digests = _broadcast(run.channels, ("digest",))
+        while True:
+            _control(run)
+            updates = _couple(run)
+            step = _target(run, updates)
+            _exchange(run, step, updates)
+            if step.t_next is None:
+                break
+            _checkpoint(run)
+        return _merge(run, obs)
+    finally:
+        _close_all(run.channels)
+
+
+def _plan(
+    run: _Run, planes, specs, schedule, lookahead, obs, sim_kwargs,
+    control, resume,
+) -> List[WorkerConfig]:
+    """Plan phase: classify and split the flows, build the worker
+    configs, and load the checkpoint a resumed run continues from.
+
+    Raises :class:`ShardSafetyError` for a workload that cannot shard.
+    """
+    plan = run.plan
+    for gid, spec in enumerate(specs):
+        if spec.on_complete is not None:
+            raise ShardSafetyError(
+                f"flow {gid} ({spec.src}->{spec.dst}) carries a completion "
+                "callback, which cannot run under PNET_SHARDS > 1: the "
+                "engine only sees flow completion at epoch barriers, so "
+                "closed-loop workloads must run serial -- pass "
+                "serial_fallback=True (or shards=1) to run this workload "
+                "on the serial path",
+                feature="packet.on_complete",
+            )
+
+    local, run.spanning_gids = classify(specs, plan)
+    for gid in run.spanning_gids:
         spec = specs[gid]
         size = int(spec.size)
+        shard_ids = plan.shards_of(spec)
         if size != spec.size:
-            if serial_fallback:
-                _count_fallback("packet.fractional_spanning", obs)
-                return run_serial()
+            planes_used = sorted({p for p, __ in spec.paths})
             raise ShardSafetyError(
-                f"spanning {_describe_spanning(gid, spec, plan)}, but "
+                f"spanning flow {gid} ({spec.src}->{spec.dst}) places "
+                f"subflows on plane(s) {', '.join(map(str, planes_used))}, "
+                f"spanning shard(s) {', '.join(map(str, shard_ids))}, but "
                 f"has non-integer size {spec.size!r}: the shared pool "
                 "splits whole bytes across shards -- round the size, "
-                "pass serial_fallback=True, or run with shards=1"
+                "pass serial_fallback=True, or run with shards=1",
+                feature="packet.fractional_spanning",
             )
-        shard_ids = plan.shards_of(spec)
         counts = [
             len(plan.local_paths(spec, shard)) for shard in shard_ids
         ]
-        split = split_bytes(size, counts)
-        spanning[gid] = _SpanningState(gid, spec, shard_ids)
-        shares[gid] = dict(zip(shard_ids, split))
+        run.spanning[gid] = _SpanningState(gid, spec, shard_ids)
+        run.shares[gid] = dict(zip(shard_ids, split_bytes(size, counts)))
 
-    driver = None
     if control is not None:
         from repro.control import as_controller
         from repro.control.sharded import ShardControlDriver
 
-        driver = ShardControlDriver(
-            as_controller(control),
-            planes,
-            plane_shard={
-                plane: shard
-                for shard in range(plan.n_shards)
-                for plane in plan.planes_of_shard[shard]
-            },
-            flow_shard={
-                gid: shard
-                for shard in range(plan.n_shards)
-                for gid in local[shard]
-            },
-            spanning_gids=set(spanning_gids),
+        run.driver = ShardControlDriver(
+            as_controller(control), planes, plan.planes_of_shard, local,
+            run.spanning_gids,
         )
 
-    collect_obs = obs.enabled
-    stripped = _strip_callbacks(specs)
     configs = []
     for shard in range(plan.n_shards):
         owned = set(local[shard])
-        entries = [
-            (gid, stripped[gid])
-            for gid in range(len(specs))
-            if gid in owned
-            or (gid in spanning and shard in spanning[gid].shards)
-        ]
+        slices = {
+            gid: share[shard]
+            for gid, share in run.shares.items()
+            if shard in share
+        }
         configs.append(WorkerConfig(
             shard=shard,
             plan=plan,
             planes=planes,
             sim_kwargs=dict(sim_kwargs),
-            entries=entries,
-            spanning_share={
-                gid: shares[gid][shard]
-                for gid in spanning
-                if shard in spanning[gid].shards
-            },
-            fault_events=tuple(
-                e for e in events
-                if e.plane in plan.planes_of_shard[shard]
-            ),
-            collect_obs=collect_obs,
+            entries=[
+                (gid, spec) for gid, spec in enumerate(specs)
+                if gid in owned or gid in slices
+            ],
+            spanning_share=slices,
+            fault_events=schedule.restricted(
+                plan.planes_of_shard[shard]
+            ).events,
+            collect_obs=obs.enabled,
         ))
-
-    restored = (
-        _load_shard_checkpoint(checkpoint_dir, plan.n_shards)
-        if resume else None
-    )
-    if restored is not None:
-        for config, blob in zip(configs, restored["workers"]):
-            config.restore_blob = blob
 
     # Conservative lookahead: coupling digests cannot change faster
     # than one spanning-path RTT, so one digest exchange may safely
     # cover several epochs (the epoch stays the staleness quantum; the
     # stride only batches the exchanges).
-    la = cfg.lookahead
-    if la is None:
-        la = derive_lookahead(planes, specs, spanning_gids)
-    stride = epochs_per_sync(la, epoch)
-    sync_dt = epoch * stride
+    if lookahead is None:
+        lookahead = derive_lookahead(planes, specs, run.spanning_gids)
+    run.lookahead = lookahead
+    run.stride = epochs_per_sync(lookahead, run.epoch)
 
-    checkpointing = checkpoint_every is not None
-    barriers: Optional[List[Tuple[float, bool]]] = (
-        [] if trace_barriers else None
+    restored = (
+        _load_shard_checkpoint(run.checkpoint_dir, plan.n_shards)
+        if resume else None
     )
-    all_shards = set(range(plan.n_shards))
-    freed: set = set()
+    if restored is not None:
+        for config, blob in zip(configs, restored["workers"]):
+            config.restore_blob = blob
+        state = restored["engine"]
+        run.digests = state["digests"]
+        run.rounds = state["rounds"]
+        run.t = state["t"]
+        run.spanning = state["spanning"]
+        run.shares = state["shares"]
+        if run.driver is not None and state.get("control") is not None:
+            run.driver.restore(state["control"])
+    run.ckpt_next = _next_checkpoint(run.t, run.checkpoint_every)
+    return configs
 
-    channels = _make_channels(configs, backend)
-    try:
-        if restored is None:
-            for ch in channels:
-                ch.post(("digest",))
-            digests = [ch.collect()[1] for ch in channels]
-            rounds = 0
-            t = 0.0
-        else:
-            engine_state = restored["engine"]
-            digests = engine_state["digests"]
-            rounds = engine_state["rounds"]
-            t = engine_state["t"]
-            spanning = engine_state["spanning"]
-            shares = engine_state["shares"]
-            if driver is not None and engine_state.get("control") is not None:
-                driver.restore(engine_state["control"])
-        ckpt_next = (
-            (math.floor(t / checkpoint_every) + 1) * checkpoint_every
-            if checkpoint_every is not None else math.inf
+
+def _control(run: _Run) -> None:
+    """Control phase: at a control instant, sample every shard, decide,
+    and apply the moves.
+
+    Workers are quiescent at the barrier, so the sampled ACK counters
+    are exact when the moves land in the same exchange.
+    """
+    driver = run.driver
+    if driver is None or not driver.due(run.t):
+        return
+    samples = dict(enumerate(_broadcast(run.channels, ("control-sample",))))
+    moves = driver.tick(run.t, samples)
+    for shard in sorted(moves):
+        run.channels[shard].post(("control-apply", moves[shard]))
+    for shard in sorted(moves):
+        # Relaunches schedule new events at t; refresh the idle-jump
+        # view so the next stride sees them.
+        run.digests[shard]["next"] = run.channels[shard].collect()[1]["next"]
+
+
+def _couple(run: _Run) -> List[Dict[str, Any]]:
+    """Couple phase: fold the digests into per-shard updates.
+
+    A connection whose every slice drained completes (its record is
+    composed here and its slices finalized); every other one gets a
+    pool rebalance and, per shard, the LIA view of its remote subflows.
+    Touches engine state only, never a channel.
+    """
+    updates: List[Dict[str, Any]] = [
+        {"views": {}, "grants": {}, "finalize": []}
+        for __ in range(run.plan.n_shards)
+    ]
+    for gid in run.spanning_gids:
+        state = run.spanning[gid]
+        if state.complete:
+            continue
+        parts = [
+            run.digests[shard]["flows"][gid] for shard in state.shards
+        ]
+        pool = sum(part["remaining"] for part in parts)
+        if pool == 0 and all(part["drained"] for part in parts):
+            state.complete = True
+            state.record = _compose_record(gid, state.spec, parts)
+            for shard in state.shards:
+                updates[shard]["finalize"].append(gid)
+            continue
+        moves = _rebalance(parts, state.shards, state.prev_acked)
+        state.prev_acked = [part["acked"] for part in parts]
+        for shard, delta in moves:
+            updates[shard]["grants"][gid] = delta
+        for shard in state.shards:
+            remote = [
+                pair
+                for other, part in zip(state.shards, parts)
+                if other != shard
+                for pair in part["subflows"]
+            ]
+            updates[shard]["views"][gid] = lia_terms(remote)
+    return updates
+
+
+def _target(run: _Run, updates: List[Dict[str, Any]]) -> _Step:
+    """Target phase: where the next barrier is, and who runs to it.
+
+    Promotes uncoupled shards to free-running, then takes one stride
+    -- or jumps to the next event when every steering worker is idle
+    past it -- clamped to the horizon and the next control instant.
+    """
+    if run.rounds > MAX_ROUNDS:
+        raise RuntimeError(
+            f"shard engine exceeded {MAX_ROUNDS} barrier rounds "
+            f"(simulated t={run.t}); is a spanning flow stuck on a "
+            "dead path?"
         )
-        while True:
-            if rounds > MAX_ROUNDS:
-                raise RuntimeError(
-                    f"shard engine exceeded {MAX_ROUNDS} barrier rounds "
-                    f"(simulated t={t}); is a spanning flow stuck on a "
-                    "dead path?"
-                )
-            if driver is not None and driver.due(t):
-                # One control cycle at this barrier: workers are
-                # quiescent, so the sampled ACK counters are exact when
-                # the apply batches land in the same exchange.
-                for ch in channels:
-                    ch.post(("control-sample",))
-                samples = {
-                    shard: ch.collect()[1]
-                    for shard, ch in enumerate(channels)
-                }
-                batches = driver.tick(t, samples)
-                for shard in sorted(batches):
-                    batch = batches[shard]
-                    channels[shard].post((
-                        "control-apply",
-                        batch["aborts"],
-                        batch["launches"],
-                    ))
-                for shard in sorted(batches):
-                    reply = channels[shard].collect()[1]
-                    # Relaunches schedule new events at t; refresh the
-                    # idle-jump view so the next stride sees them.
-                    digests[shard]["next"] = reply["next"]
-            updates: List[Dict[str, Any]] = [
-                {"views": {}, "grants": {}, "finalize": []}
-                for __ in range(plan.n_shards)
-            ]
-            any_grants = False
-            incomplete = 0
-            coupled: set = set()
-            for gid in spanning_gids:
-                state = spanning[gid]
-                if state.complete:
-                    continue
-                parts = [
-                    digests[shard]["flows"][gid] for shard in state.shards
-                ]
-                pool = sum(part["remaining"] for part in parts)
-                if pool == 0 and all(part["drained"] for part in parts):
-                    state.complete = True
-                    state.record = _compose_record(gid, state.spec, parts)
-                    for shard in state.shards:
-                        updates[shard]["finalize"].append(gid)
-                    continue
-                incomplete += 1
-                coupled.update(state.shards)
-                moves = _rebalance(parts, state.shards, state.prev_acked)
-                state.prev_acked = [part["acked"] for part in parts]
-                for shard, delta in moves:
-                    updates[shard]["grants"][gid] = delta
-                    any_grants = True
-                for shard in state.shards:
-                    remote = [
-                        pair
-                        for other, part in zip(state.shards, parts)
-                        if other != shard
-                        for pair in part["subflows"]
-                    ]
-                    updates[shard]["views"][gid] = lia_terms(remote)
+    incomplete = [s for s in run.spanning.values() if not s.complete]
+    coupled = {shard for state in incomplete for shard in state.shards}
+    all_shards = set(range(run.plan.n_shards))
+    free: List[int] = []
+    if run.checkpoint_every is not None or run.driver is not None:
+        # Consistent cuts need *every* worker quiescent at the barrier,
+        # so nobody free-runs while checkpoints may be written; control
+        # likewise samples and steers every shard, so nobody may run
+        # ahead of the control clock.
+        need = all_shards
+    else:
+        # A worker holding no incomplete spanning slice and no pending
+        # update exchanges nothing with anyone: promote it to
+        # free-running (one unbounded run, collected at shutdown).
+        # Exact, not an approximation -- its planes share no state with
+        # the barriered ones.
+        need = coupled | {
+            shard for shard in all_shards if any(updates[shard].values())
+        }
+        free = sorted(all_shards - need - run.freed)
+        run.freed.update(free)
+        if not need:
+            return _Step(free)
 
-            finalizing = any(u["finalize"] for u in updates)
-            if checkpointing or driver is not None:
-                # Consistent cuts need *every* worker quiescent at the
-                # barrier, so nobody free-runs while checkpoints may be
-                # written; control likewise samples and steers every
-                # shard, so nobody may run ahead of the control clock.
-                need = set(all_shards)
-            else:
-                # A worker holding no incomplete spanning slice and no
-                # pending update exchanges nothing with anyone: promote
-                # it to free-running (one unbounded run, collected at
-                # shutdown).  Exact, not an approximation -- its planes
-                # share no state with the barriered ones.
-                need = coupled | {
-                    shard
-                    for shard in all_shards
-                    if updates[shard]["views"]
-                    or updates[shard]["grants"]
-                    or updates[shard]["finalize"]
-                }
-                for shard in sorted(all_shards - need - freed):
-                    channels[shard].post((
-                        "run",
-                        None if math.isinf(until) else until,
-                        {},
-                    ))
-                    freed.add(shard)
-                if not need:
-                    break
-
-            # Idle jumps and stall detection steer by the workers that
-            # can still influence coupling; in checkpoint mode the
-            # uncoupled workers keep barriering (for the cut) but must
-            # not steer t, or the coupled barrier sequence -- and with
-            # it the results -- would differ from an uncheckpointed run.
-            steer = sorted(coupled) if coupled else sorted(
-                all_shards - freed
+    # Idle jumps and stall detection steer by the workers that can
+    # still influence coupling; in checkpoint mode the uncoupled
+    # workers keep barriering (for the cut) but must not steer t, or
+    # the coupled barrier sequence -- and with it the results -- would
+    # differ from an uncheckpointed run.
+    steer = coupled or all_shards - run.freed
+    nexts = [
+        run.digests[shard]["next"]
+        for shard in steer
+        if run.digests[shard]["next"] is not None
+    ]
+    granting = any(u["grants"] for u in updates)
+    if not nexts and not granting and not any(
+        u["finalize"] for u in updates
+    ):
+        if incomplete:
+            raise RuntimeError(
+                f"shard engine stalled at t={run.t}: {len(incomplete)} "
+                "spanning connection(s) incomplete but no worker has "
+                "pending events"
             )
-            nexts = [
-                digests[shard]["next"]
-                for shard in steer
-                if digests[shard]["next"] is not None
-            ]
-            if not nexts and not any_grants and not finalizing:
-                if incomplete:
-                    raise RuntimeError(
-                        f"shard engine stalled at t={t}: {incomplete} "
-                        "spanning connection(s) incomplete but no worker "
-                        "has pending events"
-                    )
-                break
-            if t >= until:
-                break
-            t_next = t + sync_dt
-            jumped = False
-            if not any_grants and nexts and min(nexts) > t_next:
-                # Every steering worker is idle past the next barrier
-                # and no revival is in flight: digests cannot change
-                # while idle, so jumping straight to the next real
-                # event is exact, not an approximation.
-                t_next = min(nexts)
-                jumped = True
-            t_next = min(t_next, until)
-            if driver is not None:
-                # Strides (and idle jumps) never skip a control instant.
-                t_next = driver.clamp(t_next)
-            for shard in sorted(need):
-                channels[shard].post(("run", t_next, updates[shard]))
-            for shard in sorted(need):
-                digests[shard] = channels[shard].collect()[1]
-            if barriers is not None:
-                barriers.append((t_next, jumped))
-            t = t_next
-            rounds += 1
-            if t >= ckpt_next:
-                for ch in channels:
-                    ch.post(("snapshot",))
-                _write_shard_checkpoint(
-                    checkpoint_dir,
-                    [ch.collect()[1] for ch in channels],
-                    {
-                        "t": t,
-                        "rounds": rounds,
-                        "digests": digests,
-                        "spanning": spanning,
-                        "shares": shares,
-                        "control": (
-                            driver.state() if driver is not None else None
-                        ),
-                    },
-                    epoch, backend, keep_last=checkpoint_keep_last,
-                )
-                ckpt_next = (
-                    math.floor(t / checkpoint_every) + 1
-                ) * checkpoint_every
+        return _Step(free)
+    if run.t >= run.until:
+        return _Step(free)
+    t_next = run.t + run.epoch * run.stride
+    jumped = False
+    if not granting and nexts and min(nexts) > t_next:
+        # Every steering worker is idle past the next barrier and no
+        # revival is in flight: digests cannot change while idle, so
+        # jumping straight to the next real event is exact, not an
+        # approximation.
+        t_next = min(nexts)
+        jumped = True
+    t_next = min(t_next, run.until)
+    if run.driver is not None:
+        # Strides (and idle jumps) never skip a control instant.
+        t_next = run.driver.clamp(t_next)
+    return _Step(free, t_next, sorted(need), jumped)
 
-        for shard in sorted(freed):
-            # The free-run grant's digest reply is still in flight;
-            # drain it so the stop request pairs with the right reply.
-            channels[shard].collect()
-        for ch in channels:
-            ch.post(("stop",))
-        results = [ch.collect()[1] for ch in channels]
-    finally:
-        _close_all(channels)
 
+def _exchange(run: _Run, step: _Step, updates) -> None:
+    """Exchange phase: post every request, then collect every reply.
+
+    Dispatching one barrier to *all* workers before waiting on any is
+    what runs the shards' epochs in parallel on the shm backend.
+    """
+    for shard in step.free:
+        run.channels[shard].post(("run", run.until, {}))
+    if step.t_next is None:
+        return
+    for shard in step.need:
+        run.channels[shard].post(("run", step.t_next, updates[shard]))
+    for shard in step.need:
+        run.digests[shard] = run.channels[shard].collect()[1]
+    if run.barriers is not None:
+        run.barriers.append((step.t_next, step.jumped))
+    run.t = step.t_next
+    run.rounds += 1
+
+
+def _checkpoint(run: _Run) -> None:
+    """Checkpoint phase: at the first barrier at or past each multiple
+    of ``checkpoint_every``, write every worker and the loop state."""
+    if run.t < run.ckpt_next:
+        return
+    _write_shard_checkpoint(
+        run.checkpoint_dir,
+        _broadcast(run.channels, ("snapshot",)),
+        {
+            "t": run.t,
+            "rounds": run.rounds,
+            "digests": run.digests,
+            "spanning": run.spanning,
+            "shares": run.shares,
+            "control": (
+                run.driver.state() if run.driver is not None else None
+            ),
+        },
+        run.epoch, run.backend, keep_last=run.keep_last,
+    )
+    run.ckpt_next = _next_checkpoint(run.t, run.checkpoint_every)
+
+
+def _merge(run: _Run, obs) -> ShardResult:
+    """Merge phase: stop the workers, then merge their records and
+    telemetry in shard order, and the composed spanning records."""
+    for shard in sorted(run.freed):
+        # The free-run grant's digest reply is still in flight; drain
+        # it so the stop request pairs with the right reply.
+        run.channels[shard].collect()
     records: List[Any] = []
     plane_totals: Dict[int, Dict[str, int]] = {}
     events_processed = 0
-    for result in results:
+    for result in _broadcast(run.channels, ("stop",)):
         records.extend(result["records"])
         plane_totals.update(result["plane_totals"])
         events_processed += result["events_processed"]
-        if collect_obs and result["obs"] is not None:
+        if obs.enabled and result["obs"] is not None:
             obs.absorb(result["obs"])
-    for gid in spanning_gids:
-        state = spanning[gid]
-        if state.record is not None:
-            records.append(state.record)
-            if collect_obs:
-                _publish_flow_obs(obs, state.record)
+    for gid in run.spanning_gids:
+        record = run.spanning[gid].record
+        if record is not None:
+            records.append(record)
+            if obs.enabled:
+                # Local flows count inside their worker, spanning ones
+                # here, so merged telemetry covers every flow once.
+                publish_flow(obs, record)
     records.sort(key=lambda r: r.flow_id)
     return ShardResult(
         records=records,
-        n_shards=plan.n_shards,
-        epoch=epoch,
-        backend=backend,
-        rounds=rounds,
+        n_shards=run.plan.n_shards,
+        epoch=run.epoch,
+        backend=run.backend,
+        rounds=run.rounds,
         events_processed=events_processed,
         plane_totals=plane_totals,
-        lookahead=la,
-        stride=stride,
-        barriers=barriers,
-        control=(
-            {
-                "fingerprint": driver.fingerprint(),
-                "stats": driver.stats.as_dict(),
-            }
-            if driver is not None else None
-        ),
+        lookahead=run.lookahead,
+        stride=run.stride,
+        barriers=run.barriers,
+        control=_control_summary(run.driver),
     )
 
 
@@ -767,13 +804,7 @@ def _rebalance(
     # Every shard keeps its open-window demand plus the window of any
     # subflow in fast recovery untouched: clawing a recovering subflow's
     # new-data float leaves it nothing to clock ACKs with and stalls it
-    # into a full RTO.  Bytes above protection are free to re-place:
-    # proportional to the floors when the pool is scarce (the live
-    # window state -- a shard whose windows collapsed sheds its backlog
-    # to the still-growing shards, which is the serial pull at barrier
-    # granularity), and proportional to measured ACK throughput when
-    # the pool still exceeds all floors (equalizing remaining
-    # completion time the way one shared pool does).
+    # into a full RTO.
     protected = [
         min(have, part["demand"] + part["recovery_cwnd"])
         for have, part in zip(remaining, parts)
@@ -785,9 +816,7 @@ def _rebalance(
         # serial pull at barrier granularity).
         targets = largest_remainder(pool, floors)
     else:
-        # Surplus: floors first, then the rest proportional to
-        # measured ACK throughput, equalizing the shards' remaining
-        # completion time the way one shared pool does.
+        # Surplus: floors first, the rest by measured ACK throughput.
         surplus = largest_remainder(pool - sum(floors), rates)
         targets = [f + s for f, s in zip(floors, surplus)]
     # Respect the protections: raise any shard below its protected
@@ -828,20 +857,6 @@ def _compose_record(
     )
 
 
-def _publish_flow_obs(obs, record: SimFlowRecord) -> None:
-    """Per-plane flow counters for an engine-composed spanning record.
-
-    Mirrors ``PacketNetwork``'s completion-time attribution (even byte
-    split across planes) so merged telemetry covers every flow exactly
-    once: local flows count inside their worker, spanning flows here.
-    """
-    share = record.size / len(record.planes)
-    for plane in record.planes:
-        obs.counter("net.flow.bytes", plane=plane).inc(share)
-        obs.counter("net.flows", plane=plane).inc()
-        obs.histogram("net.fct_seconds", plane=plane).observe(record.fct)
-
-
 def _serial_control_rekey(worker, old_fid: int, new_fid: int) -> None:
     """Extend a serial worker's gid table across a control resteer.
 
@@ -853,95 +868,71 @@ def _serial_control_rekey(worker, old_fid: int, new_fid: int) -> None:
 
 
 def _run_serial_packet(
-    planes, specs, events, until, obs, epoch, sim_kwargs,
-    checkpoint_dir=None, checkpoint_every=None, resume=False,
-    checkpoint_keep_last=None, control=None,
+    planes, specs, events, until, obs, epoch, sim_kwargs, checkpoint_dir,
+    checkpoint_every, resume, checkpoint_keep_last, control,
 ) -> ShardResult:
     """One-shard path: the literal serial simulator, no barriers.
 
     Flows keep their completion callbacks and the caller's registry is
     used directly, so a ``PNET_SHARDS=1`` run is byte-identical to a
-    plain ``PacketNetwork`` run of the same workload.  Checkpoints go
-    through the multi-shard path's writer (one worker payload), so
-    resume works across either entry.
+    plain ``PacketNetwork`` run of the same workload.  Checkpoints are
+    simulator snapshots (``kind="sim"``) written by
+    :func:`repro.ckpt.run_checkpointed`, with the worker -- its gid
+    table and attached control loop -- riding along as ``extra``.
     """
-    plan = ShardPlan.build(len(planes), 1)
-    restored = (
-        _load_shard_checkpoint(checkpoint_dir, 1) if resume else None
-    )
-    config = WorkerConfig(
-        shard=0,
-        plan=plan,
-        planes=list(planes),
-        sim_kwargs=dict(sim_kwargs),
-        entries=list(enumerate(specs)),
-        fault_events=events,
-        collect_obs=False,
-        obs_registry=obs if restored is None else None,
-        restore_blob=restored["workers"][0] if restored else None,
-    )
-    worker = build_worker(config)
-    if control is not None and restored is None:
-        from repro.control import as_controller
+    chosen = latest(checkpoint_dir) if resume else None
+    if chosen is not None:
+        worker = restore(chosen).extra
+        if not isinstance(worker, PacketShardWorker):
+            raise CheckpointError(
+                f"{chosen} holds no shard worker; resume it through "
+                "repro.api.resume_trial"
+            )
+    else:
+        worker = PacketShardWorker(WorkerConfig(
+            shard=0,
+            plan=ShardPlan.build(len(planes), 1),
+            planes=list(planes),
+            sim_kwargs=dict(sim_kwargs),
+            entries=list(enumerate(specs)),
+            fault_events=events,
+            obs_registry=obs,
+        ))
+        if control is not None:
+            from repro.control import as_controller
 
-        controller = as_controller(control)
-        controller.attach(worker.net)
-        # Serial resteers assign fresh flow ids; keep the worker's
-        # gid table covering them so result() re-keys records.  A
-        # partial over a module function, so the hook rides the
-        # worker's checkpoint pickle.
-        controller.on_rekey = functools.partial(_serial_control_rekey, worker)
-        # The attached loop rides the worker's pickle graph, so shard
-        # checkpoints resume it without extra plumbing.
-        worker.net._controller = controller
-    t = restored["engine"]["t"] if restored else 0.0
+            controller = as_controller(control)
+            controller.attach(worker.net)
+            # Serial resteers assign fresh flow ids; keep the worker's
+            # gid table covering them so result() re-keys records.  A
+            # partial over a module function, so the hook rides the
+            # worker's checkpoint pickle.
+            controller.on_rekey = functools.partial(
+                _serial_control_rekey, worker
+            )
+            # The attached loop rides the network's pickle graph, so
+            # checkpoints resume it without extra plumbing.
+            worker.net._controller = controller
     if checkpoint_every is None:
         worker.advance(until)
     else:
-        while True:
-            t_next = (
-                math.floor(t / checkpoint_every) + 1
-            ) * checkpoint_every
-            if t_next >= until:
-                worker.advance(until)
-                break
-            worker.advance(t_next)
-            t = t_next
-            if worker.net.loop.next_time() is None:
-                break
-            _write_shard_checkpoint(
-                checkpoint_dir,
-                [dumps(worker)],
-                {
-                    "t": t,
-                    "rounds": 0,
-                    "digests": [],
-                    "spanning": {},
-                    "shares": {},
-                },
-                epoch, "local", keep_last=checkpoint_keep_last,
-            )
+        run_checkpointed(
+            worker.net, checkpoint_dir, checkpoint_every, until=until,
+            extra=worker, keep_last=checkpoint_keep_last,
+        )
     result = worker.result()
-    if restored is not None and obs.enabled and worker.obs is not obs:
+    if chosen is not None and obs.enabled and worker.obs is not obs:
         # The restored worker continued on its checkpointed registry
         # (which holds the pre-checkpoint counters); fold the whole
         # run's telemetry into the caller's registry.
         obs.absorb(worker.obs.export_state())
-    records = sorted(result["records"], key=lambda r: r.flow_id)
-    attached = getattr(worker.net, "_controller", None)
     return ShardResult(
-        records=records,
+        records=sorted(result["records"], key=lambda r: r.flow_id),
         n_shards=1,
         epoch=epoch,
         backend="local",
         rounds=0,
         events_processed=result["events_processed"],
         plane_totals=result["plane_totals"],
-        control=(
-            {
-                "fingerprint": attached.fingerprint(),
-                "stats": attached.stats.as_dict(),
-            }
-            if attached is not None else None
-        ),
+        control=_control_summary(getattr(worker.net, "_controller", None)),
     )

@@ -1,16 +1,13 @@
-"""Shared-memory barrier channel: numpy digests over SPSC ring buffers.
+"""Shared-memory barrier channel: pickled messages over SPSC ring buffers.
 
-Pickled messages over a pipe would cost four syscalls plus two
-pickles per worker per barrier -- the dominant cost of an epoch at the
-default 100 us spacing.  This module instead gives each worker one
+Messages over a pipe would cost four syscalls per worker per barrier
+on top of the pickling.  This module instead gives each worker one
 POSIX shared-memory segment holding two single-producer/single-consumer
-byte rings (engine->worker commands, worker->engine replies), and a
-fixed-layout ``float64`` packing (:class:`DigestCodec`) for the two
-messages the barrier loop actually exchanges: the ``run`` command
-(barrier target + coupling updates) and the coupling digest reply.
-Everything else -- snapshots, results, errors -- falls back to pickled
-blobs over the same rings, chunk-streamed so a payload larger than the
-ring capacity cannot deadlock the strict request/reply protocol.
+byte rings (engine->worker commands, worker->engine replies).  Every
+message -- barrier ``run`` commands, coupling digests, control samples,
+snapshots, results, errors -- travels as one pickled frame, chunk-
+streamed so a payload larger than the ring capacity cannot deadlock
+the strict request/reply protocol.
 
 Ring protocol
 -------------
@@ -29,24 +26,21 @@ sides poll with a liveness callback and optional deadline, so a dead
 peer raises :class:`ShmRingClosed` promptly rather than hanging.
 
 Byte-identity with the in-process ``local`` backend is a hard
-requirement (and is pinned by tests): the codec packs ints and floats into ``float64``
-slots exactly (all integer fields are far below 2**53) and restores
-``None`` sentinels from NaN, so a decoded digest compares equal to
-the pickled one field-for-field.
+requirement (and is pinned by tests): pickle round-trips every int,
+float and ``None`` exactly, so the worker sees the engine's message
+and the engine the worker's reply field for field.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import struct
 import time
 import traceback
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-import numpy as np
 from multiprocessing import shared_memory
 
 from repro.config import current
@@ -56,8 +50,8 @@ HEADER_BYTES = 16  # two little-endian uint64: write_pos, read_pos
 FRAME_BYTES = 8  # u32 chunk length (high bit: FINAL), u32 crc32
 FINAL_FLAG = 0x8000_0000
 
-#: Ring capacities (bytes).  Commands are tiny (a barrier target plus a
-#: few floats per spanning connection); replies carry digests and --
+#: Ring capacities (bytes).  Commands are small (a barrier target plus
+#: a few floats per spanning connection); replies carry digests and --
 #: rarely -- chunk-streamed snapshot blobs, so the reply ring is wider
 #: to keep the common digest in one frame.
 CMD_CAPACITY = 1 << 16
@@ -68,11 +62,6 @@ REPLY_CAPACITY = 1 << 18
 #: paying a scheduler quantum per epoch.
 SPIN_ROUNDS = 2_000
 SLEEP_SECONDS = 100e-6
-
-#: Message kind tags (first payload byte).
-KIND_NUMPY = b"N"
-KIND_PICKLE = b"P"
-
 
 class ShmRingError(RuntimeError):
     """Base failure of the shared-memory ring."""
@@ -269,165 +258,6 @@ class ShmRing:
                 return parts[0] if len(parts) == 1 else b"".join(parts)
 
 
-#: Digest scalar fields, in layout order, after the per-subflow
-#: ``(cwnd, srtt)`` pairs.  (name, none_as_nan, integer)
-_DIGEST_SCALARS: Tuple[Tuple[str, bool, bool], ...] = (
-    ("remaining", False, True),
-    ("acked", False, True),
-    ("drained", False, True),  # bool, packed 0/1
-    ("drain_time", True, False),
-    ("weight", False, False),
-    ("demand", False, True),
-    ("recovery_cwnd", False, True),
-    ("retransmits", False, True),
-    ("packets_sent", False, True),
-    ("start_time", True, False),
-)
-
-#: Run-command slots per spanning connection.
-_RUN_SLOTS = 7  # has_view, view_total, view_max, view_sum, has_grant, grant, finalize
-
-
-class DigestCodec:
-    """Fixed float64 layout for one worker's barrier traffic.
-
-    Built deterministically from the worker's config on *both* sides
-    of the channel (the engine holds the same config it shipped to the
-    worker), so neither end ever transmits the layout itself.  Encodes
-    the barrier ``run`` command (engine -> worker) and the coupling
-    digest reply (worker -> engine); every other message pickles.
-    """
-
-    def __init__(self, config):
-        spec_of = dict(config.entries)
-        self.gids: List[int] = sorted(config.spanning_share)
-        self.subflows: Dict[int, int] = {
-            gid: len(config.plan.local_paths(spec_of[gid], config.shard))
-            for gid in self.gids
-        }
-        per_gid = [
-            2 * self.subflows[gid] + len(_DIGEST_SCALARS)
-            for gid in self.gids
-        ]
-        self.digest_len = 2 + sum(per_gid)  # [t, next] + per-connection
-        self.run_len = 1 + _RUN_SLOTS * len(self.gids)  # [t_target] + ...
-
-    # --- digest (worker -> engine) -------------------------------------
-
-    def encode_digest(self, payload: Dict[str, Any]) -> bytes:
-        arr = np.empty(self.digest_len, dtype=np.float64)
-        arr[0] = payload["t"]
-        nxt = payload["next"]
-        arr[1] = math.nan if nxt is None else nxt
-        i = 2
-        flows = payload["flows"]
-        for gid in self.gids:
-            part = flows[gid]
-            for cwnd, srtt in part["subflows"]:
-                arr[i] = cwnd
-                arr[i + 1] = math.nan if srtt is None else srtt
-                i += 2
-            for name, none_as_nan, __ in _DIGEST_SCALARS:
-                value = part[name]
-                if none_as_nan and value is None:
-                    arr[i] = math.nan
-                else:
-                    arr[i] = value
-                i += 1
-        return arr.tobytes()
-
-    def decode_digest(self, data: bytes) -> Dict[str, Any]:
-        arr = np.frombuffer(data, dtype=np.float64)
-        if arr.shape[0] != self.digest_len:
-            raise ShmRingCorruption(
-                f"digest block has {arr.shape[0]} slots, layout expects "
-                f"{self.digest_len}"
-            )
-        nxt = float(arr[1])
-        payload: Dict[str, Any] = {
-            "t": float(arr[0]),
-            "next": None if math.isnan(nxt) else nxt,
-            "flows": {},
-        }
-        i = 2
-        for gid in self.gids:
-            subflows = []
-            for __ in range(self.subflows[gid]):
-                srtt = float(arr[i + 1])
-                subflows.append(
-                    (float(arr[i]), None if math.isnan(srtt) else srtt)
-                )
-                i += 2
-            part: Dict[str, Any] = {"subflows": subflows}
-            for name, none_as_nan, integer in _DIGEST_SCALARS:
-                raw = float(arr[i])
-                i += 1
-                if none_as_nan:
-                    part[name] = None if math.isnan(raw) else raw
-                elif integer:
-                    part[name] = int(raw)
-                else:
-                    part[name] = raw
-            part["drained"] = bool(part["drained"])
-            payload["flows"][gid] = part
-        return payload
-
-    # --- run command (engine -> worker) --------------------------------
-
-    def encode_run(
-        self, t_target: Optional[float], updates: Dict[str, Any]
-    ) -> bytes:
-        arr = np.zeros(self.run_len, dtype=np.float64)
-        arr[0] = math.nan if t_target is None else t_target
-        views = updates.get("views", {})
-        grants = updates.get("grants", {})
-        finalize = set(updates.get("finalize", ()))
-        for slot, gid in enumerate(self.gids):
-            i = 1 + slot * _RUN_SLOTS
-            if gid in views:
-                total, max_term, sum_term = views[gid]
-                arr[i] = 1.0
-                arr[i + 1] = total
-                arr[i + 2] = max_term
-                arr[i + 3] = sum_term
-            if gid in grants:
-                arr[i + 4] = 1.0
-                arr[i + 5] = grants[gid]
-            if gid in finalize:
-                arr[i + 6] = 1.0
-        return arr.tobytes()
-
-    def decode_run(
-        self, data: bytes
-    ) -> Tuple[Optional[float], Dict[str, Any]]:
-        arr = np.frombuffer(data, dtype=np.float64)
-        if arr.shape[0] != self.run_len:
-            raise ShmRingCorruption(
-                f"run block has {arr.shape[0]} slots, layout expects "
-                f"{self.run_len}"
-            )
-        t_raw = float(arr[0])
-        t_target = None if math.isnan(t_raw) else t_raw
-        if not self.gids:
-            # Mirrors the local backend exactly: workers with no
-            # spanning slice get a bare {}.
-            return t_target, {}
-        updates: Dict[str, Any] = {"views": {}, "grants": {}, "finalize": []}
-        for slot, gid in enumerate(self.gids):
-            i = 1 + slot * _RUN_SLOTS
-            if arr[i] != 0.0:
-                updates["views"][gid] = (
-                    float(arr[i + 1]),
-                    float(arr[i + 2]),
-                    float(arr[i + 3]),
-                )
-            if arr[i + 4] != 0.0:
-                updates["grants"][gid] = int(arr[i + 5])
-            if arr[i + 6] != 0.0:
-                updates["finalize"].append(gid)
-        return t_target, updates
-
-
 def _segment_size() -> int:
     return 2 * HEADER_BYTES + CMD_CAPACITY + REPLY_CAPACITY
 
@@ -443,12 +273,11 @@ class ShmChannel:
     """Engine-side endpoint of the shared-memory backend.
 
     Same ``post``/``collect``/``rpc``/``close`` surface as
-    :class:`~repro.shard.channel.LocalChannel`; the barrier ``run``/digest hot path travels as numpy
-    blocks, everything else as pickled blobs, all over the two rings.
+    :class:`~repro.shard.channel.LocalChannel`; every message is one
+    pickled frame over the two rings.
     """
 
     def __init__(self, config, timeout: Optional[float] = None):
-        self._codec = DigestCodec(config)
         self._timeout = current(shard_timeout=timeout).shard_timeout
         self._shm = shared_memory.SharedMemory(
             create=True, size=_segment_size()
@@ -456,25 +285,24 @@ class ShmChannel:
         self._cmd, self._reply = _make_rings(self._shm.buf)
         self._cmd.reset()
         self._reply.reset()
-        ctx = _mp_context()
-        self._proc = ctx.Process(
+        self._proc = _mp_context().Process(
             target=shm_worker_main,
             args=(self._shm.name, config),
             daemon=True,
         )
-        self._proc.start()
+        try:
+            self._proc.start()
+        except BaseException:
+            # No worker will ever attach (e.g. inside a daemonic
+            # process): free the segment now, or it outlives the run.
+            self.close()
+            raise
 
     def _alive(self) -> bool:
         return self._proc.is_alive()
 
     def post(self, message: Message) -> None:
-        if message[0] == "run":
-            __, t_target, updates = message
-            body = KIND_NUMPY + self._codec.encode_run(t_target, updates)
-        else:
-            body = KIND_PICKLE + pickle.dumps(
-                message, protocol=pickle.HIGHEST_PROTOCOL
-            )
+        body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
         try:
             self._cmd.send(body, timeout=self._timeout, alive=self._alive)
         except ShmRingClosed:
@@ -505,10 +333,7 @@ class ShmChannel:
                 f"barrier reply within {self._timeout}s "
                 "(PNET_SHARD_TIMEOUT)"
             ) from None
-        if body[:1] == KIND_NUMPY:
-            reply: Message = ("digest", self._codec.decode_digest(body[1:]))
-        else:
-            reply = pickle.loads(body[1:])
+        reply = pickle.loads(body)
         if reply[0] == "error":
             self.close()
             raise ShardWorkerError(reply[1])
@@ -553,7 +378,6 @@ def shm_worker_main(name: str, config) -> None:
     engine_alive = lambda: os.getppid() == parent  # noqa: E731
     shm = shared_memory.SharedMemory(name=name)
     cmd, reply_ring = _make_rings(shm.buf)
-    codec = DigestCodec(config)
     try:
         try:
             worker = build_worker(config)
@@ -568,22 +392,12 @@ def shm_worker_main(name: str, config) -> None:
             if startup_error is not None:
                 reply: Message = ("error", startup_error)
             else:
-                if body[:1] == KIND_NUMPY:
-                    t_target, updates = codec.decode_run(body[1:])
-                    message: Message = ("run", t_target, updates)
-                else:
-                    message = pickle.loads(body[1:])
-                reply = handle_message(worker, message)
-            if reply[0] == "digest":
-                try:
-                    out = KIND_NUMPY + codec.encode_digest(reply[1])
-                except Exception:
-                    reply = ("error", traceback.format_exc())
-                    out = KIND_PICKLE + pickle.dumps(reply)
-            else:
-                out = KIND_PICKLE + pickle.dumps(
-                    reply, protocol=pickle.HIGHEST_PROTOCOL
-                )
+                reply = handle_message(worker, pickle.loads(body))
+            try:
+                out = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                reply = ("error", traceback.format_exc())
+                out = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
             try:
                 reply_ring.send(out, alive=engine_alive)
             except ShmRingClosed:

@@ -2,11 +2,12 @@
 
 A worker owns every flow whose paths live entirely on its planes and
 the local *slice* (a :class:`~repro.shard.coupling.PartialMptcpSource`)
-of every spanning connection.  It exposes four calls --
-``apply(updates)``, ``advance(t)``, ``digest()``, ``result()`` --
-driven through :func:`handle_message`, which both channel backends
-(:mod:`repro.shard.channel`) route to, so the local and shm backends
-execute byte-identical logic.
+of every spanning connection.  It answers the engine's barrier
+messages -- ``run`` (apply coupling updates, advance, reply with a
+digest), ``digest``, ``control-sample``, ``control-apply``,
+``snapshot`` and ``stop`` -- through :func:`handle_message`, which
+both channel backends (:mod:`repro.shard.channel`) route to, so the
+local and shm backends execute byte-identical logic.
 
 A worker builds a :class:`~repro.sim.network.PacketNetwork` over *all*
 planes (elements instantiate lazily, so remote planes cost nothing),
@@ -16,9 +17,10 @@ Fault events arrive pre-routed (the engine restricts the schedule to
 each shard's planes via :meth:`FaultSchedule.restricted`) and are
 applied at the dataplane level -- link/queue state with the same
 refcounted overlap semantics as :class:`repro.faults.FaultInjector`.
-Control-plane reactions (route repair, flow resteering) are inherently
-cross-plane and stay serial; see
-:func:`repro.shard.partition.serial_fallback`.
+Fault reactions (route repair, flow resteering) are cross-plane and
+stay serial; see :func:`repro.shard.partition.serial_fallback`.
+Control moves resteer shard-local flows through
+:meth:`PacketNetwork.resteer`.
 """
 
 from __future__ import annotations
@@ -142,14 +144,11 @@ class PacketShardWorker:
         for gid, delta in sorted(updates.get("grants", {}).items()):
             self._spanning[gid].grant(delta)
 
-    def advance(self, t: Optional[float]) -> None:
-        self.net.run(until=float("inf") if t is None else t)
+    def advance(self, t: float) -> None:
+        self.net.run(until=t)
 
     def digest(self) -> Dict[str, Any]:
-        # Coupling state only: telemetry travels once, in ``result`` --
-        # exporting the registry at every barrier was pure overhead the
-        # engine never read, and it would break the fixed numpy digest
-        # layout of the shm backend.
+        # Coupling state only: telemetry travels once, in ``result``.
         return {
             "t": self.net.loop.now,
             "next": self.net.loop.next_time(),
@@ -183,29 +182,24 @@ class PacketShardWorker:
             "rows": rows,
         }
 
-    def control_apply(self, aborts, launches) -> Dict[str, Any]:
-        """Execute one control batch: aborts first, then relaunches.
+    def control_apply(self, moves) -> Dict[str, Any]:
+        """Resteer each ``(gid, paths)`` move of one control batch.
 
         The relaunched flow keeps its *global* id (the fresh local id
         maps back to the same gid), so records, policy state and the
         engine's ownership table stay stable across a resteer --
         unlike the serial path, where ids change and callers re-key.
         """
-        by_gid = {
+        fid_of = {
             self._local_gids[fid]: fid
             for fid, __, __s in self.net.active_flows()
         }
-        aborted = set()
-        for gid in aborts:
-            fid = by_gid.get(gid)
-            if fid is not None:
-                self.net.abort_flow(fid)
-                aborted.add(gid)
-        for gid, spec in launches:
-            if gid not in aborted:
-                continue  # vanished since the sample: nothing to move
-            self.net.add_flow(spec=spec)
-            self._local_gids.append(gid)
+        for gid, paths in moves:
+            fid = fid_of.get(gid)
+            # A flow gone since the sample has nothing to move; fresh
+            # ids are dense, so a relaunch's id is the next gid index.
+            if fid is not None and self.net.resteer(fid, paths) is not None:
+                self._local_gids.append(gid)
         return {"next": self.net.loop.next_time()}
 
     def result(self) -> Dict[str, Any]:
@@ -254,13 +248,9 @@ def handle_message(worker, message: Tuple) -> Tuple:
         if tag == "digest":
             return ("digest", worker.digest())
         if tag == "control-sample":
-            # New tags, not extra keys on "run": the shm codec's fixed
-            # numpy layouts only know run/digest, while pickled frames
-            # carry these transparently on every backend.
             return ("control", worker.control_sample())
         if tag == "control-apply":
-            __, aborts, launches = message
-            return ("control", worker.control_apply(aborts, launches))
+            return ("control", worker.control_apply(message[1]))
         if tag == "snapshot":
             # The worker encodes *itself* -- event heap, transport
             # state, fault refcounts and telemetry in one graph -- so a

@@ -190,22 +190,11 @@ class PacketNetwork:
         self.records.append(record)
         self._active.pop(flow_id, None)
         if self.obs.enabled:
-            obs = self.obs
-            planes = spec.planes
-            # Even byte split across planes -- the same attribution
-            # NetworkMonitor.record_flow applies, so the two views
-            # agree exactly.
-            share = spec.size / len(planes)
-            for plane in planes:
-                obs.counter("net.flow.bytes", plane=plane).inc(share)
-                obs.counter("net.flows", plane=plane).inc()
-                obs.histogram("net.fct_seconds", plane=plane).observe(
-                    record.fct
-                )
-            obs.trace(
+            publish_flow(self.obs, record)
+            self.obs.trace(
                 "flow.complete", self.loop.now, flow_id=flow_id,
                 src=spec.src, dst=spec.dst, size=spec.size, fct=record.fct,
-                planes=list(planes), retransmits=record.retransmits,
+                planes=list(spec.planes), retransmits=record.retransmits,
             )
         if spec.on_complete is not None:
             spec.on_complete(record)
@@ -450,6 +439,21 @@ class PacketNetwork:
         for plane_idx, totals in self.plane_queue_totals().items():
             for stat, value in totals.items():
                 obs.gauge(f"sim.plane.{stat}", plane=plane_idx).set(value)
+
+
+def publish_flow(obs, record: SimFlowRecord) -> None:
+    """Per-plane flow telemetry for one completed flow.
+
+    Even byte split across planes -- the same attribution
+    NetworkMonitor.record_flow applies, so the two views agree exactly.
+    The shard engine publishes its composed spanning records here too,
+    so merged telemetry covers every flow exactly once.
+    """
+    share = record.size / len(record.planes)
+    for plane in record.planes:
+        obs.counter("net.flow.bytes", plane=plane).inc(share)
+        obs.counter("net.flows", plane=plane).inc()
+        obs.histogram("net.fct_seconds", plane=plane).observe(record.fct)
 
 
 def _acked(source) -> int:

@@ -197,10 +197,39 @@ class TestShardedRejections:
                 checkpoint_dir=tmp_path, resume=True,
             )
 
+    def test_simulator_checkpoint_rejected(self, tmp_path):
+        # A run_trial snapshot is a 'sim' checkpoint too, but it holds
+        # no shard worker to continue.
+        from repro import api
+
+        pnet, specs = jellyfish_workload(n_flows=2)
+        api.run_trial(
+            api.build_network(pnet.planes, kind="packet"), specs,
+            control="off", until=2 * EVERY,
+            checkpoint_dir=tmp_path, checkpoint_every=EVERY,
+        )
+        with pytest.raises(CheckpointError, match="no shard worker"):
+            _run(pnet, specs, shards=1, checkpoint_dir=tmp_path, resume=True)
+
     def test_every_requires_dir(self):
         pnet, specs = jellyfish_workload(n_flows=2)
         with pytest.raises(ValueError):
             _run(pnet, specs, shards=2, checkpoint_every=EVERY)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_checkpoint_args_need_every(self, tmp_path, shards):
+        # Without checkpoint_every (or resume) nothing would be written:
+        # refuse at entry, as run_trial does.
+        pnet, specs = jellyfish_workload(n_flows=2)
+        for kwargs in (
+            {"checkpoint_dir": tmp_path},
+            {"checkpoint_dir": tmp_path, "checkpoint_keep_last": 2},
+            {"checkpoint_dir": tmp_path, "resume": True,
+             "checkpoint_keep_last": 2},
+        ):
+            with pytest.raises(ValueError, match="requires checkpoint_every"):
+                _run(pnet, specs, shards, **kwargs)
+        assert list(tmp_path.iterdir()) == []
 
     def test_partial_checkpoint_skipped_on_resume(self, tmp_path):
         pnet, specs = jellyfish_workload()

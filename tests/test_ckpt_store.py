@@ -127,6 +127,25 @@ class TestCorruptionDetection:
         with pytest.raises(CheckpointError, match="missing"):
             verify(directory)
 
+    def test_payload_vanishing_mid_verify_detected(
+        self, tmp_path, monkeypatch
+    ):
+        # A sibling pruner removes the checkpoint between the size
+        # check and the hashing: still a named CheckpointError, so
+        # is_valid (and prune) read it as invalid instead of crashing.
+        import repro.ckpt.store as store
+
+        directory = self._checkpoint(tmp_path)
+        hash_file = store._sha256_file
+
+        def pruned_first(path):
+            path.unlink()
+            return hash_file(path)
+
+        monkeypatch.setattr(store, "_sha256_file", pruned_first)
+        with pytest.raises(CheckpointError, match="missing"):
+            verify(directory)
+
     def test_unknown_payload_name(self, tmp_path):
         directory = self._checkpoint(tmp_path)
         with pytest.raises(CheckpointError, match="no payload"):

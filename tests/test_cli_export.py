@@ -133,6 +133,26 @@ class TestExperimentFlags:
         assert info.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["hybrid", "all"])
+    def test_bad_promote_fails_before_any_trial(
+        self, experiment, monkeypatch, capsys
+    ):
+        import repro.exp.hybrid
+        import repro.exp.runner
+
+        def no_trials(specs, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(repro.exp.hybrid, "run_trials", no_trials)
+        monkeypatch.setattr(repro.exp.runner, "run_trials", no_trials)
+        with pytest.raises(SystemExit) as info:
+            main([experiment, "--scale", "tiny", "--promote", "bogus"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--promote" in err and "Traceback" not in err
+        with pytest.raises(ValueError, match="bogus"):
+            repro.exp.hybrid.run("tiny", promote="bogus")
+
     def test_workloads_run_takes_its_knobs_as_arguments(self):
         from repro.exp import workloads
         from repro.workloads import WorkloadError

@@ -159,12 +159,17 @@ class TestConcurrentWriters:
         # Two "hosts" interleave progress writes with keep_last
         # retention into one root; every surviving container is valid
         # and the newest one loads.
+        errors = []
+
         def writer(host):
-            for i in range(10):
-                write_progress(
-                    tmp_path, {f"{host}-{i}": i}, total=10,
-                    keep_last=3,
-                )
+            try:
+                for i in range(10):
+                    write_progress(
+                        tmp_path, {f"{host}-{i}": i}, total=10,
+                        keep_last=3,
+                    )
+            except Exception as exc:  # a sibling's prune must not kill us
+                errors.append(exc)
 
         threads = [
             threading.Thread(target=writer, args=(h,))
@@ -174,6 +179,7 @@ class TestConcurrentWriters:
             t.start()
         for t in threads:
             t.join()
+        assert errors == []
         newest = latest(tmp_path)
         assert newest is not None
         progress = load_progress(tmp_path)

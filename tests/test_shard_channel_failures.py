@@ -65,6 +65,45 @@ def _stop(proc):
 
 
 class TestShmBackendFailures:
+    def test_failed_start_leaves_no_segment(self, monkeypatch):
+        # A worker process that cannot start (here as inside a daemonic
+        # pool worker) must not leak the channel's shared memory.
+        from multiprocessing import shared_memory
+
+        import repro.shard.shm as shm
+
+        created = []
+        context = shm._mp_context()
+
+        class Recorded(shared_memory.SharedMemory):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self.name)
+
+        class NoStart:
+            def Process(self, **kwargs):
+                proc = context.Process(**kwargs)
+
+                def start():
+                    raise AssertionError(
+                        "daemonic processes are not allowed to have "
+                        "children"
+                    )
+
+                proc.start = start
+                return proc
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", Recorded)
+        monkeypatch.setattr(shm, "_mp_context", NoStart)
+        with pytest.raises(AssertionError, match="daemonic"):
+            ShmChannel(tiny_config())
+        monkeypatch.undo()
+        assert len(created) == 1
+        with pytest.raises(FileNotFoundError):
+            leaked = shared_memory.SharedMemory(name=created[0])
+            leaked.close()
+            leaked.unlink()
+
     def test_healthy_rpc_roundtrip(self):
         channel = ShmChannel(tiny_config())
         try:

@@ -34,7 +34,6 @@ from repro.shard import DEFAULT_EPOCH, run_packet_trial
 from repro.shard.coupling import (
     largest_remainder,
     lia_terms,
-    rate_weight,
     split_bytes,
 )
 from repro.sim.mptcp import _DEFAULT_RTT
@@ -225,6 +224,3 @@ class TestLiaTerms:
         assert total == want_total
         assert max_term == want_max
         assert sum_term == want_sum
-
-    def test_rate_weight_uses_default_rtt(self):
-        assert rate_weight([(100.0, None)]) == 100.0 / _DEFAULT_RTT

@@ -95,9 +95,8 @@ class TestSerialByteIdentity:
 class TestMultiShardDeterminism:
     def test_all_backends_byte_identical(self):
         # local is the reference; the shared-memory transport must
-        # reproduce it byte-for-byte (it swaps pickled digests for
-        # fixed-layout numpy blocks, so this also pins the codec's
-        # exactness end to end).
+        # reproduce it byte-for-byte (every message crosses a process
+        # boundary as a pickled frame on the rings).
         pnet, specs = jellyfish_workload()
         local, shm = (
             run_packet_trial(pnet.planes, specs, shards=2, backend=backend)
@@ -189,6 +188,23 @@ class TestShardSafety:
             run_packet_trial(
                 pnet.planes, specs, shards=2, schedule=[event]
             )
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_schedule_naming_missing_link_refused(self, monkeypatch, shards):
+        # The whole schedule is checked at entry, on one shard and on
+        # two alike, before any shm worker starts -- not mid-run.
+        import repro.shard.engine
+
+        started = []
+        monkeypatch.setattr(repro.shard.engine, "ShmChannel", started.append)
+        pnet, specs = jellyfish_workload(n_flows=2)
+        event = FaultEvent(at=1e-5, kind="link_down", plane=0, u="h0", v="nope")
+        with pytest.raises(ValueError, match="no link h0--nope"):
+            run_packet_trial(
+                pnet.planes, specs, shards=shards, backend="shm",
+                schedule=[event],
+            )
+        assert not started
 
     def test_unknown_backend_refused_before_workers_start(
         self, monkeypatch
@@ -284,6 +300,13 @@ def shard_probe_trial():
     return 42
 
 
+def sharded_trial(n_flows):
+    """A trial that shards on shm: each shard is one more process."""
+    pnet, specs = jellyfish_workload(n_flows=n_flows, size=50 * KB)
+    result = run_packet_trial(pnet.planes, specs, backend="shm")
+    return result.n_shards, pickle.dumps(result.records)
+
+
 class TestRunnerBudgeting:
     def test_jobs_budget_is_divided_by_shards(self, monkeypatch):
         monkeypatch.setenv("PNET_JOBS", "4")
@@ -299,6 +322,24 @@ class TestRunnerBudgeting:
         assert stats.shards == 2
         assert stats.trial_workers == 2
         assert "2 trial" in stats.summary()
+
+    def test_sharded_trials_run_in_pool_workers(self, monkeypatch):
+        # Pool workers start the trial's shard processes: the values are
+        # the serial run's, and no worker dies for being daemonic.
+        monkeypatch.setenv("PNET_SHARDS", "2")
+        monkeypatch.setenv("PNET_CACHE", "0")
+        specs = [
+            TrialSpec(
+                fn="tests.test_shard_engine:sharded_trial", key=(n,),
+                kwargs={"n_flows": n},
+            )
+            for n in (2, 3)
+        ]
+        serial = run_trials(specs, jobs=1)
+        pooled = run_trials(specs, jobs=4)
+        assert last_stats().trial_workers == 2
+        assert pooled == serial
+        assert [n_shards for n_shards, __ in pooled.values()] == [2, 2]
 
     def test_epoch_zero_restores_full_parallelism(self, monkeypatch):
         monkeypatch.setenv("PNET_JOBS", "4")

@@ -1,12 +1,10 @@
 """Unit and stress tests for the shared-memory shard channel.
 
-The shm backend replaces pickled pipe messages with SPSC ring buffers
-and a fixed-layout numpy digest codec; byte-identity with the pipe
-backend (pinned in test_shard_engine) only holds if the transport is
-exact.  This file pins the transport itself: wraparound, chunk
-streaming, torn-write detection, backpressure/peer-death handling, and
-exact codec round-trips including the None/NaN sentinels and large
-integers.
+The shm backend carries pickled messages over SPSC ring buffers;
+byte-identity with the local backend (pinned in test_shard_engine)
+only holds if the transport is exact.  This file pins the transport
+itself: wraparound, chunk streaming, torn-write detection, and
+backpressure/peer-death handling.
 """
 
 import random
@@ -16,14 +14,12 @@ import threading
 import pytest
 
 from repro.shard.shm import (
-    DigestCodec,
     FRAME_BYTES,
     HEADER_BYTES,
     ShmRing,
     ShmRingClosed,
     ShmRingCorruption,
     ShmRingTimeout,
-    _DIGEST_SCALARS,
 )
 
 
@@ -135,120 +131,3 @@ class TestShmRing:
         ring.write_pos = FRAME_BYTES
         with pytest.raises(ShmRingCorruption, match="exceeds ring capacity"):
             ring.recv()
-
-
-class _StubPlan:
-    """Just enough ShardPlan surface for DigestCodec's layout probe."""
-
-    def __init__(self, subflows_of):
-        self._subflows_of = subflows_of
-
-    def local_paths(self, spec, shard):
-        return [(0, None)] * self._subflows_of[spec]
-
-
-class _StubConfig:
-    def __init__(self, subflows_of):
-        # entries map gid -> spec; a bare token works as the spec here
-        # because the stub plan only uses it as a lookup key.
-        self.shard = 0
-        self.entries = [(gid, gid) for gid in subflows_of]
-        self.spanning_share = {gid: 1 for gid in subflows_of}
-        self.plan = _StubPlan(subflows_of)
-
-
-def make_codec(subflows_of):
-    return DigestCodec(_StubConfig(subflows_of))
-
-
-def sample_digest(codec):
-    flows = {}
-    for n, gid in enumerate(codec.gids):
-        flows[gid] = {
-            "subflows": [
-                ((i + 1) * 1448, None if i % 2 else 3.25e-5 * (n + 1))
-                for i in range(codec.subflows[gid])
-            ],
-            "remaining": (1 << 52) + 12345 + gid,  # huge but exact in f64
-            "acked": 987654321 + gid,
-            "drained": bool(gid % 2),
-            "drain_time": None if gid % 2 else 1.5e-3,
-            "weight": 0.37,
-            "demand": 10 * gid,
-            "recovery_cwnd": 2896,
-            "retransmits": 3,
-            "packets_sent": 141556,
-            "start_time": None if gid == codec.gids[0] else 2e-4,
-        }
-    return {"t": 1.25e-3, "next": None, "flows": flows}
-
-
-class TestDigestCodec:
-    def test_digest_roundtrip_is_exact(self):
-        codec = make_codec({3: 2, 7: 4, 11: 1})
-        payload = sample_digest(codec)
-        decoded = codec.decode_digest(codec.encode_digest(payload))
-        assert decoded == payload
-        # Integer fields come back as ints, not floats: the engine's
-        # byte-count arithmetic (grants, shared-pool splits) must stay
-        # exact across the channel.
-        part = decoded["flows"][3]
-        for name, __, integer in _DIGEST_SCALARS:
-            if integer and name != "drained":
-                assert isinstance(part[name], int), name
-        assert isinstance(part["drained"], bool)
-
-    def test_none_next_survives(self):
-        codec = make_codec({0: 1})
-        payload = sample_digest(codec)
-        payload["next"] = None
-        assert codec.decode_digest(codec.encode_digest(payload))["next"] is None
-        payload["next"] = 4.5e-4
-        assert (
-            codec.decode_digest(codec.encode_digest(payload))["next"]
-            == 4.5e-4
-        )
-
-    def test_run_roundtrip(self):
-        codec = make_codec({2: 2, 5: 3})
-        updates = {
-            "views": {2: (123456.0, 1448.0, 42.5)},
-            "grants": {5: 65536},
-            "finalize": [2],
-        }
-        t, decoded = codec.decode_run(codec.encode_run(3e-4, updates))
-        assert t == 3e-4
-        assert decoded["views"] == updates["views"]
-        assert decoded["grants"] == updates["grants"]
-        assert decoded["finalize"] == updates["finalize"]
-        assert isinstance(decoded["grants"][5], int)
-
-    def test_run_none_target_and_empty_updates(self):
-        codec = make_codec({9: 1})
-        t, decoded = codec.decode_run(codec.encode_run(None, {}))
-        assert t is None
-        assert decoded == {"views": {}, "grants": {}, "finalize": []}
-
-    def test_run_no_spanning_mirrors_pipe_backend(self):
-        # Workers with no spanning slice get the literal {} the pipe
-        # backend sends; fluid workers raise on anything truthy.
-        codec = make_codec({})
-        t, decoded = codec.decode_run(codec.encode_run(1e-4, {}))
-        assert t == 1e-4
-        assert decoded == {}
-
-    def test_wrong_length_block_rejected(self):
-        codec = make_codec({1: 2})
-        with pytest.raises(ShmRingCorruption, match="slots"):
-            codec.decode_digest(b"\x00" * 8)
-        with pytest.raises(ShmRingCorruption, match="slots"):
-            codec.decode_run(b"\x00" * 8)
-
-    def test_layout_is_deterministic_across_sides(self):
-        # Engine and worker build the codec independently from the same
-        # config; the layout must not depend on dict iteration order.
-        a = make_codec({7: 2, 3: 1, 5: 4})
-        b = make_codec({5: 4, 3: 1, 7: 2})
-        assert a.gids == b.gids == [3, 5, 7]
-        assert a.digest_len == b.digest_len
-        assert a.run_len == b.run_len
