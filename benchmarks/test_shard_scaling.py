@@ -12,6 +12,11 @@ Two scenarios, both recorded in ``results/BENCH_shard.json``:
   on real cores, and the speedup assertion enforces it wherever the
   machine has >= 2 CPUs.
 
+Each configuration also records the CPU seconds of the engine process
+(``RUSAGE_SELF``) and of its shard workers (``RUSAGE_CHILDREN``) over
+the timed run, so an engine that polls instead of blocking while its
+workers compute shows up in the record.
+
 Portable guarantees asserted everywhere (including 1-CPU CI, where the
 coupled scenario is expected to be slower than serial): repeat runs at
 a fixed shard count are byte-identical, the bulk decomposition is
@@ -23,6 +28,7 @@ import math
 import os
 import pickle
 import random
+import resource
 import time
 
 from _util import emit_json
@@ -75,17 +81,37 @@ def _bulk_workload(pnet):
     return specs
 
 
+def _cpu_seconds(who):
+    usage = resource.getrusage(who)
+    return usage.ru_utime + usage.ru_stime
+
+
 def _timed_run(pnet, specs, shards, backend=None):
+    """The result, wall seconds and CPU seconds of one run.
+
+    Workers are reaped before ``run_packet_trial`` returns, so their
+    CPU time is in ``RUSAGE_CHILDREN`` by then.
+    """
+    engine0 = _cpu_seconds(resource.RUSAGE_SELF)
+    workers0 = _cpu_seconds(resource.RUSAGE_CHILDREN)
     started = time.perf_counter()
     result = run_packet_trial(
         pnet.planes, specs, shards=shards, epoch=DEFAULT_EPOCH,
         backend=backend,
     )
     wall = time.perf_counter() - started
-    return result, wall
+    cpu = {
+        "engine_cpu_seconds": round(
+            _cpu_seconds(resource.RUSAGE_SELF) - engine0, 4
+        ),
+        "worker_cpu_seconds": round(
+            _cpu_seconds(resource.RUSAGE_CHILDREN) - workers0, 4
+        ),
+    }
+    return result, wall, cpu
 
 
-def _config_entry(result, wall, serial_wall, serial_fcts):
+def _config_entry(result, wall, cpu, serial_wall, serial_fcts):
     deviations = [
         abs(fct - base) / base
         for fct, base in zip(result.fcts, serial_fcts)
@@ -98,6 +124,7 @@ def _config_entry(result, wall, serial_wall, serial_fcts):
         else result.lookahead,
         "stride": result.stride,
         "wall_seconds": round(wall, 4),
+        **cpu,
         "speedup_vs_serial": round(serial_wall / wall, 3),
         "mean_fct_seconds": sum(result.fcts) / len(result.fcts),
         "max_fct_deviation": max(deviations),
@@ -127,31 +154,34 @@ def test_shard_scaling(benchmark):
     }
 
     # --- coupled: barrier-dominated spanning MPTCP ----------------------
-    serial, serial_wall = benchmark.pedantic(
+    serial, serial_wall, serial_cpu = benchmark.pedantic(
         _timed_run, args=(pnet, coupled, 1), rounds=1, iterations=1
     )
     configs = payload["scenarios"]["coupled"]
-    configs["1"] = _config_entry(serial, serial_wall, serial_wall, serial.fcts)
+    configs["1"] = _config_entry(
+        serial, serial_wall, serial_cpu, serial_wall, serial.fcts
+    )
     for shards, backend in ((2, "shm"), (4, "shm")):
-        result, wall = _timed_run(pnet, coupled, shards, backend=backend)
+        result, wall, cpu = _timed_run(pnet, coupled, shards, backend=backend)
         # Determinism across repeats is the portable guarantee: same
         # shard count, same bytes out.
-        repeat, __ = _timed_run(pnet, coupled, shards, backend=backend)
+        repeat, __, ___ = _timed_run(pnet, coupled, shards, backend=backend)
         assert pickle.dumps(repeat.records) == pickle.dumps(result.records)
-        entry = _config_entry(result, wall, serial_wall, serial.fcts)
+        entry = _config_entry(result, wall, cpu, serial_wall, serial.fcts)
         configs[f"{shards}-{backend}"] = entry
         # Generous envelope: tests/test_shard_coupling.py pins the real
         # epoch-staleness bound; this file's job is the timing record.
         assert entry["max_fct_deviation"] < 0.50
 
     # --- bulk: plane-local free-running scale-out -----------------------
-    bulk_serial, bulk_serial_wall = _timed_run(pnet, bulk, 1)
+    bulk_serial, bulk_serial_wall, bulk_serial_cpu = _timed_run(pnet, bulk, 1)
     configs = payload["scenarios"]["bulk"]
     configs["1"] = _config_entry(
-        bulk_serial, bulk_serial_wall, bulk_serial_wall, bulk_serial.fcts
+        bulk_serial, bulk_serial_wall, bulk_serial_cpu, bulk_serial_wall,
+        bulk_serial.fcts,
     )
     for shards in (2, 4):
-        result, wall = _timed_run(pnet, bulk, shards, backend="shm")
+        result, wall, cpu = _timed_run(pnet, bulk, shards, backend="shm")
         # The decomposition is exact: zero barrier rounds and records
         # byte-identical to serial, at every shard count.  Per-record
         # pickles, not one list blob: pickle memoizes shared host
@@ -162,7 +192,7 @@ def test_shard_scaling(benchmark):
             pickle.dumps(r) for r in bulk_serial.records
         ]
         configs[str(shards)] = _config_entry(
-            result, wall, bulk_serial_wall, bulk_serial.fcts
+            result, wall, cpu, bulk_serial_wall, bulk_serial.fcts
         )
     if os.cpu_count() and os.cpu_count() >= 2:
         # The headline claim -- sharding beats serial -- only needs the

@@ -4,9 +4,8 @@ The determinism culture of this repo is "seed everything explicitly";
 the restore-path hazard is the opposite failure: a component that
 *re-seeds from a constant* when a run is restored, silently rewinding
 its stream.  :class:`RngBundle` closes that hole by giving a run one
-named registry of ``random.Random`` (and optional numpy ``Generator``)
-streams whose *positions* -- not just seeds -- are captured in every
-checkpoint and restored exactly.
+named registry of ``random.Random`` streams whose *positions* -- not
+just seeds -- are captured in every checkpoint and restored exactly.
 
 Usage::
 
@@ -41,7 +40,6 @@ class RngBundle:
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
         self._streams: Dict[str, random.Random] = {}
-        self._numpy: Dict[str, Any] = {}
 
     def stream(
         self, name: str, seed: Optional[int] = None
@@ -72,22 +70,8 @@ class RngBundle:
             self._streams[name] = rng
         return rng
 
-    def numpy_stream(self, name: str):
-        """A named ``numpy.random.Generator`` (created on first use)."""
-        gen = self._numpy.get(name)
-        if gen is None:
-            import numpy as np
-
-            from repro.exp.cache import stable_hash
-
-            gen = np.random.default_rng(
-                int(stable_hash((self.seed, "numpy", name)), 16) % (2**63)
-            )
-            self._numpy[name] = gen
-        return gen
-
     def names(self) -> List[str]:
-        return sorted(set(self._streams) | set(self._numpy))
+        return sorted(self._streams)
 
     # --- explicit state transport (also used by pickle) ---------------------
 
@@ -99,27 +83,20 @@ class RngBundle:
                 name: _freeze(rng.getstate())
                 for name, rng in sorted(self._streams.items())
             },
-            "numpy": {
-                name: gen.bit_generator.state
-                for name, gen in sorted(self._numpy.items())
-            },
         }
 
     def restore(self, state: Dict[str, Any]) -> "RngBundle":
-        """Load a :meth:`state` snapshot into this bundle (in place)."""
+        """Load a :meth:`state` snapshot into this bundle (in place).
+
+        Bundles written by earlier versions also carry an always-empty
+        ``"numpy"`` table, which is ignored.
+        """
         self.seed = int(state["seed"])
         self._streams = {}
         for name, frozen in state["streams"].items():
             rng = random.Random()
             rng.setstate(_thaw(frozen))
             self._streams[name] = rng
-        self._numpy = {}
-        for name, np_state in state["numpy"].items():
-            import numpy as np
-
-            gen = np.random.default_rng()
-            gen.bit_generator.state = np_state
-            self._numpy[name] = gen
         return self
 
     @classmethod

@@ -16,7 +16,9 @@ route, to the next queue, depth first, so a busy fabric exhausts the
 recursion limit.  So every :class:`~repro.sim.link.Queue` is pickled
 as an empty shell, and a flat table of the queues' ``__slots__``
 values follows in the same stream, with the same memo; the loader
-fills the shells from it.
+fills the shells from it.  Each queue settles before its row is
+written, so the table holds only packets still queued, not the ones
+already sent.
 
 The hard guarantee (pinned by ``tests/test_ckpt_resume.py``):
 ``run(T1) -> save -> restore -> run(T2)`` produces records and
@@ -96,6 +98,8 @@ def dumps(obj: Any) -> bytes:
     while done < len(queues):
         batch = queues[done:]
         done = len(queues)
+        for queue in batch:
+            queue.settle()
         encoder.dump([
             (queue, [getattr(queue, name) for name in Queue.__slots__])
             for queue in batch

@@ -9,8 +9,7 @@ Two interchangeable backends drive the *same* worker logic
   behaviour ``shm`` must match byte-for-byte.
 * ``shm`` -- one process per shard, every message one pickled frame
   over a pair of ``multiprocessing.shared_memory`` ring buffers
-  (:mod:`repro.shard.shm`).  The default: barriers pay no pipe
-  syscalls.
+  (:mod:`repro.shard.shm`).  The default.
 
 Both backends present the same calls to the engine: ``post(message)``
 enqueues a request without waiting, ``collect() -> reply`` blocks for
@@ -22,7 +21,7 @@ difference between serialised and parallel epoch execution.
 Replies are ``(tag, payload)`` tuples; a worker-side exception comes
 back as ``("error", traceback_text)`` and is re-raised in the engine
 as :class:`ShardWorkerError`.  ``collect`` never hangs on a dead
-worker: the shm channel polls worker liveness while waiting and
+worker: the shm channel checks worker liveness while it waits and
 honours the optional ``PNET_SHARD_TIMEOUT`` deadline.
 """
 

@@ -18,7 +18,9 @@ per barrier :func:`_control` (sample, decide, apply), :func:`_couple`
 (completion, rebalance, LIA views -- engine state only),
 :func:`_target` (free-run promotion, stride, idle jump, clamps),
 :func:`_exchange` (post to all, then collect from all) and
-:func:`_checkpoint`, and finally :func:`_merge`.
+:func:`_checkpoint`, and finally :func:`_merge`.  The engine process's
+wall seconds in each phase come back as
+:attr:`ShardResult.phase_seconds`.
 
 Determinism: worker digests are merged in shard-index order, pool
 splits use integer largest-remainder arithmetic, records are sorted by
@@ -30,10 +32,12 @@ channel backends.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import pathlib
 import pickle
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -62,6 +66,12 @@ from repro.topology.graph import Topology
 #: its paths black-holed with no fault restore coming) raises instead
 #: of spinning forever.
 MAX_ROUNDS = 1_000_000
+
+#: The barrier phases :attr:`ShardResult.phase_seconds` times, in run
+#: order.
+PHASES = (
+    "plan", "control", "couple", "target", "exchange", "checkpoint", "merge",
+)
 
 
 class ShardSafetyError(RuntimeError):
@@ -174,6 +184,13 @@ class ShardResult:
     #: Adaptive-control summary (``{"fingerprint": ..., "stats": ...}``)
     #: when the run had ``control=``; None otherwise.
     control: Optional[Dict[str, Any]] = None
+    #: The engine process's wall seconds per barrier phase, keyed by
+    #: :data:`PHASES` (``plan`` includes starting the workers; a phase
+    #: with nothing to do reads 0.0).  ``{}`` on the one-shard path.
+    #: Wall time is not a result, so it takes no part in equality.
+    phase_seconds: Dict[str, float] = field(
+        default_factory=dict, compare=False
+    )
 
     @property
     def total_drops(self) -> int:
@@ -270,6 +287,18 @@ class _Run:
     #: Free-running shards; their last reply is collected at shutdown.
     freed: Set[int] = field(default_factory=set)
     ckpt_next: float = math.inf
+    phase_seconds: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(PHASES, 0.0)
+    )
+
+    @contextlib.contextmanager
+    def timed(self, phase: str):
+        """Add the wall seconds of the ``with`` body to ``phase``."""
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.phase_seconds[phase] += time.perf_counter() - started
 
 
 @dataclass
@@ -405,29 +434,41 @@ def run_packet_trial(
         barriers=[] if trace_barriers else None,
     )
     try:
-        configs = _plan(
-            run, planes, specs, schedule, cfg.lookahead, obs, sim_kwargs,
-            control, resume,
-        )
+        with run.timed("plan"):
+            configs = _plan(
+                run, planes, specs, schedule, cfg.lookahead, obs,
+                sim_kwargs, control, resume,
+            )
     except ShardSafetyError as refusal:
         if not serial_fallback:
             raise
         _count_fallback(refusal.feature, obs)
         return run_serial()
 
-    run.channels = _make_channels(configs, run.backend)
     try:
-        if run.digests is None:
-            run.digests = _broadcast(run.channels, ("digest",))
+        with run.timed("plan"):
+            run.channels = _make_channels(configs, run.backend)
+            if run.digests is None:
+                run.digests = _broadcast(run.channels, ("digest",))
         while True:
-            _control(run)
-            updates = _couple(run)
-            step = _target(run, updates)
-            _exchange(run, step, updates)
+            if run.driver is not None and run.driver.due(run.t):
+                with run.timed("control"):
+                    _control(run)
+            with run.timed("couple"):
+                updates = _couple(run)
+            with run.timed("target"):
+                step = _target(run, updates)
+            with run.timed("exchange"):
+                _exchange(run, step, updates)
             if step.t_next is None:
                 break
-            _checkpoint(run)
-        return _merge(run, obs)
+            if run.t >= run.ckpt_next:
+                with run.timed("checkpoint"):
+                    _checkpoint(run)
+        with run.timed("merge"):
+            result = _merge(run, obs)
+        result.phase_seconds = run.phase_seconds
+        return result
     finally:
         _close_all(run.channels)
 
@@ -538,17 +579,14 @@ def _plan(
 
 
 def _control(run: _Run) -> None:
-    """Control phase: at a control instant, sample every shard, decide,
-    and apply the moves.
+    """Control phase, run at each control instant: sample every shard,
+    decide, and apply the moves.
 
     Workers are quiescent at the barrier, so the sampled ACK counters
     are exact when the moves land in the same exchange.
     """
-    driver = run.driver
-    if driver is None or not driver.due(run.t):
-        return
     samples = dict(enumerate(_broadcast(run.channels, ("control-sample",))))
-    moves = driver.tick(run.t, samples)
+    moves = run.driver.tick(run.t, samples)
     for shard in sorted(moves):
         run.channels[shard].post(("control-apply", moves[shard]))
     for shard in sorted(moves):
@@ -696,10 +734,9 @@ def _exchange(run: _Run, step: _Step, updates) -> None:
 
 
 def _checkpoint(run: _Run) -> None:
-    """Checkpoint phase: at the first barrier at or past each multiple
-    of ``checkpoint_every``, write every worker and the loop state."""
-    if run.t < run.ckpt_next:
-        return
+    """Checkpoint phase, run at the first barrier at or past each
+    multiple of ``checkpoint_every``: write every worker and the loop
+    state."""
     _write_shard_checkpoint(
         run.checkpoint_dir,
         _broadcast(run.channels, ("snapshot",)),

@@ -21,9 +21,17 @@ ring *before* publishing ``write_pos`` (publish-after-write), so a
 reader never observes a half-written frame at a published position;
 the CRC additionally catches torn frames from a writer that died
 mid-copy with the position already advanced, surfacing them as
-:class:`ShmRingCorruption` instead of garbage decoding.  Blocking
-sides poll with a liveness callback and optional deadline, so a dead
-peer raises :class:`ShmRingClosed` promptly rather than hanging.
+:class:`ShmRingCorruption` instead of garbage decoding.
+
+A waiting side blocks on one of the ring's two semaphore doorbells and
+burns no CPU: the writer rings ``data`` after it publishes
+``write_pos``, the reader rings ``space`` after it publishes
+``read_pos``.  A doorbell only wakes the waiter, which re-checks the
+positions, so a doorbell rung for an earlier chunk costs one extra
+look, never a lost message.  The waiter also wakes every
+:data:`WAKE_SECONDS` to check its peer's liveness and the optional
+deadline, so a dead peer raises :class:`ShmRingClosed` promptly rather
+than hanging.
 
 Byte-identity with the in-process ``local`` backend is a hard
 requirement (and is pinned by tests): pickle round-trips every int,
@@ -57,11 +65,9 @@ FINAL_FLAG = 0x8000_0000
 CMD_CAPACITY = 1 << 16
 REPLY_CAPACITY = 1 << 18
 
-#: Busy-poll iterations before the waiter starts sleeping: barrier
-#: replies usually land within microseconds, so a short spin avoids
-#: paying a scheduler quantum per epoch.
-SPIN_ROUNDS = 2_000
-SLEEP_SECONDS = 100e-6
+#: Longest a waiter blocks on a doorbell before it checks its peer's
+#: liveness and its deadline again: how late a dead peer is noticed.
+WAKE_SECONDS = 0.05
 
 class ShmRingError(RuntimeError):
     """Base failure of the shared-memory ring."""
@@ -87,15 +93,20 @@ class ShmRing:
     writer on the other; nothing here locks because each position has
     exactly one writer.  ``buf`` may be any writable buffer (a
     ``SharedMemory.buf`` in production, a ``bytearray`` in unit tests).
+    ``data`` and ``space`` are the doorbells, semaphores created at 0
+    that both sides share: multiprocessing ones across processes,
+    ``threading`` ones in unit tests.
     """
 
-    def __init__(self, buf, offset: int, capacity: int):
+    def __init__(self, buf, offset: int, capacity: int, data, space):
         if capacity <= FRAME_BYTES:
             raise ValueError(f"ring capacity too small: {capacity}")
         self._view = memoryview(buf)[
             offset : offset + HEADER_BYTES + capacity
         ]
         self.capacity = capacity
+        self._data = data
+        self._space = space
 
     # --- positions (u64, monotonic; writer owns [0], reader owns [1]) --
 
@@ -148,18 +159,24 @@ class ShmRing:
 
     def _wait(
         self,
+        bell,
         ready: Callable[[], bool],
         timeout: Optional[float],
         alive: Optional[Callable[[], bool]],
         what: str,
     ) -> None:
-        for __ in range(SPIN_ROUNDS):
-            if ready():
-                return
+        if ready():
+            return
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
-        while not ready():
+        while True:
+            wake = WAKE_SECONDS
+            if deadline is not None:
+                wake = max(0.0, min(wake, deadline - time.monotonic()))
+            bell.acquire(timeout=wake)
+            if ready():
+                return
             if alive is not None and not alive():
                 # Final check: the peer may have published right before
                 # dying.
@@ -172,7 +189,6 @@ class ShmRing:
                 raise ShmRingTimeout(
                     f"no {what} within {timeout}s on shm ring"
                 )
-            time.sleep(SLEEP_SECONDS)
 
     # --- message exchange ----------------------------------------------
 
@@ -196,6 +212,7 @@ class ShmRing:
             final = offset >= len(payload)
             need = FRAME_BYTES + len(chunk)
             self._wait(
+                self._space,
                 lambda: self.capacity - (self.write_pos - self.read_pos)
                 >= need,
                 timeout,
@@ -211,6 +228,7 @@ class ShmRing:
             self._copy_in(pos + FRAME_BYTES, chunk)
             # Publish only after the full frame is in place.
             self.write_pos = pos + need
+            self._data.release()
             if final:
                 return
 
@@ -223,6 +241,7 @@ class ShmRing:
         parts: List[bytes] = []
         while True:
             self._wait(
+                self._data,
                 lambda: self.write_pos - self.read_pos >= FRAME_BYTES,
                 timeout,
                 alive,
@@ -238,6 +257,7 @@ class ShmRing:
                     f"{self.capacity} (torn or trampled frame header)"
                 )
             self._wait(
+                self._data,
                 lambda: self.write_pos - self.read_pos
                 >= FRAME_BYTES + length,
                 timeout,
@@ -253,6 +273,7 @@ class ShmRing:
                 )
             # Publishing read_pos frees the span for the writer.
             self.read_pos = pos + FRAME_BYTES + length
+            self._space.release()
             parts.append(chunk)
             if final:
                 return parts[0] if len(parts) == 1 else b"".join(parts)
@@ -262,10 +283,15 @@ def _segment_size() -> int:
     return 2 * HEADER_BYTES + CMD_CAPACITY + REPLY_CAPACITY
 
 
-def _make_rings(buf) -> Tuple[ShmRing, ShmRing]:
-    """(command ring, reply ring) over one shared segment."""
-    cmd = ShmRing(buf, 0, CMD_CAPACITY)
-    reply = ShmRing(buf, HEADER_BYTES + CMD_CAPACITY, REPLY_CAPACITY)
+def _make_rings(buf, bells) -> Tuple[ShmRing, ShmRing]:
+    """(command ring, reply ring) over one shared segment; ``bells``
+    are the four doorbells, ``data`` then ``space`` of each ring."""
+    cmd_data, cmd_space, reply_data, reply_space = bells
+    cmd = ShmRing(buf, 0, CMD_CAPACITY, cmd_data, cmd_space)
+    reply = ShmRing(
+        buf, HEADER_BYTES + CMD_CAPACITY, REPLY_CAPACITY,
+        reply_data, reply_space,
+    )
     return cmd, reply
 
 
@@ -282,15 +308,20 @@ class ShmChannel:
         self._shm = shared_memory.SharedMemory(
             create=True, size=_segment_size()
         )
-        self._cmd, self._reply = _make_rings(self._shm.buf)
-        self._cmd.reset()
-        self._reply.reset()
-        self._proc = _mp_context().Process(
-            target=shm_worker_main,
-            args=(self._shm.name, config),
-            daemon=True,
-        )
+        self._rings: Tuple[ShmRing, ...] = ()
+        self._proc = None
         try:
+            context = _mp_context()
+            bells = tuple(context.Semaphore(0) for __ in range(4))
+            self._rings = _make_rings(self._shm.buf, bells)
+            self._cmd, self._reply = self._rings
+            self._cmd.reset()
+            self._reply.reset()
+            self._proc = context.Process(
+                target=shm_worker_main,
+                args=(self._shm.name, config, bells),
+                daemon=True,
+            )
             self._proc.start()
         except BaseException:
             # No worker will ever attach (e.g. inside a daemonic
@@ -344,14 +375,14 @@ class ShmChannel:
         return self.collect()
 
     def close(self) -> None:
-        if self._proc.is_alive():
+        if self._proc is not None and self._proc.is_alive():
             # A healthy worker parked on the command ring has no EOF
             # to notice; give an exiting one a moment, then stop it.
             self._proc.join(timeout=0.25)
             if self._proc.is_alive():
                 self._proc.terminate()
                 self._proc.join(timeout=5)
-        for ring in (self._cmd, self._reply):
+        for ring in self._rings:
             try:
                 ring.release()
             except (BufferError, ValueError):  # pragma: no cover
@@ -363,7 +394,7 @@ class ShmChannel:
             pass
 
 
-def shm_worker_main(name: str, config) -> None:
+def shm_worker_main(name: str, config, bells) -> None:
     """Worker-process entry point: serve barrier requests over the rings.
 
     Every request goes through :func:`repro.shard.worker.handle_message`,
@@ -377,7 +408,7 @@ def shm_worker_main(name: str, config) -> None:
     parent = os.getppid()
     engine_alive = lambda: os.getppid() == parent  # noqa: E731
     shm = shared_memory.SharedMemory(name=name)
-    cmd, reply_ring = _make_rings(shm.buf)
+    cmd, reply_ring = _make_rings(shm.buf, bells)
     try:
         try:
             worker = build_worker(config)

@@ -25,6 +25,15 @@ _Entry = Tuple[float, int, Optional[Event]]
 class Queue:
     """Drop-tail FIFO output queue serialising at the link rate.
 
+    Each arrival first drops the pending entries that departed before
+    it.  Between arrivals, :meth:`settle` does the same for whatever
+    reads the queue: the counters (:attr:`depth`,
+    :attr:`packets_forwarded`, :attr:`bytes_forwarded`), :meth:`fail`
+    and :meth:`set_rate`, and checkpoint encoding
+    (:func:`repro.ckpt.snapshot.dumps`), so a checkpoint carries only
+    the packets still queued.  It drops only entries the next arrival
+    would drop, so it never changes what the queue does.
+
     Args:
         loop: the event loop.
         rate: link rate, bits/second; change it mid-run with
@@ -91,8 +100,20 @@ class Queue:
             kind, self.loop.now, queue=self.name, plane=self.plane, **fields
         )
 
+    def settle(self) -> None:
+        """Drop the pending entries that departed before ``now``.
+
+        :meth:`receive` runs the same loop inline on every arrival; a
+        packet departing exactly now stays (the tie rule).
+        """
+        now = self.loop.now
+        pending = self._pending
+        while pending and pending[0][0] < now:
+            pending.popleft()
+
     def _queued(self) -> List[_Entry]:
         """Packets still serialising or waiting once ``now`` has run."""
+        self.settle()
         now = self.loop.now
         return [entry for entry in self._pending if entry[0] > now]
 

@@ -24,6 +24,7 @@ from repro.ckpt import (
     run_checkpointed,
     save,
 )
+from repro.ckpt.snapshot import dumps, loads
 from repro.ckpt.store import list_checkpoints, step_dir, write_checkpoint
 from repro.core.flowspec import FlowSpec
 from repro.core.path_selection import KspMultipathPolicy
@@ -93,6 +94,13 @@ class TestPacketResume:
         resumed = restore(tmp_path).network
         resumed.run()
         assert _records(resumed) == _records(golden)
+
+    def test_drained_snapshot_holds_no_sent_packets(self):
+        net = _packet_net()
+        net.run()
+        clone = loads(dumps(net))
+        queues = list(clone._elements.values())
+        assert queues and not any(queue._pending for queue in queues)
 
     def test_run_checkpointed_matches_plain_run(self, tmp_path):
         golden = _packet_net()
@@ -417,6 +425,19 @@ class TestRngBundle:
         clone = pickle.loads(pickle.dumps(bundle))
         assert clone == bundle
         assert clone.stream("s").random() == stream.random()
+
+    def test_state_holds_only_python_streams(self):
+        bundle = RngBundle(3)
+        bundle.stream("s")
+        assert set(bundle.state()) == {"seed", "streams"}
+
+    def test_state_with_empty_numpy_table_restores(self):
+        # Bundles written by earlier versions carry an empty "numpy"
+        # table next to the streams.
+        bundle = RngBundle(3)
+        [bundle.stream("s").random() for _ in range(4)]
+        old_style = {**bundle.state(), "numpy": {}}
+        assert RngBundle.from_state(old_style) == bundle
 
     def test_save_restore_carries_positions(self, tmp_path):
         net = _packet_net()

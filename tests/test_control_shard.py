@@ -13,6 +13,7 @@ checkpoints.
 import pickle
 import random
 import shutil
+import time
 
 from repro.ckpt.store import list_checkpoints
 from repro.control import Controller, DardPolicy, LoadAwarePolicy
@@ -177,3 +178,28 @@ class TestShardedControlResume:
         )
         assert pickle.dumps(resumed.records) == pickle.dumps(want.records)
         assert resumed.control["stats"] == want.control["stats"]
+
+
+class TestPhaseSeconds:
+    def test_every_phase_timed_within_the_call(self, tmp_path):
+        pnet = make_pnet()
+        specs = shard_local_specs(pnet)
+        started = time.perf_counter()
+        result, __ = run_sharded(
+            pnet, specs, checkpoint_dir=tmp_path, checkpoint_every=2e-4
+        )
+        wall = time.perf_counter() - started
+        seconds = result.phase_seconds
+        assert list(seconds) == [
+            "plan", "control", "couple", "target", "exchange",
+            "checkpoint", "merge",
+        ]
+        assert all(value >= 0 for value in seconds.values())
+        assert seconds["checkpoint"] > 0
+        assert sum(seconds.values()) <= wall
+
+    def test_no_checkpoint_phase_without_checkpoint_every(self):
+        pnet = make_pnet()
+        result, __ = run_sharded(pnet, shard_local_specs(pnet))
+        assert result.phase_seconds["checkpoint"] == 0.0
+        assert result.phase_seconds["control"] > 0

@@ -19,6 +19,8 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.events import EventLoop
 from repro.sim.link import Queue
@@ -268,3 +270,72 @@ def test_fail_cancels_buffered_arrivals():
 def test_set_rate_validates():
     with pytest.raises(ValueError):
         Queue(EventLoop(), rate=1e9).set_rate(0)
+
+
+#: A time grid on which every service time is a whole number of steps
+#: (one byte per step), so departures are exact and arrivals and reads
+#: can land on a departure instant, where the tie rule applies.
+GRID = 2.0 ** -30
+#: Wire sizes are multiples of 20 bytes and instants multiples of 20
+#: steps, so such ties are common.
+_instants = st.integers(0, 150).map(lambda k: 20 * k)
+
+
+def _settle_run(arrivals, reads, settle):
+    """Drive one queue; at each read instant, settle it if ``settle``.
+
+    Returns the sink's arrivals, the final drop count, and per read the
+    counters from the unsettled pending entries next to the counters
+    read after :meth:`Queue.settle`.
+    """
+    loop = EventLoop()
+    queue = Queue(loop, rate=8 / GRID, max_packets=4, delay=60 * GRID)
+    sink = _Collector(loop)
+    readings = []
+
+    def read():
+        if not settle:
+            return
+        now = loop.now
+        pending = list(queue._pending)
+        queued = [entry for entry in pending if entry[0] > now]
+        unsettled = (
+            max(len(queued) - 1, 0),
+            queue._accepted - len(queued),
+            queue._accepted_bytes - sum(entry[1] for entry in queued),
+        )
+        queue.settle()
+        # Exactly the departed prefix goes; a packet departing now stays.
+        assert list(queue._pending) == [e for e in pending if e[0] >= now]
+        readings.append((unsettled, (
+            queue.depth, queue.packets_forwarded, queue.bytes_forwarded,
+        )))
+
+    for seq, (at, size) in enumerate(arrivals):
+        packet = Packet(flow=None, route=[queue, sink], payload=size - 40,
+                        seq=seq)
+        loop.schedule_at(at * GRID, packet.forward)
+    for at in reads:
+        loop.schedule_at(at * GRID, read)
+    loop.run()
+    return sink.arrivals, queue.drops, readings
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrivals=st.lists(
+        st.tuples(_instants, st.sampled_from([40, 100, 500])),
+        min_size=1, max_size=40,
+    ),
+    reads=st.lists(_instants, max_size=20),
+)
+def test_settle_changes_no_reading_and_no_departure(arrivals, reads):
+    """Settling between arrivals drops only packets already sent: every
+    counter reads as from the unsettled entries, and every later arrival
+    leaves when it would have without the settle."""
+    settled, drops, readings = _settle_run(arrivals, reads, settle=True)
+    plain, plain_drops, __ = _settle_run(arrivals, reads, settle=False)
+    assert settled == plain and drops == plain_drops
+    assert len(readings) == len(reads)
+    for unsettled, after in readings:
+        assert after == unsettled

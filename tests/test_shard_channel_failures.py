@@ -21,8 +21,9 @@ from repro.shard.shm import ShmChannel
 from repro.shard.worker import WorkerConfig
 from repro.topology.graph import HOST, TOR, Topology
 
-#: Generous wall-clock bound on "promptly": actual detection is a few
-#: sleep intervals (~100 us each); anything near this bound is a hang.
+#: Generous wall-clock bound on "promptly": actual detection takes at
+#: most one doorbell wake period (50 ms); anything near this bound is a
+#: hang.
 DETECT_SECONDS = 10.0
 
 
@@ -81,6 +82,9 @@ class TestShmBackendFailures:
                 created.append(self.name)
 
         class NoStart:
+            def Semaphore(self, value):
+                return context.Semaphore(value)
+
             def Process(self, **kwargs):
                 proc = context.Process(**kwargs)
 

@@ -64,6 +64,7 @@ class TestSerialByteIdentity:
         result = run_packet_trial(pnet.planes, specs, shards=1)
         assert result.n_shards == 1
         assert result.backend == "local"
+        assert result.phase_seconds == {}
         assert pickle.dumps(result.records) == pickle.dumps(want)
 
     def test_one_shard_telemetry_matches_plain(self):

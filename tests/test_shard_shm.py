@@ -3,29 +3,43 @@
 The shm backend carries pickled messages over SPSC ring buffers;
 byte-identity with the local backend (pinned in test_shard_engine)
 only holds if the transport is exact.  This file pins the transport
-itself: wraparound, chunk streaming, torn-write detection, and
-backpressure/peer-death handling.
+itself: wraparound, chunk streaming, torn-write detection,
+backpressure/peer-death handling, waits that block instead of
+spinning, and channels driven concurrently.
 """
 
 import random
 import struct
+import sys
 import threading
+import time
 
 import pytest
 
+from repro.core.flowspec import FlowSpec
 from repro.shard.shm import (
     FRAME_BYTES,
     HEADER_BYTES,
+    ShmChannel,
     ShmRing,
     ShmRingClosed,
     ShmRingCorruption,
     ShmRingTimeout,
 )
+from tests.test_shard_channel_failures import tiny_config
+
+#: CPU seconds a thread may use while blocked for a whole second.  A
+#: doorbell wait uses a few milliseconds; a waiter that polls the ring
+#: every 100 us uses about 70.
+BLOCKED_CPU_SECONDS = 0.020
 
 
 def make_ring(capacity=256):
     buf = bytearray(HEADER_BYTES + capacity)
-    return buf, ShmRing(buf, 0, capacity)
+    ring = ShmRing(
+        buf, 0, capacity, threading.Semaphore(0), threading.Semaphore(0)
+    )
+    return buf, ring
 
 
 class TestShmRing:
@@ -41,9 +55,8 @@ class TestShmRing:
         assert ring.recv() == b""
 
     def test_tiny_capacity_rejected(self):
-        buf = bytearray(HEADER_BYTES + FRAME_BYTES)
         with pytest.raises(ValueError, match="capacity"):
-            ShmRing(buf, 0, FRAME_BYTES)
+            make_ring(capacity=FRAME_BYTES)
 
     def test_wraparound_many_messages(self):
         # Positions are monotonic u64s; a 64-byte ring crossed hundreds
@@ -131,3 +144,88 @@ class TestShmRing:
         ring.write_pos = FRAME_BYTES
         with pytest.raises(ShmRingCorruption, match="exceeds ring capacity"):
             ring.recv()
+
+
+def _cpu_of(target, out):
+    """Run ``target`` and append the CPU seconds this thread spent."""
+    started = time.thread_time()
+    target()
+    out.append(time.thread_time() - started)
+
+
+class TestBlockingWaits:
+    def test_blocked_reader_burns_no_cpu(self):
+        __, ring = make_ring()
+        got, used = [], []
+        reader = threading.Thread(
+            target=_cpu_of,
+            args=(lambda: got.append(ring.recv(timeout=10)), used),
+        )
+        writer = threading.Thread(
+            target=lambda: (time.sleep(1.0), ring.send(b"late"))
+        )
+        reader.start()
+        writer.start()
+        for thread in (writer, reader):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert got == [b"late"]
+        assert used[0] < BLOCKED_CPU_SECONDS
+
+    def test_blocked_writer_burns_no_cpu(self):
+        __, ring = make_ring(capacity=64)
+        first = b"x" * (64 - FRAME_BYTES)
+        ring.send(first)  # the ring is full
+        used = []
+        writer = threading.Thread(
+            target=_cpu_of,
+            args=(lambda: ring.send(b"second", timeout=10), used),
+        )
+        writer.start()
+        time.sleep(1.0)
+        assert writer.is_alive()  # still waiting for space
+        assert ring.recv() == first
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert ring.recv() == b"second"
+        assert used[0] < BLOCKED_CPU_SECONDS
+
+
+class TestConcurrentChannels:
+    def test_each_thread_hears_its_own_worker(self):
+        # More channels than a 2-CPU host has cores, each driven by its
+        # own thread.  A worker's first event is its own flow's start,
+        # so a digest names the worker that sent it.
+        n_channels, round_trips = 4, 200
+        starts = [(index + 1) * 1e-3 for index in range(n_channels)]
+        channels = []
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for start in starts:
+                flow = FlowSpec(
+                    src="h0", dst="h1", size=1000,
+                    paths=[(0, ["h0", "s", "h1"])], at=start,
+                )
+                channels.append(ShmChannel(tiny_config([(0, flow)])))
+            heard = [[] for __ in channels]
+
+            def drive(channel, out):
+                for __ in range(round_trips):
+                    out.append(channel.rpc(("digest",))[1]["next"])
+
+            threads = [
+                threading.Thread(target=drive, args=(channel, out))
+                for channel, out in zip(channels, heard)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(old_interval)
+            for channel in channels:
+                channel.close()
+        assert heard == [[start] * round_trips for start in starts]
+        assert not any(channel._proc.is_alive() for channel in channels)
