@@ -4,13 +4,12 @@ Two scenarios, both recorded in ``results/BENCH_shard.json``:
 
 * ``coupled`` -- the fig9-style workload where every flow is a
   spanning MPTCP connection across all four planes: the epoch-barrier
-  path (lookahead batching, shm digest exchange) is what's timed, at
-  two and four shards.
+  path (one shm digest exchange per epoch) is what's timed, at two and
+  four shards.
 * ``bulk`` -- plane-local bulk transfers, the paper's bread-and-butter
-  scale-out case: no coupling, infinite lookahead, every worker
-  free-runs to completion.  This is where sharding must *beat* serial
-  on real cores, and the speedup assertion enforces it wherever the
-  machine has >= 2 CPUs.
+  scale-out case: no coupling, every worker free-runs to completion.
+  This is where sharding must *beat* serial on real cores, and the
+  speedup assertion enforces it wherever the machine has >= 2 CPUs.
 
 Each configuration also records the CPU seconds of the engine process
 (``RUSAGE_SELF``) and of its shard workers (``RUSAGE_CHILDREN``) over
@@ -24,7 +23,6 @@ byte-identical to serial, and coupled FCT deviation stays inside the
 documented epoch-staleness envelope.
 """
 
-import math
 import os
 import pickle
 import random
@@ -86,7 +84,7 @@ def _cpu_seconds(who):
     return usage.ru_utime + usage.ru_stime
 
 
-def _timed_run(pnet, specs, shards, backend=None):
+def _timed_run(pnet, specs, shards, backend="shm"):
     """The result, wall seconds and CPU seconds of one run.
 
     Workers are reaped before ``run_packet_trial`` returns, so their
@@ -120,9 +118,6 @@ def _config_entry(result, wall, cpu, serial_wall, serial_fcts):
         "n_shards": result.n_shards,
         "backend": result.backend,
         "rounds": result.rounds,
-        "lookahead": None if math.isinf(result.lookahead)
-        else result.lookahead,
-        "stride": result.stride,
         "wall_seconds": round(wall, 4),
         **cpu,
         "speedup_vs_serial": round(serial_wall / wall, 3),

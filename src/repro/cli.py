@@ -8,10 +8,8 @@ Usage::
     python -m repro all --scale small --csv results/
     python -m repro fig6 --csv results/
     python -m repro fig9 --jobs 8        # fan trials over 8 workers
-    python -m repro fig9 --shards 2      # split each trial over 2 plane shards
     python -m repro hybrid --scale tiny --promote sampled:0.1:0
     python -m repro hybrid --fidelity hybrid --promote 0.25
-    python -m repro fig9 --shards 2 --lookahead auto --shard-backend shm
     python -m repro cache                # show artifact-cache stats
     python -m repro cache --clear        # drop all cached artifacts
     python -m repro cache stats          # per-kind on-disk inventory
@@ -48,7 +46,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.config import BACKENDS, SCALES, ConfigError, RunConfig, use
+from repro.config import SCALES, ConfigError, RunConfig, use
 from repro.control.policy import POLICIES
 
 #: Experiment registry: name -> module path (each has run() and main()).
@@ -108,47 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         default=None,
         help="override PNET_JOBS (worker processes for trial grids)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        metavar="N",
-        default=None,
-        help=(
-            "override PNET_SHARDS (plane shards per run_packet_trial "
-            "trial, which no CLI experiment runs today; PNET_JOBS "
-            "budgets the *total* process count, so trial workers "
-            "become jobs // shards)"
-        ),
-    )
-    parser.add_argument(
-        "--epoch",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help=(
-            "override PNET_EPOCH (run_packet_trial barrier spacing in "
-            "simulated seconds; 0 forces the byte-identical serial path)"
-        ),
-    )
-    parser.add_argument(
-        "--lookahead",
-        metavar="SECONDS",
-        default=None,
-        help=(
-            "override PNET_LOOKAHEAD (run_packet_trial barrier-batching "
-            "window in simulated seconds; 'auto' derives it from the "
-            "minimum spanning-path RTT, 0 disables batching)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-backend",
-        choices=BACKENDS,
-        default=None,
-        help=(
-            "override PNET_SHARD_BACKEND (run_packet_trial shard "
-            "transport; results are byte-identical across backends)"
-        ),
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -691,10 +648,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser,
         scale=args.scale,
         jobs=args.jobs,
-        shards=args.shards,
-        epoch=args.epoch,
-        lookahead=args.lookahead,
-        shard_backend=args.shard_backend,
         ckpt_dir=args.checkpoint_dir,
         ckpt_every=args.checkpoint_every,
         ckpt_keep=args.keep_last,

@@ -6,10 +6,14 @@ arguments over the environment over defaults -- and checks every field
 there, so a bad value fails with a :class:`ConfigError` that names the
 variable or argument before any trial runs.  :func:`use` makes a config
 :func:`current` for the code an entry point runs; the runner hands it
-to its pool workers, and the farm ships its :data:`RESULT_FIELDS` and
-shard backend with every trial.  Those seven fields change results, so
-the trial cache key carries each one that is off its default
-(:meth:`RunConfig.result_tags`).
+to its pool workers, and the farm ships its :data:`RESULT_FIELDS` with
+every trial.  Those four fields change results, so the trial cache key
+carries each one that is off its default (:meth:`RunConfig.result_tags`).
+
+A sharded packet run is shaped by the arguments of
+:func:`repro.shard.run_packet_trial` alone; the variables that once set
+it (:data:`REMOVED`) fail at entry rather than leave a run serial
+without a word.
 """
 
 from __future__ import annotations
@@ -24,12 +28,6 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 #: Experiment scale names, smallest first.
 SCALES = ("tiny", "small", "full")
-#: Shard channel backends: the in-process reference and shared memory.
-BACKENDS = ("local", "shm")
-#: Epoch barrier spacing (simulated seconds): a handful of fabric RTTs,
-#: long enough to amortise barriers, short enough to keep LIA coupling
-#: staleness small (tests/test_shard_coupling.py enforces the bound).
-DEFAULT_EPOCH = 1e-4
 #: Control period (simulated seconds): one order above datacenter RTTs.
 DEFAULT_CONTROL_INTERVAL = 1e-3
 #: Load-aware moves need the current plane to carry more than this
@@ -40,11 +38,15 @@ DEFAULT_COOLDOWN = 0.0
 #: Farm worker heartbeat timeout (seconds).
 DEFAULT_FARM_TIMEOUT = 10.0
 
-#: The fields that change results, in cache-key order; the first three
-#: matter only when trials run on plane shards.
+#: The fields that change results, in cache-key order.
 RESULT_FIELDS = (
-    "shards", "epoch", "lookahead", "control_policy", "control_interval",
-    "control_hysteresis", "control_cooldown",
+    "control_policy", "control_interval", "control_hysteresis",
+    "control_cooldown",
+)
+
+#: Variables no longer read; setting one is a :class:`ConfigError`.
+REMOVED = (
+    "PNET_SHARDS", "PNET_EPOCH", "PNET_LOOKAHEAD", "PNET_SHARD_BACKEND",
 )
 
 
@@ -67,14 +69,11 @@ def _integer(raw: Any, label: str) -> int:
     return value
 
 
-def _real(low: float, strict: bool = False, auto: bool = False):
-    """Numbers ``> low`` (``strict``) or ``>= low``; with ``auto``, the
-    word ``auto`` (or nothing) parses to None."""
-    bound = f"{'>' if strict else '>='} {low:g}" + " or 'auto'" * auto
+def _real(low: float, strict: bool = False):
+    """Numbers ``> low`` (``strict``) or ``>= low``."""
+    bound = f"{'>' if strict else '>='} {low:g}"
 
-    def parse(raw: Any, label: str) -> Optional[float]:
-        if auto and raw in ("", "auto"):
-            return None
+    def parse(raw: Any, label: str) -> float:
         try:
             value = float(raw)
         except (TypeError, ValueError):
@@ -150,10 +149,6 @@ def _inventory(raw: Any, label: str) -> Any:
 _PARSERS: Dict[str, Callable[[Any, str], Any]] = {
     "scale": _choice(*SCALES),
     "jobs": _integer,
-    "shards": _integer,
-    "epoch": _real(0.0),
-    "lookahead": _real(0.0, auto=True),
-    "shard_backend": _choice(*BACKENDS),
     "shard_timeout": _shard_timeout,
     "ckpt_dir": lambda raw, label: pathlib.Path(raw).expanduser(),
     "ckpt_every": _integer,
@@ -174,15 +169,11 @@ _VARIABLES = {name: "PNET_" + name.upper() for name in _PARSERS}
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Every run-wide knob, checked.  ``None`` leaves an optional field
-    unset: ``lookahead`` is derived per workload, control, checkpoints
-    and the farm are off, and the cache lives in ``~/.cache/pnet``."""
+    unset: control, checkpoints and the farm are off, shard workers
+    are waited on forever, and the cache lives in ``~/.cache/pnet``."""
 
     scale: str = "small"
     jobs: int = 1
-    shards: int = 1
-    epoch: float = DEFAULT_EPOCH
-    lookahead: Optional[float] = None
-    shard_backend: str = "shm"
     shard_timeout: Optional[float] = None
     ckpt_dir: Optional[pathlib.Path] = None
     ckpt_every: Optional[int] = None
@@ -224,6 +215,14 @@ class RunConfig:
         defaults.  A ``None`` argument and an unset or empty variable
         all mean "not given"."""
         environ = os.environ if environ is None else environ
+        for variable in REMOVED:
+            raw = environ.get(variable, "").strip()
+            if raw:
+                raise ConfigError(
+                    f"{variable}={raw!r} is no longer read: pass shards=, "
+                    "epoch= and backend= to "
+                    "repro.shard.run_packet_trial instead, and unset it"
+                )
         values = {k: v for k, v in given.items() if v is not None}
         for name, variable in _VARIABLES.items():
             raw = environ.get(variable, "").strip()
@@ -240,18 +239,10 @@ class RunConfig:
         }
         return dataclasses.replace(self, **changes) if changes else self
 
-    @property
-    def sharded(self) -> bool:
-        """Whether packet trials shard: one shard, or an epoch of 0,
-        takes the serial path."""
-        return self.shards > 1 and self.epoch > 0
-
     def result_tags(self) -> tuple:
-        """``(variable, value)`` for each result field off its default;
-        the shard fields only when sharded."""
-        fields = RESULT_FIELDS if self.sharded else RESULT_FIELDS[3:]
+        """``(variable, value)`` for each result field off its default."""
         return tuple([
-            (_VARIABLES[name], getattr(self, name)) for name in fields
+            (_VARIABLES[name], getattr(self, name)) for name in RESULT_FIELDS
             if getattr(self, name) != _DEFAULTS[name]
         ])
 

@@ -9,7 +9,7 @@ seconds, feeds it to a pluggable :class:`ResteerPolicy`
 own ``resteer``, the same call :mod:`repro.faults` makes.
 Enable it with ``run_trial(control=...)`` on any engine, or via
 ``PNET_CONTROL_POLICY``; sharded packet runs drive the same policy
-objects at lookahead barriers (:mod:`.sharded`) instead of falling
+objects at epoch barriers (:mod:`.sharded`) instead of falling
 back to serial.
 """
 

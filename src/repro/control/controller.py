@@ -17,7 +17,7 @@ and monitor state ride :mod:`repro.ckpt` snapshots and a resumed run
 continues the loop byte-identically.
 
 Sharded runs do not attach a controller; the shard engine drives the
-same policy/monitor objects at its lookahead barriers (see
+same policy/monitor objects at its epoch barriers (see
 :mod:`repro.control.sharded`).
 """
 

@@ -3,7 +3,7 @@
 A sharded run cannot let the serial :class:`Controller` tick inside one
 worker -- decisions depend on the *global* plane-load vector, and
 resteers may move a flow onto planes owned by another shard.  Instead
-the shard engine owns the cadence: at each lookahead barrier whose time
+the shard engine owns the cadence: at each epoch barrier whose time
 has crossed the next control instant it
 
 1. posts a ``control-sample`` request to every worker and merges the
@@ -82,7 +82,7 @@ class ShardControlDriver:
         return t >= self.next_tick
 
     def clamp(self, t_next: float) -> float:
-        """Keep barrier strides from jumping past a control instant."""
+        """Keep epochs and idle jumps from passing a control instant."""
         return min(t_next, self.next_tick)
 
     # --- one control cycle --------------------------------------------------

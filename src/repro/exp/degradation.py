@@ -39,7 +39,6 @@ from repro.faults.injector import FaultInjector, surviving_capacity
 from repro.faults.schedule import FaultSchedule
 from repro.api import build_network
 from repro.obs import Registry
-from repro.shard import serial_fallback
 
 #: Bytes per long-lived flow: large enough that no flow completes
 #: within any preset's horizon (the run measures rates, not FCTs).
@@ -164,10 +163,6 @@ def run_faulted(
             at=outage_at, outage=outage,
         )
     registry = obs if obs is not None else Registry()
-    # Fault runs resteer flows across planes (control-plane reaction),
-    # which cannot be decomposed by plane: force the serial path, so
-    # degradation output is byte-identical at any PNET_SHARDS.
-    serial_fallback("fault-resteer", obs=registry)
     sim = build_network(pnet.planes, kind="fluid", slow_start=False,
                         obs=registry)
     injector = FaultInjector(pnet, schedule, selector=selector, obs=registry)

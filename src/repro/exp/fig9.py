@@ -158,9 +158,8 @@ def packet_trial(
 ) -> float:
     """Mean FCT of one network on the packet-level simulator.
 
-    Runs through :func:`repro.shard.run_packet_trial`, so a multi-plane
-    network honours ``PNET_SHARDS`` (serial and single-plane networks
-    always run on one shard).  FCTs are averaged in submission order --
+    Runs through :func:`repro.shard.run_packet_trial` on one shard, the
+    serial packet simulator.  FCTs are averaged in submission order --
     the one ordering every shard count reproduces.
     """
     from repro.shard import run_packet_trial

@@ -73,10 +73,8 @@ class RunStats:
 
     n_trials: int = 0
     jobs: int = 1
-    #: Plane shards each trial will spawn (``PNET_SHARDS``); trial
-    #: workers are budgeted as ``PNET_JOBS // shards`` so the *total*
-    #: process count stays within ``PNET_JOBS``.
-    shards: int = 1
+    #: Pool workers the run may use: ``jobs`` (benchmarks report it as
+    #: ``exp.workers``).
     trial_workers: int = 1
     wall_seconds: float = 0.0
     cache_hits: int = 0
@@ -97,9 +95,7 @@ class RunStats:
 
     def summary(self) -> str:
         text = (
-            f"{self.n_trials} trials, jobs={self.jobs} "
-            f"(x{self.shards} shards -> {self.trial_workers} trial "
-            f"workers), "
+            f"{self.n_trials} trials, jobs={self.jobs}, "
             f"wall={self.wall_seconds:.2f}s, cache {self.cache_hits} hits / "
             f"{self.cache_misses} misses "
             f"({self.trial_cache_hits} whole-trial hits)"
@@ -176,9 +172,9 @@ def _code_hash(module_name: str) -> str:
 
 def _trial_cache_key(spec: TrialSpec, config: RunConfig) -> Tuple:
     """The whole-trial cache key: function, code hash and kwargs, plus
-    each result-affecting config field off its default.  Unset knobs,
-    the control policy ``off``, one shard and ``epoch=0`` add nothing,
-    so they share the plain key."""
+    each result-affecting config field off its default.  Unset knobs
+    and the control policy ``off`` add nothing, so they share the plain
+    key."""
     key = (spec.fn, _code_hash(spec.fn.partition(":")[0]), spec.kwargs)
     return key + config.result_tags()
 
@@ -292,18 +288,8 @@ def _run_trials(specs: Sequence[TrialSpec], config: RunConfig):
     global _last_stats
     checkpoint_dir = config.ckpt_dir
     checkpoint_every = config.ckpt_every
-    # PNET_JOBS budgets *total* processes.  A sharded trial (PNET_SHARDS
-    # > 1, epoch > 0) spawns one worker per plane shard, so the pool
-    # gets jobs // shards trial slots (floor 1 -- a single sharded
-    # trial may still exceed the budget when shards > jobs; shard count
-    # wins because it changes results, job count only changes speed).
-    shards = config.shards if config.sharded else 1
-    trial_workers = max(1, config.jobs // shards)
     stats = RunStats(
-        n_trials=len(specs),
-        jobs=config.jobs,
-        shards=shards,
-        trial_workers=trial_workers,
+        n_trials=len(specs), jobs=config.jobs, trial_workers=config.jobs,
     )
     started = time.perf_counter()
     cache = _cache.get_cache()
@@ -374,7 +360,7 @@ def _run_trials(specs: Sequence[TrialSpec], config: RunConfig):
         stats.farm_workers = farm_stats.n_workers
         stats.reassigned_trials = farm_stats.reassigned
         stats.resumed_elsewhere = farm_stats.resumed_elsewhere
-    elif trial_workers == 1 or len(pending) <= 1:
+    elif config.jobs == 1 or len(pending) <= 1:
         for spec in pending:
             key, value, __, __ = _execute(spec, config)
             # Round-trip so the serial path yields the same object graph
@@ -388,7 +374,7 @@ def _run_trials(specs: Sequence[TrialSpec], config: RunConfig):
         # Executor workers are not daemonic, so a sharded trial may
         # start its shard worker processes inside one.
         with ProcessPoolExecutor(
-            max_workers=min(trial_workers, len(pending)),
+            max_workers=min(config.jobs, len(pending)),
             mp_context=_pool_context(),
         ) as pool:
             futures = [pool.submit(_execute, spec, config) for spec in pending]

@@ -39,14 +39,12 @@ def _load_inventory() -> Inventory:
 
 def _cmd_workers(args) -> int:
     inventory = _load_inventory()
-    print(f"{'host':<16} {'transport':<9} {'slots':>5} {'cores':>5}  "
-          f"backends")
+    print(f"{'host':<16} {'transport':<9} {'slots':>5} {'cores':>5}")
     for host in inventory.hosts:
         row = host.to_row()
         print(
             f"{row['name']:<16} {row['transport']:<9} "
-            f"{row['slots']:>5} {row['cores'] or '?':>5}  "
-            f"{','.join(row['shard_backends'])}"
+            f"{row['slots']:>5} {row['cores'] or '?':>5}"
         )
     print(f"[farm] {len(inventory.hosts)} host(s), "
           f"{inventory.n_slots} worker slot(s)")

@@ -116,15 +116,12 @@ class Dispatcher:
             raise FarmError("no trials to dispatch")
         config = current(farm_timeout=timeout)
         self.specs = list(specs)
-        self.inventory = inventory.capable(
-            config.shard_backend if config.sharded else None
-        )
+        self.inventory = inventory
         self.timeout = config.farm_timeout
-        # Workers run under their host's config with these put in: the
-        # fields that change results, and the backend hosts were picked by.
+        # Workers run under their host's config with the fields that
+        # change results put in.
         self.worker_config = {
-            name: getattr(config, name)
-            for name in (*RESULT_FIELDS, "shard_backend")
+            name: getattr(config, name) for name in RESULT_FIELDS
         }
         self.heartbeat = max(min(self.timeout / 4, 2.0), 0.05)
         self.trial_checkpoint_root = trial_checkpoint_root

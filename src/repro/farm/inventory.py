@@ -2,9 +2,8 @@
 
 A farm is described by a list of :class:`HostSpec` entries -- one per
 machine -- each naming its transport (``local`` subprocess pool or
-``ssh``), how many worker agents to launch there (``slots``), and what
-the host can do (core count, which ``PNET_SHARD_BACKEND`` transports
-its kernel supports).  The FireSim ``run_farm.py`` /
+``ssh``), how many worker agents to launch there (``slots``), and its
+core count.  The FireSim ``run_farm.py`` /
 ``externally_provisioned.py`` split is the model: the inventory says
 *what exists*, the dispatcher decides *what runs where*.
 
@@ -15,8 +14,7 @@ or declarative files -- JSON always, YAML when the interpreter has
     {"hosts": [
         {"name": "local", "transport": "local", "slots": 2},
         {"name": "bigbox", "transport": "ssh", "address": "10.0.0.7",
-         "slots": 16, "cores": 32, "python": "python3",
-         "shard_backends": ["local", "shm"]}
+         "slots": 16, "cores": 32, "python": "python3"}
     ]}
 
 ``PNET_FARM_INVENTORY`` points the experiment runner at an inventory
@@ -30,9 +28,7 @@ from __future__ import annotations
 import os
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
-
-from repro.config import BACKENDS
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 KNOWN_TRANSPORTS = ("local", "ssh")
 
@@ -56,9 +52,6 @@ class HostSpec:
         address: ssh destination (``user@host`` or an ``ssh_config``
             alias); required for the ssh transport.
         python: interpreter to exec remotely (ssh only).
-        shard_backends: which ``PNET_SHARD_BACKEND`` values the host
-            supports (default: all of them); the dispatcher excludes
-            hosts that cannot run a sharded trial's requested backend.
         env: extra environment exported to every worker on this host
             (e.g. ``PYTHONPATH`` on machines without an installed
             checkout).
@@ -70,7 +63,6 @@ class HostSpec:
     cores: Optional[int] = None
     address: Optional[str] = None
     python: str = "python3"
-    shard_backends: Tuple[str, ...] = BACKENDS
     env: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -92,19 +84,6 @@ class HostSpec:
             raise FarmError(
                 f"host {self.name!r}: ssh transport needs an address"
             )
-        # Declarative files hand us lists; freeze for hashability.
-        object.__setattr__(
-            self, "shard_backends", tuple(self.shard_backends)
-        )
-        for backend in self.shard_backends:
-            if backend not in BACKENDS:
-                raise FarmError(
-                    f"host {self.name!r}: unknown shard backend "
-                    f"{backend!r} ({'|'.join(BACKENDS)})"
-                )
-
-    def supports_backend(self, backend: str) -> bool:
-        return backend in self.shard_backends
 
     def to_row(self) -> Dict[str, Any]:
         return {
@@ -113,7 +92,6 @@ class HostSpec:
             "slots": self.slots,
             "cores": self.cores,
             "address": self.address,
-            "shard_backends": list(self.shard_backends),
         }
 
 
@@ -136,19 +114,6 @@ class Inventory:
     def n_slots(self) -> int:
         return sum(host.slots for host in self.hosts)
 
-    def capable(self, backend: Optional[str]) -> "Inventory":
-        """Hosts that support the given shard backend (all when None)."""
-        if backend is None:
-            return self
-        fit = [h for h in self.hosts if h.supports_backend(backend)]
-        if not fit:
-            raise FarmError(
-                f"no host in the inventory supports shard backend "
-                f"{backend!r} (hosts: "
-                f"{', '.join(h.name for h in self.hosts)})"
-            )
-        return Inventory(tuple(fit))
-
     @classmethod
     def from_data(cls, data: Any) -> "Inventory":
         """Build from parsed file content (``{"hosts": [...]}`` or a list)."""
@@ -166,7 +131,7 @@ class Inventory:
                 raise FarmError(f"host entry {i} is not a mapping: {row!r}")
             unknown = set(row) - {
                 "name", "transport", "slots", "cores", "address",
-                "python", "shard_backends", "env",
+                "python", "env",
             }
             if unknown:
                 raise FarmError(

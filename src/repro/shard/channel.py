@@ -5,7 +5,7 @@ Two interchangeable backends drive the *same* worker logic
 
 * ``local`` -- the worker object lives in the engine process and
   messages are plain function calls.  Zero IPC cost; used for
-  ``PNET_SHARD_BACKEND=local``, for tests, and as the reference
+  ``run_packet_trial(backend="local")``, for tests, and as the reference
   behaviour ``shm`` must match byte-for-byte.
 * ``shm`` -- one process per shard, every message one pickled frame
   over a pair of ``multiprocessing.shared_memory`` ring buffers

@@ -7,16 +7,18 @@ coupling digest (subflow cwnd/RTT, local pool, ACK progress), and the
 engine folds the digests into next-epoch updates -- epoch-stale LIA
 coupling views, a deterministic largest-remainder rebalance of each
 connection's shared send-buffer pool, and completion/finalize notices.
-The epoch length is the staleness bound: ``epoch -> 0`` converges to
-the serial coupled behaviour, and ``epoch == 0`` (or one shard) takes
-the literal serial code path, byte-identical to the pre-shard
-simulator.
+The epoch length is the staleness bound and the one barrier spacing:
+``epoch -> 0`` converges to the serial coupled behaviour, and
+``epoch == 0`` (or one shard) takes the literal serial code path,
+byte-identical to the pre-shard simulator.  The shard count, epoch and
+channel backend are :func:`run_packet_trial`'s arguments, checked at
+entry; no run-wide setting changes them.
 
 :func:`run_packet_trial` is a sequence of barrier phases, one function
 each: :func:`_plan` (classify, split, worker configs, restore), then
 per barrier :func:`_control` (sample, decide, apply), :func:`_couple`
 (completion, rebalance, LIA views -- engine state only),
-:func:`_target` (free-run promotion, stride, idle jump, clamps),
+:func:`_target` (free-run promotion, next epoch, idle jump, clamps),
 :func:`_exchange` (post to all, then collect from all) and
 :func:`_checkpoint`, and finally :func:`_merge`.  The engine process's
 wall seconds in each phase come back as
@@ -46,21 +48,28 @@ from repro.ckpt.store import (
     CheckpointError, latest, next_step, prune, read_manifest, read_payload,
     step_dir, write_checkpoint,
 )
-from repro.config import current
+from repro.config import _choice, _integer, _real, current
 from repro.core.flowspec import FlowSpec
 from repro.core.pnet import PNet
 from repro.faults.schedule import FaultSchedule
 from repro.obs import get_registry
 from repro.shard.channel import LocalChannel
 from repro.shard.coupling import largest_remainder, lia_terms, split_bytes
-from repro.shard.lookahead import derive_lookahead, epochs_per_sync
-from repro.shard.partition import ShardPlan, _count_fallback, classify
+from repro.shard.partition import ShardPlan, classify
 from repro.shard.shm import ShmChannel
 from repro.shard.worker import (
     PacketShardWorker, WorkerConfig, build_worker, handle_message,
 )
 from repro.sim.network import SimFlowRecord, publish_flow
 from repro.topology.graph import Topology
+
+#: Epoch barrier spacing (simulated seconds): a handful of fabric RTTs,
+#: long enough to amortise barriers, short enough to keep LIA coupling
+#: staleness small (tests/test_shard_coupling.py enforces the bound).
+DEFAULT_EPOCH = 1e-4
+
+#: Channel backends: the in-process reference and shared memory.
+BACKENDS = ("local", "shm")
 
 #: Hard cap on barrier rounds -- a stuck spanning connection (e.g. all
 #: its paths black-holed with no fault restore coming) raises instead
@@ -173,13 +182,9 @@ class ShardResult:
     rounds: int
     events_processed: int
     plane_totals: Dict[int, Dict[str, int]] = field(default_factory=dict)
-    #: Effective lookahead (simulated seconds) and the barrier stride it
-    #: quantised to: one digest exchange covers ``stride`` epochs.
-    lookahead: float = 0.0
-    stride: int = 1
     #: Barrier trace ``[(t, jumped), ...]`` when ``trace_barriers`` was
     #: requested (None otherwise): ``jumped`` marks idle jumps past the
-    #: regular stride, which are exact (all coupled workers idle).
+    #: next epoch, which are exact (all coupled workers idle).
     barriers: Optional[List[Tuple[float, bool]]] = None
     #: Adaptive-control summary (``{"fingerprint": ..., "stats": ...}``)
     #: when the run had ``control=``; None otherwise.
@@ -205,7 +210,9 @@ class ShardResult:
         return [r.fct for r in self.records]
 
 
-def _make_channels(configs: List[WorkerConfig], backend: str):
+def _make_channels(
+    configs: List[WorkerConfig], backend: str, timeout: Optional[float]
+):
     if backend == "local":
         return [
             LocalChannel(build_worker(config), handle_message)
@@ -214,7 +221,7 @@ def _make_channels(configs: List[WorkerConfig], backend: str):
     channels = []
     try:
         for config in configs:
-            channels.append(ShmChannel(config))
+            channels.append(ShmChannel(config, timeout))
     except BaseException:
         _close_all(channels)
         raise
@@ -278,8 +285,6 @@ class _Run:
     spanning: Dict[int, _SpanningState] = field(default_factory=dict)
     shares: Dict[int, Dict[int, int]] = field(default_factory=dict)
     driver: Optional[Any] = None
-    lookahead: float = 0.0
-    stride: int = 1
     channels: List[Any] = field(default_factory=list)
     digests: Optional[List[Dict[str, Any]]] = None
     t: float = 0.0
@@ -323,10 +328,9 @@ def run_packet_trial(
     planes: Union[PNet, Sequence[Topology]],
     specs: Sequence[FlowSpec],
     *,
-    shards: Optional[int] = None,
-    epoch: Optional[float] = None,
-    lookahead: Optional[float] = None,
-    backend: Optional[str] = None,
+    shards: int = 1,
+    epoch: float = DEFAULT_EPOCH,
+    backend: str = "shm",
     schedule=None,
     until: float = math.inf,
     obs=None,
@@ -345,20 +349,14 @@ def run_packet_trial(
         planes: the dataplanes (or a :class:`PNet`).
         specs: flows in submission order; their position is the global
             flow id on the returned records.
-        shards: worker count; defaults to ``PNET_SHARDS`` (clamped to
-            the plane count).  ``1`` -- or ``epoch=0`` -- runs the
-            serial code path, byte-identical to a plain
-            :class:`~repro.sim.network.PacketNetwork` run.
-        epoch: barrier spacing in simulated seconds; defaults to
-            ``PNET_EPOCH``.  Only spanning MPTCP connections feel it.
-        lookahead: conservative-PDES lookahead in simulated seconds;
-            defaults to ``PNET_LOOKAHEAD``; ``"auto"`` derives it as the
-            minimum spanning-path RTT.  Barrier rounds are batched to
-            ``max(1, floor(lookahead / epoch))`` epochs per digest
-            exchange; ``0`` forces one exchange per epoch.
-        backend: ``"local"`` or ``"shm"`` channel backend; defaults
-            to ``PNET_SHARD_BACKEND``.  All four defaults come from the
-            current :class:`~repro.config.RunConfig`.
+        shards: worker count (clamped to the plane count).  ``1`` --
+            or ``epoch=0`` -- runs the serial code path, byte-identical
+            to a plain :class:`~repro.sim.network.PacketNetwork` run.
+        epoch: barrier spacing in simulated seconds.  Only spanning
+            MPTCP connections feel it.
+        backend: ``"local"`` (in-process reference) or ``"shm"``
+            (one worker process per shard) channel backend; results
+            are byte-identical across the two.
         schedule: optional iterable of fault events (or a
             :class:`~repro.faults.FaultSchedule`), checked against the
             planes before any worker starts and routed to the owning
@@ -386,7 +384,7 @@ def run_packet_trial(
         control: a :class:`repro.control.Controller`, policy object, or
             policy name enabling the adaptive control plane.  Serial
             runs attach the controller's own loop; multi-shard runs
-            drive the same policy/monitor objects at lookahead barriers
+            drive the same policy/monitor objects at epoch barriers
             (sample + apply travel as extra barrier messages), so
             adaptive workloads no longer force ``serial_fallback``.
         serial_fallback: instead of raising :class:`ShardSafetyError`
@@ -398,14 +396,19 @@ def run_packet_trial(
             min_rto, ecn_threshold).
 
     Raises:
+        ConfigError: a bad ``shards``, ``epoch`` or ``backend``, or a
+            bad or removed ``PNET_*`` variable, before any worker
+            starts.
         ShardSafetyError: multi-shard run with completion callbacks
             (closed-loop workloads cannot shard) or non-integer
             spanning flow sizes -- unless ``serial_fallback=True``.
     """
-    cfg = current(
-        shards=shards, epoch=epoch, lookahead=lookahead,
-        shard_backend=backend,
-    )
+    # The run config's checks name a bad argument, and resolving the
+    # config fails a stale or bad PNET_* variable, before any worker.
+    shards = _integer(shards, "shards")
+    epoch = _real(0.0)(epoch, "epoch")
+    _choice(*BACKENDS)(backend, "backend")
+    timeout = current().shard_timeout
     check_args(
         checkpoint_every, checkpoint_dir, resume=resume,
         checkpoint_keep_last=checkpoint_keep_last,
@@ -416,19 +419,17 @@ def run_packet_trial(
     planes = pnet.planes
     specs = list(specs)
     obs = obs if obs is not None else get_registry()
-    plan = ShardPlan.build(
-        len(planes), min(cfg.shards, len(planes)) if cfg.sharded else 1
-    )
+    plan = ShardPlan.build(len(planes), shards if epoch > 0 else 1)
     run_serial = functools.partial(
         _run_serial_packet, planes, specs, schedule.events, until, obs,
-        cfg.epoch, sim_kwargs, checkpoint_dir, checkpoint_every, resume,
+        epoch, sim_kwargs, checkpoint_dir, checkpoint_every, resume,
         checkpoint_keep_last, control,
     )
     if plan.n_shards == 1:
         return run_serial()
 
     run = _Run(
-        plan=plan, epoch=cfg.epoch, until=until, backend=cfg.shard_backend,
+        plan=plan, epoch=epoch, until=until, backend=backend,
         checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
         keep_last=checkpoint_keep_last,
         barriers=[] if trace_barriers else None,
@@ -436,18 +437,18 @@ def run_packet_trial(
     try:
         with run.timed("plan"):
             configs = _plan(
-                run, planes, specs, schedule, cfg.lookahead, obs,
-                sim_kwargs, control, resume,
+                run, planes, specs, schedule, obs, sim_kwargs, control,
+                resume,
             )
     except ShardSafetyError as refusal:
         if not serial_fallback:
             raise
-        _count_fallback(refusal.feature, obs)
+        obs.counter("shard.serial_fallback", feature=refusal.feature).inc()
         return run_serial()
 
     try:
         with run.timed("plan"):
-            run.channels = _make_channels(configs, run.backend)
+            run.channels = _make_channels(configs, run.backend, timeout)
             if run.digests is None:
                 run.digests = _broadcast(run.channels, ("digest",))
         while True:
@@ -474,8 +475,7 @@ def run_packet_trial(
 
 
 def _plan(
-    run: _Run, planes, specs, schedule, lookahead, obs, sim_kwargs,
-    control, resume,
+    run: _Run, planes, specs, schedule, obs, sim_kwargs, control, resume,
 ) -> List[WorkerConfig]:
     """Plan phase: classify and split the flows, build the worker
     configs, and load the checkpoint a resumed run continues from.
@@ -487,7 +487,7 @@ def _plan(
         if spec.on_complete is not None:
             raise ShardSafetyError(
                 f"flow {gid} ({spec.src}->{spec.dst}) carries a completion "
-                "callback, which cannot run under PNET_SHARDS > 1: the "
+                "callback, which cannot run on more than one shard: the "
                 "engine only sees flow completion at epoch barriers, so "
                 "closed-loop workloads must run serial -- pass "
                 "serial_fallback=True (or shards=1) to run this workload "
@@ -550,15 +550,6 @@ def _plan(
             collect_obs=obs.enabled,
         ))
 
-    # Conservative lookahead: coupling digests cannot change faster
-    # than one spanning-path RTT, so one digest exchange may safely
-    # cover several epochs (the epoch stays the staleness quantum; the
-    # stride only batches the exchanges).
-    if lookahead is None:
-        lookahead = derive_lookahead(planes, specs, run.spanning_gids)
-    run.lookahead = lookahead
-    run.stride = epochs_per_sync(lookahead, run.epoch)
-
     restored = (
         _load_shard_checkpoint(run.checkpoint_dir, plan.n_shards)
         if resume else None
@@ -591,7 +582,7 @@ def _control(run: _Run) -> None:
         run.channels[shard].post(("control-apply", moves[shard]))
     for shard in sorted(moves):
         # Relaunches schedule new events at t; refresh the idle-jump
-        # view so the next stride sees them.
+        # view so the next barrier sees them.
         run.digests[shard]["next"] = run.channels[shard].collect()[1]["next"]
 
 
@@ -639,7 +630,7 @@ def _couple(run: _Run) -> List[Dict[str, Any]]:
 def _target(run: _Run, updates: List[Dict[str, Any]]) -> _Step:
     """Target phase: where the next barrier is, and who runs to it.
 
-    Promotes uncoupled shards to free-running, then takes one stride
+    Promotes uncoupled shards to free-running, then advances one epoch
     -- or jumps to the next event when every steering worker is idle
     past it -- clamped to the horizon and the next control instant.
     """
@@ -697,7 +688,7 @@ def _target(run: _Run, updates: List[Dict[str, Any]]) -> _Step:
         return _Step(free)
     if run.t >= run.until:
         return _Step(free)
-    t_next = run.t + run.epoch * run.stride
+    t_next = run.t + run.epoch
     jumped = False
     if not granting and nexts and min(nexts) > t_next:
         # Every steering worker is idle past the next barrier and no
@@ -708,7 +699,7 @@ def _target(run: _Run, updates: List[Dict[str, Any]]) -> _Step:
         jumped = True
     t_next = min(t_next, run.until)
     if run.driver is not None:
-        # Strides (and idle jumps) never skip a control instant.
+        # Epochs (and idle jumps) never skip a control instant.
         t_next = run.driver.clamp(t_next)
     return _Step(free, t_next, sorted(need), jumped)
 
@@ -788,8 +779,6 @@ def _merge(run: _Run, obs) -> ShardResult:
         rounds=run.rounds,
         events_processed=events_processed,
         plane_totals=plane_totals,
-        lookahead=run.lookahead,
-        stride=run.stride,
         barriers=run.barriers,
         control=_control_summary(run.driver),
     )
@@ -911,7 +900,7 @@ def _run_serial_packet(
     """One-shard path: the literal serial simulator, no barriers.
 
     Flows keep their completion callbacks and the caller's registry is
-    used directly, so a ``PNET_SHARDS=1`` run is byte-identical to a
+    used directly, so a one-shard run is byte-identical to a
     plain ``PacketNetwork`` run of the same workload.  Checkpoints are
     simulator snapshots (``kind="sim"``) written by
     :func:`repro.ckpt.run_checkpointed`, with the worker -- its gid

@@ -8,8 +8,8 @@ one shard (all its paths live on that shard's planes) or *spanning*
 (an MPTCP connection whose subflows straddle shards and therefore
 needs the epoch-coupling protocol in :mod:`repro.shard.coupling`).
 
-The shard count and epoch length are :class:`~repro.config.RunConfig`
-fields (``PNET_SHARDS`` / ``PNET_EPOCH``).
+The shard count comes from :func:`repro.shard.run_packet_trial`'s
+``shards`` argument.
 """
 
 from __future__ import annotations
@@ -17,37 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.config import current
 from repro.core.flowspec import FlowSpec
-
-
-def serial_fallback(feature: str, obs=None) -> int:
-    """Resolve shards to 1 for a workload that cannot shard safely.
-
-    Control-plane behaviours -- route repair, flow resteering -- are
-    inherently cross-plane, so experiments built on them run serial
-    regardless of ``PNET_SHARDS``.  When the user *asked* for shards,
-    the fallback is recorded on the ``shard.serial_fallback`` counter
-    (labelled with the feature) so a silently-serial run is visible in
-    telemetry rather than a mystery slowdown.  Returns 1, the effective
-    shard count.
-    """
-    if current().shards > 1:
-        _count_fallback(feature, obs)
-    return 1
-
-
-def _count_fallback(feature: str, obs=None) -> None:
-    """Record one downgrade of a multi-shard request to the serial path.
-
-    The shard engine calls this directly: it has already resolved a
-    count above one (from ``shards=`` or ``PNET_SHARDS``).
-    """
-    if obs is None:
-        from repro.obs import get_registry
-
-        obs = get_registry()
-    obs.counter("shard.serial_fallback", feature=feature).inc()
 
 
 @dataclass(frozen=True)

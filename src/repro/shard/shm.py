@@ -310,6 +310,9 @@ class ShmChannel:
         )
         self._rings: Tuple[ShmRing, ...] = ()
         self._proc = None
+        #: Whether the worker was asked to exit: sent ``stop``, or it
+        #: replied ``error``.  Only such a worker can exit by itself.
+        self._exiting = False
         try:
             context = _mp_context()
             bells = tuple(context.Semaphore(0) for __ in range(4))
@@ -334,6 +337,7 @@ class ShmChannel:
 
     def post(self, message: Message) -> None:
         body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        self._exiting = self._exiting or message[0] == "stop"
         try:
             self._cmd.send(body, timeout=self._timeout, alive=self._alive)
         except ShmRingClosed:
@@ -366,6 +370,7 @@ class ShmChannel:
             ) from None
         reply = pickle.loads(body)
         if reply[0] == "error":
+            self._exiting = True
             self.close()
             raise ShardWorkerError(reply[1])
         return reply
@@ -377,8 +382,9 @@ class ShmChannel:
     def close(self) -> None:
         if self._proc is not None and self._proc.is_alive():
             # A healthy worker parked on the command ring has no EOF
-            # to notice; give an exiting one a moment, then stop it.
-            self._proc.join(timeout=0.25)
+            # to notice, so only one asked to exit is given a moment.
+            if self._exiting:
+                self._proc.join(timeout=0.25)
             if self._proc.is_alive():
                 self._proc.terminate()
                 self._proc.join(timeout=5)

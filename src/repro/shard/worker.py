@@ -18,7 +18,7 @@ each shard's planes via :meth:`FaultSchedule.restricted`) and are
 applied at the dataplane level -- link/queue state with the same
 refcounted overlap semantics as :class:`repro.faults.FaultInjector`.
 Fault reactions (route repair, flow resteering) are cross-plane and
-stay serial; see :func:`repro.shard.partition.serial_fallback`.
+stay with :class:`repro.faults.FaultInjector` on the unsharded engines.
 Control moves resteer shard-local flows through
 :meth:`PacketNetwork.resteer`.
 """

@@ -120,69 +120,6 @@ class TestShardedResume:
         assert pickle.dumps(resumed.records) == pickle.dumps(want)
 
 
-class TestLookaheadCheckpoints:
-    """Checkpoints taken while barriers are lookahead-batched.
-
-    With ``epoch`` well below the minimum spanning-path RTT the engine
-    covers several epochs per digest exchange; checkpoints then land on
-    *batched* barriers.  A resume from such a checkpoint must replay
-    the remaining batched rounds byte-identically -- the stride must
-    neither shift nor reset across the cut.
-    """
-
-    EPOCH = 1e-6  # fixture's min spanning RTT is 6e-6 -> stride 6
-    #: Tighter than the module-wide EVERY: the 4-flow workload drains
-    #: quickly and must still cross two checkpoints for the
-    #: kill-after-first resume below.
-    CKPT_EVERY = 1e-4
-
-    def test_run_is_batched_under_small_epoch(self):
-        pnet, specs = jellyfish_workload(n_flows=4)
-        result = _run(pnet, specs, 2, epoch=self.EPOCH)
-        assert result.stride > 1  # the premise of this class
-
-    def test_checkpointed_batched_run_is_unperturbed(self, tmp_path):
-        pnet, specs = jellyfish_workload(n_flows=4)
-        want = _run(pnet, specs, 2, epoch=self.EPOCH).records
-        got = _run(
-            pnet, specs, 2, epoch=self.EPOCH,
-            checkpoint_dir=tmp_path, checkpoint_every=self.CKPT_EVERY,
-        )
-        assert pickle.dumps(got.records) == pickle.dumps(want)
-        assert list_checkpoints(tmp_path, valid_only=True)
-
-    def test_resume_mid_lookahead_is_byte_identical(self, tmp_path):
-        pnet, specs = jellyfish_workload(n_flows=4)
-        want = _run(pnet, specs, 2, epoch=self.EPOCH).records
-        _run(
-            pnet, specs, 2, epoch=self.EPOCH,
-            checkpoint_dir=tmp_path, checkpoint_every=self.CKPT_EVERY,
-        )
-        _keep_only_earliest(tmp_path)
-        resumed = _run(
-            pnet, specs, 2, epoch=self.EPOCH,
-            checkpoint_dir=tmp_path, resume=True,
-        )
-        assert resumed.stride > 1
-        assert pickle.dumps(resumed.records) == pickle.dumps(want)
-
-    def test_resume_batched_across_shm_backend(self, tmp_path):
-        # Batched checkpoint taken in-process, resumed over shared
-        # memory: snapshots and stride derivation are backend-agnostic.
-        pnet, specs = jellyfish_workload(n_flows=4)
-        want = _run(pnet, specs, 2, epoch=self.EPOCH).records
-        _run(
-            pnet, specs, 2, epoch=self.EPOCH,
-            checkpoint_dir=tmp_path, checkpoint_every=self.CKPT_EVERY,
-        )
-        _keep_only_earliest(tmp_path, min_ckpts=1)
-        resumed = run_packet_trial(
-            pnet.planes, specs, shards=2, backend="shm",
-            epoch=self.EPOCH, checkpoint_dir=tmp_path, resume=True,
-        )
-        assert pickle.dumps(resumed.records) == pickle.dumps(want)
-
-
 class TestShardedRejections:
     def test_shard_count_mismatch_rejected(self, tmp_path):
         pnet, specs = jellyfish_workload(n_flows=4)

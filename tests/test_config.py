@@ -2,7 +2,8 @@
 
 One table row per field: a good value, the bad values (each must fail
 with a :class:`ConfigError` naming the variable), and an argument that
-beats the environment.  Then the rules around it: flags, cross-field
+beats the environment; the variables no longer read fail the same way
+at any value.  Then the rules around it: flags, cross-field
 prerequisites, the cache key, ``current``/``use``, the CLI and runner
 entry points failing before any trial runs, and an AST guard that no
 other module reads ``PNET_*`` from the environment.
@@ -20,6 +21,7 @@ import pytest
 import repro
 from repro.cli import main
 from repro.config import (
+    REMOVED as REMOVED_VARIABLES,
     RESULT_FIELDS,
     ConfigError,
     RunConfig,
@@ -57,10 +59,6 @@ def inventory_file(tmp_path):
 ROWS = {
     "scale": ("tiny", "tiny", "full", "full"),
     "jobs": ("4", 4, 2, 2),
-    "shards": ("2", 2, 3, 3),
-    "epoch": ("5e-4", 5e-4, 0.0, 0.0),
-    "lookahead": ("2.5e-4", 2.5e-4, "auto", None),
-    "shard_backend": ("local", "local", "shm", "shm"),
     "shard_timeout": ("0.5", 0.5, 0, None),
     "ckpt_dir": ("ck", pathlib.Path("ck"), "other", pathlib.Path("other")),
     "ckpt_every": ("2", 2, 5, 5),
@@ -83,10 +81,6 @@ ROWS = {
 BAD = {
     "scale": ["huge"],
     "jobs": ["many", "0", "1.5"],
-    "shards": ["0", "two"],
-    "epoch": ["abc", "-1"],
-    "lookahead": ["xyz", "-1e-4"],
-    "shard_backend": ["bogus", "process"],
     "shard_timeout": ["soon"],
     "ckpt_every": ["0", "x"],
     "ckpt_keep": ["0"],
@@ -109,6 +103,21 @@ NEEDS = {
 
 BAD_ROWS = [(name, text) for name, texts in BAD.items() for text in texts]
 
+#: Knobs the config no longer has -> values that once parsed and values
+#: that once failed: each fails at entry now, naming its variable.
+#: ``run_packet_trial``'s arguments shape a sharded run instead.
+REMOVED = {
+    "shards": ["2", "0", "two"],
+    "epoch": ["5e-4", "abc", "-1"],
+    "lookahead": ["auto", "xyz", "-1e-4"],
+    "shard_backend": ["shm", "bogus", "process"],
+}
+
+#: Every environment value that must fail at entry.
+ENV_ROWS = BAD_ROWS + [
+    (name, text) for name, texts in REMOVED.items() for text in texts
+]
+
 
 def _env(name, text, inventory_file):
     env = dict(NEEDS.get(name, {}))
@@ -123,7 +132,7 @@ def _value(value, inventory_file):
 class TestTable:
     def test_every_field_has_a_row(self):
         fields = [f.name for f in dataclasses.fields(RunConfig)]
-        assert len(fields) == 19
+        assert len(fields) == 15
         assert sorted(ROWS) == sorted(fields)
         assert set(BAD) | {"ckpt_dir", "cache_dir"} == set(fields)
 
@@ -133,7 +142,7 @@ class TestTable:
         config = RunConfig.from_env(_env(name, text, inventory_file))
         assert getattr(config, name) == _value(want, inventory_file)
 
-    @pytest.mark.parametrize("name,text", BAD_ROWS)
+    @pytest.mark.parametrize("name,text", ENV_ROWS)
     def test_bad_value_names_the_variable(self, name, text, inventory_file):
         with pytest.raises(ConfigError, match=var(name)) as info:
             RunConfig.from_env(_env(name, text, inventory_file))
@@ -157,7 +166,7 @@ class TestTable:
                 RunConfig.from_env(env, **{name: arg}), name
             ) == want
 
-    @pytest.mark.parametrize("name", sorted(ROWS))
+    @pytest.mark.parametrize("name", sorted(ROWS) + sorted(REMOVED))
     def test_unset_and_empty_mean_default(self, name):
         assert RunConfig.from_env({var(name): ""}) == RunConfig()
         assert RunConfig.from_env({var(name): "  "}) == RunConfig()
@@ -171,6 +180,20 @@ class TestTable:
         )
         with pytest.raises(ConfigError, match=name):
             RunConfig.from_env({}, **given)
+
+    def test_removed_variables(self):
+        assert set(REMOVED_VARIABLES) == {var(name) for name in REMOVED}
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert not set(REMOVED) & fields
+
+    @pytest.mark.parametrize("name", sorted(REMOVED))
+    def test_removed_variable_points_to_run_packet_trial(self, name):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_env({var(name): REMOVED[name][0]})
+        message = str(info.value)
+        assert var(name) in message
+        assert "shards=, epoch= and backend=" in message
+        assert "run_packet_trial" in message
 
     def test_unknown_field_rejected(self):
         with pytest.raises(TypeError, match="bogus"):
@@ -222,23 +245,13 @@ class TestResultTags:
     def test_defaults_add_nothing(self):
         assert RunConfig().result_tags() == ()
 
-    def test_shard_fields_only_when_sharded(self):
-        assert RunConfig(shards=2).result_tags() == (("PNET_SHARDS", 2),)
-        assert RunConfig(shards=2, epoch=0.0).result_tags() == ()
-        assert RunConfig(epoch=5e-4, lookahead=1e-3).result_tags() == ()
-        config = RunConfig(shards=2, epoch=5e-4, lookahead=0.0)
-        assert config.result_tags() == (
-            ("PNET_SHARDS", 2), ("PNET_EPOCH", 5e-4),
-            ("PNET_LOOKAHEAD", 0.0),
-        )
-
     def test_off_is_the_unset_key(self):
         assert RunConfig.from_env({"PNET_CONTROL_POLICY": "off"}) == (
             RunConfig.from_env({})
         )
 
-    def test_result_fields_are_the_seven(self):
-        assert len(RESULT_FIELDS) == 7
+    def test_result_fields_are_the_four(self):
+        assert len(RESULT_FIELDS) == 4
         assert set(RESULT_FIELDS) <= {
             f.name for f in dataclasses.fields(RunConfig)
         }
@@ -263,19 +276,15 @@ class TestCurrent:
 
     def test_pickles(self, inventory_file):
         config = RunConfig.from_env(
-            {"PNET_FARM_INVENTORY": str(inventory_file)}, shards=2
+            {"PNET_FARM_INVENTORY": str(inventory_file)}, jobs=2
         )
         assert pickle.loads(pickle.dumps(config)) == config
 
 
 # --- the cache key -----------------------------------------------------------
 
-#: Result fields flipped off their default, over a baseline environment
-#: (the shard fields count only on a sharded run).
+#: Result fields flipped off their default, over a baseline environment.
 MISS = {
-    "shards": ({}, {"PNET_SHARDS": "2"}),
-    "epoch": ({"PNET_SHARDS": "2"}, {"PNET_EPOCH": "5e-4"}),
-    "lookahead": ({"PNET_SHARDS": "2"}, {"PNET_LOOKAHEAD": "0"}),
     "control_policy": ({}, {"PNET_CONTROL_POLICY": "flowlet"}),
     "control_interval": ({}, {"PNET_CONTROL_INTERVAL": "1e-4"}),
     "control_hysteresis": ({}, {"PNET_CONTROL_HYSTERESIS": "3"}),
@@ -285,7 +294,6 @@ MISS = {
 #: Fields that change no result: flipping them must hit.
 HIT = {
     "jobs": {"PNET_JOBS": "2"},
-    "shard_backend": {"PNET_SHARD_BACKEND": "local"},
     "shard_timeout": {"PNET_SHARD_TIMEOUT": "5"},
     "farm_timeout": {"PNET_FARM_TIMEOUT": "3"},
     "ckpt_dir": {"PNET_CKPT_DIR": "CK"},
@@ -342,7 +350,7 @@ class TestCacheKey:
 
 
 class TestFailsAtEntry:
-    @pytest.mark.parametrize("name,text", BAD_ROWS)
+    @pytest.mark.parametrize("name,text", ENV_ROWS)
     def test_run_trials(self, name, text, monkeypatch, inventory_file):
         for key, value in _env(name, text, inventory_file).items():
             monkeypatch.setenv(key, value)
@@ -350,7 +358,7 @@ class TestFailsAtEntry:
         with pytest.raises(ConfigError, match=var(name)):
             run_trials(FAILING)
 
-    @pytest.mark.parametrize("name,text", BAD_ROWS)
+    @pytest.mark.parametrize("name,text", ENV_ROWS)
     def test_cli_exits_2(self, name, text, monkeypatch, inventory_file,
                          capsys):
         for key, value in _env(name, text, inventory_file).items():
@@ -374,7 +382,7 @@ class TestFailsAtEntry:
     @pytest.mark.parametrize("argv", [
         ["table1", "--resume"],
         ["table1", "--checkpoint-every", "2"],
-        ["table1", "--lookahead", "soon"],
+        ["table1", "--shards", "2"],
         ["table1", "--control-interval", "0"],
         ["table1", "--jobs", "0"],
         ["table1", "--fidelity", "packet"],
@@ -385,6 +393,14 @@ class TestFailsAtEntry:
             main(argv)
         assert info.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_help_lists_no_shard_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        usage = capsys.readouterr().out
+        assert "--jobs" in usage
+        for flag in ("--shards", "--epoch", "--lookahead", "--shard-backend"):
+            assert flag not in usage
 
 
 class TestArgumentsCompleteTheEnvironment:

@@ -1,6 +1,6 @@
-"""Shard-safe control: the driver at the lookahead barriers.
+"""Shard-safe control: the driver at the epoch barriers.
 
-A ``PNET_SHARDS>1`` packet run must keep adaptive control without
+A packet run on more than one shard must keep adaptive control without
 falling back to the serial path: the shard engine samples every worker
 at its barriers, runs the same policy a serial run would, and applies
 per-shard abort+relaunch batches with stable global flow ids.  Results

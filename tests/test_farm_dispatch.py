@@ -38,13 +38,6 @@ def envcheck_trial(name):
     return os.environ.get(name)
 
 
-def backend_trial():
-    """The shard backend a sharded packet trial here would use."""
-    from repro.config import current
-
-    return current().shard_backend
-
-
 def ckptable_trial(x, checkpoint_dir=None, checkpoint_every=None):
     return {"x": x, "dir": checkpoint_dir, "every": checkpoint_every}
 
@@ -266,19 +259,6 @@ class TestRunnerIntegration:
         ) == want
         assert run_trials(specs, checkpoint_dir=root, resume=True) == want
         assert last_stats().resumed_trials == 2
-
-    def test_hosts_run_under_the_parents_shard_backend(self, farm_env):
-        """Hosts are picked by the parent's backend, and their workers
-        use it, whatever the host's own environment names."""
-        from repro.config import RunConfig, use
-
-        inventory = local_inventory(1, env={
-            "PYTHONPATH": WORKER_PYTHONPATH, "PNET_SHARD_BACKEND": "shm",
-        })
-        spec = TrialSpec(fn="tests.test_farm_dispatch:backend_trial",
-                         key=("b",))
-        with use(RunConfig(shards=2, shard_backend="local")):
-            assert run_trials([spec], farm=inventory) == {("b",): "local"}
 
     def test_arguments_make_stale_env_knobs_moot(
         self, farm_env, monkeypatch, tmp_path

@@ -1,7 +1,7 @@
 """Inventory and transport layer of :mod:`repro.farm`.
 
 Declarative host files (JSON always, YAML when available), HostSpec
-validation, capability filtering, environment resolution, and the ssh
+validation, environment resolution, and the ssh
 transport's exact command line (built, never executed -- no network in
 tests).
 """
@@ -31,8 +31,6 @@ class TestHostSpec:
         host = HostSpec(name="box")
         assert host.transport == "local"
         assert host.slots == 1
-        assert host.supports_backend("shm")
-        assert not host.supports_backend("mpi")
 
     def test_name_validation(self):
         with pytest.raises(FarmError, match="slash-free"):
@@ -52,16 +50,6 @@ class TestHostSpec:
         with pytest.raises(FarmError, match="address"):
             HostSpec(name="box", transport="ssh")
 
-    def test_shard_backends_frozen_from_list(self):
-        host = HostSpec(name="box", shard_backends=["local"])
-        assert host.shard_backends == ("local",)
-
-    def test_unknown_shard_backend_rejected(self):
-        with pytest.raises(
-            FarmError, match=r"host 'box': unknown shard backend 'process'"
-        ):
-            HostSpec(name="box", shard_backends=["local", "process"])
-
 
 class TestInventory:
     def test_empty_rejected(self):
@@ -77,19 +65,6 @@ class TestInventory:
             HostSpec(name="a", slots=2), HostSpec(name="b", slots=3),
         ))
         assert inv.n_slots == 5
-
-    def test_capable_filters(self):
-        inv = Inventory((
-            HostSpec(name="a", shard_backends=("local",)),
-            HostSpec(name="b"),
-        ))
-        assert [h.name for h in inv.capable("shm").hosts] == ["b"]
-        assert inv.capable(None) is inv
-
-    def test_capable_empty_raises(self):
-        inv = Inventory((HostSpec(name="a", shard_backends=("local",)),))
-        with pytest.raises(FarmError, match="supports shard backend"):
-            inv.capable("shm")
 
     def test_from_data_shapes(self):
         by_dict = Inventory.from_data(
@@ -121,12 +96,15 @@ class TestInventory:
         assert inv.hosts[1].address == "u@big"
 
     def test_from_file_rejects_unknown_shard_backend(self, tmp_path):
+        # Hosts no longer list shard backends: a run picks its own
+        # through run_packet_trial(backend=...), so an inventory that
+        # still lists them is refused, naming the key.
         path = tmp_path / "farm.json"
         path.write_text(json.dumps({"hosts": [
-            {"name": "big", "shard_backends": ["shm", "process"]},
+            {"name": "big", "shard_backends": ["shm", "local"]},
         ]}))
         with pytest.raises(
-            FarmError, match=r"host 'big': unknown shard backend 'process'"
+            FarmError, match=r"entry 0: unknown keys \['shard_backends'\]"
         ):
             Inventory.from_file(path)
 

@@ -142,7 +142,7 @@ class TestRunTrials:
 _CONTROL_KNOBS = (
     "PNET_CONTROL_POLICY", "PNET_CONTROL_INTERVAL",
     "PNET_CONTROL_HYSTERESIS", "PNET_CONTROL_COOLDOWN",
-    "PNET_JOBS", "PNET_SHARD_BACKEND",
+    "PNET_JOBS", "PNET_SHARD_TIMEOUT",
 )
 
 
@@ -203,13 +203,13 @@ class TestControlKnobsKeyTheCache:
             with pytest.raises(ValueError, match="unknown control policy"):
                 run_trials(specs)
 
-    def test_jobs_and_shard_backend_hit(self, monkeypatch):
+    def test_jobs_and_shard_timeout_hit(self, monkeypatch):
         specs = _control_specs([1, 2])
         run_trials(specs)
         monkeypatch.setenv("PNET_JOBS", "2")
         run_trials(specs)
         assert last_stats().trial_cache_hits == 2
-        monkeypatch.setenv("PNET_SHARD_BACKEND", "local")
+        monkeypatch.setenv("PNET_SHARD_TIMEOUT", "5")
         run_trials(specs)
         assert last_stats().trial_cache_hits == 2
 

@@ -259,6 +259,16 @@ class TestShmBackendFailures:
         finally:
             channel.close()
 
+    def test_close_stops_an_idle_worker_at_once(self):
+        # A healthy worker parked on the command ring cannot exit by
+        # itself, so close stops it without waiting on a join first.
+        channel = ShmChannel(tiny_config())
+        assert channel.rpc(("digest",))[0] == "digest"
+        started = time.perf_counter()
+        channel.close()
+        assert time.perf_counter() - started < 0.05
+        assert not channel._proc.is_alive()
+
     def test_close_reaps_worker_and_segment(self):
         channel = ShmChannel(tiny_config())
         name = channel._shm.name

@@ -9,18 +9,22 @@ The hard invariants (ISSUE acceptance criteria):
 * unshardable workloads (completion callbacks, fractional spanning
   sizes) are refused loudly, never silently approximated, and
   ``serial_fallback=True`` runs them serial and counts the downgrade;
+* while coupling is live, barriers are at most one epoch apart except
+  for exact idle jumps, and uncoupled workers free-run with no
+  barrier at all;
 * fault schedules route per plane and replay identically on both
   backends;
-* ``PNET_JOBS`` budgets the *total* process count: trial workers
-  shrink to ``jobs // shards``, and sharded trial results get their
-  own cache identity.
+* a trial run in one of the runner's pool workers may start its own
+  shard worker processes.
 """
 
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.config import ConfigError
 from repro.core.flowspec import FlowSpec
 from repro.core.path_selection import KspMultipathPolicy
 from repro.exp.common import (
@@ -33,6 +37,7 @@ from repro.faults.schedule import FaultEvent
 from repro.obs import Registry
 from repro.shard import ShardPlan, ShardSafetyError, run_packet_trial
 from repro.sim.network import PacketNetwork
+from repro.topology.graph import HOST, TOR, Topology
 from repro.traffic.patterns import permutation
 from repro.units import KB, MB
 
@@ -214,12 +219,11 @@ class TestShardSafety:
 
         started = []
         monkeypatch.setattr(repro.shard.engine, "ShmChannel", started.append)
-        monkeypatch.setenv("PNET_SHARD_BACKEND", "process")
         pnet, specs = jellyfish_workload(n_flows=2)
         with pytest.raises(
-            ValueError, match=r"one of local/shm, got 'process'"
+            ConfigError, match=r"one of local/shm, got 'process'"
         ):
-            run_packet_trial(pnet.planes, specs, shards=2)
+            run_packet_trial(pnet.planes, specs, shards=2, backend="process")
         assert not started
 
 
@@ -238,32 +242,88 @@ class TestSerialFallback:
     """``serial_fallback=True`` downgrades instead of refusing.
 
     The downgrade must be the literal serial run, and it must be
-    counted on ``shard.serial_fallback`` however the shard count was
-    requested: by argument or by ``PNET_SHARDS``.
+    counted on ``shard.serial_fallback``.
     """
 
     @pytest.mark.parametrize(
         "feature", ["packet.on_complete", "packet.fractional_spanning"]
     )
-    def test_runs_serial_and_counts_the_downgrade(
-        self, feature, monkeypatch
-    ):
+    def test_runs_serial_and_counts_the_downgrade(self, feature):
         pnet, specs = unshardable_workload(feature)
         want = pickle.dumps(
             run_packet_trial(pnet.planes, specs, shards=1).records
         )
-        monkeypatch.delenv("PNET_SHARDS", raising=False)
-        for shards, env in ((2, None), (None, "2")):
-            if env is not None:
-                monkeypatch.setenv("PNET_SHARDS", env)
-            obs = Registry(enabled=True)
-            result = run_packet_trial(
-                pnet.planes, specs, shards=shards,
-                serial_fallback=True, obs=obs,
+        obs = Registry(enabled=True)
+        result = run_packet_trial(
+            pnet.planes, specs, shards=2, serial_fallback=True, obs=obs,
+        )
+        assert result.n_shards == 1
+        assert pickle.dumps(result.records) == want
+        assert obs.value("shard.serial_fallback", feature=feature) == 1
+
+
+def two_plane_pnet(delays):
+    """Two h0--s--h1 planes; ``delays[i]`` = per-link propagation."""
+    planes = []
+    for i, delay in enumerate(delays):
+        plane = Topology(name=f"plane{i}")
+        plane.add_node("h0", HOST)
+        plane.add_node("h1", HOST)
+        plane.add_node("s", TOR)
+        plane.add_link("h0", "s", capacity=10e9, propagation=delay)
+        plane.add_link("s", "h1", capacity=10e9, propagation=delay)
+        planes.append(plane)
+    return planes
+
+
+class TestBarrierSpacing:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        delays=st.lists(
+            st.floats(min_value=1e-6, max_value=2e-5), min_size=2,
+            max_size=2,
+        ),
+    )
+    def test_randomized_ping_no_causality_violation(self, delays):
+        """While coupling is live, consecutive barriers are at most one
+        epoch apart, and the answer stays in the serial envelope."""
+        planes = two_plane_pnet(delays)
+        spec = FlowSpec(
+            src="h0", dst="h1", size=200 * KB,
+            paths=[(i, ["h0", "s", "h1"]) for i in range(2)],
+        )
+        epoch = min(delays) / 2  # several barriers per round trip
+        result = run_packet_trial(
+            planes, [spec], shards=2, backend="local", epoch=epoch,
+            trace_barriers=True,
+        )
+        trace = result.barriers
+        assert trace, "traced run recorded no barriers"
+        for (t0, __), (t1, jumped) in zip(trace, trace[1:]):
+            assert t1 > t0  # simulated time advances monotonically
+            if not jumped:  # idle jumps are exact: every worker idle
+                assert t1 - t0 <= epoch * (1 + 1e-9)
+        serial = run_packet_trial(planes, [spec], shards=1)
+        fct_serial = serial.records[0].fct
+        assert abs(result.records[0].fct - fct_serial) / fct_serial < 0.5
+
+    def test_plane_local_ping_free_runs_with_zero_rounds(self):
+        # No spanning flow: every worker gets one unbounded run grant,
+        # and the result is exact.
+        planes = two_plane_pnet([2e-6, 2e-6])
+        specs = [
+            FlowSpec(
+                src="h0", dst="h1", size=200 * KB,
+                paths=[(i, ["h0", "s", "h1"])],
             )
-            assert result.n_shards == 1
-            assert pickle.dumps(result.records) == want
-            assert obs.value("shard.serial_fallback", feature=feature) == 1
+            for i in range(2)
+        ]
+        sharded = run_packet_trial(
+            planes, specs, shards=2, backend="local", trace_barriers=True
+        )
+        assert sharded.rounds == 0
+        serial = run_packet_trial(planes, specs, shards=1)
+        assert pickle.dumps(sharded.records) == pickle.dumps(serial.records)
 
 
 class TestFaultRouting:
@@ -296,38 +356,19 @@ class TestFaultRouting:
         )
 
 
-def shard_probe_trial():
-    """Module-level so pool workers can resolve it by name."""
-    return 42
-
-
 def sharded_trial(n_flows):
     """A trial that shards on shm: each shard is one more process."""
     pnet, specs = jellyfish_workload(n_flows=n_flows, size=50 * KB)
-    result = run_packet_trial(pnet.planes, specs, backend="shm")
+    result = run_packet_trial(pnet.planes, specs, shards=2, backend="shm")
     return result.n_shards, pickle.dumps(result.records)
 
 
 class TestRunnerBudgeting:
-    def test_jobs_budget_is_divided_by_shards(self, monkeypatch):
-        monkeypatch.setenv("PNET_JOBS", "4")
-        monkeypatch.setenv("PNET_SHARDS", "2")
-        run_trials([
-            TrialSpec(
-                fn="tests.test_shard_engine:shard_probe_trial", key=(i,)
-            )
-            for i in range(3)
-        ])
-        stats = last_stats()
-        assert stats.jobs == 4
-        assert stats.shards == 2
-        assert stats.trial_workers == 2
-        assert "2 trial" in stats.summary()
+    """Sharded trials inside the runner's process pool."""
 
     def test_sharded_trials_run_in_pool_workers(self, monkeypatch):
         # Pool workers start the trial's shard processes: the values are
         # the serial run's, and no worker dies for being daemonic.
-        monkeypatch.setenv("PNET_SHARDS", "2")
         monkeypatch.setenv("PNET_CACHE", "0")
         specs = [
             TrialSpec(
@@ -338,42 +379,6 @@ class TestRunnerBudgeting:
         ]
         serial = run_trials(specs, jobs=1)
         pooled = run_trials(specs, jobs=4)
-        assert last_stats().trial_workers == 2
+        assert last_stats().trial_workers == 4
         assert pooled == serial
         assert [n_shards for n_shards, __ in pooled.values()] == [2, 2]
-
-    def test_epoch_zero_restores_full_parallelism(self, monkeypatch):
-        monkeypatch.setenv("PNET_JOBS", "4")
-        monkeypatch.setenv("PNET_SHARDS", "2")
-        monkeypatch.setenv("PNET_EPOCH", "0")
-        run_trials([
-            TrialSpec(
-                fn="tests.test_shard_engine:shard_probe_trial", key=("z",)
-            )
-        ])
-        stats = last_stats()
-        assert stats.shards == 1
-        assert stats.trial_workers == 4
-
-    def test_cache_key_tags_sharded_runs_only(self, monkeypatch):
-        from repro.config import RunConfig
-        from repro.exp.runner import _trial_cache_key
-
-        spec = TrialSpec(
-            fn="tests.test_shard_engine:shard_probe_trial", key=("k",)
-        )
-
-        def key():
-            return _trial_cache_key(spec, RunConfig.from_env())
-
-        monkeypatch.delenv("PNET_SHARDS", raising=False)
-        monkeypatch.delenv("PNET_EPOCH", raising=False)
-        serial_key = key()
-        monkeypatch.setenv("PNET_SHARDS", "2")
-        sharded_key = key()
-        assert serial_key != sharded_key
-        assert ("PNET_SHARDS", 2) in sharded_key[-2:]
-        # epoch 0 runs the byte-identical serial path: untagged key, so
-        # existing golden caches stay valid.
-        monkeypatch.setenv("PNET_EPOCH", "0")
-        assert key() == serial_key

@@ -1,11 +1,13 @@
 """Unit tests for the plane-partitioning layer of :mod:`repro.shard`."""
 
+import inspect
+
 import pytest
 
 from repro.config import ConfigError, RunConfig
 from repro.core.flowspec import FlowSpec
-from repro.obs import Registry
-from repro.shard import DEFAULT_EPOCH, ShardPlan, classify, serial_fallback
+from repro.shard import DEFAULT_EPOCH, ShardPlan, classify, run_packet_trial
+from tests.test_shard_engine import jellyfish_workload
 
 
 def spanning_spec(planes, src="h0", dst="h1", size=1000):
@@ -75,55 +77,42 @@ class TestClassify:
 
 
 class TestEnvKnobs:
-    def test_shards_default(self, monkeypatch):
-        monkeypatch.delenv("PNET_SHARDS", raising=False)
-        assert RunConfig.from_env().shards == 1
+    """The shard count and epoch are ``run_packet_trial`` arguments,
+    checked at entry; the variables that once set them fail at entry."""
+
+    def test_shards_default(self):
+        shards = inspect.signature(run_packet_trial).parameters["shards"]
+        assert shards.default == 1
 
     def test_shards_env(self, monkeypatch):
         monkeypatch.setenv("PNET_SHARDS", "4")
-        assert RunConfig.from_env().shards == 4
-
-    def test_shards_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("PNET_SHARDS", "4")
-        assert RunConfig.from_env(shards=2).shards == 2
-
-    def test_shards_invalid(self, monkeypatch):
-        monkeypatch.setenv("PNET_SHARDS", "many")
-        with pytest.raises(ConfigError, match="PNET_SHARDS"):
+        with pytest.raises(ConfigError, match="PNET_SHARDS='4'"):
             RunConfig.from_env()
-        with pytest.raises(ConfigError, match="shards"):
-            RunConfig.from_env(shards=0)
+        # A direct call fails on the stale variable too, at entry.
+        with pytest.raises(ConfigError, match="PNET_SHARDS='4'"):
+            run_packet_trial([], [])
 
-    def test_epoch_default(self, monkeypatch):
-        monkeypatch.delenv("PNET_EPOCH", raising=False)
-        assert RunConfig.from_env().epoch == DEFAULT_EPOCH
+    def test_shards_invalid(self):
+        for bad in (0, "two", 1.5, None):
+            with pytest.raises(ConfigError, match="shards must be"):
+                run_packet_trial([], [], shards=bad)
+
+    def test_epoch_default(self):
+        epoch = inspect.signature(run_packet_trial).parameters["epoch"]
+        assert epoch.default == DEFAULT_EPOCH
 
     def test_epoch_env_and_zero(self, monkeypatch):
         monkeypatch.setenv("PNET_EPOCH", "5e-4")
-        assert RunConfig.from_env().epoch == 5e-4
-        assert RunConfig.from_env(epoch=0.0).epoch == 0.0
-
-    def test_epoch_invalid(self, monkeypatch):
-        monkeypatch.setenv("PNET_EPOCH", "soon")
-        with pytest.raises(ConfigError, match="PNET_EPOCH"):
+        with pytest.raises(ConfigError, match="PNET_EPOCH='5e-4'"):
             RunConfig.from_env()
-        with pytest.raises(ConfigError, match="epoch"):
-            RunConfig.from_env(epoch=-1.0)
+        monkeypatch.delenv("PNET_EPOCH")
+        # Epoch 0 takes the serial path whatever the shard count.
+        pnet, specs = jellyfish_workload(n_flows=2)
+        result = run_packet_trial(pnet.planes, specs, shards=2, epoch=0)
+        assert result.n_shards == 1
+        assert result.epoch == 0.0
 
-
-class TestSerialFallback:
-    def test_returns_one_and_counts_when_sharded(self, monkeypatch):
-        monkeypatch.setenv("PNET_SHARDS", "2")
-        obs = Registry()
-        assert serial_fallback("unit-test", obs=obs) == 1
-        assert obs.counter(
-            "shard.serial_fallback", feature="unit-test"
-        ).value == 1
-
-    def test_silent_when_serial(self, monkeypatch):
-        monkeypatch.delenv("PNET_SHARDS", raising=False)
-        obs = Registry()
-        assert serial_fallback("unit-test", obs=obs) == 1
-        assert obs.counter(
-            "shard.serial_fallback", feature="unit-test"
-        ).value == 0
+    def test_epoch_invalid(self):
+        for bad in (-1.0, "soon", float("nan"), None):
+            with pytest.raises(ConfigError, match="epoch must be"):
+                run_packet_trial([], [], epoch=bad)
