@@ -12,9 +12,8 @@ laggards.
 This demo runs the same sparse K=2-of-4-planes KSP permutation twice
 on a heterogeneous Jellyfish P-Net -- once static, once with the
 hysteresis-guarded load-aware policy -- and compares flow completion
-times.  The same loop is available without code changes via
-`PNET_CONTROL_POLICY=load-aware` or `--control load-aware` on any
-`python -m repro` experiment.
+times.  Any trial attaches the same loop by passing `control=` to
+`repro.api.run_trial`.
 
 Run:  python examples/adaptive_control.py
 """
@@ -69,9 +68,8 @@ def main() -> None:
         f"{ACTIVE} flows x {FLOW_BYTES // MB} MB, K={K} subflows each\n"
     )
 
-    # Arm 1: the static gamble.  control="off" pins it static even if
-    # the ambient PNET_CONTROL_POLICY knob is set.
-    static = run_once(pnet, specs, control="off")
+    # Arm 1: the static gamble.
+    static = run_once(pnet, specs, control=None)
 
     # Arm 2: the same matrix under the load-aware controller.  Every
     # millisecond of simulated time it moves the most-lagging subflow

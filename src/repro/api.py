@@ -48,7 +48,7 @@ from typing import (
 )
 
 from repro.ckpt.snapshot import check_args
-from repro.config import RunConfig, current
+from repro.config import current
 from repro.core.flowspec import FlowSpec
 from repro.core.monitoring import NetworkMonitor
 from repro.core.pnet import PNet
@@ -274,10 +274,9 @@ def run_trial(
     :class:`~repro.control.ResteerPolicy`, or a registered policy name
     like ``"load-aware"``) attaches the adaptive control loop to any of
     the three engines before the flows launch; its summary lands in
-    ``meta["control"]``.  ``control=None`` (the default) consults
-    ``PNET_CONTROL_POLICY`` (the ``--control`` CLI flag); ``"off"``
-    forces control off regardless of the environment.  With control
-    off nothing is attached and results are byte-identical to builds
+    ``meta["control"]``.  A controller drives one run: passing it to a
+    second raises ``RuntimeError``.  ``control=None`` (the default) and
+    ``"off"`` attach nothing, and results are byte-identical to builds
     without the control plane.
 
     With ``checkpoint_dir`` and ``checkpoint_every`` the run writes
@@ -289,7 +288,12 @@ def run_trial(
     ``checkpoint_*`` arguments and ``on_checkpoint`` need
     ``checkpoint_every``; without it they raise ``ValueError`` before
     any flow is submitted.
+
+    Resolving the run config at entry raises a ``ConfigError`` for a
+    bad or removed ``PNET_*`` variable (``PNET_CONTROL_*`` among them)
+    before any flow is submitted.
     """
+    current()
     if getattr(network, "kind", None) not in _ENGINES:
         raise TypeError(
             f"{type(network).__name__} is not a simulation engine "
@@ -308,13 +312,7 @@ def run_trial(
                 f"got kind={network.kind!r}"
             )
         network.promotion = resolve_policy(promotion)
-    if control is None:
-        # --control / PNET_CONTROL_POLICY; unset is off, byte-identical
-        # to builds without the control plane.
-        control = current().control_policy
-    elif isinstance(control, str):  # a name needs no environment
-        control = RunConfig(control_policy=control).control_policy
-    if control is not None:
+    if control is not None and control != "off":
         from repro.control import as_controller
 
         controller = as_controller(control)

@@ -47,7 +47,6 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.config import SCALES, ConfigError, RunConfig, use
-from repro.control.policy import POLICIES
 
 #: Experiment registry: name -> module path (each has run() and main()).
 EXPERIMENTS = {
@@ -155,25 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "promotion policy for hybrid runs (e.g. 'sampled:0.1:0', "
             "'tagged:probe+0.05', or a bare probability)"
-        ),
-    )
-    parser.add_argument(
-        "--control",
-        choices=sorted(POLICIES) + ["off"],
-        default=None,
-        help=(
-            "adaptive control policy for control-aware runs (overrides "
-            "PNET_CONTROL_POLICY; 'off' pins a run static)"
-        ),
-    )
-    parser.add_argument(
-        "--control-interval",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help=(
-            "control-loop period on the simulated clock "
-            "(overrides PNET_CONTROL_INTERVAL)"
         ),
     )
     parser.add_argument(
@@ -652,8 +632,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ckpt_every=args.checkpoint_every,
         ckpt_keep=args.keep_last,
         resume=args.resume or None,
-        control_policy=args.control,
-        control_interval=args.control_interval,
     )
     hybrid_knobs = {"fidelity": args.fidelity, "promote": args.promote}
     if (args.fidelity, args.promote) != (None, None) and (

@@ -6,13 +6,13 @@ arguments over the environment over defaults -- and checks every field
 there, so a bad value fails with a :class:`ConfigError` that names the
 variable or argument before any trial runs.  :func:`use` makes a config
 :func:`current` for the code an entry point runs; the runner hands it
-to its pool workers, and the farm ships its :data:`RESULT_FIELDS` with
-every trial.  Those four fields change results, so the trial cache key
-carries each one that is off its default (:meth:`RunConfig.result_tags`).
+to its pool workers.  No field changes a result, so the trial cache key
+names none of them and a farm worker runs under its own host's config.
 
 A sharded packet run is shaped by the arguments of
-:func:`repro.shard.run_packet_trial` alone; the variables that once set
-it (:data:`REMOVED`) fail at entry rather than leave a run serial
+:func:`repro.shard.run_packet_trial` alone, and adaptive control by
+``control=`` of :func:`repro.api.run_trial`; the variables that once
+set them (:data:`REMOVED`) fail at entry rather than be ignored
 without a word.
 """
 
@@ -28,26 +28,22 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 #: Experiment scale names, smallest first.
 SCALES = ("tiny", "small", "full")
-#: Control period (simulated seconds): one order above datacenter RTTs.
-DEFAULT_CONTROL_INTERVAL = 1e-3
-#: Load-aware moves need the current plane to carry more than this
-#: multiple of the target plane's load.
-DEFAULT_HYSTERESIS = 2.0
-#: Per-flow cooldown (simulated seconds) between load-aware moves.
-DEFAULT_COOLDOWN = 0.0
 #: Farm worker heartbeat timeout (seconds).
 DEFAULT_FARM_TIMEOUT = 10.0
 
-#: The fields that change results, in cache-key order.
-RESULT_FIELDS = (
-    "control_policy", "control_interval", "control_hysteresis",
-    "control_cooldown",
-)
-
-#: Variables no longer read; setting one is a :class:`ConfigError`.
-REMOVED = (
-    "PNET_SHARDS", "PNET_EPOCH", "PNET_LOOKAHEAD", "PNET_SHARD_BACKEND",
-)
+#: Variables no longer read -> what to do instead; setting one is a
+#: :class:`ConfigError`.
+REMOVED = {
+    **dict.fromkeys(
+        ("PNET_SHARDS", "PNET_EPOCH", "PNET_LOOKAHEAD", "PNET_SHARD_BACKEND"),
+        "pass shards=, epoch= and backend= to repro.shard.run_packet_trial",
+    ),
+    **dict.fromkeys(
+        ("PNET_CONTROL_POLICY", "PNET_CONTROL_INTERVAL",
+         "PNET_CONTROL_HYSTERESIS", "PNET_CONTROL_COOLDOWN"),
+        "pass control= to repro.api.run_trial",
+    ),
+}
 
 
 class ConfigError(ValueError):
@@ -123,20 +119,6 @@ def _shard_timeout(raw: Any, label: str) -> Optional[float]:
     return value if value > 0 else None
 
 
-def _control_policy(raw: Any, label: str) -> Optional[str]:
-    name = str(raw).strip()
-    if name in ("", "off"):
-        return None
-    from repro.control.policy import POLICIES  # it imports this module
-
-    if name not in POLICIES:
-        raise ConfigError(
-            f"{label}: unknown control policy {name!r} "
-            f"(known: {', '.join(sorted(POLICIES))}, off)"
-        )
-    return name
-
-
 def _inventory(raw: Any, label: str) -> Any:
     if not isinstance(raw, (str, os.PathLike)):
         return raw  # a live inventory, checked when the farm starts
@@ -158,10 +140,6 @@ _PARSERS: Dict[str, Callable[[Any, str], Any]] = {
     "cache_dir": lambda raw, label: pathlib.Path(raw).expanduser(),
     "farm_inventory": _inventory,
     "farm_timeout": _real(0.0, strict=True),
-    "control_policy": _control_policy,
-    "control_interval": _real(0.0, strict=True),
-    "control_hysteresis": _real(1.0),
-    "control_cooldown": _real(0.0),
 }
 _VARIABLES = {name: "PNET_" + name.upper() for name in _PARSERS}
 
@@ -169,8 +147,8 @@ _VARIABLES = {name: "PNET_" + name.upper() for name in _PARSERS}
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Every run-wide knob, checked.  ``None`` leaves an optional field
-    unset: control, checkpoints and the farm are off, shard workers
-    are waited on forever, and the cache lives in ``~/.cache/pnet``."""
+    unset: checkpoints and the farm are off, shard workers are waited
+    on forever, and the cache lives in ``~/.cache/pnet``."""
 
     scale: str = "small"
     jobs: int = 1
@@ -183,10 +161,6 @@ class RunConfig:
     cache_dir: Optional[pathlib.Path] = None
     farm_inventory: Any = None  # an inventory file, or a live inventory
     farm_timeout: float = DEFAULT_FARM_TIMEOUT
-    control_policy: Optional[str] = None
-    control_interval: float = DEFAULT_CONTROL_INTERVAL
-    control_hysteresis: float = DEFAULT_HYSTERESIS
-    control_cooldown: float = DEFAULT_COOLDOWN
 
     def __post_init__(self):
         for name, parse in _PARSERS.items():
@@ -215,13 +189,12 @@ class RunConfig:
         defaults.  A ``None`` argument and an unset or empty variable
         all mean "not given"."""
         environ = os.environ if environ is None else environ
-        for variable in REMOVED:
+        for variable, instead in REMOVED.items():
             raw = environ.get(variable, "").strip()
             if raw:
                 raise ConfigError(
-                    f"{variable}={raw!r} is no longer read: pass shards=, "
-                    "epoch= and backend= to "
-                    "repro.shard.run_packet_trial instead, and unset it"
+                    f"{variable}={raw!r} is no longer read: {instead} "
+                    "instead, and unset it"
                 )
         values = {k: v for k, v in given.items() if v is not None}
         for name, variable in _VARIABLES.items():
@@ -239,28 +212,21 @@ class RunConfig:
         }
         return dataclasses.replace(self, **changes) if changes else self
 
-    def result_tags(self) -> tuple:
-        """``(variable, value)`` for each result field off its default."""
-        return tuple([
-            (_VARIABLES[name], getattr(self, name)) for name in RESULT_FIELDS
-            if getattr(self, name) != _DEFAULTS[name]
-        ])
-
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
 _active: List[RunConfig] = []
 
 
-def worker_config(shipped: Mapping[str, Any]) -> RunConfig:
-    """A farm worker's config for one trial: this host's environment
-    with the ``shipped`` fields put in before any check.  The sweep's
-    own knobs are the dispatcher's, so the host's are not read."""
+def worker_config() -> RunConfig:
+    """A farm worker's config for one trial: this host's environment.
+    The sweep's own knobs are the dispatcher's, so the host's are not
+    read."""
     sweep = ("jobs", "ckpt_dir", "ckpt_every", "ckpt_keep", "resume",
              "farm_inventory", "farm_timeout")
-    skip = {_VARIABLES[name] for name in (*sweep, *shipped)}
+    skip = {_VARIABLES[name] for name in sweep}
     environ = {k: v for k, v in os.environ.items() if k not in skip}
-    return dataclasses.replace(RunConfig.from_env(environ), **shipped)
+    return RunConfig.from_env(environ)
 
 
 def current(**given: Any) -> RunConfig:

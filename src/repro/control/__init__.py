@@ -2,15 +2,15 @@
 
 Closes the loop from measurement to path decision while the simulation
 runs: a deterministic, seedable :class:`Controller` samples
-per-subflow/per-plane state every ``PNET_CONTROL_INTERVAL`` simulated
-seconds, feeds it to a pluggable :class:`ResteerPolicy`
+per-subflow/per-plane state every ``interval`` simulated seconds,
+feeds it to a pluggable :class:`ResteerPolicy`
 (``ecmp-reshuffle`` | ``flowlet`` | ``load-aware``, or DARD as a
 :class:`DardPolicy`), and applies the decisions through the engine's
 own ``resteer``, the same call :mod:`repro.faults` makes.
-Enable it with ``run_trial(control=...)`` on any engine, or via
-``PNET_CONTROL_POLICY``; sharded packet runs drive the same policy
-objects at epoch barriers (:mod:`.sharded`) instead of falling
-back to serial.
+Enable it with ``run_trial(control=...)`` on any engine, or
+``run_packet_trial(control=...)``; sharded packet runs drive the same
+policy objects at epoch barriers (:mod:`.sharded`).  A controller
+drives one run: reusing it raises.
 """
 
 from repro.control.controller import Controller, ControlStats, as_controller

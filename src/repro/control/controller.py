@@ -1,7 +1,7 @@
 """The deterministic control loop for serial engines.
 
 A :class:`Controller` samples per-subflow/per-plane state every
-``interval`` simulated seconds (``PNET_CONTROL_INTERVAL``), feeds the
+``interval`` simulated seconds, feeds the
 :class:`~repro.control.monitor.ControlSample` to its
 :class:`~repro.control.policy.ResteerPolicy`, and applies the decisions.
 
@@ -26,11 +26,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Union
 
-from repro.config import current
 from repro.control.monitor import ControlMonitor
 from repro.control.policy import ResteerPolicy, make_policy
 from repro.core.pnet import PNet
 from repro.obs import get_registry
+
+#: Control period (simulated seconds): one order above datacenter RTTs.
+DEFAULT_INTERVAL = 1e-3
 
 
 @dataclass
@@ -57,11 +59,9 @@ class Controller:
         policy: a :class:`ResteerPolicy` instance (e.g. a
             :class:`~repro.control.policy.DardPolicy`) or a registered
             name (``"ecmp-reshuffle"`` | ``"flowlet"`` | ``"load-aware"``).
-        interval: control period on the simulated clock; default
-            the current config's (``PNET_CONTROL_INTERVAL``, else
-            1 ms).  Ticks land on
-            absolute multiples of the interval, so serial and sharded
-            runs sample at the same instants.
+        interval: control period on the simulated clock (> 0).  Ticks
+            land on absolute multiples of the interval, so serial and
+            sharded runs sample at the same instants.
         seed: forwarded to the policy when built from a name.
         pnet: routing view for path candidates; derived from the
             network's planes at :meth:`attach` when omitted.
@@ -70,14 +70,16 @@ class Controller:
     def __init__(
         self,
         policy: Union[ResteerPolicy, str],
-        interval: Optional[float] = None,
+        interval: float = DEFAULT_INTERVAL,
         seed: int = 0,
         pnet: Optional[PNet] = None,
     ):
         if isinstance(policy, str):
             policy = make_policy(policy, pnet=pnet, seed=seed)
         self.policy = policy
-        self.interval = current(control_interval=interval).control_interval
+        self.interval = float(interval)
+        if not self.interval > 0:
+            raise ValueError(f"interval must be > 0, got {interval!r}")
         self.pnet = pnet
         self.monitor = ControlMonitor()
         self.stats = ControlStats()
@@ -95,14 +97,20 @@ class Controller:
 
     # --- wiring -------------------------------------------------------------
 
-    def attach(self, network) -> None:
-        """Start the loop on a serial engine's simulated clock."""
+    def claim(self, owner) -> None:
+        """Bind this controller to the one run ``owner`` -- a serial
+        engine or a shard control driver -- drives.  Its policy, monitor
+        and stats then hold that run's state, so a second claim raises."""
         if self._network is not None:
             raise RuntimeError("controller is already attached")
+        self._network = owner
+
+    def attach(self, network) -> None:
+        """Start the loop on a serial engine's simulated clock."""
+        self.claim(network)
         if self.pnet is None:
             self.pnet = PNet(network.planes)
         self.policy.bind(self.pnet)
-        self._network = network
         self._obs = getattr(network, "obs", None) or get_registry()
         # Bound method, not a closure: pending ticks must pickle so a
         # checkpoint taken mid-run resumes the control loop.

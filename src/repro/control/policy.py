@@ -9,7 +9,7 @@ the controller has the engine resteer the flow, and the shard engine
 relaunches it in the owning worker).
 
 Built-ins, resolvable by name through :func:`make_policy` (and the
-``PNET_CONTROL_POLICY`` environment knob):
+``control="<name>"`` spelling of :func:`repro.api.run_trial`):
 
 * ``"ecmp-reshuffle"`` -- when some plane runs hot, re-hash the flows
   touching it onto fresh ECMP choices (new salt per tick), the
@@ -33,11 +33,16 @@ import bisect
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import left_sum
-from repro.config import current
 from repro.core.failures import path_is_live
 from repro.core.flowspec import same_paths
 from repro.core.path_selection import KspMultipathPolicy
 from repro.core.pnet import PlanePath, PNet
+
+#: Load-aware moves need the current plane to carry more than this
+#: multiple of the target plane's load.
+DEFAULT_HYSTERESIS = 2.0
+#: Per-flow cooldown (simulated seconds) between load-aware moves.
+DEFAULT_COOLDOWN = 0.0
 from repro.routing.ecmp import flow_hash
 
 
@@ -279,10 +284,10 @@ class LoadAwarePolicy(ResteerPolicy):
     Each tick: rank multipath flows by subflow progress spread, take
     the most imbalanced, and move its slowest subflow onto the
     least-loaded plane -- but only when the current plane carries more
-    than ``hysteresis`` times the target plane's load, and the flow has
-    not moved within ``cooldown`` simulated seconds.  ``max_moves``
-    flows move per tick (default 1: one careful move beats many rash
-    ones, and keeps the loop analyzable).
+    than ``hysteresis`` (>= 1) times the target plane's load, and the
+    flow has not moved within ``cooldown`` (>= 0) simulated seconds.
+    ``max_moves`` flows move per tick (default 1: one careful move
+    beats many rash ones, and keeps the loop analyzable).
     """
 
     name = "load-aware"
@@ -291,16 +296,17 @@ class LoadAwarePolicy(ResteerPolicy):
         self,
         pnet: Optional[PNet] = None,
         seed: int = 0,
-        hysteresis: Optional[float] = None,
-        cooldown: Optional[float] = None,
+        hysteresis: float = DEFAULT_HYSTERESIS,
+        cooldown: float = DEFAULT_COOLDOWN,
         max_moves: int = 1,
     ):
         super().__init__(pnet, seed)
-        config = current(
-            control_hysteresis=hysteresis, control_cooldown=cooldown
-        )
-        self.hysteresis = config.control_hysteresis
-        self.cooldown = config.control_cooldown
+        self.hysteresis = float(hysteresis)
+        if not self.hysteresis >= 1.0:
+            raise ValueError(f"hysteresis must be >= 1, got {hysteresis!r}")
+        self.cooldown = float(cooldown)
+        if not self.cooldown >= 0.0:
+            raise ValueError(f"cooldown must be >= 0, got {cooldown!r}")
         self.max_moves = max_moves
         self._last_move: Dict[Any, float] = {}
 
@@ -450,8 +456,8 @@ def _sort_key(gid):
     return (0, gid)
 
 
-#: Name -> class, the registry behind ``PNET_CONTROL_POLICY`` and the
-#: ``control="<name>"`` spelling of :func:`repro.api.run_trial`.
+#: Name -> class, the registry behind the ``control="<name>"``
+#: spelling of :func:`repro.api.run_trial`.
 #: :class:`DardPolicy` is left out: it is built as an object.
 POLICIES = {
     EcmpReshufflePolicy.name: EcmpReshufflePolicy,

@@ -49,6 +49,7 @@ class ShardControlDriver:
         local: Dict[int, List[int]],
         spanning_gids: Sequence[int],
     ):
+        controller.claim(self)
         self.policy = controller.policy
         self.interval = controller.interval
         self.monitor: ControlMonitor = controller.monitor

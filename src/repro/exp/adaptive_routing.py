@@ -86,12 +86,12 @@ def run(scale: Optional[str] = None) -> AdaptiveResult:
                 )
                 for flow_id, (src, dst) in enumerate(pairs)
             ]
-            # "off": static variants ignore PNET_CONTROL_POLICY.  DARD
-            # draws its candidates with KSP seed 97 whatever the matrix.
+            # DARD draws its candidates with KSP seed 97 whatever the
+            # matrix.
             control = Controller(
                 DardPolicy(pnet, seed=97), interval=params["epoch"],
                 pnet=pnet,
-            ) if adaptive else "off"
+            ) if adaptive else None
             records = run_trial(sim, specs, control=control).records
             return summarize([r.fct for r in records]).mean
 

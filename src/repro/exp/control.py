@@ -5,7 +5,7 @@ the table (Figure 6a): with K subflows chosen from N > K planes per
 flow, collisions concentrate several flows on the same planes while
 others sit idle -- and nothing in the static scheme ever moves them.
 The control plane's answer is measurement-driven resteering: sample
-per-subflow progress and per-plane load every ``PNET_CONTROL_INTERVAL``
+per-subflow progress and per-plane load every control interval
 and let a :class:`~repro.control.ResteerPolicy` shift the placement
 while the flows run.
 
@@ -137,9 +137,7 @@ def _run_one(
         )
         injector = FaultInjector(pnet, schedule, selector=selector)
         injector.attach(sim)
-    # "off", not None: the static baselines must stay static even when
-    # the ambient PNET_CONTROL_POLICY / --control knob is set.
-    control = "off" if variant is None else Controller(
+    control = None if variant is None else Controller(
         _policy(variant, params, seed), interval=params["interval"],
         pnet=pnet,
     )

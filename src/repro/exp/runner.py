@@ -170,13 +170,10 @@ def _code_hash(module_name: str) -> str:
     return hashlib.sha256((package + source).encode()).hexdigest()
 
 
-def _trial_cache_key(spec: TrialSpec, config: RunConfig) -> Tuple:
-    """The whole-trial cache key: function, code hash and kwargs, plus
-    each result-affecting config field off its default.  Unset knobs
-    and the control policy ``off`` add nothing, so they share the plain
-    key."""
-    key = (spec.fn, _code_hash(spec.fn.partition(":")[0]), spec.kwargs)
-    return key + config.result_tags()
+def _trial_cache_key(spec: TrialSpec) -> Tuple:
+    """The whole-trial cache key: function, code hash and kwargs.  No
+    run config field changes a result, so none is part of it."""
+    return (spec.fn, _code_hash(spec.fn.partition(":")[0]), spec.kwargs)
 
 
 def _execute(spec: TrialSpec, config: RunConfig) -> tuple:
@@ -190,7 +187,7 @@ def _execute(spec: TrialSpec, config: RunConfig) -> tuple:
         cache = _cache.get_cache()
         hits0, misses0 = cache.hits, cache.misses
         value = resolve_fn(spec.fn)(**spec.kwargs)
-        cache.put("trial", _trial_cache_key(spec, config), value)
+        cache.put("trial", _trial_cache_key(spec), value)
     return (
         spec.key,
         value,
@@ -299,7 +296,7 @@ def _run_trials(specs: Sequence[TrialSpec], config: RunConfig):
     # Resume state first, then the whole-trial cache: anything already
     # computed (by a prior possibly-killed sweep, any prior run, or any
     # other process) never reaches the pool.
-    trial_key = {spec.key: _trial_cache_key(spec, config) for spec in specs}
+    trial_key = {spec.key: _trial_cache_key(spec) for spec in specs}
     content_hash = {
         key: _cache.stable_hash(value) for key, value in trial_key.items()
     }

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``workers --inventory INV`` -- validate an inventory file and print
-  its host/slot/capability table.
+  its host/transport/slot/core table.
 * ``run --inventory INV`` -- drive a trial sweep across the farm
   through :func:`repro.exp.runner.run_trials`; the default grid is the
   reference resumable trial (:func:`repro.farm.trial.demo_trial`) over

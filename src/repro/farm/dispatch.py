@@ -14,8 +14,7 @@ recomputing.
 
 Results are keyed by trial content hash exactly as the single-host
 runner keys them, so a farm run's merged output is byte-identical to
-``run_trials`` on one machine at any host/worker count: every
-assignment carries the result-affecting config fields the key names.
+``run_trials`` on one machine at any host/worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import Listener, wait as conn_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.config import RESULT_FIELDS, current
+from repro.config import current
 from repro.farm.inventory import FarmError, Inventory
 from repro.farm.transport import WorkerHandle, get_transport
 from repro.obs import get_registry
@@ -114,15 +113,9 @@ class Dispatcher:
     ):
         if not specs:
             raise FarmError("no trials to dispatch")
-        config = current(farm_timeout=timeout)
         self.specs = list(specs)
         self.inventory = inventory
-        self.timeout = config.farm_timeout
-        # Workers run under their host's config with the fields that
-        # change results put in.
-        self.worker_config = {
-            name: getattr(config, name) for name in RESULT_FIELDS
-        }
+        self.timeout = current(farm_timeout=timeout).farm_timeout
         self.heartbeat = max(min(self.timeout / 4, 2.0), 0.05)
         self.trial_checkpoint_root = trial_checkpoint_root
         self.trial_checkpoint_every = trial_checkpoint_every
@@ -136,7 +129,7 @@ class Dispatcher:
             from repro.exp.runner import _trial_cache_key
 
             content_hash = {
-                spec.key: stable_hash(_trial_cache_key(spec, config))
+                spec.key: stable_hash(_trial_cache_key(spec))
                 for spec in self.specs
             }
         self.content_hash = content_hash
@@ -272,7 +265,6 @@ class Dispatcher:
             "checkpoint_dir": self._trial_checkpoint_dir(pending.spec),
             "checkpoint_every": self.trial_checkpoint_every,
             "resume": pending.resume,
-            "config": self.worker_config,
         }
         try:
             worker.conn.send(msg)

@@ -20,7 +20,7 @@ A trial without these parameters still runs on the farm; it is simply
 recomputed from scratch if its worker dies.
 
 A trial runs under :func:`repro.config.worker_config`: this host's
-config with the assignment's fields put in, so cache paths stay local.
+config, so cache paths stay local.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def execute_assignment(msg: Dict[str, Any]) -> Dict[str, Any]:
     key = msg["key"]
     started = time.perf_counter()
     try:
-        config = worker_config(msg.get("config", {}))
+        config = worker_config()
         fn = resolve_fn(msg["fn"])
         kwargs = dict(msg["kwargs"])
         checkpoint_dir = msg.get("checkpoint_dir")
@@ -122,9 +122,7 @@ def execute_assignment(msg: Dict[str, Any]) -> Dict[str, Any]:
         spec = TrialSpec(fn=msg["fn"], key=key, kwargs=dict(msg["kwargs"]))
         with use(config):
             value = fn(**kwargs)
-            _cache.get_cache().put(
-                "trial", _trial_cache_key(spec, config), value
-            )
+            _cache.get_cache().put("trial", _trial_cache_key(spec), value)
         return {
             "type": "result",
             "key": key,

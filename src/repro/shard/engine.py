@@ -84,15 +84,7 @@ PHASES = (
 
 
 class ShardSafetyError(RuntimeError):
-    """The requested run cannot be sharded without changing results.
-
-    ``feature`` names what cannot shard; a ``serial_fallback``
-    downgrade is counted under it on ``shard.serial_fallback``.
-    """
-
-    def __init__(self, message: str, feature: str = ""):
-        super().__init__(message)
-        self.feature = feature
+    """The requested run cannot be sharded without changing results."""
 
 
 #: ``meta["kind"]`` of checkpoints the multi-shard loop writes: one
@@ -169,7 +161,7 @@ def _load_shard_checkpoint(root, n_shards: int) -> Optional[Dict[str, Any]]:
 
 @dataclass
 class ShardResult:
-    """Merged outcome of a sharded (or serial-fallback) run.
+    """Merged outcome of a sharded (or one-shard) run.
 
     ``records`` are sorted by global flow id (submission order), the
     one ordering every shard count produces identically.
@@ -340,7 +332,6 @@ def run_packet_trial(
     checkpoint_keep_last: Optional[int] = None,
     trace_barriers: bool = False,
     control: Optional[Any] = None,
-    serial_fallback: bool = False,
     **sim_kwargs: Any,
 ) -> ShardResult:
     """Run a packet-level trial, sharded by plane.
@@ -385,13 +376,9 @@ def run_packet_trial(
             policy name enabling the adaptive control plane.  Serial
             runs attach the controller's own loop; multi-shard runs
             drive the same policy/monitor objects at epoch barriers
-            (sample + apply travel as extra barrier messages), so
-            adaptive workloads no longer force ``serial_fallback``.
-        serial_fallback: instead of raising :class:`ShardSafetyError`
-            for workloads that cannot shard safely (completion
-            callbacks, non-integer spanning sizes), fall back to the
-            serial path and record it on the ``shard.serial_fallback``
-            counter.
+            (sample + apply travel as extra barrier messages).  A
+            controller drives one run: a reused one raises
+            ``RuntimeError`` before any worker starts.
         sim_kwargs: forwarded to ``PacketNetwork`` (queue_packets, mss,
             min_rto, ecn_threshold).
 
@@ -401,7 +388,7 @@ def run_packet_trial(
             starts.
         ShardSafetyError: multi-shard run with completion callbacks
             (closed-loop workloads cannot shard) or non-integer
-            spanning flow sizes -- unless ``serial_fallback=True``.
+            spanning flow sizes; such a workload runs with ``shards=1``.
     """
     # The run config's checks name a bad argument, and resolving the
     # config fails a stale or bad PNET_* variable, before any worker.
@@ -420,13 +407,12 @@ def run_packet_trial(
     specs = list(specs)
     obs = obs if obs is not None else get_registry()
     plan = ShardPlan.build(len(planes), shards if epoch > 0 else 1)
-    run_serial = functools.partial(
-        _run_serial_packet, planes, specs, schedule.events, until, obs,
-        epoch, sim_kwargs, checkpoint_dir, checkpoint_every, resume,
-        checkpoint_keep_last, control,
-    )
     if plan.n_shards == 1:
-        return run_serial()
+        return _run_serial_packet(
+            planes, specs, schedule.events, until, obs, epoch, sim_kwargs,
+            checkpoint_dir, checkpoint_every, resume, checkpoint_keep_last,
+            control,
+        )
 
     run = _Run(
         plan=plan, epoch=epoch, until=until, backend=backend,
@@ -440,14 +426,6 @@ def run_packet_trial(
                 run, planes, specs, schedule, obs, sim_kwargs, control,
                 resume,
             )
-    except ShardSafetyError as refusal:
-        if not serial_fallback:
-            raise
-        obs.counter("shard.serial_fallback", feature=refusal.feature).inc()
-        return run_serial()
-
-    try:
-        with run.timed("plan"):
             run.channels = _make_channels(configs, run.backend, timeout)
             if run.digests is None:
                 run.digests = _broadcast(run.channels, ("digest",))
@@ -489,10 +467,8 @@ def _plan(
                 f"flow {gid} ({spec.src}->{spec.dst}) carries a completion "
                 "callback, which cannot run on more than one shard: the "
                 "engine only sees flow completion at epoch barriers, so "
-                "closed-loop workloads must run serial -- pass "
-                "serial_fallback=True (or shards=1) to run this workload "
-                "on the serial path",
-                feature="packet.on_complete",
+                "closed-loop workloads must run serial -- pass shards=1 "
+                "to run this workload on the serial path"
             )
 
     local, run.spanning_gids = classify(specs, plan)
@@ -508,8 +484,7 @@ def _plan(
                 f"spanning shard(s) {', '.join(map(str, shard_ids))}, but "
                 f"has non-integer size {spec.size!r}: the shared pool "
                 "splits whole bytes across shards -- round the size, "
-                "pass serial_fallback=True, or run with shards=1",
-                feature="packet.fractional_spanning",
+                "or pass shards=1"
             )
         counts = [
             len(plan.local_paths(spec, shard)) for shard in shard_ids

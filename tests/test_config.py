@@ -4,9 +4,10 @@ One table row per field: a good value, the bad values (each must fail
 with a :class:`ConfigError` naming the variable), and an argument that
 beats the environment; the variables no longer read fail the same way
 at any value.  Then the rules around it: flags, cross-field
-prerequisites, the cache key, ``current``/``use``, the CLI and runner
-entry points failing before any trial runs, and an AST guard that no
-other module reads ``PNET_*`` from the environment.
+prerequisites, the cache key (no field is part of it), ``current``/
+``use``, the CLI, runner and trial entry points failing before any
+trial runs, and AST guards that no other module reads ``PNET_*`` from
+the environment and that only the modules listed read the run config.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import repro
 from repro.cli import main
 from repro.config import (
     REMOVED as REMOVED_VARIABLES,
-    RESULT_FIELDS,
     ConfigError,
     RunConfig,
     current,
@@ -35,12 +35,6 @@ SRC = pathlib.Path(repro.__file__).resolve().parent
 
 def var(name: str) -> str:
     return "PNET_" + name.upper()
-
-
-def config_trial(value):
-    """Module-level so pool workers resolve it: what the trial sees."""
-    config = current()
-    return value, {name: getattr(config, name) for name in RESULT_FIELDS}
 
 
 #: Never runs: a bad knob must fail before it.
@@ -70,10 +64,6 @@ ROWS = {
     ),
     "farm_inventory": ("INVENTORY", "INVENTORY", None, None),
     "farm_timeout": ("2.5", 2.5, 1, 1.0),
-    "control_policy": ("load-aware", "load-aware", "off", None),
-    "control_interval": ("1e-4", 1e-4, 2e-3, 2e-3),
-    "control_hysteresis": ("1.5", 1.5, 3, 3.0),
-    "control_cooldown": ("0.25", 0.25, 0, 0.0),
 }
 
 #: field -> bad environment text.  ``ckpt_dir`` and ``cache_dir`` take
@@ -88,10 +78,6 @@ BAD = {
     "cache": ["disabled", "-1"],
     "farm_inventory": ["/does/not/exist"],
     "farm_timeout": ["0", "soon"],
-    "control_policy": ["bogus"],
-    "control_interval": ["0", "nope"],
-    "control_hysteresis": ["0.5"],
-    "control_cooldown": ["-1"],
 }
 
 #: Prerequisites a field's value needs from other fields.
@@ -106,12 +92,20 @@ BAD_ROWS = [(name, text) for name, texts in BAD.items() for text in texts]
 #: Knobs the config no longer has -> values that once parsed and values
 #: that once failed: each fails at entry now, naming its variable.
 #: ``run_packet_trial``'s arguments shape a sharded run instead.
-REMOVED = {
+REMOVED_SHARD = {
     "shards": ["2", "0", "two"],
     "epoch": ["5e-4", "abc", "-1"],
     "lookahead": ["auto", "xyz", "-1e-4"],
     "shard_backend": ["shm", "bogus", "process"],
 }
+#: The same for the control knobs: ``control=`` attaches control.
+REMOVED_CONTROL = {
+    "control_policy": ["load-aware", "off", "bogus"],
+    "control_interval": ["1e-4", "0", "nope"],
+    "control_hysteresis": ["1.5", "0.5"],
+    "control_cooldown": ["0.25", "-1"],
+}
+REMOVED = {**REMOVED_SHARD, **REMOVED_CONTROL}
 
 #: Every environment value that must fail at entry.
 ENV_ROWS = BAD_ROWS + [
@@ -132,7 +126,7 @@ def _value(value, inventory_file):
 class TestTable:
     def test_every_field_has_a_row(self):
         fields = [f.name for f in dataclasses.fields(RunConfig)]
-        assert len(fields) == 15
+        assert len(fields) == 11
         assert sorted(ROWS) == sorted(fields)
         assert set(BAD) | {"ckpt_dir", "cache_dir"} == set(fields)
 
@@ -186,7 +180,7 @@ class TestTable:
         fields = {f.name for f in dataclasses.fields(RunConfig)}
         assert not set(REMOVED) & fields
 
-    @pytest.mark.parametrize("name", sorted(REMOVED))
+    @pytest.mark.parametrize("name", sorted(REMOVED_SHARD))
     def test_removed_variable_points_to_run_packet_trial(self, name):
         with pytest.raises(ConfigError) as info:
             RunConfig.from_env({var(name): REMOVED[name][0]})
@@ -194,6 +188,14 @@ class TestTable:
         assert var(name) in message
         assert "shards=, epoch= and backend=" in message
         assert "run_packet_trial" in message
+
+    @pytest.mark.parametrize("name", sorted(REMOVED_CONTROL))
+    def test_removed_variable_points_to_control(self, name):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_env({var(name): REMOVED[name][0]})
+        message = str(info.value)
+        assert var(name) in message
+        assert "pass control= to repro.api.run_trial" in message
 
     def test_unknown_field_rejected(self):
         with pytest.raises(TypeError, match="bogus"):
@@ -241,22 +243,6 @@ class TestCrossField:
             config.replace(resume=True)
 
 
-class TestResultTags:
-    def test_defaults_add_nothing(self):
-        assert RunConfig().result_tags() == ()
-
-    def test_off_is_the_unset_key(self):
-        assert RunConfig.from_env({"PNET_CONTROL_POLICY": "off"}) == (
-            RunConfig.from_env({})
-        )
-
-    def test_result_fields_are_the_four(self):
-        assert len(RESULT_FIELDS) == 4
-        assert set(RESULT_FIELDS) <= {
-            f.name for f in dataclasses.fields(RunConfig)
-        }
-
-
 class TestCurrent:
     def test_outside_use_resolves_the_environment_afresh(self, monkeypatch):
         monkeypatch.setenv("PNET_JOBS", "3")
@@ -283,16 +269,9 @@ class TestCurrent:
 
 # --- the cache key -----------------------------------------------------------
 
-#: Result fields flipped off their default, over a baseline environment.
-MISS = {
-    "control_policy": ({}, {"PNET_CONTROL_POLICY": "flowlet"}),
-    "control_interval": ({}, {"PNET_CONTROL_INTERVAL": "1e-4"}),
-    "control_hysteresis": ({}, {"PNET_CONTROL_HYSTERESIS": "3"}),
-    "control_cooldown": ({}, {"PNET_CONTROL_COOLDOWN": "0.5"}),
-}
-
-#: Fields that change no result: flipping them must hit.
+#: Every field changes no result: flipping one must hit a warm cache.
 HIT = {
+    "scale": {"PNET_SCALE": "tiny"},
     "jobs": {"PNET_JOBS": "2"},
     "shard_timeout": {"PNET_SHARD_TIMEOUT": "5"},
     "farm_timeout": {"PNET_FARM_TIMEOUT": "3"},
@@ -304,6 +283,10 @@ HIT = {
     "resume": {"PNET_CKPT_DIR": "CK", "PNET_RESUME": "1"},
 }
 
+#: Fields a cache hit cannot show: one turns the cache off, one moves
+#: it, and one needs a farm.
+NOT_HIT = {"cache", "cache_dir", "farm_inventory"}
+
 
 class TestCacheKey:
     @pytest.fixture(autouse=True)
@@ -313,27 +296,15 @@ class TestCacheKey:
         monkeypatch.setenv("PNET_CACHE_DIR", str(tmp_path / "cache"))
 
     SPECS = [
-        TrialSpec(fn="tests.test_config:config_trial", key=(v,),
+        TrialSpec(fn="tests.test_runner:echo_trial", key=(v,),
                   kwargs={"value": v})
         for v in (1, 2)
     ]
 
-    def test_every_result_field_is_covered(self):
-        assert set(MISS) == set(RESULT_FIELDS)
-        assert not set(HIT) & set(RESULT_FIELDS)
-
-    @pytest.mark.parametrize("name", sorted(MISS))
-    def test_flipping_a_result_field_misses(self, name, monkeypatch):
-        base, flip = MISS[name]
-        for key, value in base.items():
-            monkeypatch.setenv(key, value)
-        warm = run_trials(self.SPECS)
-        for key, value in flip.items():
-            monkeypatch.setenv(key, value)
-        cold = run_trials(self.SPECS)
-        assert last_stats().trial_cache_hits == 0
-        # The trial saw the flipped value.
-        assert cold[(1,)][1][name] != warm[(1,)][1][name]
+    def test_every_field_is_covered(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(HIT) | NOT_HIT == fields
+        assert not set(HIT) & NOT_HIT
 
     @pytest.mark.parametrize("name", sorted(HIT))
     def test_flipping_another_field_hits(self, name, monkeypatch, tmp_path):
@@ -368,6 +339,37 @@ class TestFailsAtEntry:
         assert info.value.code == 2
         assert var(name) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", sorted(REMOVED_CONTROL))
+    def test_control_variable_fails_every_entry(self, name, monkeypatch,
+                                                capsys):
+        """A control variable fails in the runner, both trial functions
+        and the CLI, pointing to ``control=``, before a flow, trial or
+        shard worker starts."""
+        import repro.shard.engine
+        from repro.api import build_network, run_trial
+        from repro.shard import run_packet_trial
+        from tests.test_shard_engine import jellyfish_workload
+
+        started = []
+        monkeypatch.setattr(repro.shard.engine, "ShmChannel", started.append)
+        pnet, specs = jellyfish_workload(n_flows=2)
+        net = build_network(pnet.planes, kind="packet")
+        monkeypatch.setenv(var(name), REMOVED[name][0])
+        for call in (
+            lambda: run_trials(FAILING),
+            lambda: run_trial(net, specs),
+            lambda: run_packet_trial(pnet.planes, specs, shards=2),
+        ):
+            with pytest.raises(ConfigError, match=f"{var(name)}=.*control="):
+                call()
+        assert not started and not net.records and net.now == 0
+        with pytest.raises(SystemExit) as info:
+            main(["fig9", "--scale", "tiny"])
+        assert info.value.code == 2
+        assert "pass control= to repro.api.run_trial" in (
+            capsys.readouterr().err
+        )
+
     def test_resume_without_dir_in_run_trials(self, monkeypatch):
         monkeypatch.delenv("PNET_CKPT_DIR", raising=False)
         with pytest.raises(ConfigError, match="requires a checkpoint dir"):
@@ -399,7 +401,8 @@ class TestFailsAtEntry:
             main(["--help"])
         usage = capsys.readouterr().out
         assert "--jobs" in usage
-        for flag in ("--shards", "--epoch", "--lookahead", "--shard-backend"):
+        for flag in ("--shards", "--epoch", "--lookahead", "--shard-backend",
+                     "--control", "--control-interval"):
             assert flag not in usage
 
 
@@ -491,6 +494,37 @@ def test_only_config_reads_the_environment():
     worker it launches is the one other use."""
     assert _environ_users() == {
         "config.py", "farm/transport.py", "farm/worker.py",
+    }
+
+
+def _config_readers():
+    """Modules under ``src/repro`` that read the run config through
+    ``repro.config.current``."""
+    readers = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "repro.config"
+                and any(alias.name == "current" for alias in node.names)
+            ) or (
+                isinstance(node, ast.Attribute)
+                and node.attr == "current"
+                and ast.unparse(node.value).endswith("config")
+            ):
+                readers.add(path.relative_to(SRC).with_suffix("").as_posix())
+    return readers
+
+
+def test_only_these_modules_read_the_run_config():
+    """The entry points, the experiment scale, the cache, the farm and
+    the shard worker deadline read the config, and none of them reads a
+    field that changes what a trial returns, so the trial cache key
+    names no field.  A new reader is added here on purpose, with the
+    reason its field cannot change a trial's result."""
+    assert _config_readers() == {
+        "api", "exp/cache", "exp/common", "exp/runner", "farm/cli",
+        "farm/dispatch", "shard/engine", "shard/shm",
     }
 
 

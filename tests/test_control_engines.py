@@ -103,7 +103,7 @@ class TestEveryEngine:
         plain = once(None)
         assert "control" not in plain.meta
         assert once(None).to_json() == plain.to_json()
-        # "off" forces control off even when the env knob is set.
+        # "off" is a spelling of None.
         assert once("off").to_json() == plain.to_json()
 
     def test_control_changes_are_observable_not_destructive(self):
@@ -215,16 +215,6 @@ class TestSpellings:
             net, flows_for(pnet), control=LoadAwarePolicy(seed=0)
         )
         assert "control" in by_obj.meta
-
-    def test_env_knob_attaches_control(self, monkeypatch):
-        monkeypatch.setenv("PNET_CONTROL_POLICY", "flowlet")
-        monkeypatch.setenv("PNET_CONTROL_INTERVAL", "1e-4")
-        pnet = make_pnet()
-        net = build_network(pnet.planes, kind="fluid")
-        result = run_trial(net, flows_for(pnet))
-        meta = result.meta["control"]
-        assert meta["fingerprint"]["policy"] == "flowlet"
-        assert meta["fingerprint"]["interval"] == 1e-4
 
     def test_bad_control_rejected(self):
         pnet = make_pnet()

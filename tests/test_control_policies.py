@@ -12,7 +12,6 @@ import pickle
 
 import pytest
 
-from repro.config import DEFAULT_CONTROL_INTERVAL, RunConfig
 from repro.control import (
     ControlMonitor,
     ControlSample,
@@ -23,6 +22,8 @@ from repro.control import (
     LoadAwarePolicy,
     make_policy,
 )
+from repro.control.controller import DEFAULT_INTERVAL
+from repro.control.policy import DEFAULT_COOLDOWN, DEFAULT_HYSTERESIS
 from repro.core.flowspec import FlowSpec, clamp_transport, same_paths
 from repro.core.pnet import PNet
 from repro.topology import ParallelTopology, build_jellyfish
@@ -160,41 +161,25 @@ class TestActions:
         assert not same_paths(p, [(1, ["a", "s", "b"])])
 
 
-class TestEnvKnobs:
-    """``Controller`` and ``LoadAwarePolicy`` take the current config's
-    knobs, and an argument beats it."""
+class TestArgumentDefaults:
+    """``Controller`` and ``LoadAwarePolicy`` default to constants, and
+    range-check what they are given."""
 
-    def test_interval_default_env_and_validation(self, monkeypatch):
-        monkeypatch.delenv("PNET_CONTROL_INTERVAL", raising=False)
-        assert Controller("flowlet").interval == DEFAULT_CONTROL_INTERVAL
-        monkeypatch.setenv("PNET_CONTROL_INTERVAL", "5e-4")
-        assert Controller("flowlet").interval == 5e-4
+    def test_interval_default_and_validation(self):
+        assert Controller("flowlet").interval == DEFAULT_INTERVAL == 1e-3
         assert Controller("flowlet", interval=2e-3).interval == 2e-3
-        with pytest.raises(ValueError):
-            Controller("flowlet", interval=0)
-        monkeypatch.setenv("PNET_CONTROL_INTERVAL", "nope")
-        with pytest.raises(ValueError):
-            Controller("flowlet")
+        for bad in (0, -1e-3, float("nan")):
+            with pytest.raises(ValueError, match="interval"):
+                Controller("flowlet", interval=bad)
 
-    def test_policy_off_spellings(self, monkeypatch):
-        monkeypatch.delenv("PNET_CONTROL_POLICY", raising=False)
-        assert RunConfig.from_env().control_policy is None
-        assert RunConfig.from_env(control_policy="").control_policy is None
-        assert RunConfig.from_env(control_policy="off").control_policy is None
-        monkeypatch.setenv("PNET_CONTROL_POLICY", "load-aware")
-        assert RunConfig.from_env().control_policy == "load-aware"
-        assert RunConfig.from_env(
-            control_policy="flowlet"
-        ).control_policy == "flowlet"
-
-    def test_hysteresis_and_cooldown_validation(self, monkeypatch):
-        monkeypatch.setenv("PNET_CONTROL_HYSTERESIS", "1.7")
-        assert LoadAwarePolicy().hysteresis == 1.7
-        with pytest.raises(ValueError):
+    def test_hysteresis_and_cooldown_validation(self):
+        policy = LoadAwarePolicy()
+        assert policy.hysteresis == DEFAULT_HYSTERESIS == 2.0
+        assert policy.cooldown == DEFAULT_COOLDOWN == 0.0
+        assert LoadAwarePolicy(hysteresis=1, cooldown=0.25).hysteresis == 1.0
+        with pytest.raises(ValueError, match="hysteresis"):
             LoadAwarePolicy(hysteresis=0.5)
-        monkeypatch.setenv("PNET_CONTROL_COOLDOWN", "0.25")
-        assert LoadAwarePolicy().cooldown == 0.25
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cooldown"):
             LoadAwarePolicy(cooldown=-1.0)
 
 

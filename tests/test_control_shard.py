@@ -1,19 +1,21 @@
 """Shard-safe control: the driver at the epoch barriers.
 
-A packet run on more than one shard must keep adaptive control without
-falling back to the serial path: the shard engine samples every worker
-at its barriers, runs the same policy a serial run would, and applies
-per-shard abort+relaunch batches with stable global flow ids.  Results
-must be byte-identical across the local and shm channel backends,
-spanning flows are skipped (not corrupted), cross-shard path sets are
-narrowed to the owning shard, and the driver state rides shard
-checkpoints.
+A packet run on more than one shard must keep adaptive control on
+its shards: the shard engine samples every worker at its barriers,
+runs the same policy a serial run would, and applies per-shard
+abort+relaunch batches with stable global flow ids.  Results must be
+byte-identical across the local and shm channel backends, spanning
+flows are skipped (not corrupted), cross-shard path sets are narrowed
+to the owning shard, the driver state rides shard checkpoints, and a
+controller drives one run only.
 """
 
 import pickle
 import random
 import shutil
 import time
+
+import pytest
 
 from repro.ckpt.store import list_checkpoints
 from repro.control import Controller, DardPolicy, LoadAwarePolicy
@@ -77,30 +79,21 @@ def controller(policy=None):
     return Controller(policy, interval=INTERVAL)
 
 
-def fallback_count(obs):
-    for row in obs.snapshot():
-        if row.get("name") == "shard.serial_fallback":
-            return row.get("value")
-    return 0
-
-
 def run_sharded(
     pnet, specs, backend="local", shards=2, policy=None, **kwargs
 ):
-    obs = Registry(enabled=True)
-    result = run_packet_trial(
-        pnet, specs, shards=shards, backend=backend, obs=obs,
-        control=controller(policy), **kwargs,
+    return run_packet_trial(
+        pnet, specs, shards=shards, backend=backend,
+        obs=Registry(enabled=True), control=controller(policy), **kwargs,
     )
-    return result, fallback_count(obs)
 
 
 class TestShardedControl:
     def test_two_shards_no_serial_fallback(self):
         pnet = make_pnet()
         specs = shard_local_specs(pnet)
-        result, fallbacks = run_sharded(pnet, specs)
-        assert fallbacks == 0
+        result = run_sharded(pnet, specs)
+        assert result.n_shards == 2
         assert len(result.records) == len(specs)
         stats = result.control["stats"]
         assert stats["ticks"] > 0
@@ -117,10 +110,8 @@ class TestShardedControl:
             (lambda: None, 2), (lambda: DardPolicy(seed=0), 1),
         ):
             specs = shard_local_specs(pnet, subflows=subflows)
-            local, __ = run_sharded(
-                pnet, specs, backend="local", policy=fresh()
-            )
-            shm, __ = run_sharded(pnet, specs, backend="shm", policy=fresh())
+            local = run_sharded(pnet, specs, backend="local", policy=fresh())
+            shm = run_sharded(pnet, specs, backend="shm", policy=fresh())
             assert pickle.dumps(shm.records) == pickle.dumps(local.records)
             assert shm.control["stats"] == local.control["stats"]
             assert local.control["stats"]["ticks"] > 0
@@ -128,8 +119,8 @@ class TestShardedControl:
     def test_spanning_flows_skipped_not_corrupted(self):
         pnet = make_pnet()
         specs = spanning_specs(pnet)
-        result, fallbacks = run_sharded(pnet, specs)
-        assert fallbacks == 0
+        result = run_sharded(pnet, specs)
+        assert result.n_shards == 2
         assert len(result.records) == len(specs)
         assert result.control["stats"]["skipped_spanning"] > 0
 
@@ -138,7 +129,7 @@ class TestShardedControl:
         # the worker's gid table so records keep their global ids.
         pnet = make_pnet()
         specs = shard_local_specs(pnet)
-        result, __ = run_sharded(pnet, specs, shards=1)
+        result = run_sharded(pnet, specs, shards=1)
         assert len(result.records) == len(specs)
         assert result.control["stats"]["applied"] > 0
         assert sorted(r.flow_id for r in result.records) == list(
@@ -153,17 +144,44 @@ class TestShardedControl:
             pnet, specs, shards=2, backend="local", obs=obs
         )
         assert plain.control is None
-        controlled, __ = run_sharded(pnet, specs)
+        controlled = run_sharded(pnet, specs)
         assert len(controlled.records) == len(plain.records)
+
+
+class TestControllerDrivesOneRun:
+    def test_reuse_refused_before_any_worker_starts(self, monkeypatch):
+        """A controller's policy, monitor and stats hold its run's
+        state, so a second run with it -- sharded or one-shard, after
+        either -- raises before a shard worker starts instead of
+        carrying the first run's counts and decisions on."""
+        import repro.shard.engine
+
+        pnet = make_pnet()
+        specs = shard_local_specs(pnet, n=2, size=500_000)
+        sharded, serial = controller(), controller()
+        run_packet_trial(
+            pnet, specs, shards=2, backend="local", control=sharded
+        )
+        run_packet_trial(pnet, specs, shards=1, control=serial)
+        started = []
+        monkeypatch.setattr(repro.shard.engine, "ShmChannel", started.append)
+        for ctl in (sharded, serial):
+            for shards in (2, 1):
+                with pytest.raises(RuntimeError, match="already attached"):
+                    run_packet_trial(
+                        pnet, specs, shards=shards, backend="shm",
+                        control=ctl,
+                    )
+        assert not started
 
 
 class TestShardedControlResume:
     def test_checkpoint_resume_byte_identical(self, tmp_path):
         pnet = make_pnet()
         specs = shard_local_specs(pnet)
-        want, __ = run_sharded(pnet, specs)
+        want = run_sharded(pnet, specs)
 
-        mid, __ = run_sharded(
+        mid = run_sharded(
             pnet, specs, checkpoint_dir=tmp_path, checkpoint_every=2e-4
         )
         assert pickle.dumps(mid.records) == pickle.dumps(want.records)
@@ -172,7 +190,7 @@ class TestShardedControlResume:
         assert len(ckpts) >= 2, "workload too small to exercise resume"
         for path in ckpts[1:]:
             shutil.rmtree(path)
-        resumed, __ = run_sharded(
+        resumed = run_sharded(
             pnet, specs,
             checkpoint_dir=tmp_path, checkpoint_every=2e-4, resume=True,
         )
@@ -185,7 +203,7 @@ class TestPhaseSeconds:
         pnet = make_pnet()
         specs = shard_local_specs(pnet)
         started = time.perf_counter()
-        result, __ = run_sharded(
+        result = run_sharded(
             pnet, specs, checkpoint_dir=tmp_path, checkpoint_every=2e-4
         )
         wall = time.perf_counter() - started
@@ -200,6 +218,6 @@ class TestPhaseSeconds:
 
     def test_no_checkpoint_phase_without_checkpoint_every(self):
         pnet = make_pnet()
-        result, __ = run_sharded(pnet, shard_local_specs(pnet))
+        result = run_sharded(pnet, shard_local_specs(pnet))
         assert result.phase_seconds["checkpoint"] == 0.0
         assert result.phase_seconds["control"] > 0

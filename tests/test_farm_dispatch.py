@@ -238,28 +238,6 @@ class TestRunnerIntegration:
         assert last_stats().resumed_trials == 3
         assert pickle.dumps(resumed) == pickle.dumps(run_trials(specs))
 
-    def test_hosts_run_under_the_parents_result_fields(
-        self, farm_env, tmp_path, monkeypatch
-    ):
-        """A host whose environment lacks the parent's knobs (every ssh
-        host; here a local host that blanks them) still computes the
-        trial its cache key names, and the progress container serves
-        the same values on resume."""
-        from tests.test_runner import _control_specs
-
-        monkeypatch.setenv("PNET_CONTROL_POLICY", "load-aware")
-        inventory = local_inventory(1, env={
-            "PYTHONPATH": WORKER_PYTHONPATH, "PNET_CONTROL_POLICY": "",
-        })
-        specs = _control_specs([1, 2])
-        want = {(1,): (1, "load-aware"), (2,): (2, "load-aware")}
-        root = tmp_path / "ckpt"
-        assert run_trials(
-            specs, farm=inventory, checkpoint_dir=root, checkpoint_every=1,
-        ) == want
-        assert run_trials(specs, checkpoint_dir=root, resume=True) == want
-        assert last_stats().resumed_trials == 2
-
     def test_arguments_make_stale_env_knobs_moot(
         self, farm_env, monkeypatch, tmp_path
     ):
@@ -302,15 +280,13 @@ class TestWorkerUnit:
         # a parent whose arguments completed them, fail no trial here.
         monkeypatch.setenv("PNET_RESUME", "1")
         monkeypatch.setenv("PNET_FARM_INVENTORY", "/does/not/exist")
-        monkeypatch.setenv("PNET_CONTROL_POLICY", "load-aware")
         reply = execute_assignment({
-            "fn": "tests.test_runner:control_trial",
+            "fn": "tests.test_runner:echo_trial",
             "key": ("c",),
-            "kwargs": {"value": 1},
-            "config": {"control_policy": None},
+            "kwargs": {"value": 3},
         })
         assert reply["type"] == "result", reply.get("error")
-        assert reply["value"] == (1, None)
+        assert reply["value"] == 9
 
     def test_execute_assignment_injects_checkpoint_kwargs(self, tmp_path):
         reply = execute_assignment({

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from repro.config import ConfigError, RunConfig
+from repro.config import ConfigError
 from repro.exp import runner
 from repro.exp.runner import TrialSpec, last_stats, resolve_fn, run_trials
 
@@ -22,13 +22,6 @@ def echo_trial(value):
 
 def failing_trial():
     raise RuntimeError("boom")
-
-
-def control_trial(value):
-    """The control policy ``run_trial(control=None)`` would attach here."""
-    from repro.config import current
-
-    return value, current().control_policy
 
 
 #: A trial that must never run: a bad knob fails before it.
@@ -138,73 +131,31 @@ class TestRunTrials:
         assert "2 trials" in stats.summary()
 
 
-#: Every knob the control-key tests touch; each test starts without them.
-_CONTROL_KNOBS = (
-    "PNET_CONTROL_POLICY", "PNET_CONTROL_INTERVAL",
-    "PNET_CONTROL_HYSTERESIS", "PNET_CONTROL_COOLDOWN",
-    "PNET_JOBS", "PNET_SHARD_TIMEOUT",
-)
-
-
-def _control_specs(values):
-    return [
-        TrialSpec(
-            fn="tests.test_runner:control_trial", key=(v,),
-            kwargs={"value": v},
-        )
-        for v in values
-    ]
-
-
-class TestControlKnobsKeyTheCache:
-    """``PNET_CONTROL_*`` knobs change results inside trial functions,
-    so a warm cache must not answer for a different setting."""
+class TestNoKnobKeysTheCache:
+    """No run-wide knob changes what a trial returns, so none keys the
+    trial cache, and a removed control knob fails before a warm cache
+    can answer."""
 
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("PNET_CACHE_DIR", str(tmp_path))
-        for name in _CONTROL_KNOBS:
+        for name in ("PNET_JOBS", "PNET_SHARD_TIMEOUT"):
             monkeypatch.delenv(name, raising=False)
 
-    def test_policy_misses_a_warm_cache_and_off_hits(self, monkeypatch):
-        specs = _control_specs([1, 2])
-        assert run_trials(specs) == {(1,): (1, None), (2,): (2, None)}
-        monkeypatch.setenv("PNET_CONTROL_POLICY", "load-aware")
-        assert run_trials(specs)[(1,)] == (1, "load-aware")
-        assert last_stats().trial_cache_hits == 0
-        # "off" is the unset key: the first run's entries answer.
-        monkeypatch.setenv("PNET_CONTROL_POLICY", "off")
-        assert run_trials(specs)[(1,)] == (1, None)
-        assert last_stats().trial_cache_hits == 2
-
-    @pytest.mark.parametrize("name,value", [
-        ("PNET_CONTROL_INTERVAL", "1e-5"),
-        ("PNET_CONTROL_HYSTERESIS", "1.5"),
-        ("PNET_CONTROL_COOLDOWN", "0.001"),
-    ])
-    def test_each_set_knob_is_stamped(self, monkeypatch, name, value):
-        spec = _control_specs([1])[0]
-        unset = runner._trial_cache_key(spec, RunConfig.from_env())
-        monkeypatch.setenv(name, value)
-        assert runner._trial_cache_key(spec, RunConfig.from_env()) == (
-            unset + ((name, float(value)),)
-        )
-        monkeypatch.setenv(name, "-1")
-        with pytest.raises(ValueError):
-            RunConfig.from_env()
-
-    def test_unknown_policy_fails_before_any_trial(self, monkeypatch):
-        warm = _control_specs([1])
+    def test_control_knob_fails_before_a_warm_cache_answers(
+        self, monkeypatch
+    ):
+        warm = _specs([1])
         run_trials(warm)
-        monkeypatch.setenv("PNET_CONTROL_POLICY", "bogus")
+        monkeypatch.setenv("PNET_CONTROL_POLICY", "load-aware")
         # Warm: the cache must not answer.  Cold: the trial, which
         # would raise RuntimeError, must not run.
         for specs in (warm, _FAILING):
-            with pytest.raises(ValueError, match="unknown control policy"):
+            with pytest.raises(ConfigError, match="control="):
                 run_trials(specs)
 
     def test_jobs_and_shard_timeout_hit(self, monkeypatch):
-        specs = _control_specs([1, 2])
+        specs = _specs([1, 2])
         run_trials(specs)
         monkeypatch.setenv("PNET_JOBS", "2")
         run_trials(specs)
@@ -212,13 +163,6 @@ class TestControlKnobsKeyTheCache:
         monkeypatch.setenv("PNET_SHARD_TIMEOUT", "5")
         run_trials(specs)
         assert last_stats().trial_cache_hits == 2
-
-    def test_cli_rejects_an_unknown_policy(self):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as exit_info:
-            main(["fig9", "--scale", "tiny", "--control", "bogus"])
-        assert exit_info.value.code == 2
 
 
 def _copy_package(tmp_path) -> pathlib.Path:

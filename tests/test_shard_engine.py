@@ -7,8 +7,8 @@ The hard invariants (ISSUE acceptance criteria):
 * multi-shard results are identical across the ``local`` and ``shm``
   channel backends and across repeat runs;
 * unshardable workloads (completion callbacks, fractional spanning
-  sizes) are refused loudly, never silently approximated, and
-  ``serial_fallback=True`` runs them serial and counts the downgrade;
+  sizes) are refused loudly, never silently approximated, and the
+  refusal points to ``shards=1``;
 * while coupling is live, barriers are at most one epoch apart except
   for exact idle jumps, and uncoupled workers free-run with no
   barrier at all;
@@ -35,7 +35,7 @@ from repro.exp.common import (
 from repro.exp.runner import TrialSpec, last_stats, run_trials
 from repro.faults.schedule import FaultEvent
 from repro.obs import Registry
-from repro.shard import ShardPlan, ShardSafetyError, run_packet_trial
+from repro.shard import ShardSafetyError, run_packet_trial
 from repro.sim.network import PacketNetwork
 from repro.topology.graph import HOST, TOR, Topology
 from repro.traffic.patterns import permutation
@@ -152,13 +152,15 @@ class TestShardSafety:
     def test_callbacks_refused_when_sharded(self):
         pnet, specs = jellyfish_workload(n_flows=2)
         specs[0] = specs[0].replace(on_complete=lambda record: None)
-        with pytest.raises(ShardSafetyError, match="callback"):
+        with pytest.raises(ShardSafetyError, match="callback.*pass shards=1"):
             run_packet_trial(pnet.planes, specs, shards=2)
 
     def test_non_integer_spanning_size_refused(self):
         pnet, specs = jellyfish_workload(n_flows=2)
         specs[0] = specs[0].replace(size=1000.5)
-        with pytest.raises(ShardSafetyError, match="non-integer"):
+        with pytest.raises(
+            ShardSafetyError, match="non-integer.*pass shards=1"
+        ):
             run_packet_trial(pnet.planes, specs, shards=2)
 
     def test_refusals_name_flow_and_endpoints(self):
@@ -225,41 +227,6 @@ class TestShardSafety:
         ):
             run_packet_trial(pnet.planes, specs, shards=2, backend="process")
         assert not started
-
-
-def unshardable_workload(feature):
-    """A workload the engine must refuse (or downgrade) at 2 shards."""
-    pnet, specs = jellyfish_workload(n_flows=3)
-    if feature == "packet.on_complete":
-        specs[1] = specs[1].replace(on_complete=lambda record: None)
-    else:
-        assert ShardPlan.build(len(pnet.planes), 2).is_spanning(specs[1])
-        specs[1] = specs[1].replace(size=specs[1].size + 0.5)
-    return pnet, specs
-
-
-class TestSerialFallback:
-    """``serial_fallback=True`` downgrades instead of refusing.
-
-    The downgrade must be the literal serial run, and it must be
-    counted on ``shard.serial_fallback``.
-    """
-
-    @pytest.mark.parametrize(
-        "feature", ["packet.on_complete", "packet.fractional_spanning"]
-    )
-    def test_runs_serial_and_counts_the_downgrade(self, feature):
-        pnet, specs = unshardable_workload(feature)
-        want = pickle.dumps(
-            run_packet_trial(pnet.planes, specs, shards=1).records
-        )
-        obs = Registry(enabled=True)
-        result = run_packet_trial(
-            pnet.planes, specs, shards=2, serial_fallback=True, obs=obs,
-        )
-        assert result.n_shards == 1
-        assert pickle.dumps(result.records) == want
-        assert obs.value("shard.serial_fallback", feature=feature) == 1
 
 
 def two_plane_pnet(delays):
