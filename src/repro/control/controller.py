@@ -105,6 +105,12 @@ class Controller:
             raise RuntimeError("controller is already attached")
         self._network = owner
 
+    def adopt(self, policy, monitor, stats: ControlStats) -> None:
+        """Hold a resumed run's restored policy, monitor and stats, so
+        this controller reports the whole run, as it would had the run
+        never stopped."""
+        self.policy, self.monitor, self.stats = policy, monitor, stats
+
     def attach(self, network) -> None:
         """Start the loop on a serial engine's simulated clock."""
         self.claim(network)

@@ -50,6 +50,7 @@ class ShardControlDriver:
         spanning_gids: Sequence[int],
     ):
         controller.claim(self)
+        self.controller = controller
         self.policy = controller.policy
         self.interval = controller.interval
         self.monitor: ControlMonitor = controller.monitor
@@ -169,3 +170,4 @@ class ShardControlDriver:
         self.spanning = set(blob["spanning"])
         self.next_tick = blob["next_tick"]
         self.stats = blob["stats"]
+        self.controller.adopt(self.policy, self.monitor, self.stats)

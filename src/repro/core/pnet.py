@@ -192,7 +192,11 @@ class PNet:
         """Up to ``limit`` equal-cost shortest paths in one plane (cached).
 
         The enumeration is prefix-stable, so a list cached for a larger
-        limit answers a smaller one by slicing, like :meth:`ksp`.
+        limit answers a smaller one by slicing, like :meth:`ksp`.  This
+        cache is per host pair; a miss runs the search between the two
+        hosts' switches, which the plane's routing view memoises per
+        switch pair (see :func:`~repro.routing.shortest.all_shortest_paths`),
+        so hosts on one rack pair share it.
         """
         key = (plane_idx, src, dst)
         cached = self._sp_cache.get(key)
@@ -213,7 +217,9 @@ class PNet:
 
         Yen's output is a sorted prefix-stable list, so a cached result
         computed for a larger K answers any smaller K by slicing -- this
-        makes K sweeps cost only their largest K.
+        makes K sweeps cost only their largest K.  Like
+        :meth:`shortest_paths`, a miss runs Yen between the hosts'
+        switches at most once per switch pair and K in each plane.
         """
         key = (plane_idx, src, dst)
         cached = self._ksp_cache.get(key)

@@ -29,6 +29,20 @@ Implementation notes:
   3. The search stops as soon as a node next to the target is taken
      from the queue: that node discovers the target, and the parent
      chain behind it is already fixed.
+* Yen runs between the endpoints' attachment nodes (a host stands for
+  its switch, see :meth:`~repro.topology.graph.RoutingView.attachment`),
+  at most once per switch pair and ``k`` while the view lives, and every
+  answer gets the host hops added.  This fourth change is exact too.  A
+  leaf's every loopless path crosses its one neighbour next, and no
+  loopless path passes through a leaf, so the host paths are the switch
+  paths with the leaf hops added, in the same (length, sequence) order.
+  Yen's spurs map one to one: the spur at the source host has its only
+  link banned and finds nothing, and a spur at a switch sees the same
+  bans either way, because a host is never queued.  The spur at the
+  destination ToR is gone: its one way to the target host is banned, so
+  its BFS walked the whole plane and found nothing.  Each spur search
+  also stops a BFS layer sooner, once a neighbour of the ToR is taken
+  from the queue instead of the ToR itself, with the same parent chain.
 * Determinism: index order is name order, so sorted neighbour tuples,
   BFS parents and the candidate heap's (length, node sequence) order
   are those of the same search over names.  The same inputs always give
@@ -55,7 +69,9 @@ def k_shortest_paths(
     paths are returned if the graph does not contain that many.
 
     When a :mod:`repro.obs` registry is attached, each enumeration is
-    timed (``ksp.enumerate_seconds``) and counted.
+    timed (``ksp.enumerate_seconds``) and counted
+    (``ksp.enumerations``), and so is each Yen run it actually makes
+    (``ksp.searches``): hosts on one switch pair share a run.
     """
     obs = get_registry()
     if obs.enabled:
@@ -79,7 +95,28 @@ def _k_shortest_paths(
     source = view.index.get(src)
     if source is None:
         return []
+    paths = view.routed(_yen, source, target, k)
+    # Spelled like the paths of a search over names (see
+    # RoutingView.hop_names): a path starts with the caller's ``src``,
+    # and a spur path ends with ``dst``.  The spur paths are the ones
+    # longer than the first, because the equal-cost paths Yen starts
+    # from either fill ``k`` or are every shortest path.
+    spelled = []
+    for path in paths:
+        names = [src] + view.hop_names(path)
+        if len(path) > len(paths[0]):
+            names[-1] = dst
+        spelled.append(names)
+    return spelled
 
+
+def _yen(
+    view: RoutingView, source: int, target: int, k: int
+) -> List[List[int]]:
+    """Yen's ``k`` shortest loopless index paths, ``source != target``."""
+    obs = get_registry()
+    if obs.enabled:
+        obs.counter("ksp.searches").inc()
     # Equal-cost shortest paths straight off the BFS DAG, already in
     # (length, sequence) order.
     found = equal_cost_paths(view, source, target, limit=k)
@@ -87,14 +124,10 @@ def _k_shortest_paths(
         return []
 
     # Paths found or waiting in the candidate min-heap, which is keyed by
-    # (length, sequence) and also carries each candidate's names.
+    # (length, sequence).
     known = {tuple(p) for p in found}
-    candidates: List[Tuple[int, List[int], List[str]]] = []
+    candidates: List[Tuple[int, List[int]]] = []
     target_nbrs = set(view.nbrs[target])
-    # Spelled like the paths of a search over names (see
-    # RoutingView.hop_names): a path starts with the caller's ``src``,
-    # and a spur path keeps its root's names and ends with ``dst``.
-    spelled = [[src] + view.hop_names(p) for p in found]
 
     while len(found) < k:
         last = found[-1]
@@ -111,14 +144,11 @@ def _k_shortest_paths(
             if key in known:
                 continue
             known.add(key)
-            names = spelled[-1][: i + 1] + view.hop_names(spur)[:-1] + [dst]
-            heapq.heappush(candidates, (len(candidate), candidate, names))
+            heapq.heappush(candidates, (len(candidate), candidate))
         if not candidates:
             break
-        __, path, names = heapq.heappop(candidates)
-        found.append(path)
-        spelled.append(names)
-    return spelled
+        found.append(heapq.heappop(candidates)[1])
+    return found
 
 
 def _spur_path(

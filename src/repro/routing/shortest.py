@@ -7,6 +7,14 @@ packet crosses); use :func:`switch_hops` to convert a concrete path.
 Paths are returned as node-name lists including both endpoints.  All
 enumeration orders are deterministic (sorted neighbour order) so that the
 same topology + seed always yields identical routing state.
+
+Path enumeration (:func:`all_shortest_paths`, and Yen in
+:mod:`repro.routing.ksp`) runs between the endpoints' attachment nodes:
+a leaf -- a host, with one live link -- stands for its neighbour, unless
+that neighbour is the other endpoint.  The topology's
+:class:`~repro.topology.graph.RoutingView` memoises each search per
+switch pair and bound until the topology changes, so hosts on one rack
+pair share one search.
 """
 
 from __future__ import annotations
@@ -66,7 +74,10 @@ def all_shortest_paths(
     Builds the shortest-path DAG via a backward BFS from ``dst`` and
     enumerates forward through it depth-first in sorted neighbour order,
     so output order is deterministic: ascending by node sequence.  Both
-    run on the topology's :class:`~repro.topology.graph.RoutingView`.
+    run on the topology's :class:`~repro.topology.graph.RoutingView`,
+    between the endpoints' attachment nodes (a host's is its switch):
+    the view memoises that search per switch pair and ``limit``, and
+    each answer gets the host hops added.
     """
     if src == dst:
         return [[src]]
@@ -77,7 +88,7 @@ def all_shortest_paths(
         return []
     return [
         [src] + view.hop_names(path)
-        for path in equal_cost_paths(view, source, target, limit)
+        for path in view.routed(equal_cost_paths, source, target, limit)
     ]
 
 

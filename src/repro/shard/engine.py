@@ -881,6 +881,10 @@ def _run_serial_packet(
     :func:`repro.ckpt.run_checkpointed`, with the worker -- its gid
     table and attached control loop -- riding along as ``extra``.
     """
+    if control is not None:
+        from repro.control import as_controller
+
+        control = as_controller(control)
     chosen = latest(checkpoint_dir) if resume else None
     if chosen is not None:
         worker = restore(chosen).extra
@@ -889,6 +893,17 @@ def _run_serial_packet(
                 f"{chosen} holds no shard worker; resume it through "
                 "repro.api.resume_trial"
             )
+        if control is not None:
+            # The checkpointed loop goes on; the caller's controller
+            # holds its state, as it would for a run that never stopped.
+            restored = getattr(worker.net, "_controller", None)
+            if restored is None:
+                raise CheckpointError(
+                    f"{chosen} was written by a run without control; "
+                    "resume it without control="
+                )
+            control.claim(worker.net)
+            control.adopt(restored.policy, restored.monitor, restored.stats)
     else:
         worker = PacketShardWorker(WorkerConfig(
             shard=0,
@@ -900,20 +915,17 @@ def _run_serial_packet(
             obs_registry=obs,
         ))
         if control is not None:
-            from repro.control import as_controller
-
-            controller = as_controller(control)
-            controller.attach(worker.net)
+            control.attach(worker.net)
             # Serial resteers assign fresh flow ids; keep the worker's
             # gid table covering them so result() re-keys records.  A
             # partial over a module function, so the hook rides the
             # worker's checkpoint pickle.
-            controller.on_rekey = functools.partial(
+            control.on_rekey = functools.partial(
                 _serial_control_rekey, worker
             )
             # The attached loop rides the network's pickle graph, so
             # checkpoints resume it without extra plumbing.
-            worker.net._controller = controller
+            worker.net._controller = control
     if checkpoint_every is None:
         worker.advance(until)
     else:

@@ -11,7 +11,8 @@ an undirected multigraph-free network (at most one link per node pair; use
 * link failure injection (:meth:`Topology.fail_link`), which routing and the
   simulators respect via :meth:`Topology.neighbors`;
 * a lazily built integer view of the live adjacency
-  (:meth:`Topology.routing_view`) that the path searches run on.
+  (:meth:`Topology.routing_view`) that the path searches run on, and
+  that memoises their answers between attachment switches.
 
 Nodes are named strings (e.g. ``"h12"``, ``"t3"``); builders guarantee host
 names are ``h0..h{n-1}`` so traffic generators can enumerate them.
@@ -22,7 +23,8 @@ from __future__ import annotations
 import copy as _copy
 from dataclasses import dataclass
 from typing import (
-    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+    Tuple,
 )
 
 HOST = "host"
@@ -73,6 +75,11 @@ class RoutingView:
     tuple of indices in ascending order visits neighbours in sorted name
     order, and index paths compare like their name paths.
 
+    Path searches run between the endpoints' attachment nodes (a host's
+    is its switch), once per memo key (:meth:`routed`).  Every change to
+    the topology drops the view and its memo, so the memo never answers
+    for another adjacency.
+
     Attributes:
         index: node name -> index.
         nbrs: per node, the sorted indices of its live neighbours.
@@ -80,9 +87,11 @@ class RoutingView:
             live neighbour).  A search that reaches a leaf over its only
             link cannot go on from it, so only the search's target needs
             to be found among the leaves.
+        memo: ``(search, a, b, bound)`` -> the index paths ``search``
+            found between the attachment nodes ``a`` and ``b``.
     """
 
-    __slots__ = ("index", "nbrs", "inner", "_spelling")
+    __slots__ = ("index", "nbrs", "inner", "memo", "_spelling")
 
     def __init__(self, topo: "Topology"):
         names = sorted(topo.nodes)
@@ -99,7 +108,46 @@ class RoutingView:
         self.inner: List[Tuple[int, ...]] = [
             tuple(v for v in row if len(nbrs[v]) != 1) for row in nbrs
         ]
+        self.memo: Dict[Tuple[Any, int, int, Any], List[List[int]]] = {}
         self._spelling = spelling
+
+    def attachment(self, node: int, other: int) -> int:
+        """The node that stands for ``node`` in a search to ``other``.
+
+        A leaf stands for its one live neighbour, unless that neighbour
+        is ``other``; any other node stands for itself.  Every loopless
+        path from a leaf crosses its neighbour next, and no loopless
+        path passes through a leaf, so the paths between two nodes are
+        the paths between their attachment nodes with the leaf hops
+        added, in the same order.
+        """
+        row = self.nbrs[node]
+        if len(row) == 1 and row[0] != other:
+            return row[0]
+        return node
+
+    def routed(
+        self, search: Callable[..., List[List[int]]], source: int,
+        target: int, bound: Any,
+    ) -> List[List[int]]:
+        """``search(self, a, b, bound)``'s paths for ``source != target``.
+
+        ``a`` and ``b`` are the two endpoints' attachment nodes; the
+        search runs at most once per ``(search, a, b, bound)`` and the
+        leaf hops are added to every path it found.  Two leaves on one
+        node get their one path without a search.
+        """
+        a = self.attachment(source, target)
+        b = self.attachment(target, source)
+        if a == b:
+            return [[source, a, target]]
+        key = (search, a, b, bound)
+        found = self.memo.get(key)
+        if found is None:
+            found = self.memo[key] = search(self, a, b, bound)
+        head = [source] if a != source else []
+        tail = [target] if b != target else []
+        return [head + path + tail for path in found]
 
     def hop_names(self, path: Sequence[int]) -> List[str]:
         """Names of ``path[1:]``, each as its predecessor's adjacency
@@ -321,7 +369,8 @@ class Topology:
     def routing_view(self) -> RoutingView:
         """The live adjacency as a :class:`RoutingView`.
 
-        Built at the first call after a change; every mutator drops it.
+        Built at the first call after a change; every mutator drops it,
+        and with it the view's memo of path searches.
         """
         if self._view is None:
             self._view = RoutingView(self)

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.ckpt.store import list_checkpoints
+from repro.ckpt.store import CheckpointError, list_checkpoints
 from repro.control import Controller, DardPolicy, LoadAwarePolicy
 from repro.core.flowspec import FlowSpec
 from repro.core.path_selection import KspMultipathPolicy
@@ -196,6 +196,52 @@ class TestShardedControlResume:
         )
         assert pickle.dumps(resumed.records) == pickle.dumps(want.records)
         assert resumed.control["stats"] == want.control["stats"]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_resume_hands_the_run_to_the_callers_controller(
+        self, tmp_path, shards
+    ):
+        """The controller passed to a resumed run ends up holding the
+        run's policy, monitor and stats, as the controller of a run that
+        never stopped does, and it drives no second run."""
+        pnet = make_pnet()
+        specs = shard_local_specs(pnet)
+        ctl = controller()
+        kwargs = dict(
+            shards=shards, backend="local", checkpoint_dir=tmp_path,
+            checkpoint_every=2e-4,
+        )
+        run_packet_trial(pnet, specs, control=ctl, **kwargs)
+        ckpts = list_checkpoints(tmp_path, valid_only=True)
+        assert len(ckpts) >= 2, "workload too small to exercise resume"
+        for path in ckpts[1:]:
+            shutil.rmtree(path)
+
+        ctl2 = controller()
+        result = run_packet_trial(
+            pnet, specs, control=ctl2, resume=True, **kwargs
+        )
+        assert result.control["stats"] == ctl.stats.as_dict()
+        assert ctl2.stats.as_dict() == result.control["stats"]
+        assert ctl2.stats.decisions > 0
+        assert pickle.dumps(ctl2.monitor) == pickle.dumps(ctl.monitor)
+        assert ctl2.policy._last_move == ctl.policy._last_move
+        with pytest.raises(RuntimeError, match="already attached"):
+            run_packet_trial(pnet, specs, shards=shards, control=ctl2)
+
+    def test_serial_resume_refuses_control_the_run_did_not_have(
+        self, tmp_path
+    ):
+        pnet = make_pnet()
+        specs = shard_local_specs(pnet)
+        run_packet_trial(
+            pnet, specs, checkpoint_dir=tmp_path, checkpoint_every=2e-4
+        )
+        with pytest.raises(CheckpointError, match="without control"):
+            run_packet_trial(
+                pnet, specs, checkpoint_dir=tmp_path, resume=True,
+                control=controller(),
+            )
 
 
 class TestPhaseSeconds:

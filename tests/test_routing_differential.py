@@ -14,6 +14,15 @@ every ``k`` from 1 to 32 and the limits None, 1, 3 and 64 -- also when
 links fail, come back or are removed between queries on one topology.
 The lists must also pickle to the same bytes, so route sets sent to
 workers or saved in checkpoints do not change either.
+
+Both searches run between the endpoints' attachment nodes (a leaf
+stands for its one neighbour) and the view memoises them, so one
+sequence of queries over every host pair of a plane -- memo hits
+included, with names the caller built itself -- must pickle to the
+reference's bytes as a whole, and the edge cases of the attachment rule
+(hosts on one switch, a host and its switch, a host with two links, an
+isolated edge, a host losing its link, fail and restore after warm-up)
+must match it too.
 """
 
 from __future__ import annotations
@@ -25,9 +34,12 @@ from collections import deque
 
 import pytest
 
+from repro.obs import Registry, use_registry
 from repro.routing.ksp import k_shortest_paths
 from repro.routing.shortest import all_shortest_paths
-from repro.topology import build_fat_tree, build_jellyfish, build_xpander
+from repro.topology import (
+    ParallelTopology, build_fat_tree, build_jellyfish, build_xpander,
+)
 from repro.topology.graph import link_key
 
 LIMITS = (None, 1, 3, 64)
@@ -315,3 +327,146 @@ class TestPickleAndCopy:
         assert k_shortest_paths(dup, "h0", "h23", 8) != answers
         assert k_shortest_paths(topo, "h0", "h23", 8) == answers
         assert all_shortest_paths(topo, "h0", "h23") == equal
+
+
+def _fresh(name):
+    """An equal name that is not the topology's object, as a caller that
+    formats its own names holds: a spur path must end with this one."""
+    return "".join([name[:1], name[1:]])
+
+
+def _query(topo, src, dst, k, limit):
+    """Both searches on ``topo``, each checked against the reference."""
+    ours = k_shortest_paths(topo, src, dst, k)
+    ref = _ref_k_shortest_paths(topo, src, dst, k)
+    assert ours == ref, (src, dst, k)
+    assert _pickled(ours) == _pickled(ref), (src, dst, k)
+    equal = all_shortest_paths(topo, src, dst, limit)
+    ref_equal = _ref_all_shortest_paths(topo, src, dst, limit)
+    assert equal == ref_equal, (src, dst, limit)
+    assert _pickled(equal) == _pickled(ref_equal), (src, dst, limit)
+    return (ours, equal), (ref, ref_equal)
+
+
+class TestAttachmentMemo:
+    @pytest.mark.parametrize("family", ["jellyfish", "fat-tree", "xpander"])
+    def test_every_host_pair_in_one_sequence(self, family):
+        topo = _plane(family, 3)
+        hosts = sorted(topo.hosts)
+        pairs = [(a, b) for a in hosts for b in hosts if a != b]
+        ours, ref = [], []
+        # Hosts on one rack pair are adjacent in this order, so the memo
+        # answers repeats under changing k and limits; the second pass
+        # asks every question again.
+        for repeat in range(2):
+            for i, (src, dst) in enumerate(pairs):
+                if i % 2:
+                    src, dst = _fresh(src), _fresh(dst)
+                answer, want = _query(
+                    topo, src, dst, (1, 3, 8, 20)[i % 4], LIMITS[i % 4]
+                )
+                ours.append(answer)
+                ref.append(want)
+            if not repeat:
+                view = topo.routing_view()
+                searched = dict(view.memo)
+        assert _pickled(ours) == _pickled(ref)
+        assert topo.routing_view() is view
+        assert view.memo == searched
+
+    def test_hosts_on_one_switch(self):
+        topo = build_jellyfish(12, 4, 2, seed=0)
+        assert topo.tor_of("h0") == topo.tor_of("h1") == "t0"
+        for k in (1, 2, 8):
+            (paths, equal), __ = _query(topo, "h0", _fresh("h1"), k, None)
+            assert paths == equal == [["h0", "t0", "h1"]]
+        assert not topo.routing_view().memo
+
+    def test_host_and_its_own_switch(self):
+        topo = build_jellyfish(12, 4, 2, seed=0)
+        for src, dst in (("h0", "t0"), ("t0", "h0"), ("h0", "t1")):
+            for k in (1, 4, 16):
+                _query(topo, src, _fresh(dst), k, 3)
+        (paths, __), __ = _query(topo, "h0", "t0", 4, None)
+        assert paths == [["h0", "t0"]]
+
+    def test_host_with_two_links_takes_no_shortcut(self):
+        topo = build_jellyfish(12, 4, 2, seed=0)
+        topo.add_link("h0", "t5", 1e9)
+        view = topo.routing_view()
+        assert view.attachment(view.index["h0"], view.index["h7"]) == (
+            view.index["h0"]
+        )
+        for dst in ("h1", "h7", "h11", "t0", "t5"):
+            for k in (2, 8, 24):
+                _query(topo, "h0", dst, k, None)
+                _query(topo, dst, "h0", k, 1)
+
+    def test_isolated_two_node_edge(self):
+        topo = build_jellyfish(12, 4, 2, seed=0)
+        topo.add_node("x0", "tor")
+        topo.add_node("x1", "host")
+        topo.add_link("x0", "x1", 1e9)
+        for src, dst in (("x0", "x1"), ("x1", "x0")):
+            (paths, equal), __ = _query(topo, src, dst, 4, None)
+            assert paths == equal == [[src, dst]]
+        for src, dst in (("x1", "h3"), ("h3", "x1"), ("x0", "t2")):
+            (paths, equal), __ = _query(topo, src, dst, 4, None)
+            assert paths == equal == []
+
+    def test_host_losing_its_only_link(self):
+        topo = build_jellyfish(12, 4, 2, seed=1)
+        pairs = [("h0", "h9"), ("h9", "h0"), ("h1", "h9"), ("h0", "t0")]
+        for src, dst in pairs:
+            _query(topo, src, dst, 8, 3)
+        topo.fail_link("h0", "t0")
+        for src, dst in pairs:
+            (paths, equal), __ = _query(topo, src, dst, 8, 3)
+            assert bool(paths) == bool(equal) == (src == "h1")
+        topo.restore_link("h0", "t0")
+        for src, dst in pairs:
+            _query(topo, src, dst, 8, 3)
+
+    @pytest.mark.parametrize("family", ["jellyfish", "fat-tree", "xpander"])
+    def test_fail_and_restore_on_a_warmed_memo(self, family):
+        topo = _plane(family, 4)
+        hosts = sorted(topo.hosts)
+        pairs = [(a, b) for a in hosts[:6] for b in hosts[-6:] if a != b]
+        warm = [_query(topo, a, b, 6, None)[0] for a, b in pairs]
+        links = _switch_links(topo)
+        failed = random.Random(family).sample(links, len(links) // 4)
+        for u, v in failed:
+            topo.fail_link(u, v)
+        for a, b in pairs:
+            _query(topo, a, b, 6, None)
+        topo.restore_all()
+        again = [_query(topo, a, b, 6, None)[0] for a, b in pairs]
+        assert _pickled(again) == _pickled(warm)
+
+
+class TestSearchCount:
+    def test_one_search_per_plane_and_switch_pair(self):
+        planes = ParallelTopology.heterogeneous(
+            lambda s: build_jellyfish(12, 4, 2, seed=s), 2
+        ).planes
+        hosts = sorted(planes[0].hosts)[:10]
+        pairs = [
+            (plane, src, dst)
+            for plane in range(len(planes))
+            for src in hosts
+            for dst in hosts
+            if planes[plane].tor_of(src) != planes[plane].tor_of(dst)
+        ]
+        rack_pairs = {
+            (plane, planes[plane].tor_of(src), planes[plane].tor_of(dst))
+            for plane, src, dst in pairs
+        }
+        obs = Registry(enabled=True)
+        with use_registry(obs):
+            for plane, src, dst in pairs:
+                k_shortest_paths(planes[plane], src, dst, 8)
+            for plane, src, dst in pairs:
+                k_shortest_paths(planes[plane], src, dst, 8)
+        assert obs.value("ksp.enumerations") == 2 * len(pairs)
+        assert obs.value("ksp.searches") == len(rack_pairs)
+        assert len(rack_pairs) < len(pairs)
