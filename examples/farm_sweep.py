@@ -12,9 +12,10 @@ run, whatever the farm does):
    survivor, which resumes from the victim's last ``ckpt-%08d`` step
    instead of recomputing, and the merged results still match.
 
-3. **Merge** -- per-host progress containers fold into one result set
-   (the ``python -m repro farm merge`` layer), rejecting any
-   determinism violation.
+3. **Rerun** -- the dispatcher stores every farm result in its own
+   trial cache, so rerunning the sweep on one host answers every trial
+   from it, even though the workers cache nothing (a killed farm sweep
+   resumes the same way).
 
 Run it:  PYTHONPATH=src python examples/farm_sweep.py
 """
@@ -33,15 +34,9 @@ os.environ["PYTHONPATH"] = str(REPO / "src")
 os.environ.setdefault("PNET_CACHE", "0")
 os.environ.pop("PNET_FARM_INVENTORY", None)
 
-from repro.exp.runner import TrialSpec, run_trials  # noqa: E402
-from repro.farm import (  # noqa: E402
-    Inventory,
-    local_inventory,
-    merge_progress,
-    run_on_farm,
-    write_progress,
-)
-from repro.farm.merge import load_progress  # noqa: E402
+from repro.config import current, use  # noqa: E402
+from repro.exp.runner import TrialSpec, last_stats, run_trials  # noqa: E402
+from repro.farm import Inventory, local_inventory, run_on_farm  # noqa: E402
 
 SLOW_KEY = ("demo", 0)
 
@@ -122,25 +117,32 @@ def preemption_demo() -> bool:
     )
 
 
-def merge_demo() -> bool:
+def rerun_demo() -> bool:
+    specs = _grid()
     with tempfile.TemporaryDirectory() as root:
-        root = pathlib.Path(root)
-        write_progress(root / "hostA", {"h1": 0.25, "h2": 0.5}, total=3)
-        write_progress(root / "hostB", {"h3": 0.75, "h1": 0.25}, total=3)
-        merged = merge_progress([
-            load_progress(root / "hostA"),
-            load_progress(root / "hostB"),
-        ])
+        with use(current(cache=True, cache_dir=root)):
+            # The workers run with their cache off: only the
+            # dispatcher's own cache records the results.
+            farmed = run_trials(
+                specs, farm=local_inventory(2, env={"PNET_CACHE": "0"}),
+            )
+            rerun = run_trials(specs)
+    stats = last_stats()
+    identical = pickle.dumps(rerun) == pickle.dumps(farmed)
     print(
-        f"merge: folded 2 per-host containers into {len(merged)} "
-        f"distinct results (identical overlap tolerated, conflicting "
-        f"values would raise)"
+        f"rerun: {stats.trial_cache_hits} of {stats.n_trials} trials "
+        f"answered from the dispatcher's cache on one host, "
+        f"byte-identical: {identical}"
     )
-    return merged == {"h1": 0.25, "h2": 0.5, "h3": 0.75}
+    return (
+        identical
+        and stats.trial_cache_hits == len(specs)
+        and stats.farm_workers == 0
+    )
 
 
 def main() -> None:
-    ok = dispatch_demo() and preemption_demo() and merge_demo()
+    ok = dispatch_demo() and preemption_demo() and rerun_demo()
     print(f"farm results byte-identical at every host/worker count: {ok}")
 
 

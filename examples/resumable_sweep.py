@@ -8,25 +8,19 @@ Two layers, same guarantee:
    newest on-disk snapshot and the curve comes out byte-identical to a
    run that never stopped.
 
-2. **Sweep** -- a trial grid checkpoints its progress every completed
-   trial; a "preempted" subset run's checkpoint lets the full sweep
-   resume, recomputing only what is missing.
+2. **Sweep** -- a trial grid stores each finished trial in the
+   artifact cache; rerun on the same cache, the full sweep computes
+   only what a "preempted" subset run left undone.
 
 Run it:  PYTHONPATH=src python examples/resumable_sweep.py
 """
 
-import os
 import tempfile
 
-os.environ.setdefault("PNET_CACHE", "0")  # resume must not need the cache
-
-from repro.ckpt.store import list_checkpoints  # noqa: E402
-from repro.exp.degradation import (  # noqa: E402
-    PRESETS,
-    resume_faulted,
-    run_faulted,
-)
-from repro.exp.runner import TrialSpec, last_stats, run_trials  # noqa: E402
+from repro.ckpt.store import list_checkpoints
+from repro.config import current, use
+from repro.exp.degradation import PRESETS, resume_faulted, run_faulted
+from repro.exp.runner import TrialSpec, last_stats, run_trials
 
 PARAMS = dict(PRESETS["tiny"], chaos_seed=7)
 
@@ -73,22 +67,21 @@ def sweep_demo() -> bool:
 
     grid = [spec("faulted", True), spec("control", False)]
     with tempfile.TemporaryDirectory() as root:
-        # The "preempted" run only got through the first trial...
-        run_trials(grid[:1], checkpoint_dir=root, checkpoint_every=1)
-        # ...the rerun resumes it and computes only the rest.
-        results = run_trials(
-            grid, checkpoint_dir=root, checkpoint_every=1, resume=True,
-        )
+        with use(current(cache=True, cache_dir=root)):
+            # The "preempted" run only got through the first trial...
+            run_trials(grid[:1])
+            # ...the rerun on the same cache computes only the rest.
+            results = run_trials(grid)
     stats = last_stats()
     print(
-        f"sweep: {stats.resumed_trials} trial(s) resumed from the "
-        f"checkpoint, {len(grid) - stats.resumed_trials} computed fresh"
+        f"sweep: {stats.trial_cache_hits} trial(s) answered from the "
+        f"cache, {len(grid) - stats.trial_cache_hits} computed fresh"
     )
     curves_ok = (
         results[("faulted",)]["stats"]["final_fraction"] == 1.0
         and results[("control",)]["stats"]["min_fraction"] == 1.0
     )
-    return stats.resumed_trials == 1 and curves_ok
+    return stats.trial_cache_hits == 1 and curves_ok
 
 
 def main() -> None:

@@ -410,9 +410,9 @@ def _finish_trial(network: Network) -> TrialResult:
 # --- experiment-scale surface ------------------------------------------
 #
 # Sweeps are part of the stable facade too: TrialSpec grids run through
-# run_trials locally (PNET_JOBS), with sweep checkpoints (PNET_CKPT_*),
-# or across a run farm (farm= / PNET_FARM_INVENTORY; see repro.farm),
-# each under one resolved repro.config.RunConfig.
+# run_trials locally (PNET_JOBS) or across a run farm (farm= /
+# PNET_FARM_INVENTORY; see repro.farm), each under one resolved
+# repro.config.RunConfig, and a rerun resumes from the trial cache.
 from repro.exp.runner import (  # noqa: E402  (facade re-export)
     RunStats,
     TrialSpec,

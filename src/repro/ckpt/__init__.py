@@ -19,10 +19,10 @@ Layers:
   for every random stream a run owns.
 
 Higher layers build on these: the sharded engine checkpoints per-plane
-worker snapshots at epoch barriers, and the experiment runner and the
-run farm keep trial progress in one container
-(:func:`repro.ckpt.store.write_progress`; ``--checkpoint-every`` /
-``--resume``).
+worker snapshots at epoch barriers, and a farm trial given a per-trial
+directory checkpoints there so a surviving worker resumes it.  A
+sweep's finished trials are kept by the artifact cache
+(:mod:`repro.exp.cache`), not here: a rerun resumes from it.
 """
 
 from repro.ckpt.rng import RngBundle

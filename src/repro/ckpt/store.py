@@ -27,7 +27,6 @@ import hashlib
 import json
 import os
 import pathlib
-import pickle
 import re
 import shutil
 import tempfile
@@ -329,13 +328,13 @@ def resolve(path: PathLike) -> pathlib.Path:
 def claim_step(root: PathLike) -> Tuple[int, pathlib.Path]:
     """Atomically claim the next free ``ckpt-<N>`` directory.
 
-    Concurrent writers sharing one root (several farm workers, a sweep
-    and its resumed twin) must never write into the same step
-    directory; a bare :func:`next_step` race would let two processes
-    pick the same number.  ``os.mkdir`` is atomic on every platform we
-    care about, so the first claimant wins and the loser retries the
-    next number.  Returns ``(step, directory)`` with the directory
-    already created.
+    Concurrent writers sharing one root (a farm worker and the stalled
+    worker it replaced, checkpointing one trial) must never write into
+    the same step directory; a bare :func:`next_step` race would let
+    two processes pick the same number.  ``os.mkdir`` is atomic on
+    every platform we care about, so the first claimant wins and the
+    loser retries the next number.  Returns ``(step, directory)`` with
+    the directory already created.
     """
     root = pathlib.Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -381,9 +380,10 @@ def prune(
     With ``remove_invalid`` (the default, for offline maintenance such
     as ``repro ckpt prune``), manifest-less and corrupt directories are
     deleted too -- they can never be resumed from.  Writer-side callers
-    sharing a root with live siblings (farm workers, concurrent sweeps)
-    must pass ``remove_invalid=False``: a directory without a manifest
-    is indistinguishable from a sibling's in-flight checkpoint whose
+    sharing a root with live siblings (:func:`repro.ckpt.snapshot.save`
+    under a farm trial's checkpoint dir) must pass
+    ``remove_invalid=False``: a directory without a manifest is
+    indistinguishable from a sibling's in-flight checkpoint whose
     manifest rename has not landed yet, so only checkpoints this
     process could prove complete are touched.  Deletions are race-safe
     (atomic rename aside, then delete; a sibling winning the race is
@@ -410,58 +410,6 @@ def checkpoints_size_bytes(root: PathLike) -> int:
             if path.is_file():
                 total += path.stat().st_size
     return total
-
-
-# --- trial-progress containers ---------------------------------------------
-
-#: ``meta["kind"]`` of trial-progress containers, which hold one pickle
-#: mapping each completed trial's content hash to its result.  A
-#: single-host sweep writes ``"sweep"``, a farm run ``"farm"``; the
-#: payload is the same, so either resumes the other.
-KIND_SWEEP = "sweep"
-KIND_FARM = "farm"
-
-PROGRESS_PAYLOAD = "sweep.pkl"
-
-
-def write_progress(
-    root: PathLike,
-    done: Dict[str, Any],
-    total: int,
-    keep_last: Optional[int] = None,
-    kind: str = KIND_SWEEP,
-) -> None:
-    """Write the next trial-progress container under ``root``.
-
-    Several writers may share a root (farm hosts, or concurrent sweeps
-    on one machine), so the step is claimed atomically and pruning
-    skips manifest-less directories: a sibling's in-flight write looks
-    exactly like one.
-    """
-    __, directory = claim_step(root)
-    write_checkpoint(
-        directory,
-        {PROGRESS_PAYLOAD: pickle.dumps(
-            done, protocol=pickle.HIGHEST_PROTOCOL
-        )},
-        {"kind": kind, "completed": len(done), "total": total},
-    )
-    if keep_last is not None:
-        prune(root, keep_last, remove_invalid=False)
-
-
-def load_progress(root: PathLike) -> Dict[str, Any]:
-    """The completed-trial map from the newest valid container (or {})."""
-    chosen = latest(root)
-    if chosen is None:
-        return {}
-    kind = read_manifest(chosen).get("meta", {}).get("kind")
-    if kind not in (KIND_SWEEP, KIND_FARM):
-        raise CheckpointError(
-            f"{chosen} is a {kind!r} checkpoint, not trial progress "
-            f"(expected kind {KIND_SWEEP!r} or {KIND_FARM!r})"
-        )
-    return pickle.loads(read_payload(chosen, PROGRESS_PAYLOAD))
 
 
 def remove_oldest_until(

@@ -19,8 +19,6 @@ Usage::
     python -m repro obs summarize metrics.jsonl trace.jsonl
     python -m repro faults run --chaos-seed 7 --scale tiny
     python -m repro faults run --schedule faults.json --metrics-out m.jsonl
-    python -m repro fig9 --checkpoint-dir ckpts --checkpoint-every 4
-    python -m repro fig9 --checkpoint-dir ckpts --resume
     python -m repro ckpt save ckpts --scale tiny --every 0.1
     python -m repro ckpt restore ckpts
     python -m repro ckpt inspect ckpts   # newest valid checkpoint
@@ -32,7 +30,8 @@ Each experiment prints the same rows/series the paper reports; ``--csv``
 additionally writes the raw result (flattened) for plotting.  Trials fan
 out over ``PNET_JOBS`` processes (``--jobs`` overrides) with expensive
 intermediates cached under ``PNET_CACHE_DIR``; results are identical at
-any job count.  Every command resolves one
+any job count, and rerunning a killed experiment on the same cache
+computes only the trials it had not finished.  Every command resolves one
 :class:`~repro.config.RunConfig` from its flags and the environment
 before it does any work, and a bad value exits 2.
 """
@@ -107,41 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override PNET_JOBS (worker processes for trial grids)",
     )
     parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="sweep checkpoint root (overrides PNET_CKPT_DIR)",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        metavar="N",
-        default=None,
-        help=(
-            "write a sweep checkpoint every N completed trials "
-            "(overrides PNET_CKPT_EVERY; needs --checkpoint-dir)"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "skip trials already completed by a prior (possibly killed) "
-            "checkpointed run (overrides PNET_RESUME; needs "
-            "--checkpoint-dir)"
-        ),
-    )
-    parser.add_argument(
-        "--keep-last",
-        type=int,
-        metavar="N",
-        default=None,
-        help=(
-            "retain only the newest N sweep checkpoints (overrides "
-            "PNET_CKPT_KEEP; needs --checkpoint-every)"
-        ),
-    )
-    parser.add_argument(
         "--fidelity",
         choices=["packet", "fluid", "hybrid"],
         default=None,
@@ -184,10 +148,14 @@ def run_one(
     name: str, csv_dir: Optional[str], knobs: Dict[str, Any]
 ) -> None:
     """Run one experiment under the current config; ``knobs`` go to its
-    ``main`` and ``run``."""
+    ``main``, whose returned result ``--csv`` writes.  The runner's stats
+    line is printed only when this experiment ran trials."""
+    from repro.exp.runner import last_stats
+
     module = importlib.import_module(EXPERIMENTS[name])
     started = time.time()
-    module.main(**knobs)
+    before = last_stats()
+    result = module.main(**knobs)
     if csv_dir is not None:
         from repro.exp.export import write_csv
 
@@ -200,17 +168,13 @@ def run_one(
                     pathlib.Path(csv_dir) / f"{name}_{r.architecture}.csv",
                     r,
                 )
-                for r in module.run()
+                for r in result
             )
         else:
-            rows = write_csv(
-                pathlib.Path(csv_dir) / f"{name}.csv", module.run(**knobs)
-            )
+            rows = write_csv(pathlib.Path(csv_dir) / f"{name}.csv", result)
         print(f"[{name}] wrote {rows} CSV rows to {csv_dir}/")
-    from repro.exp.runner import last_stats
-
     stats = last_stats()
-    if stats is not None:
+    if stats is not before:
         print(f"[{name}] {stats.summary()}")
     print(f"[{name}] done in {time.time() - started:.1f}s\n")
 
@@ -270,7 +234,7 @@ def ckpt_command(argv: List[str]) -> int:
     output identical to an uninterrupted run -- a zero-code
     demonstration of the checkpoint contract.  ``inspect``/``verify``/
     ``list``/``prune`` operate on any :mod:`repro.ckpt` container
-    (simulator, shard-engine, or sweep checkpoints alike).
+    (simulator or shard-engine checkpoints alike).
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro ckpt",
@@ -408,19 +372,11 @@ def ckpt_command(argv: List[str]) -> int:
             return 0
         for path in entries:
             try:
-                manifest = ckpt.verify(path)
-                meta = manifest.get("meta", {})
-                kind = meta.get("kind", "?")
-                if kind in ("sweep", "farm"):
-                    # Progress containers have no simulated clock; show
-                    # how far the (possibly distributed) sweep got.
-                    detail = (
-                        f"done={meta.get('completed', '?')}"
-                        f"/{meta.get('total', '?')}"
-                    )
-                else:
-                    detail = f"t={meta.get('t', '?')}"
-                print(f"{path.name}  kind={kind:<6} {detail}  valid")
+                meta = ckpt.verify(path).get("meta", {})
+                print(
+                    f"{path.name}  kind={meta.get('kind', '?'):<6} "
+                    f"t={meta.get('t', '?')}  valid"
+                )
             except ckpt.CheckpointError as exc:
                 print(f"{path.name}  INVALID -- {exc}")
         return 0
@@ -624,15 +580,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cache_subcommand(historic.get(tuple(argv[1:]), argv[1:]))
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = resolve_config(
-        parser,
-        scale=args.scale,
-        jobs=args.jobs,
-        ckpt_dir=args.checkpoint_dir,
-        ckpt_every=args.checkpoint_every,
-        ckpt_keep=args.keep_last,
-        resume=args.resume or None,
-    )
+    config = resolve_config(parser, scale=args.scale, jobs=args.jobs)
     hybrid_knobs = {"fidelity": args.fidelity, "promote": args.promote}
     if (args.fidelity, args.promote) != (None, None) and (
         args.experiment not in ("hybrid", "all")

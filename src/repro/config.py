@@ -10,10 +10,10 @@ to its pool workers.  No field changes a result, so the trial cache key
 names none of them and a farm worker runs under its own host's config.
 
 A sharded packet run is shaped by the arguments of
-:func:`repro.shard.run_packet_trial` alone, and adaptive control by
-``control=`` of :func:`repro.api.run_trial`; the variables that once
-set them (:data:`REMOVED`) fail at entry rather than be ignored
-without a word.
+:func:`repro.shard.run_packet_trial` alone, adaptive control by
+``control=`` of :func:`repro.api.run_trial`, and a rerun of a sweep
+resumes from the trial cache; the variables that once set them
+(:data:`REMOVED`) fail at entry rather than be ignored without a word.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ REMOVED = {
         ("PNET_CONTROL_POLICY", "PNET_CONTROL_INTERVAL",
          "PNET_CONTROL_HYSTERESIS", "PNET_CONTROL_COOLDOWN"),
         "pass control= to repro.api.run_trial",
+    ),
+    **dict.fromkeys(
+        ("PNET_CKPT_DIR", "PNET_CKPT_EVERY", "PNET_CKPT_KEEP", "PNET_RESUME"),
+        "a rerun resumes from the trial cache; keep PNET_CACHE on and "
+        "point PNET_CACHE_DIR at a durable directory",
     ),
 }
 
@@ -132,10 +137,6 @@ _PARSERS: Dict[str, Callable[[Any, str], Any]] = {
     "scale": _choice(*SCALES),
     "jobs": _integer,
     "shard_timeout": _shard_timeout,
-    "ckpt_dir": lambda raw, label: pathlib.Path(raw).expanduser(),
-    "ckpt_every": _integer,
-    "ckpt_keep": _integer,
-    "resume": _flag,
     "cache": _flag,
     "cache_dir": lambda raw, label: pathlib.Path(raw).expanduser(),
     "farm_inventory": _inventory,
@@ -147,16 +148,12 @@ _VARIABLES = {name: "PNET_" + name.upper() for name in _PARSERS}
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Every run-wide knob, checked.  ``None`` leaves an optional field
-    unset: checkpoints and the farm are off, shard workers are waited
-    on forever, and the cache lives in ``~/.cache/pnet``."""
+    unset: the farm is off, shard workers are waited on forever, and the
+    cache lives in ``~/.cache/pnet``."""
 
     scale: str = "small"
     jobs: int = 1
     shard_timeout: Optional[float] = None
-    ckpt_dir: Optional[pathlib.Path] = None
-    ckpt_every: Optional[int] = None
-    ckpt_keep: Optional[int] = None
-    resume: bool = False
     cache: bool = True
     cache_dir: Optional[pathlib.Path] = None
     farm_inventory: Any = None  # an inventory file, or a live inventory
@@ -169,17 +166,6 @@ class RunConfig:
             # mostly-default config cheap.
             if value is not None and value is not _DEFAULTS[name]:
                 object.__setattr__(self, name, parse(value, name))
-        for name in ("ckpt_every", "resume"):
-            if getattr(self, name) and self.ckpt_dir is None:
-                raise ConfigError(
-                    f"{name} ({_VARIABLES[name]}) requires a checkpoint "
-                    "dir (ckpt_dir / PNET_CKPT_DIR)"
-                )
-        if self.ckpt_keep is not None and self.ckpt_every is None:
-            raise ConfigError(
-                "ckpt_keep (PNET_CKPT_KEEP) requires ckpt_every "
-                "(PNET_CKPT_EVERY): nothing is written without it"
-            )
 
     @classmethod
     def from_env(
@@ -222,8 +208,7 @@ def worker_config() -> RunConfig:
     """A farm worker's config for one trial: this host's environment.
     The sweep's own knobs are the dispatcher's, so the host's are not
     read."""
-    sweep = ("jobs", "ckpt_dir", "ckpt_every", "ckpt_keep", "resume",
-             "farm_inventory", "farm_timeout")
+    sweep = ("jobs", "farm_inventory", "farm_timeout")
     skip = {_VARIABLES[name] for name in sweep}
     environ = {k: v for k, v in os.environ.items() if k not in skip}
     return RunConfig.from_env(environ)

@@ -128,7 +128,7 @@ def run(scale: Optional[str] = None) -> AblationResult:
     return result
 
 
-def main() -> None:
+def main() -> AblationResult:
     result = run()
     print(
         f"Path-selection ablations: {result.n_planes}-plane parallel fat "
@@ -146,6 +146,7 @@ def main() -> None:
             ],
         )
     )
+    return result
 
 
 if __name__ == "__main__":

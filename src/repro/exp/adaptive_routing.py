@@ -110,7 +110,7 @@ def run(scale: Optional[str] = None) -> AdaptiveResult:
     return result
 
 
-def main() -> None:
+def main() -> AdaptiveResult:
     result = run()
     print(
         f"Adaptive end-host routing (section 3.4 extension), "
@@ -125,6 +125,7 @@ def main() -> None:
             ],
         )
     )
+    return result
 
 
 if __name__ == "__main__":

@@ -140,7 +140,7 @@ def run(scale: Optional[str] = None) -> AppendixResult:
     return result
 
 
-def main() -> None:
+def main() -> AppendixResult:
     result = run()
     print("Appendix A: trace-replay FCT medians/p99s (microseconds)\n")
     keys = sorted(result.stats, key=lambda k: (k[0], k[1], k[2], k[3]))
@@ -162,6 +162,7 @@ def main() -> None:
             rows,
         )
     )
+    return result
 
 
 if __name__ == "__main__":

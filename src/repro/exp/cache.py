@@ -10,10 +10,12 @@ shared across processes, runs, and experiments.
 Keys are *content* keys: :func:`stable_hash` canonically serialises the
 input structure (topology link/node/rate sets, policy fingerprints,
 traffic pairs, demands) so two logically identical inputs hit the same
-entry no matter which process computed it.  Values are pickles written
-atomically (temp file + ``os.replace``) so concurrent writers can never
-interleave partial entries; a corrupted or truncated entry is discarded
-and recomputed rather than crashing the run.
+entry no matter which process computed it.  Every entry is also keyed
+by the hash of the ``repro`` package source (:func:`content_hash`), so
+no entry outlives an edit to the code that computed it.  Values are
+pickles written atomically (temp file + ``os.replace``) so concurrent
+writers can never interleave partial entries; a corrupted or truncated
+entry is discarded and recomputed rather than crashing the run.
 
 Knobs (:class:`~repro.config.RunConfig` fields):
 
@@ -24,6 +26,7 @@ Knobs (:class:`~repro.config.RunConfig` fields):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import pathlib
 import pickle
@@ -34,8 +37,12 @@ from repro.config import current
 from repro.topology.graph import Topology
 
 #: Bump when the on-disk format or key semantics change; old entries are
-#: simply never hit again (they are keyed under the old version).
-CACHE_VERSION = 1
+#: simply never hit again (they are keyed under the old version).  v2:
+#: every entry is keyed by the package source hash.
+CACHE_VERSION = 2
+
+#: Root of the ``repro`` package source tree.
+_PACKAGE_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 _MISS = object()
 
@@ -101,6 +108,26 @@ def stable_hash(obj: Any) -> str:
     return digest.hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def _source_tree_hash(root: pathlib.Path) -> str:
+    """Hash of every ``.py`` file under ``root``: relative path plus
+    bytes, in sorted order."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        name = path.relative_to(root).as_posix().encode()
+        digest.update(b"%d:%s%d:" % (len(name), name, len(data)))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def content_hash(key: Any) -> str:
+    """The hash an entry is stored under: ``key`` together with the
+    source of the whole ``repro`` package, so editing any module the
+    entry's computation could run misses it."""
+    return stable_hash((_source_tree_hash(_PACKAGE_ROOT), key))
+
+
 def topology_hash(topo: Topology) -> str:
     """Content hash of a topology.
 
@@ -151,7 +178,7 @@ class ArtifactCache:
             self.root
             / f"v{CACHE_VERSION}"
             / kind
-            / f"{stable_hash(key)}.pkl"
+            / f"{content_hash(key)}.pkl"
         )
 
     def get(self, kind: str, key: Any, default: Any = None) -> Any:

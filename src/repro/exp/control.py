@@ -214,7 +214,7 @@ def _accumulate(totals, variant, stats) -> None:
         bucket[key] = bucket.get(key, 0) + value
 
 
-def main() -> None:
+def main() -> ControlResult:
     result = run()
     print(
         f"Adaptive control plane (repro.control extension), "
@@ -242,6 +242,7 @@ def main() -> None:
         f"\nbest load-aware matrix: seed {result.best['seed']} "
         f"(speedup {result.best['speedup']:.3f})"
     )
+    return result
 
 
 if __name__ == "__main__":

@@ -294,7 +294,7 @@ def run(scale: Optional[str] = None, chaos_seed: int = 7) -> DegradationResult:
     return result
 
 
-def main() -> None:
+def main() -> DegradationResult:
     result = run()
     print(
         f"Degradation under a plane outage "
@@ -317,6 +317,7 @@ def main() -> None:
         f"surviving capacity at end "
         f"{stats['surviving_capacity_end']:.3f}"
     )
+    return result
 
 
 if __name__ == "__main__":

@@ -107,7 +107,7 @@ def run(scale: Optional[str] = None) -> ExpanderFamilyResult:
     return result
 
 
-def main() -> None:
+def main() -> ExpanderFamilyResult:
     result = run()
     print(
         f"Expander families as heterogeneous P-Nets "
@@ -128,6 +128,7 @@ def main() -> None:
             ],
         )
     )
+    return result
 
 
 if __name__ == "__main__":

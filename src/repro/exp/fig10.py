@@ -181,7 +181,7 @@ def run(scale: Optional[str] = None) -> Fig10Result:
     return result
 
 
-def main() -> None:
+def main() -> Fig10Result:
     result = run()
     print(
         f"Figure 10 / Table 2: 1500B RPC completion, {result.n_hosts} hosts, "
@@ -209,6 +209,7 @@ def main() -> None:
             ],
         )
     )
+    return result
 
 
 if __name__ == "__main__":

@@ -79,7 +79,7 @@ def run(scale: Optional[str] = None) -> Fig11Result:
     return result
 
 
-def main() -> None:
+def main() -> Fig11Result:
     result = run()
     print(f"Figure 11: 100kB concurrent RPCs, {result.n_hosts} hosts\n")
     rows = []
@@ -99,6 +99,7 @@ def main() -> None:
             rows,
         )
     )
+    return result
 
 
 if __name__ == "__main__":

@@ -171,7 +171,7 @@ def run(scale: Optional[str] = None) -> Fig12Result:
     return result
 
 
-def main() -> None:
+def main() -> Fig12Result:
     result = run()
     print(
         f"Figure 12: shuffle workload per-worker completion times "
@@ -192,6 +192,7 @@ def main() -> None:
             )
         )
         print()
+    return result
 
 
 if __name__ == "__main__":

@@ -170,7 +170,7 @@ def flow_size_cdfs() -> Dict[str, List[Tuple[float, float]]]:
     return {name: list(cdf.points) for name, cdf in TRACES.items()}
 
 
-def main() -> None:
+def main() -> Fig13Result:
     print("Figure 13a: flow size CDF control points")
     for name, points in flow_size_cdfs().items():
         mid = TRACES[name].quantile(0.5)
@@ -193,6 +193,7 @@ def main() -> None:
             )
         )
         print()
+    return result
 
 
 if __name__ == "__main__":

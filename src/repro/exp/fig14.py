@@ -121,7 +121,7 @@ def run(scale: Optional[str] = None) -> Fig14Result:
     return result
 
 
-def main() -> None:
+def main() -> Fig14Result:
     result = run()
     print(
         f"Figure 14: average best-path hop count vs link failure rate "
@@ -141,6 +141,7 @@ def main() -> None:
             rows,
         )
     )
+    return result
 
 
 if __name__ == "__main__":

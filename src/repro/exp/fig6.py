@@ -162,7 +162,7 @@ def run(scale: Optional[str] = None) -> Fig6Result:
     return result
 
 
-def main() -> None:
+def main() -> Fig6Result:
     result = run()
     print(f"Figure 6 (fat tree k={result.k}; normalised throughput)\n")
     planes = sorted(result.ecmp_all_to_all)
@@ -190,6 +190,7 @@ def main() -> None:
             ],
         )
     )
+    return result
 
 
 if __name__ == "__main__":

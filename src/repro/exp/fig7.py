@@ -138,7 +138,7 @@ def run(scale: Optional[str] = None) -> Fig7Result:
     return result
 
 
-def main() -> None:
+def main() -> Fig7Result:
     result = run()
     print(
         f"Figure 7: ideal rack-level all-to-all throughput, "
@@ -164,6 +164,7 @@ def main() -> None:
         f"\nhomogeneous consistency check (expect ~{sorted(result.heterogeneous)[1]}): "
         f"{result.homogeneous_check:.3f}"
     )
+    return result
 
 
 if __name__ == "__main__":

@@ -211,7 +211,7 @@ def run(scale: Optional[str] = None) -> Fig8Result:
     return result
 
 
-def main() -> None:
+def main() -> Fig8Result:
     result = run()
     print(f"Figure 8 (Jellyfish, {result.n_hosts} hosts)\n")
     keys = sorted(result.ksp8_all_to_all)
@@ -239,6 +239,7 @@ def main() -> None:
             ],
         )
     )
+    return result
 
 
 if __name__ == "__main__":

@@ -210,7 +210,7 @@ def packet_sim_validation(
     return {label: trials[(label,)] for label in LABELS}
 
 
-def main() -> None:
+def main() -> Fig9Result:
     result = run()
     print(
         f"Figure 9: mean FCT (ms) vs flow size, {result.n_hosts}-host "
@@ -235,6 +235,7 @@ def main() -> None:
         for label, series in result.mean_fct.items()
     ]
     print(format_table(headers, rows))
+    return result
 
 
 if __name__ == "__main__":

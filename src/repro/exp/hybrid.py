@@ -200,7 +200,7 @@ def _deviation(trials, seeds, against: str, side: str) -> float:
     return summarize(deviations).mean if deviations else math.nan
 
 
-def main(**knobs) -> None:
+def main(**knobs) -> HybridResult:
     result = run(**knobs)
     print(
         f"Hybrid fidelity: fig9 permutation workload, {result.n_hosts}-host "
@@ -227,6 +227,7 @@ def main(**knobs) -> None:
             f"fluid-side FCT deviation vs pure fluid:   "
             f"{result.fluid_side_deviation:.2%}"
         )
+    return result
 
 
 if __name__ == "__main__":

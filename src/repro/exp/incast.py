@@ -92,7 +92,7 @@ def run(scale: Optional[str] = None) -> IncastResult:
     return result
 
 
-def main() -> None:
+def main() -> IncastResult:
     result = run()
     print(f"Incast (section 6.5 extension), {result.n_hosts} hosts\n")
     rows = [
@@ -110,6 +110,7 @@ def main() -> None:
             rows,
         )
     )
+    return result
 
 
 if __name__ == "__main__":

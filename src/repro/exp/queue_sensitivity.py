@@ -97,7 +97,7 @@ def run(scale: Optional[str] = None) -> QueueSensitivityResult:
     return result
 
 
-def main() -> None:
+def main() -> QueueSensitivityResult:
     result = run()
     print(
         f"Queue-depth sensitivity ({result.n_hosts} hosts, "
@@ -119,6 +119,7 @@ def main() -> None:
             rows,
         )
     )
+    return result
 
 
 if __name__ == "__main__":

@@ -10,6 +10,12 @@ order** -- the :class:`~repro.sim.events.EventLoop` and every topology
 builder are deterministic given their seeds, so results are independent
 of worker scheduling, and ``tests/test_determinism.py`` locks that in.
 
+The trial cache is also a sweep's only record of its finished trials:
+every trial's result is stored as it completes (by the pool worker, the
+serial loop, or the dispatcher for a farm result), so a rerun of a
+killed sweep on the same ``PNET_CACHE_DIR`` computes only what is
+missing, and a superset sweep reuses a subset's trials.
+
 A trial function must be a module-level callable (referenced as
 ``"package.module:function"`` so it pickles by name) taking only
 picklable keyword arguments and returning picklable data; it must not
@@ -26,18 +32,11 @@ import hashlib
 import importlib
 import inspect
 import multiprocessing
-import pathlib
 import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.ckpt.store import (
-    KIND_FARM,
-    KIND_SWEEP,
-    load_progress,
-    write_progress,
-)
 from repro.config import RunConfig, current, use
 from repro.exp import cache as _cache
 from repro.obs import get_registry
@@ -80,11 +79,6 @@ class RunStats:
     cache_hits: int = 0
     cache_misses: int = 0
     trial_cache_hits: int = 0
-    #: Trials skipped because a sweep checkpoint already held their
-    #: result (``--resume`` / ``PNET_RESUME``).
-    resumed_trials: int = 0
-    #: Sweep-progress checkpoints written this run.
-    checkpoints_written: int = 0
     #: Farm workers the run dispatched over (0 = no farm).
     farm_workers: int = 0
     #: Trials re-queued after their farm worker was lost mid-flight.
@@ -100,11 +94,6 @@ class RunStats:
             f"{self.cache_misses} misses "
             f"({self.trial_cache_hits} whole-trial hits)"
         )
-        if self.resumed_trials or self.checkpoints_written:
-            text += (
-                f", {self.resumed_trials} resumed / "
-                f"{self.checkpoints_written} checkpoints"
-            )
         if self.farm_workers:
             text += (
                 f", farm={self.farm_workers} workers "
@@ -137,42 +126,26 @@ def resolve_fn(ref: str) -> Callable:
     return fn
 
 
-#: Root of the ``repro`` package source tree.
-_PACKAGE_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-@functools.lru_cache(maxsize=None)
-def _source_tree_hash(root: pathlib.Path) -> str:
-    """Hash of every ``.py`` file under ``root``: relative path plus
-    bytes, in sorted order."""
-    digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        data = path.read_bytes()
-        name = path.relative_to(root).as_posix().encode()
-        digest.update(b"%d:%s%d:" % (len(name), name, len(data)))
-        digest.update(data)
-    return digest.hexdigest()
-
-
 @functools.lru_cache(maxsize=None)
 def _code_hash(module_name: str) -> str:
-    """Hash of the code a trial can run, so trial-result cache entries
-    die when any of it changes: the whole ``repro`` package, plus the
-    trial's own module when it lives outside the package."""
-    package = _source_tree_hash(_PACKAGE_ROOT)
+    """Hash of a trial module outside the ``repro`` package ("" inside
+    it).  Every cache entry is keyed by the package source already
+    (:func:`repro.exp.cache.content_hash`); this adds the one module a
+    trial can run that the package hash cannot see."""
     if module_name.partition(".")[0] == "repro":
-        return package
+        return ""
     module = importlib.import_module(module_name)
     try:
         source = inspect.getsource(module)
     except (OSError, TypeError):
         source = "nosource"
-    return hashlib.sha256((package + source).encode()).hexdigest()
+    return hashlib.sha256(source.encode()).hexdigest()
 
 
 def _trial_cache_key(spec: TrialSpec) -> Tuple:
-    """The whole-trial cache key: function, code hash and kwargs.  No
-    run config field changes a result, so none is part of it."""
+    """The whole-trial cache key: function, outside-module hash and
+    kwargs (the cache adds the package hash).  No run config field
+    changes a result, so none is part of it."""
     return (spec.fn, _code_hash(spec.fn.partition(":")[0]), spec.kwargs)
 
 
@@ -212,23 +185,9 @@ def _pool_context():
     )
 
 
-# --- sweep checkpoints ------------------------------------------------------
-#
-# A preemptible sweep writes its accumulated {trial content hash ->
-# result} map every N completions; a resumed run loads the newest valid
-# checkpoint and skips every trial whose hash is present.  Hashes are
-# the same content keys the artifact cache uses (code hash included), so
-# a checkpoint can never resurrect results from changed code, and
-# checkpoints written by one sweep are usable by any superset sweep.
-
-
 def run_trials(
     specs: Sequence[TrialSpec],
     jobs: Optional[int] = None,
-    checkpoint_dir=None,
-    checkpoint_every: Optional[int] = None,
-    resume: Optional[bool] = None,
-    checkpoint_keep_last: Optional[int] = None,
     farm=None,
     farm_timeout: Optional[float] = None,
 ) -> Dict[Tuple, Any]:
@@ -245,17 +204,10 @@ def run_trials(
     identical across job counts; per-run cost is recorded in
     :func:`last_stats`.
 
-    Sweep checkpointing (``checkpoint_dir`` / ``checkpoint_every`` /
-    ``resume`` / ``checkpoint_keep_last``, by default ``PNET_CKPT_DIR``
-    / ``PNET_CKPT_EVERY`` / ``PNET_RESUME`` / ``PNET_CKPT_KEEP``): with
-    a checkpoint dir and interval, the run writes crash-consistent
-    progress snapshots every ``checkpoint_every`` completed trials plus
-    one at the end; with ``resume``, trials whose results a prior
-    (possibly killed) run already checkpointed are skipped.  The
-    interval and ``resume`` need a dir, and retention needs the
-    interval.  Results are keyed by the same content hash as the
-    artifact cache, so resumed values are exactly the values an
-    uninterrupted run would have produced.
+    A trial the artifact cache already holds is not run again (a
+    ``trial_cache_hits`` hit), so rerunning a killed sweep on the same
+    cache resumes it.  Its entries are keyed by the code that produced
+    them, so a rerun after a code edit recomputes.
 
     ``farm`` (default ``$PNET_FARM_INVENTORY``; unset = no farm)
     dispatches pending trials across a run farm instead of the local
@@ -263,19 +215,13 @@ def run_trials(
     :class:`~repro.farm.inventory.HostSpec`, or an inventory file path.
     Workers lost mid-trial (crash, SIGKILL, ssh drop, heartbeat timeout
     ``farm_timeout`` / ``$PNET_FARM_TIMEOUT``) have their trial
-    reassigned -- resuming from its last per-trial checkpoint when the
-    trial function checkpoints -- and the merged result is
-    byte-identical to a single-host run of the same specs.
+    reassigned, and the merged result is byte-identical to a
+    single-host run of the same specs.  Every farm result lands in this
+    process's cache, whatever the hosts' caches do.
     """
     _check_specs(specs)
     config = current(
-        jobs=jobs,
-        ckpt_dir=checkpoint_dir,
-        ckpt_every=checkpoint_every,
-        resume=resume,
-        ckpt_keep=checkpoint_keep_last,
-        farm_inventory=farm,
-        farm_timeout=farm_timeout,
+        jobs=jobs, farm_inventory=farm, farm_timeout=farm_timeout,
     )
     with use(config):
         return _run_trials(specs, config)
@@ -283,8 +229,6 @@ def run_trials(
 
 def _run_trials(specs: Sequence[TrialSpec], config: RunConfig):
     global _last_stats
-    checkpoint_dir = config.ckpt_dir
-    checkpoint_every = config.ckpt_every
     stats = RunStats(
         n_trials=len(specs), jobs=config.jobs, trial_workers=config.jobs,
     )
@@ -293,65 +237,33 @@ def _run_trials(specs: Sequence[TrialSpec], config: RunConfig):
     parent_hits0, parent_misses0 = cache.hits, cache.misses
     results: Dict[Tuple, Any] = {}
 
-    # Resume state first, then the whole-trial cache: anything already
-    # computed (by a prior possibly-killed sweep, any prior run, or any
-    # other process) never reaches the pool.
-    trial_key = {spec.key: _trial_cache_key(spec) for spec in specs}
-    content_hash = {
-        key: _cache.stable_hash(value) for key, value in trial_key.items()
-    }
-    done: Dict[str, Any] = (
-        load_progress(checkpoint_dir) if config.resume else {}
-    )
+    # Anything already computed (by any prior run, killed or not, or
+    # any other process) never reaches the pool.
     pending: List[TrialSpec] = []
     for spec in specs:
-        if content_hash[spec.key] in done:
-            results[spec.key] = done[content_hash[spec.key]]
-            stats.resumed_trials += 1
-            continue
-        value = cache.get("trial", trial_key[spec.key], _MISS)
+        value = cache.get("trial", _trial_cache_key(spec), _MISS)
         if value is _MISS:
             pending.append(spec)
         else:
             results[spec.key] = value
             stats.trial_cache_hits += 1
-            done[content_hash[spec.key]] = value
 
     from repro.farm.inventory import resolve_inventory
 
     inventory = resolve_inventory(config.farm_inventory)
-    progress_kind = KIND_SWEEP if inventory is None else KIND_FARM
-    fresh = 0
-
-    def _completed(key: Tuple, value: Any) -> None:
-        nonlocal fresh
-        results[key] = value
-        done[content_hash[key]] = value
-        fresh += 1
-        if (
-            checkpoint_every is not None
-            and fresh % checkpoint_every == 0
-        ):
-            write_progress(
-                checkpoint_dir, done, len(specs), config.ckpt_keep,
-                kind=progress_kind,
-            )
-            stats.checkpoints_written += 1
-
     if inventory is not None and pending:
         from repro.farm.dispatch import run_on_farm
 
+        by_key = {spec.key: spec for spec in pending}
+
+        def _completed(key: Tuple, value: Any, __) -> None:
+            # This process's cache records every farm result, so a
+            # killed farm sweep resumes here whatever the hosts cache.
+            results[key] = value
+            cache.put("trial", _trial_cache_key(by_key[key]), value)
+
         farm_results, farm_stats = run_on_farm(
-            pending,
-            inventory,
-            trial_checkpoint_root=(
-                checkpoint_dir / "trials"
-                if checkpoint_dir is not None else None
-            ),
-            content_hash={
-                spec.key: content_hash[spec.key] for spec in pending
-            },
-            on_complete=lambda key, value, __: _completed(key, value),
+            pending, inventory, on_complete=_completed,
         )
         assert len(farm_results) == len(pending)
         stats.farm_workers = farm_stats.n_workers
@@ -364,7 +276,7 @@ def _run_trials(specs: Sequence[TrialSpec], config: RunConfig):
             # a pool worker's unpickled result would: without this,
             # in-process results can share interned objects across
             # trials and their combined pickle differs by job count.
-            _completed(key, pickle.loads(pickle.dumps(value)))
+            results[key] = pickle.loads(pickle.dumps(value))
     else:
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
@@ -378,7 +290,7 @@ def _run_trials(specs: Sequence[TrialSpec], config: RunConfig):
             try:
                 for future in as_completed(futures):
                     key, value, hits, misses = future.result()
-                    _completed(key, value)
+                    results[key] = value
                     stats.cache_hits += hits
                     stats.cache_misses += misses
             except BaseException:
@@ -386,15 +298,6 @@ def _run_trials(specs: Sequence[TrialSpec], config: RunConfig):
                 # stops once the running ones return.
                 pool.shutdown(cancel_futures=True)
                 raise
-
-    if checkpoint_every is not None and fresh % checkpoint_every != 0:
-        # Final partial interval: a completed sweep's checkpoint lets a
-        # superset sweep resume from everything computed here.
-        write_progress(
-            checkpoint_dir, done, len(specs), config.ckpt_keep,
-            kind=progress_kind,
-        )
-        stats.checkpoints_written += 1
 
     # Parent-side delta (trial-cache probes, and serial-path artifact
     # traffic); worker deltas were added as results streamed in.

@@ -31,7 +31,7 @@ def verify_against_paper() -> Dict[str, bool]:
     return outcome
 
 
-def main() -> None:
+def main() -> List[ComponentCount]:
     rows = run()
     print("Table 1: component counts (8192 hosts, 16-port chips)")
     print(
@@ -42,6 +42,7 @@ def main() -> None:
     )
     matches = verify_against_paper()
     print(f"\nAll rows match the paper: {all(matches.values())}")
+    return rows
 
 
 if __name__ == "__main__":

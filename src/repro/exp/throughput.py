@@ -13,8 +13,10 @@ cache (:mod:`repro.exp.cache`):
 * **LP solutions** -- keyed by the network hash (capacities), the exact
   route set, the demand matrix, and the objective.
 
-Identical inputs therefore never re-solve, across processes and runs;
-``PNET_CACHE=0`` disables all of it.
+Like every cache entry, both are also keyed by the package source hash,
+so an edit to the routing or LP code misses them.  Identical inputs
+therefore never re-solve, across processes and runs, and changed code
+always does; ``PNET_CACHE=0`` disables all of it.
 """
 
 from __future__ import annotations

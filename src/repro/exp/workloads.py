@@ -230,7 +230,7 @@ def run(
     return result
 
 
-def main(**knobs) -> None:
+def main(**knobs) -> WorkloadsResult:
     result = run(**knobs)
     print(
         f"Production workloads, {result.n_hosts}-host Jellyfish, "
@@ -251,6 +251,7 @@ def main(**knobs) -> None:
          "max CT ms", "p99 FCT ms", "speedup"],
         table,
     ))
+    return result
 
 
 if __name__ == "__main__":

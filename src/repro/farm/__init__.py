@@ -4,24 +4,24 @@ Scale a trial sweep past one machine the way FireSim's manager scales
 FPGA simulations past one box: a declarative host *inventory*
 (:mod:`~repro.farm.inventory`), pluggable worker-launch *transports*
 (:mod:`~repro.farm.transport`: ``local`` subprocesses for CI, ``ssh``
-for real farms), a *dispatcher* (:mod:`~repro.farm.dispatch`) streaming
-content-hash-keyed trials to thin worker agents
-(:mod:`~repro.farm.worker`), and a *merge* layer
-(:mod:`~repro.farm.merge`) folding per-host progress containers into
-one result set.
+for real farms), and a *dispatcher* (:mod:`~repro.farm.dispatch`)
+streaming trials to thin worker agents (:mod:`~repro.farm.worker`).
 
-The contract that makes distribution free of semantic risk: results
-are keyed by trial content hash (function + code + kwargs), workers
+The contract that makes distribution free of semantic risk: workers
 lost mid-trial (crash, SIGKILL, ssh drop, heartbeat timeout
 ``PNET_FARM_TIMEOUT``) get their trial reassigned -- resuming from its
-last ``ckpt-%08d`` step when the trial checkpoints -- and the merged
-output is **byte-identical** to a single-host
+last ``ckpt-%08d`` step when :func:`run_on_farm` is given a per-trial
+checkpoint root and the trial checkpoints -- and the merged output is
+**byte-identical** to a single-host
 :func:`repro.exp.runner.run_trials` of the same grid, at any
 host/worker/job count and through any number of worker losses.
+``run_trials`` stores every farm result in the dispatcher's own trial
+cache, keyed by function, code and kwargs, so a killed farm sweep
+resumes from it on any host count, one included.
 
 Entry points: ``run_trials(farm=...)`` (or ``PNET_FARM_INVENTORY``)
-from experiment code, ``python -m repro farm run|status|workers|merge``
-from the shell.
+from experiment code, ``python -m repro farm run|workers`` from the
+shell.
 """
 
 from repro.farm.dispatch import Dispatcher, FarmStats, run_on_farm
@@ -31,13 +31,6 @@ from repro.farm.inventory import (
     Inventory,
     local_inventory,
     resolve_inventory,
-)
-from repro.farm.merge import (
-    KIND_FARM,
-    load_progress,
-    merge_progress,
-    merge_roots,
-    write_progress,
 )
 from repro.farm.transport import (
     AUTHKEY_ENV,
@@ -54,16 +47,11 @@ __all__ = [
     "FarmStats",
     "HostSpec",
     "Inventory",
-    "KIND_FARM",
     "LocalTransport",
     "SshTransport",
     "WorkerHandle",
     "get_transport",
-    "load_progress",
     "local_inventory",
-    "merge_progress",
-    "merge_roots",
     "resolve_inventory",
     "run_on_farm",
-    "write_progress",
 ]

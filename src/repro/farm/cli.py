@@ -8,10 +8,8 @@ Subcommands:
   through :func:`repro.exp.runner.run_trials`; the default grid is the
   reference resumable trial (:func:`repro.farm.trial.demo_trial`) over
   ``--seeds``, and ``--spec FILE`` substitutes any JSON trial list.
-* ``status ROOT`` -- progress of a (possibly still running, possibly
-  killed) farm sweep from its newest progress container.
-* ``merge ROOT [ROOT ...]`` -- fold per-host progress containers into
-  one result set (``--out`` writes it as a new container).
+  Every result lands in this machine's trial cache, so a rerun on the
+  same ``PNET_CACHE_DIR`` dispatches only what a killed run left.
 * ``worker`` -- the agent end; launched by the dispatcher's transport,
   never by hand.
 """
@@ -105,43 +103,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_status(args) -> int:
-    from repro.ckpt.store import latest, list_checkpoints, read_manifest
-
-    chosen = latest(args.root)
-    if chosen is None:
-        print(f"[farm] no progress container under {args.root}")
-        return 1
-    meta = read_manifest(chosen).get("meta", {})
-    kind = meta.get("kind", "?")
-    completed = meta.get("completed", "?")
-    total = meta.get("total", "?")
-    print(
-        f"[farm] {chosen.name}: kind={kind} trials {completed}/{total}"
-    )
-    trials_root = chosen.parent / "trials"
-    if trials_root.is_dir():
-        dirs = sorted(p for p in trials_root.iterdir() if p.is_dir())
-        for trial_dir in dirs:
-            steps = list_checkpoints(trial_dir)
-            print(
-                f"  {trial_dir.name}: {len(steps)} trial checkpoint(s)"
-            )
-    return 0
-
-
-def _cmd_merge(args) -> int:
-    from repro.farm.merge import merge_roots
-
-    merged = merge_roots(args.roots, out_root=args.out)
-    where = f" -> {args.out}" if args.out else ""
-    print(
-        f"[farm] merged {len(args.roots)} container root(s): "
-        f"{len(merged)} distinct trial result(s){where}"
-    )
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -182,56 +143,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="worker heartbeat timeout (default $PNET_FARM_TIMEOUT)",
     )
-    run.add_argument("--checkpoint-dir", metavar="DIR", default=None)
-    run.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N"
-    )
-    run.add_argument("--keep-last", type=int, default=None, metavar="N")
-    run.add_argument("--resume", action="store_true")
     run.add_argument(
         "--out", metavar="FILE", default=None,
         help="write merged results as JSON",
     )
 
-    status = sub.add_parser(
-        "status", help="show sweep progress from its containers"
-    )
-    status.add_argument("root", metavar="DIR")
-
-    merge = sub.add_parser(
-        "merge", help="fold per-host progress containers together"
-    )
-    merge.add_argument("roots", nargs="+", metavar="DIR")
-    merge.add_argument(
-        "--out", metavar="DIR", default=None,
-        help="write the merged map as a new container under DIR",
-    )
-
-    parser.set_defaults(
-        inventory=None, timeout=None, checkpoint_dir=None,
-        checkpoint_every=None, keep_last=None, resume=False,
-    )
+    parser.set_defaults(timeout=None)
     args = parser.parse_args(argv)
     from repro.cli import resolve_config
 
     config = resolve_config(
-        parser,
-        farm_inventory=args.inventory,
-        farm_timeout=args.timeout,
-        ckpt_dir=args.checkpoint_dir,
-        ckpt_every=args.checkpoint_every,
-        ckpt_keep=args.keep_last,
-        resume=args.resume or None,
+        parser, farm_inventory=args.inventory, farm_timeout=args.timeout,
     )
     try:
         with use(config):
             if args.action == "workers":
                 return _cmd_workers(args)
-            if args.action == "run":
-                return _cmd_run(args)
-            if args.action == "status":
-                return _cmd_status(args)
-            return _cmd_merge(args)
+            return _cmd_run(args)
     except FarmError as exc:
         print(f"[farm] error: {exc}", file=sys.stderr)
         return 1

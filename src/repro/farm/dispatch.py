@@ -1,4 +1,4 @@
-"""Trial dispatcher: assign content-hash-keyed trials across farm hosts.
+"""Trial dispatcher: assign trials across farm hosts.
 
 The dispatcher owns all scheduling state (FireSim's
 ``instance_deploy_manager`` split): it launches one worker agent per
@@ -7,13 +7,13 @@ rendezvous, and streams trial assignments to idle workers.  Workers are
 tracked by heartbeat; a worker that crashes, is SIGKILLed, drops its
 connection, or goes silent for ``PNET_FARM_TIMEOUT`` seconds is
 declared lost and its in-flight trial goes back to the head of the
-queue -- flagged for *resume*, so a trial that checkpoints
-(``checkpoint_dir``-aware functions, see :mod:`repro.farm.worker`)
-continues on another host from its last ``ckpt-%08d`` step instead of
-recomputing.
+queue -- flagged for *resume*, so with a ``trial_checkpoint_root`` a
+trial that checkpoints (``checkpoint_dir``-aware functions, see
+:mod:`repro.farm.worker`) continues on another host from its last
+``ckpt-%08d`` step instead of recomputing.
 
-Results are keyed by trial content hash exactly as the single-host
-runner keys them, so a farm run's merged output is byte-identical to
+Results are keyed by ``spec.key``, and a trial returns the same value
+on any host, so a farm run's merged output is byte-identical to
 ``run_trials`` on one machine at any host/worker count.
 """
 
@@ -90,7 +90,10 @@ class Dispatcher:
 
     Use :func:`run_on_farm` unless you need the object for status
     callbacks.  ``timeout`` defaults to the current config's
-    ``farm_timeout``.  ``on_assign(worker_id, spec, pid)`` fires after each
+    ``farm_timeout``.  With ``trial_checkpoint_root``, each trial gets
+    its own checkpoint directory under it, named by the trial's cache
+    content hash (so it changes with the code), and a reassigned trial
+    resumes there.  ``on_assign(worker_id, spec, pid)`` fires after each
     assignment is sent (status displays; the recovery drill uses it to
     aim its SIGKILL), ``on_complete(key, value, resumed_step)`` after
     each result lands.
@@ -103,8 +106,6 @@ class Dispatcher:
         *,
         timeout: Optional[float] = None,
         trial_checkpoint_root=None,
-        trial_checkpoint_every: Optional[float] = None,
-        content_hash: Optional[Dict[Tuple, str]] = None,
         on_complete: Optional[Callable[[Tuple, Any, Optional[int]], None]] = None,
         on_assign: Optional[Callable[[str, Any, int], None]] = None,
         bind: str = "127.0.0.1",
@@ -118,21 +119,11 @@ class Dispatcher:
         self.timeout = current(farm_timeout=timeout).farm_timeout
         self.heartbeat = max(min(self.timeout / 4, 2.0), 0.05)
         self.trial_checkpoint_root = trial_checkpoint_root
-        self.trial_checkpoint_every = trial_checkpoint_every
         self.on_complete = on_complete
         self.on_assign = on_assign
         self.bind = bind
         self.connect_timeout = connect_timeout
         self.obs = obs if obs is not None else get_registry()
-        if content_hash is None:
-            from repro.exp.cache import stable_hash
-            from repro.exp.runner import _trial_cache_key
-
-            content_hash = {
-                spec.key: stable_hash(_trial_cache_key(spec))
-                for spec in self.specs
-            }
-        self.content_hash = content_hash
         self.stats = FarmStats(
             n_hosts=len(self.inventory.hosts),
             n_workers=self.inventory.n_slots,
@@ -248,7 +239,10 @@ class Dispatcher:
     def _trial_checkpoint_dir(self, spec) -> Optional[str]:
         if self.trial_checkpoint_root is None:
             return None
-        digest = self.content_hash[spec.key]
+        from repro.exp.cache import content_hash
+        from repro.exp.runner import _trial_cache_key
+
+        digest = content_hash(_trial_cache_key(spec))
         return str(
             os.path.join(
                 str(self.trial_checkpoint_root), f"trial-{digest[:16]}"
@@ -263,7 +257,6 @@ class Dispatcher:
             "key": pending.spec.key,
             "kwargs": pending.spec.kwargs,
             "checkpoint_dir": self._trial_checkpoint_dir(pending.spec),
-            "checkpoint_every": self.trial_checkpoint_every,
             "resume": pending.resume,
         }
         try:

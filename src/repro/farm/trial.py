@@ -2,15 +2,15 @@
 
 :func:`demo_trial` is an ordinary runner trial function -- module-level,
 picklable kwargs, deterministic given ``seed`` -- that additionally
-declares the ``checkpoint_dir``/``checkpoint_every`` keywords the farm
-worker injects.  Called without them (the single-host path) it runs a
-small packet simulation straight through; called with them it
-checkpoints every few simulated seconds and, when a checkpoint already
-exists in its per-trial directory, *resumes* from it instead of
-starting over.  The packet engine's any-cut byte-identity contract
-(``tests/test_ckpt_resume.py``) makes both paths return the same
-canonical JSON, which is exactly what the farm's byte-identical-merge
-acceptance drill asserts.
+declares the ``checkpoint_dir`` keyword the farm worker injects.
+Called without it (the single-host path) it runs a small packet
+simulation straight through; called with it it checkpoints every
+``checkpoint_every`` simulated seconds (:data:`DEFAULT_EVERY` unless
+given) and, when a checkpoint already exists in its per-trial
+directory, *resumes* from it instead of starting over.  The packet
+engine's any-cut byte-identity contract (``tests/test_ckpt_resume.py``)
+makes both paths return the same canonical JSON, which is exactly what
+the farm's byte-identical-merge acceptance drill asserts.
 
 ``wall_pause`` stretches wall-clock time per checkpoint without
 touching simulated time, so recovery tests can SIGKILL a worker

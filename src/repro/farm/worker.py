@@ -5,19 +5,16 @@ receive one trial assignment, run it, send the result back.  A
 background thread heartbeats on the same connection so the dispatcher
 can tell a busy worker from a dead one (``PNET_FARM_TIMEOUT``).
 
-Trial functions are the runner's usual module-level callables.  Two
-optional keyword parameters opt a trial into preemption-safe resume --
-the worker only injects them when the function's signature declares
-them (or takes ``**kwargs``):
+Trial functions are the runner's usual module-level callables.  An
+optional ``checkpoint_dir`` keyword opts a trial into preemption-safe
+resume: when the dispatcher has a per-trial checkpoint root, the worker
+passes the trial its own directory (content-hash-keyed by the
+dispatcher), where it should write ``repro.ckpt`` snapshots and from
+which it should resume when one exists.  The worker only passes it
+when the function's signature declares it (or takes ``**kwargs``).
 
-* ``checkpoint_dir`` -- a per-trial directory (content-hash-keyed by
-  the dispatcher) where the trial should write ``repro.ckpt``
-  snapshots and from which it should resume when one exists.
-* ``checkpoint_every`` -- the snapshot interval the dispatcher asks
-  for (simulated seconds).
-
-A trial without these parameters still runs on the farm; it is simply
-recomputed from scratch if its worker dies.
+A trial without it still runs on the farm; it is simply recomputed
+from scratch if its worker dies.
 
 A trial runs under :func:`repro.config.worker_config`: this host's
 config, so cache paths stay local.
@@ -114,9 +111,6 @@ def execute_assignment(msg: Dict[str, Any]) -> Dict[str, Any]:
         if checkpoint_dir is not None and _accepts(fn, "checkpoint_dir"):
             resumed = _resumed_step(checkpoint_dir)
             kwargs["checkpoint_dir"] = checkpoint_dir
-            every = msg.get("checkpoint_every")
-            if every is not None and _accepts(fn, "checkpoint_every"):
-                kwargs["checkpoint_every"] = every
         # Content key of the *original* kwargs: identical to what a
         # single-host run would cache, so warmed entries interoperate.
         spec = TrialSpec(fn=msg["fn"], key=key, kwargs=dict(msg["kwargs"]))

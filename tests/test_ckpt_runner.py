@@ -1,17 +1,18 @@
-"""Sweep-level checkpoint/resume in the experiment runner.
+"""A sweep resumes from its trial cache.
 
-A preemptible sweep writes crash-consistent progress containers every N
-completed trials; a resumed sweep must (a) skip exactly the trials a
-prior -- possibly SIGKILLed -- run already finished, (b) return values
-identical to an uninterrupted sweep, and (c) key progress by *content*
-(spec + code hash), so a superset sweep resumes from a subset's
-checkpoint and stale checkpoints can never resurrect results from
-changed code.  The artifact cache is disabled throughout: resume must
-work from the checkpoint alone.
+``run_trials`` stores every trial's result in the artifact cache as the
+trial finishes, keyed by function, code and kwargs.  So a rerun of a
+sweep on the same ``PNET_CACHE_DIR`` -- after a SIGKILL mid-flight
+included -- must (a) compute only the trials the cache lacks, (b)
+return values identical to an uninterrupted sweep at any job count,
+and (c) reuse a subset sweep's trials in a superset sweep.  No sweep
+writes a checkpoint directory.  Every test sweeps on its own empty
+cache.
 """
 
 import os
 import pathlib
+import pickle
 import signal
 import subprocess
 import sys
@@ -19,12 +20,6 @@ import time
 
 import pytest
 
-from repro.ckpt.store import (
-    CheckpointError,
-    list_checkpoints,
-    step_dir,
-    write_checkpoint,
-)
 from repro.exp.runner import TrialSpec, last_stats, run_trials
 
 REPO = pathlib.Path(__file__).parent.parent
@@ -46,153 +41,117 @@ def _specs(values, fn="tests.test_ckpt_runner:quick_trial"):
     ]
 
 
+def _tripled(values):
+    return {(v,): v * 3 for v in values}
+
+
+def _finished(cache_dir: pathlib.Path) -> int:
+    """Trials the cache holds; entries land by atomic rename."""
+    return len(list(cache_dir.glob("v*/trial/*.pkl")))
+
+
 @pytest.fixture(autouse=True)
-def _isolated_env(monkeypatch):
-    """No artifact cache, no ambient checkpoint knobs: every hit below
-    must come from the sweep checkpoint under test."""
-    monkeypatch.setenv("PNET_CACHE", "0")
-    for var in ("PNET_CKPT_DIR", "PNET_CKPT_EVERY", "PNET_RESUME",
-                "PNET_CKPT_KEEP", "PNET_JOBS"):
+def cache_dir(monkeypatch, tmp_path):
+    root = tmp_path / "cache"
+    monkeypatch.setenv("PNET_CACHE_DIR", str(root))
+    for var in ("PNET_CACHE", "PNET_JOBS"):
         monkeypatch.delenv(var, raising=False)
-
-
-class TestSweepCheckpoints:
-    def test_written_every_n_plus_final(self, tmp_path):
-        run_trials(
-            _specs(range(5)),
-            checkpoint_dir=tmp_path, checkpoint_every=2,
-        )
-        # Intervals at 2 and 4 fresh trials, plus the final partial.
-        assert last_stats().checkpoints_written == 3
-        assert list_checkpoints(tmp_path, valid_only=True)
-
-    def test_every_requires_dir(self):
-        with pytest.raises(ValueError, match="requires a checkpoint dir"):
-            run_trials(_specs(range(2)), checkpoint_every=1)
-
-    def test_keep_last_bounds_retention(self, tmp_path):
-        run_trials(
-            _specs(range(6)),
-            checkpoint_dir=tmp_path, checkpoint_every=1,
-            checkpoint_keep_last=2,
-        )
-        assert len(list_checkpoints(tmp_path)) == 2
-
-    def test_env_knobs_drive_checkpointing(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PNET_CKPT_DIR", str(tmp_path))
-        monkeypatch.setenv("PNET_CKPT_EVERY", "2")
-        run_trials(_specs(range(4)))
-        assert list_checkpoints(tmp_path, valid_only=True)
-        monkeypatch.setenv("PNET_RESUME", "1")
-        results = run_trials(_specs(range(4)))
-        assert last_stats().resumed_trials == 4
-        assert results == {(v,): v * 3 for v in range(4)}
+    return root
 
 
 class TestSweepResume:
-    def test_resume_skips_completed(self, tmp_path):
-        want = run_trials(
-            _specs(range(5)),
-            checkpoint_dir=tmp_path, checkpoint_every=1,
-        )
-        results = run_trials(
-            _specs(range(5)),
-            checkpoint_dir=tmp_path, resume=True,
-        )
-        assert results == want
-        assert last_stats().resumed_trials == 5
+    def test_resume_from_empty_root_computes_all(self, cache_dir):
+        assert run_trials(_specs(range(3))) == _tripled(range(3))
+        assert last_stats().trial_cache_hits == 0
+        assert _finished(cache_dir) == 3
 
-    def test_superset_resumes_from_subset(self, tmp_path):
-        run_trials(
-            _specs(range(3)),
-            checkpoint_dir=tmp_path, checkpoint_every=1,
-        )
-        results = run_trials(
-            _specs(range(8)),
-            checkpoint_dir=tmp_path, checkpoint_every=1, resume=True,
-        )
-        assert results == {(v,): v * 3 for v in range(8)}
-        assert last_stats().resumed_trials == 3
+    def test_resume_skips_completed(self):
+        want = run_trials(_specs(range(5)))
+        assert run_trials(_specs(range(5))) == want
+        assert last_stats().trial_cache_hits == 5
 
-    def test_resume_identical_across_job_counts(self, tmp_path):
-        run_trials(
-            _specs(range(4)),
-            checkpoint_dir=tmp_path, checkpoint_every=1,
-        )
-        serial = run_trials(
-            _specs(range(8)),
-            checkpoint_dir=tmp_path, resume=True, jobs=1,
-        )
-        pooled = run_trials(
-            _specs(range(8)),
-            checkpoint_dir=tmp_path, resume=True, jobs=2,
-        )
-        assert serial == pooled == {(v,): v * 3 for v in range(8)}
+    def test_superset_resumes_from_subset(self):
+        run_trials(_specs(range(3)))
+        assert run_trials(_specs(range(8))) == _tripled(range(8))
+        assert last_stats().trial_cache_hits == 3
 
-    def test_wrong_kind_checkpoint_rejected(self, tmp_path):
-        write_checkpoint(
-            step_dir(tmp_path, 0), {"state.pkl": b"not a sweep"},
-            meta={"kind": "sim"},
-        )
-        with pytest.raises(CheckpointError, match="not trial progress"):
-            run_trials(
-                _specs(range(2)), checkpoint_dir=tmp_path, resume=True
-            )
+    def test_resume_identical_across_job_counts(self, tmp_path,
+                                                monkeypatch):
+        want = pickle.dumps(run_trials(_specs(range(8)), jobs=1))
+        for first in (1, 2):
+            for rerun in (1, 2):
+                monkeypatch.setenv(
+                    "PNET_CACHE_DIR", str(tmp_path / f"cache-{first}{rerun}")
+                )
+                run_trials(_specs(range(4)), jobs=first)
+                got = run_trials(_specs(range(8)), jobs=rerun)
+                assert pickle.dumps(got) == want, (first, rerun)
+                assert last_stats().trial_cache_hits == 4
 
-    def test_resume_from_empty_root_computes_all(self, tmp_path):
-        results = run_trials(
-            _specs(range(3)),
-            checkpoint_dir=tmp_path / "nothing-here", resume=True,
-        )
-        assert results == {(v,): v * 3 for v in range(3)}
-        assert last_stats().resumed_trials == 0
+    def test_no_sweep_writes_a_checkpoint_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for jobs in (1, 2):
+            run_trials(_specs(range(4)), jobs=jobs)
+        assert not list(tmp_path.rglob("ckpt-*"))
+
+
+#: A 30-trial sweep of slow_trial at the job count in argv[1].
+_SWEEP = (
+    "import sys\n"
+    "from repro.exp.runner import TrialSpec, run_trials\n"
+    "specs = [TrialSpec(fn='tests.test_ckpt_runner:slow_trial',"
+    " key=(v,), kwargs={'value': v}) for v in range(30)]\n"
+    "run_trials(specs, jobs=int(sys.argv[1]))\n"
+)
+
+
+def _kill_after_three(cache_dir: pathlib.Path, jobs: int) -> None:
+    """Start the sweep in its own session and SIGKILL the whole session
+    (the runner and its pool workers) once three trials are cached."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": f"{REPO / 'src'}{os.pathsep}{REPO}",
+        "PNET_CACHE_DIR": str(cache_dir),
+    }
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SWEEP, str(jobs)],
+        env=env, cwd=REPO, start_new_session=True,
+    )
+    try:
+        deadline = time.time() + 60
+        while time.time() < deadline:
+            if _finished(cache_dir) >= 3:
+                break
+            if proc.poll() is not None:
+                pytest.fail("sweep finished before it could be killed")
+            time.sleep(0.01)
+        else:
+            pytest.fail("no trial was cached within 60s")
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == -signal.SIGKILL
 
 
 class TestCrashRecovery:
-    def test_sigkill_mid_sweep_then_resume(self, tmp_path):
-        """The acceptance-criteria drill: SIGKILL a sweep mid-flight,
-        resume, and get the uninterrupted sweep's exact results with
-        the finished prefix skipped."""
-        script = (
-            "import sys\n"
-            "from repro.exp.runner import TrialSpec, run_trials\n"
-            "specs = [TrialSpec(fn='tests.test_ckpt_runner:slow_trial',"
-            " key=(v,), kwargs={'value': v}) for v in range(30)]\n"
-            "run_trials(specs, jobs=1, checkpoint_dir=sys.argv[1],"
-            " checkpoint_every=1)\n"
-        )
-        env = {
-            **os.environ,
-            "PYTHONPATH": f"{REPO / 'src'}{os.pathsep}{REPO}",
-            "PNET_CACHE": "0",
-        }
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script, str(tmp_path)],
-            env=env, cwd=REPO,
-        )
-        try:
-            deadline = time.time() + 60
-            while time.time() < deadline:
-                if len(list_checkpoints(tmp_path, valid_only=True)) >= 3:
-                    break
-                if proc.poll() is not None:
-                    pytest.fail("sweep finished before it could be killed")
-                time.sleep(0.01)
-            else:
-                pytest.fail("no checkpoints appeared within 60s")
-            proc.send_signal(signal.SIGKILL)
-            proc.wait(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        assert proc.returncode == -signal.SIGKILL
-
-        results = run_trials(
-            _specs(range(30), fn="tests.test_ckpt_runner:slow_trial"),
-            checkpoint_dir=tmp_path, checkpoint_every=1, resume=True,
-        )
-        assert results == {(v,): v * 3 for v in range(30)}
-        stats = last_stats()
-        assert stats.resumed_trials >= 3
-        assert stats.resumed_trials < 30
+    def test_sigkill_mid_sweep_then_resume(self, tmp_path, monkeypatch):
+        """The drill: SIGKILL a sweep mid-flight, rerun it on the same
+        cache, and get the uninterrupted sweep's exact results with the
+        finished trials answered from the cache -- serial and pooled."""
+        want = pickle.dumps(_tripled(range(30)))
+        for jobs in (1, 2):
+            cache_dir = tmp_path / f"cache-jobs{jobs}"
+            monkeypatch.setenv("PNET_CACHE_DIR", str(cache_dir))
+            _kill_after_three(cache_dir, jobs)
+            finished = _finished(cache_dir)
+            results = run_trials(
+                _specs(range(30), fn="tests.test_ckpt_runner:slow_trial"),
+                jobs=jobs,
+            )
+            assert pickle.dumps(results) == want, jobs
+            hits = last_stats().trial_cache_hits
+            assert hits == finished, jobs
+            assert 3 <= hits < 30, jobs

@@ -88,9 +88,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert "3584" in out
 
-    def test_run_with_csv(self, tmp_path, capsys):
-        assert main(["fig14", "--scale", "tiny", "--csv", str(tmp_path)]) == 0
-        assert (tmp_path / "fig14.csv").exists()
+    def test_run_with_csv(self, tmp_path, capsys, monkeypatch):
+        """``--csv`` writes the result the experiment printed: it runs
+        once, and the CSV holds that result's rows."""
+        from repro.exp import fig14
+
+        want = tmp_path / "want.csv"
+        write_csv(want, fig14.run(scale="tiny"))
+        run = fig14.run
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args or kwargs)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(fig14, "run", counted)
+        out_dir = tmp_path / "out"
+        assert main(["fig14", "--scale", "tiny", "--csv", str(out_dir)]) == 0
+        assert len(calls) == 1
+        assert (out_dir / "fig14.csv").read_bytes() == want.read_bytes()
+
+    def test_stats_line_only_after_trials_ran(self, capsys):
+        """An experiment that runs no trial prints no stats line, not
+        the previous experiment's."""
+        assert main(["fig14", "--scale", "tiny"]) == 0
+        out = capsys.readouterr().out
+        assert "[fig14] 18 trials" in out
+        assert main(["table1"]) == 0
+        out = capsys.readouterr().out
+        assert "[table1] done in" in out
+        assert "trials" not in out
 
     def test_scale_flag_applied(self, capsys, monkeypatch):
         monkeypatch.delenv("PNET_SCALE", raising=False)

@@ -3,11 +3,11 @@
 One table row per field: a good value, the bad values (each must fail
 with a :class:`ConfigError` naming the variable), and an argument that
 beats the environment; the variables no longer read fail the same way
-at any value.  Then the rules around it: flags, cross-field
-prerequisites, the cache key (no field is part of it), ``current``/
-``use``, the CLI, runner and trial entry points failing before any
-trial runs, and AST guards that no other module reads ``PNET_*`` from
-the environment and that only the modules listed read the run config.
+at any value.  Then the rules around it: flags, the cache key (no field
+is part of it), ``current``/``use``, the CLI, runner and trial entry
+points failing before any trial runs, and AST guards that no other
+module reads ``PNET_*`` from the environment and that only the modules
+listed read the run config.
 """
 
 from __future__ import annotations
@@ -49,15 +49,11 @@ def inventory_file(tmp_path):
 
 
 #: field -> (environment text, the value it resolves to, an argument,
-#: the argument's value).  Cross-field prerequisites come from NEEDS.
+#: the argument's value).
 ROWS = {
     "scale": ("tiny", "tiny", "full", "full"),
     "jobs": ("4", 4, 2, 2),
     "shard_timeout": ("0.5", 0.5, 0, None),
-    "ckpt_dir": ("ck", pathlib.Path("ck"), "other", pathlib.Path("other")),
-    "ckpt_every": ("2", 2, 5, 5),
-    "ckpt_keep": ("3", 3, 1, 1),
-    "resume": ("yes", True, False, False),
     "cache": ("off", False, True, True),
     "cache_dir": (
         "~/c", pathlib.Path("~/c").expanduser(), "/x", pathlib.Path("/x"),
@@ -66,25 +62,15 @@ ROWS = {
     "farm_timeout": ("2.5", 2.5, 1, 1.0),
 }
 
-#: field -> bad environment text.  ``ckpt_dir`` and ``cache_dir`` take
-#: any path, so they have none of their own.
+#: field -> bad environment text.  ``cache_dir`` takes any path, so it
+#: has none of its own.
 BAD = {
     "scale": ["huge"],
     "jobs": ["many", "0", "1.5"],
     "shard_timeout": ["soon"],
-    "ckpt_every": ["0", "x"],
-    "ckpt_keep": ["0"],
-    "resume": ["maybe", "2", "TRUE"],
     "cache": ["disabled", "-1"],
     "farm_inventory": ["/does/not/exist"],
     "farm_timeout": ["0", "soon"],
-}
-
-#: Prerequisites a field's value needs from other fields.
-NEEDS = {
-    "ckpt_every": {"PNET_CKPT_DIR": "ck"},
-    "ckpt_keep": {"PNET_CKPT_DIR": "ck", "PNET_CKPT_EVERY": "1"},
-    "resume": {"PNET_CKPT_DIR": "ck"},
 }
 
 BAD_ROWS = [(name, text) for name, texts in BAD.items() for text in texts]
@@ -105,7 +91,15 @@ REMOVED_CONTROL = {
     "control_hysteresis": ["1.5", "0.5"],
     "control_cooldown": ["0.25", "-1"],
 }
-REMOVED = {**REMOVED_SHARD, **REMOVED_CONTROL}
+#: The same for the sweep checkpoint knobs: a rerun resumes from the
+#: trial cache.
+REMOVED_CKPT = {
+    "ckpt_dir": ["ck"],
+    "ckpt_every": ["2", "0", "x"],
+    "ckpt_keep": ["3", "0"],
+    "resume": ["1", "0", "maybe", "2", "TRUE"],
+}
+REMOVED = {**REMOVED_SHARD, **REMOVED_CONTROL, **REMOVED_CKPT}
 
 #: Every environment value that must fail at entry.
 ENV_ROWS = BAD_ROWS + [
@@ -114,9 +108,7 @@ ENV_ROWS = BAD_ROWS + [
 
 
 def _env(name, text, inventory_file):
-    env = dict(NEEDS.get(name, {}))
-    env[var(name)] = str(inventory_file) if text == "INVENTORY" else text
-    return env
+    return {var(name): str(inventory_file) if text == "INVENTORY" else text}
 
 
 def _value(value, inventory_file):
@@ -126,9 +118,9 @@ def _value(value, inventory_file):
 class TestTable:
     def test_every_field_has_a_row(self):
         fields = [f.name for f in dataclasses.fields(RunConfig)]
-        assert len(fields) == 11
+        assert len(fields) == 7
         assert sorted(ROWS) == sorted(fields)
-        assert set(BAD) | {"ckpt_dir", "cache_dir"} == set(fields)
+        assert set(BAD) | {"cache_dir"} == set(fields)
 
     @pytest.mark.parametrize("name", sorted(ROWS))
     def test_good_value(self, name, inventory_file):
@@ -167,13 +159,8 @@ class TestTable:
 
     @pytest.mark.parametrize("name,text", BAD_ROWS)
     def test_bad_argument_is_named(self, name, text, inventory_file):
-        given = {name: text}
-        given.update(
-            (field.lower().replace("pnet_", ""), value)
-            for field, value in NEEDS.get(name, {}).items()
-        )
         with pytest.raises(ConfigError, match=name):
-            RunConfig.from_env({}, **given)
+            RunConfig.from_env({}, **{name: text})
 
     def test_removed_variables(self):
         assert set(REMOVED_VARIABLES) == {var(name) for name in REMOVED}
@@ -197,6 +184,15 @@ class TestTable:
         assert var(name) in message
         assert "pass control= to repro.api.run_trial" in message
 
+    @pytest.mark.parametrize("name", sorted(REMOVED_CKPT))
+    def test_removed_variable_points_to_the_trial_cache(self, name):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_env({var(name): REMOVED[name][0]})
+        message = str(info.value)
+        assert var(name) in message
+        assert "a rerun resumes from the trial cache" in message
+        assert "PNET_CACHE_DIR at a durable directory" in message
+
     def test_unknown_field_rejected(self):
         with pytest.raises(TypeError, match="bogus"):
             RunConfig.from_env({}, bogus=1)
@@ -210,37 +206,19 @@ class TestFlags:
         ("0", False), ("false", False), ("no", False), ("off", False),
     ])
     def test_spellings(self, text, want):
-        env = {"PNET_CACHE": text, "PNET_RESUME": text, "PNET_CKPT_DIR": "d"}
-        config = RunConfig.from_env(env)
-        assert config.cache is want and config.resume is want
+        assert RunConfig.from_env({"PNET_CACHE": text}).cache is want
 
     def test_defaults(self):
         assert RunConfig.from_env({}).cache is True
-        assert RunConfig.from_env({}).resume is False
 
 
 class TestCrossField:
-    @pytest.mark.parametrize("given", [
-        dict(ckpt_every=1), dict(resume=True),
-    ])
-    def test_needs_a_checkpoint_dir(self, given):
-        with pytest.raises(ConfigError, match="requires a checkpoint dir"):
-            RunConfig.from_env({}, **given)
-        RunConfig.from_env({}, ckpt_dir="d", **given)
-
-    def test_keep_needs_every(self):
-        with pytest.raises(ConfigError, match="requires ckpt_every"):
-            RunConfig.from_env({}, ckpt_dir="d", ckpt_keep=2)
-        RunConfig.from_env({}, ckpt_dir="d", ckpt_every=1, ckpt_keep=2)
-
     def test_replace_checks_and_none_keeps(self):
         config = RunConfig.from_env({}, jobs=3)
         assert config.replace(jobs=None) == config
         assert config.replace(jobs=5).jobs == 5
         with pytest.raises(ConfigError, match="jobs"):
             config.replace(jobs=0)
-        with pytest.raises(ConfigError, match="requires a checkpoint dir"):
-            config.replace(resume=True)
 
 
 class TestCurrent:
@@ -275,12 +253,6 @@ HIT = {
     "jobs": {"PNET_JOBS": "2"},
     "shard_timeout": {"PNET_SHARD_TIMEOUT": "5"},
     "farm_timeout": {"PNET_FARM_TIMEOUT": "3"},
-    "ckpt_dir": {"PNET_CKPT_DIR": "CK"},
-    "ckpt_every": {"PNET_CKPT_DIR": "CK", "PNET_CKPT_EVERY": "1"},
-    "ckpt_keep": {
-        "PNET_CKPT_DIR": "CK", "PNET_CKPT_EVERY": "1", "PNET_CKPT_KEEP": "1",
-    },
-    "resume": {"PNET_CKPT_DIR": "CK", "PNET_RESUME": "1"},
 }
 
 #: Fields a cache hit cannot show: one turns the cache off, one moves
@@ -307,12 +279,10 @@ class TestCacheKey:
         assert not set(HIT) & NOT_HIT
 
     @pytest.mark.parametrize("name", sorted(HIT))
-    def test_flipping_another_field_hits(self, name, monkeypatch, tmp_path):
+    def test_flipping_another_field_hits(self, name, monkeypatch):
         warm = run_trials(self.SPECS)
         for key, value in HIT[name].items():
-            monkeypatch.setenv(
-                key, str(tmp_path / "ck") if value == "CK" else value
-            )
+            monkeypatch.setenv(key, value)
         assert run_trials(self.SPECS) == warm
         assert last_stats().trial_cache_hits == 2
 
@@ -339,12 +309,11 @@ class TestFailsAtEntry:
         assert info.value.code == 2
         assert var(name) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", sorted(REMOVED_CONTROL))
-    def test_control_variable_fails_every_entry(self, name, monkeypatch,
-                                                capsys):
-        """A control variable fails in the runner, both trial functions
-        and the CLI, pointing to ``control=``, before a flow, trial or
-        shard worker starts."""
+    @staticmethod
+    def _fails_every_entry(name, hint, monkeypatch, capsys):
+        """Setting ``name`` fails in the runner, both trial functions
+        and the CLI with ``hint``, before a flow, trial or shard worker
+        starts."""
         import repro.shard.engine
         from repro.api import build_network, run_trial
         from repro.shard import run_packet_trial
@@ -360,26 +329,28 @@ class TestFailsAtEntry:
             lambda: run_trial(net, specs),
             lambda: run_packet_trial(pnet.planes, specs, shards=2),
         ):
-            with pytest.raises(ConfigError, match=f"{var(name)}=.*control="):
+            with pytest.raises(ConfigError, match=f"{var(name)}=") as info:
                 call()
+            assert hint in str(info.value)
         assert not started and not net.records and net.now == 0
         with pytest.raises(SystemExit) as info:
             main(["fig9", "--scale", "tiny"])
         assert info.value.code == 2
-        assert "pass control= to repro.api.run_trial" in (
-            capsys.readouterr().err
+        assert hint in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(REMOVED_CONTROL))
+    def test_control_variable_fails_every_entry(self, name, monkeypatch,
+                                                capsys):
+        self._fails_every_entry(
+            name, "pass control= to repro.api.run_trial", monkeypatch, capsys,
         )
 
-    def test_resume_without_dir_in_run_trials(self, monkeypatch):
-        monkeypatch.delenv("PNET_CKPT_DIR", raising=False)
-        with pytest.raises(ConfigError, match="requires a checkpoint dir"):
-            run_trials(FAILING, resume=True)
-
-    def test_keep_without_every_in_run_trials(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("PNET_CKPT_EVERY", raising=False)
-        with pytest.raises(ConfigError, match="requires ckpt_every"):
-            run_trials(FAILING, checkpoint_dir=tmp_path,
-                       checkpoint_keep_last=2)
+    @pytest.mark.parametrize("name", sorted(REMOVED_CKPT))
+    def test_checkpoint_variable_fails_every_entry(self, name, monkeypatch,
+                                                   capsys):
+        self._fails_every_entry(
+            name, "a rerun resumes from the trial cache", monkeypatch, capsys,
+        )
 
     @pytest.mark.parametrize("argv", [
         ["table1", "--resume"],
@@ -389,6 +360,8 @@ class TestFailsAtEntry:
         ["table1", "--jobs", "0"],
         ["table1", "--fidelity", "packet"],
         ["table1", "--promote", "0.5"],
+        ["fig9", "--checkpoint-dir", "ck"],
+        ["fig9", "--keep-last", "1"],
     ])
     def test_cli_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
@@ -402,60 +375,25 @@ class TestFailsAtEntry:
         usage = capsys.readouterr().out
         assert "--jobs" in usage
         for flag in ("--shards", "--epoch", "--lookahead", "--shard-backend",
-                     "--control", "--control-interval"):
+                     "--control", "--control-interval", "--checkpoint-dir",
+                     "--checkpoint-every", "--resume", "--keep-last"):
             assert flag not in usage
 
 
 class TestArgumentsCompleteTheEnvironment:
-    """Arguments are put in before any check runs: an argument may
-    complete a rule the environment starts, or make a variable moot."""
+    """Arguments are put in before any check runs, so an argument makes
+    a bad variable moot."""
 
-    @pytest.fixture(autouse=True)
-    def _clean(self, monkeypatch):
-        monkeypatch.setenv("PNET_CACHE", "0")
-        for name in ("ckpt_dir", "ckpt_every", "resume"):
-            monkeypatch.delenv(var(name), raising=False)
-
-    def test_current_puts_arguments_in_first(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PNET_RESUME", "1")
-        with pytest.raises(ConfigError, match="requires a checkpoint dir"):
+    def test_current_puts_arguments_in_first(self, monkeypatch):
+        monkeypatch.setenv("PNET_JOBS", "many")
+        with pytest.raises(ConfigError, match="PNET_JOBS"):
             current()
-        assert current(ckpt_dir=tmp_path).resume is True
-        with use(RunConfig(ckpt_dir=tmp_path, resume=True)):
-            assert current(ckpt_dir=tmp_path / "b").resume is True
-
-    def test_env_resume_with_a_dir_argument_resumes(self, tmp_path,
-                                                     monkeypatch):
-        specs = TestCacheKey.SPECS
-        run_trials(specs, checkpoint_dir=tmp_path, checkpoint_every=1)
-        monkeypatch.setenv("PNET_RESUME", "1")
-        run_trials(specs, checkpoint_dir=tmp_path)
-        assert last_stats().resumed_trials == 2
-
-    def test_env_interval_with_a_dir_argument_writes(self, tmp_path,
-                                                      monkeypatch):
-        from repro.ckpt import list_checkpoints
-
-        monkeypatch.setenv("PNET_CKPT_EVERY", "1")
-        run_trials(TestCacheKey.SPECS, checkpoint_dir=tmp_path)
-        assert list_checkpoints(tmp_path, valid_only=True)
+        assert current(jobs=2).jobs == 2
+        with use(RunConfig(jobs=3)):
+            assert current(jobs=4).jobs == 4
 
 
 class TestFlagsMeanWhatTheySay:
-    def test_resume_off_spellings_do_not_resume(self, tmp_path,
-                                                monkeypatch):
-        monkeypatch.setenv("PNET_CACHE", "0")
-        specs = TestCacheKey.SPECS
-        run_trials(specs, checkpoint_dir=tmp_path, checkpoint_every=1)
-        monkeypatch.setenv("PNET_CKPT_DIR", str(tmp_path))
-        for text in ("no", "false", "off"):
-            monkeypatch.setenv("PNET_RESUME", text)
-            run_trials(specs)
-            assert last_stats().resumed_trials == 0, text
-        monkeypatch.setenv("PNET_RESUME", "yes")
-        run_trials(specs)
-        assert last_stats().resumed_trials == 2
-
     def test_cache_off_spellings_disable_the_cache(self, tmp_path,
                                                    monkeypatch):
         monkeypatch.setenv("PNET_CACHE_DIR", str(tmp_path))

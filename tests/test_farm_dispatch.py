@@ -210,44 +210,35 @@ class TestRunnerIntegration:
         run_trials(_specs(2))
         assert last_stats().farm_workers == 1
 
-    def test_farm_writes_farm_kind_containers(self, farm_env, tmp_path):
-        from repro.ckpt.store import latest, read_manifest
-
-        root = tmp_path / "ckpt"
-        run_trials(
-            _specs(3), farm=local_inventory(2),
-            checkpoint_dir=root, checkpoint_every=1,
-        )
-        newest = latest(root)
-        meta = read_manifest(newest)["meta"]
-        assert meta["kind"] == "farm"
-        assert meta["completed"] == 3
-
-    def test_resume_skips_farm_progress(self, farm_env, tmp_path):
-        root = tmp_path / "ckpt"
-        specs = _specs(3)
-        run_trials(
-            specs, farm=local_inventory(2),
-            checkpoint_dir=root, checkpoint_every=1,
-        )
-        # Single-host resume reads the farm-written containers: nothing
-        # left to compute, no farm needed.
-        resumed = run_trials(
-            specs, checkpoint_dir=root, resume=True,
-        )
-        assert last_stats().resumed_trials == 3
-        assert pickle.dumps(resumed) == pickle.dumps(run_trials(specs))
-
-    def test_arguments_make_stale_env_knobs_moot(
+    def test_resume_skips_farm_progress(
         self, farm_env, monkeypatch, tmp_path
     ):
-        """``farm=`` makes a stale inventory variable moot, and a dir
-        argument completes ``PNET_RESUME`` -- in the parent and in the
-        local workers that inherit its environment."""
+        """The workers cache nothing, yet the dispatcher's cache holds
+        every farm result: a single-host rerun resumes the farm sweep
+        and computes no trial."""
+        monkeypatch.setenv("PNET_CACHE", "1")
+        monkeypatch.setenv("PNET_CACHE_DIR", str(tmp_path / "cache"))
+        specs = _specs(3)
+        farmed = run_trials(
+            specs, farm=local_inventory(2, env={"PNET_CACHE": "0"}),
+        )
+        assert last_stats().farm_workers == 2
+        rerun = run_trials(specs)
+        stats = last_stats()
+        assert stats.trial_cache_hits == 3
+        assert stats.farm_workers == 0
+        assert pickle.dumps(rerun) == pickle.dumps(farmed)
+
+    def test_arguments_make_stale_env_knobs_moot(
+        self, farm_env, monkeypatch
+    ):
+        """``farm=`` and ``farm_timeout=`` make a stale inventory and a
+        bad timeout variable moot -- in the parent and in the local
+        workers that inherit its environment."""
         monkeypatch.setenv("PNET_FARM_INVENTORY", "/does/not/exist")
-        monkeypatch.setenv("PNET_RESUME", "1")
+        monkeypatch.setenv("PNET_FARM_TIMEOUT", "soon")
         results = run_trials(
-            _specs(2), farm=local_inventory(1), checkpoint_dir=tmp_path,
+            _specs(2), farm=local_inventory(1), farm_timeout=10,
         )
         assert results[("t", 1)] == {"sum": 11, "product": 10}
         assert last_stats().farm_workers == 1
@@ -276,9 +267,9 @@ class TestWorkerUnit:
         assert reply["resumed_step"] is None
 
     def test_execute_assignment_ignores_the_sweep_knobs(self, monkeypatch):
-        # Half a checkpoint rule and a stale inventory, inherited from
-        # a parent whose arguments completed them, fail no trial here.
-        monkeypatch.setenv("PNET_RESUME", "1")
+        # A bad worker count and a stale inventory, inherited from a
+        # parent whose arguments overrode them, fail no trial here.
+        monkeypatch.setenv("PNET_JOBS", "0")
         monkeypatch.setenv("PNET_FARM_INVENTORY", "/does/not/exist")
         reply = execute_assignment({
             "fn": "tests.test_runner:echo_trial",
@@ -294,10 +285,10 @@ class TestWorkerUnit:
             "key": ("c",),
             "kwargs": {"x": 1},
             "checkpoint_dir": str(tmp_path / "trial-x"),
-            "checkpoint_every": 0.5,
         })
-        assert reply["value"]["dir"] == str(tmp_path / "trial-x")
-        assert reply["value"]["every"] == 0.5
+        assert reply["value"] == {
+            "x": 1, "dir": str(tmp_path / "trial-x"), "every": None,
+        }
 
     def test_execute_assignment_skips_undeclared(self, tmp_path):
         # A trial without the keywords still runs with a dir offered.

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from repro.config import ConfigError
-from repro.exp import runner
+from repro.exp import cache, runner
 from repro.exp.runner import TrialSpec, last_stats, resolve_fn, run_trials
 
 
@@ -169,7 +169,7 @@ def _copy_package(tmp_path) -> pathlib.Path:
     """A private copy of the ``repro`` source tree; returns its root."""
     root = tmp_path / "src" / "repro"
     shutil.copytree(
-        runner._PACKAGE_ROOT, root,
+        cache._PACKAGE_ROOT, root,
         ignore=shutil.ignore_patterns("__pycache__"),
     )
     return root
@@ -185,31 +185,53 @@ _FIG7_TRIAL = (
     "print(repr(value), last_stats().trial_cache_hits)\n"
 )
 
+#: Solves one tiny fat-tree permutation's routed LP outside the runner
+#: and prints its total and the artifact-cache hits it took.
+_ROUTED_TOTAL = (
+    "import random\n"
+    "from repro.core.path_selection import EcmpPolicy\n"
+    "from repro.exp.cache import get_cache\n"
+    "from repro.exp.common import FatTreeFamily\n"
+    "from repro.exp.throughput import routed_total_throughput\n"
+    "from repro.traffic.patterns import permutation\n"
+    "family = FatTreeFamily(4)\n"
+    "pnet = family.parallel(2)\n"
+    "pairs = permutation(family.serial_low().hosts, random.Random(0))\n"
+    "total = routed_total_throughput(pnet, pairs, EcmpPolicy(pnet, salt=0))\n"
+    "print(repr(total), get_cache().hits)\n"
+)
+
+
+def _run_in_copy(root: pathlib.Path, tmp_path, script: str):
+    """Run ``script`` on the package copy at ``root`` with one cache
+    under ``tmp_path``; returns the (value, hits) it prints."""
+    env = {
+        key: value for key, value in os.environ.items()
+        if not key.startswith("PNET_")
+    }
+    env.update(
+        PYTHONPATH=str(root.parent),
+        PNET_CACHE_DIR=str(tmp_path / "cache"),
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env,
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    value, hits = out.stdout.split()
+    return float(value), int(hits)
+
 
 class TestCodeHash:
-    """Trial cache keys cover every module a trial can run."""
+    """Cache keys cover every module a trial can run."""
 
     def test_edit_to_a_dependency_misses_the_warm_cache(self, tmp_path):
         """The warm-cache drill: edit ``lp/ideal.py`` -- not the trial's
         own module ``exp/fig7.py`` -- and the cached figure must die."""
         root = _copy_package(tmp_path)
-        env = {
-            key: value for key, value in os.environ.items()
-            if not key.startswith("PNET_")
-        }
-        env.update(
-            PYTHONPATH=str(root.parent),
-            PNET_CACHE_DIR=str(tmp_path / "cache"),
-        )
 
         def trial():
-            out = subprocess.run(
-                [sys.executable, "-c", _FIG7_TRIAL], env=env,
-                cwd=tmp_path, capture_output=True, text=True, timeout=120,
-            )
-            assert out.returncode == 0, out.stderr
-            value, hits = out.stdout.split()
-            return float(value), int(hits)
+            return _run_in_copy(root, tmp_path, _FIG7_TRIAL)
 
         cold, hits = trial()
         assert hits == 0
@@ -222,11 +244,34 @@ class TestCodeHash:
             )
         assert trial() == (2 * cold, 0)
 
+    def test_edit_to_the_lp_misses_route_and_lp_entries(self, tmp_path):
+        """Route sets and LP solutions are cached outside any trial: an
+        edit to ``lp/mcf.py`` must miss them, not hand back the old
+        code's answer."""
+        root = _copy_package(tmp_path)
+
+        def solve():
+            return _run_in_copy(root, tmp_path, _ROUTED_TOTAL)
+
+        cold, hits = solve()
+        assert hits == 0
+        assert solve() == (cold, 2)  # the route set and the LP
+        with open(root / "lp" / "mcf.py", "a") as module:
+            module.write(
+                "\nimport dataclasses as _dc\n\n"
+                "_max_concurrent_flow = max_concurrent_flow\n\n\n"
+                "def max_concurrent_flow(*args, **kwargs):\n"
+                "    result = _max_concurrent_flow(*args, **kwargs)\n"
+                "    total = result.total_throughput + 1e11\n"
+                "    return _dc.replace(result, total_throughput=total)\n"
+            )
+        assert solve() == (cold + 1e11, 0)
+
     def test_any_module_edit_changes_the_hash(self, tmp_path):
         root = _copy_package(tmp_path)
-        tree_hash = runner._source_tree_hash.__wrapped__
+        tree_hash = cache._source_tree_hash.__wrapped__
         base = tree_hash(root)
-        assert base == runner._source_tree_hash(runner._PACKAGE_ROOT)
+        assert base == cache._source_tree_hash(cache._PACKAGE_ROOT)
         modules = sorted(root.rglob("*.py"))
         assert len(modules) > 100
         for path in modules:
@@ -240,9 +285,10 @@ class TestCodeHash:
         assert tree_hash(root) != base
 
     def test_package_trials_share_one_hash(self):
-        package = runner._source_tree_hash(runner._PACKAGE_ROOT)
-        assert runner._code_hash("repro.exp.fig7") == package
-        assert runner._code_hash("repro.exp.fig9") == package
+        # The package hash keys every cache entry; a package trial's key
+        # adds nothing of its own.
+        assert runner._code_hash("repro.exp.fig7") == ""
+        assert runner._code_hash("repro.exp.fig9") == ""
 
     def test_trial_module_outside_the_package_is_hashed(
         self, tmp_path, monkeypatch
