@@ -3,9 +3,11 @@
 Two scenarios, both recorded in ``results/BENCH_shard.json``:
 
 * ``coupled`` -- the fig9-style workload where every flow is a
-  spanning MPTCP connection across all four planes: the epoch-barrier
-  path (one shm digest exchange per epoch) is what's timed, at two and
-  four shards.
+  spanning MPTCP connection across all four planes, at two and four
+  shards.  Its 200 KB flows finish within 2 barrier rounds (one digest
+  exchange each) at the default epoch, so what's timed is mostly
+  worker start-up and those two exchanges, not sustained barrier
+  traffic.
 * ``bulk`` -- plane-local bulk transfers, the paper's bread-and-butter
   scale-out case: no coupling, every worker free-runs to completion.
   This is where sharding must *beat* serial on real cores, and the
@@ -54,7 +56,7 @@ def _pnet():
 
 
 def _coupled_workload(pnet):
-    """Every host pair spans all four planes: barrier-dominated."""
+    """Every host pair spans all four planes (2 barrier rounds)."""
     pairs = permutation(pnet.hosts, random.Random("fig9-pkt"))
     policy = KspMultipathPolicy(pnet, k=N_PLANES, seed=0)
     return [
@@ -148,7 +150,7 @@ def test_shard_scaling(benchmark):
         "scenarios": {"coupled": {}, "bulk": {}},
     }
 
-    # --- coupled: barrier-dominated spanning MPTCP ----------------------
+    # --- coupled: spanning MPTCP, 2 barrier rounds ----------------------
     serial, serial_wall, serial_cpu = benchmark.pedantic(
         _timed_run, args=(pnet, coupled, 1), rounds=1, iterations=1
     )

@@ -15,7 +15,7 @@ performance degradation".  Two layers are modelled:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.core.path_selection import PathSelectionPolicy
 from repro.core.pnet import PlanePath, PNet

@@ -16,7 +16,7 @@ decide single- vs multi-path from the flow size.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Dict, List, Optional
 
@@ -25,7 +25,6 @@ from repro.core.flow_policy import SizeThresholdPolicy
 from repro.core.path_selection import (
     KspMultipathPolicy,
     MinHopPlanePolicy,
-    PathSelectionPolicy,
     RoundRobinPlanePolicy,
 )
 from repro.core.pnet import PlanePath, PNet

@@ -15,15 +15,9 @@ allowed planes (path indices are translated back to the real plane ids).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Sequence, Type
 
-from repro.core.path_selection import (
-    EcmpPolicy,
-    KspMultipathPolicy,
-    MinHopPlanePolicy,
-    PathSelectionPolicy,
-    RoundRobinPlanePolicy,
-)
+from repro.core.path_selection import EcmpPolicy, PathSelectionPolicy
 from repro.core.pnet import PlanePath, PNet
 
 

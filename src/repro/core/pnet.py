@@ -10,7 +10,6 @@ topology (mirroring routing reconvergence).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 

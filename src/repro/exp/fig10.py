@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.stats import Summary, cdf_points, summarize
+from repro.analysis.stats import Summary, summarize
 from repro.core.path_selection import EcmpPolicy, MinHopPlanePolicy
 from repro.core.pnet import PNet
 from repro.exp.common import (

@@ -11,7 +11,7 @@ axis on the 99th percentile); parallel networks spread the chains over
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.stats import Summary, summarize
 from repro.exp.common import JellyfishFamily, format_table, get_scale

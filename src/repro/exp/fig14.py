@@ -13,7 +13,7 @@ paths die, while still staying best overall.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import random
 

@@ -20,7 +20,7 @@ count, seed), plus the homogeneous check -- is an independent
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.exp.common import JellyfishFamily, format_table, get_scale
 from repro.exp.runner import TrialSpec, run_trials

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.path_selection import KspMultipathPolicy
-from repro.core.pnet import PNet
 from repro.exp.common import JellyfishFamily, format_table, get_scale
 from repro.exp.runner import TrialSpec, run_trials
 from repro.exp.throughput import routed_total_throughput

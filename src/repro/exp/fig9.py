@@ -21,15 +21,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.analysis.stats import summarize
 from repro.core.flowspec import FlowSpec
-from repro.core.path_selection import (
-    EcmpPolicy,
-    KspMultipathPolicy,
-    MinHopPlanePolicy,
-)
+from repro.core.path_selection import EcmpPolicy, KspMultipathPolicy
 from repro.core.pnet import PNet
 from repro.exp.common import (
     JellyfishFamily,

@@ -18,7 +18,7 @@ senders simultaneously push a block each to one receiver:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.analysis.stats import summarize
 from repro.exp.common import JellyfishFamily, format_table, get_scale

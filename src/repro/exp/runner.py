@@ -32,7 +32,10 @@ import hashlib
 import importlib
 import inspect
 import multiprocessing
+import os
 import pickle
+import select
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -185,6 +188,35 @@ def _pool_context():
     )
 
 
+def _exit_with(runner: int) -> None:
+    """Pool-worker initializer: end this worker when the runner exits.
+
+    A pool worker blocks on the pool's call queue, whose write end it
+    inherited, so the runner's death -- SIGKILL included -- never reads
+    as EOF there.  A daemon thread blocks on a pidfd of the runner
+    instead and ends the worker once the runner is gone.  ``runner`` is
+    the pid the runner passed: read here, it could already be init's.
+    Without pidfds (not Linux, or Linux before 5.3) the worker does not
+    watch.
+    """
+    try:
+        pidfd = os.pidfd_open(runner)
+    except ProcessLookupError:
+        os._exit(1)
+    except (AttributeError, OSError):  # pragma: no cover - no pidfds
+        return
+    if os.getppid() != runner:  # a new process has the runner's pid
+        os._exit(1)
+    threading.Thread(
+        target=_exit_when_readable, args=(pidfd,), daemon=True,
+    ).start()
+
+
+def _exit_when_readable(fd: int) -> None:
+    select.select([fd], [], [])
+    os._exit(1)
+
+
 def run_trials(
     specs: Sequence[TrialSpec],
     jobs: Optional[int] = None,
@@ -285,6 +317,7 @@ def _run_trials(specs: Sequence[TrialSpec], config: RunConfig):
         with ProcessPoolExecutor(
             max_workers=min(config.jobs, len(pending)),
             mp_context=_pool_context(),
+            initializer=_exit_with, initargs=(os.getpid(),),
         ) as pool:
             futures = [pool.submit(_execute, spec, config) for spec in pending]
             try:

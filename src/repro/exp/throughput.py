@@ -21,7 +21,7 @@ always does; ``PNET_CACHE=0`` disables all of it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.path_selection import PathSelectionPolicy
 from repro.core.pnet import PlanePath, PNet

@@ -21,7 +21,7 @@ and ``~`` (invert)::
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Set
+from typing import FrozenSet, Iterable, Set
 
 from repro.ckpt.rng import RngBundle
 from repro.core.flowspec import FlowSpec

@@ -16,12 +16,19 @@ the safety deadline ``PNET_SHARD_TIMEOUT`` is a
 :class:`repro.config.RunConfig` field.  Fluid runs stay serial: the
 max-min solve is one global allocation.
 
+Backends (:mod:`repro.shard.channel`): ``shm``, the default, runs one
+worker process per shard and talks to each over its own pipe (the
+name is kept from an earlier shared-memory transport); ``local`` runs
+every shard in the calling process as the reference.
+
 Guarantees: ``shards=1`` (or ``epoch=0``) is byte-identical to the
 pre-shard serial simulators; multi-shard results are deterministic
 for a given shard count and identical across the ``local`` and
 ``shm`` channel backends; plane-local flows are unaffected by sharding, and
 only spanning MPTCP connections see the epoch-staleness approximation
-(bounded, and converging to serial as ``epoch -> 0``).
+(bounded, and converging to serial as ``epoch -> 0``).  A sharded run
+leaves no worker process behind, and the workers of an engine that
+is killed exit on their pipes' EOF.
 """
 
 from repro.shard.channel import ShardWorkerError

@@ -28,8 +28,9 @@ Determinism: worker digests are merged in shard-index order, pool
 splits use integer largest-remainder arithmetic, records are sorted by
 global flow id, and per-shard telemetry registries are absorbed into
 the caller's registry in shard order -- so results are independent of
-scheduling noise and identical across the ``local`` and ``shm``
-channel backends.
+scheduling noise and identical across the ``local`` (in-process) and
+``shm`` (one worker process per shard, over a pipe each) channel
+backends.
 """
 
 from __future__ import annotations
@@ -53,10 +54,9 @@ from repro.core.flowspec import FlowSpec
 from repro.core.pnet import PNet
 from repro.faults.schedule import FaultSchedule
 from repro.obs import get_registry
-from repro.shard.channel import LocalChannel
+from repro.shard.channel import LocalChannel, ProcessChannel
 from repro.shard.coupling import largest_remainder, lia_terms, split_bytes
 from repro.shard.partition import ShardPlan, classify
-from repro.shard.shm import ShmChannel
 from repro.shard.worker import (
     PacketShardWorker, WorkerConfig, build_worker, handle_message,
 )
@@ -68,7 +68,8 @@ from repro.topology.graph import Topology
 #: staleness small (tests/test_shard_coupling.py enforces the bound).
 DEFAULT_EPOCH = 1e-4
 
-#: Channel backends: the in-process reference and shared memory.
+#: Channel backends: the in-process reference and one worker process
+#: per shard (a name kept from an earlier shared-memory transport).
 BACKENDS = ("local", "shm")
 
 #: Hard cap on barrier rounds -- a stuck spanning connection (e.g. all
@@ -213,7 +214,7 @@ def _make_channels(
     channels = []
     try:
         for config in configs:
-            channels.append(ShmChannel(config, timeout))
+            channels.append(ProcessChannel(config, timeout))
     except BaseException:
         _close_all(channels)
         raise
@@ -683,7 +684,8 @@ def _exchange(run: _Run, step: _Step, updates) -> None:
     """Exchange phase: post every request, then collect every reply.
 
     Dispatching one barrier to *all* workers before waiting on any is
-    what runs the shards' epochs in parallel on the shm backend.
+    what runs the shards' epochs in parallel on the ``shm`` backend's
+    worker processes.
     """
     for shard in step.free:
         run.channels[shard].post(("run", run.until, {}))

@@ -7,7 +7,8 @@ messages -- ``run`` (apply coupling updates, advance, reply with a
 digest), ``digest``, ``control-sample``, ``control-apply``,
 ``snapshot`` and ``stop`` -- through :func:`handle_message`, which
 both channel backends (:mod:`repro.shard.channel`) route to, so the
-local and shm backends execute byte-identical logic.
+in-process ``local`` backend and the worker processes of the ``shm``
+backend execute byte-identical logic.
 
 A worker builds a :class:`~repro.sim.network.PacketNetwork` over *all*
 planes (elements instantiate lazily, so remote planes cost nothing),
@@ -42,7 +43,7 @@ from repro.topology.graph import Topology
 
 @dataclass
 class WorkerConfig:
-    """Everything a shard worker needs, picklable for the shm backend.
+    """Everything a shard worker needs, picklable for a worker process.
 
     ``entries`` lists (global flow id, spec) pairs in submission order;
     a gid present in ``spanning_share`` is the local slice of a

@@ -8,7 +8,7 @@ visit, plus the index of its current position.  Elements call
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List
 
 #: TCP/IP header bytes; ACK-only packets are exactly this big.
 HEADER_BYTES = 40

@@ -25,7 +25,6 @@ Conventions (reverse-engineered from the table and section 2/3 text):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.topology.chassis import agg_chassis_spec, spine_chassis_spec

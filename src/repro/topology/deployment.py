@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from repro.topology.graph import HOST, Topology, link_key
+from repro.topology.graph import HOST, Topology
 from repro.topology.parallel import ParallelTopology
 
 

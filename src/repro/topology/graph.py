@@ -20,7 +20,6 @@ names are ``h0..h{n-1}`` so traffic generators can enumerate them.
 
 from __future__ import annotations
 
-import copy as _copy
 from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set,

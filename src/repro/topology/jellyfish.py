@@ -15,7 +15,7 @@ every property the paper measures (path lengths, expansion).
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.topology.graph import HOST, TOR, Topology
 from repro.units import DEFAULT_HOP_PROPAGATION, DEFAULT_LINK_RATE

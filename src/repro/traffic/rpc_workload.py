@@ -10,7 +10,7 @@ requests for the concurrency study, with 1--10 concurrent chains per host.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.units import MTU

@@ -10,6 +10,7 @@ writes a checkpoint directory.  Every test sweeps on its own empty
 cache.
 """
 
+import contextlib
 import os
 import pathlib
 import pickle
@@ -95,38 +96,45 @@ class TestSweepResume:
         assert not list(tmp_path.rglob("ckpt-*"))
 
 
-#: A 30-trial sweep of slow_trial at the job count in argv[1].
+#: A sweep of argv[2] slow_trials at the job count in argv[1].
 _SWEEP = (
     "import sys\n"
     "from repro.exp.runner import TrialSpec, run_trials\n"
     "specs = [TrialSpec(fn='tests.test_ckpt_runner:slow_trial',"
-    " key=(v,), kwargs={'value': v}) for v in range(30)]\n"
+    " key=(v,), kwargs={'value': v}) for v in range(int(sys.argv[2]))]\n"
     "run_trials(specs, jobs=int(sys.argv[1]))\n"
 )
 
 
-def _kill_after_three(cache_dir: pathlib.Path, jobs: int) -> None:
-    """Start the sweep in its own session and SIGKILL the whole session
-    (the runner and its pool workers) once three trials are cached."""
+def _start_sweep(cache_dir: pathlib.Path, jobs: int, n_trials: int):
+    """Start the sweep in its own session; return once three of its
+    trials are cached."""
     env = {
         **os.environ,
         "PYTHONPATH": f"{REPO / 'src'}{os.pathsep}{REPO}",
         "PNET_CACHE_DIR": str(cache_dir),
     }
     proc = subprocess.Popen(
-        [sys.executable, "-c", _SWEEP, str(jobs)],
+        [sys.executable, "-c", _SWEEP, str(jobs), str(n_trials)],
         env=env, cwd=REPO, start_new_session=True,
     )
+    deadline = time.time() + 60
+    while time.time() < deadline:
+        if _finished(cache_dir) >= 3:
+            return proc
+        if proc.poll() is not None:
+            pytest.fail("sweep finished before it could be killed")
+        time.sleep(0.01)
+    os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
+    pytest.fail("no trial was cached within 60s")
+
+
+def _kill_after_three(cache_dir: pathlib.Path, jobs: int) -> None:
+    """SIGKILL a 30-trial sweep's whole session (the runner and its
+    pool workers) once three trials are cached."""
+    proc = _start_sweep(cache_dir, jobs, 30)
     try:
-        deadline = time.time() + 60
-        while time.time() < deadline:
-            if _finished(cache_dir) >= 3:
-                break
-            if proc.poll() is not None:
-                pytest.fail("sweep finished before it could be killed")
-            time.sleep(0.01)
-        else:
-            pytest.fail("no trial was cached within 60s")
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
     finally:
@@ -155,3 +163,25 @@ class TestCrashRecovery:
             hits = last_stats().trial_cache_hits
             assert hits == finished, jobs
             assert 3 <= hits < 30, jobs
+
+    def test_pool_workers_end_with_a_killed_runner(self, cache_dir):
+        """SIGKILL only the runner of a pooled sweep: its pool workers,
+        blocked on the call queue, end themselves instead of idling."""
+        from tests.test_shard_channel_failures import _outliving
+
+        proc = _start_sweep(cache_dir, 2, 200)
+        workers = []
+        try:
+            for path in pathlib.Path(f"/proc/{proc.pid}/task").glob(
+                "*/children"
+            ):
+                workers += [int(pid) for pid in path.read_text().split()]
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+            assert len(workers) == 2
+            left = _outliving(workers, 5.0)
+            assert not left, f"pool workers {left} outlived their runner"
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()

@@ -320,7 +320,9 @@ class TestFailsAtEntry:
         from tests.test_shard_engine import jellyfish_workload
 
         started = []
-        monkeypatch.setattr(repro.shard.engine, "ShmChannel", started.append)
+        monkeypatch.setattr(
+            repro.shard.engine, "ProcessChannel", started.append
+        )
         pnet, specs = jellyfish_workload(n_flows=2)
         net = build_network(pnet.planes, kind="packet")
         monkeypatch.setenv(var(name), REMOVED[name][0])
@@ -462,7 +464,7 @@ def test_only_these_modules_read_the_run_config():
     reason its field cannot change a trial's result."""
     assert _config_readers() == {
         "api", "exp/cache", "exp/common", "exp/runner", "farm/cli",
-        "farm/dispatch", "shard/engine", "shard/shm",
+        "farm/dispatch", "shard/channel", "shard/engine",
     }
 
 

@@ -164,7 +164,9 @@ class TestControllerDrivesOneRun:
         )
         run_packet_trial(pnet, specs, shards=1, control=serial)
         started = []
-        monkeypatch.setattr(repro.shard.engine, "ShmChannel", started.append)
+        monkeypatch.setattr(
+            repro.shard.engine, "ProcessChannel", started.append
+        )
         for ctl in (sharded, serial):
             for shards in (2, 1):
                 with pytest.raises(RuntimeError, match="already attached"):

@@ -100,9 +100,9 @@ class TestSerialByteIdentity:
 
 class TestMultiShardDeterminism:
     def test_all_backends_byte_identical(self):
-        # local is the reference; the shared-memory transport must
-        # reproduce it byte-for-byte (every message crosses a process
-        # boundary as a pickled frame on the rings).
+        # local is the reference; the process backend must reproduce
+        # it byte-for-byte (every message crosses a process boundary
+        # as a pickled frame on a pipe).
         pnet, specs = jellyfish_workload()
         local, shm = (
             run_packet_trial(pnet.planes, specs, shards=2, backend=backend)
@@ -200,11 +200,13 @@ class TestShardSafety:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_schedule_naming_missing_link_refused(self, monkeypatch, shards):
         # The whole schedule is checked at entry, on one shard and on
-        # two alike, before any shm worker starts -- not mid-run.
+        # two alike, before any shard worker starts -- not mid-run.
         import repro.shard.engine
 
         started = []
-        monkeypatch.setattr(repro.shard.engine, "ShmChannel", started.append)
+        monkeypatch.setattr(
+            repro.shard.engine, "ProcessChannel", started.append
+        )
         pnet, specs = jellyfish_workload(n_flows=2)
         event = FaultEvent(at=1e-5, kind="link_down", plane=0, u="h0", v="nope")
         with pytest.raises(ValueError, match="no link h0--nope"):
@@ -220,7 +222,9 @@ class TestShardSafety:
         import repro.shard.engine
 
         started = []
-        monkeypatch.setattr(repro.shard.engine, "ShmChannel", started.append)
+        monkeypatch.setattr(
+            repro.shard.engine, "ProcessChannel", started.append
+        )
         pnet, specs = jellyfish_workload(n_flows=2)
         with pytest.raises(
             ConfigError, match=r"one of local/shm, got 'process'"

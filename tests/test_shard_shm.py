@@ -1,149 +1,58 @@
-"""Unit and stress tests for the shared-memory shard channel.
+"""The ``shm`` backend's process channel under load.
 
-The shm backend carries pickled messages over SPSC ring buffers;
-byte-identity with the local backend (pinned in test_shard_engine)
-only holds if the transport is exact.  This file pins the transport
-itself: wraparound, chunk streaming, torn-write detection,
-backpressure/peer-death handling, waits that block instead of
-spinning, and channels driven concurrently.
+The backend runs one worker process per shard and carries each message
+as one pickled frame over that worker's own pipe (the backend's name
+is kept from an earlier shared-memory transport).  Byte-identity with
+the local backend (pinned in test_shard_engine) only holds if the
+transport is exact: this file pins replies larger than a pipe's
+buffer, waits that block instead of spinning, and channels driven
+concurrently.
 """
 
-import random
-import struct
+import os
+import signal
 import sys
 import threading
 import time
 
-import pytest
-
+from repro.ckpt.snapshot import loads
 from repro.core.flowspec import FlowSpec
-from repro.shard.shm import (
-    FRAME_BYTES,
-    HEADER_BYTES,
-    ShmChannel,
-    ShmRing,
-    ShmRingClosed,
-    ShmRingCorruption,
-    ShmRingTimeout,
-)
-from tests.test_shard_channel_failures import tiny_config
+from repro.shard.channel import ProcessChannel
+from tests.test_shard_channel_failures import _stop, tiny_config
 
 #: CPU seconds a thread may use while blocked for a whole second.  A
-#: doorbell wait uses a few milliseconds; a waiter that polls the ring
-#: every 100 us uses about 70.
+#: blocked or 50 ms polling wait uses a few milliseconds; a waiter that
+#: polls every 100 us uses about 70.
 BLOCKED_CPU_SECONDS = 0.020
 
 
-def make_ring(capacity=256):
-    buf = bytearray(HEADER_BYTES + capacity)
-    ring = ShmRing(
-        buf, 0, capacity, threading.Semaphore(0), threading.Semaphore(0)
-    )
-    return buf, ring
-
-
-class TestShmRing:
-    def test_roundtrip(self):
-        __, ring = make_ring()
-        ring.send(b"hello, shard")
-        assert ring.recv() == b"hello, shard"
-        assert ring.write_pos == ring.read_pos
-
-    def test_empty_message(self):
-        __, ring = make_ring()
-        ring.send(b"")
-        assert ring.recv() == b""
-
-    def test_tiny_capacity_rejected(self):
-        with pytest.raises(ValueError, match="capacity"):
-            make_ring(capacity=FRAME_BYTES)
-
-    def test_wraparound_many_messages(self):
-        # Positions are monotonic u64s; a 64-byte ring crossed hundreds
-        # of times exercises every split-copy alignment.
-        __, ring = make_ring(capacity=64)
-        rng = random.Random(7)
-        for i in range(400):
-            payload = bytes(
-                rng.randrange(256) for __ in range(rng.randrange(0, 40))
-            )
-            ring.send(payload)
-            assert ring.recv() == payload, f"message {i} corrupted"
-        assert ring.write_pos > 64  # actually wrapped, many times
-
-    def test_chunk_streaming_larger_than_capacity(self):
-        # A message bigger than the whole ring must stream through in
-        # chunks while a concurrent reader drains it (this is how
-        # snapshot blobs travel).
-        __, ring = make_ring(capacity=64)
-        payload = random.Random(11).randbytes(10_000)
-        out = []
-        reader = threading.Thread(
-            target=lambda: out.append(ring.recv(timeout=10))
+def _flows(n):
+    return [
+        (
+            gid,
+            FlowSpec(
+                src="h0", dst="h1", size=1000,
+                paths=[(gid % 2, ["h0", "s", "h1"])], at=(gid + 1) * 1e-3,
+            ),
         )
-        reader.start()
-        ring.send(payload, timeout=10)
-        reader.join(timeout=10)
-        assert not reader.is_alive()
-        assert out == [payload]
+        for gid in range(n)
+    ]
 
-    def test_interleaved_chunked_messages(self):
-        __, ring = make_ring(capacity=64)
-        payloads = [random.Random(i).randbytes(200) for i in range(8)]
-        out = []
 
-        def drain():
-            for __ in payloads:
-                out.append(ring.recv(timeout=10))
-
-        reader = threading.Thread(target=drain)
-        reader.start()
-        for payload in payloads:
-            ring.send(payload, timeout=10)
-        reader.join(timeout=10)
-        assert not reader.is_alive()
-        assert out == payloads
-
-    def test_backpressure_timeout_when_reader_stalls(self):
-        __, ring = make_ring(capacity=64)
-        ring.send(b"x" * 40)  # parked unread: reader is behind
-        with pytest.raises(ShmRingTimeout, match="ring space"):
-            ring.send(b"y" * 40, timeout=0.05)
-
-    def test_recv_timeout_on_empty_ring(self):
-        __, ring = make_ring()
-        with pytest.raises(ShmRingTimeout, match="ring data"):
-            ring.recv(timeout=0.05)
-
-    def test_peer_death_raises_closed(self):
-        __, ring = make_ring()
-        with pytest.raises(ShmRingClosed, match="peer died"):
-            ring.recv(alive=lambda: False)
-
-    def test_publish_beats_peer_death_race(self):
-        # The waiter re-checks readiness after the liveness callback
-        # trips: a message published right before death is delivered.
-        __, ring = make_ring()
-        ring.send(b"last words")
-        assert ring.recv(alive=lambda: False) == b"last words"
-
-    def test_torn_payload_fails_crc(self):
-        buf, ring = make_ring()
-        ring.send(b"precious coupling digest")
-        buf[HEADER_BYTES + FRAME_BYTES] ^= 0xFF  # flip first payload byte
-        with pytest.raises(ShmRingCorruption, match="CRC"):
-            ring.recv()
-
-    def test_impossible_frame_length_detected(self):
-        __, ring = make_ring(capacity=64)
-        # Forge a published frame whose length exceeds the ring: a torn
-        # or trampled header must fail loudly, not allocate garbage.
-        struct.pack_into(
-            "<II", ring._view, HEADER_BYTES, 1 << 20, 0
-        )
-        ring.write_pos = FRAME_BYTES
-        with pytest.raises(ShmRingCorruption, match="exceeds ring capacity"):
-            ring.recv()
+class TestLargeReplies:
+    def test_snapshot_larger_than_64_kib_round_trips(self):
+        # A worker's snapshot is the largest reply a run sends; it must
+        # arrive whole, and decode to a worker in the same state.
+        channel = ProcessChannel(tiny_config(_flows(400)))
+        try:
+            digest = channel.rpc(("digest",))[1]
+            tag, blob = channel.rpc(("snapshot",))
+            assert tag == "snapshot"
+            assert len(blob) > 1 << 16
+            assert loads(blob).digest() == digest
+            assert channel.rpc(("digest",))[1] == digest
+        finally:
+            channel.close()
 
 
 def _cpu_of(target, out):
@@ -153,42 +62,44 @@ def _cpu_of(target, out):
     out.append(time.thread_time() - started)
 
 
-class TestBlockingWaits:
-    def test_blocked_reader_burns_no_cpu(self):
-        __, ring = make_ring()
+def _collect_a_late_reply(timeout):
+    """CPU seconds a collect uses on a worker that replies 1 s late.
+
+    The worker is stopped with a request pending and resumed a second
+    later, so the collect waits that second.
+    """
+    channel = ProcessChannel(tiny_config(), timeout=timeout)
+    try:
+        _stop(channel._proc)
+        channel.post(("digest",))
         got, used = [], []
         reader = threading.Thread(
             target=_cpu_of,
-            args=(lambda: got.append(ring.recv(timeout=10)), used),
+            args=(lambda: got.append(channel.collect()[0]), used),
         )
-        writer = threading.Thread(
-            target=lambda: (time.sleep(1.0), ring.send(b"late"))
+        waker = threading.Timer(
+            1.0, os.kill, (channel._proc.pid, signal.SIGCONT)
         )
+        started = time.monotonic()
         reader.start()
-        writer.start()
-        for thread in (writer, reader):
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-        assert got == [b"late"]
-        assert used[0] < BLOCKED_CPU_SECONDS
+        waker.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert time.monotonic() - started >= 0.9
+        assert got == ["digest"]
+        return used[0]
+    finally:
+        os.kill(channel._proc.pid, signal.SIGCONT)
+        channel.close()
 
-    def test_blocked_writer_burns_no_cpu(self):
-        __, ring = make_ring(capacity=64)
-        first = b"x" * (64 - FRAME_BYTES)
-        ring.send(first)  # the ring is full
-        used = []
-        writer = threading.Thread(
-            target=_cpu_of,
-            args=(lambda: ring.send(b"second", timeout=10), used),
-        )
-        writer.start()
-        time.sleep(1.0)
-        assert writer.is_alive()  # still waiting for space
-        assert ring.recv() == first
-        writer.join(timeout=10)
-        assert not writer.is_alive()
-        assert ring.recv() == b"second"
-        assert used[0] < BLOCKED_CPU_SECONDS
+
+class TestBlockingWaits:
+    def test_blocked_reader_burns_no_cpu(self):
+        assert _collect_a_late_reply(None) < BLOCKED_CPU_SECONDS
+
+    def test_reader_under_a_deadline_burns_no_cpu(self):
+        # The deadline's liveness checks wake it every 50 ms, no more.
+        assert _collect_a_late_reply(10.0) < BLOCKED_CPU_SECONDS
 
 
 class TestConcurrentChannels:
@@ -207,7 +118,7 @@ class TestConcurrentChannels:
                     src="h0", dst="h1", size=1000,
                     paths=[(0, ["h0", "s", "h1"])], at=start,
                 )
-                channels.append(ShmChannel(tiny_config([(0, flow)])))
+                channels.append(ProcessChannel(tiny_config([(0, flow)])))
             heard = [[] for __ in channels]
 
             def drive(channel, out):
