@@ -56,8 +56,8 @@ from repro.sim.link import Queue
 #: Payload file holding the pickled state bundle.
 STATE_PAYLOAD = "state.pkl"
 
-#: ``meta["kind"]`` for single-simulator checkpoints (the sharded
-#: engine writes kind="shard" containers; the sweep runner "sweep").
+#: ``meta["kind"]`` for single-simulator checkpoints (the shard
+#: engine writes ``kind="shard"`` containers, at every shard count).
 KIND_SIM = "sim"
 
 
@@ -191,7 +191,8 @@ def restore(path: PathLike) -> SimCheckpoint:
     if kind != KIND_SIM:
         raise CheckpointError(
             f"{path} holds a {kind!r} checkpoint, not a simulator "
-            "snapshot (sweep/shard containers have their own loaders)"
+            "snapshot (resume a shard container through "
+            "repro.shard.run_packet_trial(resume=True))"
         )
     blob = read_payload(path, STATE_PAYLOAD)
     try:

@@ -8,9 +8,9 @@ feeds it to a pluggable :class:`ResteerPolicy`
 :class:`DardPolicy`), and applies the decisions through the engine's
 own ``resteer``, the same call :mod:`repro.faults` makes.
 Enable it with ``run_trial(control=...)`` on any engine, or
-``run_packet_trial(control=...)``; sharded packet runs drive the same
-policy objects at epoch barriers (:mod:`.sharded`).  A controller
-drives one run: reusing it raises.
+``run_packet_trial(control=...)``, which steps the same controller at
+its epoch barriers at every shard count (:mod:`.sharded`).  A
+controller drives one run: reusing it raises.
 """
 
 from repro.control.controller import Controller, ControlStats, as_controller

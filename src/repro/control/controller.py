@@ -1,12 +1,13 @@
-"""The deterministic control loop for serial engines.
+"""The deterministic control loop.
 
 A :class:`Controller` samples per-subflow/per-plane state every
-``interval`` simulated seconds, feeds the
-:class:`~repro.control.monitor.ControlSample` to its
-:class:`~repro.control.policy.ResteerPolicy`, and applies the decisions.
+``interval`` simulated seconds and takes one step on each sample,
+:meth:`Controller.decide`: fold it into its
+:class:`~repro.control.monitor.ControlMonitor`, count the tick, and ask
+its :class:`~repro.control.policy.ResteerPolicy` for decisions.
 
-It drives any of the three engines (:func:`repro.api.run_trial`'s
-``control=`` attaches it) through members all three share: the clock
+On an engine (:func:`repro.api.run_trial`'s ``control=`` attaches it)
+the loop runs through members all three engines share: the clock
 (``now``, ``schedule(at, fn)``, ``has_pending()``), ``control_rows()``
 for the sample and ``resteer(gid, paths)`` for each decision.  The
 engine moves the flow its own way -- abort and relaunch on the packet
@@ -16,18 +17,18 @@ loop is a self-rescheduling timer, a picklable bound method: policy
 and monitor state ride :mod:`repro.ckpt` snapshots and a resumed run
 continues the loop byte-identically.
 
-Sharded runs do not attach a controller; the shard engine drives the
-same policy/monitor objects at its epoch barriers (see
-:mod:`repro.control.sharded`).
+:func:`repro.shard.run_packet_trial` does not attach the controller,
+at any shard count: the shard engine calls :meth:`Controller.decide`
+at its epoch barriers (see :mod:`repro.control.sharded`).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.control.monitor import ControlMonitor
-from repro.control.policy import ResteerPolicy, make_policy
+from repro.control.policy import ResteerDecision, ResteerPolicy, make_policy
 from repro.core.pnet import PNet
 from repro.obs import get_registry
 
@@ -37,14 +38,20 @@ DEFAULT_INTERVAL = 1e-3
 
 @dataclass
 class ControlStats:
-    """Plain counters mirroring the controller's obs metrics."""
+    """Plain counters of one run's control loop.
+
+    ``ticks`` and ``decisions`` count in :meth:`Controller.decide`;
+    ``applied`` and ``missed`` count wherever the decisions are applied.
+    An attached controller also publishes ``ticks`` and ``decisions`` to
+    its engine's registry.
+    """
 
     ticks: int = 0
     decisions: int = 0
     applied: int = 0
     missed: int = 0
-    #: Sharded runs only: decisions narrowed to one shard, and flows
-    #: invisible to control because they span shards.
+    #: ``run_packet_trial`` only: decisions narrowed to one shard, and
+    #: flows invisible to control because they span shards.
     narrowed: int = 0
     skipped_spanning: int = 0
 
@@ -53,7 +60,7 @@ class ControlStats:
 
 
 class Controller:
-    """Periodic sample -> decide -> apply loop on one live network.
+    """Periodic sample -> decide -> apply loop on one live run.
 
     Args:
         policy: a :class:`ResteerPolicy` instance (e.g. a
@@ -85,10 +92,6 @@ class Controller:
         self.stats = ControlStats()
         self._network = None
         self._obs = None
-        #: Optional ``fn(old_gid, new_gid)`` observer for resteers that
-        #: change a flow's id (the shard engine's one-shard path re-keys
-        #: its gid table through this).  Must be picklable if set.
-        self.on_rekey = None
 
     def fingerprint(self) -> Dict[str, Any]:
         fp = dict(self.policy.fingerprint())
@@ -124,13 +127,34 @@ class Controller:
 
     # --- the loop -----------------------------------------------------------
 
+    def decide(
+        self,
+        now: float,
+        n_planes: int,
+        plane_cum: Dict[int, float],
+        rows: List[Dict[str, Any]],
+    ) -> List[ResteerDecision]:
+        """One control step on a raw sample: ingest, count, decide.
+
+        ``plane_cum`` and ``rows`` are ``control_rows()``'s two halves
+        (cumulative bytes per plane, one row per live flow).  The
+        attached loop and the shard engine's barrier driver both call
+        this, so every run samples, counts and decides one way; applying
+        the decisions is the caller's.
+        """
+        sample = self.monitor.ingest(
+            now, self.interval, n_planes, rows, plane_cum=plane_cum
+        )
+        self.stats.ticks += 1
+        decisions = self.policy.decide(sample)
+        self.stats.decisions += len(decisions)
+        return decisions
+
     def _tick(self) -> None:
         net = self._network
         now = net.now
-        self.stats.ticks += 1
-        sample = self._sample(now)
-        decisions = self.policy.decide(sample)
-        self.stats.decisions += len(decisions)
+        plane_cum, rows = net.control_rows()
+        decisions = self.decide(now, len(net.planes), plane_cum, rows)
         for decision in decisions:
             if self._apply(decision):
                 self.stats.applied += 1
@@ -141,18 +165,11 @@ class Controller:
             obs.counter("control.ticks").inc()
             if decisions:
                 obs.counter("control.decisions").inc(len(decisions))
-            obs.gauge("control.flows_seen").set(len(sample.flows))
+            obs.gauge("control.flows_seen").set(len(rows))
         # Stop once the run has drained: on the packet engine an eternal
         # timer would keep ``run(until=inf)`` from ever emptying its heap.
         if net.has_pending():
             net.schedule(now + self.interval, self._tick)
-
-    def _sample(self, now: float):
-        net = self._network
-        plane_cum, rows = net.control_rows()
-        return self.monitor.ingest(
-            now, self.interval, len(net.planes), rows, plane_cum=plane_cum
-        )
 
     def _apply(self, decision) -> bool:
         gid = decision.gid
@@ -162,8 +179,6 @@ class Controller:
         if new_gid != gid:
             self.policy.rekey(gid, new_gid)
             self.monitor.rekey(gid, new_gid)
-            if self.on_rekey is not None:
-                self.on_rekey(gid, new_gid)
         return True
 
 

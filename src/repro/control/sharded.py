@@ -1,15 +1,17 @@
-"""Barrier-driven control for the sharded packet engine.
+"""Barrier-driven control for the plane-sharded packet engine.
 
-A sharded run cannot let the serial :class:`Controller` tick inside one
-worker -- decisions depend on the *global* plane-load vector, and
-resteers may move a flow onto planes owned by another shard.  Instead
-the shard engine owns the cadence: at each epoch barrier whose time
-has crossed the next control instant it
+:func:`repro.shard.run_packet_trial` does not let a controller tick
+inside a worker -- decisions depend on the *global* plane-load vector,
+and resteers may move a flow onto planes owned by another shard.  At
+every shard count, one shard included, the shard engine owns the
+cadence instead: at each epoch barrier whose time has crossed the next
+control instant it
 
 1. posts a ``control-sample`` request to every worker and merges the
    plane counters (disjoint plane sets, so the union is exact) and flow
    rows into one global snapshot,
-2. runs the *same* monitor + policy objects a serial run would use, and
+2. takes the controller's one step, :meth:`Controller.decide
+   <repro.control.controller.Controller.decide>`, on it, and
 3. partitions the decisions into per-shard ``control-apply`` batches
    of ``(gid, paths)`` moves that each worker executes locally through
    :meth:`~repro.sim.network.PacketNetwork.resteer` (abort + relaunch
@@ -33,13 +35,17 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.control.controller import Controller, ControlStats
-from repro.control.monitor import ControlMonitor
+from repro.control.controller import Controller
 from repro.core.pnet import PNet
 
 
 class ShardControlDriver:
-    """Runs one controller's policy at the shard engine's barriers."""
+    """Runs one controller at the shard engine's barriers.
+
+    The controller holds the run's policy, monitor and stats; the
+    driver holds only what sharding adds: the control clock, plane and
+    flow ownership, and the spanning flows it skips.
+    """
 
     def __init__(
         self,
@@ -51,10 +57,6 @@ class ShardControlDriver:
     ):
         controller.claim(self)
         self.controller = controller
-        self.policy = controller.policy
-        self.interval = controller.interval
-        self.monitor: ControlMonitor = controller.monitor
-        self.stats: ControlStats = controller.stats
         self.n_planes = len(planes)
         #: plane index -> owning shard (from the partition plan).
         self.plane_shard = {
@@ -67,16 +69,11 @@ class ShardControlDriver:
             gid: shard for shard, gids in local.items() for gid in gids
         }
         self.spanning = set(spanning_gids)
-        self.stats.skipped_spanning += len(self.spanning)
-        self.next_tick = self.interval
+        controller.stats.skipped_spanning += len(self.spanning)
+        self.next_tick = controller.interval
         if controller.pnet is None:
             controller.pnet = PNet(list(planes))
-        self.policy.bind(controller.pnet)
-
-    def fingerprint(self) -> Dict[str, Any]:
-        fp = dict(self.policy.fingerprint())
-        fp["interval"] = self.interval
-        return fp
+        controller.policy.bind(controller.pnet)
 
     # --- cadence ------------------------------------------------------------
 
@@ -106,29 +103,24 @@ class ShardControlDriver:
             rows.extend(reply["rows"])
         rows.sort(key=lambda row: row["gid"])
         live = {row["gid"] for row in rows}
-
-        sample = self.monitor.ingest(
-            t, self.interval, self.n_planes, rows, plane_cum=plane_cum
-        )
-        self.stats.ticks += 1
-        decisions = self.policy.decide(sample)
-        self.stats.decisions += len(decisions)
+        controller = self.controller
+        stats = controller.stats
 
         moves: Dict[int, List[Tuple[int, Any]]] = {}
-        for decision in decisions:
+        for decision in controller.decide(t, self.n_planes, plane_cum, rows):
             gid = decision.gid
             shard = self.owner.get(gid)
             if gid not in live or shard is None or gid in self.spanning:
-                self.stats.missed += 1
+                stats.missed += 1
                 continue
             paths = self._narrow(shard, decision.paths)
             if not paths:
-                self.stats.missed += 1
+                stats.missed += 1
                 continue
             moves.setdefault(shard, []).append((gid, paths))
-            self.stats.applied += 1
+            stats.applied += 1
 
-        self.next_tick += self.interval
+        self.next_tick += controller.interval
         return moves
 
     def _narrow(self, shard: int, paths) -> List[Tuple[int, Any]]:
@@ -146,7 +138,7 @@ class ShardControlDriver:
         ]
         if len(local) != len(list(paths)):
             if local:
-                self.stats.narrowed += 1
+                self.controller.stats.narrowed += 1
             return local
         return list(paths)
 
@@ -154,20 +146,20 @@ class ShardControlDriver:
 
     def state(self) -> Dict[str, Any]:
         """Picklable blob for the shard engine checkpoint."""
+        controller = self.controller
         return {
-            "policy": self.policy,
-            "monitor": self.monitor,
+            "policy": controller.policy,
+            "monitor": controller.monitor,
             "owner": dict(self.owner),
             "spanning": sorted(self.spanning),
             "next_tick": self.next_tick,
-            "stats": self.stats,
+            "stats": controller.stats,
         }
 
     def restore(self, blob: Dict[str, Any]) -> None:
-        self.policy = blob["policy"]
-        self.monitor = blob["monitor"]
+        """Continue a checkpointed run: its clock and ownership here,
+        its policy, monitor and stats on the controller."""
         self.owner = dict(blob["owner"])
         self.spanning = set(blob["spanning"])
         self.next_tick = blob["next_tick"]
-        self.stats = blob["stats"]
-        self.controller.adopt(self.policy, self.monitor, self.stats)
+        self.controller.adopt(blob["policy"], blob["monitor"], blob["stats"])

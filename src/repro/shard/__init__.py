@@ -10,23 +10,26 @@ connections -- as compact digests at each barrier.
 
 Entry point: :func:`run_packet_trial` -- epoch-synced packet
 simulation (uncoupled workers free-run, idle coupled ones jump to
-their next event).  Its ``shards``, ``epoch`` and ``backend``
-arguments shape the run, and no run-wide setting changes them; only
-the safety deadline ``PNET_SHARD_TIMEOUT`` is a
-:class:`repro.config.RunConfig` field.  Fluid runs stay serial: the
-max-min solve is one global allocation.
+their next event).  Every shard count runs the one barrier loop; one
+shard is simply every plane in one in-process worker.  Its ``shards``,
+``epoch`` and ``backend`` arguments shape the run, and no run-wide
+setting changes them; only the safety deadline ``PNET_SHARD_TIMEOUT``
+is a :class:`repro.config.RunConfig` field.  Fluid runs stay serial:
+the max-min solve is one global allocation.
 
 Backends (:mod:`repro.shard.channel`): ``shm``, the default, runs one
 worker process per shard and talks to each over its own pipe (the
 name is kept from an earlier shared-memory transport); ``local`` runs
 every shard in the calling process as the reference.
 
-Guarantees: ``shards=1`` (or ``epoch=0``) is byte-identical to the
-pre-shard serial simulators; multi-shard results are deterministic
-for a given shard count and identical across the ``local`` and
-``shm`` channel backends; plane-local flows are unaffected by sharding, and
-only spanning MPTCP connections see the epoch-staleness approximation
-(bounded, and converging to serial as ``epoch -> 0``).  A sharded run
+Guarantees: ``shards=1`` is byte-identical to a plain
+:class:`~repro.sim.network.PacketNetwork` run (records, telemetry and
+trace events) and keeps completion callbacks; multi-shard results are
+deterministic for a given shard count and identical across the
+``local`` and ``shm`` channel backends; plane-local flows are
+unaffected by sharding, and only spanning MPTCP connections see the
+epoch-staleness approximation (bounded, and converging to serial as
+``epoch -> 0``).  A sharded run
 leaves no worker process behind, and the workers of an engine that
 is killed exit on their pipes' EOF.
 """

@@ -7,12 +7,17 @@ coupling digest (subflow cwnd/RTT, local pool, ACK progress), and the
 engine folds the digests into next-epoch updates -- epoch-stale LIA
 coupling views, a deterministic largest-remainder rebalance of each
 connection's shared send-buffer pool, and completion/finalize notices.
-The epoch length is the staleness bound and the one barrier spacing:
-``epoch -> 0`` converges to the serial coupled behaviour, and
-``epoch == 0`` (or one shard) takes the literal serial code path,
-byte-identical to the pre-shard simulator.  The shard count, epoch and
-channel backend are :func:`run_packet_trial`'s arguments, checked at
-entry; no run-wide setting changes them.
+The epoch length (> 0) is the staleness bound and the one barrier
+spacing: ``epoch -> 0`` converges to the serial coupled behaviour.  The
+shard count, epoch and channel backend are :func:`run_packet_trial`'s
+arguments, checked at entry; no run-wide setting changes them.
+
+Every shard count runs this one loop.  One shard is every plane in one
+in-process worker that writes straight into the caller's registry:
+with no control and no checkpoints it free-runs to the horizon in one
+``net.run`` call -- a plain :class:`~repro.sim.network.PacketNetwork`
+run -- and with them it barriers, checkpoints and is steered exactly as
+two shards are.
 
 :func:`run_packet_trial` is a sequence of barrier phases, one function
 each: :func:`_plan` (classify, split, worker configs, restore), then
@@ -36,7 +41,6 @@ backends.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import pathlib
 import pickle
@@ -44,7 +48,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.ckpt.snapshot import check_args, restore, run_checkpointed
+from repro.ckpt.snapshot import check_args
 from repro.ckpt.store import (
     CheckpointError, latest, next_step, prune, read_manifest, read_payload,
     step_dir, write_checkpoint,
@@ -57,9 +61,7 @@ from repro.obs import get_registry
 from repro.shard.channel import LocalChannel, ProcessChannel
 from repro.shard.coupling import largest_remainder, lia_terms, split_bytes
 from repro.shard.partition import ShardPlan, classify
-from repro.shard.worker import (
-    PacketShardWorker, WorkerConfig, build_worker, handle_message,
-)
+from repro.shard.worker import WorkerConfig, build_worker, handle_message
 from repro.sim.network import SimFlowRecord, publish_flow
 from repro.topology.graph import Topology
 
@@ -88,9 +90,9 @@ class ShardSafetyError(RuntimeError):
     """The requested run cannot be sharded without changing results."""
 
 
-#: ``meta["kind"]`` of checkpoints the multi-shard loop writes: one
-#: payload per worker (the worker encodes itself at an epoch barrier)
-#: plus ``engine.pkl`` holding the barrier-loop state.
+#: ``meta["kind"]`` of checkpoints the barrier loop writes, at every
+#: shard count: one payload per worker (the worker encodes itself at an
+#: epoch barrier) plus ``engine.pkl`` holding the barrier-loop state.
 KIND_SHARD = "shard"
 
 
@@ -102,11 +104,9 @@ def _write_shard_checkpoint(
     ``blobs`` are the encoded workers in shard order, taken at a
     barrier where every worker is quiescent (its event loop stopped at
     ``state["t"]``), so together with the engine's own loop ``state``
-    they form a globally consistent cut.  Only the multi-shard loop
-    writes these; a one-shard run checkpoints its simulator through
-    :func:`repro.ckpt.run_checkpointed` (``kind="sim"``).  The
-    container write is manifest-last, so a crash mid-write is
-    indistinguishable from no checkpoint.
+    they form a globally consistent cut.  The container write is
+    manifest-last, so a crash mid-write is indistinguishable from no
+    checkpoint.
     """
     payloads = {
         f"shard-{shard:02d}.pkl": blob for shard, blob in enumerate(blobs)
@@ -129,13 +129,17 @@ def _write_shard_checkpoint(
     return directory
 
 
-def _load_shard_checkpoint(root, n_shards: int) -> Optional[Dict[str, Any]]:
-    """The newest valid multi-shard checkpoint under ``root`` (None if
-    empty).
+def _load_shard_checkpoint(
+    root, n_shards: int, controlled: bool
+) -> Optional[Dict[str, Any]]:
+    """The newest valid shard checkpoint under ``root`` (None if empty).
 
-    A one-shard run's ``kind="sim"`` checkpoint is refused by its kind,
-    and the shard count must match the resuming run: worker pickles are
-    per-shard slices of the workload and cannot be re-partitioned.
+    A simulator snapshot (``kind="sim"``: ``run_trial``'s, or a
+    one-shard run's from before one shard ran the barrier loop) is
+    refused by its kind.  The resuming run must keep the shard count --
+    worker pickles are per-shard slices of the workload and cannot be
+    re-partitioned -- and the control setting (``controlled``): a
+    resume can neither start control mid-run nor drop it.
     """
     chosen = latest(root)
     if chosen is None:
@@ -151,18 +155,25 @@ def _load_shard_checkpoint(root, n_shards: int) -> Optional[Dict[str, Any]]:
             f"{chosen} was taken with {meta.get('n_shards')} shard(s); "
             f"this run has {n_shards} -- resume must keep the shard count"
         )
+    engine = pickle.loads(read_payload(chosen, "engine.pkl"))
+    if (engine.get("control") is not None) != controlled:
+        had = "without" if controlled else "with"
+        raise CheckpointError(
+            f"{chosen} was written by a run {had} control; resume it "
+            f"{had} control="
+        )
     return {
         "workers": [
             read_payload(chosen, f"shard-{shard:02d}.pkl")
             for shard in range(n_shards)
         ],
-        "engine": pickle.loads(read_payload(chosen, "engine.pkl")),
+        "engine": engine,
     }
 
 
 @dataclass
 class ShardResult:
-    """Merged outcome of a sharded (or one-shard) run.
+    """Merged outcome of a :func:`run_packet_trial` run.
 
     ``records`` are sorted by global flow id (submission order), the
     one ordering every shard count produces identically.
@@ -184,8 +195,8 @@ class ShardResult:
     control: Optional[Dict[str, Any]] = None
     #: The engine process's wall seconds per barrier phase, keyed by
     #: :data:`PHASES` (``plan`` includes starting the workers; a phase
-    #: with nothing to do reads 0.0).  ``{}`` on the one-shard path.
-    #: Wall time is not a result, so it takes no part in equality.
+    #: with nothing to do reads 0.0).  Wall time is not a result, so it
+    #: takes no part in equality.
     phase_seconds: Dict[str, float] = field(
         default_factory=dict, compare=False
     )
@@ -235,13 +246,6 @@ def _broadcast(channels, message) -> List[Any]:
     for channel in channels:
         channel.post(message)
     return [channel.collect()[1] for channel in channels]
-
-
-def _control_summary(loop) -> Optional[Dict[str, Any]]:
-    """``ShardResult.control`` of a controller or shard control driver."""
-    if loop is None:
-        return None
-    return {"fingerprint": loop.fingerprint(), "stats": loop.stats.as_dict()}
 
 
 class _SpanningState:
@@ -341,14 +345,16 @@ def run_packet_trial(
         planes: the dataplanes (or a :class:`PNet`).
         specs: flows in submission order; their position is the global
             flow id on the returned records.
-        shards: worker count (clamped to the plane count).  ``1`` --
-            or ``epoch=0`` -- runs the serial code path, byte-identical
-            to a plain :class:`~repro.sim.network.PacketNetwork` run.
-        epoch: barrier spacing in simulated seconds.  Only spanning
-            MPTCP connections feel it.
+        shards: worker count (clamped to the plane count).  One shard
+            runs every plane in one in-process worker on the caller's
+            registry: records, telemetry and trace events are a plain
+            :class:`~repro.sim.network.PacketNetwork` run's.
+        epoch: barrier spacing in simulated seconds (> 0).  Only
+            spanning MPTCP connections feel it.
         backend: ``"local"`` (in-process reference) or ``"shm"``
             (one worker process per shard) channel backend; results
-            are byte-identical across the two.
+            are byte-identical across the two.  One shard always runs
+            in-process and reports ``"local"``.
         schedule: optional iterable of fault events (or a
             :class:`~repro.faults.FaultSchedule`), checked against the
             planes before any worker starts and routed to the owning
@@ -356,7 +362,8 @@ def run_packet_trial(
             resteering is cross-plane and must stay serial).
         until: simulated-time horizon (default: run to completion).
         obs: telemetry registry absorbing the per-shard registries in
-            shard order; defaults to the process-wide registry.
+            shard order (one shard writes into it directly); defaults
+            to the process-wide registry.
         checkpoint_dir: root for ``repro.ckpt`` snapshots.  With
             ``checkpoint_every``, a checkpoint is written at the first
             epoch barrier at or past each multiple of that many
@@ -365,8 +372,9 @@ def run_packet_trial(
         checkpoint_every: checkpoint spacing in simulated seconds.
         resume: load the newest valid checkpoint under
             ``checkpoint_dir`` and continue from its barrier; a fresh
-            start when none exists.  The shard count must match the
-            checkpointed run.
+            start when none exists.  The shard count, and whether
+            ``control`` is given, must match the checkpointed run
+            (``CheckpointError`` before any worker starts).
         checkpoint_keep_last: prune to the newest N checkpoints after
             each write (default: keep all).  ``checkpoint_dir`` without
             ``checkpoint_every`` or ``resume``, and retention without
@@ -374,12 +382,10 @@ def run_packet_trial(
         trace_barriers: record every barrier as ``(t, jumped)`` on the
             result (a test and diagnostic aid).
         control: a :class:`repro.control.Controller`, policy object, or
-            policy name enabling the adaptive control plane.  Serial
-            runs attach the controller's own loop; multi-shard runs
-            drive the same policy/monitor objects at epoch barriers
-            (sample + apply travel as extra barrier messages).  A
-            controller drives one run: a reused one raises
-            ``RuntimeError`` before any worker starts.
+            policy name enabling the adaptive control plane, driven at
+            epoch barriers at every shard count (sample + apply travel
+            as extra barrier messages).  A controller drives one run: a
+            reused one raises ``RuntimeError`` before any worker starts.
         sim_kwargs: forwarded to ``PacketNetwork`` (queue_packets, mss,
             min_rto, ecn_threshold).
 
@@ -390,11 +396,13 @@ def run_packet_trial(
         ShardSafetyError: multi-shard run with completion callbacks
             (closed-loop workloads cannot shard) or non-integer
             spanning flow sizes; such a workload runs with ``shards=1``.
+        ShardWorkerError: a worker failed, at any shard count; it
+            carries the worker-side traceback.
     """
     # The run config's checks name a bad argument, and resolving the
     # config fails a stale or bad PNET_* variable, before any worker.
     shards = _integer(shards, "shards")
-    epoch = _real(0.0)(epoch, "epoch")
+    epoch = _real(0.0, strict=True)(epoch, "epoch")
     _choice(*BACKENDS)(backend, "backend")
     timeout = current().shard_timeout
     check_args(
@@ -407,16 +415,10 @@ def run_packet_trial(
     planes = pnet.planes
     specs = list(specs)
     obs = obs if obs is not None else get_registry()
-    plan = ShardPlan.build(len(planes), shards if epoch > 0 else 1)
-    if plan.n_shards == 1:
-        return _run_serial_packet(
-            planes, specs, schedule.events, until, obs, epoch, sim_kwargs,
-            checkpoint_dir, checkpoint_every, resume, checkpoint_keep_last,
-            control,
-        )
-
+    plan = ShardPlan.build(len(planes), shards)
     run = _Run(
-        plan=plan, epoch=epoch, until=until, backend=backend,
+        plan=plan, epoch=epoch, until=until,
+        backend=backend if plan.n_shards > 1 else "local",
         checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
         keep_last=checkpoint_keep_last,
         barriers=[] if trace_barriers else None,
@@ -463,14 +465,19 @@ def _plan(
     """
     plan = run.plan
     for gid, spec in enumerate(specs):
-        if spec.on_complete is not None:
+        if spec.on_complete is not None and plan.n_shards > 1:
             raise ShardSafetyError(
                 f"flow {gid} ({spec.src}->{spec.dst}) carries a completion "
                 "callback, which cannot run on more than one shard: the "
                 "engine only sees flow completion at epoch barriers, so "
-                "closed-loop workloads must run serial -- pass shards=1 "
-                "to run this workload on the serial path"
+                "closed-loop workloads run on one shard -- pass shards=1"
             )
+    restored = (
+        _load_shard_checkpoint(
+            run.checkpoint_dir, plan.n_shards, control is not None
+        )
+        if resume else None
+    )
 
     local, run.spanning_gids = classify(specs, plan)
     for gid in run.spanning_gids:
@@ -524,12 +531,11 @@ def _plan(
                 plan.planes_of_shard[shard]
             ).events,
             collect_obs=obs.enabled,
+            # One in-process worker drives the caller's registry itself,
+            # trace events included.
+            obs_registry=obs if plan.n_shards == 1 else None,
         ))
 
-    restored = (
-        _load_shard_checkpoint(run.checkpoint_dir, plan.n_shards)
-        if resume else None
-    )
     if restored is not None:
         for config, blob in zip(configs, restored["workers"]):
             config.restore_blob = blob
@@ -539,7 +545,7 @@ def _plan(
         run.t = state["t"]
         run.spanning = state["spanning"]
         run.shares = state["shares"]
-        if run.driver is not None and state.get("control") is not None:
+        if run.driver is not None:
             run.driver.restore(state["control"])
     run.ckpt_next = _next_checkpoint(run.t, run.checkpoint_every)
     return configs
@@ -757,7 +763,10 @@ def _merge(run: _Run, obs) -> ShardResult:
         events_processed=events_processed,
         plane_totals=plane_totals,
         barriers=run.barriers,
-        control=_control_summary(run.driver),
+        control=None if run.driver is None else {
+            "fingerprint": run.driver.controller.fingerprint(),
+            "stats": run.driver.controller.stats.as_dict(),
+        },
     )
 
 
@@ -857,97 +866,4 @@ def _compose_record(
         packets_sent=sum(part["packets_sent"] for part in parts),
         tag=spec.tag,
         planes=spec.planes,
-    )
-
-
-def _serial_control_rekey(worker, old_fid: int, new_fid: int) -> None:
-    """Extend a serial worker's gid table across a control resteer.
-
-    Fresh flow ids are assigned densely, so the relaunch's id is always
-    the next index; it inherits the original flow's global id, matching
-    the multi-shard engine's stable-gid records.
-    """
-    worker._local_gids.append(worker._local_gids[old_fid])
-
-
-def _run_serial_packet(
-    planes, specs, events, until, obs, epoch, sim_kwargs, checkpoint_dir,
-    checkpoint_every, resume, checkpoint_keep_last, control,
-) -> ShardResult:
-    """One-shard path: the literal serial simulator, no barriers.
-
-    Flows keep their completion callbacks and the caller's registry is
-    used directly, so a one-shard run is byte-identical to a
-    plain ``PacketNetwork`` run of the same workload.  Checkpoints are
-    simulator snapshots (``kind="sim"``) written by
-    :func:`repro.ckpt.run_checkpointed`, with the worker -- its gid
-    table and attached control loop -- riding along as ``extra``.
-    """
-    if control is not None:
-        from repro.control import as_controller
-
-        control = as_controller(control)
-    chosen = latest(checkpoint_dir) if resume else None
-    if chosen is not None:
-        worker = restore(chosen).extra
-        if not isinstance(worker, PacketShardWorker):
-            raise CheckpointError(
-                f"{chosen} holds no shard worker; resume it through "
-                "repro.api.resume_trial"
-            )
-        if control is not None:
-            # The checkpointed loop goes on; the caller's controller
-            # holds its state, as it would for a run that never stopped.
-            restored = getattr(worker.net, "_controller", None)
-            if restored is None:
-                raise CheckpointError(
-                    f"{chosen} was written by a run without control; "
-                    "resume it without control="
-                )
-            control.claim(worker.net)
-            control.adopt(restored.policy, restored.monitor, restored.stats)
-    else:
-        worker = PacketShardWorker(WorkerConfig(
-            shard=0,
-            plan=ShardPlan.build(len(planes), 1),
-            planes=list(planes),
-            sim_kwargs=dict(sim_kwargs),
-            entries=list(enumerate(specs)),
-            fault_events=events,
-            obs_registry=obs,
-        ))
-        if control is not None:
-            control.attach(worker.net)
-            # Serial resteers assign fresh flow ids; keep the worker's
-            # gid table covering them so result() re-keys records.  A
-            # partial over a module function, so the hook rides the
-            # worker's checkpoint pickle.
-            control.on_rekey = functools.partial(
-                _serial_control_rekey, worker
-            )
-            # The attached loop rides the network's pickle graph, so
-            # checkpoints resume it without extra plumbing.
-            worker.net._controller = control
-    if checkpoint_every is None:
-        worker.advance(until)
-    else:
-        run_checkpointed(
-            worker.net, checkpoint_dir, checkpoint_every, until=until,
-            extra=worker, keep_last=checkpoint_keep_last,
-        )
-    result = worker.result()
-    if chosen is not None and obs.enabled and worker.obs is not obs:
-        # The restored worker continued on its checkpointed registry
-        # (which holds the pre-checkpoint counters); fold the whole
-        # run's telemetry into the caller's registry.
-        obs.absorb(worker.obs.export_state())
-    return ShardResult(
-        records=sorted(result["records"], key=lambda r: r.flow_id),
-        n_shards=1,
-        epoch=epoch,
-        backend="local",
-        rounds=0,
-        events_processed=result["events_processed"],
-        plane_totals=result["plane_totals"],
-        control=_control_summary(getattr(worker.net, "_controller", None)),
     )

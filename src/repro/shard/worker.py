@@ -49,7 +49,9 @@ class WorkerConfig:
     a gid present in ``spanning_share`` is the local slice of a
     spanning connection seeded with that many bytes, anything else is a
     fully local flow.  ``fault_events`` must already be restricted to
-    this shard's planes.
+    this shard's planes.  ``collect_obs`` gives the worker a registry
+    of its own, which :meth:`PacketShardWorker.result` exports for the
+    engine to absorb.
     """
 
     shard: int
@@ -60,10 +62,10 @@ class WorkerConfig:
     spanning_share: Dict[int, int] = field(default_factory=dict)
     fault_events: Tuple[FaultEvent, ...] = ()
     collect_obs: bool = False
-    #: In-process only (never shipped to a worker process): use
-    #: this registry directly instead of a private one -- the serial
-    #: one-shard path injects the caller's registry here so telemetry
-    #: is byte-identical to a plain un-sharded run.
+    #: In-process only (never shipped to a worker process): use this
+    #: registry directly instead of a private one, and export nothing.
+    #: A one-shard run injects the caller's registry here, so its
+    #: telemetry and trace events are a plain un-sharded run's.
     obs_registry: Optional[Registry] = None
     #: An encoded worker from a prior ``("snapshot",)`` reply.  When
     #: set, :func:`build_worker` decodes it instead of constructing
@@ -189,7 +191,8 @@ class PacketShardWorker:
         The relaunched flow keeps its *global* id (the fresh local id
         maps back to the same gid), so records, policy state and the
         engine's ownership table stay stable across a resteer --
-        unlike the serial path, where ids change and callers re-key.
+        unlike a controller attached to an engine, which re-keys the
+        fresh id.
         """
         fid_of = {
             self._local_gids[fid]: fid
@@ -218,17 +221,21 @@ class PacketShardWorker:
             },
             "events_processed": self.net.loop.events_processed,
             "obs": self.obs.export_state()
-            if self.config.collect_obs else None,
+            if self.config.collect_obs and self.config.obs_registry is None
+            else None,
         }
 
 
 def build_worker(config: WorkerConfig):
     if config.restore_blob is not None:
         # The restored worker keeps its *checkpointed* registry (it holds
-        # the first segment's counters); callers that injected a live
-        # registry absorb the worker's state after the run instead of
-        # swapping it out, which would orphan net.obs publications.
-        return loads(config.restore_blob)
+        # the first segment's counters): swapping in a live one would
+        # orphan net.obs publications.  It is nobody's live registry
+        # now, so it is exported for the engine to absorb -- also where
+        # the checkpointed run wrote straight into the caller's.
+        worker = loads(config.restore_blob)
+        worker.config.obs_registry = None
+        return worker
     return PacketShardWorker(config)
 
 

@@ -23,8 +23,10 @@ from repro.exp.common import (
     PARALLEL_HOMOGENEOUS,
     network_for_label,
 )
+from repro.obs import Registry
 from repro.shard import run_packet_trial
 from repro.units import MB
+from tests.test_control_shard import make_pnet, shard_local_specs
 
 
 def jellyfish_workload(n_flows=6, size=2 * MB):
@@ -94,6 +96,28 @@ class TestShardedResume:
         )
         assert pickle.dumps(resumed.records) == pickle.dumps(want)
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_resume_reports_the_whole_runs_telemetry(self, tmp_path, shards):
+        # A restored worker continues on its checkpointed registry,
+        # which holds the first segment's counters; the caller's
+        # registry absorbs it, so it reads what an uninterrupted run's
+        # does -- on one shard, where the first segment wrote straight
+        # into the caller's registry, too.
+        pnet = make_pnet()
+        specs = shard_local_specs(pnet)
+        kwargs = dict(
+            shards=shards, backend="local", checkpoint_dir=tmp_path,
+            checkpoint_every=EVERY,
+        )
+        whole = Registry()
+        run_packet_trial(pnet, specs, obs=whole, **kwargs)
+        _keep_only_earliest(tmp_path)
+        resumed = Registry()
+        run_packet_trial(pnet, specs, obs=resumed, resume=True, **kwargs)
+        want = whole.snapshot(include_wallclock=False)
+        assert want  # the comparison below is not vacuous
+        assert resumed.snapshot(include_wallclock=False) == want
+
     def test_resume_across_shm_backend(self, tmp_path):
         # Checkpoint with in-process channels, resume with real OS
         # processes: the snapshot blobs must be backend-agnostic.
@@ -135,8 +159,8 @@ class TestShardedRejections:
             )
 
     def test_simulator_checkpoint_rejected(self, tmp_path):
-        # A run_trial snapshot is a 'sim' checkpoint too, but it holds
-        # no shard worker to continue.
+        # A run_trial snapshot is a 'sim' checkpoint: it holds no shard
+        # workers to continue, at any shard count.
         from repro import api
 
         pnet, specs = jellyfish_workload(n_flows=2)
@@ -145,7 +169,9 @@ class TestShardedRejections:
             control="off", until=2 * EVERY,
             checkpoint_dir=tmp_path, checkpoint_every=EVERY,
         )
-        with pytest.raises(CheckpointError, match="no shard worker"):
+        with pytest.raises(
+            CheckpointError, match="'sim' checkpoint, not a shard-engine one"
+        ):
             _run(pnet, specs, shards=1, checkpoint_dir=tmp_path, resume=True)
 
     def test_every_requires_dir(self):

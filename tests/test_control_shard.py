@@ -125,8 +125,8 @@ class TestShardedControl:
         assert result.control["stats"]["skipped_spanning"] > 0
 
     def test_serial_one_shard_path_keeps_gid_table(self):
-        # shards=1 routes through the serial worker; resteers re-key
-        # the worker's gid table so records keep their global ids.
+        # shards=1 is one worker steered at barriers; its resteers keep
+        # the flows' global ids, so records keep them too.
         pnet = make_pnet()
         specs = shard_local_specs(pnet)
         result = run_sharded(pnet, specs, shards=1)
@@ -231,19 +231,40 @@ class TestShardedControlResume:
         with pytest.raises(RuntimeError, match="already attached"):
             run_packet_trial(pnet, specs, shards=shards, control=ctl2)
 
-    def test_serial_resume_refuses_control_the_run_did_not_have(
-        self, tmp_path
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("written_with_control", [False, True])
+    def test_resume_keeps_the_control_setting(
+        self, monkeypatch, tmp_path, shards, written_with_control
     ):
+        """Resuming with control= a checkpoint written without it would
+        start control mid-run; resuming without control= one written
+        with it would drop the loop.  Both raise before any worker
+        starts."""
+        import repro.shard.engine
+
         pnet = make_pnet()
         specs = shard_local_specs(pnet)
+        kwargs = dict(shards=shards, checkpoint_dir=tmp_path)
         run_packet_trial(
-            pnet, specs, checkpoint_dir=tmp_path, checkpoint_every=2e-4
+            pnet, specs, backend="local", checkpoint_every=2e-4,
+            control=controller() if written_with_control else None,
+            **kwargs,
         )
-        with pytest.raises(CheckpointError, match="without control"):
+        started = []
+        monkeypatch.setattr(
+            repro.shard.engine, "ProcessChannel", started.append
+        )
+        had = "with" if written_with_control else "without"
+        with pytest.raises(
+            CheckpointError,
+            match=f"by a run {had} control; resume it {had} control=",
+        ):
             run_packet_trial(
-                pnet, specs, checkpoint_dir=tmp_path, resume=True,
-                control=controller(),
+                pnet, specs, backend="shm", resume=True,
+                control=None if written_with_control else controller(),
+                **kwargs,
             )
+        assert not started
 
 
 class TestPhaseSeconds:

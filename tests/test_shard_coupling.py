@@ -16,7 +16,6 @@ conserve bytes exactly and deterministically, and a digest computed
 remotely reproduces the serial source's coupling terms.
 """
 
-import pickle
 import random
 
 import pytest
@@ -90,12 +89,6 @@ def bulk_sweep():
 
 
 class TestEpochConvergence:
-    def test_epoch_zero_is_byte_identical(self, bulk_sweep):
-        pnet, specs, serial, __ = bulk_sweep
-        exact = run_packet_trial(pnet.planes, specs, shards=2, epoch=0.0)
-        assert exact.n_shards == 1  # epoch 0 forces the serial path
-        assert pickle.dumps(exact.records) == pickle.dumps(serial.records)
-
     def test_mean_deviation_shrinks_with_epoch(self, bulk_sweep):
         __, __, serial, sharded = bulk_sweep
         means = [

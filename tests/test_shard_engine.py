@@ -2,8 +2,10 @@
 
 The hard invariants (ISSUE acceptance criteria):
 
-* one shard -- or ``epoch=0`` -- is **byte-identical** to a plain
-  serial simulator run of the same workload (records and telemetry);
+* one shard is **byte-identical** to a plain serial simulator run of
+  the same workload (records, telemetry and trace events), runs in the
+  calling process whatever the backend, and keeps completion
+  callbacks;
 * multi-shard results are identical across the ``local`` and ``shm``
   channel backends and across repeat runs;
 * unshardable workloads (completion callbacks, fractional spanning
@@ -18,6 +20,7 @@ The hard invariants (ISSUE acceptance criteria):
   shard worker processes.
 """
 
+import multiprocessing
 import pickle
 import random
 
@@ -34,7 +37,7 @@ from repro.exp.common import (
 )
 from repro.exp.runner import TrialSpec, last_stats, run_trials
 from repro.faults.schedule import FaultEvent
-from repro.obs import Registry
+from repro.obs import Registry, Tracer
 from repro.shard import ShardSafetyError, run_packet_trial
 from repro.sim.network import PacketNetwork
 from repro.topology.graph import HOST, TOR, Topology
@@ -69,7 +72,10 @@ class TestSerialByteIdentity:
         result = run_packet_trial(pnet.planes, specs, shards=1)
         assert result.n_shards == 1
         assert result.backend == "local"
-        assert result.phase_seconds == {}
+        assert list(result.phase_seconds) == [
+            "plan", "control", "couple", "target", "exchange",
+            "checkpoint", "merge",
+        ]
         assert pickle.dumps(result.records) == pickle.dumps(want)
 
     def test_one_shard_telemetry_matches_plain(self):
@@ -89,6 +95,40 @@ class TestSerialByteIdentity:
         assert plain_obs.snapshot(
             include_wallclock=False
         ) == shard_obs.snapshot(include_wallclock=False)
+
+    @pytest.mark.parametrize("backend", ["local", "shm"])
+    def test_one_shard_runs_in_process_like_plain(
+        self, monkeypatch, backend
+    ):
+        """One shard is every plane in one worker in this process,
+        whatever the backend, writing straight into the caller's
+        registry -- so its trace events are a plain run's (absorbing a
+        worker registry would carry none)."""
+        import repro.shard.engine
+
+        pnet, specs = jellyfish_workload(n_flows=4)
+        plain_obs = Registry(tracer=Tracer())
+        plain = PacketNetwork(pnet.planes, obs=plain_obs)
+        for spec in specs:
+            plain.add_flow(spec=spec)
+        plain.run()
+
+        started = []
+        monkeypatch.setattr(
+            repro.shard.engine, "ProcessChannel", started.append
+        )
+        shard_obs = Registry(tracer=Tracer())
+        result = run_packet_trial(
+            pnet.planes, specs, shards=1, backend=backend, obs=shard_obs
+        )
+        assert not started
+        assert multiprocessing.active_children() == []
+        assert result.backend == "local"
+        want = [event.as_dict() for event in plain_obs.tracer.events()]
+        assert want  # the comparison below is not vacuous
+        assert [
+            event.as_dict() for event in shard_obs.tracer.events()
+        ] == want
 
     def test_one_shard_keeps_completion_callbacks(self):
         pnet, specs = jellyfish_workload(n_flows=2)

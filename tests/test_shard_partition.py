@@ -102,17 +102,28 @@ class TestEnvKnobs:
         assert epoch.default == DEFAULT_EPOCH
 
     def test_epoch_env_and_zero(self, monkeypatch):
+        import repro.shard.engine
+
         monkeypatch.setenv("PNET_EPOCH", "5e-4")
         with pytest.raises(ConfigError, match="PNET_EPOCH='5e-4'"):
             RunConfig.from_env()
         monkeypatch.delenv("PNET_EPOCH")
-        # Epoch 0 takes the serial path whatever the shard count.
+        # Epoch 0 is no barrier spacing, not a second way to write
+        # shards=1: it is refused before any worker starts.
+        started = []
+        monkeypatch.setattr(
+            repro.shard.engine, "ProcessChannel", started.append
+        )
         pnet, specs = jellyfish_workload(n_flows=2)
-        result = run_packet_trial(pnet.planes, specs, shards=2, epoch=0)
-        assert result.n_shards == 1
-        assert result.epoch == 0.0
+        with pytest.raises(ConfigError, match="epoch must be .*, got 0"):
+            run_packet_trial(
+                pnet.planes, specs, shards=2, backend="shm", epoch=0
+            )
+        assert not started
 
     def test_epoch_invalid(self):
-        for bad in (-1.0, "soon", float("nan"), None):
+        # Zero is no barrier spacing: shards=1 is how to ask for one
+        # worker.
+        for bad in (0, 0.0, -1.0, "soon", float("nan"), None):
             with pytest.raises(ConfigError, match="epoch must be"):
                 run_packet_trial([], [], epoch=bad)
