@@ -3,19 +3,17 @@
 Two costs matter when a sweep leaves one machine: the *dispatch tax*
 (launching workers, streaming assignments over the rendezvous socket,
 merging results) and the *recovery bill* (how long a SIGKILLed
-worker's trial waits before a survivor picks it up and resumes).
+worker's trial waits before a survivor picks it up and recomputes it).
 Both land in ``results/BENCH_farm.json``.  Wall-clock numbers vary
 with the machine, so the hard assertions are the portable ones:
-results byte-identical to a single-host run, exactly one reassignment
-in the kill drill, and the victim trial resuming from a checkpoint
-instead of recomputing.
+results byte-identical to a single-host run, and exactly one
+reassignment in the kill drill, run by a second worker.
 """
 
 import os
 import pathlib
 import pickle
 import signal
-import tempfile
 import threading
 import time
 
@@ -70,29 +68,27 @@ def test_farm_dispatch_and_recovery(benchmark):
         pickle.dumps(single)
     waits = stats.dispatch_wait_seconds
 
-    # Kill drill: SIGKILL the worker holding the slow checkpointing
-    # trial; its survivor must resume from a checkpoint.
-    drill_specs = _specs(n=4, wall_pause=0.15)
-    timers = []
+    # Kill drill: SIGKILL the worker holding the slow trial; a survivor
+    # recomputes it.
+    drill_specs = _specs(n=4, wall_pause=2.0)
+    slow_workers = []
 
-    def on_assign(worker_id, spec, pid, _seen={}):
-        if spec.key == SLOW_KEY and not _seen:
-            _seen["armed"] = True
+    def on_assign(worker_id, spec, pid):
+        if spec.key != SLOW_KEY:
+            return
+        slow_workers.append(worker_id)
+        if len(slow_workers) == 1:
             timer = threading.Timer(1.0, os.kill, (pid, signal.SIGKILL))
             timer.daemon = True
             timer.start()
-            timers.append(timer)
 
-    with tempfile.TemporaryDirectory() as root:
-        started = time.perf_counter()
-        killed, kill_stats = run_on_farm(
-            drill_specs, local_inventory(2),
-            trial_checkpoint_root=pathlib.Path(root) / "trials",
-            on_assign=on_assign,
-        )
-        drill_wall = time.perf_counter() - started
+    started = time.perf_counter()
+    killed, kill_stats = run_on_farm(
+        drill_specs, local_inventory(2), on_assign=on_assign,
+    )
+    drill_wall = time.perf_counter() - started
     assert kill_stats.reassigned == 1
-    assert kill_stats.resumed_elsewhere == 1
+    assert len(slow_workers) == 2 and slow_workers[0] != slow_workers[1]
     drill_single = run_trials(drill_specs)
     assert pickle.dumps({k: killed[k] for k in drill_single}) == \
         pickle.dumps(drill_single)
@@ -118,7 +114,6 @@ def test_farm_dispatch_and_recovery(benchmark):
             "n_trials": len(drill_specs),
             "wall_seconds": round(drill_wall, 4),
             "reassigned": kill_stats.reassigned,
-            "resumed_elsewhere": kill_stats.resumed_elsewhere,
             "reassign_latency_seconds": [
                 round(v, 4) for v in kill_stats.reassign_seconds
             ],

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -255,7 +254,6 @@ def run_trial(
     checkpoint_dir=None,
     checkpoint_every: Optional[float] = None,
     checkpoint_keep_last: Optional[int] = None,
-    on_checkpoint: Optional[Callable[[Any], None]] = None,
 ) -> TrialResult:
     """Launch ``flows`` on ``network``, run it, and merge the results.
 
@@ -285,9 +283,8 @@ def run_trial(
     byte-identical to an uninterrupted run.  This works for all three
     engines (hybrid snapshots carry both sub-engines, the bridge, and
     the promotion policy in one object graph).  The other
-    ``checkpoint_*`` arguments and ``on_checkpoint`` need
-    ``checkpoint_every``; without it they raise ``ValueError`` before
-    any flow is submitted.
+    ``checkpoint_*`` arguments need ``checkpoint_every``; without it
+    they raise ``ValueError`` before any flow is submitted.
 
     Resolving the run config at entry raises a ``ConfigError`` for a
     bad or removed ``PNET_*`` variable (``PNET_CONTROL_*`` among them)
@@ -303,7 +300,6 @@ def run_trial(
         checkpoint_every,
         checkpoint_dir,
         checkpoint_keep_last=checkpoint_keep_last,
-        on_checkpoint=on_checkpoint,
     )
     if promotion is not None:
         if network.kind != "hybrid":
@@ -331,7 +327,6 @@ def run_trial(
             checkpoint_every,
             until=until,
             keep_last=checkpoint_keep_last,
-            on_checkpoint=on_checkpoint,
         )
     else:
         network.run(until=until)
@@ -343,7 +338,6 @@ def resume_trial(
     until: float = math.inf,
     checkpoint_every: Optional[float] = None,
     checkpoint_keep_last: Optional[int] = None,
-    on_checkpoint: Optional[Callable[[Any], None]] = None,
 ) -> TrialResult:
     """Continue a checkpointed :func:`run_trial` to completion.
 
@@ -351,8 +345,7 @@ def resume_trial(
     directories from a killed run are skipped), resumes the simulation,
     and returns the same :class:`TrialResult` -- records byte-identical
     to the run never having stopped.  Pass ``checkpoint_every`` to keep
-    checkpointing on the way; ``checkpoint_keep_last`` and
-    ``on_checkpoint`` need it.
+    checkpointing on the way; ``checkpoint_keep_last`` needs it.
     """
     from repro.ckpt import restore, run_checkpointed
 
@@ -361,7 +354,6 @@ def resume_trial(
         checkpoint_dir,
         resume=True,
         checkpoint_keep_last=checkpoint_keep_last,
-        on_checkpoint=on_checkpoint,
     )
     checkpoint = restore(checkpoint_dir)
     network = checkpoint.network
@@ -374,7 +366,6 @@ def resume_trial(
             injector=checkpoint.injector,
             rng=checkpoint.rng,
             keep_last=checkpoint_keep_last,
-            on_checkpoint=on_checkpoint,
         )
     else:
         network.run(until=until)

@@ -18,11 +18,12 @@ Layers:
 * :mod:`repro.ckpt.rng` -- :class:`RngBundle`, the serializable home
   for every random stream a run owns.
 
-Higher layers build on these: the sharded engine checkpoints per-plane
-worker snapshots at epoch barriers, and a farm trial given a per-trial
-directory checkpoints there so a surviving worker resumes it.  A
-sweep's finished trials are kept by the artifact cache
-(:mod:`repro.exp.cache`), not here: a rerun resumes from it.
+Every checkpoint root has one writer: the run that checkpoints into
+it.  Higher layers build on these: the sharded engine checkpoints
+per-plane worker snapshots at epoch barriers.  A sweep's finished
+trials are kept by the artifact cache (:mod:`repro.exp.cache`), not
+here: a rerun resumes from it, and a farm trial whose worker is lost
+is recomputed.
 """
 
 from repro.ckpt.rng import RngBundle
@@ -40,7 +41,6 @@ from repro.ckpt.store import (
     CheckpointError,
     atomic_write_bytes,
     checkpoints_size_bytes,
-    claim_step,
     inspect,
     is_valid,
     latest,
@@ -65,7 +65,6 @@ __all__ = [
     "atomic_write_bytes",
     "check_args",
     "checkpoints_size_bytes",
-    "claim_step",
     "dumps",
     "inspect",
     "is_valid",

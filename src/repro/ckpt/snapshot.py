@@ -44,11 +44,12 @@ from repro.ckpt.rng import RngBundle
 from repro.ckpt.store import (
     CheckpointError,
     PathLike,
-    claim_step,
+    next_step,
     prune,
     read_manifest,
     read_payload,
     resolve,
+    step_dir,
     write_checkpoint,
 )
 from repro.sim.link import Queue
@@ -154,10 +155,7 @@ def save(
         "rng": rng,
         "extra": extra,
     })
-    # claim_step (atomic mkdir) rather than a bare next_step: two
-    # writers sharing a root -- e.g. a farm worker plus the stalled
-    # worker it replaced -- land in distinct step directories.
-    step, directory = claim_step(root)
+    step = next_step(root)
     full_meta = {
         "kind": KIND_SIM,
         "engine": network.kind,
@@ -167,11 +165,11 @@ def save(
     }
     if meta:
         full_meta.update(meta)
-    write_checkpoint(directory, {STATE_PAYLOAD: blob}, full_meta)
+    directory = write_checkpoint(
+        step_dir(root, step), {STATE_PAYLOAD: blob}, full_meta
+    )
     if keep_last is not None:
-        # Writer-side retention must never touch a manifest-less dir: it
-        # may be a live sibling's in-flight write, not a dead one's junk.
-        prune(root, keep_last, remove_invalid=False)
+        prune(root, keep_last)
     return directory
 
 
@@ -217,8 +215,8 @@ def check_args(
     ``every`` and ``resume`` need ``directory`` (the run's
     ``checkpoint_dir``); ``every`` must be positive.  Without ``every``
     nothing is written, so the directory -- unless the run resumes from
-    it -- and each argument in ``given`` (retention, hooks) is refused,
-    named by its keyword.
+    it -- and each argument in ``given`` (retention) is refused, named
+    by its keyword.
     """
     if every is None:
         if not resume:
@@ -245,7 +243,6 @@ def run_checkpointed(
     extra: Any = None,
     keep_last: Optional[int] = None,
     meta: Optional[Dict[str, Any]] = None,
-    on_checkpoint=None,
 ) -> List[pathlib.Path]:
     """Run to ``until``, checkpointing every ``every`` simulated seconds.
 
@@ -255,10 +252,6 @@ def run_checkpointed(
     only the final segment runs with the horizon-crediting ``until``.
     Resuming the returned checkpoints therefore replays the
     uninterrupted run exactly.
-
-    ``on_checkpoint``, if given, is called with each written checkpoint
-    directory -- a progress hook (farm workers report liveness per
-    step; tests pace the run) that must not mutate simulator state.
 
     Returns the checkpoint directories written, oldest first.
     """
@@ -301,6 +294,4 @@ def run_checkpointed(
             root, network, injector=injector, rng=rng, extra=extra,
             meta=meta, keep_last=keep_last,
         ))
-        if on_checkpoint is not None:
-            on_checkpoint(saved[-1])
     return saved

@@ -14,7 +14,9 @@ names every payload with its byte length and SHA-256 digest, so:
 Checkpoints are sequenced under a root as ``ckpt-<step>`` directories
 (:func:`next_step` scans the existing names), and :func:`prune` retires
 old ones -- the retention half of the same atomic-write discipline the
-artifact cache (:mod:`repro.exp.cache`) uses for its entries.
+artifact cache (:mod:`repro.exp.cache`) uses for its entries.  A root
+has one writer, the run that checkpoints into it; readers (``repro
+ckpt verify``, a resume) may run beside it.
 
 The format is versioned (:data:`FORMAT_VERSION`); readers reject
 manifests from a different major format rather than misinterpreting
@@ -325,38 +327,14 @@ def resolve(path: PathLike) -> pathlib.Path:
     return chosen
 
 
-def claim_step(root: PathLike) -> Tuple[int, pathlib.Path]:
-    """Atomically claim the next free ``ckpt-<N>`` directory.
-
-    Concurrent writers sharing one root (a farm worker and the stalled
-    worker it replaced, checkpointing one trial) must never write into
-    the same step directory; a bare :func:`next_step` race would let
-    two processes pick the same number.  ``os.mkdir`` is atomic on
-    every platform we care about, so the first claimant wins and the
-    loser retries the next number.  Returns ``(step, directory)`` with
-    the directory already created.
-    """
-    root = pathlib.Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    step = next_step(root)
-    while True:
-        directory = step_dir(root, step)
-        try:
-            os.mkdir(directory)
-            return step, directory
-        except FileExistsError:
-            step += 1
-
-
 def remove_checkpoint_dir(path: PathLike) -> bool:
     """Race-safely delete one checkpoint directory.
 
     The directory is first renamed aside (atomic), then deleted, so a
-    concurrent reader either sees the complete directory or none of it
-    -- never a half-deleted one -- and two pruners racing over the same
-    step cannot both descend into it.  A sibling winning the race
-    (``ENOENT`` on the rename) is not an error.  Returns whether this
-    caller performed the removal.
+    concurrent reader (``repro ckpt verify`` on a live root) either
+    sees the complete directory or none of it -- never a half-deleted
+    one.  A directory already gone (``ENOENT`` on the rename) is not an
+    error.  Returns whether this call performed the removal.
     """
     path = pathlib.Path(path)
     trash = path.parent / f".trash-{os.getpid()}-{path.name}"
@@ -372,22 +350,15 @@ def remove_checkpoint_dir(path: PathLike) -> bool:
     return True
 
 
-def prune(
-    root: PathLike, keep_last: int, remove_invalid: bool = True
-) -> List[pathlib.Path]:
+def prune(root: PathLike, keep_last: int) -> List[pathlib.Path]:
     """Delete all but the newest ``keep_last`` *valid* checkpoints.
 
-    With ``remove_invalid`` (the default, for offline maintenance such
-    as ``repro ckpt prune``), manifest-less and corrupt directories are
-    deleted too -- they can never be resumed from.  Writer-side callers
-    sharing a root with live siblings (:func:`repro.ckpt.snapshot.save`
-    under a farm trial's checkpoint dir) must pass
-    ``remove_invalid=False``: a directory without a manifest is
-    indistinguishable from a sibling's in-flight checkpoint whose
-    manifest rename has not landed yet, so only checkpoints this
-    process could prove complete are touched.  Deletions are race-safe
-    (atomic rename aside, then delete; a sibling winning the race is
-    ignored).  Returns the removed paths.
+    Manifest-less and corrupt directories are deleted too -- they can
+    never be resumed from.  The root's one writer is the caller (a run
+    pruning after each write) or is gone (``repro ckpt prune``), so a
+    manifest-less directory is a killed write, never one in flight.
+    Deletions go through :func:`remove_checkpoint_dir`.  Returns the
+    removed paths.
     """
     if keep_last < 1:
         raise ValueError(f"keep_last must be >= 1, got {keep_last}")
@@ -395,8 +366,7 @@ def prune(
     all_ckpts = list_checkpoints(root)
     valid = [path for path in all_ckpts if is_valid(path)]
     keep = set(map(str, valid[-keep_last:]))
-    doomed = valid if not remove_invalid else all_ckpts
-    for path in doomed:
+    for path in all_ckpts:
         if str(path) not in keep and remove_checkpoint_dir(path):
             removed.append(path)
     return removed

@@ -42,8 +42,10 @@ class ControlStats:
 
     ``ticks`` and ``decisions`` count in :meth:`Controller.decide`;
     ``applied`` and ``missed`` count wherever the decisions are applied.
-    An attached controller also publishes ``ticks`` and ``decisions`` to
-    its engine's registry.
+    ``ticks`` and ``decisions`` also reach the run's registry, with a
+    ``control.flows_seen`` gauge: an attached controller publishes them
+    at each tick, :func:`repro.shard.run_packet_trial` once, when it
+    merges.
     """
 
     ticks: int = 0

@@ -71,6 +71,8 @@ class ShardControlDriver:
         self.spanning = set(spanning_gids)
         controller.stats.skipped_spanning += len(self.spanning)
         self.next_tick = controller.interval
+        #: Rows (live flows) the last tick's sample held.
+        self.flows_seen = 0
         if controller.pnet is None:
             controller.pnet = PNet(list(planes))
         controller.policy.bind(controller.pnet)
@@ -102,6 +104,7 @@ class ShardControlDriver:
             plane_cum.update(reply["plane_cum"])
             rows.extend(reply["rows"])
         rows.sort(key=lambda row: row["gid"])
+        self.flows_seen = len(rows)
         live = {row["gid"] for row in rows}
         controller = self.controller
         stats = controller.stats
@@ -142,6 +145,18 @@ class ShardControlDriver:
             return local
         return list(paths)
 
+    def publish(self, obs) -> None:
+        """Put the run's control counters in ``obs``, as an attached
+        loop's ticks do: from the controller's stats, which a resumed
+        run restores, so the counts cover the whole run."""
+        stats = self.controller.stats
+        if not stats.ticks:
+            return
+        obs.counter("control.ticks").inc(stats.ticks)
+        if stats.decisions:
+            obs.counter("control.decisions").inc(stats.decisions)
+        obs.gauge("control.flows_seen").set(self.flows_seen)
+
     # --- checkpoint state ---------------------------------------------------
 
     def state(self) -> Dict[str, Any]:
@@ -153,6 +168,7 @@ class ShardControlDriver:
             "owner": dict(self.owner),
             "spanning": sorted(self.spanning),
             "next_tick": self.next_tick,
+            "flows_seen": self.flows_seen,
             "stats": controller.stats,
         }
 
@@ -162,4 +178,5 @@ class ShardControlDriver:
         self.owner = dict(blob["owner"])
         self.spanning = set(blob["spanning"])
         self.next_tick = blob["next_tick"]
+        self.flows_seen = blob.get("flows_seen", 0)
         self.controller.adopt(blob["policy"], blob["monitor"], blob["stats"])

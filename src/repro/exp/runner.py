@@ -84,11 +84,9 @@ class RunStats:
     trial_cache_hits: int = 0
     #: Farm workers the run dispatched over (0 = no farm).
     farm_workers: int = 0
-    #: Trials re-queued after their farm worker was lost mid-flight.
+    #: Trials re-queued after their farm worker was lost mid-flight
+    #: (each recomputed on another worker).
     reassigned_trials: int = 0
-    #: Reassigned trials that resumed on another worker from their last
-    #: per-trial checkpoint step instead of recomputing.
-    resumed_elsewhere: int = 0
 
     def summary(self) -> str:
         text = (
@@ -100,8 +98,7 @@ class RunStats:
         if self.farm_workers:
             text += (
                 f", farm={self.farm_workers} workers "
-                f"({self.reassigned_trials} reassigned / "
-                f"{self.resumed_elsewhere} resumed elsewhere)"
+                f"({self.reassigned_trials} reassigned)"
             )
         return text
 
@@ -247,9 +244,10 @@ def run_trials(
     :class:`~repro.farm.inventory.HostSpec`, or an inventory file path.
     Workers lost mid-trial (crash, SIGKILL, ssh drop, heartbeat timeout
     ``farm_timeout`` / ``$PNET_FARM_TIMEOUT``) have their trial
-    reassigned, and the merged result is byte-identical to a
-    single-host run of the same specs.  Every farm result lands in this
-    process's cache, whatever the hosts' caches do.
+    reassigned and recomputed, and the merged result is byte-identical
+    to a single-host run of the same specs.  A host running other code
+    is refused.  Every farm result lands in this process's cache,
+    whatever the hosts' caches do.
     """
     _check_specs(specs)
     config = current(
@@ -288,7 +286,7 @@ def _run_trials(specs: Sequence[TrialSpec], config: RunConfig):
 
         by_key = {spec.key: spec for spec in pending}
 
-        def _completed(key: Tuple, value: Any, __) -> None:
+        def _completed(key: Tuple, value: Any) -> None:
             # This process's cache records every farm result, so a
             # killed farm sweep resumes here whatever the hosts cache.
             results[key] = value
@@ -300,7 +298,6 @@ def _run_trials(specs: Sequence[TrialSpec], config: RunConfig):
         assert len(farm_results) == len(pending)
         stats.farm_workers = farm_stats.n_workers
         stats.reassigned_trials = farm_stats.reassigned
-        stats.resumed_elsewhere = farm_stats.resumed_elsewhere
     elif config.jobs == 1 or len(pending) <= 1:
         for spec in pending:
             key, value, __, __ = _execute(spec, config)

@@ -9,12 +9,13 @@ streaming trials to thin worker agents (:mod:`~repro.farm.worker`).
 
 The contract that makes distribution free of semantic risk: workers
 lost mid-trial (crash, SIGKILL, ssh drop, heartbeat timeout
-``PNET_FARM_TIMEOUT``) get their trial reassigned -- resuming from its
-last ``ckpt-%08d`` step when :func:`run_on_farm` is given a per-trial
-checkpoint root and the trial checkpoints -- and the merged output is
-**byte-identical** to a single-host
+``PNET_FARM_TIMEOUT``) get their trial reassigned and recomputed from
+scratch, and the merged output is **byte-identical** to a single-host
 :func:`repro.exp.runner.run_trials` of the same grid, at any
-host/worker/job count and through any number of worker losses.
+host/worker/job count and through any number of worker losses.  A
+worker running other code -- another protocol revision, or a result
+whose content hash differs from the dispatcher's -- is declared lost
+too, so no result of other code is merged or cached.
 ``run_trials`` stores every farm result in the dispatcher's own trial
 cache, keyed by function, code and kwargs, so a killed farm sweep
 resumes from it on any host count, one included.

@@ -6,10 +6,11 @@ Subcommands:
   its host/transport/slot/core table.
 * ``run --inventory INV`` -- drive a trial sweep across the farm
   through :func:`repro.exp.runner.run_trials`; the default grid is the
-  reference resumable trial (:func:`repro.farm.trial.demo_trial`) over
+  reference trial (:func:`repro.farm.trial.demo_trial`) over
   ``--seeds``, and ``--spec FILE`` substitutes any JSON trial list.
-  Every result lands in this machine's trial cache, so a rerun on the
-  same ``PNET_CACHE_DIR`` dispatches only what a killed run left.
+  A trial whose worker is lost is recomputed on another one.  Every
+  result lands in this machine's trial cache, so a rerun on the same
+  ``PNET_CACHE_DIR`` dispatches only what a killed run left.
 * ``worker`` -- the agent end; launched by the dispatcher's transport,
   never by hand.
 """

@@ -7,14 +7,18 @@ rendezvous, and streams trial assignments to idle workers.  Workers are
 tracked by heartbeat; a worker that crashes, is SIGKILLed, drops its
 connection, or goes silent for ``PNET_FARM_TIMEOUT`` seconds is
 declared lost and its in-flight trial goes back to the head of the
-queue -- flagged for *resume*, so with a ``trial_checkpoint_root`` a
-trial that checkpoints (``checkpoint_dir``-aware functions, see
-:mod:`repro.farm.worker`) continues on another host from its last
-``ckpt-%08d`` step instead of recomputing.
+queue, to be recomputed from scratch by another worker.  Trials are
+independent and seeded, so a recomputed trial returns what the lost
+one would have.
 
 Results are keyed by ``spec.key``, and a trial returns the same value
-on any host, so a farm run's merged output is byte-identical to
-``run_trials`` on one machine at any host/worker count.
+on any host running the same code, so a farm run's merged output is
+byte-identical to ``run_trials`` on one machine at any host/worker
+count.  The dispatcher checks the "same code": a worker speaking
+another :data:`~repro.farm.worker.PROTOCOL`, or returning a result
+whose content hash (function, kwargs and ``repro`` source, see
+:func:`repro.exp.cache.content_hash`) differs from the dispatcher's
+own, is declared lost and its trial reassigned.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.config import current
 from repro.farm.inventory import FarmError, Inventory
 from repro.farm.transport import WorkerHandle, get_transport
+from repro.farm.worker import PROTOCOL
 from repro.obs import get_registry
 
 #: How long to wait for the first worker to dial in before giving up.
@@ -44,11 +49,9 @@ class FarmStats:
     n_hosts: int = 0
     n_workers: int = 0
     dispatched: int = 0
-    #: Trials re-queued because their worker was lost mid-flight.
+    #: Trials re-queued because their worker was lost mid-flight; each
+    #: is recomputed from scratch.
     reassigned: int = 0
-    #: Reassigned trials that resumed from an existing trial checkpoint
-    #: on their new worker (rather than recomputing from scratch).
-    resumed_elsewhere: int = 0
     completed: int = 0
     wall_seconds: float = 0.0
     #: Human-readable descriptions of every worker loss.
@@ -80,7 +83,6 @@ class _Pending:
     """A trial waiting for a worker."""
 
     spec: Any
-    resume: bool = False
     ready_at: float = 0.0
     lost_at: Optional[float] = None
 
@@ -90,13 +92,10 @@ class Dispatcher:
 
     Use :func:`run_on_farm` unless you need the object for status
     callbacks.  ``timeout`` defaults to the current config's
-    ``farm_timeout``.  With ``trial_checkpoint_root``, each trial gets
-    its own checkpoint directory under it, named by the trial's cache
-    content hash (so it changes with the code), and a reassigned trial
-    resumes there.  ``on_assign(worker_id, spec, pid)`` fires after each
-    assignment is sent (status displays; the recovery drill uses it to
-    aim its SIGKILL), ``on_complete(key, value, resumed_step)`` after
-    each result lands.
+    ``farm_timeout``.  ``on_assign(worker_id, spec, pid)`` fires after
+    each assignment is sent (status displays; the recovery drill uses
+    it to aim its SIGKILL), ``on_complete(key, value)`` after each
+    result lands.
     """
 
     def __init__(
@@ -105,24 +104,29 @@ class Dispatcher:
         inventory: Inventory,
         *,
         timeout: Optional[float] = None,
-        trial_checkpoint_root=None,
-        on_complete: Optional[Callable[[Tuple, Any, Optional[int]], None]] = None,
+        on_complete: Optional[Callable[[Tuple, Any], None]] = None,
         on_assign: Optional[Callable[[str, Any, int], None]] = None,
         bind: str = "127.0.0.1",
-        connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         obs=None,
     ):
+        from repro.exp.cache import content_hash
+        from repro.exp.runner import _trial_cache_key
+
         if not specs:
             raise FarmError("no trials to dispatch")
         self.specs = list(specs)
+        #: Each trial's cache content hash under this process's code; a
+        #: result must carry the same one.
+        self._hashes = {
+            spec.key: content_hash(_trial_cache_key(spec))
+            for spec in self.specs
+        }
         self.inventory = inventory
         self.timeout = current(farm_timeout=timeout).farm_timeout
         self.heartbeat = max(min(self.timeout / 4, 2.0), 0.05)
-        self.trial_checkpoint_root = trial_checkpoint_root
         self.on_complete = on_complete
         self.on_assign = on_assign
         self.bind = bind
-        self.connect_timeout = connect_timeout
         self.obs = obs if obs is not None else get_registry()
         self.stats = FarmStats(
             n_hosts=len(self.inventory.hosts),
@@ -187,6 +191,14 @@ class Dispatcher:
             if worker is None or worker.conn is not None or worker.lost:
                 conn.close()
                 continue
+            if hello.get("protocol") != PROTOCOL:
+                conn.close()
+                self._declare_lost(
+                    worker,
+                    f"speaks farm protocol {hello.get('protocol')!r}, "
+                    f"this dispatcher {PROTOCOL}",
+                )
+                continue
             worker.conn = conn
             worker.last_seen = time.monotonic()
 
@@ -217,7 +229,7 @@ class Dispatcher:
         if worker.inflight is not None:
             spec = self._spec_by_key(worker.inflight)
             self._queue.appendleft(_Pending(
-                spec=spec, resume=True, ready_at=now, lost_at=now,
+                spec=spec, ready_at=now, lost_at=now,
             ))
             self.stats.reassigned += 1
             if self.obs.enabled:
@@ -236,19 +248,6 @@ class Dispatcher:
 
     # --- assignment -------------------------------------------------------
 
-    def _trial_checkpoint_dir(self, spec) -> Optional[str]:
-        if self.trial_checkpoint_root is None:
-            return None
-        from repro.exp.cache import content_hash
-        from repro.exp.runner import _trial_cache_key
-
-        digest = content_hash(_trial_cache_key(spec))
-        return str(
-            os.path.join(
-                str(self.trial_checkpoint_root), f"trial-{digest[:16]}"
-            )
-        )
-
     def _assign(self, worker: _Worker, pending: _Pending) -> None:
         now = time.monotonic()
         msg = {
@@ -256,8 +255,6 @@ class Dispatcher:
             "fn": pending.spec.fn,
             "key": pending.spec.key,
             "kwargs": pending.spec.kwargs,
-            "checkpoint_dir": self._trial_checkpoint_dir(pending.spec),
-            "resume": pending.resume,
         }
         try:
             worker.conn.send(msg)
@@ -266,7 +263,6 @@ class Dispatcher:
             self._queue.appendleft(pending)
             return
         worker.inflight = pending.spec.key
-        self._resume_flag[pending.spec.key] = pending.resume
         self.stats.dispatched += 1
         self.stats.dispatch_wait_seconds.append(now - pending.ready_at)
         if pending.lost_at is not None:
@@ -323,18 +319,24 @@ class Dispatcher:
             return
         if kind == "result":
             key = msg["key"]
+            want, got = self._hashes.get(key), msg.get("hash")
+            if got != want:
+                # Another checkout or version: its result would be
+                # cached under this process's code.  The trial goes back
+                # on the queue with the worker's loss.
+                self._declare_lost(
+                    worker,
+                    f"ran other code: result hash {str(got)[:16]} for "
+                    f"trial {key!r}, dispatcher's {str(want)[:16]}",
+                )
+                return
             worker.inflight = None
             if key in self.results:
                 return  # a revived straggler double-computed; identical
             self.results[key] = msg["value"]
             self.stats.completed += 1
-            resumed_step = msg.get("resumed_step")
-            if resumed_step is not None and self._resume_flag.get(key):
-                self.stats.resumed_elsewhere += 1
-                if self.obs.enabled:
-                    self.obs.counter("farm.trials_resumed").inc()
             if self.on_complete is not None:
-                self.on_complete(key, msg["value"], resumed_step)
+                self.on_complete(key, msg["value"])
             return
         if kind == "error":
             raise FarmError(
@@ -351,7 +353,6 @@ class Dispatcher:
         started = time.perf_counter()
         started_mono = time.monotonic()
         now = time.monotonic()
-        self._resume_flag: Dict[Tuple, bool] = {}
         self._queue.extend(
             _Pending(spec=spec, ready_at=now) for spec in self.specs
         )
@@ -413,10 +414,10 @@ class Dispatcher:
             )
         if (
             not any(w.conn is not None for w in live)
-            and now - started_mono > self.connect_timeout
+            and now - started_mono > DEFAULT_CONNECT_TIMEOUT
         ):
             raise FarmError(
-                f"no worker connected within {self.connect_timeout:g}s "
+                f"no worker connected within {DEFAULT_CONNECT_TIMEOUT:g}s "
                 "(transport misconfigured, or the dispatcher address "
                 "is unreachable from the hosts)"
             )

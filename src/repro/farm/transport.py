@@ -14,8 +14,8 @@ Two transports ship:
 * ``ssh`` -- ``ssh -o BatchMode=yes`` to the host's address, exporting
   the rendezvous via ``env`` on the remote command line.  Requires
   non-interactive key auth and a reachable dispatcher address
-  (``bind=`` on the dispatcher side); trial checkpoint dirs must live
-  on a filesystem the hosts share for cross-host resume.
+  (``bind=`` on the dispatcher side).  Hosts share no filesystem: a
+  trial's inputs ride its assignment and its result rides the reply.
 """
 
 from __future__ import annotations

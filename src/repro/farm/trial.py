@@ -1,34 +1,23 @@
-"""A reference preemption-safe trial for farm drills, CI and examples.
+"""A reference trial for farm drills, CI and examples.
 
 :func:`demo_trial` is an ordinary runner trial function -- module-level,
-picklable kwargs, deterministic given ``seed`` -- that additionally
-declares the ``checkpoint_dir`` keyword the farm worker injects.
-Called without it (the single-host path) it runs a small packet
-simulation straight through; called with it it checkpoints every
-``checkpoint_every`` simulated seconds (:data:`DEFAULT_EVERY` unless
-given) and, when a checkpoint already exists in its per-trial
-directory, *resumes* from it instead of starting over.  The packet
-engine's any-cut byte-identity contract (``tests/test_ckpt_resume.py``)
-makes both paths return the same canonical JSON, which is exactly what
-the farm's byte-identical-merge acceptance drill asserts.
+picklable kwargs, deterministic given ``seed`` -- that runs a small
+packet simulation and returns its canonical JSON, so a farm's merged
+results compare to a single-host run's with a plain ``==``.
 
-``wall_pause`` stretches wall-clock time per checkpoint without
-touching simulated time, so recovery tests can SIGKILL a worker
-mid-trial deterministically.
+``wall_pause`` sleeps that many wall-clock seconds before the
+simulation without touching simulated time, so recovery drills can
+SIGKILL a worker mid-trial deterministically; the reassigned trial is
+recomputed and returns the same string.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 from repro.core.flowspec import FlowSpec
 from repro.topology.graph import HOST, TOR, Topology
 from repro.units import Gbps, MB
-
-#: Default snapshot interval (simulated seconds) when the caller gives a
-#: checkpoint dir but no interval: ~25 snapshots over the default grid.
-DEFAULT_EVERY = 2e-4
 
 
 def _dumbbell(cap: float = 10 * Gbps, prop: float = 1e-6) -> Topology:
@@ -74,8 +63,6 @@ def demo_trial(
     n_flows: int = 6,
     size_mb: float = 1.0,
     seed: int = 0,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: Optional[float] = None,
     wall_pause: float = 0.0,
 ) -> str:
     """Run the reference packet trial; returns canonical result JSON.
@@ -87,28 +74,6 @@ def demo_trial(
     from repro import api
 
     flows = _flows(n_flows, size_mb, seed)
-    on_checkpoint = None
-    if checkpoint_dir is not None:
-        if wall_pause > 0:
-            def on_checkpoint(_path, _pause=wall_pause):
-                time.sleep(_pause)
-        if checkpoint_every is None:
-            checkpoint_every = DEFAULT_EVERY
-        from repro.ckpt.store import latest
-
-        if latest(checkpoint_dir) is not None:
-            result = api.resume_trial(
-                checkpoint_dir,
-                checkpoint_every=checkpoint_every,
-                on_checkpoint=on_checkpoint,
-            )
-            return result.to_json()
+    time.sleep(wall_pause)
     network = api.build_network([_dumbbell()], kind="packet")
-    result = api.run_trial(
-        network,
-        flows,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        on_checkpoint=on_checkpoint,
-    )
-    return result.to_json()
+    return api.run_trial(network, flows).to_json()

@@ -5,16 +5,12 @@ receive one trial assignment, run it, send the result back.  A
 background thread heartbeats on the same connection so the dispatcher
 can tell a busy worker from a dead one (``PNET_FARM_TIMEOUT``).
 
-Trial functions are the runner's usual module-level callables.  An
-optional ``checkpoint_dir`` keyword opts a trial into preemption-safe
-resume: when the dispatcher has a per-trial checkpoint root, the worker
-passes the trial its own directory (content-hash-keyed by the
-dispatcher), where it should write ``repro.ckpt`` snapshots and from
-which it should resume when one exists.  The worker only passes it
-when the function's signature declares it (or takes ``**kwargs``).
-
-A trial without it still runs on the farm; it is simply recomputed
-from scratch if its worker dies.
+Trial functions are the runner's usual module-level callables, called
+with the assignment's kwargs and nothing else; a trial whose worker
+dies is recomputed from scratch on another one.  Each result carries
+the trial's cache content hash as this host computed it -- function,
+kwargs and the source of the ``repro`` package it imported -- so the
+dispatcher can refuse a result produced by other code.
 
 A trial runs under :func:`repro.config.worker_config`: this host's
 config, so cache paths stay local.
@@ -23,7 +19,6 @@ config, so cache paths stay local.
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import platform
 import threading
@@ -35,26 +30,9 @@ from typing import Any, Dict, List, Optional
 from repro.farm.inventory import FarmError
 from repro.farm.transport import AUTHKEY_ENV
 
-#: Protocol revision; dispatcher and worker must agree.
-PROTOCOL = 1
-
-
-def _accepts(fn, name: str) -> bool:
-    """Whether ``fn`` takes keyword ``name`` (directly or via **kwargs)."""
-    try:
-        sig = inspect.signature(fn)
-    except (TypeError, ValueError):
-        return False
-    params = sig.parameters
-    if name in params:
-        kind = params[name].kind
-        return kind in (
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            inspect.Parameter.KEYWORD_ONLY,
-        )
-    return any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
+#: Protocol revision; the dispatcher refuses a worker with another one.
+#: v2: no checkpoint fields, and every result carries its content hash.
+PROTOCOL = 2
 
 
 class _Heartbeat(threading.Thread):
@@ -79,16 +57,6 @@ class _Heartbeat(threading.Thread):
         self._stop.set()
 
 
-def _resumed_step(checkpoint_dir: Optional[str]) -> Optional[int]:
-    """Step of the newest valid trial checkpoint, if any."""
-    if not checkpoint_dir:
-        return None
-    from repro.ckpt.store import latest, step_of
-
-    newest = latest(checkpoint_dir)
-    return None if newest is None else step_of(newest)
-
-
 def execute_assignment(msg: Dict[str, Any]) -> Dict[str, Any]:
     """Run one dispatched trial; returns the result (or error) message.
 
@@ -105,23 +73,17 @@ def execute_assignment(msg: Dict[str, Any]) -> Dict[str, Any]:
     try:
         config = worker_config()
         fn = resolve_fn(msg["fn"])
-        kwargs = dict(msg["kwargs"])
-        checkpoint_dir = msg.get("checkpoint_dir")
-        resumed = None
-        if checkpoint_dir is not None and _accepts(fn, "checkpoint_dir"):
-            resumed = _resumed_step(checkpoint_dir)
-            kwargs["checkpoint_dir"] = checkpoint_dir
-        # Content key of the *original* kwargs: identical to what a
-        # single-host run would cache, so warmed entries interoperate.
         spec = TrialSpec(fn=msg["fn"], key=key, kwargs=dict(msg["kwargs"]))
+        cache_key = _trial_cache_key(spec)
+        digest = _cache.content_hash(cache_key)
         with use(config):
-            value = fn(**kwargs)
-            _cache.get_cache().put("trial", _trial_cache_key(spec), value)
+            value = fn(**spec.kwargs)
+            _cache.get_cache().put("trial", cache_key, value)
         return {
             "type": "result",
             "key": key,
             "value": value,
-            "resumed_step": resumed,
+            "hash": digest,
             "seconds": time.perf_counter() - started,
         }
     except BaseException as exc:  # report, let the dispatcher decide

@@ -130,7 +130,7 @@ def _write_shard_checkpoint(
 
 
 def _load_shard_checkpoint(
-    root, n_shards: int, controlled: bool
+    root, n_shards: int, epoch: float, controlled: bool
 ) -> Optional[Dict[str, Any]]:
     """The newest valid shard checkpoint under ``root`` (None if empty).
 
@@ -138,8 +138,10 @@ def _load_shard_checkpoint(
     one-shard run's from before one shard ran the barrier loop) is
     refused by its kind.  The resuming run must keep the shard count --
     worker pickles are per-shard slices of the workload and cannot be
-    re-partitioned -- and the control setting (``controlled``): a
-    resume can neither start control mid-run nor drop it.
+    re-partitioned -- the epoch, which places every barrier and so the
+    coupling the rest of the run sees, and the control setting
+    (``controlled``): a resume can neither start control mid-run nor
+    drop it.
     """
     chosen = latest(root)
     if chosen is None:
@@ -154,6 +156,11 @@ def _load_shard_checkpoint(
         raise CheckpointError(
             f"{chosen} was taken with {meta.get('n_shards')} shard(s); "
             f"this run has {n_shards} -- resume must keep the shard count"
+        )
+    if meta.get("epoch") != epoch:
+        raise CheckpointError(
+            f"{chosen} was taken with epoch={meta.get('epoch')!r}; this "
+            f"run has epoch={epoch!r} -- resume must keep the epoch"
         )
     engine = pickle.loads(read_payload(chosen, "engine.pkl"))
     if (engine.get("control") is not None) != controlled:
@@ -186,10 +193,13 @@ class ShardResult:
     rounds: int
     events_processed: int
     plane_totals: Dict[int, Dict[str, int]] = field(default_factory=dict)
-    #: Barrier trace ``[(t, jumped), ...]`` when ``trace_barriers`` was
-    #: requested (None otherwise): ``jumped`` marks idle jumps past the
-    #: next epoch, which are exact (all coupled workers idle).
-    barriers: Optional[List[Tuple[float, bool]]] = None
+    #: This call's barriers as ``[(t, jumped), ...]``, from the resume
+    #: barrier on a resumed call: ``jumped`` marks idle jumps past the
+    #: next epoch, which are exact (all coupled workers idle).  A
+    #: resumed call saw fewer, so the trace takes no part in equality.
+    barriers: List[Tuple[float, bool]] = field(
+        default_factory=list, compare=False
+    )
     #: Adaptive-control summary (``{"fingerprint": ..., "stats": ...}``)
     #: when the run had ``control=``; None otherwise.
     control: Optional[Dict[str, Any]] = None
@@ -277,7 +287,7 @@ class _Run:
     checkpoint_dir: Any = None
     checkpoint_every: Optional[float] = None
     keep_last: Optional[int] = None
-    barriers: Optional[List[Tuple[float, bool]]] = None
+    barriers: List[Tuple[float, bool]] = field(default_factory=list)
     spanning_gids: List[int] = field(default_factory=list)
     spanning: Dict[int, _SpanningState] = field(default_factory=dict)
     shares: Dict[int, Dict[int, int]] = field(default_factory=dict)
@@ -335,7 +345,6 @@ def run_packet_trial(
     checkpoint_every: Optional[float] = None,
     resume: bool = False,
     checkpoint_keep_last: Optional[int] = None,
-    trace_barriers: bool = False,
     control: Optional[Any] = None,
     **sim_kwargs: Any,
 ) -> ShardResult:
@@ -372,20 +381,20 @@ def run_packet_trial(
         checkpoint_every: checkpoint spacing in simulated seconds.
         resume: load the newest valid checkpoint under
             ``checkpoint_dir`` and continue from its barrier; a fresh
-            start when none exists.  The shard count, and whether
-            ``control`` is given, must match the checkpointed run
-            (``CheckpointError`` before any worker starts).
+            start when none exists.  The shard count, the epoch and
+            whether ``control`` is given must match the checkpointed
+            run (``CheckpointError`` before any worker starts).
         checkpoint_keep_last: prune to the newest N checkpoints after
             each write (default: keep all).  ``checkpoint_dir`` without
             ``checkpoint_every`` or ``resume``, and retention without
             ``checkpoint_every``, raise ``ValueError`` at entry.
-        trace_barriers: record every barrier as ``(t, jumped)`` on the
-            result (a test and diagnostic aid).
         control: a :class:`repro.control.Controller`, policy object, or
             policy name enabling the adaptive control plane, driven at
             epoch barriers at every shard count (sample + apply travel
-            as extra barrier messages).  A controller drives one run: a
-            reused one raises ``RuntimeError`` before any worker starts.
+            as extra barrier messages); its ``control.*`` counters
+            reach ``obs`` when the run merges.  A controller drives one
+            run: a reused one raises ``RuntimeError`` before any worker
+            starts.
         sim_kwargs: forwarded to ``PacketNetwork`` (queue_packets, mss,
             min_rto, ecn_threshold).
 
@@ -421,7 +430,6 @@ def run_packet_trial(
         backend=backend if plan.n_shards > 1 else "local",
         checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
         keep_last=checkpoint_keep_last,
-        barriers=[] if trace_barriers else None,
     )
     try:
         with run.timed("plan"):
@@ -474,7 +482,8 @@ def _plan(
             )
     restored = (
         _load_shard_checkpoint(
-            run.checkpoint_dir, plan.n_shards, control is not None
+            run.checkpoint_dir, plan.n_shards, run.epoch,
+            control is not None,
         )
         if resume else None
     )
@@ -701,8 +710,7 @@ def _exchange(run: _Run, step: _Step, updates) -> None:
         run.channels[shard].post(("run", step.t_next, updates[shard]))
     for shard in step.need:
         run.digests[shard] = run.channels[shard].collect()[1]
-    if run.barriers is not None:
-        run.barriers.append((step.t_next, step.jumped))
+    run.barriers.append((step.t_next, step.jumped))
     run.t = step.t_next
     run.rounds += 1
 
@@ -753,6 +761,8 @@ def _merge(run: _Run, obs) -> ShardResult:
                 # Local flows count inside their worker, spanning ones
                 # here, so merged telemetry covers every flow once.
                 publish_flow(obs, record)
+    if obs.enabled and run.driver is not None:
+        run.driver.publish(obs)
     records.sort(key=lambda r: r.flow_id)
     return ShardResult(
         records=records,

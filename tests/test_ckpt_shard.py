@@ -15,7 +15,9 @@ import shutil
 
 import pytest
 
-from repro.ckpt.store import CheckpointError, list_checkpoints, step_of
+from repro.ckpt.store import (
+    CheckpointError, list_checkpoints, read_manifest, step_of,
+)
 from repro.core.flowspec import FlowSpec
 from repro.core.path_selection import KspMultipathPolicy
 from repro.exp.common import (
@@ -118,6 +120,26 @@ class TestShardedResume:
         assert want  # the comparison below is not vacuous
         assert resumed.snapshot(include_wallclock=False) == want
 
+    def test_resumed_call_traces_its_own_barriers(self, tmp_path):
+        # A resumed call's barrier trace starts past the checkpoint and
+        # is the uninterrupted run's tail; the trace takes no part in
+        # equality, so the two results still compare equal.
+        pnet, specs = jellyfish_workload(n_flows=4)
+        whole = _run(
+            pnet, specs, shards=2,
+            checkpoint_dir=tmp_path, checkpoint_every=EVERY,
+        )
+        earliest = _keep_only_earliest(tmp_path, min_ckpts=1)
+        meta = read_manifest(earliest)["meta"]
+        resumed = _run(
+            pnet, specs, shards=2, checkpoint_dir=tmp_path, resume=True,
+        )
+        assert len(whole.barriers) == whole.rounds
+        assert len(resumed.barriers) == resumed.rounds - meta["rounds"]
+        assert resumed.barriers[0][0] > meta["t"]
+        assert resumed.barriers == whole.barriers[meta["rounds"]:]
+        assert resumed == whole
+
     def test_resume_across_shm_backend(self, tmp_path):
         # Checkpoint with in-process channels, resume with real OS
         # processes: the snapshot blobs must be backend-agnostic.
@@ -157,6 +179,31 @@ class TestShardedRejections:
                 pnet, specs, shards=1,
                 checkpoint_dir=tmp_path, resume=True,
             )
+
+    def test_epoch_mismatch_rejected(self, monkeypatch, tmp_path):
+        """The epoch places every barrier, so a resume with another one
+        continues a run that neither epoch produces: refused, naming
+        both epochs, before any worker starts."""
+        import repro.shard.engine
+
+        pnet, specs = jellyfish_workload(n_flows=2)
+        _run(
+            pnet, specs, shards=2, epoch=1e-4, until=3 * EVERY,
+            checkpoint_dir=tmp_path, checkpoint_every=EVERY,
+        )
+        started = []
+        monkeypatch.setattr(
+            repro.shard.engine, "ProcessChannel", started.append
+        )
+        with pytest.raises(
+            CheckpointError,
+            match=r"epoch=0\.0001; this run has epoch=5e-05",
+        ):
+            run_packet_trial(
+                pnet.planes, specs, shards=2, backend="shm", epoch=5e-5,
+                checkpoint_dir=tmp_path, resume=True,
+            )
+        assert not started
 
     def test_simulator_checkpoint_rejected(self, tmp_path):
         # A run_trial snapshot is a 'sim' checkpoint: it holds no shard

@@ -28,6 +28,7 @@ from repro.ckpt.store import (
     prune,
     read_manifest,
     read_payload,
+    remove_checkpoint_dir,
     remove_oldest_until,
     step_dir,
     step_of,
@@ -229,6 +230,13 @@ class TestRetention:
     def test_prune_rejects_zero(self, tmp_path):
         with pytest.raises(ValueError):
             prune(tmp_path, keep_last=0)
+
+    def test_remove_checkpoint_dir_races_cleanly(self, tmp_path):
+        target = step_dir(tmp_path, 0)
+        write_checkpoint(target, {"p": b"x"}, {"kind": "t"})
+        assert remove_checkpoint_dir(target) is True
+        # The loser of the race sees ENOENT and reports not-removed.
+        assert remove_checkpoint_dir(target) is False
 
     def test_size_accounting(self, tmp_path):
         write_checkpoint(

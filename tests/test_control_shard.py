@@ -267,6 +267,50 @@ class TestShardedControlResume:
         assert not started
 
 
+class TestControlTelemetry:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_merge_publishes_the_control_counters(self, tmp_path, shards):
+        """``control.ticks``, ``control.decisions`` and
+        ``control.flows_seen`` reach the caller's registry, as an
+        attached loop's do, with the controller's counts; a resumed
+        run reports the whole run's.  The horizon stops the run with
+        flows live, so the last tick saw some."""
+        pnet = make_pnet()
+        specs = shard_local_specs(pnet)
+        kwargs = dict(
+            shards=shards, backend="local", checkpoint_dir=tmp_path,
+            checkpoint_every=2e-4, until=1e-3,
+        )
+        whole = Registry()
+        result = run_packet_trial(
+            pnet, specs, obs=whole, control=controller(), **kwargs
+        )
+        stats = result.control["stats"]
+        rows = {
+            row["name"]: row["value"]
+            for row in whole.snapshot(include_wallclock=False)
+            if row["name"].startswith("control.")
+        }
+        assert set(rows) == {
+            "control.ticks", "control.decisions", "control.flows_seen",
+        }
+        assert rows["control.ticks"] == stats["ticks"] > 0
+        assert rows["control.decisions"] == stats["decisions"] > 0
+        assert 0 < rows["control.flows_seen"] <= len(specs)
+
+        ckpts = list_checkpoints(tmp_path, valid_only=True)
+        assert len(ckpts) >= 2, "workload too small to exercise resume"
+        for path in ckpts[1:]:
+            shutil.rmtree(path)
+        resumed = Registry()
+        run_packet_trial(
+            pnet, specs, obs=resumed, control=controller(), resume=True,
+            **kwargs,
+        )
+        assert resumed.snapshot(include_wallclock=False) == \
+            whole.snapshot(include_wallclock=False)
+
+
 class TestPhaseSeconds:
     def test_every_phase_timed_within_the_call(self, tmp_path):
         pnet = make_pnet()

@@ -14,9 +14,12 @@ import pickle
 
 import pytest
 
-from repro.exp.runner import TrialSpec, last_stats, run_trials
+from repro.exp.cache import content_hash
+from repro.exp.runner import (
+    TrialSpec, _trial_cache_key, last_stats, run_trials,
+)
 from repro.farm import FarmError, local_inventory, run_on_farm
-from repro.farm.worker import _accepts, execute_assignment
+from repro.farm.worker import PROTOCOL, execute_assignment
 from repro.obs import Registry, use_registry
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -36,10 +39,6 @@ def boom_trial():
 
 def envcheck_trial(name):
     return os.environ.get(name)
-
-
-def ckptable_trial(x, checkpoint_dir=None, checkpoint_every=None):
-    return {"x": x, "dir": checkpoint_dir, "every": checkpoint_every}
 
 
 def _specs(n, fn="tests.test_farm_dispatch:add_trial"):
@@ -245,26 +244,17 @@ class TestRunnerIntegration:
 
 
 class TestWorkerUnit:
-    def test_accepts_signatures(self):
-        assert _accepts(ckptable_trial, "checkpoint_dir")
-        assert _accepts(ckptable_trial, "checkpoint_every")
-        assert not _accepts(add_trial, "checkpoint_dir")
-
-        def kwargs_fn(**kw):
-            return kw
-
-        assert _accepts(kwargs_fn, "checkpoint_dir")
-
     def test_execute_assignment_plain(self):
+        spec = TrialSpec(
+            fn="tests.test_farm_dispatch:add_trial", key=("t", 0),
+            kwargs={"a": 2, "b": 3},
+        )
         reply = execute_assignment({
-            "fn": "tests.test_farm_dispatch:add_trial",
-            "key": ("t", 0),
-            "kwargs": {"a": 2, "b": 3},
-            "checkpoint_dir": None,
+            "fn": spec.fn, "key": spec.key, "kwargs": spec.kwargs,
         })
         assert reply["type"] == "result"
         assert reply["value"] == {"sum": 5, "product": 6}
-        assert reply["resumed_step"] is None
+        assert reply["hash"] == content_hash(_trial_cache_key(spec))
 
     def test_execute_assignment_ignores_the_sweep_knobs(self, monkeypatch):
         # A bad worker count and a stale inventory, inherited from a
@@ -279,28 +269,6 @@ class TestWorkerUnit:
         assert reply["type"] == "result", reply.get("error")
         assert reply["value"] == 9
 
-    def test_execute_assignment_injects_checkpoint_kwargs(self, tmp_path):
-        reply = execute_assignment({
-            "fn": "tests.test_farm_dispatch:ckptable_trial",
-            "key": ("c",),
-            "kwargs": {"x": 1},
-            "checkpoint_dir": str(tmp_path / "trial-x"),
-        })
-        assert reply["value"] == {
-            "x": 1, "dir": str(tmp_path / "trial-x"), "every": None,
-        }
-
-    def test_execute_assignment_skips_undeclared(self, tmp_path):
-        # A trial without the keywords still runs with a dir offered.
-        reply = execute_assignment({
-            "fn": "tests.test_farm_dispatch:add_trial",
-            "key": ("t", 9),
-            "kwargs": {"a": 1, "b": 1},
-            "checkpoint_dir": str(tmp_path / "trial-y"),
-        })
-        assert reply["type"] == "result"
-        assert reply["value"] == {"sum": 2, "product": 1}
-
     def test_execute_assignment_error_shape(self):
         reply = execute_assignment({
             "fn": "tests.test_farm_dispatch:boom_trial",
@@ -310,3 +278,63 @@ class TestWorkerUnit:
         assert reply["type"] == "error"
         assert "ValueError: boom" in reply["error"]
         assert "boom_trial" in reply["traceback"]
+
+
+class TestCodeChecks:
+    """The dispatcher merges only results of its own code: a worker
+    speaking another protocol revision, or returning a result hashed
+    under other code, is lost and its trial goes back on the queue.
+    No sockets: a fake worker and its messages."""
+
+    @staticmethod
+    def _dispatcher():
+        from types import SimpleNamespace
+
+        from repro.farm.dispatch import Dispatcher, _Worker
+
+        dispatcher = Dispatcher(_specs(1), local_inventory(1))
+        handle = SimpleNamespace(
+            worker_id="a/0", host=SimpleNamespace(name="a"),
+            kill=lambda: None,
+        )
+        worker = _Worker(handle)
+        dispatcher._workers = {"a/0": worker}
+        return dispatcher, worker
+
+    class _Conn:
+        closed = False
+
+        def close(self):
+            self.closed = True
+
+    def test_hello_with_another_protocol_is_refused(self, farm_env):
+        dispatcher, worker = self._dispatcher()
+        conn = self._Conn()
+        dispatcher._hello_queue.put((
+            {"type": "hello", "worker_id": "a/0", "protocol": PROTOCOL - 1},
+            conn,
+        ))
+        dispatcher._admit_hellos()
+        assert conn.closed and worker.conn is None and worker.lost
+        assert dispatcher.stats.worker_losses == [
+            f"a/0: speaks farm protocol {PROTOCOL - 1}, "
+            f"this dispatcher {PROTOCOL}"
+        ]
+
+    def test_result_of_other_code_requeues_the_trial(self, farm_env):
+        dispatcher, worker = self._dispatcher()
+        spec = dispatcher.specs[0]
+        worker.conn = self._Conn()
+        worker.inflight = spec.key
+        dispatcher._handle_message(worker, {
+            "type": "result", "key": spec.key, "value": None,
+            "hash": "0" * 64,
+        })
+        assert worker.lost
+        assert dispatcher.results == {}
+        assert [p.spec for p in dispatcher._queue] == [spec]
+        assert dispatcher.stats.reassigned == 1
+        want = content_hash(_trial_cache_key(spec))
+        (loss,) = dispatcher.stats.worker_losses
+        assert f"result hash {'0' * 16}" in loss
+        assert f"dispatcher's {want[:16]}" in loss

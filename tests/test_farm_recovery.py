@@ -2,28 +2,32 @@
 
 The headline contract: a sweep across >= 2 local-transport workers
 survives SIGKILL of one worker mid-trial, the victim's trial is
-reassigned to a surviving worker and *resumes from its last
-``ckpt-%08d`` step* (not from scratch), and the merged results are
-byte-identical to an uninterrupted single-host ``run_trials`` of the
-same grid.  A SIGSTOP variant exercises the heartbeat-timeout path
-(worker alive but silent); a dead-on-arrival variant exercises
-fail-fast when no worker can run at all.
+reassigned once to a surviving worker, which recomputes it from
+scratch, and the merged results are byte-identical to an uninterrupted
+single-host ``run_trials`` of the same grid.  A SIGSTOP variant
+exercises the heartbeat-timeout path (worker alive but silent); a
+dead-on-arrival variant exercises fail-fast when no worker can run at
+all, and a farm whose hosts run other code fails the same way.
 
-The reference trial (:func:`repro.farm.trial.demo_trial`) stretches
-wall-clock time via ``wall_pause`` per checkpoint, so the kill lands
-mid-trial deterministically without any sleeps calibrated to machine
-speed.
+The reference trial (:func:`repro.farm.trial.demo_trial`) sleeps
+``wall_pause`` wall-clock seconds before simulating, so the kill lands
+mid-trial without any sleeps calibrated to machine speed.
 """
 
 import os
 import pathlib
 import pickle
+import re
+import shutil
 import signal
 import threading
 
 import pytest
 
-from repro.exp.runner import TrialSpec, last_stats, run_trials
+from repro.exp.cache import _source_tree_hash, content_hash, stable_hash
+from repro.exp.runner import (
+    TrialSpec, _trial_cache_key, last_stats, run_trials,
+)
 from repro.farm import FarmError, local_inventory, run_on_farm
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -32,8 +36,8 @@ WORKER_PYTHONPATH = f"{REPO / 'src'}{os.pathsep}{REPO}"
 SLOW_KEY = ("demo", 0)
 
 
-def _grid(n_quick=3, wall_pause=0.15):
-    """One slow checkpointing trial plus quick fillers."""
+def _grid(n_quick=3, wall_pause=2.0):
+    """One slow trial plus quick fillers."""
     specs = [TrialSpec(
         fn="repro.farm.trial:demo_trial",
         key=SLOW_KEY,
@@ -58,11 +62,15 @@ def farm_env(monkeypatch):
 
 
 def _kill_on_assign(victim_key, sig, delay):
-    """on_assign callback that signals the worker running victim_key."""
-    state = {"fired": False, "timers": []}
+    """on_assign callback that signals the worker running victim_key;
+    ``state["workers"]`` lists the workers victim_key was assigned to."""
+    state = {"fired": False, "timers": [], "workers": []}
 
     def on_assign(worker_id, spec, pid):
-        if spec.key == victim_key and not state["fired"]:
+        if spec.key != victim_key:
+            return
+        state["workers"].append(worker_id)
+        if not state["fired"]:
             state["fired"] = True
             timer = threading.Timer(delay, os.kill, (pid, sig))
             timer.daemon = True
@@ -72,38 +80,37 @@ def _kill_on_assign(victim_key, sig, delay):
     return on_assign, state
 
 
+def _assert_recomputed_once(specs, results, stats, state):
+    """The victim's trial ran twice, on two workers, and the second run
+    recomputed the single-host result byte for byte."""
+    assert state["fired"], "victim trial was never assigned"
+    assert stats.reassigned == 1
+    assert len(stats.reassign_seconds) == 1
+    assert stats.dispatched == len(specs) + 1
+    assert stats.completed == len(specs)
+    victim, survivor = state["workers"]
+    assert victim != survivor
+    single = run_trials(specs)
+    assert pickle.dumps({k: results[k] for k in single}) == \
+        pickle.dumps(single)
+
+
 class TestSigkillRecovery:
-    def test_sigkill_mid_trial_resumes_elsewhere(self, farm_env, tmp_path):
+    def test_sigkill_mid_trial_resumes_elsewhere(self, farm_env):
         specs = _grid()
         on_assign, state = _kill_on_assign(
             SLOW_KEY, signal.SIGKILL, delay=1.0
         )
-        resumed_steps = {}
+        completed = []
         results, stats = run_on_farm(
             specs,
             local_inventory(2),
-            trial_checkpoint_root=tmp_path / "trials",
             on_assign=on_assign,
-            on_complete=lambda key, __, step: resumed_steps.update(
-                {key: step}
-            ),
+            on_complete=lambda key, value: completed.append(key),
         )
-        assert state["fired"], "victim trial was never assigned"
-        assert stats.reassigned == 1
-        assert stats.resumed_elsewhere == 1
         assert len(stats.worker_losses) == 1
-        assert len(stats.reassign_seconds) == 1
-        # The survivor picked up from a real checkpoint step, not step 0
-        # of a fresh run: the victim had written snapshots before dying.
-        assert resumed_steps[SLOW_KEY] is not None
-        assert resumed_steps[SLOW_KEY] >= 0
-        trial_dirs = list((tmp_path / "trials").iterdir())
-        assert len(trial_dirs) >= 1
-
-        # Byte-identity with an uninterrupted single-host run.
-        single = run_trials(specs)
-        assert pickle.dumps({k: results[k] for k in single}) == \
-            pickle.dumps(single)
+        assert sorted(completed) == sorted(spec.key for spec in specs)
+        _assert_recomputed_once(specs, results, stats, state)
 
     def test_runner_stats_plumbing(self, farm_env, monkeypatch):
         # on_assign (the kill hook) is a dispatcher detail run_trials
@@ -119,11 +126,11 @@ class TestSigkillRecovery:
             results = {}
             for spec in pending:
                 results[spec.key] = {"seed": spec.kwargs["seed"]}
-                on_complete(spec.key, results[spec.key], 3)
+                on_complete(spec.key, results[spec.key])
             stats = dispatch_mod.FarmStats(
                 n_hosts=1, n_workers=2,
                 dispatched=len(pending) + 1, reassigned=1,
-                resumed_elsewhere=1, completed=len(pending),
+                completed=len(pending),
             )
             return results, stats
 
@@ -134,12 +141,11 @@ class TestSigkillRecovery:
         stats = last_stats()
         assert stats.farm_workers == 2
         assert stats.reassigned_trials == 1
-        assert stats.resumed_elsewhere == 1
-        assert "1 reassigned / 1 resumed elsewhere" in stats.summary()
+        assert "farm=2 workers (1 reassigned)" in stats.summary()
 
 
 class TestHeartbeatTimeout:
-    def test_sigstop_triggers_reassignment(self, farm_env, tmp_path):
+    def test_sigstop_triggers_reassignment(self, farm_env):
         specs = _grid(n_quick=2)
         on_assign, state = _kill_on_assign(
             SLOW_KEY, signal.SIGSTOP, delay=0.8
@@ -148,19 +154,14 @@ class TestHeartbeatTimeout:
             specs,
             local_inventory(2),
             timeout=1.5,
-            trial_checkpoint_root=tmp_path / "trials",
             on_assign=on_assign,
         )
-        assert state["fired"]
-        assert stats.reassigned == 1
         assert any(
             "heartbeat timeout" in loss for loss in stats.worker_losses
         )
         # The stalled worker must have been killed, not left computing
         # a trial someone else now owns.
-        single = run_trials(specs)
-        assert pickle.dumps({k: results[k] for k in single}) == \
-            pickle.dumps(single)
+        _assert_recomputed_once(specs, results, stats, state)
 
 
 class TestFailFast:
@@ -174,6 +175,36 @@ class TestFailFast:
                 )],
                 inv,
             )
+
+    def test_hosts_running_other_code_are_lost(self, farm_env, tmp_path):
+        """A host on another checkout returns a result whose content
+        hash is not the dispatcher's: the worker is declared lost with
+        both hashes named, and a farm of only such hosts fails instead
+        of caching their results under this checkout's code."""
+        src = tmp_path / "src"
+        shutil.copytree(
+            REPO / "src", src,
+            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"),
+        )
+        with open(src / "repro" / "units.py", "a") as handle:
+            handle.write("\n# another checkout\n")
+        spec = TrialSpec(
+            fn="repro.farm.trial:demo_trial", key=("x",),
+            kwargs={"seed": 0, "n_flows": 2, "size_mb": 0.3},
+        )
+        key = _trial_cache_key(spec)
+        ours = content_hash(key)
+        theirs = stable_hash((_source_tree_hash(src / "repro"), key))
+        assert ours != theirs
+        inv = local_inventory(
+            2, env={"PYTHONPATH": f"{src}{os.pathsep}{REPO}"},
+        )
+        with pytest.raises(FarmError, match="all farm workers lost") as err:
+            run_on_farm([spec], inv)
+        message = str(err.value)
+        assert len(re.findall("ran other code", message)) == 2
+        assert f"result hash {theirs[:16]}" in message
+        assert f"dispatcher's {ours[:16]}" in message
 
     def test_worker_refuses_to_run_bare(self):
         from repro.farm.worker import main

@@ -26,7 +26,7 @@ import pytest
 
 from repro import api
 from repro.analysis.stats import left_sum
-from repro.ckpt import restore, run_checkpointed
+from repro.ckpt import restore, run_checkpointed, snapshot
 from repro.control import Controller, LoadAwarePolicy
 from repro.core.failures import FailureAwareSelector
 from repro.core.flowspec import FlowSpec
@@ -252,14 +252,18 @@ def arrival_run():
     return net
 
 
-def paused_runs(tmp_path):
+def paused_runs(tmp_path, monkeypatch):
     """Checkpoints of a run, each with the flag as the pause left it."""
     net = arrival_run()
     flags = []
-    saved = run_checkpointed(
-        net, tmp_path, every=20e-6,
-        on_checkpoint=lambda __: flags.append(net._rates_current),
-    )
+    real_save = snapshot.save
+
+    def save(*args, **kwargs):
+        flags.append(net._rates_current)
+        return real_save(*args, **kwargs)
+
+    monkeypatch.setattr(snapshot, "save", save)
+    saved = run_checkpointed(net, tmp_path, every=20e-6)
     return list(zip(saved, flags))
 
 
@@ -280,9 +284,9 @@ def uninterrupted():
 
 class TestCheckpoints:
     def test_resume_with_rates_current_and_stale(
-        self, tmp_path, uninterrupted
+        self, tmp_path, monkeypatch, uninterrupted
     ):
-        paused = paused_runs(tmp_path)
+        paused = paused_runs(tmp_path, monkeypatch)
         assert {flag for __, flag in paused} == {True, False}
         for directory, flag in paused:
             resumed = restore(directory).network
@@ -290,9 +294,11 @@ class TestCheckpoints:
             assert_resumes_like(resumed, uninterrupted)
 
     def test_pickle_without_the_flag_resumes(
-        self, tmp_path, solves, uninterrupted
+        self, tmp_path, monkeypatch, solves, uninterrupted
     ):
-        directory = next(d for d, flag in paused_runs(tmp_path) if flag)
+        directory = next(
+            d for d, flag in paused_runs(tmp_path, monkeypatch) if flag
+        )
         net = restore(directory).network
         # A pickle from before the flag existed has no such attribute.
         del net.__dict__["_rates_current"]

@@ -306,10 +306,10 @@ class TestBarrierSpacing:
         epoch = min(delays) / 2  # several barriers per round trip
         result = run_packet_trial(
             planes, [spec], shards=2, backend="local", epoch=epoch,
-            trace_barriers=True,
         )
         trace = result.barriers
-        assert trace, "traced run recorded no barriers"
+        assert trace, "the run recorded no barriers"
+        assert len(trace) == result.rounds
         for (t0, __), (t1, jumped) in zip(trace, trace[1:]):
             assert t1 > t0  # simulated time advances monotonically
             if not jumped:  # idle jumps are exact: every worker idle
@@ -329,10 +329,9 @@ class TestBarrierSpacing:
             )
             for i in range(2)
         ]
-        sharded = run_packet_trial(
-            planes, specs, shards=2, backend="local", trace_barriers=True
-        )
+        sharded = run_packet_trial(planes, specs, shards=2, backend="local")
         assert sharded.rounds == 0
+        assert sharded.barriers == []
         serial = run_packet_trial(planes, specs, shards=1)
         assert pickle.dumps(sharded.records) == pickle.dumps(serial.records)
 
