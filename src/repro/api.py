@@ -54,13 +54,7 @@ from repro.core.pnet import PNet
 from repro.fluid.flowsim import FluidSimulator
 from repro.hybrid.engine import HybridSimulator
 from repro.hybrid.promotion import resolve_policy
-from repro.obs import (
-    CsvSink,
-    JsonlSink,
-    Registry,
-    Tracer,
-    set_registry,
-)
+from repro.obs import JsonlSink, Registry, Tracer, set_registry
 from repro.sim.network import PacketNetwork
 from repro.topology import ParallelTopology, Topology
 
@@ -92,7 +86,6 @@ def attach_telemetry(
     verbose: bool = False,
     metrics_path: Optional[str] = None,
     trace_path: Optional[str] = None,
-    csv: bool = False,
     install: bool = True,
 ) -> Registry:
     """Create (and by default install) a live telemetry registry.
@@ -102,9 +95,9 @@ def attach_telemetry(
         trace_capacity: tracer ring size (default
             :data:`repro.obs.DEFAULT_CAPACITY`).
         verbose: also trace per-packet queue-depth samples (expensive).
-        metrics_path: write the metric snapshot here on ``close()``.
-        trace_path: write trace events here on ``close()``.
-        csv: emit CSV instead of JSONL for the paths above.
+        metrics_path: write the metric snapshot here, as JSONL, on
+            ``close()``.
+        trace_path: write trace events here, as JSONL, on ``close()``.
         install: make this the process-default registry
             (:func:`repro.obs.set_registry`), so components built
             without an explicit ``obs=`` pick it up.
@@ -120,9 +113,8 @@ def attach_telemetry(
         if trace_capacity is not None:
             kwargs["capacity"] = trace_capacity
         tracer = Tracer(**kwargs)
-    sink_cls = CsvSink if csv else JsonlSink
-    metric_sinks = [sink_cls(metrics_path)] if metrics_path else []
-    trace_sinks = [sink_cls(trace_path)] if trace_path else []
+    metric_sinks = [JsonlSink(metrics_path)] if metrics_path else []
+    trace_sinks = [JsonlSink(trace_path)] if trace_path else []
     registry = Registry(
         tracer=tracer, metric_sinks=metric_sinks, trace_sinks=trace_sinks
     )
@@ -253,7 +245,6 @@ def run_trial(
     control: Optional[Any] = None,
     checkpoint_dir=None,
     checkpoint_every: Optional[float] = None,
-    checkpoint_keep_last: Optional[int] = None,
 ) -> TrialResult:
     """Launch ``flows`` on ``network``, run it, and merge the results.
 
@@ -282,9 +273,9 @@ def run_trial(
     :func:`resume_trial` continues from the newest one with results
     byte-identical to an uninterrupted run.  This works for all three
     engines (hybrid snapshots carry both sub-engines, the bridge, and
-    the promotion policy in one object graph).  The other
-    ``checkpoint_*`` arguments need ``checkpoint_every``; without it
-    they raise ``ValueError`` before any flow is submitted.
+    the promotion policy in one object graph).  ``checkpoint_dir``
+    without ``checkpoint_every`` raises ``ValueError`` before any flow
+    is submitted.  The run prunes nothing: ``repro ckpt prune`` does.
 
     Resolving the run config at entry raises a ``ConfigError`` for a
     bad or removed ``PNET_*`` variable (``PNET_CONTROL_*`` among them)
@@ -296,11 +287,7 @@ def run_trial(
             f"{type(network).__name__} is not a simulation engine "
             f"(kinds: {'|'.join(_ENGINES)})"
         )
-    check_args(
-        checkpoint_every,
-        checkpoint_dir,
-        checkpoint_keep_last=checkpoint_keep_last,
-    )
+    check_args(checkpoint_every, checkpoint_dir)
     if promotion is not None:
         if network.kind != "hybrid":
             raise ValueError(
@@ -322,53 +309,25 @@ def run_trial(
         from repro.ckpt import run_checkpointed
 
         run_checkpointed(
-            network,
-            checkpoint_dir,
-            checkpoint_every,
-            until=until,
-            keep_last=checkpoint_keep_last,
+            network, checkpoint_dir, checkpoint_every, until=until
         )
     else:
         network.run(until=until)
     return _finish_trial(network)
 
 
-def resume_trial(
-    checkpoint_dir,
-    until: float = math.inf,
-    checkpoint_every: Optional[float] = None,
-    checkpoint_keep_last: Optional[int] = None,
-) -> TrialResult:
+def resume_trial(checkpoint_dir, until: float = math.inf) -> TrialResult:
     """Continue a checkpointed :func:`run_trial` to completion.
 
     Loads the newest valid checkpoint under ``checkpoint_dir`` (partial
     directories from a killed run are skipped), resumes the simulation,
     and returns the same :class:`TrialResult` -- records byte-identical
-    to the run never having stopped.  Pass ``checkpoint_every`` to keep
-    checkpointing on the way; ``checkpoint_keep_last`` needs it.
+    to the run never having stopped.
     """
-    from repro.ckpt import restore, run_checkpointed
+    from repro.ckpt import restore
 
-    check_args(
-        checkpoint_every,
-        checkpoint_dir,
-        resume=True,
-        checkpoint_keep_last=checkpoint_keep_last,
-    )
-    checkpoint = restore(checkpoint_dir)
-    network = checkpoint.network
-    if checkpoint_every is not None:
-        run_checkpointed(
-            network,
-            checkpoint_dir,
-            checkpoint_every,
-            until=until,
-            injector=checkpoint.injector,
-            rng=checkpoint.rng,
-            keep_last=checkpoint_keep_last,
-        )
-    else:
-        network.run(until=until)
+    network = restore(checkpoint_dir).network
+    network.run(until=until)
     return _finish_trial(network)
 
 

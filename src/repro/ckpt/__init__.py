@@ -9,7 +9,8 @@ Layers:
 
 * :mod:`repro.ckpt.store` -- the on-disk container (payloads + SHA-256
   manifest written last, atomic renames, ``ckpt-<N>`` sequencing,
-  pruning).
+  pruning).  No run prunes its own root: :func:`prune` (``repro ckpt
+  prune``) is the one retention tool.
 * :mod:`repro.ckpt.snapshot` -- save/restore of live simulator object
   graphs (:func:`save`, :func:`restore`, :func:`run_checkpointed`), and
   their encoding (:func:`dumps`, :func:`loads`), which shard workers

@@ -45,7 +45,6 @@ from repro.ckpt.store import (
     CheckpointError,
     PathLike,
     next_step,
-    prune,
     read_manifest,
     read_payload,
     resolve,
@@ -129,7 +128,6 @@ def save(
     rng: Optional[RngBundle] = None,
     extra: Any = None,
     meta: Optional[Dict[str, Any]] = None,
-    keep_last: Optional[int] = None,
 ) -> pathlib.Path:
     """Write the next sequenced checkpoint of a live run under ``root``.
 
@@ -144,10 +142,11 @@ def save(
         rng: the run's :class:`RngBundle` (stream positions ride along).
         extra: any picklable caller state to carry (e.g. sample lists).
         meta: extra JSON-serialisable manifest metadata.
-        keep_last: after writing, prune to the newest N checkpoints.
 
     Returns the checkpoint directory.  The write is crash-consistent:
-    payloads first, manifest last, each via atomic rename.
+    payloads first, manifest last, each via atomic rename.  Nothing is
+    pruned here: :func:`repro.ckpt.prune` (``repro ckpt prune``) is the
+    one retention tool.
     """
     blob = dumps({
         "network": network,
@@ -165,12 +164,9 @@ def save(
     }
     if meta:
         full_meta.update(meta)
-    directory = write_checkpoint(
+    return write_checkpoint(
         step_dir(root, step), {STATE_PAYLOAD: blob}, full_meta
     )
-    if keep_last is not None:
-        prune(root, keep_last)
-    return directory
 
 
 def restore(path: PathLike) -> SimCheckpoint:
@@ -208,22 +204,18 @@ def restore(path: PathLike) -> SimCheckpoint:
 
 
 def check_args(
-    every: Optional[float], directory, resume: bool = False, **given: Any
+    every: Optional[float], directory, resume: bool = False
 ) -> None:
     """Refuse checkpoint arguments a run would ignore, before it starts.
 
     ``every`` and ``resume`` need ``directory`` (the run's
     ``checkpoint_dir``); ``every`` must be positive.  Without ``every``
-    nothing is written, so the directory -- unless the run resumes from
-    it -- and each argument in ``given`` (retention) is refused, named
-    by its keyword.
+    nothing is written, so the directory is refused unless the run
+    resumes from it.
     """
     if every is None:
-        if not resume:
-            given = {"checkpoint_dir": directory, **given}
-        unused = [name for name, value in given.items() if value is not None]
-        if unused:
-            raise ValueError(f"{', '.join(unused)} requires checkpoint_every")
+        if directory is not None and not resume:
+            raise ValueError("checkpoint_dir requires checkpoint_every")
     elif every <= 0:
         raise ValueError(f"checkpoint_every must be > 0, got {every}")
     if directory is None:
@@ -241,7 +233,6 @@ def run_checkpointed(
     injector=None,
     rng: Optional[RngBundle] = None,
     extra: Any = None,
-    keep_last: Optional[int] = None,
     meta: Optional[Dict[str, Any]] = None,
 ) -> List[pathlib.Path]:
     """Run to ``until``, checkpointing every ``every`` simulated seconds.
@@ -292,6 +283,6 @@ def run_checkpointed(
             break
         saved.append(save(
             root, network, injector=injector, rng=rng, extra=extra,
-            meta=meta, keep_last=keep_last,
+            meta=meta,
         ))
     return saved

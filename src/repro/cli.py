@@ -31,9 +31,12 @@ additionally writes the raw result (flattened) for plotting.  Trials fan
 out over ``PNET_JOBS`` processes (``--jobs`` overrides) with expensive
 intermediates cached under ``PNET_CACHE_DIR``; results are identical at
 any job count, and rerunning a killed experiment on the same cache
-computes only the trials it had not finished.  Every command resolves one
-:class:`~repro.config.RunConfig` from its flags and the environment
-before it does any work, and a bad value exits 2.
+computes only the trials it had not finished.  Six experiments
+(``ablation``, ``adaptive``, ``control``, ``expanders``, ``incast`` and
+``queues``) run their grids in inline loops instead: ``--jobs`` does
+not parallelise them and a rerun recomputes their trials.  Every command
+resolves one :class:`~repro.config.RunConfig` from its flags and the
+environment before it does any work, and a bad value exits 2.
 """
 
 from __future__ import annotations
@@ -252,7 +255,6 @@ def ckpt_command(argv: List[str]) -> int:
         help="checkpoint interval in simulated seconds "
         "(default: duration / 5)",
     )
-    save.add_argument("--keep-last", type=int, default=None, metavar="N")
     save.add_argument(
         "--stop-after", type=float, default=None, metavar="SECONDS",
         help="abandon the run at this simulated time (simulates "
@@ -276,12 +278,15 @@ def ckpt_command(argv: List[str]) -> int:
     lst.add_argument("root", metavar="DIR")
 
     prn = sub.add_parser("prune", help="drop all but the newest N valid "
-                         "checkpoints (invalid ones always go)")
+                         "checkpoints (invalid ones always go); the one "
+                         "retention tool")
     prn.add_argument("root", metavar="DIR")
     prn.add_argument("--keep-last", type=int, required=True, metavar="N")
 
     parser.set_defaults(scale=None)
     args = parser.parse_args(argv)
+    if args.action == "prune" and args.keep_last < 1:
+        parser.error(f"--keep-last must be >= 1, got {args.keep_last}")
     config = resolve_config(parser, scale=args.scale)
     import json
 
@@ -293,6 +298,15 @@ def ckpt_command(argv: List[str]) -> int:
         params = dict(PRESETS[config.scale])
         duration = params["duration"]
         every = args.every if args.every is not None else duration / 5
+        if not every > 0:
+            parser.error(f"--every must be > 0, got {args.every}")
+        if args.stop_after is not None and not args.stop_after > every:
+            # The first checkpoint is taken after ``every``: stopping at
+            # or before it leaves nothing for 'restore' to finish.
+            parser.error(
+                f"--stop-after must be past the first checkpoint at "
+                f"t={every}, got {args.stop_after}"
+            )
         out = run_faulted(
             k=params["k"],
             n_planes=params["n_planes"],
@@ -303,7 +317,6 @@ def ckpt_command(argv: List[str]) -> int:
             sample_period=params["sample_period"],
             checkpoint_dir=args.root,
             checkpoint_every=every,
-            checkpoint_keep_last=args.keep_last,
             stop_after=args.stop_after,
         )
         written = ckpt.list_checkpoints(args.root)
@@ -315,7 +328,7 @@ def ckpt_command(argv: List[str]) -> int:
             f"[ckpt] {len(written)} checkpoint(s) under {args.root} "
             f"(ran to t={ran_to}, every={every})"
         )
-        if args.stop_after is None:
+        if ran_to == duration:
             print(f"[ckpt] final fraction "
                   f"{out['stats']['final_fraction']:.3f}")
         else:
@@ -436,24 +449,29 @@ def faults_command(argv: List[str]) -> int:
     config = resolve_config(parser, scale=args.scale)
 
     from repro.ckpt.rng import RngBundle
+    from repro.core.pnet import PNet
     from repro.exp.degradation import PRESETS, run_faulted
     from repro.faults import FaultSchedule, plane_outage
     from repro.topology.fattree import build_fat_tree
+    from repro.topology.parallel import ParallelTopology
 
     params = dict(PRESETS[config.scale])
+    # A throwaway copy of the trial's network, so the run itself starts
+    # from pristine state: a schedule file is checked against it, and a
+    # generated schedule drawn on it.
+    pnet = PNet(ParallelTopology.homogeneous(
+        lambda: build_fat_tree(params["k"]), params["n_planes"]
+    ))
     if args.schedule is not None:
-        schedule = FaultSchedule.from_file(args.schedule)
+        try:
+            schedule = FaultSchedule.from_file(args.schedule)
+            schedule.validate(pnet)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--schedule {args.schedule}: {exc}")
     else:
-        # Generate against a throwaway copy of the trial's network so the
-        # run itself starts from pristine state.  The chaos stream lives
-        # in an RngBundle (checkpointable position) seeded explicitly so
-        # the schedule matches the historic random.Random sequence.
-        from repro.core.pnet import PNet
-        from repro.topology.parallel import ParallelTopology
-
-        pnet = PNet(ParallelTopology.homogeneous(
-            lambda: build_fat_tree(params["k"]), params["n_planes"]
-        ))
+        # The chaos stream lives in an RngBundle (checkpointable
+        # position) seeded explicitly so the schedule matches the
+        # historic random.Random sequence.
         schedule = plane_outage(
             pnet,
             RngBundle(args.chaos_seed).stream(

@@ -134,7 +134,6 @@ def run_faulted(
     seed: int = 0,
     checkpoint_dir=None,
     checkpoint_every: Optional[float] = None,
-    checkpoint_keep_last: Optional[int] = None,
     stop_after: Optional[float] = None,
 ) -> Dict[str, object]:
     """One degradation run; returns samples plus outcome stats.
@@ -194,7 +193,6 @@ def run_faulted(
             sim, checkpoint_dir, checkpoint_every, until=horizon,
             injector=injector, rng=rng,
             extra={"sampler": sampler, "pnet": pnet},
-            keep_last=checkpoint_keep_last,
             meta={"scenario": "degradation"},
         )
     else:

@@ -75,9 +75,6 @@ class RunStats:
 
     n_trials: int = 0
     jobs: int = 1
-    #: Pool workers the run may use: ``jobs`` (benchmarks report it as
-    #: ``exp.workers``).
-    trial_workers: int = 1
     wall_seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -101,6 +98,12 @@ class RunStats:
                 f"({self.reassigned_trials} reassigned)"
             )
         return text
+
+    @property
+    def trial_workers(self) -> int:
+        """Pool workers the run may use: ``jobs`` (benchmarks report it
+        as ``exp.workers``)."""
+        return self.jobs
 
 
 #: Stats of the most recent run_trials call in this process (for CLI and
@@ -259,9 +262,7 @@ def run_trials(
 
 def _run_trials(specs: Sequence[TrialSpec], config: RunConfig):
     global _last_stats
-    stats = RunStats(
-        n_trials=len(specs), jobs=config.jobs, trial_workers=config.jobs,
-    )
+    stats = RunStats(n_trials=len(specs), jobs=config.jobs)
     started = time.perf_counter()
     cache = _cache.get_cache()
     parent_hits0, parent_misses0 = cache.hits, cache.misses

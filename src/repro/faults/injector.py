@@ -17,35 +17,36 @@ hash plain ids.
    back when both restore.
 2. **Routing** -- failures repair the :class:`~repro.core.pnet.PNet`
    caches incrementally (only paths over dead elements are touched;
-   survivors keep their exact rank) and registered
-   :class:`~repro.routing.tables.ForwardingTable` s reinstall only
-   affected destinations; restores invalidate the plane (paths may
-   shorten).  Policies with private memos are invalidated through
-   their ``invalidate()`` hook.
+   survivors keep their exact rank); restores invalidate the plane
+   (paths may shorten).  Policies with private memos are invalidated
+   through their ``invalidate()`` hook.
 3. **Flows** -- after a detection delay, flows with subflows on dead
    paths are resteered (the engine's ``resteer``: the packet engine
    relaunches the un-ACKed remainder, the fluid one migrates the flow
    in place) using the configured selector --
    typically a :class:`~repro.core.failures.FailureAwareSelector` --
-   or stranded (aborted and counted) when fully partitioned.  On
-   restore, flows are optionally rebalanced back onto recovered paths.
+   or stranded (aborted and counted) when fully partitioned.  With a
+   selector, flows are rebalanced back onto recovered paths after a
+   restore.
 
-Everything is driven by simulated time and deterministic iteration
-order, so a (seed, schedule) pair replays byte-for-byte.
+This is the one way a schedule acts: on a running engine, with the
+hosts reacting.  An engine with no flows runs the topology and routing
+layers alone.  Everything is driven by simulated time and
+deterministic iteration order, so a (seed, schedule) pair replays
+byte-for-byte.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.core.failures import path_is_live
 from repro.core.flowspec import same_paths
 from repro.core.pnet import PlanePath, PNet
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.obs import get_registry
-from repro.routing.tables import ForwardingTable
 
 #: Default failure-detection delay (link-status propagation to hosts).
 DEFAULT_DETECTION_DELAY = 1e-3
@@ -93,12 +94,10 @@ class FaultInjector:
         detection_delay: simulated seconds between an event and the
             hosts reacting to it; also the floor of every reroute-
             latency observation.
-        rebalance_on_restore: after an ``*_up`` event, re-run the
-            selector for every active flow and move flows whose
-            selection changed (models MPTCP re-probing recovered
-            planes).  Requires a selector.
-        on_event: ``fn(event, changed_links)`` called after each event
-            is applied (tests hook invariants here).
+
+    With a selector, every event that restores a link also re-runs the
+    selector for every active flow and moves the flows whose selection
+    changed (MPTCP re-probing the recovered planes).
     """
 
     def __init__(
@@ -108,8 +107,6 @@ class FaultInjector:
         selector=None,
         obs=None,
         detection_delay: float = DEFAULT_DETECTION_DELAY,
-        rebalance_on_restore: bool = True,
-        on_event: Optional[Callable[[FaultEvent, List[Tuple[str, str]]], None]] = None,
     ):
         if detection_delay < 0:
             raise ValueError(
@@ -121,20 +118,13 @@ class FaultInjector:
         self.selector = selector
         self.obs = obs if obs is not None else get_registry()
         self.detection_delay = detection_delay
-        self.rebalance_on_restore = rebalance_on_restore
-        self.on_event = on_event
         self.stats = InjectionStats()
         self._network = None
-        self._tables: List[Tuple[int, ForwardingTable]] = []
         #: Per (plane, link-key) count of down-events currently holding
         #: the link failed.
         self._down_count = {}
 
     # --- wiring -------------------------------------------------------------
-
-    def register_table(self, plane_idx: int, table: ForwardingTable) -> None:
-        """Keep a per-plane forwarding table repaired across events."""
-        self._tables.append((plane_idx, table))
 
     def attach(self, network) -> None:
         """Schedule every event on the simulator's clock.
@@ -162,32 +152,7 @@ class FaultInjector:
         for event in self.schedule:
             network.schedule(event.at, functools.partial(self._apply, event))
 
-    def apply_all(self) -> InjectionStats:
-        """Apply the whole schedule directly to the topologies.
-
-        The simulator-free mode: no flows exist, so only the topology
-        and routing layers move.  Useful for routing-repair studies and
-        schedule debugging.
-        """
-        if self._network is not None:
-            raise RuntimeError("already attached to a simulator")
-        for event in self.schedule:
-            self._apply(event)
-        return self.stats
-
     # --- event application --------------------------------------------------
-
-    def _fail(self, plane_idx: int, u: str, v: str) -> None:
-        if self._network is None:
-            self.pnet.planes[plane_idx].fail_link(u, v)
-        else:
-            self._network.fail_link(plane_idx, u, v)
-
-    def _restore(self, plane_idx: int, u: str, v: str) -> None:
-        if self._network is None:
-            self.pnet.planes[plane_idx].restore_link(u, v)
-        else:
-            self._network.restore_link(plane_idx, u, v)
 
     def _invalidate_policies(self) -> None:
         invalidate = getattr(self.selector, "invalidate", None)
@@ -196,10 +161,11 @@ class FaultInjector:
 
     def _apply(self, event: FaultEvent) -> None:
         obs = self.obs
+        net = self._network
         plane_idx = event.plane
         changed = event.hold(
             self.pnet.planes[plane_idx], self._down_count,
-            self._fail, self._restore,
+            net.fail_link, net.restore_link,
         )
         if event.is_down:
             self.stats.links_failed += len(changed)
@@ -207,9 +173,6 @@ class FaultInjector:
             self.stats.routes_kept += repair.kept
             self.stats.routes_repaired += repair.repaired
             self.stats.routes_reenumerated += repair.reenumerated
-            for table_plane, table in self._tables:
-                if table_plane == plane_idx:
-                    table.repair(changed)
             if obs.enabled:
                 obs.counter("faults.routes.repaired").inc(repair.repaired)
                 obs.counter("faults.routes.reenumerated").inc(
@@ -221,9 +184,6 @@ class FaultInjector:
                 # Restores can shorten paths: survivors of a filter would
                 # be mis-ranked, so the plane's caches start over.
                 self.pnet.invalidate_plane(plane_idx)
-                for table_plane, table in self._tables:
-                    if table_plane == plane_idx:
-                        table.reinstall_all()
         self._invalidate_policies()
         self.stats.events_applied += 1
 
@@ -231,16 +191,11 @@ class FaultInjector:
             obs.counter("faults.events", kind=event.kind).inc()
             self._publish_gauges()
             obs.trace(
-                "fault.event", self._now(), event=event.kind,
+                "fault.event", net.now, event=event.kind,
                 plane=plane_idx, changed_links=len(changed),
             )
-        if self._network is not None and changed:
+        if changed:
             self._schedule_reaction(event)
-        if self.on_event is not None:
-            self.on_event(event, changed)
-
-    def _now(self) -> float:
-        return 0.0 if self._network is None else self._network.now
 
     def _publish_gauges(self) -> None:
         obs = self.obs
@@ -258,11 +213,9 @@ class FaultInjector:
 
     def _schedule_reaction(self, event: FaultEvent) -> None:
         rebalance = not event.is_down
-        if rebalance and not (
-            self.rebalance_on_restore and self.selector is not None
-        ):
+        if rebalance and self.selector is None:
             return
-        t_event = self._now()
+        t_event = self._network.now
         self._network.schedule(
             t_event + self.detection_delay,
             functools.partial(self._react, t_event, rebalance),

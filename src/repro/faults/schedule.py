@@ -262,14 +262,3 @@ class FaultSchedule:
     def merged(self, other: "FaultSchedule") -> "FaultSchedule":
         """A new schedule interleaving both event lists by time."""
         return FaultSchedule(list(self.events) + list(other.events))
-
-    def restricted(self, planes: Iterable[int]) -> "FaultSchedule":
-        """The sub-schedule touching only the given planes.
-
-        Every fault event names exactly one plane, so a schedule
-        partitions cleanly by plane ownership: the sharded engine
-        routes each event to the worker that owns its plane, and the
-        union of all shards' restrictions replays the full schedule.
-        """
-        keep = frozenset(planes)
-        return FaultSchedule(e for e in self.events if e.plane in keep)

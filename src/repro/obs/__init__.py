@@ -36,14 +36,7 @@ from repro.obs.registry import (
     set_registry,
     use_registry,
 )
-from repro.obs.sinks import (
-    CsvSink,
-    JsonlSink,
-    MemorySink,
-    NullSink,
-    Sink,
-    read_jsonl,
-)
+from repro.obs.sinks import JsonlSink, MemorySink, Sink, read_jsonl
 from repro.obs.summary import summarize_files, summarize_rows
 from repro.obs.trace import DEFAULT_CAPACITY, TraceEvent, Tracer
 
@@ -57,10 +50,8 @@ __all__ = [
     "get_registry",
     "set_registry",
     "use_registry",
-    "CsvSink",
     "JsonlSink",
     "MemorySink",
-    "NullSink",
     "Sink",
     "read_jsonl",
     "summarize_files",

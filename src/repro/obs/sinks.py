@@ -5,12 +5,9 @@ Every sink consumes flat ``dict`` rows (as produced by
 :meth:`~repro.obs.trace.TraceEvent.as_dict`) through a tiny interface:
 ``write(row)`` then ``close()``.
 
-* :class:`JsonlSink` -- one sorted-key JSON object per line; the
-  machine-readable interchange format (``pnet obs summarize`` reads it).
-* :class:`CsvSink` -- fixed-column CSV for spreadsheet plotting.
+* :class:`JsonlSink` -- one sorted-key JSON object per line; the one
+  file format (``python -m repro obs summarize`` reads it).
 * :class:`MemorySink` -- keeps rows in a list (tests, notebooks).
-* :class:`NullSink` -- discards everything; attaching it to a disabled
-  registry costs nothing, which is what keeps "telemetry off" free.
 
 JSON rows are rendered with ``sort_keys=True`` and Python ``repr``
 floats, so identical data serialises to identical bytes -- the property
@@ -19,21 +16,12 @@ the cross-worker determinism tests pin down.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import pathlib
 from typing import Any, Dict, List, Optional, Union
 
 PathLike = Union[str, pathlib.Path]
-
-#: Fixed CSV column order (metric rows fill the left half, trace rows
-#: the right; missing cells stay empty).
-CSV_COLUMNS = (
-    "type", "name", "kind", "labels", "value",
-    "count", "mean", "p50", "p90", "p99", "min", "max",
-    "t", "fields",
-)
 
 
 class Sink:
@@ -43,13 +31,6 @@ class Sink:
         raise NotImplementedError
 
     def close(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-
-class NullSink(Sink):
-    """Discards every row."""
-
-    def write(self, row: Dict[str, Any]) -> None:
         pass
 
 
@@ -85,47 +66,6 @@ class JsonlSink(Sink):
     def write(self, row: Dict[str, Any]) -> None:
         self._fh.write(json.dumps(row, sort_keys=True))
         self._fh.write("\n")
-
-    def close(self) -> None:
-        self._fh.flush()
-        if self._owns:
-            self._fh.close()
-
-
-class CsvSink(Sink):
-    """Fixed-column CSV (see :data:`CSV_COLUMNS`).
-
-    Nested cells (``labels``, ``fields``) are rendered as sorted-key
-    JSON strings so the file stays strictly tabular.
-    """
-
-    def __init__(self, target: Union[PathLike, io.TextIOBase]):
-        if isinstance(target, (str, pathlib.Path)):
-            path = pathlib.Path(target)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(path, "w", newline="", encoding="utf-8")
-            self._owns = True
-            self.path: Optional[pathlib.Path] = path
-        else:
-            self._fh = target
-            self._owns = False
-            self.path = None
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(CSV_COLUMNS)
-
-    def write(self, row: Dict[str, Any]) -> None:
-        known = {k: row.get(k, "") for k in CSV_COLUMNS}
-        if row.get("type", "trace") == "trace":
-            # Trace rows arrive flat (kind/t + free-form fields): tuck
-            # the free-form part into the "fields" cell.
-            known["type"] = "trace"
-            known["name"] = row.get("kind", "")
-            extra = {k: v for k, v in row.items() if k not in CSV_COLUMNS}
-            if extra:
-                known["fields"] = json.dumps(extra, sort_keys=True)
-        if isinstance(known.get("labels"), dict):
-            known["labels"] = json.dumps(known["labels"], sort_keys=True)
-        self._writer.writerow([known[k] for k in CSV_COLUMNS])
 
     def close(self) -> None:
         self._fh.flush()

@@ -4,17 +4,18 @@ The paper exposes each dataplane to the host at the IP layer (section 3.4)
 and relies on conventional destination-based shortest-path forwarding
 *inside* each plane.  :class:`ForwardingTable` compiles, for one plane, the
 ECMP next-hop sets every switch holds for every destination host, and can
-walk a packet hop-by-hop the way hardware would -- used to cross-check the
-source-routed paths the simulators install, and by the failure studies.
+walk a packet hop-by-hop the way hardware would.  It is the forwarding
+oracle that the simulators' source-routed paths are cross-checked
+against; no simulation consults it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.routing.ecmp import flow_hash
 from repro.routing.shortest import bfs_distances, next_hop_options
-from repro.topology.graph import Topology, link_key
+from repro.topology.graph import Topology
 
 
 class ForwardingTable:
@@ -40,29 +41,6 @@ class ForwardingTable:
         """Recompute every installed destination (after failures change)."""
         for dst in list(self._next_hops):
             self.install(dst)
-
-    def repair(self, dead_links: Iterable[Tuple[str, str]]) -> List[str]:
-        """Reinstall only destinations affected by newly *failed* links.
-
-        A destination's table is exact iff no entry forwards over a dead
-        link: its shortest-path DAG then avoids every dead link, so no
-        distance toward it changed.  Returns the reinstalled
-        destinations.  (Restores can shorten distances anywhere -- use
-        :meth:`reinstall_all` for those.)
-        """
-        dead = {link_key(u, v) for u, v in dead_links}
-        affected = [
-            dst
-            for dst, table in self._next_hops.items()
-            if any(
-                link_key(node, nh) in dead
-                for node, hops in table.items()
-                for nh in hops
-            )
-        ]
-        for dst in affected:
-            self.install(dst)
-        return affected
 
     def next_hops(self, node: str, dst: str) -> List[str]:
         """ECMP next-hop set at ``node`` toward ``dst`` (may be empty)."""

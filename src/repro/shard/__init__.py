@@ -15,7 +15,10 @@ shard is simply every plane in one in-process worker.  Its ``shards``,
 ``epoch`` and ``backend`` arguments shape the run, and no run-wide
 setting changes them; only the safety deadline ``PNET_SHARD_TIMEOUT``
 is a :class:`repro.config.RunConfig` field.  Fluid runs stay serial:
-the max-min solve is one global allocation.
+the max-min solve is one global allocation.  A sharded run takes no
+fault schedule: the hosts' reaction to a fault spans planes, so fault
+runs attach a :class:`repro.faults.FaultInjector` to an unsharded
+engine and run through :func:`repro.api.run_trial`.
 
 Backends (:mod:`repro.shard.channel`): ``shm``, the default, runs one
 worker process per shard and talks to each over its own pipe (the

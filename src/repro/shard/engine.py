@@ -41,6 +41,7 @@ backends.
 from __future__ import annotations
 
 import contextlib
+import inspect
 import math
 import pathlib
 import pickle
@@ -50,19 +51,18 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.ckpt.snapshot import check_args
 from repro.ckpt.store import (
-    CheckpointError, latest, next_step, prune, read_manifest, read_payload,
+    CheckpointError, latest, next_step, read_manifest, read_payload,
     step_dir, write_checkpoint,
 )
 from repro.config import _choice, _integer, _real, current
 from repro.core.flowspec import FlowSpec
 from repro.core.pnet import PNet
-from repro.faults.schedule import FaultSchedule
 from repro.obs import get_registry
 from repro.shard.channel import LocalChannel, ProcessChannel
 from repro.shard.coupling import largest_remainder, lia_terms, split_bytes
 from repro.shard.partition import ShardPlan, classify
 from repro.shard.worker import WorkerConfig, build_worker, handle_message
-from repro.sim.network import SimFlowRecord, publish_flow
+from repro.sim.network import PacketNetwork, SimFlowRecord, publish_flow
 from repro.topology.graph import Topology
 
 #: Epoch barrier spacing (simulated seconds): a handful of fabric RTTs,
@@ -74,9 +74,8 @@ DEFAULT_EPOCH = 1e-4
 #: per shard (a name kept from an earlier shared-memory transport).
 BACKENDS = ("local", "shm")
 
-#: Hard cap on barrier rounds -- a stuck spanning connection (e.g. all
-#: its paths black-holed with no fault restore coming) raises instead
-#: of spinning forever.
+#: Hard cap on barrier rounds -- a stuck spanning connection raises
+#: instead of spinning forever.
 MAX_ROUNDS = 1_000_000
 
 #: The barrier phases :attr:`ShardResult.phase_seconds` times, in run
@@ -96,9 +95,7 @@ class ShardSafetyError(RuntimeError):
 KIND_SHARD = "shard"
 
 
-def _write_shard_checkpoint(
-    root, blobs, state, epoch, backend, keep_last=None
-) -> pathlib.Path:
+def _write_shard_checkpoint(root, blobs, state, epoch, backend) -> pathlib.Path:
     """Write one ``kind="shard"`` checkpoint: worker blobs + engine state.
 
     ``blobs`` are the encoded workers in shard order, taken at a
@@ -123,10 +120,7 @@ def _write_shard_checkpoint(
         "epoch": epoch,
         "backend": backend,
     }
-    directory = write_checkpoint(step_dir(root, next_step(root)), payloads, meta)
-    if keep_last is not None:
-        prune(root, keep_last)
-    return directory
+    return write_checkpoint(step_dir(root, next_step(root)), payloads, meta)
 
 
 def _load_shard_checkpoint(
@@ -286,7 +280,6 @@ class _Run:
     backend: str
     checkpoint_dir: Any = None
     checkpoint_every: Optional[float] = None
-    keep_last: Optional[int] = None
     barriers: List[Tuple[float, bool]] = field(default_factory=list)
     spanning_gids: List[int] = field(default_factory=list)
     spanning: Dict[int, _SpanningState] = field(default_factory=dict)
@@ -338,13 +331,11 @@ def run_packet_trial(
     shards: int = 1,
     epoch: float = DEFAULT_EPOCH,
     backend: str = "shm",
-    schedule=None,
     until: float = math.inf,
     obs=None,
     checkpoint_dir=None,
     checkpoint_every: Optional[float] = None,
     resume: bool = False,
-    checkpoint_keep_last: Optional[int] = None,
     control: Optional[Any] = None,
     **sim_kwargs: Any,
 ) -> ShardResult:
@@ -364,11 +355,6 @@ def run_packet_trial(
             (one worker process per shard) channel backend; results
             are byte-identical across the two.  One shard always runs
             in-process and reports ``"local"``.
-        schedule: optional iterable of fault events (or a
-            :class:`~repro.faults.FaultSchedule`), checked against the
-            planes before any worker starts and routed to the owning
-            shards (dataplane semantics only -- injector-style
-            resteering is cross-plane and must stay serial).
         until: simulated-time horizon (default: run to completion).
         obs: telemetry registry absorbing the per-shard registries in
             shard order (one shard writes into it directly); defaults
@@ -377,17 +363,15 @@ def run_packet_trial(
             ``checkpoint_every``, a checkpoint is written at the first
             epoch barrier at or past each multiple of that many
             simulated seconds (workers are quiescent at barriers, so
-            the cut is globally consistent).
+            the cut is globally consistent); without it or ``resume``
+            it raises ``ValueError`` at entry.  The run prunes nothing:
+            ``repro ckpt prune`` does.
         checkpoint_every: checkpoint spacing in simulated seconds.
         resume: load the newest valid checkpoint under
             ``checkpoint_dir`` and continue from its barrier; a fresh
             start when none exists.  The shard count, the epoch and
             whether ``control`` is given must match the checkpointed
             run (``CheckpointError`` before any worker starts).
-        checkpoint_keep_last: prune to the newest N checkpoints after
-            each write (default: keep all).  ``checkpoint_dir`` without
-            ``checkpoint_every`` or ``resume``, and retention without
-            ``checkpoint_every``, raise ``ValueError`` at entry.
         control: a :class:`repro.control.Controller`, policy object, or
             policy name enabling the adaptive control plane, driven at
             epoch barriers at every shard count (sample + apply travel
@@ -402,6 +386,8 @@ def run_packet_trial(
         ConfigError: a bad ``shards``, ``epoch`` or ``backend``, or a
             bad or removed ``PNET_*`` variable, before any worker
             starts.
+        TypeError: a keyword neither this function nor
+            ``PacketNetwork`` takes, before any worker starts.
         ShardSafetyError: multi-shard run with completion callbacks
             (closed-loop workloads cannot shard) or non-integer
             spanning flow sizes; such a workload runs with ``shards=1``.
@@ -414,14 +400,11 @@ def run_packet_trial(
     epoch = _real(0.0, strict=True)(epoch, "epoch")
     _choice(*BACKENDS)(backend, "backend")
     timeout = current().shard_timeout
-    check_args(
-        checkpoint_every, checkpoint_dir, resume=resume,
-        checkpoint_keep_last=checkpoint_keep_last,
-    )
-    pnet = planes if isinstance(planes, PNet) else PNet(planes)
-    schedule = FaultSchedule(schedule if schedule is not None else ())
-    schedule.validate(pnet)
-    planes = pnet.planes
+    check_args(checkpoint_every, checkpoint_dir, resume=resume)
+    planes = (planes if isinstance(planes, PNet) else PNet(planes)).planes
+    # A keyword the engine does not take is a TypeError here, not a
+    # ShardWorkerError from inside a worker process.
+    inspect.signature(PacketNetwork).bind(planes, **sim_kwargs)
     specs = list(specs)
     obs = obs if obs is not None else get_registry()
     plan = ShardPlan.build(len(planes), shards)
@@ -429,13 +412,11 @@ def run_packet_trial(
         plan=plan, epoch=epoch, until=until,
         backend=backend if plan.n_shards > 1 else "local",
         checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-        keep_last=checkpoint_keep_last,
     )
     try:
         with run.timed("plan"):
             configs = _plan(
-                run, planes, specs, schedule, obs, sim_kwargs, control,
-                resume,
+                run, planes, specs, obs, sim_kwargs, control, resume,
             )
             run.channels = _make_channels(configs, run.backend, timeout)
             if run.digests is None:
@@ -464,7 +445,7 @@ def run_packet_trial(
 
 
 def _plan(
-    run: _Run, planes, specs, schedule, obs, sim_kwargs, control, resume,
+    run: _Run, planes, specs, obs, sim_kwargs, control, resume,
 ) -> List[WorkerConfig]:
     """Plan phase: classify and split the flows, build the worker
     configs, and load the checkpoint a resumed run continues from.
@@ -536,9 +517,6 @@ def _plan(
                 if gid in owned or gid in slices
             ],
             spanning_share=slices,
-            fault_events=schedule.restricted(
-                plan.planes_of_shard[shard]
-            ).events,
             collect_obs=obs.enabled,
             # One in-process worker drives the caller's registry itself,
             # trace events included.
@@ -732,7 +710,7 @@ def _checkpoint(run: _Run) -> None:
                 run.driver.state() if run.driver is not None else None
             ),
         },
-        run.epoch, run.backend, keep_last=run.keep_last,
+        run.epoch, run.backend,
     )
     run.ckpt_next = _next_checkpoint(run.t, run.checkpoint_every)
 

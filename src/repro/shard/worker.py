@@ -14,26 +14,20 @@ A worker builds a :class:`~repro.sim.network.PacketNetwork` over *all*
 planes (elements instantiate lazily, so remote planes cost nothing),
 which keeps global plane indices valid everywhere.
 
-Fault events arrive pre-routed (the engine restricts the schedule to
-each shard's planes via :meth:`FaultSchedule.restricted`) and are
-applied at the dataplane level -- link/queue state with the same
-refcounted overlap semantics as :class:`repro.faults.FaultInjector`.
-Fault reactions (route repair, flow resteering) are cross-plane and
-stay with :class:`repro.faults.FaultInjector` on the unsharded engines.
-Control moves resteer shard-local flows through
+A worker takes no fault schedule: faults are a host reaction across
+planes, which :class:`repro.faults.FaultInjector` runs on an unsharded
+engine.  Control moves resteer shard-local flows through
 :meth:`PacketNetwork.resteer`.
 """
 
 from __future__ import annotations
 
-import functools
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ckpt.snapshot import dumps, loads
 from repro.core.flowspec import FlowSpec
-from repro.faults.schedule import FaultEvent
 from repro.obs import NULL_REGISTRY, Registry
 from repro.shard.coupling import PartialMptcpSource
 from repro.shard.partition import ShardPlan
@@ -48,8 +42,7 @@ class WorkerConfig:
     ``entries`` lists (global flow id, spec) pairs in submission order;
     a gid present in ``spanning_share`` is the local slice of a
     spanning connection seeded with that many bytes, anything else is a
-    fully local flow.  ``fault_events`` must already be restricted to
-    this shard's planes.  ``collect_obs`` gives the worker a registry
+    fully local flow.  ``collect_obs`` gives the worker a registry
     of its own, which :meth:`PacketShardWorker.result` exports for the
     engine to absorb.
     """
@@ -60,7 +53,6 @@ class WorkerConfig:
     sim_kwargs: Dict[str, Any] = field(default_factory=dict)
     entries: List[Tuple[int, FlowSpec]] = field(default_factory=list)
     spanning_share: Dict[int, int] = field(default_factory=dict)
-    fault_events: Tuple[FaultEvent, ...] = ()
     collect_obs: bool = False
     #: In-process only (never shipped to a worker process): use this
     #: registry directly instead of a private one, and export nothing.
@@ -93,15 +85,6 @@ class PacketShardWorker:
             else:
                 self.net.add_flow(spec=spec)
                 self._local_gids.append(gid)
-        #: Refcounted held-down links, mirroring FaultInjector semantics
-        #: for overlapping down events: (plane, link-key) -> count.
-        self._down_count: Dict[Tuple[int, Tuple[str, str]], int] = {}
-        # Partials, not lambdas: the pending events must pickle for the
-        # engine's epoch-barrier checkpoints.
-        for event in config.fault_events:
-            self.net.loop.schedule_at(
-                event.at, functools.partial(self._apply_fault, event)
-            )
 
     # --- construction helpers ----------------------------------------------
 
@@ -127,14 +110,6 @@ class PacketShardWorker:
         at = 0.0 if spec.at is None else spec.at
         self.net.loop.schedule_at(at, source.start)
         self._spanning[gid] = source
-
-    # --- fault application ---------------------------------------------------
-
-    def _apply_fault(self, event: FaultEvent) -> None:
-        event.hold(
-            self.net.planes[event.plane], self._down_count,
-            self.net.fail_link, self.net.restore_link,
-        )
 
     # --- barrier protocol ----------------------------------------------------
 
@@ -261,8 +236,8 @@ def handle_message(worker, message: Tuple) -> Tuple:
             return ("control", worker.control_apply(message[1]))
         if tag == "snapshot":
             # The worker encodes *itself* -- event heap, transport
-            # state, fault refcounts and telemetry in one graph -- so a
-            # restored worker resumes byte-identically.
+            # state and telemetry in one graph -- so a restored worker
+            # resumes byte-identically.
             return ("snapshot", dumps(worker))
         if tag == "stop":
             return ("result", worker.result())

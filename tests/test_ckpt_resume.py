@@ -107,7 +107,7 @@ class TestPacketResume:
         golden.run()
 
         net = _packet_net()
-        run_checkpointed(net, tmp_path, every=5e-5, keep_last=3)
+        run_checkpointed(net, tmp_path, every=5e-5)
         assert _records(net) == _records(golden)
         assert list_checkpoints(tmp_path, valid_only=True)
 
@@ -300,22 +300,10 @@ class TestApiFacade:
         # Without checkpoint_every nothing would be written: refuse the
         # other arguments before any flow is submitted.
         net = api.build_network([dumbbell()], kind=kind)
-        for kwargs in (
-            {"checkpoint_dir": tmp_path},
-            {"checkpoint_dir": tmp_path, "checkpoint_keep_last": 2},
-        ):
-            with pytest.raises(ValueError, match="checkpoint_every"):
-                api.run_trial(net, _flows(), **kwargs)
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            api.run_trial(net, _flows(), checkpoint_dir=tmp_path)
         assert not net.has_pending()
         assert list(tmp_path.iterdir()) == []
-
-    def test_resume_trial_checkpoint_args_need_every(self, tmp_path):
-        api.run_trial(
-            PacketNetwork([dumbbell()]), _flows(),
-            checkpoint_dir=tmp_path, checkpoint_every=5e-5,
-        )
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            api.resume_trial(tmp_path, checkpoint_keep_last=1)
 
 
 def _permutation_planes_and_flows():

@@ -231,14 +231,8 @@ class TestShardedRejections:
         # Without checkpoint_every (or resume) nothing would be written:
         # refuse at entry, as run_trial does.
         pnet, specs = jellyfish_workload(n_flows=2)
-        for kwargs in (
-            {"checkpoint_dir": tmp_path},
-            {"checkpoint_dir": tmp_path, "checkpoint_keep_last": 2},
-            {"checkpoint_dir": tmp_path, "resume": True,
-             "checkpoint_keep_last": 2},
-        ):
-            with pytest.raises(ValueError, match="requires checkpoint_every"):
-                _run(pnet, specs, shards, **kwargs)
+        with pytest.raises(ValueError, match="requires checkpoint_every"):
+            _run(pnet, specs, shards, checkpoint_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_partial_checkpoint_skipped_on_resume(self, tmp_path):

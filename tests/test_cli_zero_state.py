@@ -84,6 +84,74 @@ class TestCkptZeroState:
             main(["ckpt", "restore", str(tmp_path / "missing")])
 
 
+class TestBadArguments:
+    """A bad ``ckpt`` or ``faults`` argument exits 2 naming its flag,
+    before any network is built -- never a traceback, and never a run
+    that writes nothing to restore."""
+
+    @pytest.fixture(autouse=True)
+    def no_run(self, monkeypatch):
+        import repro.exp.degradation
+
+        def run_faulted(**kwargs):
+            raise AssertionError("a refused command ran the scenario")
+
+        monkeypatch.setattr(repro.exp.degradation, "run_faulted", run_faulted)
+
+    def refused(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "0.05"])
+    def test_save_stop_after_before_first_checkpoint(self, value, tmp_path,
+                                                     capsys):
+        # The tiny scale checkpoints every 0.1 s of simulated time: a run
+        # stopped at or before that leaves nothing to restore.
+        root = tmp_path / "ck"
+        self.refused(
+            ["ckpt", "save", str(root), "--scale", "tiny",
+             "--stop-after", value],
+            "--stop-after", capsys,
+        )
+        assert not root.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan"])
+    def test_save_every_must_be_positive(self, value, tmp_path, capsys):
+        root = tmp_path / "ck"
+        self.refused(
+            ["ckpt", "save", str(root), "--scale", "tiny", "--every", value],
+            "--every", capsys,
+        )
+        assert not root.exists()
+
+    def test_prune_keep_last_must_be_positive(self, tmp_path, capsys):
+        self.refused(
+            ["ckpt", "prune", str(tmp_path), "--keep-last", "0"],
+            "--keep-last", capsys,
+        )
+
+    def test_faults_schedule_file_missing(self, tmp_path, capsys):
+        self.refused(
+            ["faults", "run", "--schedule", str(tmp_path / "nope.json")],
+            "--schedule", capsys,
+        )
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"version": 1, "events": '
+        '[{"at": 0.1, "kind": "plane_down", "plane": 9}]}',
+    ], ids=["not-json", "missing-plane"])
+    def test_faults_schedule_file_bad(self, text, tmp_path, capsys):
+        path = tmp_path / "schedule.json"
+        path.write_text(text)
+        self.refused(
+            ["faults", "run", "--scale", "tiny", "--schedule", str(path)],
+            "--schedule", capsys,
+        )
+
+
 class TestCkptRoot:
     """``inspect`` and ``verify`` take a checkpoint root the way
     ``restore`` does: they read its newest valid checkpoint."""

@@ -19,8 +19,7 @@ from repro.faults import (
     surviving_capacity,
 )
 from repro.fluid.flowsim import FluidSimulator
-from repro.obs import Registry
-from repro.routing.tables import ForwardingTable
+from repro.obs import Registry, Tracer
 from repro.sim.network import PacketNetwork
 from repro.units import Gbps, MB
 
@@ -32,7 +31,41 @@ A1 = (1, ["h0", "t0", "a", "t1", "h1"])
 B1 = (1, ["h0", "t0", "b", "t1", "h1"])
 
 
+def run_idle(pnet, schedule, probe=lambda: None, obs=None):
+    """Run ``schedule`` on a fluid engine over ``pnet``'s planes that
+    carries no flows, so only the topology and routing layers move.
+
+    Returns ``probe()`` as read halfway between consecutive event times
+    and once after the last event, and the injector.
+    """
+    sim = FluidSimulator(pnet.planes)
+    injector = FaultInjector(
+        pnet, schedule, obs=obs if obs is not None else Registry()
+    )
+    injector.attach(sim)
+    times = sorted({event.at for event in schedule})
+    samples = []
+    for at in [(a + b) / 2 for a, b in zip(times, times[1:])] + [
+        times[-1] + 1.0
+    ]:
+        sim.schedule(at, lambda: samples.append(probe()))
+    sim.run(until=times[-1] + 2.0)
+    return samples, injector
+
+
+def changed_links(registry):
+    """``(event kind, links changed)`` per applied event, from the
+    ``fault.event`` trace rows."""
+    return [
+        (event.fields["event"], event.fields["changed_links"])
+        for event in registry.tracer.events()
+        if event.kind == "fault.event"
+    ]
+
+
 class TestApplyAll:
+    """A whole schedule applied to an engine with no flows."""
+
     def test_overlapping_events_refcount(self):
         """A link held down by two causes only restores when both lift."""
         pnet = make_pnet()
@@ -42,19 +75,17 @@ class TestApplyAll:
             FaultEvent(at=2.0, kind=SWITCH_UP, plane=0, node="a"),
             FaultEvent(at=3.0, kind=LINK_UP, plane=0, u="t0", v="a"),
         ])
-        seen = []
-        injector = FaultInjector(
-            pnet, schedule, obs=Registry(),
-            on_event=lambda e, changed: seen.append(
-                (e.kind, pnet.planes[0].is_failed("t0", "a"), len(changed))
-            ),
+        registry = Registry(tracer=Tracer())
+        held, injector = run_idle(
+            pnet, schedule, lambda: pnet.planes[0].is_failed("t0", "a"),
+            obs=registry,
         )
-        injector.apply_all()
-        assert seen == [
-            (SWITCH_DOWN, True, 2),   # t0-a and a-t1 both fail
-            (LINK_DOWN, True, 0),     # already down: refcount only
-            (SWITCH_UP, True, 1),     # a-t1 back; t0-a still held
-            (LINK_UP, False, 1),      # last holder released
+        assert held == [True, True, True, False]
+        assert changed_links(registry) == [
+            (SWITCH_DOWN, 2),   # t0-a and a-t1 both fail
+            (LINK_DOWN, 0),     # already down: refcount only
+            (SWITCH_UP, 1),     # a-t1 back; t0-a still held
+            (LINK_UP, 1),       # last holder released
         ]
         assert surviving_capacity(pnet.planes) == 1.0
         assert injector.stats.links_failed == 2
@@ -66,10 +97,9 @@ class TestApplyAll:
         schedule = FaultSchedule([
             FaultEvent(at=0.0, kind=LINK_UP, plane=0, u="t0", v="a"),
         ])
-        injector = FaultInjector(pnet, schedule, obs=Registry())
-        stats = injector.apply_all()
-        assert stats.links_restored == 0
-        assert stats.events_applied == 1
+        __, injector = run_idle(pnet, schedule)
+        assert injector.stats.links_restored == 0
+        assert injector.stats.events_applied == 1
 
     def test_plane_events_cover_every_link(self):
         pnet = make_pnet()
@@ -77,14 +107,9 @@ class TestApplyAll:
             FaultEvent(at=0.0, kind=PLANE_DOWN, plane=1),
             FaultEvent(at=1.0, kind=PLANE_UP, plane=1),
         ])
-        fractions = []
-        injector = FaultInjector(
-            pnet, schedule, obs=Registry(),
-            on_event=lambda *__: fractions.append(
-                surviving_capacity(pnet.planes)
-            ),
+        fractions, __ = run_idle(
+            pnet, schedule, lambda: surviving_capacity(pnet.planes)
         )
-        injector.apply_all()
         assert fractions == [0.5, 1.0]
         # The untouched plane never failed.
         assert len(pnet.planes[0].live_links) == len(pnet.planes[0].links)
@@ -97,27 +122,9 @@ class TestApplyAll:
         schedule = FaultSchedule([
             FaultEvent(at=0.0, kind=SWITCH_DOWN, plane=0, node="a"),
         ])
-        FaultInjector(pnet, schedule, obs=Registry()).apply_all()
+        run_idle(pnet, schedule)
         after = pnet.shortest_paths(0, "h0", "h1")
         assert after and all("a" not in path for path in after)
-
-    def test_registered_table_repaired_on_failure(self):
-        pnet = make_pnet()
-        table = ForwardingTable(pnet.planes[0])
-        assert "a" in table.next_hops("t0", "h1")
-        schedule = FaultSchedule([
-            FaultEvent(at=0.0, kind=SWITCH_DOWN, plane=0, node="a"),
-            FaultEvent(at=1.0, kind=SWITCH_UP, plane=0, node="a"),
-        ])
-        states = []
-        injector = FaultInjector(
-            pnet, schedule, obs=Registry(),
-            on_event=lambda *__: states.append(table.next_hops("t0", "h1")),
-        )
-        injector.register_table(0, table)
-        injector.apply_all()
-        assert states[0] == ["b"]         # repaired around the dead switch
-        assert sorted(states[1]) == ["a", "b"]  # reinstalled after restore
 
     def test_obs_metrics_published(self):
         registry = Registry()
@@ -126,7 +133,7 @@ class TestApplyAll:
             FaultEvent(at=0.0, kind=PLANE_DOWN, plane=0),
             FaultEvent(at=1.0, kind=PLANE_UP, plane=0),
         ])
-        FaultInjector(pnet, schedule, obs=registry).apply_all()
+        run_idle(pnet, schedule, obs=registry)
         assert registry.value("faults.events", kind=PLANE_DOWN) == 1
         assert registry.value("faults.events", kind=PLANE_UP) == 1
         assert registry.value("faults.surviving_capacity") == 1.0
@@ -166,8 +173,6 @@ class TestConstructionAndAttach:
         injector.attach(PacketNetwork(pnet.planes))
         with pytest.raises(RuntimeError):
             injector.attach(PacketNetwork(pnet.planes))
-        with pytest.raises(RuntimeError):
-            injector.apply_all()
 
 
 class TestPacketResteer:
@@ -271,28 +276,29 @@ class TestFluidResteer:
 
     def test_rebalance_on_restore(self):
         """After a plane-up, flows spread back over the recovered plane."""
-        def run_one(rebalance):
-            pnet = make_pnet()
-            selector = FailureAwareSelector(
-                KspMultipathPolicy(pnet, k=2, seed=0)
-            )
-            sim = FluidSimulator(pnet.planes, slow_start=False)
-            schedule = FaultSchedule([
-                FaultEvent(at=0.1, kind=PLANE_DOWN, plane=0),
-                FaultEvent(at=0.2, kind=PLANE_UP, plane=0),
-            ])
-            injector = FaultInjector(
-                pnet, schedule, selector=selector, obs=Registry(),
-                rebalance_on_restore=rebalance,
-            )
-            injector.attach(sim)
-            sim.add_flow(spec=FlowSpec(
-                src="h0", dst="h1", size=1e15,
-                paths=selector.select("h0", "h1", 0),
-            ))
-            sim.run(until=0.3)
+        pnet = make_pnet()
+        selector = FailureAwareSelector(
+            KspMultipathPolicy(pnet, k=2, seed=0)
+        )
+        sim = FluidSimulator(pnet.planes, slow_start=False)
+        schedule = FaultSchedule([
+            FaultEvent(at=0.1, kind=PLANE_DOWN, plane=0),
+            FaultEvent(at=0.2, kind=PLANE_UP, plane=0),
+        ])
+        FaultInjector(
+            pnet, schedule, selector=selector, obs=Registry(),
+        ).attach(sim)
+        sim.add_flow(spec=FlowSpec(
+            src="h0", dst="h1", size=1e15,
+            paths=selector.select("h0", "h1", 0),
+        ))
+
+        def planes_in_use():
             (__, __, __, paths), = sim.active_flow_paths()
             return {plane for plane, __ in paths}
 
-        assert run_one(rebalance=True) == {0, 1}
-        assert run_one(rebalance=False) == {1}
+        seen = []
+        for at in (0.05, 0.15, 0.25):
+            sim.schedule(at, lambda: seen.append(planes_in_use()))
+        sim.run(until=0.3)
+        assert seen == [{0, 1}, {1}, {0, 1}]

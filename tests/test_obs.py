@@ -21,11 +21,9 @@ from repro.core.pnet import PNet
 from tests.obs_probe import traced_trial
 from repro.exp.runner import TrialSpec, run_trials
 from repro.obs import (
-    CsvSink,
     JsonlSink,
     MemorySink,
     NullRegistry,
-    NullSink,
     Registry,
     Tracer,
     get_registry,
@@ -156,23 +154,6 @@ class TestSinks:
         sink.write({"x": 1})
         sink.close()
         assert sink.rows == [{"x": 1}] and sink.closed
-
-    def test_null_sink_discards(self):
-        sink = NullSink()
-        sink.write({"x": 1})
-        sink.close()
-
-    def test_csv_sink_has_header_and_rows(self, tmp_path):
-        path = tmp_path / "m.csv"
-        reg = Registry(
-            tracer=Tracer(), metric_sinks=[CsvSink(str(path))],
-            trace_sinks=[],
-        )
-        reg.counter("c", plane=0).inc(2)
-        reg.close()
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("type,name,kind")
-        assert any("c" in line for line in lines[1:])
 
     def test_registry_flush_to_sinks(self):
         metrics, traces = MemorySink(), MemorySink()

@@ -14,8 +14,6 @@ The hard invariants (ISSUE acceptance criteria):
 * while coupling is live, barriers are at most one epoch apart except
   for exact idle jumps, and uncoupled workers free-run with no
   barrier at all;
-* fault schedules route per plane and replay identically on both
-  backends;
 * a trial run in one of the runner's pool workers may start its own
   shard worker processes.
 """
@@ -36,7 +34,6 @@ from repro.exp.common import (
     network_for_label,
 )
 from repro.exp.runner import TrialSpec, last_stats, run_trials
-from repro.faults.schedule import FaultEvent
 from repro.obs import Registry, Tracer
 from repro.shard import ShardSafetyError, run_packet_trial
 from repro.sim.network import PacketNetwork
@@ -229,18 +226,10 @@ class TestShardSafety:
         with pytest.raises(ShardSafetyError, match="1000.5"):
             run_packet_trial(pnet.planes, specs, shards=2)
 
-    def test_schedule_naming_missing_plane_refused(self):
-        pnet, specs = jellyfish_workload(n_flows=2)
-        event = FaultEvent(at=1e-5, kind="plane_down", plane=9)
-        with pytest.raises(ValueError, match="plane 9"):
-            run_packet_trial(
-                pnet.planes, specs, shards=2, schedule=[event]
-            )
-
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_schedule_naming_missing_link_refused(self, monkeypatch, shards):
-        # The whole schedule is checked at entry, on one shard and on
-        # two alike, before any shard worker starts -- not mid-run.
+    def test_unknown_keyword_refused_before_workers_start(self, monkeypatch):
+        # A keyword neither the engine nor PacketNetwork takes -- here
+        # a fault schedule, which sharded runs do not take -- is a
+        # TypeError at entry, not a ShardWorkerError from a worker.
         import repro.shard.engine
 
         started = []
@@ -248,11 +237,9 @@ class TestShardSafety:
             repro.shard.engine, "ProcessChannel", started.append
         )
         pnet, specs = jellyfish_workload(n_flows=2)
-        event = FaultEvent(at=1e-5, kind="link_down", plane=0, u="h0", v="nope")
-        with pytest.raises(ValueError, match="no link h0--nope"):
+        with pytest.raises(TypeError, match="'schedule'"):
             run_packet_trial(
-                pnet.planes, specs, shards=shards, backend="shm",
-                schedule=[event],
+                pnet.planes, specs, shards=2, backend="shm", schedule=[],
             )
         assert not started
 
@@ -334,36 +321,6 @@ class TestBarrierSpacing:
         assert sharded.barriers == []
         serial = run_packet_trial(planes, specs, shards=1)
         assert pickle.dumps(sharded.records) == pickle.dumps(serial.records)
-
-
-class TestFaultRouting:
-    def test_plane_outage_replays_identically_on_both_backends(self):
-        # Outage plus restore: a *permanent* plane loss leaves spanning
-        # MPTCP flows unable to complete (bytes already pulled into the
-        # dead subflow's buffer are stuck until the plane returns) in
-        # the serial simulator and the sharded engine alike.
-        pnet, specs = jellyfish_workload(size=1 * MB)
-        schedule = [
-            FaultEvent(at=2e-5, kind="plane_down", plane=0),
-            FaultEvent(at=2e-4, kind="plane_up", plane=0),
-        ]
-        runs = {
-            backend: run_packet_trial(
-                pnet.planes, specs, shards=2, backend=backend,
-                schedule=schedule,
-            )
-            for backend in ("local", "shm")
-        }
-        assert pickle.dumps(runs["shm"].records) == pickle.dumps(
-            runs["local"].records
-        )
-        # The outage actually bit: same workload without it differs.
-        healthy = run_packet_trial(
-            pnet.planes, specs, shards=2, backend="local"
-        )
-        assert pickle.dumps(healthy.records) != pickle.dumps(
-            runs["local"].records
-        )
 
 
 def sharded_trial(n_flows):
