@@ -40,8 +40,11 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 #: fluid and hybrid snapshots hold the fluid engine's active state as
 #: arrays, and the bridge's queue table as arrays.  v4: simulator and
 #: shard-worker payloads hold queues as shells plus a flat state table
-#: (:func:`repro.ckpt.snapshot.dumps`).
-FORMAT_VERSION = 4
+#: (:func:`repro.ckpt.snapshot.dumps`).  v5: a moved flow keeps its id
+#: (the packet engine's table of moved flows, the hybrid engine's
+#: per-engine id tables, and the control monitor's baselines with a
+#: digest of their paths).
+FORMAT_VERSION = 5
 
 MANIFEST_NAME = "MANIFEST.json"
 

@@ -10,12 +10,13 @@ On an engine (:func:`repro.api.run_trial`'s ``control=`` attaches it)
 the loop runs through members all three engines share: the clock
 (``now``, ``schedule(at, fn)``, ``has_pending()``), ``control_rows()``
 for the sample and ``resteer(gid, paths)`` for each decision.  The
-engine moves the flow its own way -- abort and relaunch on the packet
-engine (a fresh flow id, which the controller re-keys), migration in
-place on the fluid one, and either per flow on a hybrid network.  The
-loop is a self-rescheduling timer, a picklable bound method: policy
-and monitor state ride :mod:`repro.ckpt` snapshots and a resumed run
-continues the loop byte-identically.
+engine moves the flow its own way -- abort and relaunch of the
+un-ACKed remainder on the packet engine, migration in place on the
+fluid one, and either per flow on a hybrid network -- and the flow
+keeps its id on all three.  The loop is a self-rescheduling timer, a
+picklable bound method: policy and monitor state ride
+:mod:`repro.ckpt` snapshots and a resumed run continues the loop
+byte-identically.
 
 :func:`repro.shard.run_packet_trial` does not attach the controller,
 at any shard count: the shard engine calls :meth:`Controller.decide`
@@ -158,7 +159,7 @@ class Controller:
         plane_cum, rows = net.control_rows()
         decisions = self.decide(now, len(net.planes), plane_cum, rows)
         for decision in decisions:
-            if self._apply(decision):
+            if net.resteer(decision.gid, decision.paths):
                 self.stats.applied += 1
             else:
                 self.stats.missed += 1
@@ -172,16 +173,6 @@ class Controller:
         # timer would keep ``run(until=inf)`` from ever emptying its heap.
         if net.has_pending():
             net.schedule(now + self.interval, self._tick)
-
-    def _apply(self, decision) -> bool:
-        gid = decision.gid
-        new_gid = self._network.resteer(gid, decision.paths)
-        if new_gid is None:
-            return False  # completed between sample and apply
-        if new_gid != gid:
-            self.policy.rekey(gid, new_gid)
-            self.monitor.rekey(gid, new_gid)
-        return True
 
 
 def as_controller(control) -> Controller:

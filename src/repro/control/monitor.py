@@ -14,9 +14,12 @@ the monitor itself rides checkpoints inside the controller.
 
 Two row flavours cover the engines:
 
-* ``"acked"`` -- cumulative per-subflow ACKed bytes (packet engine).
-  Progress is the delta against the previous sample; a relaunch (new
-  flow id, or counters that went backwards) restarts from zero.
+* ``"acked"`` -- cumulative per-subflow ACKed bytes of the flow's
+  current leg (packet engine).  Progress is the delta against the
+  previous sample.  A move relaunches the flow under the same id with
+  fresh counters, on other paths, so the baseline restarts from zero
+  when the row's paths differ from the baseline's (or, as a guard,
+  when a counter went backwards).
 * ``"rate"`` -- instantaneous per-subflow rates in bits/s (fluid
   engine).  Progress is ``rate / 8 * interval``, the bytes the subflow
   moves in one control period at the current allocation.
@@ -32,7 +35,8 @@ load vector across both engines.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import hashlib
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.stats import left_sum
 from repro.core.pnet import PlanePath
@@ -102,14 +106,16 @@ class ControlSample:
 class ControlMonitor:
     """Differencing state between control ticks (picklable).
 
-    Keeps the previous cumulative counters (per plane and per flow) so
-    each :meth:`ingest` yields per-tick progress.  State for flows that
-    disappeared is pruned, so long runs stay bounded.
+    Keeps the previous cumulative counters (per plane, and per flow
+    with a digest of the paths they were read on, which checkpoints
+    carry in a few bytes) so each :meth:`ingest` yields per-tick
+    progress.  State for flows that disappeared is pruned, so long runs
+    stay bounded.
     """
 
     def __init__(self):
         self._prev_plane: Dict[int, float] = {}
-        self._prev_acked: Dict[Any, List[int]] = {}
+        self._prev_acked: Dict[Any, Tuple[int, List[int]]] = {}
 
     def ingest(
         self,
@@ -134,19 +140,18 @@ class ControlMonitor:
             seen.add(gid)
             acked = row.get("acked")
             if acked is not None:
-                prev = self._prev_acked.get(gid)
-                if (
-                    prev is not None
-                    and len(prev) == len(acked)
-                    and all(a >= p for a, p in zip(acked, prev))
+                digest = _digest(row["paths"])
+                prev_digest, prev = self._prev_acked.get(gid, (None, None))
+                if prev_digest == digest and all(
+                    a >= p for a, p in zip(acked, prev)
                 ):
                     progress = [
                         float(a - p) for a, p in zip(acked, prev)
                     ]
                 else:
-                    # New flow, or a relaunch restarted the counters.
+                    # New flow, or a move relaunched it with new counters.
                     progress = [float(a) for a in acked]
-                self._prev_acked[gid] = list(acked)
+                self._prev_acked[gid] = (digest, list(acked))
                 rates = [p * 8.0 / interval for p in progress]
             else:
                 rates = list(row["rate"])
@@ -178,12 +183,8 @@ class ControlMonitor:
             flows=flows,
         )
 
-    def rekey(self, old, new) -> None:
-        """Carry a flow's differencing state across an id change.
 
-        Serial packet resteers assign the relaunch a fresh flow id; the
-        baseline must *not* carry over (the relaunch restarts its ACK
-        counters), so the old entry is simply dropped -- the method
-        exists so callers can treat monitor and policy uniformly.
-        """
-        self._prev_acked.pop(old, None)
+def _digest(paths: List[PlanePath]) -> int:
+    """A stable 64-bit digest of a row's paths, in subflow order."""
+    digest = hashlib.blake2b(repr(list(paths)).encode(), digest_size=8)
+    return int.from_bytes(digest.digest(), "big")

@@ -6,7 +6,8 @@ id plus the new (plane, path) set.  Policies are deterministic pure
 state machines over the sample stream: seeded, picklable (their state
 rides checkpoints), and engine-agnostic (they never touch a simulator;
 the controller has the engine resteer the flow, and the shard engine
-relaunches it in the owning worker).
+has the owning worker do it).  A moved flow keeps its id, so state a
+policy keys by flow id follows the flow.
 
 Built-ins, resolvable by name through :func:`make_policy` (and the
 ``control="<name>"`` spelling of :func:`repro.api.run_trial`):
@@ -64,8 +65,8 @@ class ResteerPolicy:
     """Base policy: observe a sample, decide nothing.
 
     Subclasses override :meth:`decide`.  ``pnet`` supplies candidate
-    paths; it may be bound late (:meth:`bind`) so policies can be named
-    before the network exists (CLI/env wiring).
+    paths; it may be bound late (:meth:`bind`) so a policy can be built
+    before the network exists.
     """
 
     name = "static"
@@ -81,14 +82,6 @@ class ResteerPolicy:
 
     def decide(self, sample) -> List[ResteerDecision]:
         return []
-
-    def rekey(self, old, new) -> None:
-        """Carry per-flow policy state across a flow-id change.
-
-        Serial packet resteers give the relaunch a fresh id; policies
-        that key state by flow id move it here so hysteresis/cooldowns
-        survive.  Base keeps no per-flow state.
-        """
 
     def fingerprint(self) -> Dict[str, Any]:
         """Stable description of the policy configuration (for results
@@ -122,35 +115,14 @@ class ResteerPolicy:
     ) -> Optional[List[PlanePath]]:
         """Fresh hashed paths for every subflow (None if unroutable)."""
         new_paths: List[PlanePath] = []
-        gid_hash = _gid_hash(flow.gid)
         for index in range(len(flow.paths)):
             picked = self._hashed_path(
-                flow.src, flow.dst, gid_hash + 7919 * index, salt
+                flow.src, flow.dst, flow.gid + 7919 * index, salt
             )
             if picked is None:
                 return None
             new_paths.append(picked)
         return new_paths
-
-
-def _gid_hash(gid) -> int:
-    """Deterministic int for a flow id.
-
-    Plain ints pass through; the hybrid controller namespaces ids as
-    ``(engine, fid)`` tuples, which mix engine-name characters and the
-    sub-engine id (never Python's randomized ``hash``).
-    """
-    if isinstance(gid, int):
-        return gid
-    if isinstance(gid, str):
-        mix = 0
-        for ch in gid:
-            mix = (mix * 131 + ord(ch)) & 0x7FFFFFFF
-        return mix
-    mix = 0
-    for part in gid:
-        mix = (mix * 1000003 + _gid_hash(part)) & 0x7FFFFFFF
-    return mix
 
 
 class EcmpReshufflePolicy(ResteerPolicy):
@@ -235,19 +207,14 @@ class FlowletPolicy(ResteerPolicy):
             raise ValueError(f"idle_ticks must be >= 1, got {idle_ticks}")
         self.idle_ticks = idle_ticks
         self.max_moves = max_moves
-        self._idle: Dict[Any, int] = {}
-        self._bump: Dict[Any, int] = {}
+        self._idle: Dict[int, int] = {}
+        self._bump: Dict[int, int] = {}
 
     def fingerprint(self) -> Dict[str, Any]:
         return {
             "policy": self.name, "seed": self.seed,
             "idle_ticks": self.idle_ticks, "max_moves": self.max_moves,
         }
-
-    def rekey(self, old, new) -> None:
-        if old in self._bump:
-            self._bump[new] = self._bump.pop(old)
-        self._idle.pop(old, None)
 
     def decide(self, sample) -> List[ResteerDecision]:
         seen = set()
@@ -308,7 +275,7 @@ class LoadAwarePolicy(ResteerPolicy):
         if not self.cooldown >= 0.0:
             raise ValueError(f"cooldown must be >= 0, got {cooldown!r}")
         self.max_moves = max_moves
-        self._last_move: Dict[Any, float] = {}
+        self._last_move: Dict[int, float] = {}
 
     def fingerprint(self) -> Dict[str, Any]:
         return {
@@ -316,10 +283,6 @@ class LoadAwarePolicy(ResteerPolicy):
             "hysteresis": self.hysteresis, "cooldown": self.cooldown,
             "max_moves": self.max_moves,
         }
-
-    def rekey(self, old, new) -> None:
-        if old in self._last_move:
-            self._last_move[new] = self._last_move.pop(old)
 
     def decide(self, sample) -> List[ResteerDecision]:
         loads = sample.plane_load
@@ -335,7 +298,7 @@ class LoadAwarePolicy(ResteerPolicy):
                 continue
             ranked.append((spread, flow))
         # Most imbalanced first; flow id breaks ties deterministically.
-        ranked.sort(key=lambda pair: (-pair[0], _sort_key(pair[1].gid)))
+        ranked.sort(key=lambda pair: (-pair[0], pair[1].gid))
 
         decisions: List[ResteerDecision] = []
         for __, flow in ranked:
@@ -447,13 +410,6 @@ def _links(plane_path: PlanePath) -> List[Tuple[int, str, str]]:
     """The directed links ``(plane, u, v)`` of a tagged path."""
     plane, path = plane_path
     return [(plane, u, v) for u, v in zip(path, path[1:])]
-
-
-def _sort_key(gid):
-    """Total order over flow ids (ints and engine-namespaced tuples)."""
-    if isinstance(gid, tuple):
-        return (1,) + tuple(_sort_key(part) for part in gid)
-    return (0, gid)
 
 
 #: Name -> class, the registry behind the ``control="<name>"``

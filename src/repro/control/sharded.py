@@ -15,7 +15,8 @@ control instant it
 3. partitions the decisions into per-shard ``control-apply`` batches
    of ``(gid, paths)`` moves that each worker executes locally through
    :meth:`~repro.sim.network.PacketNetwork.resteer` (abort + relaunch
-   of the un-ACKed remainder, with a stable global flow id).
+   of the un-ACKed remainder under the same flow id), as an attached
+   controller does.
 
 Workers are quiescent between sample and apply -- both happen at the
 same barrier, so the ACK counters the policy saw in step 1 are still

@@ -96,7 +96,8 @@ class FlowSpec:
     def relaunch(
         self, size: float, paths: Sequence[PlanePath], at: float
     ) -> "FlowSpec":
-        """The spec that re-launches this flow's remainder on new paths.
+        """The spec of a moved flow's next leg: ``size`` bytes on
+        ``paths`` from ``at`` (see ``PacketNetwork.resteer``).
 
         Endpoints, tag, transport and completion callback carry over;
         the paths are clamped to what the transport can drive.

@@ -7,8 +7,8 @@ simulated clock (``schedule``), keeping three layers consistent on every
 event.  It needs nothing else of the engine but ``fail_link`` /
 ``restore_link``, ``active_flow_paths()``, ``abort_flow`` and
 ``resteer``, which both engines answer the same way.  The hybrid engine
-is refused: its flow ids are ``(engine, fid)`` pairs, and selectors
-hash plain ids.
+has neither ``active_flow_paths()`` nor ``abort_flow``, so the injector
+refuses it.
 
 1. **Topology** -- element events expand to link sets (a switch fails
    all its incident links; a plane fails every link it has) applied
@@ -23,7 +23,8 @@ hash plain ids.
 3. **Flows** -- after a detection delay, flows with subflows on dead
    paths are resteered (the engine's ``resteer``: the packet engine
    relaunches the un-ACKed remainder, the fluid one migrates the flow
-   in place) using the configured selector --
+   in place; either way the flow keeps its id and its one record) using
+   the configured selector --
    typically a :class:`~repro.core.failures.FailureAwareSelector` --
    or stranded (aborted and counted) when fully partitioned.  With a
    selector, flows are rebalanced back onto recovered paths after a
@@ -266,5 +267,5 @@ class FaultInjector:
                 net.abort_flow(flow_id)
                 self._strand()
                 continue
-            if net.resteer(flow_id, new_paths) is not None:
+            if net.resteer(flow_id, new_paths):
                 self._observe_reroute(now - t_event)

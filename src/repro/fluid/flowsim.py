@@ -416,14 +416,12 @@ class FluidSimulator:
         self._rates_current = False
         return True
 
-    def resteer(
-        self, flow_id: int, paths: Sequence[PlanePath]
-    ) -> Optional[int]:
+    def resteer(self, flow_id: int, paths: Sequence[PlanePath]) -> bool:
         """Move a live flow onto ``paths`` in place (:meth:`migrate_flow`).
 
-        Returns the same flow id, or None when the flow is gone.
+        Returns False when the flow is gone.
         """
-        return flow_id if self.migrate_flow(flow_id, paths) else None
+        return self.migrate_flow(flow_id, paths)
 
     def abort_flow(self, flow_id: int) -> bool:
         """Drop an active flow without completing it (no record).

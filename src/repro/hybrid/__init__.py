@@ -18,13 +18,8 @@ from repro.hybrid.promotion import (
     PromotionPolicy,
     Sampled,
     Tagged,
-    crossing_faulted_plane,
     parse_policy,
-    promote_all,
-    promote_none,
     resolve_policy,
-    sampled,
-    tagged,
 )
 
 __all__ = [
@@ -38,11 +33,6 @@ __all__ = [
     "PromotionPolicy",
     "Sampled",
     "Tagged",
-    "crossing_faulted_plane",
     "parse_policy",
-    "promote_all",
-    "promote_none",
     "resolve_policy",
-    "sampled",
-    "tagged",
 ]

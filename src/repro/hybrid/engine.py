@@ -133,6 +133,11 @@ class HybridSimulator:
         self.fidelity: Dict[int, str] = {}
         self._records: List[Any] = []
         self._next_flow_id = 0
+        #: flow id -> the flow's id in its own engine, and per engine the
+        #: flow id of each of its flows (each engine numbers the flows
+        #: it is given densely, in submission order).
+        self._sub_id: List[int] = []
+        self._flow_ids: Dict[str, List[int]] = {PACKET: [], FLUID: []}
         # Which engines ever received work: an untouched engine is
         # never run (and never publishes telemetry), so each pure limit
         # stays byte-identical to its pure engine.
@@ -158,6 +163,9 @@ class HybridSimulator:
                 PACKET if self.promotion.decide(spec, flow_id) else FLUID
             )
         self.fidelity[flow_id] = fidelity
+        engine_ids = self._flow_ids[fidelity]
+        self._sub_id.append(len(engine_ids))
+        engine_ids.append(flow_id)
         wrapped = spec.replace(
             fidelity=None,
             on_complete=functools.partial(
@@ -217,30 +225,27 @@ class HybridSimulator:
         """Per-queue (packets forwarded, drops) of the packet side."""
         return self.packet.queue_stats()
 
-    def control_rows(self, gid_of: Optional[Callable[[Any], Any]] = None):
-        """Both engines' control snapshots, ids namespaced per engine.
-
-        Flow ids become ``("packet", fid)`` or ``("fluid", fid)`` in the
-        sub-engine's id space (then mapped by ``gid_of``); the plane
-        counters are the packet side's.
-        """
-        plane_cum, rows = self.packet.control_rows(lambda f: (PACKET, f))
-        rows += self.fluid.control_rows(lambda f: (FLUID, f))[1]
+    def control_rows(self, gid_of: Optional[Callable[[int], Any]] = None):
+        """Both engines' control snapshots, under the flow ids the
+        records carry (then mapped by ``gid_of``); the plane counters
+        are the packet side's."""
+        plane_cum, rows = self.packet.control_rows(
+            self._flow_ids[PACKET].__getitem__
+        )
+        rows += self.fluid.control_rows(self._flow_ids[FLUID].__getitem__)[1]
         if gid_of is not None:
             for row in rows:
                 row["gid"] = gid_of(row["gid"])
         return plane_cum, rows
 
-    def resteer(self, gid, paths) -> Optional[tuple]:
-        """Move a live flow, named ``(engine, fid)``, onto ``paths``.
+    def resteer(self, flow_id: int, paths) -> bool:
+        """Move a live flow onto ``paths``; its own engine moves it.
 
-        The flow's own engine resteers it; returns its new
-        ``(engine, fid)``, or None when the flow is gone.
+        Returns False when the flow is gone.
         """
-        engine, fid = gid
-        sub = self.packet if engine == PACKET else self.fluid
-        new_fid = sub.resteer(fid, paths)
-        return None if new_fid is None else (engine, new_fid)
+        fluid = self.fidelity[flow_id] == FLUID
+        engine = self.fluid if fluid else self.packet
+        return engine.resteer(self._sub_id[flow_id], paths)
 
     def fidelity_counts(self) -> Dict[str, int]:
         """How many flows run at each fidelity."""

@@ -10,18 +10,15 @@ same decisions; :class:`Sampled` draws from a named
 submission index, so decisions are independent of call order and
 idempotent (re-deciding the same flow gives the same answer).
 
-Policies compose with ``|`` (promote if either says so), ``&`` (both)
-and ``~`` (invert)::
-
-    policy = tagged("probe") | sampled(0.05, seed=7)
-
-:func:`parse_policy` turns the CLI/env spelling (``--promote
-"tagged:probe+sampled:0.05:7"``) into the same objects.
+:func:`parse_policy` turns the CLI spelling (``--promote
+"tagged:probe+sampled:0.05:7"``: promote if any ``+``-joined term says
+so) into policy objects, and each policy's ``repr`` is the term that
+builds it.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Set
+from typing import FrozenSet, Iterable
 
 from repro.ckpt.rng import RngBundle
 from repro.core.flowspec import FlowSpec
@@ -44,22 +41,9 @@ class PromotionPolicy:
         """True to promote flow number ``index`` to packet fidelity."""
         raise NotImplementedError
 
-    def __or__(self, other: "PromotionPolicy") -> "PromotionPolicy":
-        if not isinstance(other, PromotionPolicy):
-            return NotImplemented
-        return AnyOf(self, other)
-
-    def __and__(self, other: "PromotionPolicy") -> "PromotionPolicy":
-        if not isinstance(other, PromotionPolicy):
-            return NotImplemented
-        return AllOf(self, other)
-
-    def __invert__(self) -> "PromotionPolicy":
-        return Not(self)
-
 
 class AnyOf(PromotionPolicy):
-    """Promote when any member policy does (``a | b``)."""
+    """Promote when any member policy does (terms joined with ``+``)."""
 
     def __init__(self, *policies: PromotionPolicy):
         self.policies = list(policies)
@@ -68,33 +52,7 @@ class AnyOf(PromotionPolicy):
         return any(p.decide(spec, index) for p in self.policies)
 
     def __repr__(self) -> str:
-        return "(" + " | ".join(repr(p) for p in self.policies) + ")"
-
-
-class AllOf(PromotionPolicy):
-    """Promote only when every member policy does (``a & b``)."""
-
-    def __init__(self, *policies: PromotionPolicy):
-        self.policies = list(policies)
-
-    def decide(self, spec: FlowSpec, index: int) -> bool:
-        return all(p.decide(spec, index) for p in self.policies)
-
-    def __repr__(self) -> str:
-        return "(" + " & ".join(repr(p) for p in self.policies) + ")"
-
-
-class Not(PromotionPolicy):
-    """Invert another policy (``~p``)."""
-
-    def __init__(self, policy: PromotionPolicy):
-        self.policy = policy
-
-    def decide(self, spec: FlowSpec, index: int) -> bool:
-        return not self.policy.decide(spec, index)
-
-    def __repr__(self) -> str:
-        return f"~{self.policy!r}"
+        return "+".join(repr(p) for p in self.policies)
 
 
 class PromoteAll(PromotionPolicy):
@@ -104,7 +62,7 @@ class PromoteAll(PromotionPolicy):
         return True
 
     def __repr__(self) -> str:
-        return "promote_all()"
+        return "all"
 
 
 class PromoteNone(PromotionPolicy):
@@ -114,7 +72,7 @@ class PromoteNone(PromotionPolicy):
         return False
 
     def __repr__(self) -> str:
-        return "promote_none()"
+        return "none"
 
 
 class Tagged(PromotionPolicy):
@@ -133,7 +91,9 @@ class Tagged(PromotionPolicy):
         return not self.tags or spec.tag in self.tags
 
     def __repr__(self) -> str:
-        return f"tagged({', '.join(map(repr, sorted(self.tags)))})"
+        if not self.tags:
+            return "tagged"
+        return "tagged:" + ",".join(sorted(self.tags))
 
 
 class Sampled(PromotionPolicy):
@@ -159,7 +119,7 @@ class Sampled(PromotionPolicy):
         return stream.random() < self.p
 
     def __repr__(self) -> str:
-        return f"sampled({self.p!r}, seed={self.seed!r})"
+        return f"sampled:{self.p!r}:{self.seed}"
 
 
 class CrossingFaultedPlane(PromotionPolicy):
@@ -167,60 +127,27 @@ class CrossingFaultedPlane(PromotionPolicy):
 
     Flows crossing a plane that a fault schedule touches are exactly the
     ones whose retransmission/resteering dynamics the fluid model cannot
-    capture; build from a :class:`repro.faults.FaultSchedule` with
-    :meth:`from_schedule`.
+    capture.
     """
 
-    def __init__(self, planes: Iterable[int] = ()):
+    def __init__(self, planes: Iterable[int]):
         self.planes: FrozenSet[int] = frozenset(int(p) for p in planes)
-
-    @classmethod
-    def from_schedule(cls, schedule) -> "CrossingFaultedPlane":
-        """Collect every plane the schedule's events touch."""
-        planes: Set[int] = set()
-        for event in schedule.events:
-            plane = getattr(event, "plane", None)
-            if plane is not None:
-                planes.add(int(plane))
-        return cls(planes)
 
     def decide(self, spec: FlowSpec, index: int) -> bool:
         return any(plane in self.planes for plane in spec.planes)
 
     def __repr__(self) -> str:
-        return f"crossing_faulted_plane({sorted(self.planes)})"
+        return "faulted:" + ",".join(str(p) for p in sorted(self.planes))
 
 
-# --- convenience constructors (the documented spelling) -----------------
-
-
-def promote_all() -> PromotionPolicy:
-    return PromoteAll()
-
-
-def promote_none() -> PromotionPolicy:
-    return PromoteNone()
-
-
-def tagged(*tags: str) -> PromotionPolicy:
-    return Tagged(*tags)
-
-
-def sampled(p: float, seed: int = 0) -> PromotionPolicy:
-    return Sampled(p, seed=seed)
-
-
-def crossing_faulted_plane(
-    planes: Iterable[int] = (), schedule=None
-) -> PromotionPolicy:
-    if schedule is not None:
-        policy = CrossingFaultedPlane.from_schedule(schedule)
-        return CrossingFaultedPlane(policy.planes | frozenset(planes))
-    return CrossingFaultedPlane(planes)
+#: The terms :func:`parse_policy` reads, for its error messages.
+_SPELLING = "all|none|tagged[:TAGS]|sampled:P[:SEED]|faulted:PLANES|P"
+#: The named terms; any other term without a colon is a probability.
+_NAMES = ("all", "none", "tagged", "sampled", "faulted")
 
 
 def parse_policy(text: str) -> PromotionPolicy:
-    """Parse the CLI/env promotion spelling into a policy.
+    """Parse the CLI promotion spelling into a policy.
 
     Terms, joined with ``+`` (promote if *any* term says so):
 
@@ -229,50 +156,39 @@ def parse_policy(text: str) -> PromotionPolicy:
     * ``sampled:P`` or ``sampled:P:SEED`` -- Bernoulli(P) sample
     * a bare probability like ``0.1`` -- shorthand for ``sampled:0.1``
     * ``faulted:0,2`` -- flows crossing the listed planes
+
+    Any other term, or a term with fields its name does not take, is a
+    ``ValueError`` that names the term.
     """
-    terms = []
-    for raw in str(text).split("+"):
-        term = raw.strip()
-        if not term:
-            continue
-        name, _, rest = term.partition(":")
-        if name == "all":
-            terms.append(PromoteAll())
-        elif name == "none":
-            terms.append(PromoteNone())
-        elif name == "tagged":
-            tags = [t for t in rest.split(",") if t] if rest else []
-            terms.append(Tagged(*tags))
-        elif name == "sampled":
-            parts = [p for p in rest.split(":") if p != ""]
-            if not parts:
-                raise ValueError(
-                    f"sampled needs a probability: {term!r}"
-                )
-            p = float(parts[0])
-            seed = int(parts[1]) if len(parts) > 1 else 0
-            terms.append(Sampled(p, seed=seed))
-        elif name == "faulted":
-            if not rest:
-                raise ValueError(f"faulted needs plane indices: {term!r}")
-            terms.append(
-                CrossingFaultedPlane(int(p) for p in rest.split(","))
-            )
-        else:
-            try:
-                p = float(term)
-            except ValueError:
-                raise ValueError(
-                    f"unknown promotion term {term!r} (all|none|"
-                    f"tagged[:tags]|sampled:p[:seed]|faulted:planes|"
-                    f"probability)"
-                ) from None
-            terms.append(Sampled(p))
+    terms = [
+        _parse_term(raw.strip()) for raw in str(text).split("+")
+        if raw.strip()
+    ]
     if not terms:
         raise ValueError(f"empty promotion spec {text!r}")
-    if len(terms) == 1:
-        return terms[0]
-    return AnyOf(*terms)
+    return terms[0] if len(terms) == 1 else AnyOf(*terms)
+
+
+def _parse_term(term: str) -> PromotionPolicy:
+    name, colon, rest = term.partition(":")
+    fields = rest.split(":") if colon else []
+    if not colon and name not in _NAMES:
+        name, fields = "sampled", [term]  # a bare probability
+    try:
+        if name in ("all", "none") and not fields:
+            return PromoteAll() if name == "all" else PromoteNone()
+        if name == "tagged":
+            return Tagged(*[t for t in rest.split(",") if t])
+        if name == "sampled" and 1 <= len(fields) <= 2:
+            seed = int(fields[1]) if len(fields) == 2 else 0
+            return Sampled(float(fields[0]), seed=seed)
+        if name == "faulted" and fields:
+            return CrossingFaultedPlane(int(p) for p in rest.split(","))
+    except ValueError as exc:
+        raise ValueError(
+            f"bad promotion term {term!r}: {exc} ({_SPELLING})"
+        ) from None
+    raise ValueError(f"bad promotion term {term!r} ({_SPELLING})")
 
 
 def resolve_policy(value) -> PromotionPolicy:

@@ -8,7 +8,7 @@ from repro.routing.shortest import (
     switch_hops,
 )
 from repro.routing.ksp import k_shortest_paths
-from repro.routing.ecmp import EcmpSelector, flow_hash
+from repro.routing.ecmp import flow_hash
 
 __all__ = [
     "all_shortest_paths",
@@ -17,6 +17,5 @@ __all__ = [
     "shortest_path_length",
     "switch_hops",
     "k_shortest_paths",
-    "EcmpSelector",
     "flow_hash",
 ]

@@ -1,24 +1,21 @@
-"""Flow-hash ECMP path selection (paper section 4).
+"""The stable flow hash behind ECMP path choice (paper section 4).
 
 In a P-Net running ECMP, the end host hashes each flow onto one of the N
 dataplanes, and the switches inside that plane hash the flow onto one of
-the equal-cost shortest paths.  The net effect -- modelled here -- is that
-each flow is pinned to a single, hash-chosen shortest path of a single,
-hash-chosen plane.
+the equal-cost shortest paths.  :class:`repro.core.path_selection.
+EcmpPolicy` models exactly that with two :func:`flow_hash` draws (the
+plane, then the path); the control policies re-hash moved flows with
+the same function.
 
-The hash must be stable across the run (a flow never migrates) but vary
-across flows; we use ``hashlib.blake2b`` keyed by the flow 5-tuple stand-in
-``(src, dst, flow_id)`` so results are reproducible across processes
-(Python's builtin ``hash`` is salted per process).
+The hash must be stable across the run but vary across flows; we use
+``hashlib.blake2b`` keyed by the flow 5-tuple stand-in ``(src, dst,
+flow_id)`` so results are reproducible across processes (Python's
+builtin ``hash`` is salted per process).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence, Tuple
-
-from repro.routing.shortest import all_shortest_paths
-from repro.topology.graph import Topology
 
 
 def flow_hash(src: str, dst: str, flow_id: int, salt: int = 0) -> int:
@@ -27,56 +24,3 @@ def flow_hash(src: str, dst: str, flow_id: int, salt: int = 0) -> int:
         f"{src}|{dst}|{flow_id}|{salt}".encode(), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big")
-
-
-class EcmpSelector:
-    """Per-flow ECMP path choice over one topology or a set of planes.
-
-    Path sets are cached per (plane, src, dst); pass ``max_paths`` to cap
-    the enumeration in path-rich fabrics (64 covers every fabric in the
-    paper's evaluation at the sizes we run).
-    """
-
-    def __init__(
-        self,
-        planes: Sequence[Topology],
-        max_paths: int = 64,
-        salt: int = 0,
-    ):
-        if not planes:
-            raise ValueError("need at least one plane")
-        self.planes = list(planes)
-        self.max_paths = max_paths
-        self.salt = salt
-        self._cache = {}
-
-    def paths(self, plane_idx: int, src: str, dst: str) -> List[List[str]]:
-        key = (plane_idx, src, dst)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = all_shortest_paths(
-                self.planes[plane_idx], src, dst, limit=self.max_paths
-            )
-            self._cache[key] = cached
-        return cached
-
-    def select_plane(self, src: str, dst: str, flow_id: int) -> int:
-        """Hash the flow onto one dataplane (host-side ECMP)."""
-        return flow_hash(src, dst, flow_id, self.salt) % len(self.planes)
-
-    def select(
-        self, src: str, dst: str, flow_id: int
-    ) -> Tuple[int, Optional[List[str]]]:
-        """The (plane, path) a hash-routed flow is pinned to.
-
-        Returns ``(plane_idx, None)`` if the pair is disconnected in the
-        chosen plane (e.g. under failures) -- callers decide whether to
-        fail over (see :mod:`repro.core.failures`).
-        """
-        plane_idx = self.select_plane(src, dst, flow_id)
-        options = self.paths(plane_idx, src, dst)
-        if not options:
-            return plane_idx, None
-        # Second-level hash picks among equal-cost paths inside the plane.
-        pick = flow_hash(src, dst, flow_id, self.salt + 1) % len(options)
-        return plane_idx, options[pick]

@@ -17,7 +17,7 @@ which keeps global plane indices valid everywhere.
 A worker takes no fault schedule: faults are a host reaction across
 planes, which :class:`repro.faults.FaultInjector` runs on an unsharded
 engine.  Control moves resteer shard-local flows through
-:meth:`PacketNetwork.resteer`.
+:meth:`PacketNetwork.resteer`, which keeps a flow's id.
 """
 
 from __future__ import annotations
@@ -77,6 +77,8 @@ class PacketShardWorker:
         self.net = PacketNetwork(
             config.planes, obs=self.obs, **config.sim_kwargs
         )
+        #: Global id of each local flow, by its id in ``net`` (which a
+        #: resteer keeps).
         self._local_gids: List[int] = []
         self._spanning: Dict[int, PartialMptcpSource] = {}
         for gid, spec in config.entries:
@@ -161,24 +163,10 @@ class PacketShardWorker:
         }
 
     def control_apply(self, moves) -> Dict[str, Any]:
-        """Resteer each ``(gid, paths)`` move of one control batch.
-
-        The relaunched flow keeps its *global* id (the fresh local id
-        maps back to the same gid), so records, policy state and the
-        engine's ownership table stay stable across a resteer --
-        unlike a controller attached to an engine, which re-keys the
-        fresh id.
-        """
-        fid_of = {
-            self._local_gids[fid]: fid
-            for fid, __, __s in self.net.active_flows()
-        }
+        """Resteer each ``(gid, paths)`` move of one control batch."""
+        fid_of = {gid: fid for fid, gid in enumerate(self._local_gids)}
         for gid, paths in moves:
-            fid = fid_of.get(gid)
-            # A flow gone since the sample has nothing to move; fresh
-            # ids are dense, so a relaunch's id is the next gid index.
-            if fid is not None and self.net.resteer(fid, paths) is not None:
-                self._local_gids.append(gid)
+            self.net.resteer(fid_of[gid], paths)
         return {"next": self.net.loop.next_time()}
 
     def result(self) -> Dict[str, Any]:

@@ -133,6 +133,8 @@ class MptcpSource:
     # --- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
+        if self._completed:
+            return  # aborted before its start time
         self.start_time = self.loop.now
         if self.size == 0:
             self._finish()

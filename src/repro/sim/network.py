@@ -60,6 +60,17 @@ class SimFlowRecord:
         return self.finish - self.start
 
 
+@dataclass
+class _Moved:
+    """What a moved flow's earlier legs leave to its one record."""
+
+    size: float
+    start: float
+    acked: int = 0
+    retransmits: int = 0
+    packets_sent: int = 0
+
+
 class PacketNetwork:
     """Packet simulation over one or more dataplanes.
 
@@ -103,11 +114,14 @@ class PacketNetwork:
         # checkpointing with its id sequence intact.
         self._next_flow_id = 0
         self.records: List[SimFlowRecord] = []
-        #: In-flight flows by id -- (source, spec) -- so fault injection
-        #: can find flows pinned to a failed element and resteer them.
+        #: In-flight flows by id -- (source, spec of the current leg) --
+        #: so fault injection can find flows pinned to a failed element
+        #: and resteer them.
         self._active: Dict[int, Tuple[object, FlowSpec]] = {}
-        #: Bytes that were ACKed on flows later aborted (fail-over keeps
-        #: that progress: only the remainder is relaunched).
+        #: Live flows that :meth:`resteer` moved, by id: their submitted
+        #: size, first start and earlier legs' counters.
+        self._moved: Dict[int, _Moved] = {}
+        #: Bytes that were ACKed on flows later aborted.
         self._aborted_acked = 0.0
 
     # --- element plumbing ------------------------------------------------
@@ -161,9 +175,13 @@ class PacketNetwork:
             raise ValueError(f"unknown transport {spec.transport!r}")
         if spec.transport == "dctcp" and len(spec.paths) > 1:
             raise ValueError("DCTCP is single-path; use one path")
-        at = 0.0 if spec.at is None else spec.at
         flow_id = self._next_flow_id
         self._next_flow_id += 1
+        return self._start_leg(flow_id, spec)
+
+    def _start_leg(self, flow_id: int, spec: FlowSpec):
+        """Build flow ``flow_id``'s source for ``spec`` and schedule it."""
+        at = 0.0 if spec.at is None else spec.at
         # A bound-method partial (not a closure) so in-flight flows --
         # whose sources hold this completion hook -- pickle for
         # checkpointing.
@@ -174,16 +192,21 @@ class PacketNetwork:
         return source
 
     def _finish_flow(self, flow_id: int, spec: FlowSpec, source) -> None:
+        # ``spec`` is the last leg's; a moved flow's record still covers
+        # the whole flow, from its first start.
+        moved = self._moved.pop(flow_id, None)
+        if moved is None:
+            moved = _Moved(spec.size, source.start_time)
         record = SimFlowRecord(
             flow_id=flow_id,
             src=spec.src,
             dst=spec.dst,
-            size=spec.size,
-            start=source.start_time,
+            size=moved.size,
+            start=moved.start,
             finish=source.finish_time,
             n_subflows=len(spec.paths),
-            retransmits=source.retransmits,
-            packets_sent=source.packets_sent,
+            retransmits=moved.retransmits + source.retransmits,
+            packets_sent=moved.packets_sent + source.packets_sent,
             tag=spec.tag,
             planes=spec.planes,
         )
@@ -193,8 +216,9 @@ class PacketNetwork:
             publish_flow(self.obs, record)
             self.obs.trace(
                 "flow.complete", self.loop.now, flow_id=flow_id,
-                src=spec.src, dst=spec.dst, size=spec.size, fct=record.fct,
-                planes=list(spec.planes), retransmits=record.retransmits,
+                src=spec.src, dst=spec.dst, size=record.size,
+                fct=record.fct, planes=list(spec.planes),
+                retransmits=record.retransmits,
             )
         if spec.on_complete is not None:
             spec.on_complete(record)
@@ -257,36 +281,52 @@ class PacketNetwork:
         """Abort an in-flight flow (no record, no completion callback).
 
         Returns False when the flow already completed or is unknown.
-        Used by fault injection to tear a flow off a dead path before
-        relaunching its remaining bytes elsewhere.
+        Fault injection's last resort when a flow's endpoints are fully
+        partitioned; its ACKed bytes stay delivered.
         """
         entry = self._active.pop(flow_id, None)
         if entry is None:
             return False
         source = entry[0]
+        moved = self._moved.pop(flow_id, None)
+        if moved is not None:
+            self._aborted_acked += moved.acked
         self._aborted_acked += _acked(source)
         source.abort()
         return True
 
-    def resteer(
-        self, flow_id: int, paths: Sequence[PlanePath]
-    ) -> Optional[int]:
-        """Move a live flow onto ``paths``.
+    def resteer(self, flow_id: int, paths: Sequence[PlanePath]) -> bool:
+        """Move a live flow onto ``paths``; it keeps its id.
 
-        TCP state cannot survive a path change, so the flow is aborted
-        and its un-ACKed remainder relaunched now, from slow start, as a
-        real connection migration would.  Returns the relaunch's fresh
-        flow id, or None when the flow is gone.
+        TCP state cannot survive a path change, so a started flow's
+        source is aborted and its un-ACKed remainder relaunched now,
+        from slow start, as a real connection migration would.  A flow
+        that has not started keeps its arrival time; only its paths
+        change.  Either way the flow's one record covers it whole (see
+        :meth:`_finish_flow`).  Returns False when the flow is gone.
         """
-        entry = self._active.get(flow_id)
+        entry = self._active.pop(flow_id, None)
         if entry is None:
-            return None
+            return False
         source, spec = entry
-        remaining = max(int(spec.size) - int(_acked(source)), 0)
-        self.abort_flow(flow_id)
-        new_id = self._next_flow_id
-        self.add_flow(spec.relaunch(remaining, paths, self.now))
-        return new_id
+        source.abort()
+        if source.start_time is None:
+            leg = spec.relaunch(spec.size, paths, spec.at)
+        else:
+            moved = self._moved.get(flow_id)
+            if moved is None:
+                moved = self._moved[flow_id] = _Moved(
+                    spec.size, source.start_time
+                )
+            acked = _acked(source)
+            moved.acked += acked
+            moved.retransmits += source.retransmits
+            moved.packets_sent += source.packets_sent
+            leg = spec.relaunch(
+                max(int(spec.size) - int(acked), 0), paths, self.now
+            )
+        self._start_leg(flow_id, leg)
+        return True
 
     def control_rows(self, gid_of: Optional[Callable[[int], Any]] = None):
         """The control loop's snapshot: ``(plane_cum, rows)``.
@@ -294,6 +334,7 @@ class PacketNetwork:
         ``plane_cum`` is each plane's cumulative forwarded bytes; each
         started live flow gives one ``"acked"`` row of cumulative
         per-subflow ACKed bytes (see :mod:`repro.control.monitor`).
+        A moved flow's ``size`` and ``acked`` are its current leg's.
         ``gid_of`` maps flow ids to the caller's ids.
         """
         plane_cum = {
@@ -305,9 +346,7 @@ class PacketNetwork:
             if getattr(source, "completed", False):
                 continue
             if getattr(source, "start_time", None) is None:
-                # Submitted but not started (spec.at is in the future):
-                # resteering it would relaunch -- and start -- it early.
-                continue
+                continue  # submitted, not started: nothing to measure
             # MPTCP sources count per subflow; TCP and DCTCP sources
             # are their own single subflow.
             subflows = getattr(source, "subflows", None) or [source]
@@ -325,11 +364,13 @@ class PacketNetwork:
 
     @property
     def delivered_bytes(self) -> float:
-        """Bytes ACKed so far: completed and aborted flows plus
-        in-flight progress."""
+        """Bytes ACKed so far, each once: completed and aborted flows
+        plus in-flight progress (a moved flow's earlier legs too)."""
         total = float(sum(r.size for r in self.records)) + self._aborted_acked
         for source, __ in self._active.values():
             total += _acked(source)
+        for moved in self._moved.values():
+            total += moved.acked
         return total
 
     def wire(self, tcp_source: TcpSource, plane_path: PlanePath) -> None:

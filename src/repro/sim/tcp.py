@@ -104,9 +104,14 @@ class TcpSource:
     # --- public API --------------------------------------------------------
 
     def start(self) -> None:
-        """Begin transmitting (route must be wired first)."""
+        """Begin transmitting (route must be wired first).
+
+        A source aborted before its start time never starts.
+        """
         if not self.route_out:
             raise RuntimeError("route_out not wired")
+        if self._completed:
+            return
         self.start_time = self.loop.now
         if self._total_size == 0 and self._no_more_data:
             self._finish()

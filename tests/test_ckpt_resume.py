@@ -232,16 +232,21 @@ class TestRestoreRejections:
 
     def test_v3_snapshot_rejected(self, tmp_path):
         # v3 snapshots pickle queues in place; this build writes them
-        # as shells plus a flat state table, so v3 must fail at load.
+        # as shells plus a flat state table.  v4 snapshots hold no
+        # table of moved flows, which this build's packet engine reads
+        # when a flow completes.  Both must fail at load, not mid-run.
         net = _packet_net()
         net.run(until=3e-5)
         directory = save(tmp_path, net)
         manifest_path = directory / "MANIFEST.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 3
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="v3 .* not supported"):
-            restore(directory)
+        for version in (3, 4):
+            manifest["format_version"] = version
+            manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(
+                CheckpointError, match=f"v{version} .* not supported"
+            ):
+                restore(directory)
 
 
 class TestMidFaultResume:

@@ -17,6 +17,7 @@ from repro.ckpt.store import list_checkpoints
 from repro.control import (
     Controller,
     DardPolicy,
+    EcmpReshufflePolicy,
     FlowletPolicy,
     LoadAwarePolicy,
     as_controller,
@@ -111,11 +112,57 @@ class TestEveryEngine:
         # sizes -- resteering must never lose or duplicate bytes.
         pnet = make_pnet()
         net = build_network(pnet.planes, kind="packet")
-        specs = flows_for(pnet)
+        specs = flows_for(pnet, n=6)
         result = run_trial(
             net, specs, control=controller(FlowletPolicy(seed=0))
         )
-        assert len(result.records) == len(specs)
+        assert result.meta["control"]["stats"]["applied"] > 0
+        assert sorted(r.flow_id for r in result.records) == list(
+            range(len(specs))
+        )
+        for record in result.records:
+            assert record.size == specs[record.flow_id].size
+        assert net.delivered_bytes == sum(spec.size for spec in specs)
+
+
+#: Every policy, as (factory, subflows per flow it steers).
+POLICIES = {
+    "ecmp-reshuffle": (lambda: EcmpReshufflePolicy(seed=0), 2),
+    "flowlet": (lambda: FlowletPolicy(seed=0), 2),
+    "load-aware": (lambda: LoadAwarePolicy(seed=0, hysteresis=1.2), 2),
+    "dard": (lambda: DardPolicy(seed=0), 1),
+}
+
+
+def record_rows(records):
+    """What a moved flow's record must agree on across engines."""
+    return sorted(
+        (r.flow_id, r.size, r.start, r.finish, r.retransmits,
+         r.packets_sent)
+        for r in records
+    )
+
+
+class TestOneIdPerFlow:
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_hybrid_packet_limit_is_the_packet_engine(self, policy):
+        """Every flow promoted, a controlled hybrid run is the packet
+        engine's controlled run: a move keys the flow by the id its
+        record carries on both."""
+        make, k = POLICIES[policy]
+        pnet = make_pnet()
+        specs = flows_for(pnet, n=6, k=k)
+        packet, hybrid = controller(make()), controller(make())
+        want = run_trial(
+            build_network(pnet.planes, kind="packet"), specs, control=packet
+        )
+        got = run_trial(
+            build_network(pnet.planes, kind="hybrid"), specs,
+            control=hybrid, promotion=1.0,
+        )
+        assert packet.stats.applied > 0
+        assert hybrid.stats == packet.stats
+        assert record_rows(got.records) == record_rows(want.records)
 
 
 class TestDeterminismAndResume:

@@ -125,13 +125,21 @@ class TestMonitor:
         mon.ingest(2e-3, 1e-3, 1, [])
         assert mon._prev_acked == {}
 
-    def test_rekey_drops_old_baseline(self):
+    def test_move_restarts_baseline_even_when_counters_grew(self):
+        # A move relaunches the flow under the same id, on new paths,
+        # with fresh counters; its first interval can ACK more than the
+        # old leg had.  Its progress is the new counters, not the
+        # difference to the old leg's.
         mon = ControlMonitor()
-        paths = [(0, ["a", "s", "b"])]
-        mon.ingest(1e-3, 1e-3, 1, [acked_row(7, "a", "b", [500], paths)])
-        mon.rekey(7, 9)
-        s = mon.ingest(2e-3, 1e-3, 1, [acked_row(9, "a", "b", [20], paths)])
-        assert s.flows[0].progress == [20.0]
+        before = [(0, ["a", "s", "b"])]
+        after = [(1, ["a", "t", "b"])]
+        mon.ingest(
+            1e-3, 1e-3, 2, [acked_row(5, "a", "b", [292_000], before)]
+        )
+        s = mon.ingest(
+            2e-3, 1e-3, 2, [acked_row(5, "a", "b", [401_500], after)]
+        )
+        assert s.flows[0].progress == [401_500.0]
 
     def test_mean_load(self):
         s = sample_of({0: 10.0, 1: 30.0}, [])
@@ -271,14 +279,6 @@ class TestFlowlet:
             sample_of({0: 0.0}, [view(5, a, b, paths, [0.0])])
         ) == []
 
-    def test_rekey_carries_bump_counter(self):
-        policy = FlowletPolicy(pnet=make_pnet(2), seed=0)
-        policy._bump[5] = 3
-        policy._idle[5] = 1
-        policy.rekey(5, 8)
-        assert policy._bump == {8: 3}
-        assert 5 not in policy._idle
-
     def test_idle_ticks_validated(self):
         with pytest.raises(ValueError):
             FlowletPolicy(idle_ticks=0)
@@ -343,12 +343,6 @@ class TestLoadAware:
             [view(1, a, b, paths, [1000.0], transport="tcp")],
         )
         assert policy.decide(s) == []
-
-    def test_rekey_carries_cooldown_state(self):
-        policy = LoadAwarePolicy(pnet=make_pnet(2), seed=0, cooldown=1.0)
-        policy._last_move[4] = 0.5
-        policy.rekey(4, 6)
-        assert policy._last_move == {6: 0.5}
 
     def test_fingerprints_distinguish_configurations(self):
         a = LoadAwarePolicy(hysteresis=1.5).fingerprint()

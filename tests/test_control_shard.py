@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.api import build_network, run_trial
 from repro.ckpt.store import CheckpointError, list_checkpoints
 from repro.control import Controller, DardPolicy, LoadAwarePolicy
 from repro.core.flowspec import FlowSpec
@@ -25,6 +26,8 @@ from repro.core.pnet import PNet
 from repro.obs import Registry
 from repro.shard import run_packet_trial
 from repro.topology import ParallelTopology, build_jellyfish
+
+from tests.test_control_engines import POLICIES, record_rows
 
 INTERVAL = 5e-5
 
@@ -95,6 +98,8 @@ class TestShardedControl:
         result = run_sharded(pnet, specs)
         assert result.n_shards == 2
         assert len(result.records) == len(specs)
+        for record in result.records:
+            assert record.size == specs[record.flow_id].size
         stats = result.control["stats"]
         assert stats["ticks"] > 0
         # Idle planes 2/3 pull decisions every tick; the owning-shard
@@ -135,6 +140,30 @@ class TestShardedControl:
         assert sorted(r.flow_id for r in result.records) == list(
             range(len(specs))
         )
+        for record in result.records:
+            assert record.size == specs[record.flow_id].size
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_attached_controller_equals_one_shard(self, policy):
+        """A controller attached to a packet engine and the one-shard
+        barrier loop move the same flows the same way: both keep a
+        moved flow's id, so their records and counts agree."""
+        make, subflows = POLICIES[policy]
+        pnet = make_pnet()
+        specs = shard_local_specs(pnet, n=8, subflows=subflows)
+        attached = controller(make())
+        want = run_trial(
+            build_network(pnet.planes, kind="packet"), specs,
+            control=attached,
+        )
+        one_shard = run_packet_trial(
+            pnet, specs, shards=1, control=controller(make())
+        )
+        assert attached.stats.applied > 0
+        assert one_shard.control["stats"]["applied"] == (
+            attached.stats.applied
+        )
+        assert record_rows(one_shard.records) == record_rows(want.records)
 
     def test_control_off_unchanged(self):
         pnet = make_pnet()

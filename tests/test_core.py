@@ -15,6 +15,7 @@ from repro.core import (
 )
 from repro.core.failures import detect_failed_uplinks, path_is_live
 from repro.topology import ParallelTopology, build_fat_tree, build_jellyfish
+from repro.topology.graph import HOST
 from repro.units import GB, MB
 
 
@@ -94,6 +95,13 @@ class TestEcmpPolicy:
     def test_flow_is_pinned(self, homo4):
         policy = EcmpPolicy(homo4)
         assert policy.select("h0", "h15", 7) == policy.select("h0", "h15", 7)
+
+    def test_handles_disconnection(self):
+        topo = build_fat_tree(4)
+        for link in list(topo.neighbor_links("t0_0")):
+            if topo.kind(link.other("t0_0")) != HOST:
+                topo.fail_link(link.u, link.v)
+        assert EcmpPolicy(PNet.serial(topo)).select("h0", "h15", 0) == []
 
 
 class TestRoundRobin:

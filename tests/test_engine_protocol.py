@@ -105,11 +105,15 @@ def test_control_rows_shape(kind):
     for row in rows:
         assert {"gid", "src", "dst", "size", "paths", "transport",
                 "tag"} <= set(row)
-        engine = row["gid"][0] if kind == "hybrid" else kind
+        assert isinstance(row["gid"], int)
+        engine = net.fidelity[row["gid"]] if kind == "hybrid" else kind
         counter = "acked" if engine == "packet" else "rate"
         assert len(row[counter]) == len(row["paths"])
     if kind == "hybrid":
-        assert {row["gid"][0] for row in rows} == {"packet", "fluid"}
+        # One id space: the ids the records carry, across both engines.
+        assert {net.fidelity[row["gid"]] for row in rows} == {
+            "packet", "fluid",
+        }
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -139,18 +143,14 @@ def test_resteer(kind):
 
     moved = probe_at(net, 20e-6, move_every_flow)
     assert moved
-    for gid, new, __ in moved:
-        engine = gid[0] if kind == "hybrid" else kind
-        if engine == "packet":
-            assert new != gid  # aborted and relaunched under a fresh id
-        else:
-            assert new == gid  # migrated in place
-        if kind == "hybrid":
-            assert new[0] == gid[0]
-    # Every flow still completes; a finished flow cannot be resteered.
-    assert len(net.records) == 6
-    for __, new, paths in moved:
-        assert net.resteer(new, paths) is None
+    # A move keeps the flow's id, on every engine.
+    assert all(ok is True for __, ok, __p in moved)
+    # Every flow still completes, once, under its own id and with its
+    # submitted size; a finished flow cannot be resteered.
+    assert sorted(r.flow_id for r in net.records) == list(range(6))
+    assert {r.size for r in net.records} == {200_000}
+    for gid, __, paths in moved:
+        assert net.resteer(gid, paths) is False
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -187,7 +187,7 @@ def test_fault_injection_needs_plain_flow_ids(kind):
     assert hasattr(net, "active_flow_paths") == (kind != "hybrid")
     injector = FaultInjector(pnet, FaultSchedule([]))
     if kind == "hybrid":
-        # Hybrid ids are (engine, fid) pairs; selectors hash plain ids.
+        # Hybrid has neither active_flow_paths() nor abort_flow.
         with pytest.raises(TypeError):
             injector.attach(net)
     else:

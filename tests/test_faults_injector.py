@@ -1,5 +1,7 @@
 """Tests for the fault injector: refcounts, routing repair, resteering."""
 
+import math
+
 import pytest
 
 from repro.core.failures import FailureAwareSelector, path_is_live
@@ -21,9 +23,10 @@ from repro.faults import (
 from repro.fluid.flowsim import FluidSimulator
 from repro.obs import Registry, Tracer
 from repro.sim.network import PacketNetwork
-from repro.units import Gbps, MB
+from repro.units import MSS, Gbps, MB
 
 from tests.test_faults_schedule import make_pnet, two_path_plane
+from tests.test_shard_engine import jellyfish_workload
 
 A0 = (0, ["h0", "t0", "a", "t1", "h1"])
 B0 = (0, ["h0", "t0", "b", "t1", "h1"])
@@ -191,16 +194,56 @@ class TestPacketResteer:
         net.run(until=1.0)
         assert injector.stats.flows_resteered == 1
         assert injector.stats.flows_stranded == 0
-        # The relaunched remainder completed; no ACKed byte was lost.
+        # The moved flow completed as one flow: its one record covers
+        # all of it, and no ACKed byte was lost or counted twice.
         assert len(net.records) == 1
         assert net.records[0].tag == "bulk"
-        assert net.records[0].size < size  # only the remainder relaunched
-        assert net.delivered_bytes == pytest.approx(size)
+        assert net.records[0].flow_id == 0
+        assert net.records[0].size == size
+        assert net.delivered_bytes == size
         # Without a selector the surviving path set is kept as-is.
         __, __, spec = net.active_flows()[0] if net.active_flows() else (
             None, None, None,
         )
         assert spec is None  # nothing left in flight
+
+    @staticmethod
+    def run_plane_outage(at=None):
+        """Eight 1 MB flows on four planes, plane 0 down from 20 us to
+        5 ms; every flow crosses plane 0 and is moved at 1.02 ms."""
+        pnet, specs = jellyfish_workload(size=int(MB))
+        net = PacketNetwork(pnet.planes)
+        injector = FaultInjector(pnet, FaultSchedule([
+            FaultEvent(at=20e-6, kind=PLANE_DOWN, plane=0),
+            FaultEvent(at=5e-3, kind=PLANE_UP, plane=0),
+        ]), obs=Registry())
+        injector.attach(net)
+        sources = [net.add_flow(spec=spec.replace(at=at)) for spec in specs]
+        net.run()
+        assert injector.stats.flows_resteered == len(specs) == 8
+        return net, sources
+
+    def test_moved_flow_keeps_its_id_size_and_start(self):
+        net, __ = self.run_plane_outage()
+        records = sorted(net.records, key=lambda r: r.flow_id)
+        assert [r.flow_id for r in records] == list(range(8))
+        for record in records:
+            assert record.size == int(MB)
+            assert record.start == 0.0
+            assert 0 not in record.planes  # it finished off plane 0
+            # Summed over both legs: at least one packet per MSS.
+            assert record.packets_sent >= math.ceil(int(MB) / MSS)
+        assert net.delivered_bytes == 8 * int(MB)
+
+    def test_flow_moved_before_it_arrives_keeps_its_arrival(self):
+        net, first_legs = self.run_plane_outage(at=5e-3)
+        assert len(net.records) == 8
+        assert {r.start for r in net.records} == {5e-3}
+        assert {r.size for r in net.records} == {int(MB)}
+        # The sources the move replaced never start, so they send no
+        # packet on the old paths when the flows arrive.
+        assert all(s.start_time is None for s in first_legs)
+        assert sum(s.packets_sent for s in first_legs) == 0
 
     def test_fully_partitioned_flow_is_stranded(self):
         pnet = make_pnet()

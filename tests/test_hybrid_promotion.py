@@ -1,4 +1,4 @@
-"""Promotion policies: units, combinators, parsing, determinism.
+"""Promotion policies: units, parsing, determinism.
 
 The load-bearing property is that :class:`~repro.hybrid.promotion.
 Sampled` is a *pure function* of ``(p, seed, flow index)``: each
@@ -57,17 +57,6 @@ class TestPolicies:
         assert policy.decide(spec(), 0)  # paths touch plane 2
         assert not CrossingFaultedPlane([1]).decide(spec(), 0)
 
-    def test_combinators(self):
-        either = Tagged("probe") | Sampled(0.0)
-        assert either.decide(spec(tag="probe"), 0)
-        assert not either.decide(spec(), 0)
-        both = Tagged("probe") & Sampled(1.0)
-        assert both.decide(spec(tag="probe"), 0)
-        assert not both.decide(spec(), 0)
-        inverted = ~Tagged("probe")
-        assert not inverted.decide(spec(tag="probe"), 0)
-        assert inverted.decide(spec(), 0)
-
 
 class TestParsing:
     def test_terms(self):
@@ -80,6 +69,13 @@ class TestParsing:
         assert isinstance(bare, Sampled) and bare.p == 0.25
         faulted = parse_policy("faulted:0,2")
         assert faulted.decide(spec(), 0)
+        # Each policy prints the term that builds it.
+        for term in (
+            "all", "none", "tagged", "tagged:bulk,probe", "sampled:0.25:7",
+            "faulted:0,2", "tagged:probe+sampled:0.05:0",
+        ):
+            assert repr(parse_policy(term)) == term
+        assert repr(parse_policy("0.25")) == "sampled:0.25:0"
 
     def test_or_join(self):
         policy = parse_policy("tagged:probe+sampled:0.0")
@@ -87,10 +83,14 @@ class TestParsing:
         assert not policy.decide(spec(), 0)
 
     @pytest.mark.parametrize(
-        "bad", ["", "quantum", "sampled", "faulted", "sampled:2.0"]
+        "bad", [
+            "", "quantum", "sampled", "faulted", "sampled:2.0",
+            # More fields than the name takes.
+            "sampled:0.1:7:9", "all:5", "none:x",
+        ]
     )
     def test_rejects(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=repr(bad) if bad else None):
             parse_policy(bad)
 
     def test_resolve(self):

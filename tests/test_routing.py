@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.routing.ecmp import EcmpSelector, flow_hash
+from repro.core import EcmpPolicy, PNet
+from repro.routing.ecmp import flow_hash
 from repro.routing.ksp import k_shortest_paths, k_shortest_paths_pooled
 from repro.routing.shortest import (
     all_shortest_paths,
@@ -170,26 +171,18 @@ class TestEcmp:
         assert values == {0, 1, 2, 3}
 
     def test_selector_pins_flow(self, ft4):
-        sel = EcmpSelector([ft4])
-        plane, path = sel.select("h0", "h15", 3)
-        plane2, path2 = sel.select("h0", "h15", 3)
+        policy = EcmpPolicy(PNet.serial(ft4))
+        [(plane, path)] = policy.select("h0", "h15", 3)
+        [(plane2, path2)] = policy.select("h0", "h15", 3)
         assert plane == plane2 == 0
         assert path == path2
+        assert path in all_shortest_paths(ft4, "h0", "h15")
 
     def test_selector_uses_all_planes(self):
         pnet = ParallelTopology.homogeneous(lambda: build_fat_tree(4), 4)
-        sel = EcmpSelector(pnet.planes)
-        planes = {sel.select_plane("h0", "h15", i) for i in range(64)}
+        policy = EcmpPolicy(PNet(pnet))
+        planes = {policy.select("h0", "h15", i)[0][0] for i in range(64)}
         assert planes == {0, 1, 2, 3}
-
-    def test_selector_handles_disconnection(self):
-        topo = build_fat_tree(4)
-        for link in list(topo.neighbor_links("t0_0")):
-            if topo.kind(link.other("t0_0")) != HOST:
-                topo.fail_link(link.u, link.v)
-        sel = EcmpSelector([topo])
-        plane, path = sel.select("h0", "h15", 0)
-        assert path is None
 
 
 class TestForwardingTable:
